@@ -6,37 +6,52 @@
 
 namespace ams::core {
 
-DecisionPlane::DecisionPlane(ModelValuePredictor* predictor, bool memoize_rows)
-    : predictor_(predictor), memoize_rows_(memoize_rows) {
+DecisionPlane::DecisionPlane(ModelValuePredictor* predictor, DecisionRow row,
+                             bool memoize_rows)
+    : predictor_(predictor), row_kind_(row), memoize_rows_(memoize_rows) {
   AMS_CHECK(predictor != nullptr);
+  stride_ = static_cast<size_t>(predictor->num_actions());
+}
+
+void DecisionPlane::ToDecisionRow(double* row) const {
+  if (row_kind_ == DecisionRow::kQ) return;
+  for (size_t a = 0; a < stride_; ++a) row[a] = SchedulingProfit(row[a]);
 }
 
 bool DecisionPlane::ServeFromMemo(Slot* slot, const LabelingState& state) {
   if (!memoize_rows_) return false;
   const auto it = row_memo_.find(state.SetIndices());
   if (it == row_memo_.end()) return false;
-  slot->q_ = it->second;
+  slot->row_ = it->second;
   slot->labels_at_ = state.num_labels_set();
   ++memo_hits_;
   return true;
 }
 
 void DecisionPlane::MemoizeRow(const std::vector<int>& indices,
-                               const double* row, size_t stride) {
+                               const double* row) {
   if (!memoize_rows_ || row_memo_.size() >= kRowMemoCap) return;
   std::vector<double>& entry = row_memo_[indices];
-  if (entry.empty()) entry.assign(row, row + stride);
+  if (entry.empty()) entry.assign(row, row + stride_);
 }
 
-const std::vector<double>& DecisionPlane::Slot::Values(
+const std::vector<double>& DecisionPlane::Slot::Row(
     const LabelingState& state) {
-  if (!Fresh(state) && !plane_->ServeFromMemo(this, state)) {
-    q_ = plane_->predictor_->PredictValues(state.Features());
-    labels_at_ = state.num_labels_set();
-    ++plane_->scalar_predictions_;
-    plane_->MemoizeRow(state.SetIndices(), q_.data(), q_.size());
-  }
-  return q_;
+  if (Fresh(state) || plane_->ServeFromMemo(this, state)) return row_;
+  // One row through the batched inference forward rather than
+  // PredictValues: the rows are bitwise identical, but the scalar entry is
+  // the training forward, which caches activations for Backward and
+  // allocates on every call.
+  const std::vector<float>* features = &state.Features();
+  const std::vector<int>* indices = &state.SetIndices();
+  row_.resize(plane_->stride_);
+  plane_->predictor_->PredictValuesBatchTo(&features, &indices, 1,
+                                           row_.data());
+  plane_->ToDecisionRow(row_.data());
+  labels_at_ = state.num_labels_set();
+  ++plane_->scalar_predictions_;
+  plane_->MemoizeRow(state.SetIndices(), row_.data());
+  return row_;
 }
 
 DecisionPlane::Slot* DecisionPlane::NewSlot() {
@@ -74,11 +89,13 @@ void DecisionPlane::CommitRow(const PendingRequest& request, const double* row,
                               size_t stride) {
   AMS_CHECK(request.slot != nullptr && request.state != nullptr &&
             row != nullptr);
-  AMS_CHECK(stride == static_cast<size_t>(predictor_->num_actions()),
+  AMS_CHECK(stride == stride_,
             "committed row stride does not match this plane's predictor");
-  request.slot->q_.assign(row, row + stride);
+  std::vector<double>& slot_row = request.slot->row_;
+  slot_row.assign(row, row + stride);
+  ToDecisionRow(slot_row.data());
   request.slot->labels_at_ = request.state->num_labels_set();
-  MemoizeRow(request.state->SetIndices(), row, stride);
+  MemoizeRow(request.state->SetIndices(), slot_row.data());
 }
 
 void DecisionPlane::NoteExternalRound(long refreshed_rows) {
@@ -87,16 +104,20 @@ void DecisionPlane::NoteExternalRound(long refreshed_rows) {
   batched_rows_ += refreshed_rows;
 }
 
-void DecisionPlane::PrefetchArena(const std::vector<SlotView>& views) {
+void DecisionPlane::Prefetch(const std::vector<SlotView>& views,
+                             util::Arena* arena) {
+  AMS_CHECK(arena != nullptr);
   // Parallel arrays instead of a SlotView array: std::pair is not
   // trivially copyable, which Arena::AllocArray requires.
-  Slot** stale_slots = arena_->AllocArray<Slot*>(views.size());
+  Slot** stale_slots = arena->AllocArray<Slot*>(views.size());
   const LabelingState** stale_states =
-      arena_->AllocArray<const LabelingState*>(views.size());
+      arena->AllocArray<const LabelingState*>(views.size());
   size_t n_stale = 0;
   for (const SlotView& view : views) {
     AMS_CHECK(view.first != nullptr && view.second != nullptr);
     if (view.first->Fresh(*view.second)) continue;
+    // States seen before — by any item, any time in the plane's life — are
+    // served straight from the row memo without a forward pass.
     if (ServeFromMemo(view.first, *view.second)) continue;
     stale_slots[n_stale] = view.first;
     stale_states[n_stale] = view.second;
@@ -104,12 +125,18 @@ void DecisionPlane::PrefetchArena(const std::vector<SlotView>& views) {
   }
   if (n_stale == 0) return;
 
-  // Same cross-item dedup as the member-vector path below.
+  // Deduplicate identical states across items: co-scheduled items share
+  // feature vectors often (every item starts all-zero, and sparse label
+  // states collide), and the predictor is a pure function of the features,
+  // so duplicates ride along on one forward row. This cross-item sharing is
+  // exactly what per-item caches cannot see. States are compared through
+  // their sorted set-index lists — tens of ints instead of the full
+  // 1000+-entry feature vector — which fully determine the binary features.
   const std::vector<float>** features =
-      arena_->AllocArray<const std::vector<float>*>(n_stale);
+      arena->AllocArray<const std::vector<float>*>(n_stale);
   const std::vector<int>** indices =
-      arena_->AllocArray<const std::vector<int>*>(n_stale);
-  size_t* row_of = arena_->AllocArray<size_t>(n_stale);
+      arena->AllocArray<const std::vector<int>*>(n_stale);
+  size_t* row_of = arena->AllocArray<size_t>(n_stale);
   size_t n_rows = 0;
   for (size_t i = 0; i < n_stale; ++i) {
     const std::vector<int>& idx = stale_states[i]->SetIndices();
@@ -129,79 +156,19 @@ void DecisionPlane::PrefetchArena(const std::vector<SlotView>& views) {
     row_of[i] = row;
   }
 
-  const size_t stride = static_cast<size_t>(predictor_->num_actions());
-  double* flat_q = arena_->AllocArray<double>(n_rows * stride);
-  predictor_->PredictValuesBatchTo(features, indices, n_rows, flat_q);
+  double* flat = arena->AllocArray<double>(n_rows * stride_);
+  predictor_->PredictValuesBatchTo(features, indices, n_rows, flat);
   ++batched_predictions_;
   batched_rows_ += static_cast<long>(n_rows);
   for (size_t u = 0; u < n_rows; ++u) {
-    MemoizeRow(*indices[u], flat_q + u * stride, stride);
+    double* row = flat + u * stride_;
+    ToDecisionRow(row);
+    MemoizeRow(*indices[u], row);
   }
   for (size_t i = 0; i < n_stale; ++i) {
-    const double* row = flat_q + row_of[i] * stride;
-    stale_slots[i]->q_.assign(row, row + stride);
+    const double* row = flat + row_of[i] * stride_;
+    stale_slots[i]->row_.assign(row, row + stride_);
     stale_slots[i]->labels_at_ = stale_states[i]->num_labels_set();
-  }
-}
-
-void DecisionPlane::Prefetch(const std::vector<SlotView>& views) {
-  if (arena_ != nullptr) {
-    PrefetchArena(views);
-    return;
-  }
-  stale_.clear();
-  for (const SlotView& view : views) {
-    AMS_CHECK(view.first != nullptr && view.second != nullptr);
-    if (view.first->Fresh(*view.second)) continue;
-    // States seen before — by any item, any time in the plane's life — are
-    // served straight from the row memo without a forward pass.
-    if (ServeFromMemo(view.first, *view.second)) continue;
-    stale_.push_back(view);
-  }
-  if (stale_.empty()) return;
-
-  // Deduplicate identical states across items: co-scheduled items share
-  // feature vectors often (every item starts all-zero, and sparse label
-  // states collide), and the predictor is a pure function of the features,
-  // so duplicates ride along on one forward row. This cross-item sharing is
-  // exactly what per-item caches cannot see. States are compared through
-  // their sorted set-index lists — tens of ints instead of the full
-  // 1000+-entry feature vector — which fully determine the binary features.
-  features_.clear();
-  indices_.clear();
-  row_of_.assign(stale_.size(), 0);
-  for (size_t i = 0; i < stale_.size(); ++i) {
-    const std::vector<int>& idx = stale_[i].second->SetIndices();
-    size_t row = features_.size();
-    for (size_t u = 0; u < features_.size(); ++u) {
-      if (indices_[u]->size() == idx.size() &&
-          std::equal(idx.begin(), idx.end(), indices_[u]->begin())) {
-        row = u;
-        break;
-      }
-    }
-    if (row == features_.size()) {
-      features_.push_back(&stale_[i].second->Features());
-      indices_.push_back(&idx);
-    }
-    row_of_[i] = row;
-  }
-
-  // One batched pass into the plane's flat buffer, reused across refreshes
-  // (the per-pass vector-of-rows allocation used to show up in profiles).
-  predictor_->PredictValuesBatchInto(features_, indices_, &flat_q_);
-  const size_t stride = static_cast<size_t>(predictor_->num_actions());
-  AMS_CHECK(flat_q_.size() == features_.size() * stride,
-            "predictor returned a wrong-sized batch");
-  ++batched_predictions_;
-  batched_rows_ += static_cast<long>(features_.size());
-  for (size_t u = 0; u < features_.size(); ++u) {
-    MemoizeRow(*indices_[u], flat_q_.data() + u * stride, stride);
-  }
-  for (size_t i = 0; i < stale_.size(); ++i) {
-    const double* row = flat_q_.data() + row_of_[i] * stride;
-    stale_[i].first->q_.assign(row, row + stride);
-    stale_[i].first->labels_at_ = stale_[i].second->num_labels_set();
   }
 }
 

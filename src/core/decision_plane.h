@@ -13,37 +13,56 @@
 
 namespace ams::core {
 
-/// The decision plane of the scheduling substrate: every picker Q-query goes
+/// What a decision row holds. Fixed per plane by the pickers the plane
+/// serves, so the row is transformed once when it is produced rather than
+/// once per pick.
+enum class DecisionRow {
+  /// Raw predicted Q per action. The greedy picker compares each model's Q
+  /// against END's, and in floating point SchedulingProfit ties values that
+  /// Q separates: it clamps at q >= 10 and rounds very negative q to 0.
+  kQ,
+  /// SchedulingProfit(Q) per action: Algorithms 1 and 2 rank feasible
+  /// models by profit per unit cost, never by Q itself.
+  kSchedulingProfit,
+};
+
+/// The decision plane of the scheduling substrate: every picker query goes
 /// through a DecisionPlane slot instead of hitting the predictor directly.
 ///
-/// A slot caches one item's Q vector keyed by the item's state version (the
-/// labeling state changes exactly at finish events), so a pick round costs at
-/// most one forward pass regardless of how many models it starts. On top of
-/// that, a driver co-scheduling many items (LabelingService::SubmitBatch
-/// workers, the serve:: runtime's steppers) calls Prefetch() between event
-/// rounds to coalesce all stale slots into ONE batched forward pass — one
-/// prediction per round instead of one per item. Slots left stale still fall
-/// back to the scalar path, so Prefetch is an optimization, never a
-/// correctness requirement.
+/// A slot caches one item's decision row keyed by the item's state version
+/// (the labeling state changes exactly at finish events), so a pick round
+/// costs at most one forward pass regardless of how many models it starts.
+/// A row is the predictor's Q row passed through the plane's DecisionRow
+/// transform, applied once per produced row before the row reaches the slot
+/// or the row memo; a memo hit is a copy. On top of that, a driver
+/// co-scheduling many items (LabelingService::SubmitBatch workers, the
+/// serve:: runtime's steppers) calls Prefetch() between event rounds to
+/// coalesce all stale slots into ONE batched forward pass — one prediction
+/// per round instead of one per item. Slots left stale still fall back to a
+/// single-row forward, so Prefetch is an optimization, never a correctness
+/// requirement.
 ///
 /// Not thread-safe: one plane per worker, like the predictor it wraps.
 class DecisionPlane {
  public:
-  /// `memoize_rows` opts into the plane-lifetime Q-row memo (see row_memo_
+  /// `row` fixes what the plane's rows hold (see DecisionRow).
+  /// `memoize_rows` opts into the plane-lifetime row memo (see row_memo_
   /// below): computed rows are kept keyed by state signature and later
   /// queries for the same state skip the forward pass entirely. Worth it
   /// only for long-lived planes (the serve runtime's steppers, where steady
   /// state becomes mostly memo hits); per-call planes (SubmitBatch blocks)
   /// pay the insert cost without living long enough to profit.
-  explicit DecisionPlane(ModelValuePredictor* predictor,
-                         bool memoize_rows = false);
+  DecisionPlane(ModelValuePredictor* predictor, DecisionRow row,
+                bool memoize_rows = false);
 
   /// One item's cached view of the predictor.
   class Slot {
    public:
-    /// Q values for `state`; served from cache when fresh, recomputed with a
-    /// scalar forward pass otherwise.
-    const std::vector<double>& Values(const LabelingState& state);
+    /// The decision row for `state`, one entry per action: served from
+    /// cache when fresh, from the plane's row memo when the state was seen
+    /// before, and otherwise computed with a single-row batched forward
+    /// (the inference path, bitwise identical to PredictValues).
+    const std::vector<double>& Row(const LabelingState& state);
 
     /// True when the cache already matches `state` (no forward pass
     /// needed). Keyed on the number of set labels, not executions: the
@@ -54,12 +73,14 @@ class DecisionPlane {
       return labels_at_ == state.num_labels_set();
     }
 
+    DecisionPlane* plane() const { return plane_; }
+
    private:
     friend class DecisionPlane;
     explicit Slot(DecisionPlane* plane) : plane_(plane) {}
 
     DecisionPlane* plane_;
-    std::vector<double> q_;
+    std::vector<double> row_;
     int labels_at_ = -1;  // num_labels_set() the cache was computed at
   };
 
@@ -85,21 +106,15 @@ class DecisionPlane {
   void ReleaseSlot(Slot* slot);
 
   /// Refreshes every stale slot among `views` with one batched forward pass
-  /// (fresh slots are skipped; an all-fresh call costs nothing). Rows are
-  /// bitwise identical to the scalar path for batch-capable predictors. The
-  /// batched pass reuses one flat Q buffer across refreshes and hands the
-  /// predictor each state's sparse set-index list, so neither side rescans
-  /// or reallocates per round.
-  void Prefetch(const std::vector<SlotView>& views);
-
-  /// Routes Prefetch scratch (stale list, dedup tables, the flat Q buffer)
-  /// through a caller-owned bump arena instead of the plane's member
-  /// vectors, and the batched forward through the raw-buffer
-  /// PredictValuesBatchTo. The owner resets the arena once per tick/round,
-  /// so scratch never mallocs in steady state regardless of round size.
-  /// Pass nullptr to detach. The arena must outlive the plane or be
-  /// detached first; arena storage is only valid within one Prefetch call.
-  void AttachArena(util::Arena* arena) { arena_ = arena; }
+  /// (fresh slots are skipped; memo-servable slots are copied from the memo;
+  /// an all-fresh call costs nothing). Identical states across items share
+  /// one forward row, and each unique row is transformed once. Scratch — the
+  /// stale list, the dedup tables and the flat result buffer — comes from
+  /// `arena`, which the caller rewinds once per tick/round, so a steady-state
+  /// refresh never mallocs. Arena storage is only used within the call. Rows
+  /// are bitwise identical to the single-row path for batch-capable
+  /// predictors.
+  void Prefetch(const std::vector<SlotView>& views, util::Arena* arena);
 
   /// The gather half of Prefetch, for callers that execute the forward
   /// elsewhere (a cross-worker/shard coalescer): filters `views` exactly
@@ -111,11 +126,12 @@ class DecisionPlane {
   size_t GatherStale(const std::vector<SlotView>& views,
                      std::vector<PendingRequest>* out);
 
-  /// The scatter half: writes one externally computed Q row (stride ==
-  /// predictor()->num_actions()) into a gathered request's slot, marks it
-  /// fresh for the request's state version, and memoizes the row. The row
-  /// must come from a predictor with weights identical to this plane's
-  /// (frozen serving clones), so results are bitwise identical to Prefetch.
+  /// The scatter half: takes one externally computed raw Q row (stride ==
+  /// predictor()->num_actions()), applies this plane's DecisionRow
+  /// transform, writes the result into a gathered request's slot, marks it
+  /// fresh for the request's state version, and memoizes it. The Q row must
+  /// come from a predictor with weights identical to this plane's (frozen
+  /// serving clones), so results are bitwise identical to Prefetch.
   void CommitRow(const PendingRequest& request, const double* row,
                  size_t stride);
 
@@ -126,12 +142,13 @@ class DecisionPlane {
   void NoteExternalRound(long refreshed_rows);
 
   ModelValuePredictor* predictor() const { return predictor_; }
+  DecisionRow row_kind() const { return row_kind_; }
 
   /// Forward passes issued so far, for tests and perf accounting.
   long scalar_predictions() const { return scalar_predictions_; }
   long batched_predictions() const { return batched_predictions_; }
   long batched_rows() const { return batched_rows_; }
-  /// Q rows served from the plane-lifetime row memo without any forward.
+  /// Rows served from the plane-lifetime row memo without any forward.
   long memo_hits() const { return memo_hits_; }
 
  private:
@@ -148,14 +165,13 @@ class DecisionPlane {
     }
   };
 
+  /// Turns one freshly predicted Q row (stride_ entries) into this plane's
+  /// decision row, in place.
+  void ToDecisionRow(double* row) const;
   /// Serves `slot` from the plane-lifetime row memo; false on miss.
   bool ServeFromMemo(Slot* slot, const LabelingState& state);
-  /// Prefetch body when an arena is attached: identical dedup/refresh
-  /// semantics, arena-backed scratch, raw-buffer batched forward.
-  void PrefetchArena(const std::vector<SlotView>& views);
-  /// Memoizes a computed row (first-come bounded; see kRowMemoCap).
-  void MemoizeRow(const std::vector<int>& indices, const double* row,
-                  size_t stride);
+  /// Memoizes a decision row (first-come bounded; see kRowMemoCap).
+  void MemoizeRow(const std::vector<int>& indices, const double* row);
 
   /// Bound on memoized rows. ~31 doubles + key per entry keeps the memo in
   /// the tens of MB at the cap; beyond it new states simply stay unmemoized
@@ -163,25 +179,21 @@ class DecisionPlane {
   static constexpr size_t kRowMemoCap = 32768;
 
   ModelValuePredictor* predictor_;
+  DecisionRow row_kind_;
+  size_t stride_ = 0;  // entries per row: predictor_->num_actions()
   std::deque<Slot> slots_;  // deque: slot pointers must stay stable
   std::vector<Slot*> free_slots_;  // recycled by ReleaseSlot
-  // Prefetch scratch, reused across rounds to avoid per-round allocations.
-  std::vector<SlotView> stale_;
-  std::vector<const std::vector<float>*> features_;  // deduplicated rows
-  std::vector<const std::vector<int>*> indices_;  // set-index list per row
-  std::vector<size_t> row_of_;   // stale slot index -> row in features_
-  std::vector<double> flat_q_;   // one flat [rows x actions] result buffer
-  /// Plane-lifetime Q-row memo keyed by state signature: items pass through
-  /// shared sparse label-states (every item starts all-zero, common label
-  /// combinations recur across items), so a long-lived driver — the serve
-  /// runtime's steppers above all — serves most decision points without any
-  /// forward pass at steady state. Sound because a plane wraps one frozen
-  /// predictor instance (the same assumption every slot cache already
-  /// makes), and rows are bitwise identical however they were computed.
+  /// Plane-lifetime decision-row memo keyed by state signature: items pass
+  /// through shared sparse label-states (every item starts all-zero, common
+  /// label combinations recur across items), so a long-lived driver — the
+  /// serve runtime's steppers above all — serves most decision points
+  /// without any forward pass or transform at steady state. Sound because a
+  /// plane wraps one frozen predictor instance (the same assumption every
+  /// slot cache already makes), and rows are bitwise identical however they
+  /// were computed.
   std::unordered_map<std::vector<int>, std::vector<double>, IndexListHash>
       row_memo_;
   bool memoize_rows_ = false;
-  util::Arena* arena_ = nullptr;  // optional; see AttachArena
   long scalar_predictions_ = 0;
   long batched_predictions_ = 0;
   long batched_rows_ = 0;
@@ -194,8 +206,8 @@ class DecisionPlane {
 /// without a dependency on the serving layer.
 ///
 /// Contract: ExecuteRound must leave `plane` in exactly the state
-/// Prefetch(views) would — every stale slot refreshed with a bitwise
-/// identical row (sound when all participating planes wrap frozen clones
+/// Prefetch(views, arena) would — every stale slot refreshed with a bitwise
+/// identical decision row (sound when all participating planes wrap frozen clones
 /// of the same predictor). It may block while other participants' rounds
 /// rendezvous; callers treat the call as their forward phase.
 class ForwardRoundExecutor {

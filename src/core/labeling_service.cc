@@ -47,6 +47,13 @@ class PolicyWithPredictor : public sched::SchedulingPolicy {
   std::unique_ptr<sched::SchedulingPolicy> inner_;
 };
 
+// The decision row a predictor-driven mode's picker reads: greedy compares
+// raw Q against END, Algorithms 1 and 2 rank models by SchedulingProfit(Q).
+DecisionRow DecisionRowFor(ExecutionMode mode) {
+  return mode == ExecutionMode::kGreedy ? DecisionRow::kQ
+                                        : DecisionRow::kSchedulingProfit;
+}
+
 }  // namespace
 
 /// Memoized replay contexts keyed by stored item id. Shared by every worker
@@ -331,11 +338,10 @@ void LabelingService::RunCoScheduled(
   // block measurably thrashes once hundreds of items cycle per round.
   constexpr size_t kWaveSize = 16;
 
-  DecisionPlane plane(state->predictor);
+  DecisionPlane plane(state->predictor, DecisionRowFor(config_.mode));
   // Worker-local scratch for the plane's batch buffers, rewound every event
   // round — rounds re-use one warm block instead of growing member vectors.
   util::Arena arena;
-  plane.AttachArena(&arena);
   std::vector<DecisionPlane::SlotView> views;
   for (size_t wave_begin = 0; wave_begin < n; wave_begin += kWaveSize) {
     const size_t wave = std::min(kWaveSize, n - wave_begin);
@@ -355,7 +361,7 @@ void LabelingService::RunCoScheduled(
           config_.kernel_mode);
     }
 
-    // Event-round lockstep: refresh every picking kernel's Q-slot with ONE
+    // Event-round lockstep: refresh every picking kernel's slot with ONE
     // batched forward pass, then advance each live kernel past one finish
     // event. Items are independent, so the interleaving cannot change any
     // outcome — only how many forward passes the round costs.
@@ -367,7 +373,7 @@ void LabelingService::RunCoScheduled(
         }
       }
       arena.Reset();
-      plane.Prefetch(views);
+      plane.Prefetch(views, &arena);
       any_live = false;
       for (size_t i = 0; i < wave; ++i) {
         if (kernels[i] == nullptr) continue;
@@ -395,9 +401,9 @@ LabelingService::ItemStepper::ItemStepper(const LabelingService* session,
     // Steppers live for the serving runtime's lifetime over a frozen
     // predictor clone, the regime the plane's row memo exists for: at
     // steady state most decision points are served without a forward pass.
-    plane_ = std::make_unique<DecisionPlane>(state_.predictor,
-                                             /*memoize_rows=*/true);
-    plane_->AttachArena(&arena_);
+    plane_ = std::make_unique<DecisionPlane>(
+        state_.predictor, DecisionRowFor(session->config_.mode),
+        /*memoize_rows=*/true);
   }
 }
 
@@ -511,7 +517,7 @@ void LabelingService::ItemStepper::Tick(std::vector<Completion>* completed) {
                                    obs::Phase::kForward);
       const long rows_before = plane_->batched_rows();
       const long memo_before = plane_->memo_hits();
-      plane_->Prefetch(views_);
+      plane_->Prefetch(views_, &arena_);
       const int rows = static_cast<int>(plane_->batched_rows() - rows_before);
       const int hits = static_cast<int>(plane_->memo_hits() - memo_before);
       forward_span.set_args(rows, hits, backend_tier_, backend_int8_ ? 1 : 0);
@@ -519,7 +525,7 @@ void LabelingService::ItemStepper::Tick(std::vector<Completion>* completed) {
       tick_stats_.forward_rows = rows;
       tick_stats_.memo_hits = hits;
     } else {
-      plane_->Prefetch(views_);
+      plane_->Prefetch(views_, &arena_);
     }
   }
 

@@ -155,8 +155,9 @@ class LabelingService {
   /// stepper that multiplexes a dynamic set of in-flight items by advancing
   /// their resumable ScheduleKernels event-by-event. Admit() prepares an
   /// item and assigns it a ticket; each Tick() refreshes every resident
-  /// item's Q slot with ONE batched DecisionPlane forward pass, then steps
-  /// every kernel past one finish event and reports completed items. Items
+  /// item's decision-row slot with ONE batched DecisionPlane forward pass
+  /// (memo hits copy stored rows instead), then steps every kernel past
+  /// one finish event and reports completed items. Items
   /// are independent, so interleaving them cannot change any outcome — per
   /// item, a stepper run is bit-identical to Submit() with the same
   /// stream_id.
@@ -299,6 +300,8 @@ class LabelingService::ItemStepper {
   struct TickStats {
     bool traced = false;
     double tick_s = 0.0;
+    /// The batched refresh: forward plus the decision-row transform of the
+    /// fresh rows.
     double forward_s = 0.0;
     int forward_rows = 0;
     int memo_hits = 0;

@@ -46,9 +46,9 @@ class ModelValuePredictor {
   /// Predicted action values for a batch of states, written row-major into a
   /// caller-owned flat buffer: `*out` is resized to
   /// `states.size() * num_actions()` and row i occupies
-  /// [i * num_actions(), (i+1) * num_actions()). The flat form lets hot
-  /// drivers (core::DecisionPlane) reuse one buffer across refreshes instead
-  /// of allocating a vector-of-vectors per batched pass. States are passed by
+  /// [i * num_actions(), (i+1) * num_actions()). The flat form lets callers
+  /// reuse one buffer across refreshes instead of allocating a
+  /// vector-of-vectors per batched pass. States are passed by
   /// pointer so callers batching live per-item feature vectors do not copy
   /// them just to build the argument.
   ///
@@ -79,7 +79,8 @@ class ModelValuePredictor {
   /// (caller-sized, typically util::Arena storage). `set_indices` may be
   /// null (no hint for any row) or point at `count` entries parallel to
   /// `states` with the same per-row semantics as the Into form. Rows are
-  /// bitwise identical to PredictValuesBatchInto.
+  /// bitwise identical to PredictValuesBatchInto. Every core::DecisionPlane
+  /// forward, batched or single-row, goes through this entry.
   ///
   /// The default wraps the virtual Into form through temporary vectors —
   /// allocating, but it keeps fakes/wrappers that only override Into on

@@ -23,8 +23,8 @@ LiveExecutionContext::LiveExecutionContext(const zoo::ModelZoo* zoo,
   AMS_CHECK(zoo != nullptr && scene != nullptr);
 }
 
-double LiveExecutionContext::PlannedTime(int model) const {
-  return zoo_->model(model).time_s;
+const double* LiveExecutionContext::PlannedTimes() const {
+  return zoo_->mean_times().data();
 }
 
 double LiveExecutionContext::RealizedTime(int model) const {
@@ -44,8 +44,8 @@ ReplayExecutionContext::ReplayExecutionContext(const data::Oracle* oracle,
   AMS_CHECK(item >= 0 && item < oracle->num_items());
 }
 
-double ReplayExecutionContext::PlannedTime(int model) const {
-  return oracle_->ExecutionTime(item_, model);
+const double* ReplayExecutionContext::PlannedTimes() const {
+  return oracle_->ExecutionTimes(item_);
 }
 
 double ReplayExecutionContext::RealizedTime(int model) const {
@@ -73,10 +73,8 @@ void CachedReplayExecutionContext::Init() {
   AMS_CHECK(inner_ != nullptr);
   num_entries_ = inner_->num_models();
   entries_ = std::make_unique<Entry[]>(static_cast<size_t>(num_entries_));
-  planned_times_.reserve(static_cast<size_t>(num_entries_));
-  for (int m = 0; m < num_entries_; ++m) {
-    planned_times_.push_back(inner_->PlannedTime(m));
-  }
+  const double* planned = inner_->PlannedTimes();
+  planned_times_.assign(planned, planned + num_entries_);
 }
 
 CachedReplayExecutionContext::CachedReplayExecutionContext(
@@ -88,12 +86,6 @@ CachedReplayExecutionContext::Entry& CachedReplayExecutionContext::EntryFor(
     int model) const {
   AMS_CHECK(model >= 0 && model < num_entries_);
   return entries_[static_cast<size_t>(model)];
-}
-
-double CachedReplayExecutionContext::PlannedTime(int model) const {
-  // Preloaded at construction: the feasibility loops of the pickers query
-  // planned times for every model every round.
-  return planned_times_[static_cast<size_t>(model)];
 }
 
 double CachedReplayExecutionContext::RealizedTime(int model) const {
@@ -133,12 +125,15 @@ ScheduleKernel::ScheduleKernel(const ExecutionContext* exec,
                                ModelPicker picker, KernelHooks hooks,
                                KernelMode mode)
     : exec_(exec),
+      num_models_(exec->num_models()),
+      planned_time_(exec->PlannedTimes()),
+      specs_(exec->zoo().models().data()),
       constraints_(constraints),
       picker_(std::move(picker)),
       hooks_(std::move(hooks)),
       mode_(mode),
-      state_(exec->zoo().labels().total_labels(), exec->num_models()),
-      started_(static_cast<size_t>(exec->num_models()), false),
+      state_(exec->zoo().labels().total_labels(), num_models_),
+      started_(static_cast<size_t>(num_models_), false),
       mem_free_(constraints.memory_budget_mb),
       best_conf_(static_cast<size_t>(exec->zoo().labels().total_labels()),
                  0.0) {
@@ -146,7 +141,7 @@ ScheduleKernel::ScheduleKernel(const ExecutionContext* exec,
   AMS_CHECK(picker_ != nullptr);
   // Worst-case capacities up front so steady-state Steps never allocate.
   touched_labels_.reserve(best_conf_.size());
-  running_.reserve(static_cast<size_t>(exec->num_models()));
+  running_.reserve(static_cast<size_t>(num_models_));
   scratch_record_.fresh.reserve(best_conf_.size());
 }
 
@@ -156,16 +151,19 @@ void ScheduleKernel::StartModels() {
     pick.exec = exec_;
     pick.state = &state_;
     pick.started = &started_;
+    pick.num_models = num_models_;
+    pick.planned_time = planned_time_;
+    pick.specs = specs_;
     pick.now = now_;
     pick.deadline = constraints_.time_budget_s;
     pick.mem_free = mem_free_;
     pick.idle = running_.empty();
     const int m = picker_(pick);
     if (m < 0) break;
-    AMS_CHECK(m < exec_->num_models() && !started_[static_cast<size_t>(m)],
+    AMS_CHECK(m < num_models_ && !started_[static_cast<size_t>(m)],
               "picker returned an already-started model");
     started_[static_cast<size_t>(m)] = true;
-    const double mem = exec_->model(m).mem_mb;
+    const double mem = specs_[m].mem_mb;
     running_.push_back({m, now_, now_ + exec_->RealizedTime(m), mem});
     mem_free_ -= mem;
     mem_used_ += mem;
@@ -220,7 +218,7 @@ bool ScheduleKernel::Step() {
     full.finish_s = done_run.finish_s;
     full.outputs = outputs;
     full.fresh = state_.Apply(done_run.model_id, outputs);
-    full.reward = ModelReward(full.fresh, exec_->model(done_run.model_id).theta);
+    full.reward = ModelReward(full.fresh, specs_[done_run.model_id].theta);
     result_.executions.push_back(std::move(full));
     record = &result_.executions.back();
   } else {
@@ -274,42 +272,48 @@ namespace {
 // legacy call site gets a private single-slot DecisionPlane, so its cost
 // profile stays one forward pass per event round, exactly as before.
 struct PrivateSlot {
-  explicit PrivateSlot(ModelValuePredictor* predictor)
-      : plane(predictor), slot(plane.NewSlot()) {}
+  PrivateSlot(ModelValuePredictor* predictor, DecisionRow row)
+      : plane(predictor, row), slot(plane.NewSlot()) {}
   DecisionPlane plane;
   DecisionPlane::Slot* slot;
 };
 
+// The pick loops below read the per-item PickContext tables and a decision
+// row computed once per label state, so a pick is arithmetic only.
+
 int GreedyPick(DecisionPlane::Slot* slot, const PickContext& pick) {
   if (!pick.idle) return -1;
-  const std::vector<double>& q = slot->Values(*pick.state);
-  const int end_action = pick.exec->num_models();
+  const double* q = slot->Row(*pick.state).data();
+  const std::vector<bool>& started = *pick.started;
+  const int end_action = pick.num_models;
   int best = -1;
-  double best_q = q[static_cast<size_t>(end_action)];
-  for (int m = 0; m < pick.exec->num_models(); ++m) {
-    if ((*pick.started)[static_cast<size_t>(m)]) continue;
-    if (best == -1 || q[static_cast<size_t>(m)] > best_q) {
+  double best_q = q[end_action];
+  for (int m = 0; m < pick.num_models; ++m) {
+    if (started[static_cast<size_t>(m)]) continue;
+    if (best == -1 || q[m] > best_q) {
       best = m;
-      best_q = q[static_cast<size_t>(m)];
+      best_q = q[m];
     }
   }
   // Stop when END outranks every remaining model.
-  if (best == -1 || q[static_cast<size_t>(end_action)] >= best_q) return -1;
+  if (best == -1 || q[end_action] >= best_q) return -1;
   return best;
 }
 
 int DeadlinePick(DecisionPlane::Slot* slot, const PickContext& pick) {
   if (!pick.idle) return -1;
-  const std::vector<double>& q = slot->Values(*pick.state);
+  const double* profit = slot->Row(*pick.state).data();
+  const std::vector<bool>& started = *pick.started;
+  const double remaining = pick.remaining_time();
   // Algorithm 1 lines 3-4: among models that still fit the budget, pick
-  // the one maximizing Q / time.
+  // the one maximizing SchedulingProfit(Q) / time.
   int best = -1;
   double best_ratio = 0.0;
-  for (int m = 0; m < pick.exec->num_models(); ++m) {
-    if ((*pick.started)[static_cast<size_t>(m)]) continue;
-    const double planned = pick.exec->PlannedTime(m);
-    if (planned > pick.remaining_time()) continue;
-    const double ratio = SchedulingProfit(q[static_cast<size_t>(m)]) / planned;
+  for (int m = 0; m < pick.num_models; ++m) {
+    if (started[static_cast<size_t>(m)]) continue;
+    const double planned = pick.planned_time[m];
+    if (planned > remaining) continue;
+    const double ratio = profit[m] / planned;
     if (best == -1 || ratio > best_ratio) {
       best = m;
       best_ratio = ratio;
@@ -319,22 +323,22 @@ int DeadlinePick(DecisionPlane::Slot* slot, const PickContext& pick) {
 }
 
 int DeadlineMemoryPick(DecisionPlane::Slot* slot, const PickContext& pick) {
-  const std::vector<double>& q = slot->Values(*pick.state);
+  const double* profit = slot->Row(*pick.state).data();
+  const std::vector<bool>& started = *pick.started;
   int best = -1;
   double best_score = 0.0;
-  for (int m = 0; m < pick.exec->num_models(); ++m) {
-    if ((*pick.started)[static_cast<size_t>(m)]) continue;
-    const auto& spec = pick.exec->model(m);
+  for (int m = 0; m < pick.num_models; ++m) {
+    if (started[static_cast<size_t>(m)]) continue;
+    const zoo::ModelSpec& spec = pick.specs[m];
     if (spec.mem_mb > pick.mem_free) continue;
-    if (pick.now + pick.exec->PlannedTime(m) > pick.deadline) continue;
-    // Algorithm 2 line 4 (idle: anchor by Q / (time * mem)) or lines 7-12
-    // (fill remaining memory by Q / mem). Fills are bounded by the global
-    // deadline rather than the literal anchor window: taken literally the
-    // filter degenerates to near-serial execution whenever the
+    if (pick.now + pick.planned_time[m] > pick.deadline) continue;
+    // Algorithm 2 line 4 (idle: anchor by profit / (time * mem)) or lines
+    // 7-12 (fill remaining memory by profit / mem). Fills are bounded by the
+    // global deadline rather than the literal anchor window: taken literally
+    // the filter degenerates to near-serial execution whenever the
     // value-density anchor is a short model.
-    const double profit = SchedulingProfit(q[static_cast<size_t>(m)]);
-    const double score = pick.idle ? profit / (spec.time_s * spec.mem_mb)
-                                   : profit / spec.mem_mb;
+    const double score = pick.idle ? profit[m] / (spec.time_s * spec.mem_mb)
+                                   : profit[m] / spec.mem_mb;
     if (best == -1 || score > best_score) {
       best = m;
       best_score = score;
@@ -343,44 +347,53 @@ int DeadlineMemoryPick(DecisionPlane::Slot* slot, const PickContext& pick) {
   return best;
 }
 
+void CheckRowKind(const DecisionPlane::Slot* slot, DecisionRow row) {
+  AMS_CHECK(slot != nullptr);
+  AMS_CHECK(slot->plane()->row_kind() == row,
+            "picker slot comes from a plane with the wrong decision row "
+            "(greedy reads Q, Algorithms 1 and 2 read SchedulingProfit)");
+}
+
 }  // namespace
 
 ModelPicker MakeGreedyPicker(ModelValuePredictor* predictor) {
   AMS_CHECK(predictor != nullptr);
-  auto owned = std::make_shared<PrivateSlot>(predictor);
+  auto owned = std::make_shared<PrivateSlot>(predictor, DecisionRow::kQ);
   return [owned](const PickContext& pick) {
     return GreedyPick(owned->slot, pick);
   };
 }
 
 ModelPicker MakeGreedyPicker(DecisionPlane::Slot* slot) {
-  AMS_CHECK(slot != nullptr);
+  CheckRowKind(slot, DecisionRow::kQ);
   return [slot](const PickContext& pick) { return GreedyPick(slot, pick); };
 }
 
 ModelPicker MakeDeadlinePicker(ModelValuePredictor* predictor) {
   AMS_CHECK(predictor != nullptr);
-  auto owned = std::make_shared<PrivateSlot>(predictor);
+  auto owned = std::make_shared<PrivateSlot>(predictor,
+                                             DecisionRow::kSchedulingProfit);
   return [owned](const PickContext& pick) {
     return DeadlinePick(owned->slot, pick);
   };
 }
 
 ModelPicker MakeDeadlinePicker(DecisionPlane::Slot* slot) {
-  AMS_CHECK(slot != nullptr);
+  CheckRowKind(slot, DecisionRow::kSchedulingProfit);
   return [slot](const PickContext& pick) { return DeadlinePick(slot, pick); };
 }
 
 ModelPicker MakeDeadlineMemoryPicker(ModelValuePredictor* predictor) {
   AMS_CHECK(predictor != nullptr);
-  auto owned = std::make_shared<PrivateSlot>(predictor);
+  auto owned = std::make_shared<PrivateSlot>(predictor,
+                                             DecisionRow::kSchedulingProfit);
   return [owned](const PickContext& pick) {
     return DeadlineMemoryPick(owned->slot, pick);
   };
 }
 
 ModelPicker MakeDeadlineMemoryPicker(DecisionPlane::Slot* slot) {
-  AMS_CHECK(slot != nullptr);
+  CheckRowKind(slot, DecisionRow::kSchedulingProfit);
   return [slot](const PickContext& pick) {
     return DeadlineMemoryPick(slot, pick);
   };
@@ -398,7 +411,7 @@ ModelPicker MakeRandomPackingPicker(uint64_t seed) {
     // One shuffle per event round (the state advances exactly once per
     // finish event), then pack feasible models in that order.
     if (pack->shuffled_at != pick.state->num_executed()) {
-      const int n = pick.exec->num_models();
+      const int n = pick.num_models;
       pack->order.resize(static_cast<size_t>(n));
       for (int m = 0; m < n; ++m) pack->order[static_cast<size_t>(m)] = m;
       pack->rng.Shuffle(&pack->order);
@@ -406,8 +419,8 @@ ModelPicker MakeRandomPackingPicker(uint64_t seed) {
     }
     for (int m : pack->order) {
       if ((*pick.started)[static_cast<size_t>(m)]) continue;
-      if (pick.exec->model(m).mem_mb > pick.mem_free) continue;
-      if (pick.now + pick.exec->PlannedTime(m) > pick.deadline) continue;
+      if (pick.specs[m].mem_mb > pick.mem_free) continue;
+      if (pick.now + pick.planned_time[m] > pick.deadline) continue;
       return m;
     }
     return -1;

@@ -74,10 +74,13 @@ class ExecutionContext {
   int num_models() const { return zoo().num_models(); }
   const zoo::ModelSpec& model(int m) const { return zoo().model(m); }
 
-  /// Planning-time estimate used by feasibility checks ("does m still fit
-  /// the budget"). Live scheduling only knows the spec's mean time; replay
-  /// knows the realized draw.
-  virtual double PlannedTime(int model) const = 0;
+  /// Planning-time estimates used by feasibility checks ("does m still fit
+  /// the budget"), one per model id in a row that stays valid for the
+  /// context's lifetime, so the kernel resolves it once per item. Live
+  /// scheduling only knows the spec's mean time; replay knows the realized
+  /// draw.
+  virtual const double* PlannedTimes() const = 0;
+  double PlannedTime(int model) const { return PlannedTimes()[model]; }
 
   /// Realized duration charged when the model actually runs.
   virtual double RealizedTime(int model) const = 0;
@@ -100,7 +103,8 @@ class LiveExecutionContext : public ExecutionContext {
   LiveExecutionContext(const zoo::ModelZoo* zoo, const zoo::LatentScene* scene);
 
   const zoo::ModelZoo& zoo() const override { return *zoo_; }
-  double PlannedTime(int model) const override;
+  /// The zoo's per-model mean times.
+  const double* PlannedTimes() const override;
   double RealizedTime(int model) const override;
   const std::vector<zoo::LabelOutput>& Execute(int model) const override;
 
@@ -120,7 +124,8 @@ class ReplayExecutionContext : public ExecutionContext {
   ReplayExecutionContext(const data::Oracle* oracle, int item);
 
   const zoo::ModelZoo& zoo() const override { return oracle_->zoo(); }
-  double PlannedTime(int model) const override;
+  /// The oracle's stored execution-time row for the item.
+  const double* PlannedTimes() const override;
   double RealizedTime(int model) const override;
   const std::vector<zoo::LabelOutput>& Execute(int model) const override;
   /// Outputs are the oracle's own storage.
@@ -153,7 +158,10 @@ class CachedReplayExecutionContext : public ExecutionContext {
   CachedReplayExecutionContext(const data::Oracle* oracle, int item);
 
   const zoo::ModelZoo& zoo() const override { return inner_->zoo(); }
-  double PlannedTime(int model) const override;
+  /// Preloaded from the inner context at construction.
+  const double* PlannedTimes() const override {
+    return planned_times_.data();
+  }
   double RealizedTime(int model) const override;
   const std::vector<zoo::LabelOutput>& Execute(int model) const override;
   /// Memoized entries live as long as this context, so nesting works.
@@ -194,6 +202,14 @@ struct PickContext {
   /// Models already started (a superset of state->model_executed(): models
   /// in flight count as started but not yet executed).
   const std::vector<bool>* started = nullptr;
+  /// Per-item tables the kernel resolves once when it is built, so a pick
+  /// loop reads plain arrays instead of making a virtual zoo() or
+  /// PlannedTime call and a bounds check per model per pick:
+  /// `num_models` == exec->num_models(), `planned_time[m]` ==
+  /// exec->PlannedTime(m) and `specs[m]` == exec->model(m).
+  int num_models = 0;
+  const double* planned_time = nullptr;
+  const zoo::ModelSpec* specs = nullptr;
   double now = 0.0;
   /// Absolute deadline (infinity when unconstrained).
   double deadline = std::numeric_limits<double>::infinity();
@@ -269,6 +285,10 @@ class ScheduleKernel {
   void StartModels();
 
   const ExecutionContext* exec_;
+  // PickContext tables, resolved once per item (see PickContext).
+  int num_models_;
+  const double* planned_time_;
+  const zoo::ModelSpec* specs_;
   ScheduleConstraints constraints_;
   ModelPicker picker_;
   KernelHooks hooks_;
@@ -311,22 +331,25 @@ ScheduleResult RunScheduleKernel(const ExecutionContext& exec,
 
 /// Q-value greedy picker (§V intro): when idle, starts the unexecuted model
 /// with maximal predicted Q; stops once END has the highest value. The Slot
-/// overloads draw Q values through a shared DecisionPlane (so a co-scheduling
-/// driver can batch them); the predictor overloads keep a private plane.
+/// overloads draw decision rows through a shared DecisionPlane (so a
+/// co-scheduling driver can batch them); the predictor overloads keep a
+/// private plane. Greedy slots must come from a DecisionRow::kQ plane.
 ModelPicker MakeGreedyPicker(ModelValuePredictor* predictor);
 ModelPicker MakeGreedyPicker(DecisionPlane::Slot* slot);
 
 /// Algorithm 1 picker: when idle, starts the feasible model maximizing
-/// SchedulingProfit(Q) / planned time.
+/// SchedulingProfit(Q) / planned time. Slots must come from a
+/// DecisionRow::kSchedulingProfit plane, whose rows already hold the profit.
 ModelPicker MakeDeadlinePicker(ModelValuePredictor* predictor);
 ModelPicker MakeDeadlinePicker(DecisionPlane::Slot* slot);
 
 /// Algorithm 2 picker: when idle, anchors the window with the feasible model
-/// maximizing Q / (time * mem); otherwise fills remaining memory with the
-/// feasible model maximizing Q / mem. Fills are bounded by the global
-/// deadline rather than the literal anchor window (see DESIGN note in the
-/// implementation: the literal filter degenerates to serial execution when
-/// the value-density anchor is a short model).
+/// maximizing SchedulingProfit(Q) / (time * mem); otherwise fills remaining
+/// memory with the feasible model maximizing SchedulingProfit(Q) / mem.
+/// Fills are bounded by the global deadline rather than the literal anchor
+/// window (see DESIGN note in the implementation: the literal filter
+/// degenerates to serial execution when the value-density anchor is a short
+/// model). Slots must come from a DecisionRow::kSchedulingProfit plane.
 ModelPicker MakeDeadlineMemoryPicker(ModelValuePredictor* predictor);
 ModelPicker MakeDeadlineMemoryPicker(DecisionPlane::Slot* slot);
 

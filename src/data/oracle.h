@@ -48,6 +48,11 @@ class Oracle {
 
   /// Per-item execution-time draw for `model` (jittered, deterministic).
   double ExecutionTime(int item, int model) const;
+  /// The item's whole execution-time row, indexed by model id; valid for the
+  /// oracle's lifetime.
+  const double* ExecutionTimes(int item) const {
+    return exec_time_[static_cast<size_t>(item)].data();
+  }
 
   /// Sum of execution times of all models with valuable output (the cost of
   /// the Fig. 2 "optimal policy").

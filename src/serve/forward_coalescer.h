@@ -65,8 +65,8 @@ class ForwardCoalescer {
 
     /// Gathers `plane`'s stale requests, rendezvouses with the other active
     /// members, and returns once this participant's rows are committed
-    /// (bitwise identical to plane->Prefetch(views)). The handle must be
-    /// Active. Called once per tick by the attached stepper.
+    /// (bitwise identical to plane->Prefetch(views, arena)). The handle must
+    /// be Active. Called once per tick by the attached stepper.
     core::ForwardRoundExecutor::RoundStats ExecuteRound(
         core::DecisionPlane* plane,
         const std::vector<core::DecisionPlane::SlotView>& views) override;

@@ -99,6 +99,7 @@ ModelZoo ModelZoo::CreateDefault() {
       spec.mem_mb = kMemMb[t][tier];
       spec.accuracy = kTierAccuracy[tier];
       spec.theta = 1.0;
+      zoo.mean_times_.push_back(spec.time_s);
       zoo.models_.push_back(std::move(spec));
     }
   }

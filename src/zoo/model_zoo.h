@@ -35,6 +35,9 @@ class ModelZoo {
   const std::vector<ModelSpec>& models() const { return models_; }
   int num_models() const { return static_cast<int>(models_.size()); }
   const ModelSpec& model(int id) const;
+  /// Mean execution time per model (models()[m].time_s), as one contiguous
+  /// row: the planned-time table live scheduling reads on every pick.
+  const std::vector<double>& mean_times() const { return mean_times_; }
 
   /// Model ids belonging to `task`, ordered small -> large tier.
   std::vector<int> ModelsForTask(TaskKind task) const;
@@ -59,6 +62,7 @@ class ModelZoo {
 
   LabelSpace labels_;
   std::vector<ModelSpec> models_;
+  std::vector<double> mean_times_;  // parallel to models_
 };
 
 }  // namespace ams::zoo
