@@ -39,15 +39,6 @@
 // 0.9x the equal-worker single runtime (route_vs_equal_serve_ratio in the
 // JSON): per-request routing is one ring lookup, and sharding the queue
 // can only cost where placement leaves a shard idle at the tail.
-//
-// The last scenario, "route_coalesced_4", is the same 4-shard router with
-// cross-shard Q-forward coalescing enabled (RouterOptions
-// serve.coalesce_forwards): every worker's stale Q-slot gather joins one
-// cluster-wide rendezvous, duplicate label states dedup across shards, and
-// a single batched forward serves the whole round. Outcomes must again be
-// bitwise-identical to SubmitBatch (coalescing changes where the forward
-// runs, never what it computes); the JSON reports coalesced_vs_sharded so
-// the rendezvous overhead vs dedup payoff is tracked by the bench gate.
 
 #include <cmath>
 #include <cstdlib>
@@ -149,11 +140,6 @@ void Run() {
   for (int s = 0; s < kShards; ++s) {
     shard_sessions.push_back(build_session(per_shard_workers));
   }
-  std::vector<core::LabelingService> coalesced_sessions;
-  coalesced_sessions.reserve(static_cast<size_t>(kShards));
-  for (int s = 0; s < kShards; ++s) {
-    coalesced_sessions.push_back(build_session(per_shard_workers));
-  }
 
   serve::ServeOptions serve_options;
   serve_options.workers = workers;
@@ -186,15 +172,6 @@ void Run() {
     shard_session_ptrs.push_back(&session);
   }
   route::ShardRouter router(shard_session_ptrs, router_options);
-
-  route::RouterOptions coalesced_options = router_options;
-  coalesced_options.serve.coalesce_forwards = true;
-  std::vector<core::LabelingService*> coalesced_session_ptrs;
-  for (core::LabelingService& session : coalesced_sessions) {
-    coalesced_session_ptrs.push_back(&session);
-  }
-  route::ShardRouter coalesced_router(coalesced_session_ptrs,
-                                      coalesced_options);
 
   // Seeded 20/60/20 class assignment, fixed across trials.
   std::vector<serve::PriorityClass> mixed_classes;
@@ -230,8 +207,6 @@ void Run() {
   equal_result.name = "serve_equal_workers";
   BenchResult route_result;
   route_result.name = "route_sharded_4";
-  BenchResult coalesced_result;
-  coalesced_result.name = "route_coalesced_4";
 
   const auto run_batch = [&](bool record) {
     util::Timer timer;
@@ -314,7 +289,6 @@ void Run() {
   run_serve(&tenant_runtime, &tenant_result, ServeMode::kTenants, false);
   run_serve(&equal_runtime, &equal_result, ServeMode::kPlain, false);
   run_route(&router, &route_result, false);
-  run_route(&coalesced_router, &coalesced_result, false);
   for (int r = 0; r < repeats; ++r) {
     run_batch(true);
     run_serve(&runtime, &serve_result, ServeMode::kPlain, true);
@@ -322,7 +296,6 @@ void Run() {
     run_serve(&tenant_runtime, &tenant_result, ServeMode::kTenants, true);
     run_serve(&equal_runtime, &equal_result, ServeMode::kPlain, true);
     run_route(&router, &route_result, true);
-    run_route(&coalesced_router, &coalesced_result, true);
   }
   batch_result.items_per_s =
       static_cast<double>(num_items) / batch_result.wall_s;
@@ -336,8 +309,6 @@ void Run() {
       static_cast<double>(num_items) / equal_result.wall_s;
   route_result.items_per_s =
       static_cast<double>(num_items) / route_result.wall_s;
-  coalesced_result.items_per_s =
-      static_cast<double>(num_items) / coalesced_result.wall_s;
 
   AMS_CHECK(std::abs(serve_result.recall_sum - batch_result.recall_sum) < 1e-9,
             "serve runtime changed recall vs SubmitBatch");
@@ -362,11 +333,6 @@ void Run() {
             "sharded routing changed recall vs SubmitBatch");
   AMS_CHECK(route_result.executions == batch_result.executions,
             "sharded routing changed the schedules vs SubmitBatch");
-  AMS_CHECK(std::abs(coalesced_result.recall_sum - batch_result.recall_sum) <
-                1e-9,
-            "cross-shard forward coalescing changed recall vs SubmitBatch");
-  AMS_CHECK(coalesced_result.executions == batch_result.executions,
-            "cross-shard forward coalescing changed the schedules");
 
   const double ratio = serve_result.items_per_s / batch_result.items_per_s;
   const double mixed_ratio =
@@ -379,10 +345,6 @@ void Run() {
       route_result.items_per_s / batch_result.items_per_s;
   const double route_vs_equal =
       route_result.items_per_s / equal_result.items_per_s;
-  const double coalesced_ratio =
-      coalesced_result.items_per_s / batch_result.items_per_s;
-  const double coalesced_vs_sharded =
-      coalesced_result.items_per_s / route_result.items_per_s;
   bench::Banner("Serve runtime vs SubmitBatch (" + std::to_string(num_items) +
                 " items, best of " + std::to_string(repeats) +
                 " interleaved trials, " + std::to_string(workers) +
@@ -402,15 +364,10 @@ void Run() {
                {equal_result.wall_s, equal_result.items_per_s, equal_ratio});
   table.AddRow(route_result.name,
                {route_result.wall_s, route_result.items_per_s, route_ratio});
-  table.AddRow(coalesced_result.name,
-               {coalesced_result.wall_s, coalesced_result.items_per_s,
-                coalesced_ratio});
   table.Print(std::cout);
   std::cout << "route_sharded_4 vs serve_equal_workers (" << kShards
             << " shards x " << per_shard_workers << " workers vs 1 x "
             << equal_workers << "): " << route_vs_equal << "\n";
-  std::cout << "route_coalesced_4 vs route_sharded_4 (cross-shard forward "
-            << "coalescing on vs off): " << coalesced_vs_sharded << "\n";
 
   std::ofstream json("BENCH_serve.json");
   AMS_CHECK(json.good(), "cannot open BENCH_serve.json for writing");
@@ -447,27 +404,21 @@ void Run() {
   json << "    {\"name\": \"route_sharded_4\", \"wall_s\": "
        << route_result.wall_s
        << ", \"items_per_s\": " << route_result.items_per_s
-       << ", \"speedup_vs_submit_batch\": " << route_ratio << "},\n";
-  json << "    {\"name\": \"route_coalesced_4\", \"wall_s\": "
-       << coalesced_result.wall_s
-       << ", \"items_per_s\": " << coalesced_result.items_per_s
-       << ", \"speedup_vs_submit_batch\": " << coalesced_ratio << "}\n";
+       << ", \"speedup_vs_submit_batch\": " << route_ratio << "}\n";
   json << "  ],\n";
   json << "  \"serve_vs_submit_ratio\": " << ratio << ",\n";
   json << "  \"mixed_vs_single_class_ratio\": "
        << mixed_result.items_per_s / serve_result.items_per_s << ",\n";
   json << "  \"tenant_vs_single_class_ratio\": "
        << tenant_result.items_per_s / serve_result.items_per_s << ",\n";
-  json << "  \"route_vs_equal_serve_ratio\": " << route_vs_equal << ",\n";
-  json << "  \"coalesced_vs_sharded_ratio\": " << coalesced_vs_sharded << "\n";
+  json << "  \"route_vs_equal_serve_ratio\": " << route_vs_equal << "\n";
   json << "}\n";
   std::cout << "\nwrote BENCH_serve.json (serve/submit ratio " << ratio
             << ", mixed/single-class ratio "
             << mixed_result.items_per_s / serve_result.items_per_s
             << ", tenant/single-class ratio "
             << tenant_result.items_per_s / serve_result.items_per_s
-            << ", route/equal-serve ratio " << route_vs_equal
-            << ", coalesced/sharded ratio " << coalesced_vs_sharded << ")\n";
+            << ", route/equal-serve ratio " << route_vs_equal << ")\n";
 }
 
 }  // namespace

@@ -49,7 +49,6 @@ const std::vector<double>& DecisionPlane::Slot::Row(
                                            row_.data());
   plane_->ToDecisionRow(row_.data());
   labels_at_ = state.num_labels_set();
-  ++plane_->scalar_predictions_;
   plane_->MemoizeRow(state.SetIndices(), row_.data());
   return row_;
 }
@@ -69,39 +68,6 @@ void DecisionPlane::ReleaseSlot(Slot* slot) {
   AMS_CHECK(slot != nullptr && slot->plane_ == this,
             "slot released to a foreign plane");
   free_slots_.push_back(slot);
-}
-
-size_t DecisionPlane::GatherStale(const std::vector<SlotView>& views,
-                                  std::vector<PendingRequest>* out) {
-  AMS_CHECK(out != nullptr);
-  size_t appended = 0;
-  for (const SlotView& view : views) {
-    AMS_CHECK(view.first != nullptr && view.second != nullptr);
-    if (view.first->Fresh(*view.second)) continue;
-    if (ServeFromMemo(view.first, *view.second)) continue;
-    out->push_back(PendingRequest{view.first, view.second});
-    ++appended;
-  }
-  return appended;
-}
-
-void DecisionPlane::CommitRow(const PendingRequest& request, const double* row,
-                              size_t stride) {
-  AMS_CHECK(request.slot != nullptr && request.state != nullptr &&
-            row != nullptr);
-  AMS_CHECK(stride == stride_,
-            "committed row stride does not match this plane's predictor");
-  std::vector<double>& slot_row = request.slot->row_;
-  slot_row.assign(row, row + stride);
-  ToDecisionRow(slot_row.data());
-  request.slot->labels_at_ = request.state->num_labels_set();
-  MemoizeRow(request.state->SetIndices(), slot_row.data());
-}
-
-void DecisionPlane::NoteExternalRound(long refreshed_rows) {
-  if (refreshed_rows <= 0) return;
-  ++batched_predictions_;
-  batched_rows_ += refreshed_rows;
 }
 
 void DecisionPlane::Prefetch(const std::vector<SlotView>& views,
@@ -158,7 +124,6 @@ void DecisionPlane::Prefetch(const std::vector<SlotView>& views,
 
   double* flat = arena->AllocArray<double>(n_rows * stride_);
   predictor_->PredictValuesBatchTo(features, indices, n_rows, flat);
-  ++batched_predictions_;
   batched_rows_ += static_cast<long>(n_rows);
   for (size_t u = 0; u < n_rows; ++u) {
     double* row = flat + u * stride_;

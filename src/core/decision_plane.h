@@ -87,14 +87,6 @@ class DecisionPlane {
   /// A (slot, state) pair eligible for batched refresh.
   using SlotView = std::pair<Slot*, const LabelingState*>;
 
-  /// One stale slot awaiting a Q row from an externally executed forward
-  /// round (see GatherStale/CommitRow). Plain pointers, trivially copyable,
-  /// so collectors can stage these in arenas or reused flat vectors.
-  struct PendingRequest {
-    Slot* slot;
-    const LabelingState* state;
-  };
-
   /// Creates a slot owned by the plane (pointer stays valid for the plane's
   /// lifetime). Released slots are recycled, so a long-lived driver admitting
   /// an unbounded stream of items (serve::ServerRuntime) keeps a bounded
@@ -116,37 +108,10 @@ class DecisionPlane {
   /// predictors.
   void Prefetch(const std::vector<SlotView>& views, util::Arena* arena);
 
-  /// The gather half of Prefetch, for callers that execute the forward
-  /// elsewhere (a cross-worker/shard coalescer): filters `views` exactly
-  /// like Prefetch — fresh slots skipped, memo-servable slots served and
-  /// counted as memo hits — and appends the remaining stale requests to
-  /// `out` WITHOUT issuing any forward. Every appended request must later
-  /// receive its row through CommitRow (before the underlying states
-  /// change). Returns the number of requests appended.
-  size_t GatherStale(const std::vector<SlotView>& views,
-                     std::vector<PendingRequest>* out);
-
-  /// The scatter half: takes one externally computed raw Q row (stride ==
-  /// predictor()->num_actions()), applies this plane's DecisionRow
-  /// transform, writes the result into a gathered request's slot, marks it
-  /// fresh for the request's state version, and memoizes it. The Q row must
-  /// come from a predictor with weights identical to this plane's (frozen
-  /// serving clones), so results are bitwise identical to Prefetch.
-  void CommitRow(const PendingRequest& request, const double* row,
-                 size_t stride);
-
-  /// Accounting for one externally executed batched round this plane took
-  /// part in: counts as one batched prediction with `refreshed_rows` rows
-  /// (this plane's gathered requests, duplicates included — the external
-  /// round dedups across planes, so unique-row counts live with it).
-  void NoteExternalRound(long refreshed_rows);
-
   ModelValuePredictor* predictor() const { return predictor_; }
   DecisionRow row_kind() const { return row_kind_; }
 
-  /// Forward passes issued so far, for tests and perf accounting.
-  long scalar_predictions() const { return scalar_predictions_; }
-  long batched_predictions() const { return batched_predictions_; }
+  /// Unique rows computed by Prefetch's batched forwards so far.
   long batched_rows() const { return batched_rows_; }
   /// Rows served from the plane-lifetime row memo without any forward.
   long memo_hits() const { return memo_hits_; }
@@ -194,39 +159,8 @@ class DecisionPlane {
   std::unordered_map<std::vector<int>, std::vector<double>, IndexListHash>
       row_memo_;
   bool memoize_rows_ = false;
-  long scalar_predictions_ = 0;
-  long batched_predictions_ = 0;
   long batched_rows_ = 0;
   long memo_hits_ = 0;
-};
-
-/// Seam through which a stepper hands its per-tick forward round to an
-/// external collector (serve::ForwardCoalescer) instead of issuing it
-/// itself via Prefetch. Lives in core:: so ItemStepper can hold the hook
-/// without a dependency on the serving layer.
-///
-/// Contract: ExecuteRound must leave `plane` in exactly the state
-/// Prefetch(views, arena) would — every stale slot refreshed with a bitwise
-/// identical decision row (sound when all participating planes wrap frozen clones
-/// of the same predictor). It may block while other participants' rounds
-/// rendezvous; callers treat the call as their forward phase.
-class ForwardRoundExecutor {
- public:
-  /// Per-participant accounting for one round.
-  struct RoundStats {
-    /// This plane's stale rows handed to the round (post memo/fresh filter).
-    int gathered = 0;
-    /// Rows served from this plane's memo during the gather.
-    int memo_hits = 0;
-    /// Unique rows in the whole coalesced batch (same value reported to
-    /// every participant of the round; 0 for an empty round).
-    int cluster_rows = 0;
-  };
-
-  virtual ~ForwardRoundExecutor() = default;
-
-  virtual RoundStats ExecuteRound(DecisionPlane* plane,
-                                  const std::vector<DecisionPlane::SlotView>& views) = 0;
 };
 
 }  // namespace ams::core

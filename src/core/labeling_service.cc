@@ -423,11 +423,6 @@ void LabelingService::ItemStepper::AttachTracer(const obs::Tracer* tracer,
   }
 }
 
-void LabelingService::ItemStepper::AttachForwardExecutor(
-    ForwardRoundExecutor* executor) {
-  forward_executor_ = executor;
-}
-
 uint64_t LabelingService::ItemStepper::Admit(const WorkItem& item,
                                              uint64_t stream_id) {
   const uint64_t ticket = next_ticket_++;
@@ -470,13 +465,6 @@ void LabelingService::ItemStepper::Tick(std::vector<Completion>* completed) {
   for (Completion& done : pending_) completed->push_back(std::move(done));
   pending_.clear();
   if (inflight_.empty()) {
-    // A barrier-style forward executor must still see this participant once
-    // per tick (other participants' rounds rendezvous on it), so run an
-    // empty round before returning.
-    if (forward_executor_ != nullptr && plane_ != nullptr) {
-      views_.clear();
-      forward_executor_->ExecuteRound(plane_.get(), views_);
-    }
     FinishTickSpan(&tick_span, resident_at_entry,
                    static_cast<int>(completed->size() - completed_at_entry));
     return;
@@ -484,9 +472,8 @@ void LabelingService::ItemStepper::Tick(std::vector<Completion>* completed) {
 
   // One deduplicated batched forward pass refreshes every resident item
   // still consulting the picker; items mid-drain (stopped, or nothing new
-  // to start) skip the Q refresh entirely. With a forward executor attached
-  // the round is handed off instead — gathered, coalesced with other
-  // participants, and committed back — with bitwise-identical rows.
+  // to start) skip the Q refresh entirely. The kForward span is inert (no
+  // clock read) unless the tick is traced and has rows to refresh.
   if (plane_ != nullptr) {
     views_.clear();
     for (const InFlight& flight : inflight_) {
@@ -494,38 +481,19 @@ void LabelingService::ItemStepper::Tick(std::vector<Completion>* completed) {
         views_.push_back({flight.slot, &flight.kernel->state()});
       }
     }
-    if (forward_executor_ != nullptr) {
-      if (tick_span.active() && !views_.empty()) {
-        // The forward span covers the whole handed-off round, including the
-        // rendezvous wait for co-participants — that wait IS this stepper's
-        // forward phase under coalescing.
-        obs::ScopedSpan forward_span(tracer_, trace_lane_, trace_clock_,
-                                     obs::Phase::kForward);
-        const ForwardRoundExecutor::RoundStats round =
-            forward_executor_->ExecuteRound(plane_.get(), views_);
-        forward_span.set_args(round.gathered, round.memo_hits, backend_tier_,
-                              backend_int8_ ? 1 : 0);
-        tick_stats_.forward_s = forward_span.Close();
-        tick_stats_.forward_rows = round.gathered;
-        tick_stats_.memo_hits = round.memo_hits;
-        tick_stats_.cluster_rows = round.cluster_rows;
-      } else {
-        forward_executor_->ExecuteRound(plane_.get(), views_);
-      }
-    } else if (tick_span.active() && !views_.empty()) {
-      obs::ScopedSpan forward_span(tracer_, trace_lane_, trace_clock_,
-                                   obs::Phase::kForward);
-      const long rows_before = plane_->batched_rows();
-      const long memo_before = plane_->memo_hits();
-      plane_->Prefetch(views_, &arena_);
+    obs::ScopedSpan forward_span(
+        tick_span.active() && !views_.empty() ? tracer_ : nullptr,
+        trace_lane_, trace_clock_, obs::Phase::kForward);
+    const long rows_before = plane_->batched_rows();
+    const long memo_before = plane_->memo_hits();
+    plane_->Prefetch(views_, &arena_);
+    if (forward_span.active()) {
       const int rows = static_cast<int>(plane_->batched_rows() - rows_before);
       const int hits = static_cast<int>(plane_->memo_hits() - memo_before);
       forward_span.set_args(rows, hits, backend_tier_, backend_int8_ ? 1 : 0);
       tick_stats_.forward_s = forward_span.Close();
       tick_stats_.forward_rows = rows;
       tick_stats_.memo_hits = hits;
-    } else {
-      plane_->Prefetch(views_, &arena_);
     }
   }
 

@@ -305,11 +305,6 @@ class LabelingService::ItemStepper {
     double forward_s = 0.0;
     int forward_rows = 0;
     int memo_hits = 0;
-    /// Unique rows in the cluster-coalesced batch this tick's forward rode
-    /// in (0 when the stepper issued its own forward — no executor
-    /// attached — or the round was empty). Rows per cluster batch, not per
-    /// stepper: the coalescer's amortization is only visible here.
-    int cluster_rows = 0;
     int resident = 0;
     int completed = 0;
     std::size_t arena_used = 0;
@@ -323,18 +318,6 @@ class LabelingService::ItemStepper {
   /// the zero-allocation steady-state tick contract holds with tracing on.
   void AttachTracer(const obs::Tracer* tracer, obs::TraceBuffer* lane,
                     const util::Clock* clock);
-
-  /// Hands this stepper's per-tick forward round to an external executor
-  /// (serve::ForwardCoalescer handle) instead of the plane's own Prefetch.
-  /// While attached, EVERY Tick() — including empty ones — runs one
-  /// ExecuteRound so barrier-style executors see each participant exactly
-  /// once per tick. Only meaningful for predictor-driven steppers; the
-  /// executor must outlive the stepper. Pass nullptr to detach.
-  void AttachForwardExecutor(ForwardRoundExecutor* executor);
-
-  /// True when this stepper schedules through a Q predictor (and thus has a
-  /// decision plane a forward executor can coalesce).
-  bool predictor_driven() const { return plane_ != nullptr; }
 
   const TickStats& last_tick_stats() const { return tick_stats_; }
 
@@ -374,9 +357,6 @@ class LabelingService::ItemStepper {
   const util::Clock* trace_clock_ = nullptr;
   int backend_tier_ = -1;
   bool backend_int8_ = false;
-  /// External forward round executor (AttachForwardExecutor): null means
-  /// the stepper issues its own Prefetch per tick.
-  ForwardRoundExecutor* forward_executor_ = nullptr;
   TickStats tick_stats_;
 };
 

@@ -43,74 +43,32 @@ class ModelValuePredictor {
   virtual std::vector<double> PredictValues(
       const std::vector<float>& state_features) = 0;
 
-  /// Predicted action values for a batch of states, written row-major into a
-  /// caller-owned flat buffer: `*out` is resized to
-  /// `states.size() * num_actions()` and row i occupies
-  /// [i * num_actions(), (i+1) * num_actions()). The flat form lets callers
-  /// reuse one buffer across refreshes instead of allocating a
-  /// vector-of-vectors per batched pass. States are passed by
-  /// pointer so callers batching live per-item feature vectors do not copy
-  /// them just to build the argument.
+  /// Predicted action values for a batch of `count` states, written
+  /// row-major into a caller-sized raw buffer (typically util::Arena
+  /// storage): row i occupies out[i * num_actions(), (i+1) * num_actions()).
+  /// States are passed by pointer so callers batching live per-item feature
+  /// vectors do not copy them just to build the argument.
   ///
-  /// `set_indices` may be empty or parallel to `states`: a non-null
-  /// set_indices[i] lists the nonzero positions of states[i] in ascending
-  /// order (LabelingState::SetIndices), letting sparse-aware backends skip
-  /// the dense feature scan. Indices are an optimization hint only — rows
-  /// must be bitwise identical with and without them.
-  ///
-  /// The default loops the scalar path; implementations backed by a batched
-  /// forward pass (rl::Agent) override it with a single pass whose rows are
-  /// bitwise identical to the scalar results.
-  virtual void PredictValuesBatchInto(
-      const std::vector<const std::vector<float>*>& states,
-      const std::vector<const std::vector<int>*>& set_indices,
-      std::vector<double>* out) {
-    (void)set_indices;
-    const size_t stride = static_cast<size_t>(num_actions());
-    out->resize(states.size() * stride);
-    for (size_t i = 0; i < states.size(); ++i) {
-      const std::vector<double> row = PredictValues(*states[i]);
-      std::copy(row.begin(), row.end(), out->begin() + i * stride);
-    }
-  }
-
-  /// Raw-buffer form of PredictValuesBatchInto for allocation-free hot
-  /// paths: writes exactly `count * num_actions()` doubles into `out`
-  /// (caller-sized, typically util::Arena storage). `set_indices` may be
-  /// null (no hint for any row) or point at `count` entries parallel to
-  /// `states` with the same per-row semantics as the Into form. Rows are
-  /// bitwise identical to PredictValuesBatchInto. Every core::DecisionPlane
+  /// `set_indices` may be null (no hint for any row) or point at `count`
+  /// entries parallel to `states`: a non-null set_indices[i] lists the
+  /// nonzero positions of states[i] in ascending order
+  /// (LabelingState::SetIndices), letting sparse-aware backends skip the
+  /// dense feature scan. Indices are an optimization hint only — rows must
+  /// be bitwise identical with and without them. Every core::DecisionPlane
   /// forward, batched or single-row, goes through this entry.
   ///
-  /// The default wraps the virtual Into form through temporary vectors —
-  /// allocating, but it keeps fakes/wrappers that only override Into on
-  /// the path. rl::Agent overrides this with the real zero-allocation
-  /// forward and implements Into on top of it.
+  /// The default loops the scalar path; implementations backed by a batched
+  /// forward pass (rl::Agent) override it with a single zero-allocation
+  /// pass whose rows are bitwise identical to the scalar results.
   virtual void PredictValuesBatchTo(
       const std::vector<float>* const* states,
       const std::vector<int>* const* set_indices, size_t count, double* out) {
-    std::vector<const std::vector<float>*> state_vec(states, states + count);
-    std::vector<const std::vector<int>*> index_vec;
-    if (set_indices != nullptr) {
-      index_vec.assign(set_indices, set_indices + count);
-    }
-    std::vector<double> flat;
-    PredictValuesBatchInto(state_vec, index_vec, &flat);
-    std::copy(flat.begin(), flat.end(), out);
-  }
-
-  /// Convenience vector-of-rows form of PredictValuesBatchInto (same rows,
-  /// one allocation per row — use the Into form in hot loops).
-  std::vector<std::vector<double>> PredictValuesBatch(
-      const std::vector<const std::vector<float>*>& states) {
-    std::vector<double> flat;
-    PredictValuesBatchInto(states, {}, &flat);
+    (void)set_indices;
     const size_t stride = static_cast<size_t>(num_actions());
-    std::vector<std::vector<double>> rows(states.size());
-    for (size_t i = 0; i < states.size(); ++i) {
-      rows[i].assign(flat.begin() + i * stride, flat.begin() + (i + 1) * stride);
+    for (size_t i = 0; i < count; ++i) {
+      const std::vector<double> row = PredictValues(*states[i]);
+      std::copy(row.begin(), row.end(), out + i * stride);
     }
-    return rows;
   }
 
   virtual int num_actions() const = 0;

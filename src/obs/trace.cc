@@ -15,7 +15,6 @@ namespace {
 constexpr std::array<const char*, kNumPhases> kPhaseNames = {
     "enqueue",     "quota_reject", "placement", "queue_wait", "exec",
     "tick",        "forward",      "migrate_out", "migrate_in",
-    "coalesced_forward",
 };
 
 /// Per-phase names for args a0..a3 in exported JSON. nullptr = arg unused.
@@ -29,7 +28,6 @@ constexpr std::array<std::array<const char*, 4>, kNumPhases> kPhaseArgNames = {{
     {"rows", "memo_hits", "simd_tier", "int8"},     // forward
     {"from_shard", "to_shard", nullptr, nullptr},   // migrate_out
     {"from_shard", "to_shard", nullptr, nullptr},   // migrate_in
-    {"members", "gathered_rows", "rows", "shards"}, // coalesced_forward
 }};
 
 std::size_t RoundUpPow2(std::size_t n) {
@@ -235,11 +233,9 @@ void ChromeTraceSink::Write(const std::vector<TraceEvent>& events,
     for (const auto& [lane, unused] : lanes) {
       (void)unused;
       out << ",\n";
-      const std::string lane_name =
-          lane == kAdmissionLane
-              ? "admission"
-              : lane == kCoalescerLane ? "coalescer"
-                                       : "worker " + std::to_string(lane);
+      const std::string lane_name = lane == kAdmissionLane
+                                        ? "admission"
+                                        : "worker " + std::to_string(lane);
       WriteNameMetadata("thread_name", shard, lane, lane_name,
                         /*is_process=*/false, out);
     }

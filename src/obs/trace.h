@@ -30,9 +30,6 @@ namespace ams::obs {
 ///                                              a2=simd_tier a3=int8
 ///   kMigrateOut  instant  StealBatch handoff   a0=from_shard a1=to_shard
 ///   kMigrateIn   instant  Requeue arrival      a0=from_shard a1=to_shard
-///   kCoalescedForward span one cluster-coalesced forward round
-///                                              a0=members a1=gathered_rows
-///                                              a2=rows a3=shards
 enum class Phase : std::uint8_t {
   kEnqueue = 0,
   kQuotaReject,
@@ -43,9 +40,8 @@ enum class Phase : std::uint8_t {
   kForward,
   kMigrateOut,
   kMigrateIn,
-  kCoalescedForward,
 };
-inline constexpr int kNumPhases = 10;
+inline constexpr int kNumPhases = 9;
 
 /// Stable lowercase name used in trace JSON and summaries.
 const char* PhaseName(Phase phase);
@@ -72,11 +68,6 @@ struct TraceEvent {
 /// recorded under; worker lanes use their worker index. Exported traces name
 /// this lane "admission" instead of "worker 65535".
 inline constexpr std::uint16_t kAdmissionLane = 0xFFFF;
-
-/// The lane coalesced-forward round spans are recorded under (one span per
-/// cluster round, stamped by whichever worker led the round). Exported
-/// traces name this lane "coalescer".
-inline constexpr std::uint16_t kCoalescerLane = 0xFFFE;
 
 /// Bounded drop-oldest ring of TraceEvents. All slots are allocated at
 /// construction; Record() claims a slot with one relaxed fetch_add and

@@ -30,18 +30,6 @@ std::vector<double> Agent::PredictValues(
   return std::vector<double>(q.begin(), q.end());
 }
 
-void Agent::PredictValuesBatchInto(
-    const std::vector<const std::vector<float>*>& states,
-    const std::vector<const std::vector<int>*>& set_indices,
-    std::vector<double>* out) {
-  const size_t stride = static_cast<size_t>(num_actions());
-  out->resize(states.size() * stride);
-  if (states.empty()) return;
-  PredictValuesBatchTo(states.data(),
-                       set_indices.empty() ? nullptr : set_indices.data(),
-                       states.size(), out->data());
-}
-
 void Agent::PredictValuesBatchTo(const std::vector<float>* const* states,
                                  const std::vector<int>* const* set_indices,
                                  size_t count, double* out) {

@@ -24,16 +24,9 @@ class Agent : public core::ModelValuePredictor {
   /// bitwise identical to the scalar PredictValues result (the net's Gemm
   /// computes rows independently in the same operation order). Set-index
   /// lists, when provided, route the first layer through the sparse-row
-  /// fast path; the batch Matrix scratch is reused across calls.
-  void PredictValuesBatchInto(
-      const std::vector<const std::vector<float>*>& states,
-      const std::vector<const std::vector<int>*>& set_indices,
-      std::vector<double>* out) override;
-
-  /// Raw-buffer batched forward: the allocation-free primitive both batch
-  /// entry points share. After warm-up (pointer scratch + net activation
-  /// matrices at steady capacity) a call performs zero heap allocations,
-  /// which is what lets an arena-fed DecisionPlane tick allocation-free.
+  /// fast path. After warm-up (pointer scratch + net activation matrices at
+  /// steady capacity) a call performs zero heap allocations, which is what
+  /// lets an arena-fed DecisionPlane tick allocation-free.
   void PredictValuesBatchTo(const std::vector<float>* const* states,
                             const std::vector<int>* const* set_indices,
                             size_t count, double* out) override;

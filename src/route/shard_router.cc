@@ -42,7 +42,7 @@ ShardRouter::ShardRouter(const std::vector<core::LabelingService*>& sessions,
                          RouterOptions options)
     : options_(options),
       clock_(options.serve.clock != nullptr ? options.serve.clock
-                                            : &serve::Clock::Monotonic()) {
+                                            : &util::Clock::Monotonic()) {
   AMS_CHECK(!sessions.empty(), "a router needs at least one shard session");
   for (size_t i = 0; i < sessions.size(); ++i) {
     AMS_CHECK(sessions[i] != nullptr);
@@ -62,28 +62,10 @@ ShardRouter::ShardRouter(const std::vector<core::LabelingService*>& sessions,
     owned_placement_ = std::make_unique<ConsistentHashPlacement>();
     placement_ = owned_placement_.get();
   }
-  // Cross-shard forward coalescing: resolve the AMS_COALESCE default here
-  // (not per shard) and build ONE coalescer every shard joins, so rounds
-  // rendezvous across the whole cluster rather than within each shard. An
-  // externally supplied serve.coalescer is passed through untouched.
-  if (options_.serve.coalescer == nullptr) {
-    if (!options_.serve.coalesce_forwards &&
-        serve::CoalesceForwardsFromEnv()) {
-      options_.serve.coalesce_forwards = true;
-    }
-    if (options_.serve.coalesce_forwards) {
-      serve::ForwardCoalescer::Options coalesce;
-      coalesce.tracer = options_.serve.tracer;
-      coalesce.clock = clock_;
-      owned_coalescer_ = std::make_unique<serve::ForwardCoalescer>(coalesce);
-      options_.serve.coalescer = owned_coalescer_.get();
-    }
-  }
   shards_.reserve(sessions.size());
   for (size_t i = 0; i < sessions.size(); ++i) {
     // Uniform serve options except the shard id: shard i's trace lanes and
-    // trace ids carry its own index, all feeding the one shared tracer (and,
-    // when coalescing, the one shared cluster coalescer).
+    // trace ids carry its own index, all feeding the one shared tracer.
     serve::ServeOptions shard_options = options_.serve;
     shard_options.shard_id = static_cast<int>(i);
     shards_.push_back(
@@ -313,15 +295,6 @@ std::string ShardRouter::MetricsJson() const {
   }
   router << "], \"migrated\": " << migrated()
          << ", \"rebalance_ticks\": " << rebalance_ticks();
-  if (owned_coalescer_ != nullptr) {
-    // Cluster-coalescer view (the per-shard "coalesced_*" counters split the
-    // same rounds by leader shard; these are the whole-cluster totals).
-    router << ", \"coalescer\": {\"rounds\": " << owned_coalescer_->rounds()
-           << ", \"gathered_rows\": " << owned_coalescer_->gathered_rows()
-           << ", \"unique_rows\": " << owned_coalescer_->unique_rows()
-           << ", \"max_batch_rows\": " << owned_coalescer_->max_batch_rows()
-           << "}";
-  }
   router << "}";
   return AggregatedMetrics(registries)
       .SnapshotJson(clock_->NowSeconds() - start_time_s_, router.str());

@@ -13,8 +13,8 @@
 
 #include "core/labeling_service.h"
 #include "route/placement.h"
-#include "serve/clock.h"
 #include "serve/server_runtime.h"
+#include "util/clock.h"
 
 namespace ams::route {
 
@@ -135,7 +135,7 @@ class ShardRouter final : public ShardLoadView {
     return *shards_[static_cast<size_t>(i)];
   }
   const RouterOptions& options() const { return options_; }
-  const serve::Clock& clock() const { return *clock_; }
+  const util::Clock& clock() const { return *clock_; }
   Placement& placement() { return *placement_; }
 
   /// Requests routed to shard `i` so far (placement decisions, before
@@ -167,15 +167,9 @@ class ShardRouter final : public ShardLoadView {
   void RebalanceLoop();
 
   RouterOptions options_;
-  const serve::Clock* clock_;
+  const util::Clock* clock_;
   std::unique_ptr<Placement> owned_placement_;
   Placement* placement_;
-  /// The cluster-wide forward coalescer (when serve.coalesce_forwards or
-  /// AMS_COALESCE asks for one): every shard joins the SAME instance, so a
-  /// round pools stale Q rows across ALL shards' workers — one device-sized
-  /// batch per cluster tick. Declared before shards_ so the shards (whose
-  /// workers hold handles into it) are destroyed first.
-  std::unique_ptr<serve::ForwardCoalescer> owned_coalescer_;
   std::vector<std::unique_ptr<serve::ServerRuntime>> shards_;
   /// Heap array because vector<atomic> cannot resize (atomics are
   /// immovable); sized num_shards at construction.

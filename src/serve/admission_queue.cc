@@ -63,7 +63,8 @@ bool WithinClassOrderFromName(const char* name, WithinClassOrder* out) {
 
 AdmissionQueue::AdmissionQueue(const AdmissionConfig& config)
     : config_(config),
-      clock_(config.clock != nullptr ? config.clock : &Clock::Monotonic()),
+      clock_(config.clock != nullptr ? config.clock
+                                     : &util::Clock::Monotonic()),
       forced_service_after_(config.starvation_bound -
                             (kNumPriorityClasses - 1)),
       track_tenants_(!config.tenant_quotas.empty()) {

@@ -10,9 +10,9 @@
 #include <optional>
 #include <vector>
 
-#include "serve/clock.h"
 #include "serve/priority_class.h"
 #include "serve/request.h"
+#include "util/clock.h"
 
 namespace ams::serve {
 
@@ -176,8 +176,8 @@ struct AdmissionConfig {
   /// Per-tenant quotas; empty = no tenant accounting (zero overhead).
   TenantQuotaTable tenant_quotas;
   /// Timestamp source for admission stamps (enqueue_time_s, deadline_s);
-  /// null = Clock::Monotonic().
-  const Clock* clock = nullptr;
+  /// null = util::Clock::Monotonic().
+  const util::Clock* clock = nullptr;
 };
 
 /// Bounded multi-tenant admission queue in front of the serving runtime:
@@ -371,7 +371,7 @@ class AdmissionQueue {
   void RemoveAtLocked(int cls, size_t i, QueuedRequest* out);
 
   const AdmissionConfig config_;
-  const Clock* const clock_;
+  const util::Clock* const clock_;
   /// Forced-service threshold derived from config_.starvation_bound.
   const int forced_service_after_;
   /// Tenant accounting enabled (config_.tenant_quotas non-empty).

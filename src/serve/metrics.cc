@@ -169,13 +169,6 @@ void Metrics::RecordForward(double forward_s, int rows) {
   AtomicMaxLong(&forward_rows_max, rows);
 }
 
-void Metrics::RecordCoalescedRound(int gathered_rows, int unique_rows) {
-  coalesced_rounds.fetch_add(1, std::memory_order_relaxed);
-  coalesced_gathered_rows.fetch_add(gathered_rows, std::memory_order_relaxed);
-  coalesced_rows.fetch_add(unique_rows, std::memory_order_relaxed);
-  AtomicMaxLong(&coalesced_rows_max, unique_rows);
-}
-
 void Metrics::MergeFrom(const Metrics& other) {
   AddCounter(&enqueued, other.enqueued);
   AddCounter(&completed, other.completed);
@@ -195,16 +188,11 @@ void Metrics::MergeFrom(const Metrics& other) {
   forward_duration.MergeFrom(other.forward_duration);
   AddCounter(&forward_batches, other.forward_batches);
   AddCounter(&forward_rows, other.forward_rows);
-  AddCounter(&coalesced_rounds, other.coalesced_rounds);
-  AddCounter(&coalesced_gathered_rows, other.coalesced_gathered_rows);
-  AddCounter(&coalesced_rows, other.coalesced_rows);
   // Gauge/high-water policy (regression-locked by route_metrics_merge_test):
   // counters sum across shards, high-water marks take the max — a 4-shard
   // aggregate's high water is the highest shard's, never 4x one shard's.
   AtomicMaxLong(&forward_rows_max,
                 other.forward_rows_max.load(std::memory_order_relaxed));
-  AtomicMaxLong(&coalesced_rows_max,
-                other.coalesced_rows_max.load(std::memory_order_relaxed));
   AtomicMaxLong(&arena_high_water_bytes,
                 other.arena_high_water_bytes.load(std::memory_order_relaxed));
   for (int c = 0; c < kNumPriorityClasses; ++c) {
@@ -234,7 +222,7 @@ const TenantMetrics* Metrics::find_tenant(int tenant_id) const {
   return it == tenants_.end() ? nullptr : &it->second;
 }
 
-void Metrics::AttachClock(const Clock* clock) {
+void Metrics::AttachClock(const util::Clock* clock) {
   clock_ = clock;
   attach_time_s_ = clock != nullptr ? clock->NowSeconds() : 0.0;
 }
@@ -256,9 +244,7 @@ namespace {
 struct CounterSnapshot {
   long enqueued, completed, rejected, quota_rejected, shed, shutdown_refused,
       deadline_misses, migrated_in, migrated_out, queue_depth, in_flight,
-      forward_batches, forward_rows, forward_rows_max, arena_high_water_bytes,
-      coalesced_rounds, coalesced_gathered_rows, coalesced_rows,
-      coalesced_rows_max;
+      forward_batches, forward_rows, forward_rows_max, arena_high_water_bytes;
 };
 
 struct ClassSnapshot {
@@ -315,12 +301,6 @@ std::string Metrics::SnapshotJson(double uptime_s) const {
   top.forward_rows_max = forward_rows_max.load(std::memory_order_relaxed);
   top.arena_high_water_bytes =
       arena_high_water_bytes.load(std::memory_order_relaxed);
-  top.coalesced_rounds = coalesced_rounds.load(std::memory_order_relaxed);
-  top.coalesced_gathered_rows =
-      coalesced_gathered_rows.load(std::memory_order_relaxed);
-  top.coalesced_rows = coalesced_rows.load(std::memory_order_relaxed);
-  top.coalesced_rows_max =
-      coalesced_rows_max.load(std::memory_order_relaxed);
   std::array<ClassSnapshot, kNumPriorityClasses> classes;
   for (int c = 0; c < kNumPriorityClasses; ++c) {
     classes[static_cast<size_t>(c)] = LoadClass(by_class[static_cast<size_t>(c)]);
@@ -372,15 +352,6 @@ std::string Metrics::SnapshotJson(double uptime_s) const {
                                  static_cast<double>(top.forward_batches)
                            : 0.0)
       << ", \"arena_high_water_bytes\": " << top.arena_high_water_bytes
-      << ", \"coalesced_rounds\": " << top.coalesced_rounds
-      << ", \"coalesced_gathered_rows\": " << top.coalesced_gathered_rows
-      << ", \"coalesced_rows\": " << top.coalesced_rows
-      << ", \"coalesced_rows_max\": " << top.coalesced_rows_max
-      << ", \"coalesced_rows_mean\": "
-      << FormatSeconds(top.coalesced_rounds > 0
-                           ? static_cast<double>(top.coalesced_rows) /
-                                 static_cast<double>(top.coalesced_rounds)
-                           : 0.0)
       << "},\n";
   out << "  \"classes\": {";
   for (int c = 0; c < kNumPriorityClasses; ++c) {

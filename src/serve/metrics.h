@@ -9,8 +9,8 @@
 #include <mutex>
 #include <string>
 
-#include "serve/clock.h"
 #include "serve/priority_class.h"
+#include "util/clock.h"
 
 namespace ams::serve {
 
@@ -168,28 +168,11 @@ class Metrics {
   std::atomic<long> forward_rows_max{0};
   /// High-water mark of a worker's per-tick arena scratch footprint.
   std::atomic<long> arena_high_water_bytes{0};
-  /// Cluster-coalesced forward rounds (serve::ForwardCoalescer): each
-  /// non-empty round is recorded exactly once, by its leader, into the
-  /// leader's registry — so a sum across shards is the cluster total.
-  /// `coalesced_gathered_rows` counts stale rows pooled from every
-  /// participant (duplicates included); `coalesced_rows` counts the unique
-  /// rows actually forwarded after cross-participant dedup; the gap between
-  /// the two is the work coalescing eliminated. `coalesced_rows_max` is the
-  /// largest single coalesced batch — a high-water gauge, max-merged.
-  std::atomic<long> coalesced_rounds{0};
-  std::atomic<long> coalesced_gathered_rows{0};
-  std::atomic<long> coalesced_rows{0};
-  std::atomic<long> coalesced_rows_max{0};
 
   /// Folds one traced tick into the phase section (CAS-max on the gauges).
   void RecordTick(double tick_s, std::size_t arena_used_bytes);
   /// Folds one traced forward pass (rows > 0) into the phase section.
   void RecordForward(double forward_s, int rows);
-  /// Folds one coalesced forward round (gathered > 0) into the phase
-  /// section. Unlike RecordTick/RecordForward this is recorded whether or
-  /// not a tracer is attached — round accounting is how the coalescer's
-  /// amortization is audited, not a tracing nicety.
-  void RecordCoalescedRound(int gathered_rows, int unique_rows);
 
   // --- per-class slices, indexed by PriorityClass ---
   std::array<ClassMetrics, kNumPriorityClasses> by_class;
@@ -214,7 +197,7 @@ class Metrics {
   /// Binds the uptime axis to a serve clock: SnapshotJson() (the no-arg
   /// overload) measures uptime as now - attach time on `clock`. The clock
   /// must outlive the registry.
-  void AttachClock(const Clock* clock);
+  void AttachClock(const util::Clock* clock);
 
   /// One JSON object with counters, gauges, histograms, the phase section,
   /// the per-class breakdown, and the completion throughput over `uptime_s`
@@ -245,7 +228,7 @@ class Metrics {
   void MergeFrom(const Metrics& other);
 
  private:
-  const Clock* clock_ = nullptr;
+  const util::Clock* clock_ = nullptr;
   double attach_time_s_ = 0.0;
   /// Tenant 0's slice, inline so the default-tenant path never locks.
   TenantMetrics default_tenant_;

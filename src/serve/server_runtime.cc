@@ -40,7 +40,8 @@ ServerRuntime::ServerRuntime(core::LabelingService* session,
                              ServeOptions options)
     : session_(session),
       options_(options),
-      clock_(options.clock != nullptr ? options.clock : &Clock::Monotonic()),
+      clock_(options.clock != nullptr ? options.clock
+                                      : &util::Clock::Monotonic()),
       queue_(AdmissionConfigFrom(options)),
       tracer_(options.tracer) {
   AMS_CHECK(session != nullptr);
@@ -61,23 +62,6 @@ ServerRuntime::ServerRuntime(core::LabelingService* session,
     }
   }
   metrics_.AttachClock(clock_);
-  // Resolve the forward coalescer before any worker spawns: a router-shared
-  // instance wins, then an owned one when coalescing is requested (by option
-  // or by AMS_COALESCE), else the per-stepper forward path stays in place.
-  if (options_.coalescer != nullptr) {
-    coalescer_ = options_.coalescer;
-  } else {
-    if (!options_.coalesce_forwards && CoalesceForwardsFromEnv()) {
-      options_.coalesce_forwards = true;
-    }
-    if (options_.coalesce_forwards) {
-      ForwardCoalescer::Options coalesce;
-      coalesce.tracer = tracer_;
-      coalesce.clock = clock_;
-      owned_coalescer_ = std::make_unique<ForwardCoalescer>(coalesce);
-      coalescer_ = owned_coalescer_.get();
-    }
-  }
   workers_.reserve(static_cast<size_t>(options_.workers));
   for (int w = 0; w < options_.workers; ++w) {
     workers_.emplace_back(&ServerRuntime::WorkerLoop, this, w);
@@ -261,16 +245,6 @@ void ServerRuntime::WorkerLoop(int worker_index) {
                                static_cast<uint16_t>(worker_index));
     stepper->AttachTracer(tracer_, lane, clock_);
   }
-  // Coalesced forwards: this worker's rendezvous handle. Membership brackets
-  // the busy span — Activate() once work is resident, Deactivate() before
-  // parking on the admission queue — so the round barrier only ever waits on
-  // workers that are guaranteed to keep ticking.
-  ForwardCoalescer::Handle* coalesce_handle = nullptr;
-  bool coalesce_active = false;
-  if (coalescer_ != nullptr && stepper->predictor_driven()) {
-    coalesce_handle = coalescer_->NewHandle(&metrics_, options_.shard_id);
-    stepper->AttachForwardExecutor(coalesce_handle);
-  }
   // Tracked requests keyed by stepper ticket. A flat swap-pop slab instead
   // of a map: the resident set is tens of items, so a linear scan beats
   // hashing and — on the serving hot path — spares a node allocation per
@@ -289,12 +263,6 @@ void ServerRuntime::WorkerLoop(int worker_index) {
     if (space > 0) {
       refill.clear();
       if (stepper->idle() && in_flight.empty()) {
-        if (coalesce_active) {
-          // About to block for work: leave the round membership so the
-          // other members' rendezvous never waits on a parked worker.
-          coalesce_handle->Deactivate();
-          coalesce_active = false;
-        }
         QueuedRequest first;
         if (!queue_.WaitPop(&first)) return;  // closed and fully drained
         refill.push_back(std::move(first));
@@ -350,13 +318,6 @@ void ServerRuntime::WorkerLoop(int worker_index) {
 
     // One cooperative tick: one deduplicated batched Q-forward across every
     // resident item, then each kernel advances past one finish event.
-    if (coalesce_handle != nullptr && !coalesce_active) {
-      // Reaching here means resident work exists (an idle worker parks
-      // above until WaitPop hands it an item), so this worker is now
-      // guaranteed to keep ticking: join the round membership.
-      coalesce_handle->Activate();
-      coalesce_active = true;
-    }
     done.clear();
     stepper->Tick(&done);
     {

@@ -14,12 +14,11 @@
 
 #include "core/labeling_service.h"
 #include "serve/admission_queue.h"
-#include "serve/clock.h"
-#include "serve/forward_coalescer.h"
 #include "serve/metrics.h"
 #include "serve/priority_class.h"
 #include "serve/request.h"
 #include "serve/value_estimator.h"
+#include "util/clock.h"
 
 namespace ams::serve {
 
@@ -61,9 +60,10 @@ struct ServeOptions {
   /// outlive the runtime when set.
   const ValueEstimator* value_estimator = nullptr;
   /// Time source for every serve-side timestamp (admission stamps,
-  /// deadlines, latencies, metrics uptime); null = Clock::Monotonic().
-  /// Tests inject a ManualClock here for deterministic timing assertions.
-  const Clock* clock = nullptr;
+  /// deadlines, latencies, metrics uptime); null = util::Clock::Monotonic().
+  /// Tests inject a util::ManualClock here for deterministic timing
+  /// assertions.
+  const util::Clock* clock = nullptr;
   /// Tracing seam: when set (and enabled), the runtime records lifecycle
   /// spans — enqueue/quota instants, queue-wait, exec, per-tick stepper and
   /// forward spans — into per-worker obs::TraceBuffer lanes, and the phase
@@ -75,20 +75,6 @@ struct ServeOptions {
   /// This runtime's shard index in a sharded deployment (trace lane keying
   /// and cluster-unique trace ids); 0 standalone.
   int shard_id = 0;
-  /// Coalesce the per-tick Q-forwards of this runtime's workers into one
-  /// batched forward per tick round (serve::ForwardCoalescer): opt-in
-  /// because it trades per-worker independence for batch amortization —
-  /// worth it when forwards dominate the tick and workers tick in similar
-  /// rhythm. Results are bitwise identical either way. The AMS_COALESCE
-  /// environment variable ("1"/"on"/"true") turns this on by default so CI
-  /// can run the whole suite both ways. No-op for sessions without a
-  /// predictor.
-  bool coalesce_forwards = false;
-  /// An externally owned coalescer to join instead of a runtime-private
-  /// one — how route::ShardRouter coalesces forwards across ALL its shards
-  /// (one device batch per cluster tick). Implies coalesce_forwards; must
-  /// outlive the runtime.
-  ForwardCoalescer* coalescer = nullptr;
 };
 
 /// The asynchronous serving runtime over a labeling session: admission in
@@ -192,7 +178,7 @@ class ServerRuntime {
   std::string MetricsJson() const;
 
   const ServeOptions& options() const { return options_; }
-  const Clock& clock() const { return *clock_; }
+  const util::Clock& clock() const { return *clock_; }
   /// Read-only admission-queue introspection (per-class depths, blocked
   /// enqueuers) for operators and deterministic tests.
   const AdmissionQueue& admission_queue() const { return queue_; }
@@ -231,7 +217,7 @@ class ServerRuntime {
   /// The serve time source (options.clock or the monotonic default); every
   /// timestamp in the runtime, queue and metrics reads this. The metrics
   /// registry tracks uptime itself from AttachClock time (= construction).
-  const Clock* clock_;
+  const util::Clock* clock_;
   Metrics metrics_;
   /// The default estimator when value ordering is on and no
   /// options.value_estimator was supplied.
@@ -246,11 +232,6 @@ class ServerRuntime {
   /// caches its own lane in WorkerLoop. Both null when tracing is off.
   obs::Tracer* tracer_ = nullptr;
   obs::TraceBuffer* admission_lane_ = nullptr;
-  /// Forward coalescing (options.coalesce_forwards / options.coalescer):
-  /// the runtime-private coalescer when no external one was supplied, and
-  /// the pointer the workers join (null = coalescing off).
-  std::unique_ptr<ForwardCoalescer> owned_coalescer_;
-  ForwardCoalescer* coalescer_ = nullptr;
   std::vector<std::thread> workers_;
 
   std::atomic<uint64_t> sequence_{0};

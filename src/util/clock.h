@@ -12,9 +12,9 @@ namespace ams::util {
 /// span durations without sleeping. Implementations must be monotonic
 /// non-decreasing and safe to read from any thread.
 ///
-/// Lives in util:: (rather than serve:: where it was born) so lower layers
-/// — obs:: tracing, core:: steppers — can take timestamps without a
-/// dependency on the serving runtime. serve/clock.h aliases these types.
+/// Lives in util:: so every layer — obs:: tracing, core:: steppers, the
+/// serve:: and route:: runtimes — shares one time axis without a dependency
+/// on the serving runtime.
 class Clock {
  public:
   virtual ~Clock() = default;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <memory>
@@ -56,14 +57,12 @@ class CountingPredictor : public ModelValuePredictor {
     ++*scalar_calls_;
     return q_;
   }
-  void PredictValuesBatchInto(
-      const std::vector<const std::vector<float>*>& states,
-      const std::vector<const std::vector<int>*>&,
-      std::vector<double>* out) override {
+  void PredictValuesBatchTo(const std::vector<float>* const*,
+                            const std::vector<int>* const*, size_t count,
+                            double* out) override {
     ++*batch_calls_;
-    out->clear();
-    for (size_t i = 0; i < states.size(); ++i) {
-      out->insert(out->end(), q_.begin(), q_.end());
+    for (size_t i = 0; i < count; ++i) {
+      std::copy(q_.begin(), q_.end(), out + i * q_.size());
     }
   }
   int num_actions() const override { return static_cast<int>(q_.size()); }
@@ -139,16 +138,17 @@ TEST_F(ExecutionPlaneTest, AgentBatchedPredictionIsBitwiseIdentical) {
     std::vector<const std::vector<float>*> ptrs;
     for (const auto& s : states) ptrs.push_back(&s);
 
-    const std::vector<std::vector<double>> batched =
-        agent->PredictValuesBatch(ptrs);
-    ASSERT_EQ(batched.size(), states.size());
+    const size_t stride = static_cast<size_t>(agent->num_actions());
+    std::vector<double> batched(states.size() * stride);
+    agent->PredictValuesBatchTo(ptrs.data(), /*set_indices=*/nullptr,
+                                ptrs.size(), batched.data());
     for (size_t i = 0; i < states.size(); ++i) {
       const std::vector<double> scalar = agent->PredictValues(states[i]);
-      ASSERT_EQ(batched[i].size(), scalar.size());
-      for (size_t j = 0; j < scalar.size(); ++j) {
+      ASSERT_EQ(scalar.size(), stride);
+      for (size_t j = 0; j < stride; ++j) {
         // Exact equality: the batched forward must be bit-for-bit the
         // scalar forward, or batched scheduling could diverge.
-        EXPECT_EQ(batched[i][j], scalar[j])
+        EXPECT_EQ(batched[i * stride + j], scalar[j])
             << "kind=" << static_cast<int>(kind) << " state " << i
             << " action " << j;
       }

@@ -380,8 +380,8 @@ TEST_P(ReferencePickerTest, EveryPathMatchesTheLiteralPicker) {
     EXPECT_GT(hits, 0);
   }
   {
-    // The serving runtime, with whatever forward routing the environment
-    // selects (AMS_COALESCE routes rows through DecisionPlane::CommitRow).
+    // The serving runtime: two workers, each refreshing its resident items
+    // through its own stepper's DecisionPlane::Prefetch.
     LabelingService session = Session(/*batched=*/false);
     std::vector<LabelOutcome> served;
     {

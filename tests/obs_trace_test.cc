@@ -28,7 +28,6 @@
 #include "rl/agent.h"
 #include "route/placement.h"
 #include "route/shard_router.h"
-#include "serve/clock.h"
 #include "serve/server_runtime.h"
 #include "util/clock.h"
 #include "zoo/model_zoo.h"
@@ -286,7 +285,7 @@ TEST_F(TraceChainTest, MigratedRequestsKeepOneConnectedSpanChain) {
   std::vector<core::LabelingService> sessions =
       BuildShardSessions(agent.get(), /*shards=*/2);
 
-  serve::ManualClock clock(5.0);
+  util::ManualClock clock(5.0);
   Tracer tracer;
   route::RouterOptions options;
   options.serve.workers = 1;

@@ -5,13 +5,13 @@
 // identical high-water marks would claim 4x the scratch footprint any
 // worker ever had. The audit behind this PR found Metrics::MergeFrom
 // already max-merges every high-water gauge (arena_high_water_bytes,
-// forward_rows_max, coalesced_rows_max, histogram max); these tests pin
+// forward_rows_max, histogram max); these tests pin
 // that policy down so it cannot regress silently.
 //
 // Gauge taxonomy, as documented in serve/metrics.h:
 //   - high-water marks (arena_high_water_bytes, forward_rows_max,
-//     coalesced_rows_max, LatencyHistogram::max): max-merged — "the largest
-//     any shard ever saw" is the only cluster reading that means anything;
+//     LatencyHistogram::max): max-merged — "the largest any shard ever
+//     saw" is the only cluster reading that means anything;
 //   - instantaneous occupancy (queue_depth, in_flight): summed — cluster
 //     occupancy really is the sum of per-shard occupancies.
 
@@ -42,7 +42,6 @@ void FillIdentically(Metrics* metrics) {
   metrics->RecordTick(/*tick_s=*/2e-4, /*arena_used_bytes=*/8192);
   metrics->RecordForward(/*forward_s=*/5e-5, /*rows=*/6);
   metrics->RecordForward(/*forward_s=*/8e-5, /*rows=*/12);
-  metrics->RecordCoalescedRound(/*gathered_rows=*/16, /*unique_rows=*/9);
   metrics->queue_delay.Record(0.002);
   metrics->queue_delay.Record(0.004);
 }
@@ -61,9 +60,6 @@ TEST(MetricsMergeTest, HighWaterGaugesMergeAsMaxNotSum) {
   EXPECT_EQ(merged.rejected.load(), 40);
   EXPECT_EQ(merged.forward_batches.load(), 8);
   EXPECT_EQ(merged.forward_rows.load(), 72);
-  EXPECT_EQ(merged.coalesced_rounds.load(), 4);
-  EXPECT_EQ(merged.coalesced_gathered_rows.load(), 64);
-  EXPECT_EQ(merged.coalesced_rows.load(), 36);
 
   // Occupancy gauges: summed by design (cluster occupancy is additive).
   EXPECT_EQ(merged.queue_depth.load(), 20);
@@ -73,7 +69,6 @@ TEST(MetricsMergeTest, HighWaterGaugesMergeAsMaxNotSum) {
   // exactly one shard's high water, not four times it.
   EXPECT_EQ(merged.arena_high_water_bytes.load(), 8192);
   EXPECT_EQ(merged.forward_rows_max.load(), 12);
-  EXPECT_EQ(merged.coalesced_rows_max.load(), 9);
   EXPECT_EQ(merged.queue_delay.max(), 0.004);
   EXPECT_EQ(merged.tick_duration.max(), 2e-4);
   EXPECT_EQ(merged.forward_duration.max(), 8e-5);
@@ -85,10 +80,10 @@ TEST(MetricsMergeTest, MaxMergeKeepsTheLargestShardNotTheLast) {
   Metrics high;
   low.RecordTick(1e-4, 1000);
   low.RecordForward(1e-5, 3);
-  low.RecordCoalescedRound(4, 2);
+  low.queue_delay.Record(0.001);
   high.RecordTick(1e-4, 9000);
   high.RecordForward(1e-5, 40);
-  high.RecordCoalescedRound(50, 31);
+  high.queue_delay.Record(0.009);
 
   Metrics high_then_low;
   high_then_low.MergeFrom(high);
@@ -100,7 +95,7 @@ TEST(MetricsMergeTest, MaxMergeKeepsTheLargestShardNotTheLast) {
   for (const Metrics* merged : {&high_then_low, &low_then_high}) {
     EXPECT_EQ(merged->arena_high_water_bytes.load(), 9000);
     EXPECT_EQ(merged->forward_rows_max.load(), 40);
-    EXPECT_EQ(merged->coalesced_rows_max.load(), 31);
+    EXPECT_EQ(merged->queue_delay.max(), 0.009);
   }
 }
 
@@ -119,7 +114,7 @@ TEST(MetricsMergeTest, AggregatedMetricsViewAppliesTheSamePolicy) {
   EXPECT_EQ(merged.enqueued.load(), 400);
   EXPECT_EQ(merged.arena_high_water_bytes.load(), 8192);
   EXPECT_EQ(merged.forward_rows_max.load(), 12);
-  EXPECT_EQ(merged.coalesced_rows_max.load(), 9);
+  EXPECT_EQ(merged.queue_delay.max(), 0.004);
 }
 
 }  // namespace

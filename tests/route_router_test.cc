@@ -31,9 +31,9 @@
 #include "route/placement.h"
 #include "route/shard_router.h"
 #include "serve/admission_queue.h"
-#include "serve/clock.h"
 #include "serve/priority_class.h"
 #include "serve/request.h"
+#include "util/clock.h"
 
 namespace ams::route {
 namespace {
@@ -41,13 +41,13 @@ namespace {
 using serve::AdmissionConfig;
 using serve::AdmissionQueue;
 using serve::AdmitOutcome;
-using serve::ManualClock;
 using serve::OverloadPolicy;
 using serve::PriorityClass;
 using serve::QueuedRequest;
 using serve::ServeResult;
 using serve::ServeStatus;
 using serve::TenantQuota;
+using util::ManualClock;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -205,7 +205,7 @@ QueuedRequest MakeRequest(uint64_t sequence, double slack_s,
   return request;
 }
 
-AdmissionConfig TrackedConfig(int capacity, const serve::Clock* clock) {
+AdmissionConfig TrackedConfig(int capacity, const util::Clock* clock) {
   AdmissionConfig config;
   config.capacity = capacity;
   config.overload = OverloadPolicy::kReject;

@@ -52,8 +52,8 @@
 #include "route/placement.h"
 #include "route/shard_router.h"
 #include "serve/admission_queue.h"
-#include "serve/clock.h"
 #include "serve/priority_class.h"
+#include "util/clock.h"
 
 namespace ams::serve {
 namespace {
@@ -91,7 +91,7 @@ class ReferenceQueue {
     double value_density = 0.0;
   };
 
-  ReferenceQueue(const AdmissionConfig& config, const Clock* clock)
+  ReferenceQueue(const AdmissionConfig& config, const util::Clock* clock)
       : config_(config),
         clock_(clock),
         forced_after_(config.starvation_bound - (kNumPriorityClasses - 1)),
@@ -476,7 +476,7 @@ class ReferenceQueue {
   }
 
   const AdmissionConfig config_;
-  const Clock* clock_;
+  const util::Clock* clock_;
   const int forced_after_;
   const bool track_tenants_;
   std::array<std::vector<Request>, kNumPriorityClasses> bands_;
@@ -635,7 +635,7 @@ std::vector<NamedConfig> PropertyConfigs() {
 /// same seeded op sequence and require identical observable behavior at
 /// every step.
 void RunEpisode(const NamedConfig& named, uint64_t seed, int num_ops) {
-  ManualClock clock;
+  util::ManualClock clock;
   AdmissionConfig config = named.config;
   config.clock = &clock;
   AdmissionQueue real(config);
@@ -773,7 +773,7 @@ TEST(AdmissionModelTest, BatchPopsMatchTheModelAcrossClasses) {
   // then drain through one big batch pop and compare against successive
   // model pops.
   for (uint64_t seed = 1; seed <= 10; ++seed) {
-    ManualClock clock;
+    util::ManualClock clock;
     AdmissionConfig config;
     config.capacity = 32;
     config.overload = OverloadPolicy::kReject;
@@ -808,7 +808,7 @@ TEST(AdmissionModelTest, SingleClassWorkloadsReproduceLegacyEdfOrderExactly) {
        {PriorityClass::kInteractive, PriorityClass::kStandard,
         PriorityClass::kBatch}) {
     for (uint64_t seed = 1; seed <= 10; ++seed) {
-      ManualClock clock;
+      util::ManualClock clock;
       AdmissionConfig config;  // default weights — irrelevant with one class
       config.capacity = 64;
       config.overload = OverloadPolicy::kReject;
@@ -846,7 +846,7 @@ TEST(AdmissionModelTest, KEdfModeIgnoresStampedDensitiesBitExactly) {
   // value densities and tenant ids — densities are inert payload until a
   // band opts into value ordering, and tenants are inert without quotas.
   for (uint64_t seed = 1; seed <= 10; ++seed) {
-    ManualClock clock_a, clock_b;
+    util::ManualClock clock_a, clock_b;
     AdmissionConfig config;
     config.capacity = 16;
     config.overload = OverloadPolicy::kShedOldest;
@@ -902,7 +902,7 @@ TEST(AdmissionModelTest, SaturatedHighPriorityStillDrainsBatchWithinKBound) {
   // batch with a saturating interactive stream; queued batch work must
   // drain within |batch| * K pops, and batch is never passed over K times.
   constexpr int kBound = 5;
-  ManualClock clock;
+  util::ManualClock clock;
   AdmissionConfig config;
   config.capacity = 64;
   config.overload = OverloadPolicy::kReject;
@@ -972,7 +972,7 @@ class RealQueueLoadView final : public route::ShardLoadView {
 void RunRouterEpisode(const NamedConfig& named, uint64_t seed, int num_ops) {
   constexpr int kShards = 3;
   constexpr int kTenants = 3;
-  ManualClock clock;
+  util::ManualClock clock;
   AdmissionConfig config = named.config;
   config.clock = &clock;
   std::vector<std::unique_ptr<AdmissionQueue>> real;
@@ -1174,7 +1174,7 @@ TEST(RouterModelTest, MigrationPreservesWithinClassServiceOrder) {
   // Deterministic micro-trace: load one shard, migrate, and check the
   // destination serves the migrated requests in exactly the order the
   // source would have (EDF on preserved absolute deadlines).
-  ManualClock clock(50.0);
+  util::ManualClock clock(50.0);
   AdmissionConfig config;
   config.capacity = 16;
   config.overload = OverloadPolicy::kReject;
@@ -1214,7 +1214,7 @@ TEST(AdmissionModelTest, DefaultConfigIsEdfWithNoQuotas) {
 }
 
 TEST(AdmissionModelTest, ValueDensityOrderPopsDensestFirstWithFifoTies) {
-  ManualClock clock;
+  util::ManualClock clock;
   AdmissionConfig config;
   config.capacity = 8;
   config.overload = OverloadPolicy::kReject;
@@ -1246,7 +1246,7 @@ TEST(AdmissionModelTest, ValueDensityOrderPopsDensestFirstWithFifoTies) {
 }
 
 TEST(AdmissionModelTest, HybridServesFeasibleDensityAndFallsBackToEdf) {
-  ManualClock clock;
+  util::ManualClock clock;
   AdmissionConfig config;
   config.capacity = 8;
   config.overload = OverloadPolicy::kReject;
@@ -1291,7 +1291,7 @@ TEST(AdmissionModelTest, HybridServesFeasibleDensityAndFallsBackToEdf) {
 }
 
 TEST(AdmissionModelTest, ShedVictimIsLowestDensityUnderValueOrdering) {
-  ManualClock clock;
+  util::ManualClock clock;
   AdmissionConfig config;
   config.capacity = 2;
   config.overload = OverloadPolicy::kShedOldest;
@@ -1320,7 +1320,7 @@ TEST(AdmissionModelTest, ShedVictimIsLowestDensityUnderValueOrdering) {
 }
 
 TEST(AdmissionModelTest, TenantQueuedCapShedsTheTenantsOwnOldestWork) {
-  ManualClock clock;
+  util::ManualClock clock;
   AdmissionConfig config;
   config.capacity = 16;
   config.overload = OverloadPolicy::kShedOldest;
@@ -1349,7 +1349,7 @@ TEST(AdmissionModelTest, TenantQueuedCapShedsTheTenantsOwnOldestWork) {
 }
 
 TEST(AdmissionModelTest, TenantQueuedCapRejectsUnderRejectPolicy) {
-  ManualClock clock;
+  util::ManualClock clock;
   AdmissionConfig config;
   config.capacity = 16;
   config.overload = OverloadPolicy::kReject;
@@ -1370,7 +1370,7 @@ TEST(AdmissionModelTest, TenantQueuedCapRejectsUnderRejectPolicy) {
 }
 
 TEST(AdmissionModelTest, TenantInFlightCapFreesOnTenantFinished) {
-  ManualClock clock;
+  util::ManualClock clock;
   AdmissionConfig config;
   config.capacity = 16;
   config.overload = OverloadPolicy::kReject;
@@ -1396,7 +1396,7 @@ TEST(AdmissionModelTest, TenantInFlightCapFreesOnTenantFinished) {
 }
 
 TEST(AdmissionModelTest, TokenBucketRefillsOnTheManualClock) {
-  ManualClock clock;
+  util::ManualClock clock;
   AdmissionConfig config;
   config.capacity = 16;
   config.overload = OverloadPolicy::kBlock;  // bucket rejects regardless

@@ -4,7 +4,7 @@
 // between the asynchronous runtime and offline Submit(), Drain() under
 // concurrent enqueuers, shutdown semantics, the deterministic Clock seam,
 // and the metrics registry. Timing-sensitive assertions run on a
-// serve::ManualClock or wait on observable queue state (waiting_enqueuers)
+// util::ManualClock or wait on observable queue state (waiting_enqueuers)
 // — no test here sleeps for a fixed wall-clock interval.
 
 #include <gtest/gtest.h>
@@ -26,10 +26,10 @@
 #include "nn/net.h"
 #include "rl/agent.h"
 #include "serve/admission_queue.h"
-#include "serve/clock.h"
 #include "serve/metrics.h"
 #include "serve/priority_class.h"
 #include "serve/server_runtime.h"
+#include "util/clock.h"
 
 namespace ams::serve {
 namespace {
@@ -49,7 +49,7 @@ QueuedRequest MakeRequest(uint64_t sequence, double slack_s,
 }
 
 AdmissionConfig SingleBand(int capacity, OverloadPolicy policy,
-                           const Clock* clock) {
+                           const util::Clock* clock) {
   AdmissionConfig config;
   config.capacity = capacity;
   config.overload = policy;
@@ -67,7 +67,7 @@ void AwaitState(const Predicate& predicate) {
 
 TEST(AdmissionQueueTest, PopsEarliestDeadlineFirstWithFifoTieBreak) {
   // Frozen ManualClock: deadline == slack exactly, so ties are exact.
-  ManualClock clock;
+  util::ManualClock clock;
   AdmissionQueue queue(SingleBand(8, OverloadPolicy::kReject, &clock));
   std::vector<QueuedRequest> bounced;
   // Out-of-order deadlines, plus two deadline-less (infinite) requests.
@@ -90,7 +90,7 @@ TEST(AdmissionQueueTest, PopsEarliestDeadlineFirstWithFifoTieBreak) {
 }
 
 TEST(AdmissionQueueTest, StampsArrivalAndDeadlineOnTheServeClock) {
-  ManualClock clock(100.0);
+  util::ManualClock clock(100.0);
   AdmissionQueue queue(SingleBand(4, OverloadPolicy::kReject, &clock));
   std::vector<QueuedRequest> bounced;
   ASSERT_EQ(queue.Enqueue(MakeRequest(0, 2.5), &bounced),
@@ -109,7 +109,7 @@ TEST(AdmissionQueueTest, StampsArrivalAndDeadlineOnTheServeClock) {
 }
 
 TEST(AdmissionQueueTest, RejectPolicyBouncesNewWorkWhenFull) {
-  ManualClock clock;
+  util::ManualClock clock;
   AdmissionQueue queue(SingleBand(2, OverloadPolicy::kReject, &clock));
   std::vector<QueuedRequest> bounced;
   EXPECT_EQ(queue.Enqueue(MakeRequest(0, 1.0), &bounced),
@@ -126,7 +126,7 @@ TEST(AdmissionQueueTest, RejectPolicyBouncesNewWorkWhenFull) {
 }
 
 TEST(AdmissionQueueTest, ShedOldestPolicyEvictsStalestAcceptedWork) {
-  ManualClock clock;
+  util::ManualClock clock;
   AdmissionQueue queue(SingleBand(2, OverloadPolicy::kShedOldest, &clock));
   std::vector<QueuedRequest> bounced;
   EXPECT_EQ(queue.Enqueue(MakeRequest(0, 1.0), &bounced),
@@ -148,7 +148,7 @@ TEST(AdmissionQueueTest, ShedOldestPolicyEvictsStalestAcceptedWork) {
 }
 
 TEST(AdmissionQueueTest, BlockPolicyAppliesBackpressureUntilAPop) {
-  ManualClock clock;
+  util::ManualClock clock;
   AdmissionQueue queue(SingleBand(1, OverloadPolicy::kBlock, &clock));
   std::vector<QueuedRequest> bounced;
   ASSERT_EQ(queue.Enqueue(MakeRequest(0, 1.0), &bounced),
@@ -174,7 +174,7 @@ TEST(AdmissionQueueTest, BlockPolicyAppliesBackpressureUntilAPop) {
 }
 
 TEST(AdmissionQueueTest, CloseWakesBlockedCallersAndKeepsQueuedWork) {
-  ManualClock clock;
+  util::ManualClock clock;
   AdmissionQueue queue(SingleBand(1, OverloadPolicy::kBlock, &clock));
   std::vector<QueuedRequest> bounced;
   ASSERT_EQ(queue.Enqueue(MakeRequest(0, 1.0), &bounced),
@@ -199,7 +199,7 @@ TEST(AdmissionQueueTest, CloseWakesBlockedCallersAndKeepsQueuedWork) {
 // --- priority classes ------------------------------------------------------
 
 AdmissionConfig ClassConfigured(int capacity, OverloadPolicy policy,
-                                const Clock* clock, int w_interactive,
+                                const util::Clock* clock, int w_interactive,
                                 int w_standard, int w_batch,
                                 int starvation_bound = 16) {
   AdmissionConfig config;
@@ -223,7 +223,7 @@ std::vector<PriorityClass> PopClasses(AdmissionQueue* queue, int n) {
 }
 
 TEST(AdmissionQueueTest, WeightedRoundRobinSharesPopsByClassWeight) {
-  ManualClock clock;
+  util::ManualClock clock;
   AdmissionQueue queue(
       ClassConfigured(64, OverloadPolicy::kReject, &clock, /*interactive=*/2,
                       /*standard=*/1, /*batch=*/1));
@@ -253,7 +253,7 @@ TEST(AdmissionQueueTest, StrictPriorityWithStarvationBoundStillDrainsBatch) {
   // Strict A-over-B: batch weight 0 means batch is served only by the
   // starvation guard (or when interactive is empty). K = 4 forces one
   // batch pop at least every 4 pops while batch has queued work.
-  ManualClock clock;
+  util::ManualClock clock;
   AdmissionQueue queue(
       ClassConfigured(64, OverloadPolicy::kReject, &clock, /*interactive=*/1,
                       /*standard=*/0, /*batch=*/0, /*starvation_bound=*/4));
@@ -299,7 +299,7 @@ TEST(AdmissionQueueTest, StrictPriorityWithStarvationBoundStillDrainsBatch) {
 }
 
 TEST(AdmissionQueueTest, BatchPopsSpanClassesInContractOrder) {
-  ManualClock clock;
+  util::ManualClock clock;
   AdmissionQueue queue(
       ClassConfigured(64, OverloadPolicy::kReject, &clock, /*interactive=*/2,
                       /*standard=*/1, /*batch=*/1));
@@ -331,7 +331,7 @@ TEST(AdmissionQueueTest, BatchPopsSpanClassesInContractOrder) {
 }
 
 TEST(AdmissionQueueTest, ShedOldestTakesVictimsFromTheLeastImportantClass) {
-  ManualClock clock;
+  util::ManualClock clock;
   AdmissionQueue queue(
       ClassConfigured(4, OverloadPolicy::kShedOldest, &clock, 8, 4, 1));
   std::vector<QueuedRequest> bounced;
@@ -368,7 +368,7 @@ TEST(AdmissionQueueTest, ShedOldestShedsOwnClassWhenOnlyResidentClass) {
   // Satellite edge: every resident request belongs to the shedding class —
   // the arrival displaces its own class's oldest, preserving the
   // single-band shed semantics.
-  ManualClock clock;
+  util::ManualClock clock;
   AdmissionQueue queue(
       ClassConfigured(2, OverloadPolicy::kShedOldest, &clock, 8, 4, 1));
   std::vector<QueuedRequest> bounced;
@@ -388,7 +388,7 @@ TEST(AdmissionQueueTest, ShedOldestShedsOwnClassWhenOnlyResidentClass) {
 }
 
 TEST(AdmissionQueueTest, ShedOldestNeverDisplacesMoreImportantWork) {
-  ManualClock clock;
+  util::ManualClock clock;
   AdmissionQueue queue(
       ClassConfigured(2, OverloadPolicy::kShedOldest, &clock, 8, 4, 1));
   std::vector<QueuedRequest> bounced;
@@ -409,7 +409,7 @@ TEST(AdmissionQueueTest, ShedOldestNeverDisplacesMoreImportantWork) {
 }
 
 TEST(AdmissionQueueTest, PerClassCapAndOverloadOverrideApply) {
-  ManualClock clock;
+  util::ManualClock clock;
   AdmissionConfig config =
       ClassConfigured(16, OverloadPolicy::kBlock, &clock, 8, 4, 1);
   // Batch rides a 2-deep sub-queue with fail-fast admission, while the
@@ -816,7 +816,7 @@ TEST_F(ServerRuntimeTest, ManualClockMakesRuntimeLatenciesExact) {
   // deterministic port of the old wall-clock timing assertions.
   std::unique_ptr<rl::Agent> agent = MakeAgent(*zoo_, 41);
   core::LabelingService session = BuildPredictorSession(agent.get(), 2);
-  ManualClock clock(50.0);
+  util::ManualClock clock(50.0);
   ServeOptions options;
   options.workers = 2;
   options.clock = &clock;
@@ -997,7 +997,7 @@ TEST_F(ServerRuntimeTest, ProfileValueEstimatorScoresItemsFromTheirProfiles) {
 TEST_F(ServerRuntimeTest, TenantQuotaRejectionsResolveAndCountPerTenant) {
   std::unique_ptr<rl::Agent> agent = MakeAgent(*zoo_, 53);
   core::LabelingService session = BuildPredictorSession(agent.get(), 2);
-  ManualClock clock(10.0);
+  util::ManualClock clock(10.0);
   ServeOptions options;
   options.workers = 2;
   options.clock = &clock;
@@ -1135,7 +1135,7 @@ TEST(PriorityClassTest, NamesRoundTrip) {
 }
 
 TEST(ManualClockTest, AdvancesAndRejectsTimeTravel) {
-  ManualClock clock(2.0);
+  util::ManualClock clock(2.0);
   EXPECT_DOUBLE_EQ(clock.NowSeconds(), 2.0);
   clock.Advance(0.5);
   EXPECT_DOUBLE_EQ(clock.NowSeconds(), 2.5);

@@ -25,8 +25,6 @@
 #include "nn/net.h"
 #include "obs/trace.h"
 #include "rl/agent.h"
-#include "serve/forward_coalescer.h"
-#include "serve/metrics.h"
 #include "util/clock.h"
 #include "util/rng.h"
 
@@ -316,84 +314,6 @@ TEST_F(TickAllocTest, TracedSteadyStateTicksAreStillAllocationFree) {
   EXPECT_GE(measured_ticks, 3);
   // The measured ticks were actually traced, not silently skipped.
   EXPECT_GT(lane->recorded(), warmup_events);
-  EXPECT_TRUE(stepper->last_tick_stats().traced);
-}
-
-TEST_F(TickAllocTest, CoalescedTracedSteadyStateTicksAreAllocationFree) {
-  AMS_SKIP_WITHOUT_ALLOC_HOOKS();
-  // Forward coalescing reroutes the stepper's Q refresh through the
-  // ForwardCoalescer rendezvous (gather -> dedup -> one batched forward ->
-  // scatter), with the round traced as kCoalescedForward. The steady-state
-  // contract must survive the detour: after the warm-up pass has sized the
-  // coalescer's arena, member list, and pending buffers, a traced coalesced
-  // tick performs zero heap allocations — including the empty-round
-  // rendezvous ticks where every row is served from the plane's memo.
-  std::unique_ptr<rl::Agent> agent = MakeAgent(
-      zoo_->labels().total_labels(), zoo_->num_models() + 1, nn::NetKind::kMlp,
-      7);
-  core::ScheduleConstraints constraints;
-  constraints.time_budget_s = 1.0;
-  constraints.memory_budget_mb = 8000.0;
-  core::LabelingService session =
-      core::LabelingServiceBuilder(zoo_)
-          .WithOracle(oracle_)
-          .WithPredictor(agent.get())
-          .WithMode(core::ExecutionMode::kParallel)
-          .WithConstraints(constraints)
-          .WithKernelMode(core::KernelMode::kLean)
-          .WithWorkers(1)
-          .Build();
-  std::unique_ptr<core::LabelingService::ItemStepper> stepper =
-      session.NewItemStepper(0);
-
-  obs::Tracer tracer;
-  obs::TraceBuffer* lane = tracer.EnsureLane(0, 0);
-  stepper->AttachTracer(&tracer, lane, &util::Clock::Monotonic());
-
-  serve::ForwardCoalescer::Options coalesce_options;
-  coalesce_options.tracer = &tracer;
-  coalesce_options.clock = &util::Clock::Monotonic();
-  serve::ForwardCoalescer coalescer(coalesce_options);
-  serve::Metrics metrics;
-  serve::ForwardCoalescer::Handle* handle =
-      coalescer.NewHandle(&metrics, /*shard_id=*/0);
-  stepper->AttachForwardExecutor(handle);
-  handle->Activate();
-
-  constexpr int kItems = 8;
-  constexpr int kTickBound = 10000;
-  std::vector<core::LabelingService::ItemStepper::Completion> completed;
-  completed.reserve(kItems * 2);
-
-  for (int i = 0; i < kItems; ++i) {
-    stepper->Admit(core::WorkItem::Stored(i), static_cast<uint64_t>(i));
-  }
-  for (int t = 0; !stepper->idle(); ++t) {
-    ASSERT_LT(t, kTickBound) << "warm-up did not converge";
-    stepper->Tick(&completed);
-  }
-  ASSERT_EQ(completed.size(), static_cast<size_t>(kItems));
-  completed.clear();
-  // Warm-up actually exercised the coalescer — the solo handle still runs
-  // real rounds (gather, dedup, forward, scatter), it just never waits.
-  ASSERT_GT(coalescer.rounds(), 0u);
-  ASSERT_GT(coalescer.unique_rows(), 0u);
-  EXPECT_GT(metrics.coalesced_rounds.load(), 0);
-
-  for (int i = 0; i < kItems; ++i) {
-    stepper->Admit(core::WorkItem::Stored(i), static_cast<uint64_t>(i));
-  }
-  int measured_ticks = 0;
-  for (int t = 0; !stepper->idle(); ++t) {
-    ASSERT_LT(t, kTickBound) << "measured pass did not converge";
-    const size_t allocs = CountAllocations([&] { stepper->Tick(&completed); });
-    EXPECT_EQ(allocs, 0u) << "coalesced tick " << t << " touched the heap";
-    ++measured_ticks;
-  }
-  handle->Deactivate();
-  EXPECT_EQ(completed.size(), static_cast<size_t>(kItems));
-  EXPECT_GE(measured_ticks, 3);
-  EXPECT_GT(lane->recorded(), 0u);
   EXPECT_TRUE(stepper->last_tick_stats().traced);
 }
 

@@ -10,7 +10,7 @@
 //             [--slack S] [--class-mix I:S:B] [--starvation-bound K]
 //             [--tenants N] [--quota SPEC]
 //             [--shards N] [--placement hash|least|p2c] [--rebalance S]
-//             [--live] [--quantized] [--coalesce]
+//             [--live] [--quantized]
 //             [--deadline S] [--memory GB] [--hidden N] [--seed N]
 //             [--json PATH] [--trace PATH] [--trace-sample N]
 //
@@ -48,13 +48,7 @@
 // serves every worker's pooled predictor clone as a frozen int8 snapshot
 // (LabelingServiceBuilder::WithQuantizedInference): Q values move within
 // quantization tolerance, so served outcomes are no longer bit-identical to
-// the fp32 run, but action ranking — hence recall — holds. `--coalesce`
-// turns on cross-worker forward coalescing (serve::ForwardCoalescer; with
-// --shards it spans the whole cluster): workers rendezvous each tick and
-// run ONE deduplicated Q-forward for all of them — served results stay
-// bitwise identical, and the metrics snapshot grows coalesced-round
-// counters. AMS_COALESCE=1 in the environment does the same without the
-// flag.
+// the fp32 run, but action ranking — hence recall — holds.
 //
 // Examples:
 //   ams_serve --rate 2000 --workers 4 --slack 0.05
@@ -130,7 +124,6 @@ struct Options {
   double rebalance_s = 0.0;  // > 0 starts the router's rebalance tick
   bool live = false;      // submit WorkItem::Live scenes, not stored ids
   bool quantized = false; // serve frozen int8 predictor snapshots
-  bool coalesce = false;  // coalesce Q-forwards across workers (and shards)
   double deadline = 1.0;  // per-item scheduling time budget (simulated)
   double memory_gb = 8.0; // per-item memory budget (Algorithm 2)
   int hidden = 256;
@@ -150,8 +143,7 @@ struct Options {
       "          [--starvation-bound K] [--tenants N]\n"
       "          [--quota queued=N,inflight=N,rate=R,burst=B]\n"
       "          [--shards N] [--placement hash|least|p2c] [--rebalance S]\n"
-      "          [--live] [--quantized] [--coalesce] [--deadline S]\n"
-      "          [--memory GB]\n"
+      "          [--live] [--quantized] [--deadline S] [--memory GB]\n"
       "          [--hidden N] [--seed N] [--json PATH]\n"
       "          [--trace PATH] [--trace-sample N]\n",
       argv0);
@@ -203,8 +195,6 @@ Options Parse(int argc, char** argv) {
       opts.live = true;
     } else if (!std::strcmp(argv[i], "--quantized")) {
       opts.quantized = true;
-    } else if (!std::strcmp(argv[i], "--coalesce")) {
-      opts.coalesce = true;
     } else if (!std::strcmp(argv[i], "--deadline")) {
       opts.deadline = std::atof(next());
     } else if (!std::strcmp(argv[i], "--memory")) {
@@ -410,7 +400,6 @@ int main(int argc, char** argv) {
     serve_options.tenant_quotas.default_quota = QuotaFromSpec(opts.quota);
   }
   if (opts.slack_s > 0.0) serve_options.default_slack_s = opts.slack_s;
-  serve_options.coalesce_forwards = opts.coalesce;
 
   // One tracer for the whole process: every shard runtime registers its
   // lanes in it, so the post-run dump is a single merged timeline.
@@ -447,7 +436,7 @@ int main(int argc, char** argv) {
 
   std::printf(
       "serving %d %srequests (rate %s/s, %d workers, queue %d, overload %s, "
-      "order %s, slack %s, mix %s, %d tenant%s%s%s%s)...\n",
+      "order %s, slack %s, mix %s, %d tenant%s%s%s)...\n",
       opts.requests, opts.live ? "live " : "",
       opts.rate > 0.0 ? util::FormatDouble(opts.rate, 0).c_str() : "inf",
       worker_count, opts.queue_cap, opts.overload.c_str(),
@@ -457,8 +446,7 @@ int main(int argc, char** argv) {
       opts.class_mix.empty() ? "standard-only" : opts.class_mix.c_str(),
       opts.tenants, opts.tenants == 1 ? "" : "s",
       opts.quota.empty() ? "" : ", quota-limited",
-      opts.quantized ? ", int8 predictor" : "",
-      opts.coalesce ? ", coalesced forwards" : "");
+      opts.quantized ? ", int8 predictor" : "");
   if (router != nullptr) {
     std::printf("routing over %d shards (%s placement, rebalance %s)\n",
                 opts.shards, opts.placement.c_str(),

@@ -8,11 +8,11 @@ Reads the Chrome trace-event JSON written by `ams_serve --trace` (or
 `route::ShardRouter::DumpTrace` / `obs::ChromeTraceSink`), checks that it is
 structurally well-formed, and prints a per-phase latency table: count and
 p50/p95/p99/mean/max over the span durations of each duration phase
-(queue_wait, exec, tick, forward, coalesced_forward), plus counts for the
-instant phases (enqueue, quota_reject, placement, migrate_out, migrate_in).
-Span phases nothing recorded land in the table as an explicit "no samples"
-row — a run with coalescing off (or no forwards at all) summarizes cleanly
-rather than hiding the phase.
+(queue_wait, exec, tick, forward), plus counts for the instant phases
+(enqueue, quota_reject, placement, migrate_out, migrate_in). Span phases
+nothing recorded land in the table as an explicit "no samples" row — a run
+with no forwards at all (every row served from the memo, or a session
+without a predictor) summarizes cleanly rather than hiding the phase.
 
 Validation failures (missing keys, unknown `ph` types, negative durations,
 unbalanced migrate_out/migrate_in) exit non-zero, so CI can gate on the
@@ -34,7 +34,7 @@ import math
 import sys
 
 # Phases emitted with a duration ("ph": "X") vs. as instants ("ph": "i").
-SPAN_PHASES = ("queue_wait", "exec", "tick", "forward", "coalesced_forward")
+SPAN_PHASES = ("queue_wait", "exec", "tick", "forward")
 INSTANT_PHASES = ("enqueue", "quota_reject", "placement", "migrate_out",
                   "migrate_in")
 KNOWN_PHASES = set(SPAN_PHASES) | set(INSTANT_PHASES)
@@ -137,9 +137,9 @@ def summarize(events, out=sys.stdout):
     for name in SPAN_PHASES:
         values = durs[name]
         if not values:
-            # An empty phase is normal (coalescing off, no forwards, no
-            # sampled requests): say so explicitly instead of dividing by a
-            # zero count or silently dropping the row.
+            # An empty phase is normal (no forwards, no sampled requests):
+            # say so explicitly instead of dividing by a zero count or
+            # silently dropping the row.
             print(f"{name:<18}{0:>8}{'(no samples)':>12}", file=out)
             continue
         mean = sum(values) / len(values)

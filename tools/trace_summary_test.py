@@ -18,10 +18,6 @@ import trace_summary  # noqa: E402
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TRACE = os.path.join(REPO, "tests", "fixtures", "trace_small.json")
 METRICS = os.path.join(REPO, "tests", "fixtures", "metrics_small.json")
-COALESCED_TRACE = os.path.join(
-    REPO, "tests", "fixtures", "trace_coalesced_small.json")
-COALESCED_METRICS = os.path.join(
-    REPO, "tests", "fixtures", "metrics_coalesced_small.json")
 
 
 def write_temp(doc):
@@ -66,44 +62,17 @@ class FixtureTest(unittest.TestCase):
         self.assertEqual(mismatches, [])
 
     def test_empty_phase_gets_no_samples_row(self):
-        # The non-coalesced fixture recorded no coalesced_forward spans:
+        # A run whose every row came from the memo records no forward spans:
         # the phase must still appear, flagged, instead of a divide-by-zero
         # or a silently missing row.
-        events = trace_summary.load_events(TRACE)
+        events = [ev for ev in trace_summary.load_events(TRACE)
+                  if ev.get("name") != "forward"]
         out = io.StringIO()
         trace_summary.summarize(events, out=out)
         rows = [line for line in out.getvalue().splitlines()
-                if line.startswith("coalesced_forward")]
+                if line.startswith("forward")]
         self.assertEqual(len(rows), 1)
         self.assertIn("no samples", rows[0])
-
-
-class CoalescedFixtureTest(unittest.TestCase):
-    """The ams_serve --coalesce --trace fixture is valid and carries the
-    coalesced_forward span phase."""
-
-    def test_fixture_validates_with_coalesced_spans(self):
-        events = trace_summary.load_events(COALESCED_TRACE)
-        counts = trace_summary.validate(events)
-        self.assertGreater(counts.get("coalesced_forward", 0), 0)
-        # Coalescing never drops per-stepper attribution: every tick still
-        # has its forward span (the rendezvous wait is the stepper's forward
-        # phase under coalescing).
-        self.assertEqual(counts.get("tick", 0), counts.get("forward", 0))
-
-    def test_main_with_metrics_cross_check(self):
-        self.assertEqual(
-            trace_summary.main(
-                [COALESCED_TRACE, "--metrics", COALESCED_METRICS]), 0)
-
-    def test_summarize_reports_coalesced_phase_with_samples(self):
-        events = trace_summary.load_events(COALESCED_TRACE)
-        out = io.StringIO()
-        trace_summary.summarize(events, out=out)
-        rows = [line for line in out.getvalue().splitlines()
-                if line.startswith("coalesced_forward")]
-        self.assertEqual(len(rows), 1)
-        self.assertNotIn("no samples", rows[0])
 
 
 class ValidationTest(unittest.TestCase):
