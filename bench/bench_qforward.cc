@@ -11,8 +11,8 @@
 // The first JSON config is fp32_scalar, so the gate's normalized throughput
 // for the other paths IS their speedup over scalar — the number the SIMD
 // dispatch and the quantized path exist to move. fp32_scalar vs fp32_simd is
-// also a bitwise-parity spot check: both paths' outputs are compared on one
-// grid point (the full lock lives in nn_simd_test).
+// also a bitwise-parity check: both paths' outputs are compared at every
+// grid point (the kernel-level lock lives in nn_simd_test).
 //
 // Emits BENCH_qforward.json for tools/bench_compare.py. Env knobs:
 // AMS_BENCH_QF_REPEATS (best-of trials, default 5), AMS_BENCH_QF_ITERS
@@ -120,7 +120,6 @@ int main() {
   table.SetHeader({"hidden", "batch", "bits", "scalar rows/s", "simd rows/s",
                    "int8 rows/s", "simd x", "int8 x"});
 
-  bool parity_checked = false;
   for (const GridPoint& point : grid) {
     nn::MlpConfig config;
     config.input_dim = input_dim;
@@ -153,14 +152,10 @@ int main() {
     nn::simd::ResetForcedTier();
     const double simd_wall = TimeForward(&agent, w, iters, repeats, &out);
 
-    if (!parity_checked) {
-      // Spot check the bitwise lock across the dispatch boundary (the
-      // exhaustive version is nn_simd_test).
-      AMS_CHECK(std::memcmp(out.data(), out_scalar.data(),
-                            out.size() * sizeof(double)) == 0,
-                "SIMD forward diverged bitwise from scalar");
-      parity_checked = true;
-    }
+    // The bitwise lock across the dispatch boundary, at this grid point.
+    AMS_CHECK(std::memcmp(out.data(), out_scalar.data(),
+                          out.size() * sizeof(double)) == 0,
+              "SIMD forward diverged bitwise from scalar");
 
     const double quant_wall = TimeForward(quantized.get(), w, iters, repeats,
                                           &out);

@@ -2,11 +2,11 @@
 
 #include <cmath>
 
-#include "nn/simd.h"
 #include "util/check.h"
 
-// Compiled with -ffp-contract=off (CMakeLists.txt) so the scalar fallback
-// loops stay bitwise identical to the SIMD tiers under -march=native.
+// Compiled with -ffp-contract=off (CMakeLists.txt), like every TU on the
+// forward's arithmetic path; the loops themselves live in matrix.cc and the
+// nn/simd.h kernels.
 
 namespace ams::nn {
 
@@ -30,38 +30,21 @@ void DenseLayer::ForwardSparseRows(
     const std::vector<const std::vector<int>*>& indices, Matrix* y) const {
   const int n = static_cast<int>(rows.size());
   const int in = w_.rows();
-  const int out = w_.cols();
   AMS_CHECK(indices.empty() || indices.size() == rows.size(),
             "sparse index lists must be absent or parallel to the rows");
-  y->Resize(n, out);
-  y->Fill(0.0f);
-  const simd::Kernels& K = simd::Active();
+  y->Resize(n, w_.cols());  // SparseRowProduct writes every element
   for (int i = 0; i < n; ++i) {
     const std::vector<float>& x = *rows[static_cast<size_t>(i)];
     AMS_CHECK(static_cast<int>(x.size()) == in,
               "dense layer input dim mismatch");
-    float* y_row = y->Row(i);
-    const float* x_data = x.data();
+    // Known set positions gather only those weight rows; ascending order
+    // keeps the accumulation identical to the dense scan (whose zero
+    // entries contribute nothing).
     const std::vector<int>* idx =
         indices.empty() ? nullptr : indices[static_cast<size_t>(i)];
-    if (idx != nullptr) {
-      // Set positions are known: touch only those weight rows. Ascending
-      // index order keeps the float accumulation identical to the dense
-      // scan below (zero entries contribute nothing there).
-      for (const int kk : *idx) {
-        const float v = x_data[kk];
-        if (v == 0.0f) continue;
-        K.axpy(v, w_.Row(kk), y_row, out);
-      }
-    } else {
-      for (int kk = 0; kk < in; ++kk) {
-        const float v = x_data[kk];
-        if (v == 0.0f) continue;
-        K.axpy(v, w_.Row(kk), y_row, out);
-      }
-    }
-    K.add_inplace(b_.data(), y_row, out);
+    SparseRowProduct(x.data(), idx, w_, y->Row(i));
   }
+  AddRowVector(y, b_);
 }
 
 void DenseLayer::Backward(const Matrix& x, const Matrix& grad_y, Matrix* grad_x) {

@@ -26,14 +26,18 @@ class DenseLayer {
   /// He-normal initialization: W ~ N(0, 2/in_dim), b = 0.
   DenseLayer(int in_dim, int out_dim, util::Rng* rng);
 
-  /// y = x*W + b. x is [batch, in_dim]; y becomes [batch, out_dim].
+  /// y = x*W + b. x is [batch, in_dim]; y becomes [batch, out_dim]. Gemm
+  /// (the row-gather kernel over each row's nonzeros), then AddRowVector.
   void Forward(const Matrix& x, Matrix* y) const;
 
   /// Forward for a batch of sparse rows passed by pointer, skipping the
   /// dense input-matrix build entirely (the scheduling states feeding the
   /// Q-net are near-empty binary vectors, so materializing them dominates
-  /// the actual math). Bitwise identical to Forward on the stacked rows:
-  /// contributions accumulate in the same kk order, bias is added last.
+  /// the actual math). Each row is one SparseRowProduct (the row-gather
+  /// kernel over the row's nonzero inputs), then AddRowVector adds the
+  /// bias, as in Forward. Bitwise identical to Forward on the stacked rows:
+  /// each output element starts at +0, adds v*w for the nonzero inputs in
+  /// ascending kk order, then adds the bias.
   ///
   /// `indices` may be empty (every row is scanned densely) or parallel to
   /// `rows`; a non-null indices[i] lists the nonzero positions of rows[i] in

@@ -46,55 +46,52 @@ void Matrix::CopyRowFrom(const Matrix& src, int src_row, int dst_row) {
   std::memcpy(Row(dst_row), src.Row(src_row), sizeof(float) * cols_);
 }
 
-void Gemm(const Matrix& a, const Matrix& b, Matrix* out) {
-  AMS_CHECK(a.cols() == b.rows(), "gemm shape mismatch");
-  out->Resize(a.rows(), b.cols());
-  out->Fill(0.0f);  // accumulating variant — see the zero-init contract
-  const int m = a.rows(), k = a.cols(), n = b.cols();
-  // Row-blocked traversal: 4 rows of a share each loaded row of b, cutting
-  // the b traffic and per-kk loop overhead 4x for batched inputs — the part
-  // of a batched forward pass a single-row call can never amortize. Each
-  // out[i][j] still accumulates over kk in strictly increasing order, so
-  // results are bitwise identical to the single-row traversal. The j-loops
-  // run through the dispatched SIMD kernels (nn/simd.h), which preserve
-  // that per-element mul+add order exactly.
-  const simd::Kernels& K = simd::Active();
-  int i = 0;
-  for (; i + 4 <= m; i += 4) {
-    float* o0 = out->Row(i);
-    float* o1 = out->Row(i + 1);
-    float* o2 = out->Row(i + 2);
-    float* o3 = out->Row(i + 3);
-    const float* a0 = a.Row(i);
-    const float* a1 = a.Row(i + 1);
-    const float* a2 = a.Row(i + 2);
-    const float* a3 = a.Row(i + 3);
+void SparseRowProduct(const float* x, const std::vector<int>* support,
+                      const Matrix& b, float* out) {
+  const int k =
+      support != nullptr ? static_cast<int>(support->size()) : b.rows();
+  // Compaction scratch, sized to the full input width rather than this
+  // row's support, so it grows once per weight shape on each thread and not
+  // again as supports widen: a warm forward allocates nothing
+  // (serve_tick_alloc_test counts).
+  static thread_local std::vector<float> value_scratch;
+  static thread_local std::vector<int> row_scratch;
+  const size_t need = static_cast<size_t>(std::max(k, b.rows()));
+  if (value_scratch.size() < need) {
+    value_scratch.resize(need);
+    row_scratch.resize(need);
+  }
+  float* values = value_scratch.data();
+  int* rows = row_scratch.data();
+  // Branchless compaction: every candidate is written, only a nonzero one
+  // advances the cursor. -0.0 compares equal to 0 and is skipped; NaN is
+  // not zero and is kept.
+  int cnt = 0;
+  if (support != nullptr) {
+    for (const int kk : *support) {
+      const float xv = x[kk];
+      values[cnt] = xv;
+      rows[cnt] = kk;
+      cnt += xv != 0.0f;
+    }
+  } else {
     for (int kk = 0; kk < k; ++kk) {
-      const float* b_row = b.Row(kk);
-      // Per-row zero skip: label states are sparse binary vectors. axpy4
-      // requires all four values nonzero (it has no skip of its own).
-      const float v0 = a0[kk];
-      const float v1 = a1[kk];
-      const float v2 = a2[kk];
-      const float v3 = a3[kk];
-      if (v0 != 0.0f && v1 != 0.0f && v2 != 0.0f && v3 != 0.0f) {
-        K.axpy4(v0, v1, v2, v3, b_row, o0, o1, o2, o3, n);
-      } else {
-        if (v0 != 0.0f) K.axpy(v0, b_row, o0, n);
-        if (v1 != 0.0f) K.axpy(v1, b_row, o1, n);
-        if (v2 != 0.0f) K.axpy(v2, b_row, o2, n);
-        if (v3 != 0.0f) K.axpy(v3, b_row, o3, n);
-      }
+      const float xv = x[kk];
+      values[cnt] = xv;
+      rows[cnt] = kk;
+      cnt += xv != 0.0f;
     }
   }
-  for (; i < m; ++i) {
-    float* out_row = out->Row(i);
-    const float* a_row = a.Row(i);
-    for (int kk = 0; kk < k; ++kk) {
-      const float aik = a_row[kk];
-      if (aik == 0.0f) continue;
-      K.axpy(aik, b.Row(kk), out_row, n);
-    }
+  simd::Active().gather_rows(values, rows, cnt, b.data(), out, b.cols());
+}
+
+void Gemm(const Matrix& a, const Matrix& b, Matrix* out) {
+  AMS_CHECK(a.cols() == b.rows(), "gemm shape mismatch");
+  // No Fill(0): the gather kernel builds each output row in fresh
+  // accumulators and stores it once (the zero-init contract in the header).
+  out->Resize(a.rows(), b.cols());
+  for (int i = 0; i < a.rows(); ++i) {
+    SparseRowProduct(a.Row(i), nullptr, b, out->Row(i));
   }
 }
 

@@ -59,14 +59,28 @@ class Matrix {
 
 // Zero-init contract for the three Gemm variants: Resize() leaves contents
 // unspecified, so each variant must neutralize stale output storage itself.
-// Gemm and GemmTransA accumulate (+=) into the output and therefore Fill(0)
-// first; GemmTransB computes each out[i][j] into a fresh accumulator and
-// stores it exactly once, so it deliberately skips the fill. All three are
-// safe to call on a Matrix holding arbitrary garbage (regression-tested in
-// nn_matrix_test).
+// GemmTransA accumulates (+=) into the output and therefore Fill(0)s first.
+// Gemm and GemmTransB compute each out[i][j] in a fresh accumulator that
+// starts at +0 and store it exactly once, so they deliberately skip the
+// fill. All three are safe to call on a Matrix holding arbitrary garbage
+// (regression-tested in nn_matrix_test).
 
 /// out = a * b. Shapes: a[m,k], b[k,n], out[m,n]. out may not alias inputs.
+/// Each output row is one SparseRowProduct: zero entries of a are skipped
+/// and the rest accumulate in ascending k, in registers on the AVX2 tier.
 void Gemm(const Matrix& a, const Matrix& b, Matrix* out);
+
+/// One output row of x * b: out[j] accumulates x[kk] * b[kk][j] from +0
+/// over the nonzero x[kk] in ascending kk — the row-gather kernel
+/// (simd::Kernels::gather_rows) fed with the compacted nonzeros. Skipping
+/// zeros keeps an inf/NaN weight row behind a zero input out of the output.
+/// `support`, when non-null, lists in ascending order the only positions of
+/// x that may be nonzero, so a sparse row skips the scan of its zeros;
+/// otherwise all b.rows() positions of x are scanned. out (b.cols() floats)
+/// must not alias x or b. The compaction scratch is thread-local and
+/// allocation-free once warm.
+void SparseRowProduct(const float* x, const std::vector<int>* support,
+                      const Matrix& b, float* out);
 
 /// out = a^T * b. Shapes: a[m,k], b[m,n], out[k,n].
 void GemmTransA(const Matrix& a, const Matrix& b, Matrix* out);

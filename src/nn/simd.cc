@@ -1,6 +1,7 @@
 #include "nn/simd.h"
 
 #include <cctype>
+#include <cstddef>
 #include <cstdlib>
 #include <string>
 
@@ -22,14 +23,15 @@ void ScalarAxpy(float v, const float* b, float* out, int n) {
   for (int j = 0; j < n; ++j) out[j] += v * b[j];
 }
 
-void ScalarAxpy4(float v0, float v1, float v2, float v3, const float* b,
-                 float* o0, float* o1, float* o2, float* o3, int n) {
-  for (int j = 0; j < n; ++j) {
-    const float bj = b[j];
-    o0[j] += v0 * bj;
-    o1[j] += v1 * bj;
-    o2[j] += v2 * bj;
-    o3[j] += v3 * bj;
+void ScalarGatherRows(const float* v, const int* rows, int cnt,
+                      const float* w, float* out, int n) {
+  // t outer, j inner: one contiguous pass over the output row per input.
+  // Walking j outer instead (one accumulator per column) strides across
+  // the weight rows and slows the reference tier, which bench_qforward
+  // uses as its normalizer.
+  for (int j = 0; j < n; ++j) out[j] = 0.0f;
+  for (int t = 0; t < cnt; ++t) {
+    ScalarAxpy(v[t], w + static_cast<size_t>(rows[t]) * n, out, n);
   }
 }
 
@@ -61,8 +63,8 @@ void ScalarDequant(const int32_t* acc, const float* scale, const float* bias,
 }
 
 const Kernels kScalarKernels = {
-    ScalarAxpy,   ScalarAxpy4, ScalarAddInplace, ScalarRelu,
-    ScalarDot8,   ScalarQaxpy, ScalarDequant,
+    ScalarAxpy,  ScalarGatherRows, ScalarAddInplace, ScalarRelu,
+    ScalarDot8,  ScalarQaxpy,      ScalarDequant,
 };
 
 // ---------------------------------------------------------------------------

@@ -26,11 +26,18 @@ struct Kernels {
   /// (the scalar kernels' sparse zero-skip; adding 0 * b[j] would differ
   /// for inf/NaN inputs).
   void (*axpy)(float v, const float* b, float* out, int n);
-  /// Four axpys sharing one pass over b. All four v's must be nonzero —
-  /// callers fall back to individual axpy calls otherwise to preserve the
-  /// zero-skip exactly.
-  void (*axpy4)(float v0, float v1, float v2, float v3, const float* b,
-                float* o0, float* o1, float* o2, float* o3, int n);
+  /// Row gather, the forward's workhorse: for j in [0, n),
+  ///   out[j] = ((+0 + v[0]*w[rows[0]][j]) + v[1]*w[rows[1]][j]) + ...
+  /// over t in [0, cnt), so cnt == 0 stores +0. w is row-major with row
+  /// stride n. Every tier rounds each element in that order, the same
+  /// sequence as zeroing the row and then one axpy per input (nn_simd_test
+  /// checks both). Callers pass only the nonzero inputs in ascending row
+  /// order, so an inf/NaN weight row behind a zero input never reaches the
+  /// output. The AVX2 tier holds each output tile in registers for the
+  /// whole reduction and stores it once, masking its tail so it never reads
+  /// or writes past column n. out must not alias the inputs.
+  void (*gather_rows)(const float* v, const int* rows, int cnt,
+                      const float* w, float* out, int n);
   /// out[j] += b[j].
   void (*add_inplace)(const float* b, float* out, int n);
   /// out[j] = in[j] > 0 ? in[j] : 0, with scalar-identical -0.0/NaN

@@ -10,6 +10,7 @@
 
 #if defined(__AVX2__)
 
+#include <cstddef>
 #include <immintrin.h>
 
 namespace ams::nn::simd::internal {
@@ -29,31 +30,68 @@ void Avx2Axpy(float v, const float* b, float* out, int n) {
   for (; j < n; ++j) out[j] += v * b[j];
 }
 
-void Avx2Axpy4(float v0, float v1, float v2, float v3, const float* b,
-               float* o0, float* o1, float* o2, float* o3, int n) {
-  const __m256 w0 = _mm256_set1_ps(v0);
-  const __m256 w1 = _mm256_set1_ps(v1);
-  const __m256 w2 = _mm256_set1_ps(v2);
-  const __m256 w3 = _mm256_set1_ps(v3);
+// Leading-lanes mask: lane l is active iff l < m, for m in [1, 8].
+__m256i LeadingLanes(int m) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(m),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+// One output tile of kVecs 8-column vectors. The accumulators stay in
+// registers across the whole reduction (at most 8 of the 16 ymm registers)
+// and are stored once. With kMaskLast the tile's last vector is read and
+// written through `last`, so a tile can end mid-vector without touching
+// memory past column n — not even the weights after the final row.
+template <int kVecs, bool kMaskLast>
+inline void GatherTile(const float* v, const int* rows, int cnt,
+                       const float* w, size_t stride, float* out,
+                       __m256i last) {
+  __m256 acc[kVecs];
+#pragma GCC unroll 8
+  for (int q = 0; q < kVecs; ++q) acc[q] = _mm256_setzero_ps();
+  for (int t = 0; t < cnt; ++t) {
+    const __m256 vt = _mm256_set1_ps(v[t]);
+    const float* w_row = w + static_cast<size_t>(rows[t]) * stride;
+#pragma GCC unroll 8
+    for (int q = 0; q < kVecs; ++q) {
+      const __m256 wq = kMaskLast && q == kVecs - 1
+                            ? _mm256_maskload_ps(w_row + 8 * q, last)
+                            : _mm256_loadu_ps(w_row + 8 * q);
+      acc[q] = _mm256_add_ps(acc[q], _mm256_mul_ps(vt, wq));
+    }
+  }
+#pragma GCC unroll 8
+  for (int q = 0; q < kVecs; ++q) {
+    if (kMaskLast && q == kVecs - 1) {
+      _mm256_maskstore_ps(out + 8 * q, last, acc[q]);
+    } else {
+      _mm256_storeu_ps(out + 8 * q, acc[q]);
+    }
+  }
+}
+
+using GatherTileFn = void (*)(const float*, const int*, int, const float*,
+                             size_t, float*, __m256i);
+
+// The masked tile for a remainder of (index + 1) vectors.
+constexpr GatherTileFn kRemainderTiles[8] = {
+    GatherTile<1, true>, GatherTile<2, true>, GatherTile<3, true>,
+    GatherTile<4, true>, GatherTile<5, true>, GatherTile<6, true>,
+    GatherTile<7, true>, GatherTile<8, true>,
+};
+
+void Avx2GatherRows(const float* v, const int* rows, int cnt, const float* w,
+                    float* out, int n) {
+  const size_t stride = static_cast<size_t>(n);
   int j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m256 bj = _mm256_loadu_ps(b + j);
-    _mm256_storeu_ps(
-        o0 + j, _mm256_add_ps(_mm256_loadu_ps(o0 + j), _mm256_mul_ps(w0, bj)));
-    _mm256_storeu_ps(
-        o1 + j, _mm256_add_ps(_mm256_loadu_ps(o1 + j), _mm256_mul_ps(w1, bj)));
-    _mm256_storeu_ps(
-        o2 + j, _mm256_add_ps(_mm256_loadu_ps(o2 + j), _mm256_mul_ps(w2, bj)));
-    _mm256_storeu_ps(
-        o3 + j, _mm256_add_ps(_mm256_loadu_ps(o3 + j), _mm256_mul_ps(w3, bj)));
+  for (; j + 64 <= n; j += 64) {
+    GatherTile<8, false>(v, rows, cnt, w + j, stride, out + j,
+                         _mm256_setzero_si256());
   }
-  for (; j < n; ++j) {
-    const float bj = b[j];
-    o0[j] += v0 * bj;
-    o1[j] += v1 * bj;
-    o2[j] += v2 * bj;
-    o3[j] += v3 * bj;
-  }
+  const int rest = n - j;
+  if (rest == 0) return;
+  const int vecs = (rest + 7) / 8;
+  kRemainderTiles[vecs - 1](v, rows, cnt, w + j, stride, out + j,
+                            LeadingLanes(rest - 8 * (vecs - 1)));
 }
 
 void Avx2AddInplace(const float* b, float* out, int n) {
@@ -118,8 +156,8 @@ void Avx2Dequant(const int32_t* acc, const float* scale, const float* bias,
 }
 
 const Kernels kAvx2Kernels = {
-    Avx2Axpy,   Avx2Axpy4, Avx2AddInplace, Avx2Relu,
-    Avx2Dot8,   Avx2Qaxpy, Avx2Dequant,
+    Avx2Axpy,  Avx2GatherRows, Avx2AddInplace, Avx2Relu,
+    Avx2Dot8,  Avx2Qaxpy,      Avx2Dequant,
 };
 
 }  // namespace

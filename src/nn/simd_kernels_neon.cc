@@ -8,6 +8,7 @@
 #if defined(__aarch64__)
 
 #include <arm_neon.h>
+#include <cstddef>
 
 namespace ams::nn::simd::internal {
 
@@ -23,26 +24,14 @@ void NeonAxpy(float v, const float* b, float* out, int n) {
   for (; j < n; ++j) out[j] += v * b[j];
 }
 
-void NeonAxpy4(float v0, float v1, float v2, float v3, const float* b,
-               float* o0, float* o1, float* o2, float* o3, int n) {
-  const float32x4_t w0 = vdupq_n_f32(v0);
-  const float32x4_t w1 = vdupq_n_f32(v1);
-  const float32x4_t w2 = vdupq_n_f32(v2);
-  const float32x4_t w3 = vdupq_n_f32(v3);
-  int j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const float32x4_t bj = vld1q_f32(b + j);
-    vst1q_f32(o0 + j, vaddq_f32(vld1q_f32(o0 + j), vmulq_f32(w0, bj)));
-    vst1q_f32(o1 + j, vaddq_f32(vld1q_f32(o1 + j), vmulq_f32(w1, bj)));
-    vst1q_f32(o2 + j, vaddq_f32(vld1q_f32(o2 + j), vmulq_f32(w2, bj)));
-    vst1q_f32(o3 + j, vaddq_f32(vld1q_f32(o3 + j), vmulq_f32(w3, bj)));
-  }
-  for (; j < n; ++j) {
-    const float bj = b[j];
-    o0[j] += v0 * bj;
-    o1[j] += v1 * bj;
-    o2[j] += v2 * bj;
-    o3[j] += v3 * bj;
+// Zeroes the row, then one NeonAxpy per input: the scalar tier's sequence
+// with vector columns. A register tile like the AVX2 tier's should come
+// together with an aarch64 bench_qforward run that shows it pays.
+void NeonGatherRows(const float* v, const int* rows, int cnt, const float* w,
+                    float* out, int n) {
+  for (int j = 0; j < n; ++j) out[j] = 0.0f;
+  for (int t = 0; t < cnt; ++t) {
+    NeonAxpy(v[t], w + static_cast<size_t>(rows[t]) * n, out, n);
   }
 }
 
@@ -108,8 +97,8 @@ void NeonDequant(const int32_t* acc, const float* scale, const float* bias,
 }
 
 const Kernels kNeonKernels = {
-    NeonAxpy,   NeonAxpy4, NeonAddInplace, NeonRelu,
-    NeonDot8,   NeonQaxpy, NeonDequant,
+    NeonAxpy,  NeonGatherRows, NeonAddInplace, NeonRelu,
+    NeonDot8,  NeonQaxpy,      NeonDequant,
 };
 
 }  // namespace

@@ -245,7 +245,8 @@ void ChromeTraceSink::Write(const std::vector<TraceEvent>& events,
     first = false;
     WriteEventJson(event, out);
   }
-  out << "]}\n";
+  out << "],\n\"otherData\": {\"dropped_events\": " << dropped_events_
+      << "}}\n";
   out.precision(saved_precision);
 }
 

@@ -252,10 +252,21 @@ class TraceSink {
 /// become thread-scoped instants ("ph":"i"); pid = shard, tid = lane, with
 /// process/thread-name metadata so shards and workers read naturally.
 /// Timestamps are microseconds on the recording clock's own axis.
+///
+/// `dropped_events` (Tracer::TotalDropped() when the events were collected)
+/// is written as the top-level "otherData": {"dropped_events": N}, so a
+/// reader can refuse a trace whose rings wrapped instead of mistaking the
+/// holes for behaviour (tools/trace_summary.py does).
 class ChromeTraceSink : public TraceSink {
  public:
+  explicit ChromeTraceSink(std::uint64_t dropped_events = 0)
+      : dropped_events_(dropped_events) {}
+
   void Write(const std::vector<TraceEvent>& events,
              std::ostream& out) const override;
+
+ private:
+  std::uint64_t dropped_events_;
 };
 
 }  // namespace ams::obs

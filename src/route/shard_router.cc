@@ -269,7 +269,9 @@ void ShardRouter::Shutdown() {
 }
 
 void ShardRouter::DumpTrace(std::ostream& out) const {
-  DumpTrace(out, obs::ChromeTraceSink());
+  const obs::Tracer* tracer = options_.serve.tracer;
+  const std::uint64_t dropped = tracer != nullptr ? tracer->TotalDropped() : 0;
+  DumpTrace(out, obs::ChromeTraceSink(dropped));
 }
 
 void ShardRouter::DumpTrace(std::ostream& out,

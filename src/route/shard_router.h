@@ -158,8 +158,9 @@ class ShardRouter final : public ShardLoadView {
 
   /// Exports every shard's retained trace events through `sink` (all lanes
   /// merged, timestamp-sorted). With the default obs::ChromeTraceSink the
-  /// output loads in Perfetto / chrome://tracing; an empty trace (no tracer
-  /// configured, or nothing recorded) still writes a valid document.
+  /// output loads in Perfetto / chrome://tracing and carries the tracer's
+  /// dropped-event count; an empty trace (no tracer configured, or nothing
+  /// recorded) still writes a valid document.
   void DumpTrace(std::ostream& out) const;
   void DumpTrace(std::ostream& out, const obs::TraceSink& sink) const;
 

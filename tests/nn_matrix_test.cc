@@ -112,8 +112,8 @@ TEST(MatrixTest, GemmWithSparseZeroRowsSkipsCorrectly) {
 }
 
 TEST(MatrixTest, GemmVariantsOverwritePoisonedOutput) {
-  // Regression for the zero-init contract (nn/matrix.h): Gemm and
-  // GemmTransA zero-fill before accumulating; GemmTransB writes every
+  // Regression for the zero-init contract (nn/matrix.h): GemmTransA
+  // zero-fills before accumulating; Gemm and GemmTransB write every
   // element exactly once. Either way, stale output contents — here NaN
   // poison in a correctly-sized buffer, the shape Resize() won't clear —
   // must never leak into results.

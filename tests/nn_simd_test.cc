@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -72,28 +74,55 @@ TEST_F(SimdParityTest, AxpyBitwiseMatchesScalar) {
   }
 }
 
-TEST_F(SimdParityTest, Axpy4BitwiseMatchesScalar) {
-  simd::Tier tier;
-  if (!VectorTier(&tier)) GTEST_SKIP() << "no vector tier on this machine";
-  const simd::Kernels& vec = simd::KernelsFor(tier);
+// The row-gather kernel against the scalar tier, and every tier against
+// the same sum built from its axpy kernel: zero the row, then one axpy per
+// input in order. Buffers are sized exactly (the gathered rows always
+// include the last weight row), so a tail that reads or writes past column
+// n trips ASan. Output buffers start as NaN, so an element the kernel
+// failed to write shows up too; cnt = 0 must store +0 everywhere.
+TEST_F(SimdParityTest, GatherRowsBitwiseMatchesScalarAndAxpyChain) {
+  std::vector<simd::Tier> tiers = {simd::Tier::kScalar};
+  simd::Tier vector_tier;
+  if (VectorTier(&vector_tier)) tiers.push_back(vector_tier);
   const simd::Kernels& sca = simd::KernelsFor(simd::Tier::kScalar);
+  std::vector<int> widths;
+  for (int n = 1; n <= 72; ++n) widths.push_back(n);
+  widths.push_back(256);
+  // Ordinary, negative, subnormal and large inputs.
+  const float kInputs[] = {1.0f, -1.5f, 0.3125f, 1e-40f, -3e-39f, 1e30f,
+                           -2.5e29f};
+  constexpr int kWeightRows = 9;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
   util::Rng rng(12);
-  for (const int n : KernelSizes()) {
-    std::vector<float> b(n);
-    FillRandom(b.data(), n, &rng);
-    float v[4];
-    FillRandom(v, 4, &rng);
-    std::vector<std::vector<float>> s(4, std::vector<float>(n));
-    for (auto& row : s) FillRandom(row.data(), n, &rng);
-    std::vector<std::vector<float>> q = s;
-    sca.axpy4(v[0], v[1], v[2], v[3], b.data(), s[0].data(), s[1].data(),
-              s[2].data(), s[3].data(), n);
-    vec.axpy4(v[0], v[1], v[2], v[3], b.data(), q[0].data(), q[1].data(),
-              q[2].data(), q[3].data(), n);
-    for (int r = 0; r < 4; ++r) {
-      ExpectBitEqual(s[r].data(), q[r].data(), s[r].size(),
-                     "axpy4 row " + std::to_string(r) +
-                         " n=" + std::to_string(n));
+  for (const int n : widths) {
+    std::vector<float> w(static_cast<size_t>(kWeightRows) * n);
+    FillRandom(w.data(), static_cast<int>(w.size()), &rng);
+    for (const int cnt : {0, 1, 4, kWeightRows}) {
+      // Ascending rows, always ending at the last weight row.
+      std::vector<int> rows =
+          rng.SampleWithoutReplacement(kWeightRows - 1, std::max(cnt - 1, 0));
+      std::sort(rows.begin(), rows.end());
+      if (cnt > 0) rows.push_back(kWeightRows - 1);
+      std::vector<float> v(static_cast<size_t>(cnt));
+      for (float& x : v) x = kInputs[rng.UniformInt(0, 6)];
+      const std::string what =
+          "gather_rows n=" + std::to_string(n) + " cnt=" + std::to_string(cnt);
+      std::vector<float> want(static_cast<size_t>(n), nan);
+      sca.gather_rows(v.data(), rows.data(), cnt, w.data(), want.data(), n);
+      for (const simd::Tier tier : tiers) {
+        const simd::Kernels& k = simd::KernelsFor(tier);
+        std::vector<float> got(static_cast<size_t>(n), nan);
+        k.gather_rows(v.data(), rows.data(), cnt, w.data(), got.data(), n);
+        ExpectBitEqual(want.data(), got.data(), got.size(),
+                       what + " on " + simd::TierName(tier));
+        std::vector<float> chain(static_cast<size_t>(n), 0.0f);
+        for (size_t t = 0; t < v.size(); ++t) {
+          const size_t row = static_cast<size_t>(rows[t]);
+          k.axpy(v[t], w.data() + row * n, chain.data(), n);
+        }
+        ExpectBitEqual(chain.data(), got.data(), got.size(),
+                       what + " vs axpy chain on " + simd::TierName(tier));
+      }
     }
   }
 }
@@ -216,10 +245,12 @@ struct GemmShape {
 };
 
 const std::vector<GemmShape>& GemmShapes() {
-  // Odd/even/remainder widths around the 4-row block and 8-column panel.
+  // Odd/even/remainder widths around the 8-column vectors, 64-column gather
+  // tiles and TransB's 8-column panels.
   static const std::vector<GemmShape> kShapes = {
-      {1, 1, 1},  {2, 3, 4},   {3, 7, 9},    {4, 8, 8},
-      {5, 16, 7}, {7, 31, 33}, {16, 64, 31}, {9, 100, 24}};
+      {1, 1, 1},    {2, 3, 4},   {3, 7, 9},     {4, 8, 8},
+      {5, 16, 7},   {7, 31, 33}, {16, 64, 31},  {9, 100, 24},
+      {3, 40, 70},  {2, 30, 256}};
   return kShapes;
 }
 
@@ -336,6 +367,86 @@ TEST_F(SimdParityTest, ForwardSparseRowsBitwiseMatchesScalarTier) {
   ExpectMatrixBitEqual(sparse_s, sparse_v, "ForwardSparseRows indexed");
   // The index hint itself must be transparent, whatever the tier.
   ExpectMatrixBitEqual(dense_v, sparse_v, "indexed vs dense on vector tier");
+}
+
+// Zero inputs are skipped, not multiplied: a weight row behind a zero (or
+// -0.0) input may hold +-inf or NaN without reaching the output, on every
+// tier and through both forward layers — Gemm's dense rows and
+// ForwardSparseRows with and without index hints, including a hint that
+// lists a zero entry. Outputs must be finite and equal to the same layer
+// with those rows clean.
+TEST_F(SimdParityTest, ZeroInputsHidePoisonedWeightRows) {
+  std::vector<simd::Tier> tiers = {simd::Tier::kScalar};
+  simd::Tier vector_tier;
+  if (VectorTier(&vector_tier)) tiers.push_back(vector_tier);
+  constexpr int kIn = 24;
+  constexpr int kOut = 31;
+  const std::vector<int> kPoisoned = {0, 5, 11, 23};
+  util::Rng rng(51);
+  DenseLayer clean(kIn, kOut, &rng);
+  FillRandom(clean.bias().data(), kOut, &rng);
+  DenseLayer poisoned = clean;
+  const float kPoison[] = {std::numeric_limits<float>::infinity(),
+                           -std::numeric_limits<float>::infinity(),
+                           std::numeric_limits<float>::quiet_NaN()};
+  for (size_t p = 0; p < kPoisoned.size(); ++p) {
+    float* row = poisoned.weights().Row(kPoisoned[p]);
+    for (int j = 0; j < kOut; ++j) row[j] = kPoison[(p + j) % 3];
+  }
+
+  // Three sparse rows over the clean positions; row 1 holds -0.0 at a
+  // poisoned position, and its index hint lists that position too.
+  std::vector<std::vector<float>> rows(3, std::vector<float>(kIn, 0.0f));
+  std::vector<std::vector<int>> idx(3);
+  for (int r = 0; r < 3; ++r) {
+    for (int i = 0; i < kIn; ++i) {
+      const bool poison = std::find(kPoisoned.begin(), kPoisoned.end(), i) !=
+                          kPoisoned.end();
+      if (!poison && (i + r) % 3 != 0) {
+        rows[static_cast<size_t>(r)][static_cast<size_t>(i)] =
+            r == 2 ? static_cast<float>(rng.Uniform(-2.0, 2.0)) : 1.0f;
+      }
+      if (rows[static_cast<size_t>(r)][static_cast<size_t>(i)] != 0.0f ||
+          (r == 1 && i == 11)) {
+        idx[static_cast<size_t>(r)].push_back(i);
+      }
+    }
+  }
+  rows[1][11] = -0.0f;
+  Matrix x(3, kIn);
+  std::vector<const std::vector<float>*> row_ptrs;
+  std::vector<const std::vector<int>*> idx_ptrs;
+  for (int r = 0; r < 3; ++r) {
+    std::copy(rows[static_cast<size_t>(r)].begin(),
+              rows[static_cast<size_t>(r)].end(), x.Row(r));
+    row_ptrs.push_back(&rows[static_cast<size_t>(r)]);
+    idx_ptrs.push_back(&idx[static_cast<size_t>(r)]);
+  }
+
+  for (const simd::Tier tier : tiers) {
+    simd::ForceTier(tier);
+    const std::string on = std::string(" on ") + simd::TierName(tier);
+    Matrix want, got;
+    Gemm(x, clean.weights(), &want);
+    Gemm(x, poisoned.weights(), &got);
+    ExpectMatrixBitEqual(want, got, "Gemm" + on);
+    clean.ForwardSparseRows(row_ptrs, &want);
+    for (const bool hinted : {false, true}) {
+      if (hinted) {
+        poisoned.ForwardSparseRows(row_ptrs, idx_ptrs, &got);
+      } else {
+        poisoned.ForwardSparseRows(row_ptrs, &got);
+      }
+      ExpectMatrixBitEqual(want, got,
+                           std::string("ForwardSparseRows") +
+                               (hinted ? " indexed" : " dense") + on);
+      for (int r = 0; r < got.rows(); ++r) {
+        for (int j = 0; j < got.cols(); ++j) {
+          ASSERT_TRUE(std::isfinite(got.At(r, j))) << "row " << r << on;
+        }
+      }
+    }
+  }
 }
 
 TEST_F(SimdParityTest, PredictBatchBitwiseMatchesScalarTierEndToEnd) {

@@ -219,7 +219,18 @@ TEST(ChromeTraceSinkTest, EmptyCollectionIsStillAValidDocument) {
   std::ostringstream out;
   ChromeTraceSink().Write({}, out);
   EXPECT_EQ(out.str().find("{\"traceEvents\": ["), 0u);
-  EXPECT_NE(out.str().find("]}"), std::string::npos);
+  EXPECT_NE(out.str().find("],\n\"otherData\": {\"dropped_events\": 0}}"),
+            std::string::npos);
+}
+
+TEST(ChromeTraceSinkTest, WritesTheDroppedEventCount) {
+  // A wrapped ring leaves holes; the count tells readers not to trust
+  // span totals (tools/trace_summary.py refuses such a trace).
+  std::ostringstream out;
+  ChromeTraceSink(/*dropped_events=*/1234).Write(
+      {Event(Phase::kTick, 1.0, 0.5)}, out);
+  EXPECT_NE(out.str().find("\"otherData\": {\"dropped_events\": 1234}"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

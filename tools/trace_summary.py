@@ -25,7 +25,10 @@ histogram bucket (sqrt(2)-spaced buckets with in-bucket interpolation →
 default tolerance ratio 1.5, plus a small absolute floor for
 microsecond-scale values). Only meaningful when the trace was recorded with
 `--trace-sample 1` — a sampled trace holds a subset of the requests the
-histogram saw.
+histogram saw — and when no ring wrapped: the exporter writes the tracer's
+dropped-event count as `otherData.dropped_events`, and a nonzero count
+refuses the cross-check with that count named, since lost spans would
+otherwise surface as a misleading percentile mismatch.
 """
 
 import argparse
@@ -45,20 +48,28 @@ class TraceError(Exception):
 
 
 def load_events(path):
-    """Returns the event list from a Chrome trace file (object or array form)."""
+    """Returns (events, dropped) from a Chrome trace file (object or array
+    form): the event list, and the events the exporter reports lost to ring
+    wrap as otherData.dropped_events (0 when not recorded)."""
     with open(path) as handle:
         doc = json.load(handle)
+    dropped = 0
     if isinstance(doc, dict):
         if "traceEvents" not in doc:
             raise TraceError("top-level object has no 'traceEvents' key")
         events = doc["traceEvents"]
+        other = doc.get("otherData")
+        if isinstance(other, dict):
+            dropped = other.get("dropped_events", 0)
+            if not isinstance(dropped, int):
+                raise TraceError("'otherData.dropped_events' is not an integer")
     elif isinstance(doc, list):
         events = doc
     else:
         raise TraceError("trace is neither an object nor an array")
     if not isinstance(events, list):
         raise TraceError("'traceEvents' is not a list")
-    return events
+    return events, dropped
 
 
 def validate(events):
@@ -205,16 +216,25 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
-        events = load_events(args.trace)
+        events, dropped = load_events(args.trace)
         counts = validate(events)
     except (TraceError, json.JSONDecodeError, OSError) as err:
         print(f"trace invalid: {err}", file=sys.stderr)
         return 1
     print(f"{args.trace}: {sum(counts.values())} events, "
           f"{len(counts)} phases — structurally valid")
+    if dropped:
+        print(f"{dropped} events dropped (trace rings wrapped): span counts "
+              "undercount the run")
     durs = summarize(events)
 
     if args.metrics:
+        if dropped:
+            print(f"metrics cross-check refused: the trace dropped {dropped} "
+                  "events when its rings wrapped, so its spans cannot be "
+                  "compared with the histograms; record a shorter run or "
+                  "larger rings", file=sys.stderr)
+            return 1
         try:
             mismatches = check_metrics(durs, args.metrics, args.tolerance)
         except (json.JSONDecodeError, OSError) as err:

@@ -5,6 +5,7 @@ Run from anywhere: the fixture paths resolve relative to this file. Wired
 into CTest as `trace_summary_py` (skipped when python3 is unavailable).
 """
 
+import contextlib
 import io
 import json
 import os
@@ -32,7 +33,7 @@ class FixtureTest(unittest.TestCase):
     """The committed ams_serve --trace fixture is valid and self-consistent."""
 
     def test_fixture_validates(self):
-        events = trace_summary.load_events(TRACE)
+        events, _ = trace_summary.load_events(TRACE)
         counts = trace_summary.validate(events)
         # One lifecycle per request: every sampled admission produced exactly
         # one queue_wait and one exec span.
@@ -46,7 +47,7 @@ class FixtureTest(unittest.TestCase):
             trace_summary.main([TRACE, "--metrics", METRICS]), 0)
 
     def test_summarize_reports_every_recorded_phase(self):
-        events = trace_summary.load_events(TRACE)
+        events, _ = trace_summary.load_events(TRACE)
         out = io.StringIO()
         trace_summary.summarize(events, out=out)
         text = out.getvalue()
@@ -55,7 +56,7 @@ class FixtureTest(unittest.TestCase):
             self.assertIn(name, text)
 
     def test_queue_wait_matches_histogram_percentiles(self):
-        events = trace_summary.load_events(TRACE)
+        events, _ = trace_summary.load_events(TRACE)
         durs = trace_summary.durations_by_phase(events)
         mismatches = trace_summary.check_metrics(
             durs, METRICS, tolerance=1.5, out=io.StringIO())
@@ -65,7 +66,7 @@ class FixtureTest(unittest.TestCase):
         # A run whose every row came from the memo records no forward spans:
         # the phase must still appear, flagged, instead of a divide-by-zero
         # or a silently missing row.
-        events = [ev for ev in trace_summary.load_events(TRACE)
+        events = [ev for ev in trace_summary.load_events(TRACE)[0]
                   if ev.get("name") != "forward"]
         out = io.StringIO()
         trace_summary.summarize(events, out=out)
@@ -73,6 +74,37 @@ class FixtureTest(unittest.TestCase):
                 if line.startswith("forward")]
         self.assertEqual(len(rows), 1)
         self.assertIn("no samples", rows[0])
+
+
+class DroppedEventsTest(unittest.TestCase):
+    """A trace whose rings wrapped is refused, not cross-checked."""
+
+    def run_with_metrics(self, dropped):
+        with open(TRACE) as handle:
+            doc = json.load(handle)
+        doc["otherData"] = {"dropped_events": dropped}
+        path = write_temp(doc)
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                status = trace_summary.main([path, "--metrics", METRICS])
+        finally:
+            os.unlink(path)
+        return status, err.getvalue()
+
+    def test_wrapped_trace_is_refused_naming_the_count(self):
+        status, err = self.run_with_metrics(1234)
+        self.assertEqual(status, 1)
+        self.assertIn("dropped 1234 events", err)
+        self.assertNotIn("queue delay", err)
+
+    def test_zero_dropped_cross_checks_as_before(self):
+        status, err = self.run_with_metrics(0)
+        self.assertEqual(status, 0, err)
+
+    def test_count_defaults_to_zero_when_absent(self):
+        self.assertEqual(trace_summary.load_events(TRACE)[1], 0)
 
 
 class ValidationTest(unittest.TestCase):
