@@ -1,18 +1,17 @@
 // Q-forward kernel microbenchmark: the batched value prediction at the heart
 // of every scheduling decision (rl::Agent::PredictValuesBatchTo), swept over
 // batch size x input sparsity x hidden width at the serving shape (input =
-// the zoo's label space, output = models + END), through three kernel paths:
+// the zoo's label space, output = models + END), through two kernel paths:
 //
 //   fp32_scalar     the portable scalar kernels (simd::Tier::kScalar forced)
 //   fp32_simd       the runtime-dispatched vector kernels (AVX2/NEON when
 //                   the CPU has them; identical bits, fewer cycles)
-//   int8_quantized  the frozen int8 snapshot (Agent::CloneQuantized)
 //
 // The first JSON config is fp32_scalar, so the gate's normalized throughput
-// for the other paths IS their speedup over scalar — the number the SIMD
-// dispatch and the quantized path exist to move. fp32_scalar vs fp32_simd is
-// also a bitwise-parity check: both paths' outputs are compared at every
-// grid point (the kernel-level lock lives in nn_simd_test).
+// for fp32_simd IS its speedup over scalar — the number the SIMD dispatch
+// exists to move. The bench is also a bitwise-parity check: both paths'
+// outputs are compared at every grid point (the kernel-level lock lives in
+// nn_simd_test).
 //
 // Emits BENCH_qforward.json for tools/bench_compare.py. Env knobs:
 // AMS_BENCH_QF_REPEATS (best-of trials, default 5), AMS_BENCH_QF_ITERS
@@ -107,7 +106,7 @@ int main() {
 
   bench::Banner("Q-forward kernels: scalar vs " +
                 std::string(nn::simd::TierName(nn::simd::BestSupportedTier())) +
-                " vs int8 (input " + std::to_string(input_dim) + ", output " +
+                " (input " + std::to_string(input_dim) + ", output " +
                 std::to_string(output_dim) + ")");
 
   const std::vector<GridPoint> grid = {
@@ -115,10 +114,10 @@ int main() {
       {256, 1, 4},  {256, 16, 4}, {256, 64, 4}, {256, 64, 32},
   };
 
-  PathTotals scalar_total, simd_total, quant_total;
+  PathTotals scalar_total, simd_total;
   util::AsciiTable table;
   table.SetHeader({"hidden", "batch", "bits", "scalar rows/s", "simd rows/s",
-                   "int8 rows/s", "simd x", "int8 x"});
+                   "simd x"});
 
   for (const GridPoint& point : grid) {
     nn::MlpConfig config;
@@ -135,17 +134,6 @@ int main() {
     std::vector<double> out(w.rows.size() * static_cast<size_t>(output_dim));
     std::vector<double> out_scalar(out.size());
 
-    // Calibration for the int8 snapshot: the zero row plus this grid
-    // point's own input rows (binary, so the input scale is exact).
-    std::vector<std::vector<float>> calibration;
-    calibration.emplace_back(static_cast<size_t>(input_dim), 0.0f);
-    for (size_t r = 0; r < w.rows.size() && r < 16; ++r) {
-      calibration.push_back(w.rows[r]);
-    }
-    std::unique_ptr<core::ModelValuePredictor> quantized =
-        agent.CloneQuantized(calibration);
-    AMS_CHECK(quantized != nullptr, "Mlp must have a quantized form");
-
     nn::simd::ForceTier(nn::simd::Tier::kScalar);
     const double scalar_wall =
         TimeForward(&agent, w, iters, repeats, &out_scalar);
@@ -157,34 +145,25 @@ int main() {
                           out.size() * sizeof(double)) == 0,
               "SIMD forward diverged bitwise from scalar");
 
-    const double quant_wall = TimeForward(quantized.get(), w, iters, repeats,
-                                          &out);
-
     const double rows = static_cast<double>(w.rows.size()) * iters;
     scalar_total.wall_s += scalar_wall;
     scalar_total.rows += rows;
     simd_total.wall_s += simd_wall;
     simd_total.rows += rows;
-    quant_total.wall_s += quant_wall;
-    quant_total.rows += rows;
 
     table.AddRow(std::to_string(point.hidden) + "/" +
                      std::to_string(point.batch) + "/" +
                      std::to_string(point.set_bits),
                  {static_cast<double>(point.batch),
                   static_cast<double>(point.set_bits), rows / scalar_wall,
-                  rows / simd_wall, rows / quant_wall,
-                  scalar_wall / simd_wall, scalar_wall / quant_wall});
+                  rows / simd_wall, scalar_wall / simd_wall});
   }
   table.Print(std::cout);
 
   const double simd_speedup = simd_total.rows_per_s() /
                               scalar_total.rows_per_s();
-  const double quant_speedup = quant_total.rows_per_s() /
-                               scalar_total.rows_per_s();
   std::cout << "\nactive tier: " << nn::simd::TierName(nn::simd::ActiveTier())
-            << "\naggregate simd speedup vs scalar: " << simd_speedup
-            << "\naggregate int8 speedup vs scalar: " << quant_speedup << "\n";
+            << "\naggregate simd speedup vs scalar: " << simd_speedup << "\n";
 
   std::ofstream json("BENCH_qforward.json");
   AMS_CHECK(json.good(), "cannot open BENCH_qforward.json for writing");
@@ -200,14 +179,9 @@ int main() {
        << ", \"speedup_vs_scalar\": 1},\n";
   json << "    {\"name\": \"fp32_simd\", \"wall_s\": " << simd_total.wall_s
        << ", \"items_per_s\": " << simd_total.rows_per_s()
-       << ", \"speedup_vs_scalar\": " << simd_speedup << "},\n";
-  json << "    {\"name\": \"int8_quantized\", \"wall_s\": "
-       << quant_total.wall_s << ", \"items_per_s\": "
-       << quant_total.rows_per_s() << ", \"speedup_vs_scalar\": "
-       << quant_speedup << "}\n";
+       << ", \"speedup_vs_scalar\": " << simd_speedup << "}\n";
   json << "  ],\n";
-  json << "  \"simd_speedup_vs_scalar\": " << simd_speedup << ",\n";
-  json << "  \"int8_speedup_vs_scalar\": " << quant_speedup << "\n";
+  json << "  \"simd_speedup_vs_scalar\": " << simd_speedup << "\n";
   json << "}\n";
   std::cout << "wrote BENCH_qforward.json\n";
   return 0;

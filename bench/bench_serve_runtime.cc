@@ -4,9 +4,10 @@
 // serve::ServerRuntime (enqueue everything, Drain) — and emits a
 // machine-readable BENCH_serve.json baseline next to the human-readable
 // table. The serve runtime must sustain at least SubmitBatch throughput:
-// its workers multiplex a continuously refilled resident set (no end-of-wave
-// stragglers, queue-balanced instead of statically partitioned), which is
-// what pays for the queue/future overhead per item.
+// SubmitBatch labels each worker's statically partitioned items one at a
+// time, while the runtime's workers multiplex a continuously refilled,
+// queue-balanced resident set behind one batched, memoized Q-forward per
+// tick, which is what pays for the queue/future overhead per item.
 //
 // Both paths must label identically (summed recall and execution counts are
 // asserted): the runtime changes scheduling cost, never outcomes. The
@@ -111,8 +112,8 @@ void Run() {
     work.push_back(core::WorkItem::Stored(i));
   }
 
-  // Both paths run the identical session configuration: lean kernel (the
-  // recall-accounting serving regime) with batched prediction.
+  // Both paths run the identical session configuration: the lean kernel,
+  // the recall-accounting serving regime.
   const auto build_session = [&](int session_workers) {
     return core::LabelingServiceBuilder(&zoo)
         .WithOracle(&oracle)
@@ -120,7 +121,6 @@ void Run() {
         .WithMode(core::ExecutionMode::kParallel)
         .WithConstraints(constraints)
         .WithKernelMode(core::KernelMode::kLean)
-        .WithBatchedPrediction(true)
         .WithWorkers(session_workers)
         .Build();
   };

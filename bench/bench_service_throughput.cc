@@ -1,11 +1,12 @@
 // Execution-plane throughput benchmark: labels one fixed stored workload
-// through LabelingService under every combination of the plane's knobs —
-// full vs lean kernel mode, scalar vs batched Q-prediction, and (for the
-// fastest pair) the memoized replay cache — and emits a machine-readable
-// BENCH_throughput.json baseline next to the human-readable table.
+// through LabelingService::SubmitBatch in both kernel modes — full result
+// materialization and the lean recall-only path — and emits a
+// machine-readable BENCH_throughput.json baseline next to the
+// human-readable table.
 //
-// Every configuration must produce identical labeling outcomes (summed
-// recall and execution counts are asserted); the knobs trade only cost.
+// Both configurations must produce identical labeling outcomes (summed
+// recall and execution counts are asserted); the kernel mode trades only
+// cost.
 // The workload is Algorithm 2 (deadline + memory) driven by an untrained
 // DQN-architecture agent: the forward-pass and materialization costs are
 // those of a trained agent, while setup stays in milliseconds.
@@ -36,8 +37,6 @@ using namespace ams;
 struct BenchConfig {
   std::string name;
   core::KernelMode kernel_mode;
-  bool batched;
-  bool cached_replay;
 };
 
 struct BenchResult {
@@ -58,7 +57,7 @@ void Run() {
   if (workers <= 0) workers = util::ThreadPool::DefaultThreads();
   // Default to the densest-label profile: the more valuable labels a
   // workload yields, the more decision points and label-state growth per
-  // item — the regime the execution-plane knobs exist for.
+  // item — the regime the lean kernel mode exists for.
   const char* profile_env = std::getenv("AMS_BENCH_PROFILE");
   const std::string profile_name =
       profile_env != nullptr ? profile_env : "stanford40";
@@ -92,11 +91,8 @@ void Run() {
   }
 
   const std::vector<BenchConfig> configs = {
-      {"full_scalar", core::KernelMode::kFull, false, false},
-      {"full_batched", core::KernelMode::kFull, true, false},
-      {"lean_scalar", core::KernelMode::kLean, false, false},
-      {"lean_batched", core::KernelMode::kLean, true, false},
-      {"lean_batched_cached", core::KernelMode::kLean, true, true},
+      {"full", core::KernelMode::kFull},
+      {"lean", core::KernelMode::kLean},
   };
 
   std::vector<std::unique_ptr<core::LabelingService>> services;
@@ -109,16 +105,14 @@ void Run() {
             .WithMode(core::ExecutionMode::kParallel)
             .WithConstraints(constraints)
             .WithKernelMode(config.kernel_mode)
-            .WithBatchedPrediction(config.batched)
-            .WithReplayCache(config.cached_replay)
             .WithWorkers(workers)
             .Build()));
     BenchResult result;
     result.config = config;
     result.wall_s = std::numeric_limits<double>::infinity();
     results.push_back(result);
-    // Warm-up pass: touches every code path once (and fills the replay
-    // cache, the regime the sweeps' repeated-budget replays live in).
+    // Warm-up pass: touches every code path once and builds the session's
+    // per-worker predictor clones.
     services.back()->SubmitBatch(work);
   }
 
@@ -145,8 +139,8 @@ void Run() {
     result.items_per_s = static_cast<double>(num_items) / result.wall_s;
   }
 
-  // All configurations label identically: the knobs change cost, never
-  // outcomes.
+  // Both configurations label identically: the kernel mode changes cost,
+  // never outcomes.
   for (const BenchResult& result : results) {
     AMS_CHECK(std::abs(result.recall_sum - results[0].recall_sum) < 1e-9,
               "config '" + result.config.name + "' changed recall");
@@ -154,7 +148,7 @@ void Run() {
               "config '" + result.config.name + "' changed the schedule");
   }
 
-  bench::Banner("Service throughput — execution-plane knobs (" +
+  bench::Banner("Service throughput — kernel modes (" +
                 std::to_string(num_items) + " items, best of " +
                 std::to_string(repeats) + " interleaved trials, " +
                 std::to_string(workers) + " workers)");
@@ -183,13 +177,9 @@ void Run() {
     json << "    {\"name\": \"" << result.config.name << "\", \"kernel_mode\": \""
          << (result.config.kernel_mode == core::KernelMode::kLean ? "lean"
                                                                   : "full")
-         << "\", \"batched_prediction\": "
-         << (result.config.batched ? "true" : "false")
-         << ", \"replay_cache\": "
-         << (result.config.cached_replay ? "true" : "false")
-         << ", \"wall_s\": " << result.wall_s
+         << "\", \"wall_s\": " << result.wall_s
          << ", \"items_per_s\": " << result.items_per_s
-         << ", \"speedup_vs_full_scalar\": "
+         << ", \"speedup_vs_full\": "
          << result.items_per_s / results[0].items_per_s << "}"
          << (i + 1 < results.size() ? "," : "") << "\n";
   }

@@ -91,8 +91,8 @@ void DecisionPlane::Prefetch(const std::vector<SlotView>& views,
   }
   if (n_stale == 0) return;
 
-  // Deduplicate identical states across items: co-scheduled items share
-  // feature vectors often (every item starts all-zero, and sparse label
+  // Deduplicate identical states across items: items resident in one tick
+  // share feature vectors often (every item starts all-zero, and sparse label
   // states collide), and the predictor is a pure function of the features,
   // so duplicates ride along on one forward row. This cross-item sharing is
   // exactly what per-item caches cannot see. States are compared through

@@ -34,13 +34,13 @@ enum class DecisionRow {
 /// costs at most one forward pass regardless of how many models it starts.
 /// A row is the predictor's Q row passed through the plane's DecisionRow
 /// transform, applied once per produced row before the row reaches the slot
-/// or the row memo; a memo hit is a copy. On top of that, a driver
-/// co-scheduling many items (LabelingService::SubmitBatch workers, the
-/// serve:: runtime's steppers) calls Prefetch() between event rounds to
-/// coalesce all stale slots into ONE batched forward pass — one prediction
-/// per round instead of one per item. Slots left stale still fall back to a
-/// single-row forward, so Prefetch is an optimization, never a correctness
-/// requirement.
+/// or the row memo; a memo hit is a copy. On top of that,
+/// LabelingService::ItemStepper, which multiplexes the serve:: runtime's
+/// in-flight items, calls Prefetch() once per tick to coalesce all stale
+/// slots into ONE batched forward pass — one prediction per tick instead of
+/// one per item. Slots left stale still fall back to a single-row forward
+/// (the per-item pickers of Submit/SubmitBatch never prefetch), so Prefetch
+/// is an optimization, never a correctness requirement.
 ///
 /// Not thread-safe: one plane per worker, like the predictor it wraps.
 class DecisionPlane {
@@ -50,8 +50,12 @@ class DecisionPlane {
   /// below): computed rows are kept keyed by state signature and later
   /// queries for the same state skip the forward pass entirely. Worth it
   /// only for long-lived planes (the serve runtime's steppers, where steady
-  /// state becomes mostly memo hits); per-call planes (SubmitBatch blocks)
-  /// pay the insert cost without living long enough to profit.
+  /// state becomes mostly memo hits). A per-call plane pays the inserts
+  /// without living long enough to profit: a SubmitBatch driver that ticked
+  /// a fresh stepper per call measured 33.6-37.0 us per item with the memo
+  /// and 27.2-34.7 us without it on one worker over 5,000-item calls
+  /// (4-vCPU Xeon guest, g++ 12.2 Release), and the per-item path it would
+  /// have replaced beat both, so SubmitBatch keeps per-item pickers.
   DecisionPlane(ModelValuePredictor* predictor, DecisionRow row,
                 bool memoize_rows = false);
 

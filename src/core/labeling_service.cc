@@ -6,7 +6,6 @@
 #include <map>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 
 #include "core/value.h"
@@ -56,24 +55,6 @@ DecisionRow DecisionRowFor(ExecutionMode mode) {
 
 }  // namespace
 
-/// Memoized replay contexts keyed by stored item id. Shared by every worker
-/// of the session: the contexts themselves are thread-safe, the map is
-/// guarded here.
-struct LabelingService::ReplayCacheState {
-  std::mutex mu;
-  std::unordered_map<int, std::unique_ptr<CachedReplayExecutionContext>> items;
-
-  const CachedReplayExecutionContext* GetOrCreate(const data::Oracle* oracle,
-                                                  int item) {
-    std::lock_guard<std::mutex> lock(mu);
-    std::unique_ptr<CachedReplayExecutionContext>& slot = items[item];
-    if (slot == nullptr) {
-      slot = std::make_unique<CachedReplayExecutionContext>(oracle, item);
-    }
-    return slot.get();
-  }
-};
-
 /// Per-worker predictor clones, created on first use and reused for the
 /// session's lifetime. Cloning an rl::Agent round-trips every weight
 /// through the checkpoint format (milliseconds); paying that once per
@@ -85,14 +66,6 @@ struct LabelingService::ReplayCacheState {
 struct LabelingService::PredictorPool {
   std::mutex mu;
   std::vector<std::unique_ptr<ModelValuePredictor>> clones;  // by worker
-  /// Frozen int8 snapshots (quantized sessions), by worker. Never re-synced:
-  /// a quantized clone cannot track later weight changes (see
-  /// ModelValuePredictor::CloneQuantized), so it is built once and kept.
-  std::vector<std::unique_ptr<ModelValuePredictor>> quantized;
-  /// Calibration rows shared by every worker's quantized build, sampled once
-  /// at first quantized acquisition (guarded by `mu`).
-  std::vector<std::vector<float>> calibration;
-  bool calibration_ready = false;
 
   /// Returns the worker's up-to-date clone, or nullptr when the predictor
   /// does not support cloning (the caller then shares the original, which
@@ -110,36 +83,12 @@ struct LabelingService::PredictorPool {
     }
     return slot.get();
   }
-
-  /// Returns the worker's frozen quantized clone, building it (and the
-  /// shared calibration sample, via `sample_rows`) on first use. Returns
-  /// nullptr when the predictor has no quantized form; the caller then
-  /// falls back to the fp32 clone path.
-  ModelValuePredictor* GetOrCreateQuantized(
-      int worker, ModelValuePredictor* predictor,
-      const std::function<std::vector<std::vector<float>>()>& sample_rows) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (static_cast<size_t>(worker) >= quantized.size()) {
-      quantized.resize(static_cast<size_t>(worker) + 1);
-    }
-    std::unique_ptr<ModelValuePredictor>& slot =
-        quantized[static_cast<size_t>(worker)];
-    if (slot == nullptr) {
-      if (!calibration_ready) {
-        calibration = sample_rows();
-        calibration_ready = true;
-      }
-      slot = predictor->CloneQuantized(calibration);
-    }
-    return slot.get();
-  }
 };
 
 /// One item's prepared kernel run. Heap-allocated and never moved, so the
 /// hook lambdas can capture raw pointers to `acc` and `adapter`.
 struct LabelingService::ItemRun {
-  std::unique_ptr<ExecutionContext> owned_exec;
-  const ExecutionContext* exec = nullptr;
+  std::unique_ptr<ExecutionContext> exec;
   std::optional<ValueAccumulator> acc;
   std::unique_ptr<sched::PolicyAdapter> adapter;
   ModelPicker picker;
@@ -151,9 +100,6 @@ struct LabelingService::ItemRun {
 };
 
 LabelingService::LabelingService(Config config) : config_(std::move(config)) {
-  if (config_.cache_replay) {
-    replay_cache_ = std::make_shared<ReplayCacheState>();
-  }
   if (config_.predictor != nullptr) {
     predictor_pool_ = std::make_shared<PredictorPool>();
   }
@@ -167,21 +113,12 @@ LabelingService::DecisionState LabelingService::MakeDecisionState(
     AMS_CHECK(state.policy != nullptr, "policy factory returned null");
   }
   if (config_.predictor != nullptr) {
-    ModelValuePredictor* clone = nullptr;
-    if (clone_predictor) {
-      if (config_.quantized_inference) {
-        // Frozen int8 snapshot per worker; nullptr (no quantized form)
-        // falls through to the fp32 clone path below.
-        clone = predictor_pool_->GetOrCreateQuantized(
-            worker_index, config_.predictor,
-            [this] { return BuildCalibrationRows(); });
-      }
-      // Clones live in the session pool, created once per worker and reused
-      // across batches.
-      if (clone == nullptr) {
-        clone = predictor_pool_->GetOrCreate(worker_index, config_.predictor);
-      }
-    }
+    // Clones live in the session pool, created once per worker and reused
+    // across batches.
+    ModelValuePredictor* clone =
+        clone_predictor
+            ? predictor_pool_->GetOrCreate(worker_index, config_.predictor)
+            : nullptr;
     // Predictors that cannot clone are shared; they must be thread-safe
     // (documented on ModelValuePredictor::ClonePredictor).
     state.predictor = clone != nullptr ? clone : config_.predictor;
@@ -200,18 +137,11 @@ std::unique_ptr<LabelingService::ItemRun> LabelingService::PrepareItem(
 
   auto run = std::make_unique<ItemRun>();
   if (stored) {
-    if (replay_cache_ != nullptr) {
-      run->exec = replay_cache_->GetOrCreate(config_.oracle, item.item);
-    } else {
-      run->owned_exec =
-          std::make_unique<ReplayExecutionContext>(config_.oracle, item.item);
-      run->exec = run->owned_exec.get();
-    }
+    run->exec =
+        std::make_unique<ReplayExecutionContext>(config_.oracle, item.item);
     run->acc.emplace(config_.oracle, item.item);
   } else {
-    run->owned_exec =
-        std::make_unique<LiveExecutionContext>(config_.zoo, item.scene);
-    run->exec = run->owned_exec.get();
+    run->exec = std::make_unique<LiveExecutionContext>(config_.zoo, item.scene);
   }
 
   switch (config_.mode) {
@@ -267,49 +197,6 @@ std::unique_ptr<LabelingService::ItemRun> LabelingService::PrepareItem(
   return run;
 }
 
-std::vector<std::vector<float>> LabelingService::BuildCalibrationRows() const {
-  // Enough rows to pin every layer's activation range without making the
-  // calibration forwards noticeable; beyond this, extra rows barely move
-  // the observed maxima.
-  constexpr size_t kMaxRows = 64;
-  const int num_labels = config_.zoo->labels().total_labels();
-  std::vector<std::vector<float>> rows;
-  rows.reserve(kMaxRows);
-  // Every item starts all-zero, so the zero state is always observed.
-  rows.emplace_back(static_cast<size_t>(num_labels), 0.0f);
-  util::Rng rng(util::HashCombine(config_.seed, 0xCA11Bu));
-  if (config_.oracle != nullptr && config_.oracle->num_items() > 0) {
-    // Replay stored outputs on sampled items, snapshotting the label state
-    // after each model that produced something fresh — exactly the
-    // progressive states a serving forward pass sees.
-    const data::Oracle& oracle = *config_.oracle;
-    const int num_models = oracle.num_models();
-    for (int attempt = 0; attempt < 256 && rows.size() < kMaxRows;
-         ++attempt) {
-      const int item = rng.UniformInt(0, oracle.num_items() - 1);
-      LabelingState state(num_labels, num_models);
-      for (int m = 0; m < num_models && rows.size() < kMaxRows; ++m) {
-        const int before = state.num_labels_set();
-        state.ApplyInto(m, oracle.Output(item, m), nullptr);
-        if (state.num_labels_set() != before) rows.push_back(state.Features());
-      }
-    }
-    return rows;
-  }
-  // No oracle: seeded random binary rows across a density sweep, so the
-  // scales cover both sparse early states and denser late ones.
-  const int max_density = std::max(1, num_labels / 8);
-  while (rows.size() < kMaxRows) {
-    const int density = rng.UniformInt(1, max_density);
-    std::vector<float> row(static_cast<size_t>(num_labels), 0.0f);
-    for (const int i : rng.SampleWithoutReplacement(num_labels, density)) {
-      row[static_cast<size_t>(i)] = 1.0f;
-    }
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
 LabelOutcome LabelingService::RunOne(const WorkItem& item,
                                      DecisionState* state,
                                      uint64_t stream_id) const {
@@ -321,75 +208,6 @@ LabelOutcome LabelingService::RunOne(const WorkItem& item,
       config_.kernel_mode);
   if (run->acc.has_value()) run->outcome.recall = run->acc->Recall();
   return std::move(run->outcome);
-}
-
-void LabelingService::RunCoScheduled(
-    const std::vector<const WorkItem*>& items,
-    const std::vector<uint64_t>& stream_ids,
-    const std::vector<LabelOutcome*>& outcomes, DecisionState* state) const {
-  const size_t n = items.size();
-  AMS_CHECK(stream_ids.size() == n && outcomes.size() == n);
-  AMS_CHECK(state->predictor != nullptr,
-            "co-scheduling batches predictor Q-queries");
-
-  // Items co-scheduled at once. Large enough to amortize a forward pass,
-  // small enough that the wave's kernel state (features, accumulators,
-  // running sets) stays cache-resident — co-scheduling a worker's entire
-  // block measurably thrashes once hundreds of items cycle per round.
-  constexpr size_t kWaveSize = 16;
-
-  DecisionPlane plane(state->predictor, DecisionRowFor(config_.mode));
-  // Worker-local scratch for the plane's batch buffers, rewound every event
-  // round — rounds re-use one warm block instead of growing member vectors.
-  util::Arena arena;
-  std::vector<DecisionPlane::SlotView> views;
-  for (size_t wave_begin = 0; wave_begin < n; wave_begin += kWaveSize) {
-    const size_t wave = std::min(kWaveSize, n - wave_begin);
-    std::vector<std::unique_ptr<ItemRun>> runs(wave);
-    std::vector<DecisionPlane::Slot*> slots(wave);
-    std::vector<std::unique_ptr<ScheduleKernel>> kernels(wave);
-    for (size_t i = 0; i < wave; ++i) {
-      const size_t k = wave_begin + i;
-      slots[i] = plane.NewSlot();
-      runs[i] = PrepareItem(*items[k], state, stream_ids[k], slots[i]);
-      if (runs[i]->skipped) {
-        *outcomes[k] = std::move(runs[i]->outcome);
-        continue;
-      }
-      kernels[i] = std::make_unique<ScheduleKernel>(
-          runs[i]->exec, config_.constraints, runs[i]->picker, runs[i]->hooks,
-          config_.kernel_mode);
-    }
-
-    // Event-round lockstep: refresh every picking kernel's slot with ONE
-    // batched forward pass, then advance each live kernel past one finish
-    // event. Items are independent, so the interleaving cannot change any
-    // outcome — only how many forward passes the round costs.
-    for (bool any_live = true; any_live;) {
-      views.clear();
-      for (size_t i = 0; i < wave; ++i) {
-        if (kernels[i] != nullptr && kernels[i]->picking()) {
-          views.push_back({slots[i], &kernels[i]->state()});
-        }
-      }
-      arena.Reset();
-      plane.Prefetch(views, &arena);
-      any_live = false;
-      for (size_t i = 0; i < wave; ++i) {
-        if (kernels[i] == nullptr) continue;
-        if (kernels[i]->Step()) {
-          any_live = true;
-        } else {
-          runs[i]->outcome.schedule = kernels[i]->TakeResult();
-          if (runs[i]->acc.has_value()) {
-            runs[i]->outcome.recall = runs[i]->acc->Recall();
-          }
-          *outcomes[wave_begin + i] = std::move(runs[i]->outcome);
-          kernels[i].reset();
-        }
-      }
-    }
-  }
 }
 
 LabelingService::ItemStepper::ItemStepper(const LabelingService* session,
@@ -416,10 +234,7 @@ void LabelingService::ItemStepper::AttachTracer(const obs::Tracer* tracer,
   trace_lane_ = lane;
   trace_clock_ = clock;
   if (state_.predictor != nullptr) {
-    const ModelValuePredictor::BackendInfo info =
-        state_.predictor->backend_info();
-    backend_tier_ = info.simd_tier;
-    backend_int8_ = info.int8;
+    backend_tier_ = state_.predictor->backend_info().simd_tier;
   }
 }
 
@@ -440,7 +255,7 @@ uint64_t LabelingService::ItemStepper::Admit(const WorkItem& item,
   InFlight flight;
   flight.ticket = ticket;
   flight.kernel = std::make_unique<ScheduleKernel>(
-      run->exec, session_->config_.constraints, run->picker, run->hooks,
+      run->exec.get(), session_->config_.constraints, run->picker, run->hooks,
       session_->config_.kernel_mode);
   flight.run = std::move(run);
   flight.slot = slot;
@@ -490,7 +305,7 @@ void LabelingService::ItemStepper::Tick(std::vector<Completion>* completed) {
     if (forward_span.active()) {
       const int rows = static_cast<int>(plane_->batched_rows() - rows_before);
       const int hits = static_cast<int>(plane_->memo_hits() - memo_before);
-      forward_span.set_args(rows, hits, backend_tier_, backend_int8_ ? 1 : 0);
+      forward_span.set_args(rows, hits, backend_tier_);
       tick_stats_.forward_s = forward_span.Close();
       tick_stats_.forward_rows = rows;
       tick_stats_.memo_hits = hits;
@@ -679,32 +494,19 @@ std::vector<LabelOutcome> LabelingService::SubmitBatch(
 
   const auto run_block = [&](const std::pair<size_t, size_t>& block,
                              int worker_index) {
+    // One decision state per worker, kept across its items: policies carry
+    // chunk-adaptive history from item to item.
     DecisionState state =
         MakeDecisionState(/*clone_predictor=*/true, worker_index);
-    // Policies are stateful across a worker's items (chunk-adaptive
-    // history), so only predictor-driven sessions may co-schedule.
-    const bool coalesce = config_.batch_predictions &&
-                          state.predictor != nullptr &&
-                          state.policy == nullptr;
-    std::vector<const WorkItem*> block_items;
-    std::vector<uint64_t> stream_ids;
-    std::vector<LabelOutcome*> outcomes;
     for (size_t gi = block.first; gi < block.second; ++gi) {
       for (int k : groups[gi]) {
         const WorkItem& item = items[static_cast<size_t>(k)];
         const uint64_t stream_id =
             item.item >= 0 ? static_cast<uint64_t>(item.item)
                            : live_base + static_cast<uint64_t>(k);
-        if (coalesce) {
-          block_items.push_back(&item);
-          stream_ids.push_back(stream_id);
-          outcomes.push_back(&results[static_cast<size_t>(k)]);
-        } else {
-          results[static_cast<size_t>(k)] = RunOne(item, &state, stream_id);
-        }
+        results[static_cast<size_t>(k)] = RunOne(item, &state, stream_id);
       }
     }
-    if (coalesce) RunCoScheduled(block_items, stream_ids, outcomes, &state);
   };
 
   if (blocks.size() == 1) {
@@ -794,23 +596,6 @@ LabelingServiceBuilder& LabelingServiceBuilder::WithMode(ExecutionMode mode) {
 LabelingServiceBuilder& LabelingServiceBuilder::WithKernelMode(
     KernelMode mode) {
   config_.kernel_mode = mode;
-  return *this;
-}
-
-LabelingServiceBuilder& LabelingServiceBuilder::WithBatchedPrediction(
-    bool batch) {
-  config_.batch_predictions = batch;
-  return *this;
-}
-
-LabelingServiceBuilder& LabelingServiceBuilder::WithQuantizedInference(
-    bool quantized) {
-  config_.quantized_inference = quantized;
-  return *this;
-}
-
-LabelingServiceBuilder& LabelingServiceBuilder::WithReplayCache(bool cache) {
-  config_.cache_replay = cache;
   return *this;
 }
 
@@ -908,20 +693,6 @@ LabelingService LabelingServiceBuilder::Build() const {
   if (config.recall_target >= 0.0) {
     AMS_CHECK(config.oracle != nullptr,
               "recall targets need stored ground truth (WithOracle)");
-  }
-  if (config.batch_predictions) {
-    AMS_CHECK(config.predictor != nullptr,
-              "batched prediction coalesces predictor Q-queries; configure "
-              "WithPredictor");
-  }
-  if (config.cache_replay) {
-    AMS_CHECK(config.oracle != nullptr,
-              "replay caching memoizes stored outputs; configure WithOracle");
-  }
-  if (config.quantized_inference) {
-    AMS_CHECK(config.predictor != nullptr,
-              "quantized inference snapshots the predictor's Q-net; "
-              "configure WithPredictor");
   }
   if (config.workers <= 0) {
     config.workers = util::ThreadPool::DefaultThreads();

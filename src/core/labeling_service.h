@@ -91,12 +91,12 @@ struct WorkEstimate {
 /// Submit/SubmitBatch/Run calls one at a time (the live-item sequence and
 /// the pooled per-worker predictor clones are shared session state).
 ///
-/// Execution plane knobs (see the builder): WithKernelMode(kLean) skips
-/// result materialization for recall-only paths, WithBatchedPrediction(true)
-/// lets each SubmitBatch/Run worker co-schedule its items and coalesce their
-/// Q-queries into one batched forward pass per event round, and
-/// WithReplayCache(true) shares memoized per-item replay contexts across
-/// workers and batches. None of the knobs changes any outcome — only cost.
+/// Two drivers label items, and both produce bit-identical outcomes:
+/// Submit/SubmitBatch/Run label each item start to finish on a per-worker
+/// decision state (RunOne), and ItemStepper multiplexes in-flight items for
+/// the serving runtime, sharing one batched, memoized Q-forward per tick.
+/// The one execution-plane knob, WithKernelMode(kLean), skips result
+/// materialization for recall-only paths; it changes cost, never recall.
 class LabelingService {
  public:
   using Sink = std::function<void(const WorkItem&, const LabelOutcome&)>;
@@ -125,9 +125,6 @@ class LabelingService {
   const data::Oracle* oracle() const { return config_.oracle; }
   ExecutionMode mode() const { return config_.mode; }
   KernelMode kernel_mode() const { return config_.kernel_mode; }
-  bool batched_prediction() const { return config_.batch_predictions; }
-  bool quantized_inference() const { return config_.quantized_inference; }
-  bool replay_cache_enabled() const { return replay_cache_ != nullptr; }
   const ScheduleConstraints& constraints() const {
     return config_.constraints;
   }
@@ -194,9 +191,6 @@ class LabelingService {
     ScheduleConstraints constraints;
     ExecutionMode mode = ExecutionMode::kGreedy;
     KernelMode kernel_mode = KernelMode::kFull;
-    bool batch_predictions = false;
-    bool cache_replay = false;
-    bool quantized_inference = false;
     int workers = 0;  // <= 0: resolved to hardware concurrency in Build()
     uint64_t seed = 1;
     double recall_target = -1.0;
@@ -217,27 +211,19 @@ class LabelingService {
   /// Everything one item's kernel run needs, heap-allocated so the hooks'
   /// captured pointers stay stable (defined in the .cc).
   struct ItemRun;
-  /// Session-level memoized replay contexts, shared across workers (defined
-  /// in the .cc).
-  struct ReplayCacheState;
   /// Session-level per-worker predictor clones, reused across SubmitBatch
   /// calls — cloning a Q-net serializes megabytes of weights, far too
   /// expensive to repeat per batch (defined in the .cc).
   struct PredictorPool;
 
   /// Builds the execution context, picker and hooks for one item. `slot`
-  /// routes the picker's Q-queries through a shared DecisionPlane (batched
-  /// co-scheduling); null keeps a private scalar path.
+  /// routes the picker's Q-queries through an ItemStepper's shared
+  /// DecisionPlane (one batched forward per tick); null gives the picker a
+  /// private plane over the state's predictor (RunOne).
   std::unique_ptr<ItemRun> PrepareItem(const WorkItem& item,
                                        DecisionState* state,
                                        uint64_t stream_id,
                                        DecisionPlane::Slot* slot) const;
-
-  /// Sampled state-feature rows for int8 calibration: the all-zero row plus
-  /// progressive label-states replayed from stored oracle outputs (or a
-  /// seeded density sweep of random binary rows without an oracle), so the
-  /// per-layer activation scales see the input distribution serving will.
-  std::vector<std::vector<float>> BuildCalibrationRows() const;
 
   /// Labels one item with the given decision state. `stream_id` seeds the
   /// random-packing mode (the stored item id, or the submission sequence
@@ -245,19 +231,9 @@ class LabelingService {
   LabelOutcome RunOne(const WorkItem& item, DecisionState* state,
                       uint64_t stream_id) const;
 
-  /// Co-schedules one worker's items: steps every kernel in rounds and
-  /// refreshes a shared DecisionPlane between rounds, so each event round
-  /// costs one batched forward pass instead of one pass per item.
-  void RunCoScheduled(const std::vector<const WorkItem*>& items,
-                      const std::vector<uint64_t>& stream_ids,
-                      const std::vector<LabelOutcome*>& outcomes,
-                      DecisionState* state) const;
-
   Config config_;
-  /// Present iff the session caches replay contexts (Config::cache_replay);
-  /// shared_ptr so the service stays movable with an incomplete type.
-  std::shared_ptr<ReplayCacheState> replay_cache_;
-  /// Present iff the session has a clonable predictor.
+  /// Present iff the session has a predictor; shared_ptr so the service
+  /// stays movable with an incomplete type.
   std::shared_ptr<PredictorPool> predictor_pool_;
 
   // Session-level state for sequential Submit().
@@ -349,14 +325,13 @@ class LabelingService::ItemStepper {
   std::vector<Completion> pending_;
   std::vector<DecisionPlane::SlotView> views_;  // Tick scratch
   uint64_t next_ticket_ = 0;
-  /// Tracing seam (AttachTracer): null until attached. The backend args for
-  /// kForward spans are resolved once at attach time — steppers serve from
-  /// a frozen predictor clone, so tier/int8 cannot change afterwards.
+  /// Tracing seam (AttachTracer): null until attached. The SIMD tier arg of
+  /// kForward spans is resolved once at attach time: the kernel tier is
+  /// dispatched once per process (nn::simd::ActiveTier).
   const obs::Tracer* tracer_ = nullptr;
   obs::TraceBuffer* trace_lane_ = nullptr;
   const util::Clock* trace_clock_ = nullptr;
   int backend_tier_ = -1;
-  bool backend_int8_ = false;
   TickStats tick_stats_;
 };
 
@@ -398,23 +373,6 @@ class LabelingServiceBuilder {
   /// and recall but `schedule.executions`/`recalled_labels` stay empty. The
   /// offline recall-only paths (deadline/memory sweeps) run lean.
   LabelingServiceBuilder& WithKernelMode(KernelMode mode);
-  /// Coalesces the Q-queries of each SubmitBatch/Run worker's items into one
-  /// batched forward pass per event round (predictor-driven sessions only;
-  /// outcomes are bitwise identical to the scalar path).
-  LabelingServiceBuilder& WithBatchedPrediction(bool batch);
-  /// Serves each worker's pooled clone as a FROZEN int8-quantized snapshot
-  /// of the predictor (ModelValuePredictor::CloneQuantized), calibrated
-  /// against sampled state rows at first use. Quantized clones trade exact
-  /// Q values for throughput: action ranking — hence recall — stays within
-  /// tolerance, but outcomes are no longer bitwise identical to fp32, and
-  /// later predictor weight changes are NOT picked up (the snapshot is
-  /// frozen). Falls back to fp32 clones when the predictor has no quantized
-  /// form. Needs WithPredictor.
-  LabelingServiceBuilder& WithQuantizedInference(bool quantized);
-  /// Memoizes per-item replay contexts for the session's lifetime, shared
-  /// across workers and batches: each (item, model) execution is fetched
-  /// once and served by reference thereafter. Needs WithOracle.
-  LabelingServiceBuilder& WithReplayCache(bool cache);
   /// Worker threads for SubmitBatch/Run; <= 0 means hardware concurrency.
   LabelingServiceBuilder& WithWorkers(int workers);
   LabelingServiceBuilder& WithSeed(uint64_t seed);

@@ -73,13 +73,12 @@ class ModelValuePredictor {
 
   virtual int num_actions() const = 0;
 
-  /// Observability descriptor of the inference backend, surfaced as args on
-  /// kForward trace spans. `simd_tier` is the numeric nn::simd::Tier the
+  /// Observability descriptor of the inference backend, surfaced as an arg
+  /// on kForward trace spans. `simd_tier` is the numeric nn::simd::Tier the
   /// kernels dispatch to (-1 when the backend is not nn-based or unknown,
-  /// the default); `int8` marks a quantized (frozen) serving snapshot.
+  /// the default).
   struct BackendInfo {
     int simd_tier = -1;
-    bool int8 = false;
   };
   virtual BackendInfo backend_info() const { return BackendInfo(); }
 
@@ -88,18 +87,6 @@ class ModelValuePredictor {
   /// must implement this to be fanned out by LabelingService; predictors
   /// returning nullptr are shared across workers and must be thread-safe.
   virtual std::unique_ptr<ModelValuePredictor> ClonePredictor() const {
-    return nullptr;
-  }
-
-  /// Builds a FROZEN int8-quantized snapshot of this predictor for serving
-  /// clones, calibrated against `calibration_rows` (a sample of observed
-  /// state-feature rows). Returns nullptr when unsupported (the default) —
-  /// callers then fall back to fp32 clones. Unlike fp32 clones, a quantized
-  /// clone cannot SyncWeightsFrom its source: later weight updates are not
-  /// picked up until it is rebuilt.
-  virtual std::unique_ptr<ModelValuePredictor> CloneQuantized(
-      const std::vector<std::vector<float>>& calibration_rows) const {
-    (void)calibration_rows;
     return nullptr;
   }
 

@@ -57,69 +57,6 @@ const std::vector<zoo::LabelOutput>& ReplayExecutionContext::Execute(
   return oracle_->Output(item_, model);
 }
 
-CachedReplayExecutionContext::CachedReplayExecutionContext(
-    const ExecutionContext* inner)
-    : inner_(inner) {
-  Init();
-}
-
-CachedReplayExecutionContext::CachedReplayExecutionContext(
-    std::unique_ptr<ExecutionContext> inner)
-    : owned_inner_(std::move(inner)), inner_(owned_inner_.get()) {
-  Init();
-}
-
-void CachedReplayExecutionContext::Init() {
-  AMS_CHECK(inner_ != nullptr);
-  num_entries_ = inner_->num_models();
-  entries_ = std::make_unique<Entry[]>(static_cast<size_t>(num_entries_));
-  const double* planned = inner_->PlannedTimes();
-  planned_times_.assign(planned, planned + num_entries_);
-}
-
-CachedReplayExecutionContext::CachedReplayExecutionContext(
-    const data::Oracle* oracle, int item)
-    : CachedReplayExecutionContext(
-          std::make_unique<ReplayExecutionContext>(oracle, item)) {}
-
-CachedReplayExecutionContext::Entry& CachedReplayExecutionContext::EntryFor(
-    int model) const {
-  AMS_CHECK(model >= 0 && model < num_entries_);
-  return entries_[static_cast<size_t>(model)];
-}
-
-double CachedReplayExecutionContext::RealizedTime(int model) const {
-  Entry& entry = EntryFor(model);
-  if (!entry.time_ready.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!entry.time_ready.load(std::memory_order_relaxed)) {
-      entry.realized_time = inner_->RealizedTime(model);
-      entry.time_ready.store(true, std::memory_order_release);
-    }
-  }
-  return entry.realized_time;
-}
-
-const std::vector<zoo::LabelOutput>& CachedReplayExecutionContext::Execute(
-    int model) const {
-  Entry& entry = EntryFor(model);
-  if (!entry.outputs_ready.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!entry.outputs_ready.load(std::memory_order_relaxed)) {
-      // Stable-storage contexts (replay, nested caches) are served by
-      // reference; anything that may recycle its buffer is copied once.
-      if (inner_->StableOutputs()) {
-        entry.outputs = &inner_->Execute(model);
-      } else {
-        entry.owned_outputs = inner_->Execute(model);
-        entry.outputs = &entry.owned_outputs;
-      }
-      entry.outputs_ready.store(true, std::memory_order_release);
-    }
-  }
-  return *entry.outputs;
-}
-
 ScheduleKernel::ScheduleKernel(const ExecutionContext* exec,
                                const ScheduleConstraints& constraints,
                                ModelPicker picker, KernelHooks hooks,
@@ -269,8 +206,8 @@ ScheduleResult RunScheduleKernel(const ExecutionContext& exec,
 namespace {
 
 // Adapts the predictor-taking picker factories to the slot-based ones: each
-// legacy call site gets a private single-slot DecisionPlane, so its cost
-// profile stays one forward pass per event round, exactly as before.
+// per-item picker (Submit, SubmitBatch) gets a private single-slot
+// DecisionPlane, so an item costs at most one forward pass per label state.
 struct PrivateSlot {
   PrivateSlot(ModelValuePredictor* predictor, DecisionRow row)
       : plane(predictor, row), slot(plane.NewSlot()) {}

@@ -1,11 +1,9 @@
 #ifndef AMS_CORE_SCHEDULE_KERNEL_H_
 #define AMS_CORE_SCHEDULE_KERNEL_H_
 
-#include <atomic>
 #include <functional>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/decision_plane.h"
@@ -64,8 +62,7 @@ struct ScheduleResult {
 /// Execution substrate of the scheduling kernel: where model outputs and
 /// execution times come from. Two implementations cover the repo's two
 /// information patterns — live inference on a scene (production) and replay
-/// of stored oracle outputs (offline evaluation, §VI-A) — plus a memoizing
-/// decorator for contexts that are replayed repeatedly.
+/// of stored oracle outputs (offline evaluation, §VI-A).
 class ExecutionContext {
  public:
   virtual ~ExecutionContext() = default;
@@ -89,11 +86,6 @@ class ExecutionContext {
   /// the oracle's stored vectors directly (no copies), live contexts return
   /// an internal buffer that stays valid until the next Execute call.
   virtual const std::vector<zoo::LabelOutput>& Execute(int model) const = 0;
-
-  /// True when every Execute reference stays valid for the context's whole
-  /// lifetime (backing storage, not a recycled buffer). Memoizing wrappers
-  /// keep such references instead of copying.
-  virtual bool StableOutputs() const { return false; }
 };
 
 /// Live inference on one scene via ModelZoo::Execute. Never peeks at outputs
@@ -128,8 +120,6 @@ class ReplayExecutionContext : public ExecutionContext {
   const double* PlannedTimes() const override;
   double RealizedTime(int model) const override;
   const std::vector<zoo::LabelOutput>& Execute(int model) const override;
-  /// Outputs are the oracle's own storage.
-  bool StableOutputs() const override { return true; }
 
   const data::Oracle& oracle() const { return *oracle_; }
   int item() const { return item_; }
@@ -137,62 +127,6 @@ class ReplayExecutionContext : public ExecutionContext {
  private:
   const data::Oracle* oracle_;
   int item_;
-};
-
-/// Memoizing decorator over any ExecutionContext: Execute(model) and
-/// RealizedTime(model) hit the inner context once per model and are served
-/// by reference thereafter. Two uses: (a) one item replayed under many
-/// budgets (the deadline/memory sweeps) executes each model's data exactly
-/// once across all runs, and (b) a stochastic live context becomes a fixed
-/// replay of its first realization, so repeated runs are comparable.
-///
-/// Thread-safe: entries are filled under a mutex into preallocated slots, so
-/// concurrent kernel runs (LabelingService workers) may share one instance.
-class CachedReplayExecutionContext : public ExecutionContext {
- public:
-  /// Borrows `inner`; it must outlive this context.
-  explicit CachedReplayExecutionContext(const ExecutionContext* inner);
-  /// Owns `inner`.
-  explicit CachedReplayExecutionContext(std::unique_ptr<ExecutionContext> inner);
-  /// Convenience: caches a replay of one stored item.
-  CachedReplayExecutionContext(const data::Oracle* oracle, int item);
-
-  const zoo::ModelZoo& zoo() const override { return inner_->zoo(); }
-  /// Preloaded from the inner context at construction.
-  const double* PlannedTimes() const override {
-    return planned_times_.data();
-  }
-  double RealizedTime(int model) const override;
-  const std::vector<zoo::LabelOutput>& Execute(int model) const override;
-  /// Memoized entries live as long as this context, so nesting works.
-  bool StableOutputs() const override { return true; }
-
-  const ExecutionContext& inner() const { return *inner_; }
-
- private:
-  /// Shared tail of the constructors: entry slots + planned-time preload.
-  void Init();
-  /// Filled once under the mutex, then served lock-free: `ready` is the
-  /// release/acquire gate for the payload, so steady-state reads (every
-  /// replay after the first) cost one atomic load.
-  struct Entry {
-    std::atomic<bool> time_ready{false};
-    std::atomic<bool> outputs_ready{false};
-    double realized_time = 0.0;
-    /// Points at the inner context's storage when it is stable (replay);
-    /// otherwise `owned_outputs` holds a copy made once.
-    const std::vector<zoo::LabelOutput>* outputs = nullptr;
-    std::vector<zoo::LabelOutput> owned_outputs;
-  };
-
-  Entry& EntryFor(int model) const;
-
-  std::unique_ptr<ExecutionContext> owned_inner_;
-  const ExecutionContext* inner_;
-  std::vector<double> planned_times_;  // preloaded per model
-  mutable std::mutex mu_;
-  mutable std::unique_ptr<Entry[]> entries_;  // preallocated: stable addresses
-  int num_entries_ = 0;
 };
 
 /// A scheduling decision point: everything a picker may inspect.
@@ -258,10 +192,9 @@ enum class KernelMode {
 /// released at finish; executions past the deadline are never started but
 /// started work always drains.
 ///
-/// Single-shot callers use the RunScheduleKernel wrapper below; co-scheduling
-/// drivers (LabelingService workers batching Q-predictions across items)
-/// interleave Step() calls of many kernels and refresh a shared
-/// DecisionPlane between event rounds.
+/// Single-shot callers use the RunScheduleKernel wrapper below;
+/// LabelingService::ItemStepper interleaves Step() calls of many in-flight
+/// kernels and refreshes a shared DecisionPlane once per tick.
 class ScheduleKernel {
  public:
   ScheduleKernel(const ExecutionContext* exec,
@@ -331,9 +264,9 @@ ScheduleResult RunScheduleKernel(const ExecutionContext& exec,
 
 /// Q-value greedy picker (§V intro): when idle, starts the unexecuted model
 /// with maximal predicted Q; stops once END has the highest value. The Slot
-/// overloads draw decision rows through a shared DecisionPlane (so a
-/// co-scheduling driver can batch them); the predictor overloads keep a
-/// private plane. Greedy slots must come from a DecisionRow::kQ plane.
+/// overloads draw decision rows through a shared DecisionPlane (so an
+/// ItemStepper can batch them); the predictor overloads keep a private
+/// plane. Greedy slots must come from a DecisionRow::kQ plane.
 ModelPicker MakeGreedyPicker(ModelValuePredictor* predictor);
 ModelPicker MakeGreedyPicker(DecisionPlane::Slot* slot);
 

@@ -33,8 +33,7 @@ MemorySweep ComputeMemorySweep(rl::Agent* agent, const data::Oracle& oracle,
 
   // One Algorithm-2 (or random-packing) session per deadline; agents are
   // cloned per worker by the session. Only recall is read here, so the
-  // sessions run on the lean kernel path, and agent sessions batch their
-  // Q-queries across each worker's co-scheduled items.
+  // sessions run on the lean kernel path.
   for (size_t d = 0; d < deadlines.size(); ++d) {
     core::ScheduleConstraints constraints;
     constraints.time_budget_s = deadlines[d];
@@ -45,9 +44,7 @@ MemorySweep ComputeMemorySweep(rl::Agent* agent, const data::Oracle& oracle,
         .WithKernelMode(core::KernelMode::kLean)
         .WithWorkers(num_threads);
     if (agent != nullptr) {
-      builder.WithMode(core::ExecutionMode::kParallel)
-          .WithPredictor(agent)
-          .WithBatchedPrediction(true);
+      builder.WithMode(core::ExecutionMode::kParallel).WithPredictor(agent);
     } else {
       builder.WithMode(core::ExecutionMode::kParallelRandom)
           .WithSeed(util::HashCombine(seed, static_cast<uint64_t>(d)));

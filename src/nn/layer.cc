@@ -73,15 +73,16 @@ void DenseLayer::Save(util::BinaryWriter* w) const {
 bool DenseLayer::Load(util::BinaryReader* r) {
   const int in_dim = r->ReadI32();
   const int out_dim = r->ReadI32();
-  if (!r->ok() || in_dim <= 0 || out_dim <= 0) return false;
+  if (!r->ok() || in_dim != w_.rows() || out_dim != w_.cols()) return false;
   std::vector<float> flat = r->ReadFloatVector();
   std::vector<float> bias = r->ReadFloatVector();
   if (!r->ok()) return false;
-  if (static_cast<int>(flat.size()) != in_dim * out_dim) return false;
-  if (static_cast<int>(bias.size()) != out_dim) return false;
-  w_.Resize(in_dim, out_dim);
+  if (flat.size() !=
+      static_cast<uint64_t>(in_dim) * static_cast<uint64_t>(out_dim)) {
+    return false;
+  }
+  if (bias.size() != static_cast<size_t>(out_dim)) return false;
   std::copy(flat.begin(), flat.end(), w_.data());
-  dw_.Resize(in_dim, out_dim);
   dw_.Fill(0.0f);
   b_ = std::move(bias);
   db_.assign(b_.size(), 0.0f);

@@ -58,7 +58,10 @@ class DenseLayer {
   void CollectParams(std::vector<ParamGrad>* out);
 
   void Save(util::BinaryWriter* w) const;
-  /// Returns false on malformed input.
+  /// Loads weights saved from a layer of this layer's shape. Returns false
+  /// on malformed input, including stored dims other than
+  /// in_dim() x out_dim(): nets build their layers from the checkpoint
+  /// header first, so a layer that disagrees with the header is corrupt.
   bool Load(util::BinaryReader* r);
 
   int in_dim() const { return w_.rows(); }

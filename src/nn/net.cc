@@ -1,10 +1,61 @@
 #include "nn/net.h"
 
 #include <sstream>
+#include <utility>
 
 #include "util/check.h"
 
 namespace ams::nn {
+
+namespace {
+
+// Bytes DenseLayer::Save writes for an in_dim x out_dim layer: the two i32
+// dims, then the weights and the bias, each behind a u64 length prefix.
+// Dims are positive int32s, so the 64-bit arithmetic cannot overflow.
+uint64_t DenseLayerBytes(int in_dim, int out_dim) {
+  const uint64_t params =
+      static_cast<uint64_t>(in_dim) * static_cast<uint64_t>(out_dim) +
+      static_cast<uint64_t>(out_dim);
+  return 2 * sizeof(int32_t) + 2 * sizeof(uint64_t) + params * sizeof(float);
+}
+
+// Reads a checkpoint header (input dim, hidden dims, output dim) and
+// validates it before anything is sized from it: every dim must be
+// positive, the hidden count within [1 if dueling else 0, 64], and the
+// layers the config implies (the Mlp chain, or the dueling trunk plus its
+// two heads) must fit in the bytes left in the stream. A corrupt header
+// thus fails here instead of driving a huge allocation or a constructor
+// check; each layer's own dims are then checked against this config as it
+// loads (DenseLayer::Load).
+bool ReadConfig(util::BinaryReader* r, bool dueling, MlpConfig* cfg) {
+  cfg->input_dim = r->ReadI32();
+  const int num_hidden = r->ReadI32();
+  if (!r->ok() || num_hidden < (dueling ? 1 : 0) || num_hidden > 64) {
+    return false;
+  }
+  for (int i = 0; i < num_hidden; ++i) cfg->hidden_dims.push_back(r->ReadI32());
+  cfg->output_dim = r->ReadI32();
+  if (!r->ok() || cfg->input_dim <= 0 || cfg->output_dim <= 0) return false;
+  std::vector<std::pair<int, int>> shapes;
+  int prev = cfg->input_dim;
+  for (const int h : cfg->hidden_dims) {
+    if (h <= 0) return false;
+    shapes.emplace_back(prev, h);
+    prev = h;
+  }
+  if (dueling) shapes.emplace_back(prev, 1);
+  shapes.emplace_back(prev, cfg->output_dim);
+  const uint64_t left = r->bytes_left();
+  uint64_t need = 0;
+  for (const auto& [in_dim, out_dim] : shapes) {
+    const uint64_t bytes = DenseLayerBytes(in_dim, out_dim);
+    if (bytes > left - need) return false;
+    need += bytes;
+  }
+  return true;
+}
+
+}  // namespace
 
 void QValueNet::CopyWeightsFrom(QValueNet* src) {
   std::vector<ParamGrad> dst_params, src_params;
@@ -39,12 +90,6 @@ std::vector<float> QValueNet::Predict1(const std::vector<float>& x) {
   Matrix q;
   Forward(in, &q);
   return std::vector<float>(q.Row(0), q.Row(0) + q.cols());
-}
-
-std::unique_ptr<QValueNet> QValueNet::Quantize(
-    const std::vector<std::vector<float>>& calibration_rows) {
-  (void)calibration_rows;
-  return nullptr;  // no quantized form for this architecture
 }
 
 size_t QValueNet::NumParams() {
@@ -132,12 +177,7 @@ void Mlp::Save(util::BinaryWriter* w) const {
 
 bool Mlp::Load(util::BinaryReader* r) {
   MlpConfig cfg;
-  cfg.input_dim = r->ReadI32();
-  const int num_hidden = r->ReadI32();
-  if (!r->ok() || num_hidden < 0 || num_hidden > 64) return false;
-  for (int i = 0; i < num_hidden; ++i) cfg.hidden_dims.push_back(r->ReadI32());
-  cfg.output_dim = r->ReadI32();
-  if (!r->ok() || cfg.input_dim <= 0 || cfg.output_dim <= 0) return false;
+  if (!ReadConfig(r, /*dueling=*/false, &cfg)) return false;
   *this = Mlp(cfg, /*seed=*/0);
   for (auto& layer : layers_) {
     if (!layer.Load(r)) return false;
@@ -281,12 +321,7 @@ void DuelingMlp::Save(util::BinaryWriter* w) const {
 
 bool DuelingMlp::Load(util::BinaryReader* r) {
   MlpConfig cfg;
-  cfg.input_dim = r->ReadI32();
-  const int num_hidden = r->ReadI32();
-  if (!r->ok() || num_hidden <= 0 || num_hidden > 64) return false;
-  for (int i = 0; i < num_hidden; ++i) cfg.hidden_dims.push_back(r->ReadI32());
-  cfg.output_dim = r->ReadI32();
-  if (!r->ok() || cfg.input_dim <= 0 || cfg.output_dim <= 0) return false;
+  if (!ReadConfig(r, /*dueling=*/true, &cfg)) return false;
   *this = DuelingMlp(cfg, /*seed=*/0);
   for (auto& layer : trunk_) {
     if (!layer.Load(r)) return false;

@@ -63,19 +63,6 @@ class QValueNet {
   /// Convenience single-state forward pass.
   std::vector<float> Predict1(const std::vector<float>& x);
 
-  /// Builds an int8 inference-only snapshot of this net (nn/quantized.h):
-  /// per-output-column weight scales, per-layer input scales calibrated
-  /// from the max |activation| that `calibration_rows` (a sample of
-  /// observed input rows) produce. Runs calibration forwards, clobbering
-  /// cached activations — call on a clone. Returns nullptr when the
-  /// architecture has no quantized form (the default).
-  virtual std::unique_ptr<QValueNet> Quantize(
-      const std::vector<std::vector<float>>& calibration_rows);
-
-  /// True for the int8 inference-only nets: they cannot Backward, Save, or
-  /// CopyWeightsFrom, and weight syncs must skip them.
-  virtual bool IsQuantized() const { return false; }
-
   /// Total parameter count.
   size_t NumParams();
 };
@@ -106,8 +93,6 @@ class Mlp : public QValueNet {
   void Save(util::BinaryWriter* w) const override;
   bool Load(util::BinaryReader* r) override;
   std::unique_ptr<QValueNet> Clone() const override;
-  std::unique_ptr<QValueNet> Quantize(
-      const std::vector<std::vector<float>>& calibration_rows) override;
 
  private:
   MlpConfig config_;
@@ -144,8 +129,6 @@ class DuelingMlp : public QValueNet {
   void Save(util::BinaryWriter* w) const override;
   bool Load(util::BinaryReader* r) override;
   std::unique_ptr<QValueNet> Clone() const override;
-  std::unique_ptr<QValueNet> Quantize(
-      const std::vector<std::vector<float>>& calibration_rows) override;
 
  private:
   /// Q = V + A - mean(A) per row, shared by Forward and PredictBatch.

@@ -51,20 +51,8 @@ void ScalarDot8(const float* a, const float* bt8, int n, float* acc8) {
   }
 }
 
-void ScalarQaxpy(int32_t v, const int8_t* w, int32_t* acc, int n) {
-  for (int j = 0; j < n; ++j) acc[j] += v * static_cast<int32_t>(w[j]);
-}
-
-void ScalarDequant(const int32_t* acc, const float* scale, const float* bias,
-                   float* out, int n) {
-  for (int j = 0; j < n; ++j) {
-    out[j] = static_cast<float>(acc[j]) * scale[j] + bias[j];
-  }
-}
-
 const Kernels kScalarKernels = {
-    ScalarAxpy,  ScalarGatherRows, ScalarAddInplace, ScalarRelu,
-    ScalarDot8,  ScalarQaxpy,      ScalarDequant,
+    ScalarAxpy, ScalarGatherRows, ScalarAddInplace, ScalarRelu, ScalarDot8,
 };
 
 // ---------------------------------------------------------------------------

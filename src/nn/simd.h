@@ -1,8 +1,6 @@
 #ifndef AMS_NN_SIMD_H_
 #define AMS_NN_SIMD_H_
 
-#include <cstdint>
-
 namespace ams::nn::simd {
 
 /// Instruction-set tiers the inference kernels can run at. The scalar tier
@@ -19,8 +17,7 @@ enum class Tier : int {
 /// equivalent to its scalar counterpart — vector lanes map to output
 /// columns, each lane performs the same mul-then-add sequence in the same
 /// order, and no tier may use FMA contraction — so switching tiers never
-/// changes results bitwise. (The int8 kernels feed the quantized path,
-/// which is held to recall tolerance, not bitwise parity.)
+/// changes results bitwise.
 struct Kernels {
   /// out[j] += v * b[j] for j in [0, n). Callers skip v == 0 themselves
   /// (the scalar kernels' sparse zero-skip; adding 0 * b[j] would differ
@@ -47,11 +44,6 @@ struct Kernels {
   /// dot-products against the columns of an n x 8 panel, each lane
   /// accumulating sequentially over c in index order.
   void (*dot8)(const float* a, const float* bt8, int n, float* acc8);
-  /// acc[j] += v * w[j] with int8 weights widened to int32.
-  void (*qaxpy)(int32_t v, const int8_t* w, int32_t* acc, int n);
-  /// out[j] = float(acc[j]) * scale[j] + bias[j].
-  void (*dequant)(const int32_t* acc, const float* scale, const float* bias,
-                  float* out, int n);
 };
 
 /// Human-readable tier name ("scalar", "avx2", "neon").

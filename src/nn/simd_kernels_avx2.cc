@@ -126,38 +126,8 @@ void Avx2Dot8(const float* a, const float* bt8, int n, float* acc8) {
   _mm256_storeu_ps(acc8, acc);
 }
 
-void Avx2Qaxpy(int32_t v, const int8_t* w, int32_t* acc, int n) {
-  const __m256i vv = _mm256_set1_epi32(v);
-  int j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m128i w8 =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(w + j));
-    const __m256i w32 = _mm256_cvtepi8_epi32(w8);
-    const __m256i prod = _mm256_mullo_epi32(vv, w32);
-    __m256i* slot = reinterpret_cast<__m256i*>(acc + j);
-    _mm256_storeu_si256(slot,
-                        _mm256_add_epi32(_mm256_loadu_si256(slot), prod));
-  }
-  for (; j < n; ++j) acc[j] += v * static_cast<int32_t>(w[j]);
-}
-
-void Avx2Dequant(const int32_t* acc, const float* scale, const float* bias,
-                 float* out, int n) {
-  int j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m256 a = _mm256_cvtepi32_ps(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + j)));
-    const __m256 scaled = _mm256_mul_ps(a, _mm256_loadu_ps(scale + j));
-    _mm256_storeu_ps(out + j, _mm256_add_ps(scaled, _mm256_loadu_ps(bias + j)));
-  }
-  for (; j < n; ++j) {
-    out[j] = static_cast<float>(acc[j]) * scale[j] + bias[j];
-  }
-}
-
 const Kernels kAvx2Kernels = {
-    Avx2Axpy,  Avx2GatherRows, Avx2AddInplace, Avx2Relu,
-    Avx2Dot8,  Avx2Qaxpy,      Avx2Dequant,
+    Avx2Axpy, Avx2GatherRows, Avx2AddInplace, Avx2Relu, Avx2Dot8,
 };
 
 }  // namespace

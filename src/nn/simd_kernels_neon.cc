@@ -69,36 +69,8 @@ void NeonDot8(const float* a, const float* bt8, int n, float* acc8) {
   vst1q_f32(acc8 + 4, hi);
 }
 
-void NeonQaxpy(int32_t v, const int8_t* w, int32_t* acc, int n) {
-  const int32x4_t vv = vdupq_n_s32(v);
-  int j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const int16x8_t w16 = vmovl_s8(vld1_s8(w + j));
-    const int32x4_t lo = vmovl_s16(vget_low_s16(w16));
-    const int32x4_t hi = vmovl_s16(vget_high_s16(w16));
-    vst1q_s32(acc + j, vaddq_s32(vld1q_s32(acc + j), vmulq_s32(vv, lo)));
-    vst1q_s32(acc + j + 4,
-              vaddq_s32(vld1q_s32(acc + j + 4), vmulq_s32(vv, hi)));
-  }
-  for (; j < n; ++j) acc[j] += v * static_cast<int32_t>(w[j]);
-}
-
-void NeonDequant(const int32_t* acc, const float* scale, const float* bias,
-                 float* out, int n) {
-  int j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const float32x4_t a = vcvtq_f32_s32(vld1q_s32(acc + j));
-    const float32x4_t scaled = vmulq_f32(a, vld1q_f32(scale + j));
-    vst1q_f32(out + j, vaddq_f32(scaled, vld1q_f32(bias + j)));
-  }
-  for (; j < n; ++j) {
-    out[j] = static_cast<float>(acc[j]) * scale[j] + bias[j];
-  }
-}
-
 const Kernels kNeonKernels = {
-    NeonAxpy,  NeonGatherRows, NeonAddInplace, NeonRelu,
-    NeonDot8,  NeonQaxpy,      NeonDequant,
+    NeonAxpy, NeonGatherRows, NeonAddInplace, NeonRelu, NeonDot8,
 };
 
 }  // namespace

@@ -25,7 +25,7 @@ constexpr std::array<std::array<const char*, 4>, kNumPhases> kPhaseArgNames = {{
     {"class", "tenant", nullptr, nullptr},          // queue_wait
     {"class", "deadline_missed", nullptr, nullptr}, // exec
     {"resident", "completed", "arena_used_bytes", nullptr},  // tick
-    {"rows", "memo_hits", "simd_tier", "int8"},     // forward
+    {"rows", "memo_hits", "simd_tier", nullptr},    // forward
     {"from_shard", "to_shard", nullptr, nullptr},   // migrate_out
     {"from_shard", "to_shard", nullptr, nullptr},   // migrate_in
 }};

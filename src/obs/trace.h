@@ -27,7 +27,7 @@ namespace ams::obs {
 ///   kTick        span     one stepper tick     a0=resident a1=completed
 ///                                              a2=arena_used_bytes
 ///   kForward     span     batched Q-forward    a0=rows a1=memo_hits
-///                                              a2=simd_tier a3=int8
+///                                              a2=simd_tier
 ///   kMigrateOut  instant  StealBatch handoff   a0=from_shard a1=to_shard
 ///   kMigrateIn   instant  Requeue arrival      a0=from_shard a1=to_shard
 enum class Phase : std::uint8_t {

@@ -20,7 +20,6 @@ Agent::Agent(std::unique_ptr<nn::QValueNet> net, nn::NetKind kind)
 core::ModelValuePredictor::BackendInfo Agent::backend_info() const {
   BackendInfo info;
   info.simd_tier = static_cast<int>(nn::simd::ActiveTier());
-  info.int8 = net_->IsQuantized();
   return info;
 }
 
@@ -83,22 +82,8 @@ bool Agent::SyncWeightsFrom(core::ModelValuePredictor* source) {
       other->net_->output_dim() != net_->output_dim()) {
     return false;
   }
-  // Quantized nets have no trainable tensors to copy into or out of; a
-  // frozen quantized clone stays frozen (see CloneQuantized).
-  if (net_->IsQuantized() || other->net_->IsQuantized()) return false;
   net_->CopyWeightsFrom(other->net_.get());
   return true;
-}
-
-std::unique_ptr<core::ModelValuePredictor> Agent::CloneQuantized(
-    const std::vector<std::vector<float>>& calibration_rows) const {
-  // Quantize() runs calibration forwards that clobber cached activations,
-  // so it operates on a throwaway fp32 clone rather than this net.
-  std::unique_ptr<nn::QValueNet> scratch = net_->Clone();
-  std::unique_ptr<nn::QValueNet> quantized =
-      scratch->Quantize(calibration_rows);
-  if (quantized == nullptr) return nullptr;
-  return std::make_unique<Agent>(std::move(quantized), kind_);
 }
 
 }  // namespace ams::rl

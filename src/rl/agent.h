@@ -34,8 +34,7 @@ class Agent : public core::ModelValuePredictor {
   int num_actions() const override { return net_->output_dim(); }
   int feature_dim() const { return net_->input_dim(); }
 
-  /// Reports the runtime-dispatched SIMD tier and whether this agent serves
-  /// from a frozen int8 snapshot (kForward trace-span args).
+  /// Reports the runtime-dispatched SIMD tier (a kForward trace-span arg).
   BackendInfo backend_info() const override;
 
   nn::QValueNet* net() { return net_.get(); }
@@ -55,14 +54,8 @@ class Agent : public core::ModelValuePredictor {
 
   /// Raw weight copy from a same-architecture agent (no checkpoint
   /// round-trip), so pooled clones can track a live source per batch.
-  /// Returns false when either side holds a quantized (frozen) net.
+  /// Returns false when the net kinds or the input/output widths differ.
   bool SyncWeightsFrom(core::ModelValuePredictor* source) override;
-
-  /// Frozen int8 snapshot via QValueNet::Quantize (nn/quantized.h); the
-  /// calibration rows set the per-layer activation scales. Returns nullptr
-  /// if the underlying net has no quantized form.
-  std::unique_ptr<core::ModelValuePredictor> CloneQuantized(
-      const std::vector<std::vector<float>>& calibration_rows) const override;
 
  private:
   std::unique_ptr<nn::QValueNet> net_;

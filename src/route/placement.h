@@ -44,8 +44,8 @@ class Placement {
 /// function of the count — stable across router restarts and processes),
 /// and when the shard count changes only ~1/N of keys move, instead of
 /// nearly all of them under modulo hashing. The default placement: it keeps
-/// a stored item's replay cache and any future shard-local state on one
-/// shard without coordination.
+/// any shard-local state of a stored item on one shard without
+/// coordination.
 class ConsistentHashPlacement final : public Placement {
  public:
   int ShardFor(const RouteKey& key, const ShardLoadView& load) override;

@@ -81,18 +81,14 @@ struct ServeOptions {
 /// front, long-lived worker run-loops behind. Each worker multiplexes up to
 /// `max_resident_per_worker` in-flight items through a
 /// core::LabelingService::ItemStepper, issuing one deduplicated batched
-/// Q-forward per loop tick across all items resident on that worker — the
-/// open-loop steady-state generalization of SubmitBatch's fixed waves. The
+/// Q-forward per loop tick across all items resident on that worker. The
 /// admission queue releases work per priority class (weighted round-robin
 /// with a starvation bound, EDF within a class) and applies the configured
 /// overload policy when full.
 ///
 /// Per-item outcomes are identical to Submit() on the same session: items
 /// are independent and the batched Q-path is bitwise identical to scalar,
-/// so multiplexing changes scheduling cost, never results. (Sessions built
-/// WithQuantizedInference(true) are the one exception: every worker serves
-/// from a frozen int8 snapshot of the Q-net, trading exact Q values for
-/// throughput while keeping recall within tolerance.)
+/// so multiplexing changes scheduling cost, never results.
 ///
 /// Lifecycle: construction spawns the workers; Enqueue() hands back a
 /// future; Drain() waits for all accepted work; Shutdown() (also run by the

@@ -34,10 +34,26 @@ void BinaryWriter::WriteDoubleVector(const std::vector<double>& v) {
 
 bool BinaryWriter::ok() const { return os_->good(); }
 
+BinaryReader::BinaryReader(std::istream* is) : is_(is) {
+  const std::istream::pos_type start = is_->tellg();
+  if (start == std::istream::pos_type(-1)) return;  // cannot seek: no bound
+  const std::istream::pos_type end = is_->seekg(0, std::ios::end).tellg();
+  is_->clear();  // undo a failed seek: the stream was good at `start`
+  is_->seekg(start);
+  if (end != std::istream::pos_type(-1) && end >= start) {
+    bytes_left_ = static_cast<uint64_t>(end - start);
+  }
+}
+
 bool BinaryReader::ReadRaw(void* data, size_t n) {
   if (!ok_) return false;
+  if (n > bytes_left_) {
+    ok_ = false;
+    return false;
+  }
   is_->read(static_cast<char*>(data), static_cast<std::streamsize>(n));
   if (static_cast<size_t>(is_->gcount()) != n) ok_ = false;
+  bytes_left_ -= n;
   return ok_;
 }
 
@@ -73,7 +89,7 @@ double BinaryReader::ReadF64() {
 
 std::string BinaryReader::ReadString() {
   const uint64_t n = ReadU64();
-  if (!ok_ || n > (1ULL << 32)) {
+  if (!ok_ || n > bytes_left_) {
     ok_ = false;
     return {};
   }
@@ -84,7 +100,7 @@ std::string BinaryReader::ReadString() {
 
 std::vector<float> BinaryReader::ReadFloatVector() {
   const uint64_t n = ReadU64();
-  if (!ok_ || n > (1ULL << 32)) {
+  if (!ok_ || n > bytes_left_ / sizeof(float)) {
     ok_ = false;
     return {};
   }
@@ -95,7 +111,7 @@ std::vector<float> BinaryReader::ReadFloatVector() {
 
 std::vector<double> BinaryReader::ReadDoubleVector() {
   const uint64_t n = ReadU64();
-  if (!ok_ || n > (1ULL << 32)) {
+  if (!ok_ || n > bytes_left_ / sizeof(double)) {
     ok_ = false;
     return {};
   }

@@ -33,9 +33,15 @@ class BinaryWriter {
 
 /// Counterpart reader. After any failed/short read, ok() turns false and all
 /// subsequent reads return zero values; callers check ok() once at the end.
+///
+/// Lengths read from the input are untrusted: a vector or string whose
+/// length prefix claims more bytes than the stream has left fails the read
+/// before anything is allocated, so a corrupt prefix costs a failed load,
+/// not an 8 GB allocation. The bound is measured once at construction by
+/// seeking to the end; a stream that cannot seek has no known bound.
 class BinaryReader {
  public:
-  explicit BinaryReader(std::istream* is) : is_(is) {}
+  explicit BinaryReader(std::istream* is);
 
   uint32_t ReadU32();
   uint64_t ReadU64();
@@ -48,10 +54,16 @@ class BinaryReader {
 
   bool ok() const { return ok_; }
 
+  /// Bytes between the read position and the end of the stream (UINT64_MAX
+  /// when the stream cannot seek). Loaders check the sizes a header implies
+  /// against it before allocating anything.
+  uint64_t bytes_left() const { return bytes_left_; }
+
  private:
   bool ReadRaw(void* data, size_t n);
   std::istream* is_;
   bool ok_ = true;
+  uint64_t bytes_left_ = UINT64_MAX;
 };
 
 }  // namespace ams::util

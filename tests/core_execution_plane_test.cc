@@ -1,8 +1,7 @@
 // Tests of the execution-plane seams: batched vs scalar Q-prediction
-// (bitwise parity on rl::Agent and identical service outcomes), lean vs
-// full kernel mode (identical value/makespan/recall), the memoized replay
-// context (determinism under parallel workers), and the builder validation
-// of the new knobs.
+// (bitwise parity on rl::Agent, and SubmitBatch decision rows served by the
+// inference forward), lean vs full kernel mode (identical
+// value/makespan/recall), and the session's pooled predictor clones.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +9,6 @@
 #include <atomic>
 #include <cmath>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "core/decision_plane.h"
@@ -156,36 +154,6 @@ TEST_F(ExecutionPlaneTest, AgentBatchedPredictionIsBitwiseIdentical) {
   }
 }
 
-TEST_F(ExecutionPlaneTest, BatchedServiceMatchesScalarServiceExactly) {
-  std::unique_ptr<rl::Agent> agent = MakeAgent(*zoo_, nn::NetKind::kMlp, 11);
-  const std::vector<WorkItem> items = StoredItems(40);
-  std::vector<LabelOutcome> scalar, batched;
-  for (bool batch : {false, true}) {
-    LabelingService service = LabelingServiceBuilder(zoo_)
-                                  .WithOracle(oracle_)
-                                  .WithPredictor(agent.get())
-                                  .WithMode(ExecutionMode::kParallel)
-                                  .WithConstraints(ParallelConstraints())
-                                  .WithBatchedPrediction(batch)
-                                  .WithWorkers(2)
-                                  .Build();
-    (batch ? batched : scalar) = service.SubmitBatch(items);
-  }
-  ASSERT_EQ(scalar.size(), batched.size());
-  for (size_t i = 0; i < scalar.size(); ++i) {
-    ExpectSameOutcome(scalar[i], batched[i]);
-    // Full mode: the exact execution sequences must match too.
-    ASSERT_EQ(scalar[i].schedule.executions.size(),
-              batched[i].schedule.executions.size());
-    for (size_t k = 0; k < scalar[i].schedule.executions.size(); ++k) {
-      EXPECT_EQ(scalar[i].schedule.executions[k].model_id,
-                batched[i].schedule.executions[k].model_id);
-      EXPECT_EQ(scalar[i].schedule.executions[k].finish_s,
-                batched[i].schedule.executions[k].finish_s);
-    }
-  }
-}
-
 TEST_F(ExecutionPlaneTest, BatchedSessionsCoalesceAllPredictions) {
   std::atomic<long> scalar_calls{0}, batch_calls{0};
   CountingPredictor predictor(zoo_->num_models() + 1, &scalar_calls,
@@ -195,12 +163,12 @@ TEST_F(ExecutionPlaneTest, BatchedSessionsCoalesceAllPredictions) {
                                 .WithPredictor(&predictor)
                                 .WithMode(ExecutionMode::kParallel)
                                 .WithConstraints(ParallelConstraints())
-                                .WithBatchedPrediction(true)
                                 .WithWorkers(1)
                                 .Build();
   service.SubmitBatch(StoredItems(24));
   EXPECT_EQ(scalar_calls.load(), 0)
-      << "batched sessions must never fall back to scalar prediction";
+      << "SubmitBatch decision rows must come from the inference forward "
+         "(PredictValuesBatchTo), never the training forward PredictValues";
   EXPECT_GT(batch_calls.load(), 0);
 }
 
@@ -292,7 +260,7 @@ TEST_F(ExecutionPlaneTest, MemorySweepLeanPathMatchesFullRecall) {
   for (int i = 0; i < 24; ++i) items.push_back(i);
   const std::vector<double> deadlines = {0.5, 1.0};
   const double mem_budget = 8000.0;
-  // The sweep runs lean + batched internally.
+  // The sweep runs lean internally.
   const eval::MemorySweep sweep =
       eval::ComputeMemorySweep(agent.get(), *oracle_, items, mem_budget,
                                deadlines, /*seed=*/3, /*num_threads=*/2);
@@ -317,70 +285,7 @@ TEST_F(ExecutionPlaneTest, MemorySweepLeanPathMatchesFullRecall) {
   }
 }
 
-// --- replay cache ----------------------------------------------------------
-
-TEST_F(ExecutionPlaneTest, CachedReplayServesOracleDataByReference) {
-  CachedReplayExecutionContext cached(oracle_, /*item=*/3);
-  ReplayExecutionContext plain(oracle_, /*item=*/3);
-  for (int m = 0; m < zoo_->num_models(); ++m) {
-    EXPECT_EQ(cached.RealizedTime(m), plain.RealizedTime(m));
-    EXPECT_EQ(cached.PlannedTime(m), plain.PlannedTime(m));
-    // Same address as the oracle's storage: no intermediate copy.
-    EXPECT_EQ(&cached.Execute(m), &oracle_->Output(3, m));
-  }
-}
-
-TEST_F(ExecutionPlaneTest, CachedReplayIsDeterministicUnderConcurrentUse) {
-  CachedReplayExecutionContext cached(oracle_, /*item=*/5);
-  const int num_models = zoo_->num_models();
-  std::vector<std::thread> threads;
-  std::atomic<int> mismatches{0};
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      for (int round = 0; round < 50; ++round) {
-        for (int m = 0; m < num_models; ++m) {
-          const int model = (m + t) % num_models;
-          if (cached.RealizedTime(model) !=
-                  oracle_->ExecutionTime(5, model) ||
-              &cached.Execute(model) != &oracle_->Output(5, model)) {
-            ++mismatches;
-          }
-        }
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(mismatches.load(), 0);
-}
-
-TEST_F(ExecutionPlaneTest, ReplayCacheKeepsParallelBatchesDeterministic) {
-  std::unique_ptr<rl::Agent> agent = MakeAgent(*zoo_, nn::NetKind::kMlp, 23);
-  const std::vector<WorkItem> items = StoredItems(40);
-  auto build = [&](bool cache) {
-    return LabelingServiceBuilder(zoo_)
-        .WithOracle(oracle_)
-        .WithPredictor(agent.get())
-        .WithMode(ExecutionMode::kParallel)
-        .WithConstraints(ParallelConstraints())
-        .WithBatchedPrediction(true)
-        .WithKernelMode(KernelMode::kLean)
-        .WithReplayCache(cache)
-        .WithWorkers(4)
-        .Build();
-  };
-  LabelingService uncached = build(false);
-  LabelingService cached = build(true);
-  const std::vector<LabelOutcome> baseline = uncached.SubmitBatch(items);
-  // Two rounds through the cached session: the second is served entirely
-  // from memoized contexts and must not drift.
-  for (int round = 0; round < 2; ++round) {
-    const std::vector<LabelOutcome> outcomes = cached.SubmitBatch(items);
-    ASSERT_EQ(outcomes.size(), baseline.size());
-    for (size_t i = 0; i < baseline.size(); ++i) {
-      ExpectSameOutcome(baseline[i], outcomes[i]);
-    }
-  }
-}
+// --- predictor pool --------------------------------------------------------
 
 TEST_F(ExecutionPlaneTest, PooledWorkerClonesTrackLiveWeights) {
   // The session pools per-worker clones across batches; mutating the source
@@ -407,29 +312,6 @@ TEST_F(ExecutionPlaneTest, PooledWorkerClonesTrackLiveWeights) {
   for (size_t i = 0; i < items.size(); ++i) {
     ExpectSameOutcome(expected[i], after[i]);
   }
-}
-
-// --- builder validation ----------------------------------------------------
-
-TEST_F(ExecutionPlaneTest, BuilderRejectsBatchedPredictionWithoutPredictor) {
-  EXPECT_DEATH(LabelingServiceBuilder(zoo_)
-                   .WithOracle(oracle_)
-                   .WithMode(ExecutionMode::kSerial)
-                   .WithPolicy("random")
-                   .WithConstraints({/*time*/ 1.0})
-                   .WithBatchedPrediction(true)
-                   .Build(),
-               "batched prediction");
-}
-
-TEST_F(ExecutionPlaneTest, BuilderRejectsReplayCacheWithoutOracle) {
-  std::unique_ptr<rl::Agent> agent = MakeAgent(*zoo_, nn::NetKind::kMlp, 29);
-  EXPECT_DEATH(LabelingServiceBuilder(zoo_)
-                   .WithPredictor(agent.get())
-                   .WithMode(ExecutionMode::kGreedy)
-                   .WithReplayCache(true)
-                   .Build(),
-               "replay caching");
 }
 
 }  // namespace

@@ -3,11 +3,10 @@
 // predictor, SchedulingProfit, ExecutionContext::model and PlannedTime on
 // every pick, exactly as the formulas read; production instead reads
 // decision rows computed once per label state and per-item pick tables.
-// Every production path — Submit, SubmitBatch with and without batched
-// prediction, an ItemStepper serving each item twice (the second pass from
-// memoized rows) and the serving runtime — must reproduce the reference
-// schedule bit for bit: the same models with the same start and finish
-// instants, the same value and makespan.
+// Every production path — Submit, SubmitBatch, an ItemStepper serving each
+// item twice (the second pass from memoized rows) and the serving runtime —
+// must reproduce the reference schedule bit for bit: the same models with
+// the same start and finish instants, the same value and makespan.
 //
 // A second group pins why greedy planes keep raw Q: SchedulingProfit clamps
 // q >= 10 and rounds very negative q to 0, so a greedy picker reading
@@ -266,14 +265,13 @@ class ReferencePickerTest : public ::testing::TestWithParam<Scenario> {
     return constraints;
   }
 
-  static LabelingService Session(bool batched) {
+  static LabelingService Session() {
     return LabelingServiceBuilder(zoo_)
         .WithOracle(oracle_)
         .WithPredictor(agent_)
         .WithMode(GetParam().mode)
         .WithConstraints(Constraints())
         .WithKernelMode(KernelMode::kFull)
-        .WithBatchedPrediction(batched)
         .WithWorkers(2)
         .Build();
   }
@@ -349,18 +347,15 @@ TEST_P(ReferencePickerTest, EveryPathMatchesTheLiteralPicker) {
   const std::vector<WorkItem> items = StoredItems();
 
   {
-    LabelingService session = Session(/*batched=*/false);
+    LabelingService session = Session();
     std::vector<LabelOutcome> submitted;
     for (const WorkItem& item : items) submitted.push_back(session.Submit(item));
     ExpectMatchesReference(reference, submitted, "Submit");
     ExpectMatchesReference(reference, session.SubmitBatch(items),
-                           "SubmitBatch (unbatched)");
+                           "SubmitBatch");
   }
   {
-    LabelingService session = Session(/*batched=*/true);
-    ExpectMatchesReference(reference, session.SubmitBatch(items),
-                           "SubmitBatch (batched)");
-
+    LabelingService session = Session();
     // Serve every item twice through one stepper: the second pass meets
     // only label states the first pass memoized, so its rows are copies.
     std::unique_ptr<LabelingService::ItemStepper> stepper =
@@ -382,7 +377,7 @@ TEST_P(ReferencePickerTest, EveryPathMatchesTheLiteralPicker) {
   {
     // The serving runtime: two workers, each refreshing its resident items
     // through its own stepper's DecisionPlane::Prefetch.
-    LabelingService session = Session(/*batched=*/false);
+    LabelingService session = Session();
     std::vector<LabelOutcome> served;
     {
       serve::ServeOptions options;
@@ -484,21 +479,16 @@ class GreedyRawQTest : public ::testing::Test {
 
     std::vector<WorkItem> work;
     for (int i = 0; i < items; ++i) work.push_back(WorkItem::Stored(i));
-    for (bool batched : {false, true}) {
-      LabelingService session = LabelingServiceBuilder(zoo_)
-                                    .WithOracle(oracle_)
-                                    .WithPredictor(&predictor)
-                                    .WithMode(ExecutionMode::kGreedy)
-                                    .WithBatchedPrediction(batched)
-                                    .WithWorkers(2)
-                                    .Build();
-      std::vector<LabelOutcome> submitted;
-      for (const WorkItem& item : work) submitted.push_back(session.Submit(item));
-      ExpectMatchesReference(reference, submitted, "Submit");
-      ExpectMatchesReference(reference, session.SubmitBatch(work),
-                             batched ? "SubmitBatch (batched)"
-                                     : "SubmitBatch (unbatched)");
-    }
+    LabelingService session = LabelingServiceBuilder(zoo_)
+                                  .WithOracle(oracle_)
+                                  .WithPredictor(&predictor)
+                                  .WithMode(ExecutionMode::kGreedy)
+                                  .WithWorkers(2)
+                                  .Build();
+    std::vector<LabelOutcome> submitted;
+    for (const WorkItem& item : work) submitted.push_back(session.Submit(item));
+    ExpectMatchesReference(reference, submitted, "Submit");
+    ExpectMatchesReference(reference, session.SubmitBatch(work), "SubmitBatch");
   }
 
   static zoo::ModelZoo* zoo_;

@@ -1,9 +1,14 @@
 // Unit tests of the dense networks: numerically checked gradients for both
-// architectures, serialization round trips, and clone independence.
+// architectures, serialization round trips and corrupt-checkpoint
+// rejection, and clone independence.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "nn/grad_check.h"
 #include "nn/net.h"
@@ -179,6 +184,92 @@ TEST(NetSerializationTest, LoadRejectsGarbage) {
   writer.WriteI32(999);  // unknown kind tag
   util::BinaryReader reader(&buffer);
   EXPECT_EQ(LoadNet(&reader, nullptr), nullptr);
+}
+
+// Checkpoint bytes of `net` as SaveNet writes them.
+std::string SavedBytes(const QValueNet& net, NetKind kind) {
+  std::stringstream buffer;
+  util::BinaryWriter writer(&buffer);
+  SaveNet(net, kind, &writer);
+  return buffer.str();
+}
+
+enum class LoadResult { kRejected, kRoundTrips, kWrong };
+
+// Loads `bytes` through LoadNet. A clean outcome is either a rejection or a
+// net that re-saves to exactly `bytes`; anything else accepted a corrupt
+// checkpoint as some other net.
+LoadResult TryLoad(const std::string& bytes) {
+  std::stringstream buffer(bytes);
+  util::BinaryReader reader(&buffer);
+  NetKind kind;
+  const std::unique_ptr<QValueNet> net = LoadNet(&reader, &kind);
+  if (net == nullptr) return LoadResult::kRejected;
+  return SavedBytes(*net, kind) == bytes ? LoadResult::kRoundTrips
+                                         : LoadResult::kWrong;
+}
+
+TEST(NetSerializationTest, CorruptCheckpointsFailCleanly) {
+  // Small checkpoints of both kinds: 40 -> 16 -> 5, and the dueling trunk
+  // 40 -> 16 with its 1- and 5-wide heads.
+  const MlpConfig config{40, {16}, 5};
+  for (const NetKind kind : {NetKind::kMlp, NetKind::kDueling}) {
+    SCOPED_TRACE(kind == NetKind::kMlp ? "mlp" : "dueling");
+    std::unique_ptr<QValueNet> net;
+    if (kind == NetKind::kMlp) {
+      net = std::make_unique<Mlp>(config, 41);
+    } else {
+      net = std::make_unique<DuelingMlp>(config, 41);
+    }
+    const std::string bytes = SavedBytes(*net, kind);
+    ASSERT_EQ(TryLoad(bytes), LoadResult::kRoundTrips);
+
+    // Every byte offset that holds structure rather than a weight: the kind
+    // tag and config header (kind, input dim, hidden count, one hidden dim,
+    // output dim), then per layer its two dims and the u64 length prefixes
+    // of its weights and bias.
+    std::vector<size_t> structural;
+    for (size_t b = 0; b < 5 * sizeof(int32_t); ++b) structural.push_back(b);
+    std::vector<std::pair<int, int>> layers = {{40, 16}};
+    if (kind == NetKind::kDueling) layers.emplace_back(16, 1);
+    layers.emplace_back(16, 5);
+    size_t offset = 5 * sizeof(int32_t);
+    for (const auto& [in_dim, out_dim] : layers) {
+      const size_t weights = sizeof(float) * static_cast<size_t>(in_dim) *
+                             static_cast<size_t>(out_dim);
+      const size_t bias = sizeof(float) * static_cast<size_t>(out_dim);
+      for (size_t b = 0; b < 16; ++b) structural.push_back(offset + b);
+      offset += 16 + weights;  // dims + weight length prefix, weights
+      for (size_t b = 0; b < 8; ++b) structural.push_back(offset + b);
+      offset += 8 + bias;
+    }
+    ASSERT_EQ(offset, bytes.size());
+
+    for (size_t length = 0; length < bytes.size(); ++length) {
+      EXPECT_EQ(TryLoad(bytes.substr(0, length)), LoadResult::kRejected)
+          << "truncated to " << length << " bytes";
+    }
+    for (const size_t at : structural) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string mutated = bytes;
+        mutated[at] = static_cast<char>(mutated[at] ^ (1 << bit));
+        EXPECT_EQ(TryLoad(mutated), LoadResult::kRejected)
+            << "bit " << bit << " of byte " << at;
+      }
+    }
+    // Seeded flips anywhere: a flipped weight is a valid (different) net,
+    // so each mutant must be rejected or load and re-save bit for bit.
+    util::Rng rng(43);
+    for (int trial = 0; trial < 256; ++trial) {
+      std::string mutated = bytes;
+      const size_t at = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int>(bytes.size()) - 1));
+      const int bit = rng.UniformInt(0, 7);
+      mutated[at] = static_cast<char>(mutated[at] ^ (1 << bit));
+      EXPECT_NE(TryLoad(mutated), LoadResult::kWrong)
+          << "bit " << bit << " of byte " << at;
+    }
+  }
 }
 
 TEST(NetTest, CloneIsDeepCopy) {

@@ -189,35 +189,6 @@ TEST_F(SimdParityTest, Dot8BitwiseMatchesScalar) {
   }
 }
 
-TEST_F(SimdParityTest, QaxpyAndDequantMatchScalar) {
-  simd::Tier tier;
-  if (!VectorTier(&tier)) GTEST_SKIP() << "no vector tier on this machine";
-  const simd::Kernels& vec = simd::KernelsFor(tier);
-  const simd::Kernels& sca = simd::KernelsFor(simd::Tier::kScalar);
-  util::Rng rng(16);
-  for (const int n : KernelSizes()) {
-    std::vector<int8_t> w(n);
-    std::vector<int32_t> acc_s(n), acc_v(n);
-    for (int i = 0; i < n; ++i) {
-      w[static_cast<size_t>(i)] = static_cast<int8_t>(rng.UniformInt(-127, 127));
-      acc_s[static_cast<size_t>(i)] = rng.UniformInt(-100000, 100000);
-    }
-    acc_v = acc_s;
-    const int32_t v = rng.UniformInt(-127, 127);
-    sca.qaxpy(v, w.data(), acc_s.data(), n);
-    vec.qaxpy(v, w.data(), acc_v.data(), n);
-    ASSERT_EQ(acc_s, acc_v) << "qaxpy n=" << n;  // int math: exact
-
-    std::vector<float> scale(n), bias(n), out_s(n), out_v(n);
-    FillRandom(scale.data(), n, &rng);
-    FillRandom(bias.data(), n, &rng);
-    sca.dequant(acc_s.data(), scale.data(), bias.data(), out_s.data(), n);
-    vec.dequant(acc_v.data(), scale.data(), bias.data(), out_v.data(), n);
-    ExpectBitEqual(out_s.data(), out_v.data(), out_s.size(),
-                   "dequant n=" + std::to_string(n));
-  }
-}
-
 // --- op-level parity: the matrix/layer entry points under forced tiers -----
 
 Matrix RandomMatrix(int rows, int cols, util::Rng* rng) {

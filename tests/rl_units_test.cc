@@ -1,13 +1,20 @@
 // Unit tests of the RL building blocks: replay buffer, epsilon schedule,
-// loss/optimizer learning sanity.
+// loss/optimizer learning sanity, and agent checkpoints with corrupt
+// headers.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <memory>
 #include <set>
+#include <string>
 
 #include "nn/loss.h"
 #include "nn/net.h"
 #include "nn/optimizer.h"
+#include "rl/agent.h"
 #include "rl/epsilon.h"
 #include "rl/replay_buffer.h"
 #include "util/rng.h"
@@ -156,6 +163,38 @@ TEST(OptimizerTest, AdamFirstStepIsLrSized) {
   adam.Step(params);
   // With bias correction the first Adam step is ~lr * sign(grad).
   EXPECT_NEAR(param, -0.01f, 1e-4);
+}
+
+TEST(AgentCheckpointTest, CorruptHeadersLoadAsNullptr) {
+  // eval::AgentCache retrains whenever Agent::Load returns nullptr, so a
+  // corrupt cache file must cost a retrain, never the process. Flips every
+  // bit of the header of a 40 -> 16 -> 5 checkpoint: the magic, the net
+  // kind, and the config (input dim, hidden count, hidden dim, output dim).
+  nn::MlpConfig config{40, {16}, 5};
+  const Agent agent(std::make_unique<nn::Mlp>(config, 7), nn::NetKind::kMlp);
+  const std::string path = ::testing::TempDir() + "/corrupt_header.agent";
+  agent.Save(path);
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_NE(Agent::Load(path), nullptr);
+  constexpr size_t kHeaderBytes = 6 * sizeof(int32_t);
+  ASSERT_GT(bytes.size(), kHeaderBytes);
+  for (size_t at = 0; at < kHeaderBytes; ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string mutated = bytes;
+      mutated[at] = static_cast<char>(mutated[at] ^ (1 << bit));
+      {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << mutated;
+      }
+      EXPECT_EQ(Agent::Load(path), nullptr)
+          << "bit " << bit << " of byte " << at;
+    }
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -499,7 +499,7 @@ TEST_F(ShardRouterTest, RoutesByPlacementDeterministicallyAcrossRestarts) {
 TEST_F(ShardRouterTest, ServesLiveScenesThroughTheRouter) {
   // The PR-3 WorkItem::Live seam, exercised through the full async stack:
   // live scenes have no stored id (placement keys them by arrival), no
-  // replay cache, and no recall accumulator — the outcome must still match
+  // replay context, and no recall accumulator — the outcome must still match
   // the same session's offline Submit of the same scene.
   const int kItems = 12;
   std::unique_ptr<rl::Agent> agent = MakeAgent(*zoo_, 11);

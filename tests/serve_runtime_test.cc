@@ -527,7 +527,7 @@ TEST_F(ServerRuntimeTest, ServedOutcomesMatchOfflineSubmitExactly) {
 
 TEST_F(ServerRuntimeTest, LiveScenesServeLikeOfflineSubmitAndMixWithStored) {
   // The WorkItem::Live seam through the async runtime: live scenes have no
-  // stored id, no replay cache, and no recall accumulator. The borrowed
+  // stored id, no replay context, and no recall accumulator. The borrowed
   // scene pointer must stay valid until the future resolves — here the
   // scenes live in the suite-static dataset, which outlives the runtime.
   // Interleaving live and stored requests in one queue checks neither path

@@ -10,7 +10,7 @@
 //             [--slack S] [--class-mix I:S:B] [--starvation-bound K]
 //             [--tenants N] [--quota SPEC]
 //             [--shards N] [--placement hash|least|p2c] [--rebalance S]
-//             [--live] [--quantized]
+//             [--live]
 //             [--deadline S] [--memory GB] [--hidden N] [--seed N]
 //             [--json PATH] [--trace PATH] [--trace-sample N]
 //
@@ -43,12 +43,8 @@
 // coldest. The report and JSON snapshot then carry the aggregated cluster
 // view plus the per-shard breakdown. `--live` submits each request as a
 // WorkItem::Live over the corpus scene instead of a stored item id —
-// exercising the no-replay-cache live path (live requests have no stable
-// identity, so hash placement keys them by arrival order). `--quantized`
-// serves every worker's pooled predictor clone as a frozen int8 snapshot
-// (LabelingServiceBuilder::WithQuantizedInference): Q values move within
-// quantization tolerance, so served outcomes are no longer bit-identical to
-// the fp32 run, but action ranking — hence recall — holds.
+// exercising the live execution path (live requests have no stable
+// identity, so hash placement keys them by arrival order).
 //
 // Examples:
 //   ams_serve --rate 2000 --workers 4 --slack 0.05
@@ -127,7 +123,6 @@ struct Options {
   std::string placement = "hash";  // hash | least | p2c
   double rebalance_s = 0.0;  // > 0 starts the router's rebalance tick
   bool live = false;      // submit WorkItem::Live scenes, not stored ids
-  bool quantized = false; // serve frozen int8 predictor snapshots
   double deadline = 1.0;  // per-item scheduling time budget (simulated)
   double memory_gb = 8.0; // per-item memory budget (Algorithm 2)
   int hidden = 256;
@@ -147,7 +142,7 @@ struct Options {
       "          [--starvation-bound K] [--tenants N]\n"
       "          [--quota queued=N,inflight=N,rate=R,burst=B]\n"
       "          [--shards N] [--placement hash|least|p2c] [--rebalance S]\n"
-      "          [--live] [--quantized] [--deadline S] [--memory GB]\n"
+      "          [--live] [--deadline S] [--memory GB]\n"
       "          [--hidden N] [--seed N] [--json PATH]\n"
       "          [--trace PATH] [--trace-sample N]\n",
       argv0);
@@ -197,8 +192,6 @@ Options Parse(int argc, char** argv) {
       opts.rebalance_s = std::atof(next());
     } else if (!std::strcmp(argv[i], "--live")) {
       opts.live = true;
-    } else if (!std::strcmp(argv[i], "--quantized")) {
-      opts.quantized = true;
     } else if (!std::strcmp(argv[i], "--deadline")) {
       opts.deadline = std::atof(next());
     } else if (!std::strcmp(argv[i], "--memory")) {
@@ -387,7 +380,6 @@ int main(int argc, char** argv) {
                            .WithMode(core::ExecutionMode::kParallel)
                            .WithConstraints(constraints)
                            .WithKernelMode(core::KernelMode::kLean)
-                           .WithQuantizedInference(opts.quantized)
                            .WithWorkers(per_shard_workers)
                            .WithSeed(opts.seed + static_cast<uint64_t>(s))
                            .Build());
@@ -449,7 +441,7 @@ int main(int argc, char** argv) {
 
   std::printf(
       "serving %d %srequests (rate %s/s, %d workers, queue %d, overload %s, "
-      "order %s, slack %s, mix %s, %d tenant%s%s%s)...\n",
+      "order %s, slack %s, mix %s, %d tenant%s%s)...\n",
       opts.requests, opts.live ? "live " : "",
       opts.rate > 0.0 ? util::FormatDouble(opts.rate, 0).c_str() : "inf",
       worker_count, opts.queue_cap, opts.overload.c_str(),
@@ -458,8 +450,7 @@ int main(int argc, char** argv) {
                          : "inf",
       opts.class_mix.empty() ? "standard-only" : opts.class_mix.c_str(),
       opts.tenants, opts.tenants == 1 ? "" : "s",
-      opts.quota.empty() ? "" : ", quota-limited",
-      opts.quantized ? ", int8 predictor" : "");
+      opts.quota.empty() ? "" : ", quota-limited");
   if (router != nullptr) {
     std::printf("routing over %d shards (%s placement, rebalance %s)\n",
                 opts.shards, opts.placement.c_str(),
@@ -497,7 +488,7 @@ int main(int argc, char** argv) {
     request.priority_class = static_cast<serve::PriorityClass>(class_of(rng));
     request.tenant_id = opts.tenants > 1 ? tenant_of(rng) : 0;
     // Live requests run the scene straight from the corpus (no stored id,
-    // no replay cache); the corpus outlives the runtime, as Live requires.
+    // no replay context); the corpus outlives the runtime, as Live requires.
     const core::WorkItem item =
         opts.live ? core::WorkItem::Live(&dataset.item(r % opts.items).scene)
                   : core::WorkItem::Stored(r % opts.items);

@@ -6,8 +6,8 @@ Usage:
     bench_compare.py BASELINE CANDIDATE [BASELINE CANDIDATE ...]
 
 Each file is a bench JSON with a "configs" array of
-{"name": ..., "items_per_s": ...} entries (bench_service_throughput and
-bench_serve_runtime both emit this shape).
+{"name": ..., "items_per_s": ...} entries (bench_service_throughput,
+bench_serve_runtime and bench_qforward all emit this shape).
 
 What is compared
 ----------------
@@ -15,10 +15,10 @@ CI runners and developer machines differ wildly in absolute speed (and CI
 runs the benches on a reduced workload), so raw items/s across files is not
 comparable. The gate therefore compares each scenario's NORMALIZED
 throughput: its items_per_s divided by the items_per_s of the file's first
-config (the reference scenario — full_scalar / submit_batch). That ratio is
-machine- and workload-size-portable: it measures what the repo's own knobs
-buy, which is exactly what a code change can regress. A scenario whose
-normalized throughput drops by more than the threshold (default 25%,
+config (the reference scenario — full / submit_batch / fp32_scalar). That
+ratio is machine- and workload-size-portable: it measures what the repo's
+own paths buy, which is exactly what a code change can regress. A scenario
+whose normalized throughput drops by more than the threshold (default 25%,
 AMS_BENCH_GATE_PCT env) fails the gate.
 
 Setting AMS_BENCH_GATE_ABSOLUTE=1 additionally gates raw items_per_s with
