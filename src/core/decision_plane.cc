@@ -54,20 +54,8 @@ const std::vector<double>& DecisionPlane::Slot::Row(
 }
 
 DecisionPlane::Slot* DecisionPlane::NewSlot() {
-  if (!free_slots_.empty()) {
-    Slot* slot = free_slots_.back();
-    free_slots_.pop_back();
-    slot->labels_at_ = -1;  // stale until its first query
-    return slot;
-  }
   slots_.emplace_back(Slot(this));
   return &slots_.back();
-}
-
-void DecisionPlane::ReleaseSlot(Slot* slot) {
-  AMS_CHECK(slot != nullptr && slot->plane_ == this,
-            "slot released to a foreign plane");
-  free_slots_.push_back(slot);
 }
 
 void DecisionPlane::Prefetch(const std::vector<SlotView>& views,

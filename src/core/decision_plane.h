@@ -77,6 +77,17 @@ class DecisionPlane {
       return labels_at_ == state.num_labels_set();
     }
 
+    /// Marks the cache stale. A slot that moves on to another item must be
+    /// invalidated first (LabelingService's resident item records do so on
+    /// every re-arm): freshness is keyed on the label count alone, so a
+    /// slot left valid would hand the next item the row cached for the
+    /// previous one whenever their label counts match. Each item's first
+    /// query is at the empty state, so with a frozen predictor that row is
+    /// the empty state's and still right; after the predictor changed
+    /// between the two items (Submit decides from the session's own
+    /// predictor) it is stale.
+    void Invalidate() { labels_at_ = -1; }
+
     DecisionPlane* plane() const { return plane_; }
 
    private:
@@ -91,15 +102,12 @@ class DecisionPlane {
   /// A (slot, state) pair eligible for batched refresh.
   using SlotView = std::pair<Slot*, const LabelingState*>;
 
-  /// Creates a slot owned by the plane (pointer stays valid for the plane's
-  /// lifetime). Released slots are recycled, so a long-lived driver admitting
-  /// an unbounded stream of items (serve::ServerRuntime) keeps a bounded
-  /// resident slot set instead of growing the plane forever.
+  /// Creates a stale slot owned by the plane (pointer stays valid for the
+  /// plane's lifetime). Callers keep a slot per resident item record and
+  /// Invalidate() it for each new item, so a long-lived driver admitting an
+  /// unbounded stream of items (serve::ServerRuntime) holds a bounded slot
+  /// set.
   Slot* NewSlot();
-
-  /// Returns a slot to the plane's free list once its item completed. The
-  /// pointer must have come from NewSlot() and must not be used afterwards.
-  void ReleaseSlot(Slot* slot);
 
   /// Refreshes every stale slot among `views` with one batched forward pass
   /// (fresh slots are skipped; memo-servable slots are copied from the memo;
@@ -151,7 +159,6 @@ class DecisionPlane {
   DecisionRow row_kind_;
   size_t stride_ = 0;  // entries per row: predictor_->num_actions()
   std::deque<Slot> slots_;  // deque: slot pointers must stay stable
-  std::vector<Slot*> free_slots_;  // recycled by ReleaseSlot
   /// Plane-lifetime decision-row memo keyed by state signature: items pass
   /// through shared sparse label-states (every item starts all-zero, common
   /// label combinations recur across items), so a long-lived driver — the

@@ -85,19 +85,150 @@ struct LabelingService::PredictorPool {
   }
 };
 
-/// One item's prepared kernel run. Heap-allocated and never moved, so the
-/// hook lambdas can capture raw pointers to `acc` and `adapter`.
-struct LabelingService::ItemRun {
-  std::unique_ptr<ExecutionContext> exec;
-  std::optional<ValueAccumulator> acc;
-  std::unique_ptr<sched::PolicyAdapter> adapter;
-  ModelPicker picker;
-  KernelHooks hooks;
-  /// True when the recall target was met before any execution (e.g. an item
-  /// with no valuable labels): nothing to schedule, `outcome` is final.
-  bool skipped = false;
-  LabelOutcome outcome;
+/// One resident item record. RunOne keeps one per decision state and an
+/// ItemStepper one per slot of its resident set; Arm() re-binds it to each
+/// new item, so the kernel's tables, the execution contexts and the slot
+/// picker are built once per record and never per item. A record keeps no
+/// pointer to its session (sessions are movable); every call that needs
+/// the configuration takes it.
+class LabelingService::ResidentItem {
+ public:
+  /// `plane` is the stepper's shared plane; when it is null a
+  /// predictor-driven record builds a private single-slot plane over
+  /// `predictor` (RunOne). Policy and random-packing sessions (null
+  /// `predictor`) hold no slot and build their picker per item.
+  ResidentItem(ExecutionMode mode, ModelValuePredictor* predictor,
+               DecisionPlane* plane) {
+    hooks_.on_executed = [this](const ExecutionRecord& record,
+                                const LabelingState&) {
+      return OnExecuted(record);
+    };
+    if (predictor == nullptr) return;
+    if (plane == nullptr) {
+      private_plane_ =
+          std::make_unique<DecisionPlane>(predictor, DecisionRowFor(mode));
+      plane = private_plane_.get();
+    }
+    slot_ = plane->NewSlot();
+    switch (mode) {
+      case ExecutionMode::kGreedy:
+        slot_picker_ = MakeGreedyPicker(slot_);
+        break;
+      case ExecutionMode::kSerial:
+        slot_picker_ = MakeDeadlinePicker(slot_);
+        break;
+      case ExecutionMode::kParallel:
+        slot_picker_ = MakeDeadlineMemoryPicker(slot_);
+        break;
+      case ExecutionMode::kParallelRandom:
+        AMS_CHECK(false, "random packing takes no predictor");
+    }
+  }
+
+  ResidentItem(const ResidentItem&) = delete;
+  ResidentItem& operator=(const ResidentItem&) = delete;
+
+  /// Re-arms the record for `item`: rebinds the execution context, resets
+  /// the recall tally, builds the per-item picker when the session has one
+  /// (`policy`, or random packing seeded by `stream_id`), invalidates the
+  /// slot and re-arms the kernel. Returns false when the item's recall
+  /// target is met before any execution (e.g. an item with no valuable
+  /// labels): nothing to schedule, and recall() is final.
+  bool Arm(const Config& config, const WorkItem& item,
+           sched::SchedulingPolicy* policy, uint64_t stream_id) {
+    stored_ = item.item >= 0;
+    AMS_CHECK(stored_ || item.scene != nullptr,
+              "WorkItem needs a scene or a stored item id");
+    AMS_CHECK(!stored_ || config.oracle != nullptr,
+              "stored items need an oracle-backed session (WithOracle)");
+    const ExecutionContext* exec = nullptr;
+    if (stored_) {
+      if (replay_.has_value()) {
+        replay_->Rebind(item.item);
+      } else {
+        replay_.emplace(config.oracle, item.item);
+      }
+      exec = &*replay_;
+      value_ = 0.0;
+      total_value_ = config.oracle->TrueTotalValue(item.item);
+      recall_target_ = config.recall_target;
+    } else {
+      if (live_.has_value()) {
+        live_->Rebind(item.scene);
+      } else {
+        live_.emplace(config.zoo, item.scene);
+      }
+      exec = &*live_;
+    }
+
+    ModelPicker picker;  // per-item pickers; a slot picker stays installed
+    adapter_.reset();
+    if (policy != nullptr) {
+      sched::ItemContext ctx;
+      ctx.oracle = stored_ ? config.oracle : nullptr;
+      ctx.zoo = config.zoo;
+      ctx.item = item.item;
+      ctx.chunk_id = item.chunk_id;
+      adapter_.emplace(policy, ctx);
+      picker = adapter_->Picker();
+    } else if (config.mode == ExecutionMode::kParallelRandom) {
+      picker = MakeRandomPackingPicker(
+          util::HashCombine(config.seed, 0x9A7Au + stream_id));
+    }
+
+    // Items whose target is met before any execution (e.g. no valuable
+    // labels at all) schedule nothing.
+    if (stored_ && RecallTargetReached(recall(), recall_target_)) {
+      return false;
+    }
+    if (slot_ != nullptr) slot_->Invalidate();
+    if (kernel_.has_value()) {
+      kernel_->Rearm(exec, std::move(picker));
+    } else {
+      kernel_.emplace(exec, config.constraints,
+                      picker != nullptr ? std::move(picker) : slot_picker_,
+                      hooks_, config.kernel_mode);
+    }
+    return true;
+  }
+
+  ScheduleKernel& kernel() { return *kernel_; }
+  DecisionPlane::Slot* slot() const { return slot_; }
+
+  /// Value recall so far: the summed execution gains over the item's total
+  /// value; -1 for live items (no ground truth).
+  double recall() const {
+    return stored_ ? ValueRecall(value_, total_value_) : -1.0;
+  }
+
+ private:
+  bool OnExecuted(const ExecutionRecord& record) {
+    if (adapter_.has_value()) adapter_->NotifyExecuted(record);
+    if (!stored_) return false;
+    value_ += record.gain;
+    return RecallTargetReached(recall(), recall_target_);
+  }
+
+  std::optional<ReplayExecutionContext> replay_;
+  std::optional<LiveExecutionContext> live_;
+  bool stored_ = false;
+  double value_ = 0.0;        // summed ExecutionRecord::gain
+  double total_value_ = 0.0;  // Oracle::TrueTotalValue of the stored item
+  double recall_target_ = -1.0;
+  std::optional<sched::PolicyAdapter> adapter_;
+  std::unique_ptr<DecisionPlane> private_plane_;
+  DecisionPlane::Slot* slot_ = nullptr;
+  ModelPicker slot_picker_;
+  KernelHooks hooks_;
+  std::optional<ScheduleKernel> kernel_;
 };
+
+LabelingService::DecisionState::DecisionState() = default;
+LabelingService::DecisionState::DecisionState(DecisionState&&) noexcept =
+    default;
+LabelingService::DecisionState& LabelingService::DecisionState::operator=(
+    DecisionState&&) noexcept = default;
+LabelingService::DecisionState::~DecisionState() = default;
 
 LabelingService::LabelingService(Config config) : config_(std::move(config)) {
   if (config_.predictor != nullptr) {
@@ -126,88 +257,23 @@ LabelingService::DecisionState LabelingService::MakeDecisionState(
   return state;
 }
 
-std::unique_ptr<LabelingService::ItemRun> LabelingService::PrepareItem(
-    const WorkItem& item, DecisionState* state, uint64_t stream_id,
-    DecisionPlane::Slot* slot) const {
-  const bool stored = item.item >= 0;
-  AMS_CHECK(stored || item.scene != nullptr,
-            "WorkItem needs a scene or a stored item id");
-  AMS_CHECK(!stored || config_.oracle != nullptr,
-            "stored items need an oracle-backed session (WithOracle)");
-
-  auto run = std::make_unique<ItemRun>();
-  if (stored) {
-    run->exec =
-        std::make_unique<ReplayExecutionContext>(config_.oracle, item.item);
-    run->acc.emplace(config_.oracle, item.item);
-  } else {
-    run->exec = std::make_unique<LiveExecutionContext>(config_.zoo, item.scene);
-  }
-
-  switch (config_.mode) {
-    case ExecutionMode::kGreedy:
-      run->picker = slot != nullptr ? MakeGreedyPicker(slot)
-                                    : MakeGreedyPicker(state->predictor);
-      break;
-    case ExecutionMode::kSerial:
-      if (state->policy != nullptr) {
-        sched::ItemContext ctx;
-        ctx.oracle = stored ? config_.oracle : nullptr;
-        ctx.zoo = config_.zoo;
-        ctx.item = item.item;
-        ctx.chunk_id = item.chunk_id;
-        run->adapter =
-            std::make_unique<sched::PolicyAdapter>(state->policy.get(), ctx);
-        run->picker = run->adapter->Picker();
-      } else {
-        run->picker = slot != nullptr ? MakeDeadlinePicker(slot)
-                                      : MakeDeadlinePicker(state->predictor);
-      }
-      break;
-    case ExecutionMode::kParallel:
-      run->picker = slot != nullptr
-                        ? MakeDeadlineMemoryPicker(slot)
-                        : MakeDeadlineMemoryPicker(state->predictor);
-      break;
-    case ExecutionMode::kParallelRandom:
-      run->picker = MakeRandomPackingPicker(
-          util::HashCombine(config_.seed, 0x9A7Au + stream_id));
-      break;
-  }
-
-  // Items whose target is met before any execution (e.g. no valuable labels
-  // at all) schedule nothing.
-  ValueAccumulator* acc = run->acc.has_value() ? &*run->acc : nullptr;
-  const double target = config_.recall_target;
-  if (acc != nullptr && RecallTargetReached(*acc, target)) {
-    run->outcome.recall = acc->Recall();
-    run->skipped = true;
-    return run;
-  }
-  sched::PolicyAdapter* adapter = run->adapter.get();
-  if (acc != nullptr || adapter != nullptr) {
-    run->hooks.on_executed = [acc, adapter, target](
-                                 const ExecutionRecord& record,
-                                 const LabelingState&) {
-      if (acc != nullptr) acc->AddModel(record.model_id);
-      if (adapter != nullptr) adapter->NotifyExecuted(record);
-      return acc != nullptr && RecallTargetReached(*acc, target);
-    };
-  }
-  return run;
-}
-
 LabelOutcome LabelingService::RunOne(const WorkItem& item,
                                      DecisionState* state,
                                      uint64_t stream_id) const {
-  std::unique_ptr<ItemRun> run =
-      PrepareItem(item, state, stream_id, /*slot=*/nullptr);
-  if (run->skipped) return std::move(run->outcome);
-  run->outcome.schedule = RunScheduleKernel(
-      *run->exec, config_.constraints, run->picker, run->hooks,
-      config_.kernel_mode);
-  if (run->acc.has_value()) run->outcome.recall = run->acc->Recall();
-  return std::move(run->outcome);
+  if (state->record == nullptr) {
+    state->record = std::make_unique<ResidentItem>(
+        config_.mode, state->predictor, /*plane=*/nullptr);
+  }
+  ResidentItem& record = *state->record;
+  LabelOutcome outcome;
+  if (record.Arm(config_, item, state->policy.get(), stream_id)) {
+    ScheduleKernel& kernel = record.kernel();
+    while (kernel.Step()) {
+    }
+    outcome.schedule = kernel.TakeResult();
+  }
+  outcome.recall = record.recall();
+  return outcome;
 }
 
 LabelingService::ItemStepper::ItemStepper(const LabelingService* session,
@@ -241,25 +307,27 @@ void LabelingService::ItemStepper::AttachTracer(const obs::Tracer* tracer,
 uint64_t LabelingService::ItemStepper::Admit(const WorkItem& item,
                                              uint64_t stream_id) {
   const uint64_t ticket = next_ticket_++;
-  DecisionPlane::Slot* slot = plane_ != nullptr ? plane_->NewSlot() : nullptr;
-  std::unique_ptr<ItemRun> run =
-      session_->PrepareItem(item, &state_, stream_id, slot);
-  if (run->skipped) {
-    if (slot != nullptr) plane_->ReleaseSlot(slot);
+  ResidentItem* record = nullptr;
+  if (free_records_.empty()) {
+    records_.push_back(std::make_unique<ResidentItem>(
+        session_->config_.mode, state_.predictor, plane_.get()));
+    // Room for every record, so Tick hands them back without allocating.
+    free_records_.reserve(records_.size());
+    record = records_.back().get();
+  } else {
+    record = free_records_.back();
+    free_records_.pop_back();
+  }
+  if (!record->Arm(session_->config_, item, /*policy=*/nullptr,
+                   stream_id)) {
+    free_records_.push_back(record);
     Completion done;
     done.ticket = ticket;
-    done.outcome = std::move(run->outcome);
+    done.outcome.recall = record->recall();
     pending_.push_back(std::move(done));
     return ticket;
   }
-  InFlight flight;
-  flight.ticket = ticket;
-  flight.kernel = std::make_unique<ScheduleKernel>(
-      run->exec.get(), session_->config_.constraints, run->picker, run->hooks,
-      session_->config_.kernel_mode);
-  flight.run = std::move(run);
-  flight.slot = slot;
-  inflight_.push_back(std::move(flight));
+  inflight_.push_back({ticket, record});
   return ticket;
 }
 
@@ -292,8 +360,9 @@ void LabelingService::ItemStepper::Tick(std::vector<Completion>* completed) {
   if (plane_ != nullptr) {
     views_.clear();
     for (const InFlight& flight : inflight_) {
-      if (flight.kernel->picking()) {
-        views_.push_back({flight.slot, &flight.kernel->state()});
+      ScheduleKernel& kernel = flight.record->kernel();
+      if (kernel.picking()) {
+        views_.push_back({flight.record->slot(), &kernel.state()});
       }
     }
     obs::ScopedSpan forward_span(
@@ -316,20 +385,18 @@ void LabelingService::ItemStepper::Tick(std::vector<Completion>* completed) {
   // in place as items complete.
   size_t live = 0;
   for (size_t i = 0; i < inflight_.size(); ++i) {
-    InFlight& flight = inflight_[i];
-    if (flight.kernel->Step()) {
-      if (live != i) inflight_[live] = std::move(flight);
-      ++live;
+    const InFlight flight = inflight_[i];
+    ScheduleKernel& kernel = flight.record->kernel();
+    if (kernel.Step()) {
+      inflight_[live++] = flight;
       continue;
     }
     Completion done;
     done.ticket = flight.ticket;
-    done.outcome.schedule = flight.kernel->TakeResult();
-    if (flight.run->acc.has_value()) {
-      done.outcome.recall = flight.run->acc->Recall();
-    }
+    done.outcome.schedule = kernel.TakeResult();
+    done.outcome.recall = flight.record->recall();
     completed->push_back(std::move(done));
-    if (flight.slot != nullptr) plane_->ReleaseSlot(flight.slot);
+    free_records_.push_back(flight.record);
   }
   inflight_.resize(live);
   FinishTickSpan(&tick_span, resident_at_entry,

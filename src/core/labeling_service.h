@@ -95,6 +95,12 @@ struct WorkEstimate {
 /// Submit/SubmitBatch/Run label each item start to finish on a per-worker
 /// decision state (RunOne), and ItemStepper multiplexes in-flight items for
 /// the serving runtime, sharing one batched, memoized Q-forward per tick.
+/// Both run items on resident item records: one per RunOne decision state
+/// and one per stepper slot, each holding a rebindable execution context, a
+/// picker bound to a stable decision-plane slot, the hooks and a kernel that
+/// is re-armed per item. Recall is the sum of the kernel's per-execution
+/// gains over the item's total value, so no output is walked twice, and a
+/// warm lean record labels an item without touching the heap.
 /// The one execution-plane knob, WithKernelMode(kLean), skips result
 /// materialization for recall-only paths; it changes cost, never recall.
 class LabelingService {
@@ -150,8 +156,10 @@ class LabelingService {
 
   /// The session hand-off point for asynchronous backends: a worker-scoped
   /// stepper that multiplexes a dynamic set of in-flight items by advancing
-  /// their resumable ScheduleKernels event-by-event. Admit() prepares an
-  /// item and assigns it a ticket; each Tick() refreshes every resident
+  /// their resumable ScheduleKernels event-by-event. Admit() re-arms a free
+  /// resident item record (built on first need, then kept for the stepper's
+  /// lifetime, so warm admission allocates nothing) and assigns the item a
+  /// ticket; each Tick() refreshes every resident
   /// item's decision-row slot with ONE batched DecisionPlane forward pass
   /// (memo hits copy stored rows instead), then steps every kernel past
   /// one finish event and reports completed items. Items
@@ -198,36 +206,38 @@ class LabelingService {
 
   explicit LabelingService(Config config);
 
+  /// One resident item record: a rebindable execution context, the recall
+  /// tally, a picker bound to a stable decision-plane slot, the hooks and a
+  /// kernel, all re-armed per item (defined in the .cc). Heap-allocated and
+  /// never moved, so the hooks can capture it.
+  class ResidentItem;
+
   // One worker's decision-making state (policies and rl agents are stateful
   // and must not be shared across threads). Predictor clones are owned by
   // the session's PredictorPool, keyed by worker index.
   struct DecisionState {
+    DecisionState();
+    DecisionState(DecisionState&&) noexcept;
+    DecisionState& operator=(DecisionState&&) noexcept;
+    ~DecisionState();
+
     ModelValuePredictor* predictor = nullptr;
     std::unique_ptr<sched::SchedulingPolicy> policy;
+    /// RunOne's record, built on first use over a private single-slot plane
+    /// and re-armed for every item this state labels.
+    std::unique_ptr<ResidentItem> record;
   };
   DecisionState MakeDecisionState(bool clone_predictor,
                                   int worker_index) const;
 
-  /// Everything one item's kernel run needs, heap-allocated so the hooks'
-  /// captured pointers stay stable (defined in the .cc).
-  struct ItemRun;
   /// Session-level per-worker predictor clones, reused across SubmitBatch
   /// calls — cloning a Q-net serializes megabytes of weights, far too
   /// expensive to repeat per batch (defined in the .cc).
   struct PredictorPool;
 
-  /// Builds the execution context, picker and hooks for one item. `slot`
-  /// routes the picker's Q-queries through an ItemStepper's shared
-  /// DecisionPlane (one batched forward per tick); null gives the picker a
-  /// private plane over the state's predictor (RunOne).
-  std::unique_ptr<ItemRun> PrepareItem(const WorkItem& item,
-                                       DecisionState* state,
-                                       uint64_t stream_id,
-                                       DecisionPlane::Slot* slot) const;
-
-  /// Labels one item with the given decision state. `stream_id` seeds the
-  /// random-packing mode (the stored item id, or the submission sequence
-  /// number for live items).
+  /// Labels one item with the given decision state, on the state's resident
+  /// record. `stream_id` seeds the random-packing mode (the stored item id,
+  /// or the submission sequence number for live items).
   LabelOutcome RunOne(const WorkItem& item, DecisionState* state,
                       uint64_t stream_id) const;
 
@@ -307,9 +317,7 @@ class LabelingService::ItemStepper {
 
   struct InFlight {
     uint64_t ticket = 0;
-    std::unique_ptr<ItemRun> run;
-    std::unique_ptr<ScheduleKernel> kernel;
-    DecisionPlane::Slot* slot = nullptr;  // owned by plane_
+    ResidentItem* record = nullptr;  // owned by records_
   };
 
   const LabelingService* session_;
@@ -320,6 +328,10 @@ class LabelingService::ItemStepper {
   /// Worker-affine scratch for the plane's per-tick batch buffers, rewound
   /// at the top of every Tick so steady-state ticks never malloc.
   util::Arena arena_;
+  /// Every record this stepper built, one per slot of its peak resident
+  /// set; each holds a slot of plane_ for the stepper's lifetime.
+  std::vector<std::unique_ptr<ResidentItem>> records_;
+  std::vector<ResidentItem*> free_records_;  // not in flight, ready to re-arm
   std::vector<InFlight> inflight_;
   /// Completions waiting for the next Tick (items skipped at admission).
   std::vector<Completion> pending_;

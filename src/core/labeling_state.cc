@@ -10,15 +10,17 @@ LabelingState::LabelingState(int num_labels, int num_models)
     : labels_(static_cast<size_t>(num_labels), 0.0f),
       executed_(static_cast<size_t>(num_models), false) {
   AMS_CHECK(num_labels > 0 && num_models > 0);
-  // Worst-case capacities so ApplyInto never allocates in steady state.
+  // Worst-case capacities so MarkExecuted and SetLabel never allocate.
   set_indices_.reserve(static_cast<size_t>(num_labels));
   order_.reserve(static_cast<size_t>(num_models));
 }
 
 void LabelingState::Reset() {
-  std::fill(labels_.begin(), labels_.end(), 0.0f);
+  for (const int label : set_indices_) {
+    labels_[static_cast<size_t>(label)] = 0.0f;
+  }
   set_indices_.clear();
-  std::fill(executed_.begin(), executed_.end(), false);
+  for (const int model : order_) executed_[static_cast<size_t>(model)] = false;
   order_.clear();
   num_executed_ = 0;
   num_labels_set_ = 0;
@@ -26,35 +28,35 @@ void LabelingState::Reset() {
 
 std::vector<zoo::LabelOutput> LabelingState::Apply(
     int model_id, const std::vector<zoo::LabelOutput>& outputs) {
+  MarkExecuted(model_id);
   std::vector<zoo::LabelOutput> fresh;
-  ApplyInto(model_id, outputs, &fresh);
+  for (const auto& out : outputs) {
+    if (out.confidence < zoo::kValuableConfidence) continue;
+    if (SetLabel(out.label_id)) fresh.push_back(out);
+  }
   return fresh;
 }
 
-void LabelingState::ApplyInto(int model_id,
-                              const std::vector<zoo::LabelOutput>& outputs,
-                              std::vector<zoo::LabelOutput>* fresh) {
+void LabelingState::MarkExecuted(int model_id) {
   AMS_CHECK(model_id >= 0 && model_id < num_models());
   AMS_CHECK(!executed_[static_cast<size_t>(model_id)],
             "model executed twice on one item");
   executed_[static_cast<size_t>(model_id)] = true;
   order_.push_back(model_id);
   ++num_executed_;
-  if (fresh != nullptr) fresh->clear();
-  for (const auto& out : outputs) {
-    if (out.confidence < zoo::kValuableConfidence) continue;
-    float& bit = labels_[static_cast<size_t>(out.label_id)];
-    if (bit == 0.0f) {
-      bit = 1.0f;
-      ++num_labels_set_;
-      // Sorted insert keeps SetIndices ascending; states carry tens of set
-      // labels at most, so the shift stays cheap.
-      set_indices_.insert(std::lower_bound(set_indices_.begin(),
-                                           set_indices_.end(), out.label_id),
-                          out.label_id);
-      if (fresh != nullptr) fresh->push_back(out);
-    }
-  }
+}
+
+bool LabelingState::SetLabel(int label_id) {
+  float& bit = labels_[static_cast<size_t>(label_id)];
+  if (bit != 0.0f) return false;
+  bit = 1.0f;
+  ++num_labels_set_;
+  // Sorted insert keeps SetIndices ascending; states carry tens of set
+  // labels at most, so the shift stays cheap.
+  set_indices_.insert(
+      std::lower_bound(set_indices_.begin(), set_indices_.end(), label_id),
+      label_id);
+  return true;
 }
 
 }  // namespace ams::core

@@ -19,7 +19,8 @@ class LabelingState {
  public:
   LabelingState(int num_labels, int num_models);
 
-  /// Clears all bits and the executed-model set.
+  /// Clears all bits and the executed-model set, touching only the bits and
+  /// models the last item set.
   void Reset();
 
   /// Registers the execution of `model_id` with the given raw outputs.
@@ -28,11 +29,13 @@ class LabelingState {
   std::vector<zoo::LabelOutput> Apply(int model_id,
                                       const std::vector<zoo::LabelOutput>& outputs);
 
-  /// Allocation-free form of Apply for hot loops: clears `*fresh` and fills
-  /// it with O'(m, d), reusing its capacity. `fresh` may be null when the
-  /// caller only needs the state transition.
-  void ApplyInto(int model_id, const std::vector<zoo::LabelOutput>& outputs,
-                 std::vector<zoo::LabelOutput>* fresh);
+  /// The two halves of Apply, for callers that walk the outputs themselves
+  /// (ScheduleKernel's one pass per finish event). MarkExecuted records the
+  /// model (checked: once per item); SetLabel sets one label's bit, keeping
+  /// SetIndices sorted, and returns false when it was already set. Neither
+  /// allocates: capacities are reserved for the worst case up front.
+  void MarkExecuted(int model_id);
+  bool SetLabel(int label_id);
 
   bool label_set(int label_id) const {
     return labels_[static_cast<size_t>(label_id)] != 0.0f;

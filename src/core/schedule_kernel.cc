@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <numeric>
 
 #include "core/reward.h"
 #include "util/check.h"
@@ -23,6 +24,11 @@ LiveExecutionContext::LiveExecutionContext(const zoo::ModelZoo* zoo,
   AMS_CHECK(zoo != nullptr && scene != nullptr);
 }
 
+void LiveExecutionContext::Rebind(const zoo::LatentScene* scene) {
+  AMS_CHECK(scene != nullptr);
+  scene_ = scene;
+}
+
 const double* LiveExecutionContext::PlannedTimes() const {
   return zoo_->mean_times().data();
 }
@@ -41,7 +47,12 @@ ReplayExecutionContext::ReplayExecutionContext(const data::Oracle* oracle,
                                                int item)
     : oracle_(oracle), item_(item) {
   AMS_CHECK(oracle != nullptr);
-  AMS_CHECK(item >= 0 && item < oracle->num_items());
+  Rebind(item);
+}
+
+void ReplayExecutionContext::Rebind(int item) {
+  AMS_CHECK(item >= 0 && item < oracle_->num_items());
+  item_ = item;
 }
 
 const double* ReplayExecutionContext::PlannedTimes() const {
@@ -62,37 +73,67 @@ ScheduleKernel::ScheduleKernel(const ExecutionContext* exec,
                                ModelPicker picker, KernelHooks hooks,
                                KernelMode mode)
     : exec_(exec),
+      zoo_(&exec->zoo()),
       num_models_(exec->num_models()),
       planned_time_(exec->PlannedTimes()),
-      specs_(exec->zoo().models().data()),
+      mean_time_(zoo_->mean_times().data()),
+      mem_mb_(zoo_->mem_mbs().data()),
       constraints_(constraints),
       picker_(std::move(picker)),
       hooks_(std::move(hooks)),
       mode_(mode),
-      state_(exec->zoo().labels().total_labels(), num_models_),
+      state_(zoo_->labels().total_labels(), num_models_),
       started_(static_cast<size_t>(num_models_), false),
+      unstarted_(static_cast<size_t>(num_models_)),
       mem_free_(constraints.memory_budget_mb),
-      best_conf_(static_cast<size_t>(exec->zoo().labels().total_labels()),
-                 0.0) {
+      best_conf_(static_cast<size_t>(zoo_->labels().total_labels()), 0.0) {
   constraints_.Validate();
   AMS_CHECK(picker_ != nullptr);
+  std::iota(unstarted_.begin(), unstarted_.end(), 0);
   // Worst-case capacities up front so steady-state Steps never allocate.
   touched_labels_.reserve(best_conf_.size());
   running_.reserve(static_cast<size_t>(num_models_));
   scratch_record_.fresh.reserve(best_conf_.size());
 }
 
+void ScheduleKernel::Rearm(const ExecutionContext* exec, ModelPicker picker) {
+  AMS_CHECK(exec != nullptr && &exec->zoo() == zoo_,
+            "a kernel is re-armed only on a context over its own zoo");
+  exec_ = exec;
+  planned_time_ = exec->PlannedTimes();
+  if (picker != nullptr) picker_ = std::move(picker);
+  state_.Reset();
+  for (const int label : touched_labels_) {
+    best_conf_[static_cast<size_t>(label)] = 0.0;
+  }
+  touched_labels_.clear();
+  std::fill(started_.begin(), started_.end(), false);
+  unstarted_.resize(static_cast<size_t>(num_models_));
+  std::iota(unstarted_.begin(), unstarted_.end(), 0);
+  running_.clear();
+  mem_free_ = constraints_.memory_budget_mb;
+  mem_used_ = 0.0;
+  now_ = 0.0;
+  stopped_ = false;
+  done_ = false;
+  result_taken_ = false;
+  result_ = ScheduleResult();
+}
+
 void ScheduleKernel::StartModels() {
+  PickContext pick;
+  pick.exec = exec_;
+  pick.state = &state_;
+  pick.started = &started_;
+  pick.num_models = num_models_;
+  pick.planned_time = planned_time_;
+  pick.mean_time = mean_time_;
+  pick.mem_mb = mem_mb_;
+  pick.deadline = constraints_.time_budget_s;
   while (!stopped_) {
-    PickContext pick;
-    pick.exec = exec_;
-    pick.state = &state_;
-    pick.started = &started_;
-    pick.num_models = num_models_;
-    pick.planned_time = planned_time_;
-    pick.specs = specs_;
+    pick.unstarted = unstarted_.data();
+    pick.num_unstarted = static_cast<int>(unstarted_.size());
     pick.now = now_;
-    pick.deadline = constraints_.time_budget_s;
     pick.mem_free = mem_free_;
     pick.idle = running_.empty();
     const int m = picker_(pick);
@@ -100,7 +141,9 @@ void ScheduleKernel::StartModels() {
     AMS_CHECK(m < num_models_ && !started_[static_cast<size_t>(m)],
               "picker returned an already-started model");
     started_[static_cast<size_t>(m)] = true;
-    const double mem = specs_[m].mem_mb;
+    unstarted_.erase(
+        std::lower_bound(unstarted_.begin(), unstarted_.end(), m));
+    const double mem = mem_mb_[m];
     running_.push_back({m, now_, now_ + exec_->RealizedTime(m), mem});
     mem_free_ -= mem;
     mem_used_ += mem;
@@ -132,41 +175,53 @@ bool ScheduleKernel::Step() {
   const std::vector<zoo::LabelOutput>& outputs =
       exec_->Execute(done_run.model_id);
 
-  // f(S, d): credit each valuable label with its best confidence so far.
-  // best == 0 means never credited (valuable confidences are > 0), so the
-  // first credit also records the label in the touched list.
+  // Full mode appends the record it fills; lean reuses one scratch record —
+  // no output copies, no reward, no per-event allocations once the fresh
+  // buffer has grown.
+  ExecutionRecord* record = &scratch_record_;
+  if (mode_ == KernelMode::kFull) {
+    result_.executions.emplace_back();
+    record = &result_.executions.back();
+    record->outputs = outputs;
+  }
+  record->model_id = done_run.model_id;
+  record->start_s = done_run.start_s;
+  record->finish_s = done_run.finish_s;
+  record->fresh.clear();
+
+  // One walk over the outputs. A valuable output beating its label's best
+  // confidence credits the difference twice, in the two association orders
+  // that must both stay bit-identical: per label into f(S, d), and per
+  // execution into the gain (ValueAccumulator::AddModel's order). best == 0
+  // means never credited (valuable confidences are > 0), so the first
+  // credit is exactly a fresh label: it sets the state bit, joins O'(m, d)
+  // and is recorded in the touched list.
+  state_.MarkExecuted(done_run.model_id);
+  double gain = 0.0;
   for (const auto& out : outputs) {
     if (out.confidence < zoo::kValuableConfidence) continue;
     double& best = best_conf_[static_cast<size_t>(out.label_id)];
     if (out.confidence > best) {
-      if (best == 0.0) touched_labels_.push_back(out.label_id);
-      result_.value += out.confidence - best;
+      if (best == 0.0) {
+        touched_labels_.push_back(out.label_id);
+        state_.SetLabel(out.label_id);
+        record->fresh.push_back(out);
+      }
+      const double delta = out.confidence - best;
+      result_.value += delta;
+      gain += delta;
       best = out.confidence;
     }
   }
+  record->gain = gain;
+  if (mode_ == KernelMode::kFull) {
+    record->reward =
+        ModelReward(record->fresh, zoo_->models()[static_cast<size_t>(
+                                                      done_run.model_id)]
+                                       .theta);
+  }
   result_.makespan_s = std::max(result_.makespan_s, done_run.finish_s);
   ++result_.num_executions;
-
-  const ExecutionRecord* record = nullptr;
-  if (mode_ == KernelMode::kFull) {
-    ExecutionRecord full;
-    full.model_id = done_run.model_id;
-    full.start_s = done_run.start_s;
-    full.finish_s = done_run.finish_s;
-    full.outputs = outputs;
-    full.fresh = state_.Apply(done_run.model_id, outputs);
-    full.reward = ModelReward(full.fresh, specs_[done_run.model_id].theta);
-    result_.executions.push_back(std::move(full));
-    record = &result_.executions.back();
-  } else {
-    // Lean: reuse one scratch record — no output copies, no reward, no
-    // per-event allocations once the fresh buffer has grown.
-    scratch_record_.model_id = done_run.model_id;
-    scratch_record_.start_s = done_run.start_s;
-    scratch_record_.finish_s = done_run.finish_s;
-    state_.ApplyInto(done_run.model_id, outputs, &scratch_record_.fresh);
-    record = &scratch_record_;
-  }
 
   if (hooks_.on_executed && hooks_.on_executed(*record, state_)) {
     stopped_ = true;
@@ -206,8 +261,9 @@ ScheduleResult RunScheduleKernel(const ExecutionContext& exec,
 namespace {
 
 // Adapts the predictor-taking picker factories to the slot-based ones: each
-// per-item picker (Submit, SubmitBatch) gets a private single-slot
-// DecisionPlane, so an item costs at most one forward pass per label state.
+// single-shot picker (AdaptiveModelScheduler, sched::RunParallel) gets a
+// private single-slot DecisionPlane, so an item costs at most one forward
+// pass per label state.
 struct PrivateSlot {
   PrivateSlot(ModelValuePredictor* predictor, DecisionRow row)
       : plane(predictor, row), slot(plane.NewSlot()) {}
@@ -215,18 +271,18 @@ struct PrivateSlot {
   DecisionPlane::Slot* slot;
 };
 
-// The pick loops below read the per-item PickContext tables and a decision
-// row computed once per label state, so a pick is arithmetic only.
+// The pick loops below visit only unstarted models, in ascending id order
+// (so ties keep the lowest id), and read the per-item PickContext rows and a
+// decision row computed once per label state, so a pick is arithmetic only.
 
 int GreedyPick(DecisionPlane::Slot* slot, const PickContext& pick) {
   if (!pick.idle) return -1;
   const double* q = slot->Row(*pick.state).data();
-  const std::vector<bool>& started = *pick.started;
   const int end_action = pick.num_models;
   int best = -1;
   double best_q = q[end_action];
-  for (int m = 0; m < pick.num_models; ++m) {
-    if (started[static_cast<size_t>(m)]) continue;
+  for (int k = 0; k < pick.num_unstarted; ++k) {
+    const int m = pick.unstarted[k];
     if (best == -1 || q[m] > best_q) {
       best = m;
       best_q = q[m];
@@ -240,14 +296,13 @@ int GreedyPick(DecisionPlane::Slot* slot, const PickContext& pick) {
 int DeadlinePick(DecisionPlane::Slot* slot, const PickContext& pick) {
   if (!pick.idle) return -1;
   const double* profit = slot->Row(*pick.state).data();
-  const std::vector<bool>& started = *pick.started;
   const double remaining = pick.remaining_time();
   // Algorithm 1 lines 3-4: among models that still fit the budget, pick
   // the one maximizing SchedulingProfit(Q) / time.
   int best = -1;
   double best_ratio = 0.0;
-  for (int m = 0; m < pick.num_models; ++m) {
-    if (started[static_cast<size_t>(m)]) continue;
+  for (int k = 0; k < pick.num_unstarted; ++k) {
+    const int m = pick.unstarted[k];
     const double planned = pick.planned_time[m];
     if (planned > remaining) continue;
     const double ratio = profit[m] / planned;
@@ -261,21 +316,20 @@ int DeadlinePick(DecisionPlane::Slot* slot, const PickContext& pick) {
 
 int DeadlineMemoryPick(DecisionPlane::Slot* slot, const PickContext& pick) {
   const double* profit = slot->Row(*pick.state).data();
-  const std::vector<bool>& started = *pick.started;
   int best = -1;
   double best_score = 0.0;
-  for (int m = 0; m < pick.num_models; ++m) {
-    if (started[static_cast<size_t>(m)]) continue;
-    const zoo::ModelSpec& spec = pick.specs[m];
-    if (spec.mem_mb > pick.mem_free) continue;
+  for (int k = 0; k < pick.num_unstarted; ++k) {
+    const int m = pick.unstarted[k];
+    const double mem = pick.mem_mb[m];
+    if (mem > pick.mem_free) continue;
     if (pick.now + pick.planned_time[m] > pick.deadline) continue;
     // Algorithm 2 line 4 (idle: anchor by profit / (time * mem)) or lines
     // 7-12 (fill remaining memory by profit / mem). Fills are bounded by the
     // global deadline rather than the literal anchor window: taken literally
     // the filter degenerates to near-serial execution whenever the
     // value-density anchor is a short model.
-    const double score = pick.idle ? profit[m] / (spec.time_s * spec.mem_mb)
-                                   : profit[m] / spec.mem_mb;
+    const double score = pick.idle ? profit[m] / (pick.mean_time[m] * mem)
+                                   : profit[m] / mem;
     if (best == -1 || score > best_score) {
       best = m;
       best_score = score;
@@ -356,7 +410,7 @@ ModelPicker MakeRandomPackingPicker(uint64_t seed) {
     }
     for (int m : pack->order) {
       if ((*pick.started)[static_cast<size_t>(m)]) continue;
-      if (pick.specs[m].mem_mb > pick.mem_free) continue;
+      if (pick.mem_mb[m] > pick.mem_free) continue;
       if (pick.now + pick.planned_time[m] > pick.deadline) continue;
       return m;
     }

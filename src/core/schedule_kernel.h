@@ -39,6 +39,11 @@ struct ExecutionRecord {
   std::vector<zoo::LabelOutput> fresh;
   /// Reward of Eq. (3) for this execution; 0 in lean kernel mode.
   double reward = 0.0;
+  /// f(S ∪ {m}, d) − f(S, d): the value this execution added, summed over
+  /// its outputs in ValueAccumulator::AddModel's order, so a running sum of
+  /// gains is bitwise ValueAccumulator::Value() and recall needs no second
+  /// walk over the outputs. Maintained in both kernel modes.
+  double gain = 0.0;
 };
 
 /// Outcome of scheduling one item.
@@ -100,6 +105,9 @@ class LiveExecutionContext : public ExecutionContext {
   double RealizedTime(int model) const override;
   const std::vector<zoo::LabelOutput>& Execute(int model) const override;
 
+  /// Moves the context to another scene (same contract as the constructor).
+  void Rebind(const zoo::LatentScene* scene);
+
  private:
   const zoo::ModelZoo* zoo_;
   const zoo::LatentScene* scene_;
@@ -121,6 +129,10 @@ class ReplayExecutionContext : public ExecutionContext {
   double RealizedTime(int model) const override;
   const std::vector<zoo::LabelOutput>& Execute(int model) const override;
 
+  /// Moves the context to another stored item (checked like the
+  /// constructor).
+  void Rebind(int item);
+
   const data::Oracle& oracle() const { return *oracle_; }
   int item() const { return item_; }
 
@@ -136,14 +148,21 @@ struct PickContext {
   /// Models already started (a superset of state->model_executed(): models
   /// in flight count as started but not yet executed).
   const std::vector<bool>* started = nullptr;
-  /// Per-item tables the kernel resolves once when it is built, so a pick
-  /// loop reads plain arrays instead of making a virtual zoo() or
-  /// PlannedTime call and a bounds check per model per pick:
-  /// `num_models` == exec->num_models(), `planned_time[m]` ==
-  /// exec->PlannedTime(m) and `specs[m]` == exec->model(m).
+  /// The complement of `started` as an ascending id list: the production
+  /// pickers scan only these, and ascending order keeps their tie-break on
+  /// the lowest model id.
+  const int* unstarted = nullptr;
+  int num_unstarted = 0;
+  /// Per-item tables the kernel resolves once per item, so a pick loop
+  /// reads contiguous rows instead of making a virtual zoo() or PlannedTime
+  /// call and a bounds check per model per pick: `num_models` ==
+  /// exec->num_models(), `planned_time[m]` == exec->PlannedTime(m),
+  /// `mean_time[m]` == exec->model(m).time_s and `mem_mb[m]` ==
+  /// exec->model(m).mem_mb.
   int num_models = 0;
   const double* planned_time = nullptr;
-  const zoo::ModelSpec* specs = nullptr;
+  const double* mean_time = nullptr;
+  const double* mem_mb = nullptr;
   double now = 0.0;
   /// Absolute deadline (infinity when unconstrained).
   double deadline = std::numeric_limits<double>::infinity();
@@ -168,7 +187,7 @@ struct KernelHooks {
   ///
   /// In lean kernel mode the record passed here is a reused scratch whose
   /// `outputs` are empty and `reward` is 0; `model_id`, `start_s`,
-  /// `finish_s` and `fresh` are always valid.
+  /// `finish_s`, `fresh` and `gain` are always valid.
   std::function<bool(const ExecutionRecord&, const LabelingState&)>
       on_executed;
 };
@@ -186,13 +205,18 @@ enum class KernelMode {
 
 /// The shared scheduling kernel in resumable form: construct it, then Step()
 /// until false. Each Step (a) asks the picker for models to start at the
-/// current instant, (b) advances to the earliest finish event, applies its
-/// outputs and accounts value/reward, and (c) reports completion once
-/// nothing runs and nothing new starts. Memory is charged at start and
-/// released at finish; executions past the deadline are never started but
-/// started work always drains.
+/// current instant, (b) advances to the earliest finish event and walks the
+/// finished model's outputs once, setting state bits, collecting O'(m, d)
+/// and crediting both f(S, d) and the execution's gain, and (c) reports
+/// completion once nothing runs and nothing new starts. Memory is charged
+/// at start and released at finish; executions past the deadline are never
+/// started but started work always drains. Pickers see the unstarted models
+/// as an ascending list and the zoo's time and memory as contiguous rows.
 ///
 /// Single-shot callers use the RunScheduleKernel wrapper below;
+/// LabelingService's resident item records keep one kernel each and
+/// Rearm() it per item, so the per-item tables are allocated once per
+/// record and reset by clearing only what the last item touched.
 /// LabelingService::ItemStepper interleaves Step() calls of many in-flight
 /// kernels and refreshes a shared DecisionPlane once per tick.
 class ScheduleKernel {
@@ -200,6 +224,15 @@ class ScheduleKernel {
   ScheduleKernel(const ExecutionContext* exec,
                  const ScheduleConstraints& constraints, ModelPicker picker,
                  KernelHooks hooks = {}, KernelMode mode = KernelMode::kFull);
+
+  /// Re-arms the kernel for the next item on `exec`, a context over the
+  /// same zoo: re-resolves the planned-time row and resets the labeling
+  /// state, the best-confidence entries the last item touched, the started
+  /// flags and unstarted list, the running list, the clocks, the stop flags
+  /// and the result, without allocating. A non-null `picker` replaces the
+  /// kernel's picker (per-item pickers: policies, random packing); null
+  /// keeps the current one. Constraints, hooks and mode stay.
+  void Rearm(const ExecutionContext* exec, ModelPicker picker = nullptr);
 
   /// Advances past the next finish event. Returns false once the schedule is
   /// complete (and on every later call).
@@ -218,10 +251,12 @@ class ScheduleKernel {
   void StartModels();
 
   const ExecutionContext* exec_;
+  const zoo::ModelZoo* zoo_;
   // PickContext tables, resolved once per item (see PickContext).
   int num_models_;
   const double* planned_time_;
-  const zoo::ModelSpec* specs_;
+  const double* mean_time_;
+  const double* mem_mb_;
   ScheduleConstraints constraints_;
   ModelPicker picker_;
   KernelHooks hooks_;
@@ -238,6 +273,7 @@ class ScheduleKernel {
   ScheduleResult result_;
   std::vector<Running> running_;
   std::vector<bool> started_;
+  std::vector<int> unstarted_;  // ascending complement of started_
   double mem_free_;
   double mem_used_ = 0.0;
   double now_ = 0.0;
@@ -248,9 +284,10 @@ class ScheduleKernel {
   ExecutionRecord scratch_record_;
   // Best-confidence union of valuable labels, for f(S, d): flat table
   // indexed by label id (0 = never credited; valuable confidences are
-  // strictly positive) plus the first-touch list of credited labels. Both
-  // are sized at construction, so value accounting never allocates
-  // per event — part of the zero-allocation steady-state tick contract.
+  // strictly positive) plus the first-touch list of credited labels, which
+  // is also what Rearm clears. Both are sized at construction, so value
+  // accounting never allocates per event — part of the zero-allocation
+  // steady-state tick contract.
   std::vector<double> best_conf_;
   std::vector<int> touched_labels_;
 };

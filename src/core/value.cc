@@ -38,9 +38,7 @@ double ValueAccumulator::AddModel(int model) {
 }
 
 double ValueAccumulator::Recall() const {
-  const double total = oracle_->TrueTotalValue(item_);
-  if (total <= 0.0) return 1.0;
-  return value_ / total;
+  return ValueRecall(value_, oracle_->TrueTotalValue(item_));
 }
 
 }  // namespace ams::core

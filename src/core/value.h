@@ -45,11 +45,19 @@ class ValueAccumulator {
   std::vector<bool> added_;
 };
 
-/// True once `acc` has reached `target` value recall, within the shared
-/// stop tolerance used by every ground-truth-driven stop condition (§VI-B);
+/// Value recall f(S, d) / f(M, d) from an accumulated `value` and the item's
+/// `total_value` (Oracle::TrueTotalValue); 1.0 when the item has no valuable
+/// labels at all. ValueAccumulator::Recall and the tallies of summed
+/// ExecutionRecord::gain share it, so both read the same bits.
+inline double ValueRecall(double value, double total_value) {
+  return total_value <= 0.0 ? 1.0 : value / total_value;
+}
+
+/// True once `recall` has reached `target`, within the shared stop
+/// tolerance used by every ground-truth-driven stop condition (§VI-B);
 /// `target` < 0 disables the check.
-inline bool RecallTargetReached(const ValueAccumulator& acc, double target) {
-  return target >= 0.0 && acc.Recall() >= target - 1e-12;
+inline bool RecallTargetReached(double recall, double target) {
+  return target >= 0.0 && recall >= target - 1e-12;
 }
 
 }  // namespace ams::core

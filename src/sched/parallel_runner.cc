@@ -23,12 +23,14 @@ ParallelRunResult RunParallel(ParallelPolicyKind kind,
           : core::MakeRandomPackingPicker(
                 util::HashCombine(config.seed, 0x9A7Au + item));
 
-  core::ValueAccumulator acc(&oracle, item);
+  // Value comes from the kernel's per-execution gains, summed in
+  // ValueAccumulator's order.
+  double value = 0.0;
   ParallelRunResult result;
   core::KernelHooks hooks;
   hooks.on_executed = [&](const core::ExecutionRecord& record,
                           const core::LabelingState&) {
-    acc.AddModel(record.model_id);
+    value += record.gain;
     result.steps.push_back({record.model_id, record.start_s, record.finish_s});
     return false;
   };
@@ -40,8 +42,8 @@ ParallelRunResult RunParallel(ParallelPolicyKind kind,
 
   result.makespan = schedule.makespan_s;
   result.peak_mem_mb = schedule.peak_mem_mb;
-  result.value = acc.Value();
-  result.recall = acc.Recall();
+  result.value = value;
+  result.recall = core::ValueRecall(value, oracle.TrueTotalValue(item));
   result.models_executed = static_cast<int>(result.steps.size());
   return result;
 }

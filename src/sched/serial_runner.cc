@@ -20,16 +20,20 @@ SerialRunResult RunSerial(SchedulingPolicy* policy, const data::Oracle& oracle,
   ctx.chunk_id = chunk_id;
   PolicyAdapter adapter(policy, ctx);
 
-  core::ValueAccumulator acc(&oracle, item);
+  // Value and recall come from the kernel's per-execution gains, summed in
+  // ValueAccumulator's order.
+  const double total_value = oracle.TrueTotalValue(item);
+  double value = 0.0;
+  const auto recall = [&] { return core::ValueRecall(value, total_value); };
   SerialRunResult result;
   const auto target_reached = [&] {
-    return core::RecallTargetReached(acc, config.recall_target);
+    return core::RecallTargetReached(recall(), config.recall_target);
   };
   // Items whose target is met before any execution (e.g. no valuable labels
   // at all) schedule nothing.
   if (target_reached()) {
-    result.value = acc.Value();
-    result.recall = acc.Recall();
+    result.value = value;
+    result.recall = recall();
     return result;
   }
 
@@ -39,17 +43,16 @@ SerialRunResult RunSerial(SchedulingPolicy* policy, const data::Oracle& oracle,
   core::KernelHooks hooks;
   hooks.on_executed = [&](const core::ExecutionRecord& record,
                           const core::LabelingState&) {
-    acc.AddModel(record.model_id);
+    value += record.gain;
     adapter.NotifyExecuted(record);
     result.time_used = record.finish_s;  // serial: cumulative time
-    result.steps.push_back(
-        {record.model_id, record.finish_s, acc.Recall(), acc.Value()});
+    result.steps.push_back({record.model_id, record.finish_s, recall(), value});
     return target_reached();
   };
   RunScheduleKernel(exec, constraints, adapter.Picker(), hooks);
 
-  result.value = acc.Value();
-  result.recall = acc.Recall();
+  result.value = value;
+  result.recall = recall();
   result.models_executed = static_cast<int>(result.steps.size());
   return result;
 }

@@ -100,6 +100,7 @@ ModelZoo ModelZoo::CreateDefault() {
       spec.accuracy = kTierAccuracy[tier];
       spec.theta = 1.0;
       zoo.mean_times_.push_back(spec.time_s);
+      zoo.mem_mbs_.push_back(spec.mem_mb);
       zoo.models_.push_back(std::move(spec));
     }
   }

@@ -38,6 +38,9 @@ class ModelZoo {
   /// Mean execution time per model (models()[m].time_s), as one contiguous
   /// row: the planned-time table live scheduling reads on every pick.
   const std::vector<double>& mean_times() const { return mean_times_; }
+  /// Memory footprint per model (models()[m].mem_mb), as one contiguous
+  /// row: the memory table every parallel pick reads.
+  const std::vector<double>& mem_mbs() const { return mem_mbs_; }
 
   /// Model ids belonging to `task`, ordered small -> large tier.
   std::vector<int> ModelsForTask(TaskKind task) const;
@@ -63,6 +66,7 @@ class ModelZoo {
   LabelSpace labels_;
   std::vector<ModelSpec> models_;
   std::vector<double> mean_times_;  // parallel to models_
+  std::vector<double> mem_mbs_;     // parallel to models_
 };
 
 }  // namespace ams::zoo

@@ -1,18 +1,26 @@
 // Tests of the execution-plane seams: batched vs scalar Q-prediction
 // (bitwise parity on rl::Agent, and SubmitBatch decision rows served by the
 // inference forward), lean vs full kernel mode (identical
-// value/makespan/recall), and the session's pooled predictor clones.
+// value/makespan/recall), the session's pooled predictor clones, and the
+// resident item records that Submit and ItemStepper re-arm per item
+// (bitwise equal to a fresh kernel per item).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "core/decision_plane.h"
 #include "core/labeling_service.h"
+#include "core/value.h"
 #include "data/dataset.h"
 #include "data/dataset_profile.h"
 #include "data/oracle.h"
@@ -21,6 +29,7 @@
 #include "nn/net.h"
 #include "rl/agent.h"
 #include "sched/basic_policies.h"
+#include "util/rng.h"
 
 namespace ams::core {
 namespace {
@@ -312,6 +321,378 @@ TEST_F(ExecutionPlaneTest, PooledWorkerClonesTrackLiveWeights) {
   for (size_t i = 0; i < items.size(); ++i) {
     ExpectSameOutcome(expected[i], after[i]);
   }
+}
+
+// --- resident item records ------------------------------------------------
+
+TEST_F(ExecutionPlaneTest, SubmitRecordMovesWithItsSession) {
+  // Submit's resident record lives in the session state, so it moves with
+  // the session and must keep no pointer into the session it was built in:
+  // labeling after the original is freed (heap, so ASan sees any read of
+  // it) matches a session that never moved.
+  std::unique_ptr<rl::Agent> agent = MakeAgent(*zoo_, nn::NetKind::kMlp, 23);
+  const auto build = [&] {
+    return LabelingServiceBuilder(zoo_)
+        .WithOracle(oracle_)
+        .WithPredictor(agent.get())
+        .WithMode(ExecutionMode::kParallel)
+        .WithConstraints(ParallelConstraints())
+        .WithRecallTarget(0.5)
+        .WithWorkers(1)
+        .Build();
+  };
+  LabelingService reference = build();
+  auto original = std::make_unique<LabelingService>(build());
+  ExpectSameOutcome(reference.Submit(WorkItem::Stored(0)),
+                    original->Submit(WorkItem::Stored(0)));
+  LabelingService moved = std::move(*original);
+  original.reset();
+  for (int i = 1; i < 16; ++i) {
+    ExpectSameOutcome(reference.Submit(WorkItem::Stored(i)),
+                      moved.Submit(WorkItem::Stored(i)));
+  }
+}
+
+// An untrained net plus a per-action offset: the offsets keep greedy from
+// stopping at the net's flat all-zero row, and the net keeps every row
+// state-dependent, so a row served for the wrong label set changes picks.
+// set_offset() stands in for a predictor updated between Submit calls (a
+// training loop deciding from the session's own predictor).
+class OffsetPredictor : public ModelValuePredictor {
+ public:
+  OffsetPredictor(std::unique_ptr<ModelValuePredictor> net,
+                  std::vector<double> offset)
+      : net_(std::move(net)), offset_(std::move(offset)) {}
+
+  void set_offset(std::vector<double> offset) { offset_ = std::move(offset); }
+
+  std::vector<double> PredictValues(const std::vector<float>& x) override {
+    std::vector<double> q = net_->PredictValues(x);
+    for (size_t a = 0; a < q.size(); ++a) q[a] += offset_[a];
+    return q;
+  }
+  void PredictValuesBatchTo(const std::vector<float>* const* states,
+                            const std::vector<int>* const* set_indices,
+                            size_t count, double* out) override {
+    net_->PredictValuesBatchTo(states, set_indices, count, out);
+    for (size_t i = 0; i < count; ++i) {
+      for (size_t a = 0; a < offset_.size(); ++a) {
+        out[i * offset_.size() + a] += offset_[a];
+      }
+    }
+  }
+  int num_actions() const override { return net_->num_actions(); }
+  std::unique_ptr<ModelValuePredictor> ClonePredictor() const override {
+    return std::make_unique<OffsetPredictor>(net_->ClonePredictor(), offset_);
+  }
+
+ private:
+  std::unique_ptr<ModelValuePredictor> net_;
+  std::vector<double> offset_;
+};
+
+uint64_t Bits(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+bool SameOutputs(const std::vector<zoo::LabelOutput>& a,
+                 const std::vector<zoo::LabelOutput>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const zoo::LabelOutput& x, const zoo::LabelOutput& y) {
+                      return x.label_id == y.label_id &&
+                             Bits(x.confidence) == Bits(y.confidence);
+                    });
+}
+
+// Empty when `got` is `want` bit for bit; otherwise names the first
+// difference.
+std::string OutcomeDifference(const LabelOutcome& want,
+                              const LabelOutcome& got) {
+  const ScheduleResult& w = want.schedule;
+  const ScheduleResult& g = got.schedule;
+  if (Bits(got.recall) != Bits(want.recall)) return "recall";
+  if (g.num_executions != w.num_executions) return "execution count";
+  if (Bits(g.value) != Bits(w.value)) return "value";
+  if (Bits(g.makespan_s) != Bits(w.makespan_s)) return "makespan";
+  if (Bits(g.peak_mem_mb) != Bits(w.peak_mem_mb)) return "peak memory";
+  if (g.executions.size() != w.executions.size()) return "execution records";
+  for (size_t k = 0; k < w.executions.size(); ++k) {
+    const ExecutionRecord& a = w.executions[k];
+    const ExecutionRecord& b = g.executions[k];
+    if (b.model_id != a.model_id || Bits(b.start_s) != Bits(a.start_s) ||
+        Bits(b.finish_s) != Bits(a.finish_s) ||
+        Bits(b.reward) != Bits(a.reward) || Bits(b.gain) != Bits(a.gain) ||
+        !SameOutputs(a.outputs, b.outputs) || !SameOutputs(a.fresh, b.fresh)) {
+      return "execution " + std::to_string(k);
+    }
+  }
+  if (!SameOutputs(w.recalled_labels, g.recalled_labels)) {
+    return "recalled labels";
+  }
+  return "";
+}
+
+struct RecordScenario {
+  const char* name;
+  ExecutionMode mode;
+  double time_budget_s;
+  double memory_budget_mb;
+};
+
+constexpr double kRecordTarget = 0.6;
+constexpr uint64_t kRecordSeed = 5;
+
+// One item through a fresh kernel: a new context and picker (the
+// predictor-taking factories keep a private plane per picker), recall from
+// ValueAccumulator::AddModel, and the label sets the item passed through.
+struct FreshRun {
+  LabelOutcome outcome;
+  bool skipped = false;            // recall target met before any execution
+  bool stopped_by_target = false;  // the target hook stopped the kernel
+  std::vector<std::vector<int>> label_sets;  // empty set, then per event
+};
+
+FreshRun RunFresh(const RecordScenario& scenario, KernelMode kernel_mode,
+                  ModelValuePredictor* predictor, const data::Oracle* oracle,
+                  const WorkItem& item, uint64_t stream_id) {
+  FreshRun run;
+  run.label_sets.emplace_back();
+  std::unique_ptr<ExecutionContext> exec;
+  std::optional<ValueAccumulator> acc;
+  if (item.item >= 0) {
+    exec = std::make_unique<ReplayExecutionContext>(oracle, item.item);
+    acc.emplace(oracle, item.item);
+    if (RecallTargetReached(acc->Recall(), kRecordTarget)) {
+      run.skipped = true;
+      run.outcome.recall = acc->Recall();
+      return run;
+    }
+  } else {
+    exec = std::make_unique<LiveExecutionContext>(&oracle->zoo(), item.scene);
+  }
+  ModelPicker picker;
+  switch (scenario.mode) {
+    case ExecutionMode::kGreedy:
+      picker = MakeGreedyPicker(predictor);
+      break;
+    case ExecutionMode::kSerial:
+      picker = MakeDeadlinePicker(predictor);
+      break;
+    case ExecutionMode::kParallel:
+      picker = MakeDeadlineMemoryPicker(predictor);
+      break;
+    case ExecutionMode::kParallelRandom:
+      picker = MakeRandomPackingPicker(
+          util::HashCombine(kRecordSeed, 0x9A7Au + stream_id));
+      break;
+  }
+  KernelHooks hooks;
+  hooks.on_executed = [&](const ExecutionRecord& record,
+                          const LabelingState& state) {
+    run.label_sets.push_back(state.SetIndices());
+    if (!acc.has_value()) return false;
+    const double gain = acc->AddModel(record.model_id);
+    EXPECT_EQ(Bits(record.gain), Bits(gain))
+        << "the kernel's gain must be ValueAccumulator::AddModel's";
+    const bool stop = RecallTargetReached(acc->Recall(), kRecordTarget);
+    run.stopped_by_target |= stop;
+    return stop;
+  };
+  ScheduleConstraints constraints;
+  constraints.time_budget_s = scenario.time_budget_s;
+  constraints.memory_budget_mb = scenario.memory_budget_mb;
+  run.outcome.schedule =
+      RunScheduleKernel(*exec, constraints, picker, hooks, kernel_mode);
+  if (acc.has_value()) run.outcome.recall = acc->Recall();
+  return run;
+}
+
+// True when `next` passes through `prev`'s final label count with another
+// label set: the case where a slot left valid across items would serve
+// `prev`'s row to `next`.
+bool ReachesCountWithOtherSet(const FreshRun& prev, const FreshRun& next) {
+  const std::vector<int>& last = prev.label_sets.back();
+  if (last.empty()) return false;
+  return std::any_of(next.label_sets.begin(), next.label_sets.end(),
+                     [&](const std::vector<int>& set) {
+                       return set.size() == last.size() && set != last;
+                     });
+}
+
+// Drives `items` through `stepper` with at most `max_resident` in flight, so
+// records are re-armed in varying order; outcomes come back in item order.
+std::vector<LabelOutcome> StepThrough(LabelingService::ItemStepper* stepper,
+                                      const std::vector<WorkItem>& items,
+                                      const std::vector<uint64_t>& stream_ids,
+                                      int max_resident) {
+  std::vector<LabelOutcome> outcomes(items.size());
+  std::vector<size_t> index_of_ticket;
+  std::vector<LabelingService::ItemStepper::Completion> done;
+  size_t next = 0;
+  size_t finished = 0;
+  for (int tick = 0; finished < items.size(); ++tick) {
+    if (tick > 100000) {
+      ADD_FAILURE() << "stepper did not drain";
+      break;
+    }
+    while (next < items.size() && stepper->resident() < max_resident) {
+      const uint64_t ticket = stepper->Admit(items[next], stream_ids[next]);
+      if (ticket >= index_of_ticket.size()) index_of_ticket.resize(ticket + 1);
+      index_of_ticket[ticket] = next++;
+    }
+    done.clear();
+    stepper->Tick(&done);
+    for (LabelingService::ItemStepper::Completion& completion : done) {
+      outcomes[index_of_ticket[completion.ticket]] =
+          std::move(completion.outcome);
+      ++finished;
+    }
+  }
+  return outcomes;
+}
+
+// Every item that Submit and a stepper label on re-armed resident records
+// must be bit for bit the item run through a fresh kernel. The sequence
+// covers what a re-arm has to reset: stored and live items, items the
+// recall target stops early or skips, consecutive items reaching the same
+// label count with other label sets, and, for Submit, a predictor changed
+// between items. Each item's first pick queries the empty state, so with a
+// frozen predictor a slot still valid from the last item can only hold the
+// empty-state row, which is right; after a predictor change that row is
+// stale, and only the re-arm's slot invalidation keeps it from being read.
+TEST_F(ExecutionPlaneTest, ReArmedRecordsMatchFreshKernels) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const RecordScenario scenarios[] = {
+      {"greedy", ExecutionMode::kGreedy, inf, inf},
+      {"algorithm1", ExecutionMode::kSerial, 0.8, inf},
+      {"algorithm2", ExecutionMode::kParallel, 1.0, 8000.0},
+      {"random_packing", ExecutionMode::kParallelRandom, 1.0, 8000.0},
+  };
+  nn::MlpConfig config;
+  config.input_dim = zoo_->labels().total_labels();
+  config.hidden_dims = {16};
+  config.output_dim = zoo_->num_models() + 1;
+  util::Rng rng(0x5E7u);
+  // Two predictor versions. Under `stopping`, END outranks every model at
+  // the empty state, so greedy stops before its first execution and leaves
+  // its slot valid at label count 0.
+  std::vector<double> offset(static_cast<size_t>(config.output_dim));
+  std::vector<double> stopping(offset.size());
+  for (double& o : offset) o = rng.Uniform(-0.1, 0.1);
+  for (double& o : stopping) o = rng.Uniform(-0.1, 0.1);
+  offset.back() = 0.05;
+  stopping.back() = 5.0;
+  OffsetPredictor predictor(
+      std::make_unique<rl::Agent>(std::make_unique<nn::Mlp>(config, 9),
+                                  nn::NetKind::kMlp),
+      offset);
+
+  // An mscoco corpus with items that carry no value at all (5 of 64), to
+  // exercise the admission skip. Stored items with every fourth slot a live
+  // scene; stream ids as Submit assigns them (stored: the item id; live:
+  // the live sequence number).
+  const data::Dataset dataset = data::Dataset::Generate(
+      data::DatasetProfile::MsCoco(), zoo_->labels(), 64, 41);
+  const data::Oracle oracle(zoo_, &dataset);
+  std::vector<WorkItem> items;
+  std::vector<uint64_t> stream_ids;
+  uint64_t live_sequence = 0;
+  for (int i = 0; i < dataset.size(); ++i) {
+    if (i % 4 == 3) {
+      items.push_back(WorkItem::Live(&dataset.item(i).scene));
+      stream_ids.push_back(live_sequence++);
+    } else {
+      items.push_back(WorkItem::Stored(i));
+      stream_ids.push_back(static_cast<uint64_t>(i));
+    }
+  }
+
+  int skipped = 0;
+  int stopped = 0;
+  int same_count_pairs = 0;
+  for (const RecordScenario& scenario : scenarios) {
+    for (KernelMode kernel_mode : {KernelMode::kLean, KernelMode::kFull}) {
+      const std::string path =
+          std::string(scenario.name) +
+          (kernel_mode == KernelMode::kLean ? " lean" : " full");
+      ScheduleConstraints constraints;
+      constraints.time_budget_s = scenario.time_budget_s;
+      constraints.memory_budget_mb = scenario.memory_budget_mb;
+      LabelingServiceBuilder builder(zoo_);
+      builder.WithOracle(&oracle)
+          .WithMode(scenario.mode)
+          .WithConstraints(constraints)
+          .WithKernelMode(kernel_mode)
+          .WithWorkers(1)
+          .WithSeed(kRecordSeed)
+          .WithRecallTarget(kRecordTarget);
+      if (scenario.mode != ExecutionMode::kParallelRandom) {
+        builder.WithPredictor(&predictor);
+      }
+      LabelingService session = builder.Build();
+
+      predictor.set_offset(offset);
+      std::vector<FreshRun> fresh;
+      for (size_t i = 0; i < items.size(); ++i) {
+        fresh.push_back(RunFresh(scenario, kernel_mode, &predictor, &oracle,
+                                 items[i], stream_ids[i]));
+      }
+      // Submit labels every item on the session's one resident record: once
+      // with a frozen predictor, then with the predictor switched between
+      // versions from item to item (live stream ids continue the session's
+      // sequence).
+      for (size_t i = 0; i < items.size(); ++i) {
+        const std::string diff =
+            OutcomeDifference(fresh[i].outcome, session.Submit(items[i]));
+        EXPECT_TRUE(diff.empty())
+            << path << ", Submit, item " << i << ": " << diff;
+      }
+      for (size_t i = 0; i < items.size(); ++i) {
+        predictor.set_offset(i % 2 == 0 ? stopping : offset);
+        const uint64_t stream_id =
+            items[i].item >= 0 ? stream_ids[i] : stream_ids[i] + live_sequence;
+        const FreshRun want = RunFresh(scenario, kernel_mode, &predictor,
+                                       &oracle, items[i], stream_id);
+        const std::string diff =
+            OutcomeDifference(want.outcome, session.Submit(items[i]));
+        EXPECT_TRUE(diff.empty()) << path << ", Submit after a predictor "
+                                  << "change, item " << i << ": " << diff;
+      }
+      predictor.set_offset(offset);
+      // A stepper re-arms a handful of records in completion order.
+      std::unique_ptr<LabelingService::ItemStepper> stepper =
+          session.NewItemStepper(0);
+      const std::vector<LabelOutcome> stepped =
+          StepThrough(stepper.get(), items, stream_ids, /*max_resident=*/3);
+      for (size_t i = 0; i < items.size(); ++i) {
+        const std::string diff =
+            OutcomeDifference(fresh[i].outcome, stepped[i]);
+        EXPECT_TRUE(diff.empty())
+            << path << ", stepper, item " << i << ": " << diff;
+      }
+
+      // Skipped items leave the record untouched, so Submit's record goes
+      // from one scheduled item to the next.
+      const FreshRun* prev = nullptr;
+      for (const FreshRun& run : fresh) {
+        skipped += run.skipped;
+        stopped += run.stopped_by_target;
+        if (run.skipped) continue;
+        if (prev != nullptr && ReachesCountWithOtherSet(*prev, run)) {
+          ++same_count_pairs;
+        }
+        prev = &run;
+      }
+    }
+  }
+  // The sequence exercises everything a re-arm must clear.
+  EXPECT_GT(skipped, 0) << "no item was skipped for having no value";
+  EXPECT_GT(stopped, 0) << "the recall target never stopped an item early";
+  EXPECT_GT(same_count_pairs, 0)
+      << "no consecutive items reached the same label count with different "
+         "label sets";
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 // Allocation-counting regression for the serving hot path: with the
 // worker-affine scratch arena attached (the default for ItemStepper) and the
-// kernel in lean mode, a steady-state Tick — batched Q refresh through the
+// kernel in lean mode, steady-state admission — re-arming a resident item
+// record — and a steady-state Tick — batched Q refresh through the
 // DecisionPlane, one kernel step per resident item, completion handling —
 // must perform ZERO heap allocations once the first pass over the workload
-// has sized every buffer. The raw-buffer Agent forward underneath carries
-// the same contract and is checked on its own.
+// has sized every buffer. A warm lean Submit, which labels on the session's
+// resident record, carries the same contract, and so does the raw-buffer
+// Agent forward underneath, checked on its own.
 //
 // The hook is a global operator new/delete replacement with a flag-gated
 // counter. It is compiled out under sanitizers (they interpose allocation
@@ -223,8 +225,8 @@ TEST_F(TickAllocTest, SteadyStateLeanStepperTicksAreAllocationFree) {
   completed.reserve(kItems * 2);
 
   // Warm-up pass: runs the full workload once, sizing the arena, the plane's
-  // row memo + slot buffers, the agent's batch scratch, and every kernel
-  // capacity the admission path reserves.
+  // row memo + slot buffers, the agent's batch scratch, and the resident
+  // item records (one per slot, each with its kernel's tables).
   for (int i = 0; i < kItems; ++i) {
     stepper->Admit(core::WorkItem::Stored(i), static_cast<uint64_t>(i));
   }
@@ -235,11 +237,13 @@ TEST_F(TickAllocTest, SteadyStateLeanStepperTicksAreAllocationFree) {
   ASSERT_EQ(completed.size(), static_cast<size_t>(kItems));
   completed.clear();
 
-  // Measured pass: identical workload. Admission allocates (new kernels and
-  // replay contexts per item — that is per-item setup, not tick work); every
-  // Tick must not.
+  // Measured pass: identical workload. Admission re-arms the warm resident
+  // records and every Tick reuses their buffers, so neither may allocate.
   for (int i = 0; i < kItems; ++i) {
-    stepper->Admit(core::WorkItem::Stored(i), static_cast<uint64_t>(i));
+    const size_t allocs = CountAllocations([&] {
+      stepper->Admit(core::WorkItem::Stored(i), static_cast<uint64_t>(i));
+    });
+    EXPECT_EQ(allocs, 0u) << "admitting item " << i << " touched the heap";
   }
   int measured_ticks = 0;
   for (int t = 0; !stepper->idle(); ++t) {
@@ -301,7 +305,10 @@ TEST_F(TickAllocTest, TracedSteadyStateTicksAreStillAllocationFree) {
   EXPECT_GT(warmup_events, 0u) << "tracing was attached but recorded nothing";
 
   for (int i = 0; i < kItems; ++i) {
-    stepper->Admit(core::WorkItem::Stored(i), static_cast<uint64_t>(i));
+    const size_t allocs = CountAllocations([&] {
+      stepper->Admit(core::WorkItem::Stored(i), static_cast<uint64_t>(i));
+    });
+    EXPECT_EQ(allocs, 0u) << "admitting item " << i << " touched the heap";
   }
   int measured_ticks = 0;
   for (int t = 0; !stepper->idle(); ++t) {
@@ -315,6 +322,48 @@ TEST_F(TickAllocTest, TracedSteadyStateTicksAreStillAllocationFree) {
   // The measured ticks were actually traced, not silently skipped.
   EXPECT_GT(lane->recorded(), warmup_events);
   EXPECT_TRUE(stepper->last_tick_stats().traced);
+}
+
+TEST_F(TickAllocTest, WarmLeanSubmitIsAllocationFree) {
+  AMS_SKIP_WITHOUT_ALLOC_HOOKS();
+  // Submit labels every item on the session's resident record: its private
+  // plane, replay context and kernel tables are built by the first item and
+  // re-armed for each later one, so once the workload has run once a lean
+  // Submit of a stored item performs no heap allocation at all.
+  std::unique_ptr<rl::Agent> agent = MakeAgent(
+      zoo_->labels().total_labels(), zoo_->num_models() + 1, nn::NetKind::kMlp,
+      7);
+  core::ScheduleConstraints constraints;
+  constraints.time_budget_s = 1.0;
+  constraints.memory_budget_mb = 8000.0;
+  core::LabelingService session =
+      core::LabelingServiceBuilder(zoo_)
+          .WithOracle(oracle_)
+          .WithPredictor(agent.get())
+          .WithMode(core::ExecutionMode::kParallel)
+          .WithConstraints(constraints)
+          .WithKernelMode(core::KernelMode::kLean)
+          .WithWorkers(1)
+          .Build();
+
+  constexpr int kItems = 8;
+  std::vector<int> warm_executions;
+  for (int i = 0; i < kItems; ++i) {
+    warm_executions.push_back(
+        session.Submit(core::WorkItem::Stored(i)).schedule.num_executions);
+  }
+  int executions = 0;
+  for (int i = 0; i < kItems; ++i) {
+    core::LabelOutcome outcome;
+    const size_t allocs = CountAllocations(
+        [&] { outcome = session.Submit(core::WorkItem::Stored(i)); });
+    EXPECT_EQ(allocs, 0u) << "submitting item " << i << " touched the heap";
+    EXPECT_EQ(outcome.schedule.num_executions,
+              warm_executions[static_cast<size_t>(i)]);
+    executions += outcome.schedule.num_executions;
+  }
+  // The items must actually schedule work (skips would trivially pass).
+  EXPECT_GE(executions, kItems);
 }
 
 }  // namespace
