@@ -6,7 +6,6 @@
 #include "eval/recall_curve.h"
 #include "rl/agent.h"
 #include "sched/basic_policies.h"
-#include "sched/cost_q_greedy.h"
 
 namespace ams::bench {
 
@@ -18,19 +17,8 @@ struct OwnedQGreedy : sched::QGreedyPolicy {
   std::unique_ptr<rl::Agent> agent;
 };
 
-/// Algorithm-1 policy owning a private agent clone.
-struct OwnedCostQGreedy : sched::CostQGreedyPolicy {
-  explicit OwnedCostQGreedy(std::unique_ptr<rl::Agent> a)
-      : sched::CostQGreedyPolicy(a.get()), agent(std::move(a)) {}
-  std::unique_ptr<rl::Agent> agent;
-};
-
 inline eval::PolicyFactory QGreedyFactory(rl::Agent* agent) {
   return [agent] { return std::make_unique<OwnedQGreedy>(agent->Clone()); };
-}
-
-inline eval::PolicyFactory CostQGreedyFactory(rl::Agent* agent) {
-  return [agent] { return std::make_unique<OwnedCostQGreedy>(agent->Clone()); };
 }
 
 }  // namespace ams::bench

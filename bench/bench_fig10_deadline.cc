@@ -1,8 +1,8 @@
 // Reproduces Fig. 10 (§VI-F): value recall under per-image deadline
 // constraints on MSCOCO 2017, MirFlickr25 and Places365, comparing
-// Algorithm 1 (Cost-Q greedy), the plain Q-greedy policy, the random policy
-// and the relaxed optimal* upper bound, plus the performance ratio of
-// Algorithm 1 to optimal* against the classic 1-1/e guarantee.
+// Algorithm 1 (a kSerial predictor session), the plain Q-greedy policy, the
+// random policy and the relaxed optimal* upper bound, plus the performance
+// ratio of Algorithm 1 to optimal* against the classic 1-1/e guarantee.
 //
 // Paper reference points: Algorithm 1 boosts the value recall by
 // 188.7-309.5% over random at a 0.5 s deadline, and its ratio to optimal*
@@ -51,8 +51,8 @@ void Run() {
     const std::vector<int> items = world.EvalItems(d);
     rl::Agent* agent = agents[ds].get();
 
-    const eval::DeadlineSweep alg1 = eval::ComputeDeadlineSweep(
-        bench::CostQGreedyFactory(agent), oracle, items, deadlines);
+    const eval::DeadlineSweep alg1 =
+        eval::ComputeDeadlineSweep(agent, oracle, items, deadlines);
     const eval::DeadlineSweep qgreedy = eval::ComputeDeadlineSweep(
         bench::QGreedyFactory(agent), oracle, items, deadlines);
     const eval::DeadlineSweep random = eval::ComputeDeadlineSweep(
@@ -64,7 +64,7 @@ void Run() {
     bench::Banner("Fig. 10 (" + datasets[ds] +
                   ") — value recall vs per-image deadline");
     util::AsciiTable table;
-    table.SetHeader({"deadline(s)", "cost_q_greedy(Alg1)", "q_greedy",
+    table.SetHeader({"deadline(s)", "algorithm1", "q_greedy",
                      "random", "optimal*"});
     for (size_t k = 0; k < deadlines.size(); ++k) {
       table.AddRow(util::FormatDouble(deadlines[k], 2),

@@ -9,7 +9,6 @@
 #include <iostream>
 #include <memory>
 
-#include "bench/agent_policies.h"
 #include "bench/bench_util.h"
 #include "eval/agent_cache.h"
 #include "eval/deadline_sweep.h"
@@ -44,10 +43,10 @@ void Run() {
     const data::Oracle& oracle = world.oracle(d);
     const std::vector<int> items = world.EvalItems(d);
 
-    const eval::DeadlineSweep sweep_a1 = eval::ComputeDeadlineSweep(
-        bench::CostQGreedyFactory(agents[0].get()), oracle, items, deadlines);
-    const eval::DeadlineSweep sweep_a2 = eval::ComputeDeadlineSweep(
-        bench::CostQGreedyFactory(agents[1].get()), oracle, items, deadlines);
+    const eval::DeadlineSweep sweep_a1 =
+        eval::ComputeDeadlineSweep(agents[0].get(), oracle, items, deadlines);
+    const eval::DeadlineSweep sweep_a2 =
+        eval::ComputeDeadlineSweep(agents[1].get(), oracle, items, deadlines);
     const eval::DeadlineSweep sweep_rnd = eval::ComputeDeadlineSweep(
         [] { return std::make_unique<sched::RandomPolicy>(59); }, oracle,
         items, deadlines);

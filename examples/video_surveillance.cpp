@@ -95,15 +95,13 @@ int main() {
         rl::AgentTrainer(&oracle, config).Train();
 
     // Algorithm-1 session: respond within half a second.
-    sched::PolicyOptions options;
-    options.predictor = agent.get();
     core::ScheduleConstraints constraints;
     constraints.time_budget_s = 0.5;
     core::LabelingService service =
         core::LabelingServiceBuilder(&zoo)
             .WithOracle(&oracle)
             .WithMode(core::ExecutionMode::kSerial)
-            .WithPolicy("cost_q_greedy", options)
+            .WithPredictor(agent.get())
             .WithConstraints(constraints)
             .Build();
 

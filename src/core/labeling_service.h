@@ -23,7 +23,10 @@ enum class ExecutionMode {
   /// Q-greedy, END-stop (§V intro). Predictor-driven, unconstrained.
   kGreedy,
   /// Serial scheduling under a deadline: Algorithm 1 when the session has a
-  /// predictor, or any registry policy when it has one of those.
+  /// predictor, or any registry policy when it has one of those. Algorithm 1
+  /// scores a model by SchedulingProfit(Q) over the zoo's mean time and
+  /// checks feasibility against the execution context's planned time (the
+  /// realized draw under replay, the mean time on live items).
   kSerial,
   /// Algorithm 2 under deadline + memory. Predictor-driven.
   kParallel,

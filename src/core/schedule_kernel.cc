@@ -260,17 +260,6 @@ ScheduleResult RunScheduleKernel(const ExecutionContext& exec,
 
 namespace {
 
-// Adapts the predictor-taking picker factories to the slot-based ones: each
-// single-shot picker (AdaptiveModelScheduler, sched::RunParallel) gets a
-// private single-slot DecisionPlane, so an item costs at most one forward
-// pass per label state.
-struct PrivateSlot {
-  PrivateSlot(ModelValuePredictor* predictor, DecisionRow row)
-      : plane(predictor, row), slot(plane.NewSlot()) {}
-  DecisionPlane plane;
-  DecisionPlane::Slot* slot;
-};
-
 // The pick loops below visit only unstarted models, in ascending id order
 // (so ties keep the lowest id), and read the per-item PickContext rows and a
 // decision row computed once per label state, so a pick is arithmetic only.
@@ -297,15 +286,16 @@ int DeadlinePick(DecisionPlane::Slot* slot, const PickContext& pick) {
   if (!pick.idle) return -1;
   const double* profit = slot->Row(*pick.state).data();
   const double remaining = pick.remaining_time();
-  // Algorithm 1 lines 3-4: among models that still fit the budget, pick
-  // the one maximizing SchedulingProfit(Q) / time.
+  // Algorithm 1 lines 3-4: among models whose planned time still fits the
+  // budget, pick the one maximizing SchedulingProfit(Q) / mean time. The
+  // score never reads the planned time: under replay that is the item's
+  // realized draw, which a live scheduler cannot know before the model runs.
   int best = -1;
   double best_ratio = 0.0;
   for (int k = 0; k < pick.num_unstarted; ++k) {
     const int m = pick.unstarted[k];
-    const double planned = pick.planned_time[m];
-    if (planned > remaining) continue;
-    const double ratio = profit[m] / planned;
+    if (pick.planned_time[m] > remaining) continue;
+    const double ratio = profit[m] / pick.mean_time[m];
     if (best == -1 || ratio > best_ratio) {
       best = m;
       best_ratio = ratio;
@@ -347,40 +337,14 @@ void CheckRowKind(const DecisionPlane::Slot* slot, DecisionRow row) {
 
 }  // namespace
 
-ModelPicker MakeGreedyPicker(ModelValuePredictor* predictor) {
-  AMS_CHECK(predictor != nullptr);
-  auto owned = std::make_shared<PrivateSlot>(predictor, DecisionRow::kQ);
-  return [owned](const PickContext& pick) {
-    return GreedyPick(owned->slot, pick);
-  };
-}
-
 ModelPicker MakeGreedyPicker(DecisionPlane::Slot* slot) {
   CheckRowKind(slot, DecisionRow::kQ);
   return [slot](const PickContext& pick) { return GreedyPick(slot, pick); };
 }
 
-ModelPicker MakeDeadlinePicker(ModelValuePredictor* predictor) {
-  AMS_CHECK(predictor != nullptr);
-  auto owned = std::make_shared<PrivateSlot>(predictor,
-                                             DecisionRow::kSchedulingProfit);
-  return [owned](const PickContext& pick) {
-    return DeadlinePick(owned->slot, pick);
-  };
-}
-
 ModelPicker MakeDeadlinePicker(DecisionPlane::Slot* slot) {
   CheckRowKind(slot, DecisionRow::kSchedulingProfit);
   return [slot](const PickContext& pick) { return DeadlinePick(slot, pick); };
-}
-
-ModelPicker MakeDeadlineMemoryPicker(ModelValuePredictor* predictor) {
-  AMS_CHECK(predictor != nullptr);
-  auto owned = std::make_shared<PrivateSlot>(predictor,
-                                             DecisionRow::kSchedulingProfit);
-  return [owned](const PickContext& pick) {
-    return DeadlineMemoryPick(owned->slot, pick);
-  };
 }
 
 ModelPicker MakeDeadlineMemoryPicker(DecisionPlane::Slot* slot) {

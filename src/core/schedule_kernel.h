@@ -8,7 +8,6 @@
 
 #include "core/decision_plane.h"
 #include "core/labeling_state.h"
-#include "core/predictor.h"
 #include "data/oracle.h"
 #include "zoo/latent_scene.h"
 #include "zoo/model_zoo.h"
@@ -80,7 +79,9 @@ class ExecutionContext {
   /// the budget"), one per model id in a row that stays valid for the
   /// context's lifetime, so the kernel resolves it once per item. Live
   /// scheduling only knows the spec's mean time; replay knows the realized
-  /// draw.
+  /// draw. Pickers never score with it: Algorithms 1 and 2 divide by the
+  /// zoo's mean time, so a replayed schedule ranks models as a live one
+  /// would.
   virtual const double* PlannedTimes() const = 0;
   double PlannedTime(int model) const { return PlannedTimes()[model]; }
 
@@ -300,27 +301,28 @@ ScheduleResult RunScheduleKernel(const ExecutionContext& exec,
                                  KernelMode mode = KernelMode::kFull);
 
 /// Q-value greedy picker (§V intro): when idle, starts the unexecuted model
-/// with maximal predicted Q; stops once END has the highest value. The Slot
-/// overloads draw decision rows through a shared DecisionPlane (so an
-/// ItemStepper can batch them); the predictor overloads keep a private
-/// plane. Greedy slots must come from a DecisionRow::kQ plane.
-ModelPicker MakeGreedyPicker(ModelValuePredictor* predictor);
+/// with maximal predicted Q; stops once END has the highest value. The slot
+/// must come from a DecisionRow::kQ plane; drawing rows through a shared
+/// DecisionPlane is what lets an ItemStepper batch them.
 ModelPicker MakeGreedyPicker(DecisionPlane::Slot* slot);
 
-/// Algorithm 1 picker: when idle, starts the feasible model maximizing
-/// SchedulingProfit(Q) / planned time. Slots must come from a
+/// Algorithm 1 picker: when idle, starts the model maximizing
+/// SchedulingProfit(Q) / mean time among the unstarted models whose planned
+/// time still fits the deadline. Scores use the zoo's mean time, all a live
+/// scheduler knows before a model runs; feasibility uses the execution
+/// context's planned time, which is the realized draw under replay and the
+/// mean time on live items. The slot must come from a
 /// DecisionRow::kSchedulingProfit plane, whose rows already hold the profit.
-ModelPicker MakeDeadlinePicker(ModelValuePredictor* predictor);
 ModelPicker MakeDeadlinePicker(DecisionPlane::Slot* slot);
 
 /// Algorithm 2 picker: when idle, anchors the window with the feasible model
-/// maximizing SchedulingProfit(Q) / (time * mem); otherwise fills remaining
-/// memory with the feasible model maximizing SchedulingProfit(Q) / mem.
-/// Fills are bounded by the global deadline rather than the literal anchor
-/// window (see DESIGN note in the implementation: the literal filter
-/// degenerates to serial execution when the value-density anchor is a short
-/// model). Slots must come from a DecisionRow::kSchedulingProfit plane.
-ModelPicker MakeDeadlineMemoryPicker(ModelValuePredictor* predictor);
+/// maximizing SchedulingProfit(Q) / (mean time * mem); otherwise fills
+/// remaining memory with the feasible model maximizing SchedulingProfit(Q) /
+/// mem. Feasibility reads the planned time, as Algorithm 1's does. Fills are
+/// bounded by the global deadline rather than the literal anchor window (see
+/// DESIGN note in the implementation: the literal filter degenerates to
+/// serial execution when the value-density anchor is a short model). The
+/// slot must come from a DecisionRow::kSchedulingProfit plane.
 ModelPicker MakeDeadlineMemoryPicker(DecisionPlane::Slot* slot);
 
 /// Random feasible packing baseline (§VI-G): reshuffles the model order at

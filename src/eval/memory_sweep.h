@@ -7,7 +7,6 @@
 #include "core/predictor.h"
 #include "data/oracle.h"
 #include "rl/agent.h"
-#include "sched/parallel_runner.h"
 
 namespace ams::eval {
 

@@ -1,10 +1,8 @@
 #include "eval/recall_curve.h"
 
-#include <atomic>
-
-#include "sched/serial_runner.h"
+#include "core/labeling_service.h"
+#include "core/value.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace ams::eval {
 
@@ -14,34 +12,49 @@ std::vector<double> DefaultThresholds() {
 
 namespace {
 
-// Runs the policy to full recall on every item and returns trajectories.
-// One policy instance per worker thread.
-std::vector<sched::SerialRunResult> RunAll(const PolicyFactory& factory,
-                                           const data::Oracle& oracle,
-                                           const std::vector<int>& items,
-                                           int num_threads) {
-  if (num_threads <= 0) num_threads = util::ThreadPool::DefaultThreads();
-  std::vector<sched::SerialRunResult> results(items.size());
-  const int n = static_cast<int>(items.size());
-  const int chunk = (n + num_threads - 1) / num_threads;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < num_threads; ++t) {
-    const int lo = t * chunk;
-    const int hi = std::min(n, lo + chunk);
-    if (lo >= hi) break;
-    threads.emplace_back([&, lo, hi] {
-      std::unique_ptr<sched::SchedulingPolicy> policy = factory();
-      sched::SerialRunConfig config;
-      config.recall_target = 1.0;
-      for (int i = lo; i < hi; ++i) {
-        results[static_cast<size_t>(i)] =
-            sched::RunSerial(policy.get(), oracle, items[static_cast<size_t>(i)],
-                             config);
-      }
-    });
+// Labels every item to full recall through one serial session whose workers
+// each own a policy from `factory`. The full kernel mode keeps every
+// execution record, so each item's trajectory can be read back from
+// schedule.executions.
+std::vector<core::LabelOutcome> RunToFullRecall(const PolicyFactory& factory,
+                                                const data::Oracle& oracle,
+                                                const std::vector<int>& items,
+                                                int num_threads) {
+  std::vector<core::WorkItem> work;
+  work.reserve(items.size());
+  for (int item : items) work.push_back(core::WorkItem::Stored(item));
+  core::LabelingService service = core::LabelingServiceBuilder(&oracle.zoo())
+                                      .WithOracle(&oracle)
+                                      .WithMode(core::ExecutionMode::kSerial)
+                                      .WithPolicyFactory(factory)
+                                      .WithKernelMode(core::KernelMode::kFull)
+                                      .WithRecallTarget(1.0)
+                                      .WithWorkers(num_threads)
+                                      .Build();
+  return service.SubmitBatch(work);
+}
+
+struct Cost {
+  double models = 0.0;
+  double time_s = 0.0;
+};
+
+// Models executed and time spent when the item's running recall (the summed
+// execution gains over its total value) first reaches `target`; the whole
+// run when it never does (cannot happen for full-recall runs, but guard
+// anyway).
+Cost CostToReach(const core::LabelOutcome& outcome, double total_value,
+                 double target) {
+  const std::vector<core::ExecutionRecord>& executions =
+      outcome.schedule.executions;
+  double value = 0.0;
+  for (size_t k = 0; k < executions.size(); ++k) {
+    value += executions[k].gain;
+    if (core::ValueRecall(value, total_value) >= target - 1e-12) {
+      return {static_cast<double>(k + 1), executions[k].finish_s};
+    }
   }
-  for (auto& t : threads) t.join();
-  return results;
+  return {static_cast<double>(executions.size()), outcome.schedule.makespan_s};
 }
 
 }  // namespace
@@ -53,36 +66,23 @@ RecallCurve ComputeRecallCurve(const PolicyFactory& factory,
                                int num_threads) {
   AMS_CHECK(!items.empty());
   AMS_CHECK(!thresholds.empty());
-  const std::vector<sched::SerialRunResult> runs =
-      RunAll(factory, oracle, items, num_threads);
+  const std::vector<core::LabelOutcome> outcomes =
+      RunToFullRecall(factory, oracle, items, num_threads);
 
   RecallCurve curve;
-  {
-    std::unique_ptr<sched::SchedulingPolicy> probe = factory();
-    curve.policy_name = probe->name();
-  }
+  curve.policy_name = factory()->name();
   curve.thresholds = thresholds;
   curve.avg_models.assign(thresholds.size(), 0.0);
   curve.avg_time_s.assign(thresholds.size(), 0.0);
-  for (const auto& run : runs) {
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    const double total = oracle.TrueTotalValue(items[i]);
     for (size_t k = 0; k < thresholds.size(); ++k) {
-      // Cost at the first step where recall >= threshold; if the run never
-      // reaches it (cannot happen for full-recall runs, but guard anyway),
-      // charge the whole run.
-      double models = static_cast<double>(run.steps.size());
-      double time_s = run.time_used;
-      for (const auto& step : run.steps) {
-        if (step.recall_after >= thresholds[k] - 1e-12) {
-          models = static_cast<double>(&step - run.steps.data() + 1);
-          time_s = step.time_after;
-          break;
-        }
-      }
-      curve.avg_models[k] += models;
-      curve.avg_time_s[k] += time_s;
+      const Cost cost = CostToReach(outcomes[i], total, thresholds[k]);
+      curve.avg_models[k] += cost.models;
+      curve.avg_time_s[k] += cost.time_s;
     }
   }
-  const double inv = 1.0 / static_cast<double>(runs.size());
+  const double inv = 1.0 / static_cast<double>(outcomes.size());
   for (size_t k = 0; k < thresholds.size(); ++k) {
     curve.avg_models[k] *= inv;
     curve.avg_time_s[k] *= inv;
@@ -94,23 +94,16 @@ FullRecallCosts ComputeFullRecallCosts(const PolicyFactory& factory,
                                        const data::Oracle& oracle,
                                        const std::vector<int>& items,
                                        double recall_target, int num_threads) {
-  const std::vector<sched::SerialRunResult> runs =
-      RunAll(factory, oracle, items, num_threads);
+  const std::vector<core::LabelOutcome> outcomes =
+      RunToFullRecall(factory, oracle, items, num_threads);
   FullRecallCosts costs;
-  costs.time_s.reserve(runs.size());
-  costs.models.reserve(runs.size());
-  for (const auto& run : runs) {
-    double models = static_cast<double>(run.steps.size());
-    double time_s = run.time_used;
-    for (const auto& step : run.steps) {
-      if (step.recall_after >= recall_target - 1e-12) {
-        models = static_cast<double>(&step - run.steps.data() + 1);
-        time_s = step.time_after;
-        break;
-      }
-    }
-    costs.time_s.push_back(time_s);
-    costs.models.push_back(models);
+  costs.time_s.reserve(outcomes.size());
+  costs.models.reserve(outcomes.size());
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    const Cost cost = CostToReach(
+        outcomes[i], oracle.TrueTotalValue(items[i]), recall_target);
+    costs.time_s.push_back(cost.time_s);
+    costs.models.push_back(cost.models);
   }
   return costs;
 }

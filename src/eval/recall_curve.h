@@ -11,7 +11,7 @@
 
 namespace ams::eval {
 
-/// Creates a fresh policy instance; called once per evaluation thread so
+/// Creates a fresh policy instance; called once per session worker so
 /// stateful policies never share state across threads.
 using PolicyFactory = std::function<std::unique_ptr<sched::SchedulingPolicy>()>;
 
@@ -28,9 +28,11 @@ struct RecallCurve {
 /// Default threshold grid 0.1, 0.2, ..., 1.0.
 std::vector<double> DefaultThresholds();
 
-/// Runs `factory`'s policy on every item until full recall, then derives the
-/// per-threshold averages from the trajectories. `num_threads` <= 0 uses all
-/// cores.
+/// Runs `factory`'s policy on every item until full recall, through one
+/// LabelingService::SubmitBatch over `num_threads` workers (<= 0: all
+/// cores), then derives the per-threshold averages from each item's
+/// executions: a threshold's cost is the model count and finish time of the
+/// first execution whose running recall reaches it.
 RecallCurve ComputeRecallCurve(const PolicyFactory& factory,
                                const data::Oracle& oracle,
                                const std::vector<int>& items,

@@ -6,9 +6,9 @@
 
 namespace ams::sched {
 
-/// Presents a serial SchedulingPolicy as a core::ModelPicker, so the one
-/// shared scheduling kernel drives both the offline runners and the online
-/// LabelingService with any policy. The adapter enforces the policy
+/// Presents a serial SchedulingPolicy as a core::ModelPicker, so the
+/// scheduling kernel behind every LabelingService session, online or
+/// replaying stored items, runs any policy. The adapter enforces the policy
 /// contract: a picked model must be unexecuted and its time estimate must
 /// fit the remaining budget.
 ///
@@ -19,7 +19,7 @@ class PolicyAdapter {
   /// Calls `policy->BeginItem(ctx)`.
   PolicyAdapter(SchedulingPolicy* policy, const ItemContext& ctx);
 
-  /// Picker for core::RunScheduleKernel. Serial: picks only when idle.
+  /// Picker for a core::ScheduleKernel. Serial: picks only when idle.
   core::ModelPicker Picker();
 
   /// Forwards a finish event to the policy's OnExecuted. Wire this into

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "sched/basic_policies.h"
-#include "sched/cost_q_greedy.h"
 #include "sched/explore_exploit.h"
 #include "util/check.h"
 
@@ -46,13 +45,6 @@ PolicyRegistry::PolicyRegistry() {
       [](const PolicyOptions& options) {
         return std::make_unique<QGreedyPolicy>(
             RequirePredictor(options, "q_greedy"));
-      },
-      kPredictorDriven);
-  Register(
-      "cost_q_greedy",
-      [](const PolicyOptions& options) {
-        return std::make_unique<CostQGreedyPolicy>(
-            RequirePredictor(options, "cost_q_greedy"));
       },
       kPredictorDriven);
   Register("rule_based", [](const PolicyOptions& options) {

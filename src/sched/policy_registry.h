@@ -17,11 +17,11 @@ namespace ams::sched {
 
 /// Everything a registered policy constructor may need. Callers fill only
 /// the fields their policy uses; constructors crash with a clear message on
-/// a missing requirement (e.g. "cost_q_greedy" without a predictor).
+/// a missing requirement (e.g. "q_greedy" without a predictor).
 struct PolicyOptions {
-  /// Q-value source for "q_greedy" / "cost_q_greedy". Must outlive the
-  /// policy. Not cloned here: clone per thread before constructing when the
-  /// predictor is stateful (rl::Agent is).
+  /// Q-value source for "q_greedy". Must outlive the policy. Not cloned
+  /// here: clone per thread before constructing when the predictor is
+  /// stateful (rl::Agent is).
   core::ModelValuePredictor* predictor = nullptr;
   /// Randomness for "random" / "rule_based".
   uint64_t seed = 1;
@@ -39,7 +39,7 @@ using NamedPolicyFactory =
 /// instead of hard-coding policy names (e.g. to know whether an agent must
 /// be trained before the policy can run).
 struct PolicyTraits {
-  /// Requires PolicyOptions::predictor (q_greedy, cost_q_greedy).
+  /// Requires PolicyOptions::predictor (q_greedy).
   bool needs_predictor = false;
   /// Requires items with chunk ids, i.e. a correlated stream
   /// (explore_exploit).
@@ -50,8 +50,10 @@ struct PolicyTraits {
 /// entry point (LabelingService, ams_label, benches) resolves a policy name.
 /// The built-ins are registered up front:
 ///
-///   random, no_policy, optimal, q_greedy, cost_q_greedy, rule_based,
-///   explore_exploit
+///   random, no_policy, optimal, q_greedy, rule_based, explore_exploit
+///
+/// Algorithm 1 is not a policy: it runs as a kSerial LabelingService session
+/// configured WithPredictor, on the kernel's decision-plane picker.
 ///
 /// Thread-safe. Extensions Register() additional names at startup.
 class PolicyRegistry {

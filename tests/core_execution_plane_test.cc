@@ -444,9 +444,9 @@ struct RecordScenario {
 constexpr double kRecordTarget = 0.6;
 constexpr uint64_t kRecordSeed = 5;
 
-// One item through a fresh kernel: a new context and picker (the
-// predictor-taking factories keep a private plane per picker), recall from
-// ValueAccumulator::AddModel, and the label sets the item passed through.
+// One item through a fresh kernel: a new context and picker (over a new
+// one-slot decision plane), recall from ValueAccumulator::AddModel, and the
+// label sets the item passed through.
 struct FreshRun {
   LabelOutcome outcome;
   bool skipped = false;            // recall target met before any execution
@@ -472,16 +472,22 @@ FreshRun RunFresh(const RecordScenario& scenario, KernelMode kernel_mode,
   } else {
     exec = std::make_unique<LiveExecutionContext>(&oracle->zoo(), item.scene);
   }
+  std::optional<DecisionPlane> plane;
+  if (scenario.mode != ExecutionMode::kParallelRandom) {
+    plane.emplace(predictor, scenario.mode == ExecutionMode::kGreedy
+                                 ? DecisionRow::kQ
+                                 : DecisionRow::kSchedulingProfit);
+  }
   ModelPicker picker;
   switch (scenario.mode) {
     case ExecutionMode::kGreedy:
-      picker = MakeGreedyPicker(predictor);
+      picker = MakeGreedyPicker(plane->NewSlot());
       break;
     case ExecutionMode::kSerial:
-      picker = MakeDeadlinePicker(predictor);
+      picker = MakeDeadlinePicker(plane->NewSlot());
       break;
     case ExecutionMode::kParallel:
-      picker = MakeDeadlineMemoryPicker(predictor);
+      picker = MakeDeadlineMemoryPicker(plane->NewSlot());
       break;
     case ExecutionMode::kParallelRandom:
       picker = MakeRandomPackingPicker(

@@ -1,16 +1,17 @@
 // Tests of the session-based LabelingService facade and the PolicyRegistry:
-// builder validation, batch determinism, registry lookup, and serial vs
-// parallel parity on unconstrained items.
+// builder validation, batch determinism, registry lookup, serial vs parallel
+// parity on unconstrained items, Algorithm 1's planning rule and the
+// recall-target stop.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 #include <numeric>
 #include <set>
 #include <vector>
 
 #include "core/labeling_service.h"
+#include "core/value.h"
 #include "data/dataset.h"
 #include "data/dataset_profile.h"
 #include "data/oracle.h"
@@ -154,8 +155,8 @@ TEST_F(LabelingServiceTest, RegistryListsAllBuiltInPolicies) {
       sched::PolicyRegistry::Global().Names();
   const std::set<std::string> set(names.begin(), names.end());
   for (const char* expected :
-       {"random", "no_policy", "optimal", "q_greedy", "cost_q_greedy",
-        "rule_based", "explore_exploit"}) {
+       {"random", "no_policy", "optimal", "q_greedy", "rule_based",
+        "explore_exploit"}) {
     EXPECT_TRUE(set.count(expected)) << "missing policy: " << expected;
   }
 }
@@ -166,8 +167,8 @@ TEST_F(LabelingServiceTest, RegistryCreatesPoliciesByName) {
   StaticPredictor predictor(UniformQ(1.0, -5.0));
   options.predictor = &predictor;
   for (const char* name :
-       {"random", "no_policy", "optimal", "q_greedy", "cost_q_greedy",
-        "rule_based", "explore_exploit"}) {
+       {"random", "no_policy", "optimal", "q_greedy", "rule_based",
+        "explore_exploit"}) {
     const auto policy = sched::PolicyRegistry::Global().Create(name, options);
     ASSERT_NE(policy, nullptr);
     EXPECT_EQ(policy->name(), name);
@@ -182,7 +183,7 @@ TEST_F(LabelingServiceTest, RegistryUnknownNameReturnsNullOrDies) {
 }
 
 TEST_F(LabelingServiceTest, RegistryRequiresPredictorForQPolicies) {
-  EXPECT_DEATH(sched::PolicyRegistry::Global().Create("cost_q_greedy", {}),
+  EXPECT_DEATH(sched::PolicyRegistry::Global().Create("q_greedy", {}),
                "predictor");
 }
 
@@ -243,6 +244,80 @@ TEST_F(LabelingServiceTest, SerialAndParallelAgreeOnUnconstrainedItems) {
   }
 }
 
+// --- Algorithm 1's planning rule ----------------------------------------
+
+// Algorithm 1 is a kSerial session over a predictor. It scores a model by
+// SchedulingProfit(Q) over the zoo's mean time and checks feasibility
+// against the execution context's planned time, which replay takes from the
+// item's realized draw.
+LabelOutcome RunAlgorithm1(const data::Oracle* oracle, int item,
+                           const std::vector<double>& q, double deadline_s) {
+  StaticPredictor predictor(q);
+  ScheduleConstraints constraints;
+  constraints.time_budget_s = deadline_s;
+  LabelingService service = LabelingServiceBuilder(&oracle->zoo())
+                                .WithOracle(oracle)
+                                .WithPredictor(&predictor)
+                                .WithMode(ExecutionMode::kSerial)
+                                .WithConstraints(constraints)
+                                .Build();
+  return service.Submit(WorkItem::Stored(item));
+}
+
+TEST_F(LabelingServiceTest, Algorithm1DividesByModelTime) {
+  // Give two models equal Q; the cheaper one must start first. Then give
+  // the expensive one enough Q to flip the ratio.
+  const int cheap = 18;   // gender_cls_s, 60 ms
+  const int costly = 23;  // action_cls_l, 400 ms
+  ASSERT_LT(zoo_->model(cheap).time_s, zoo_->model(costly).time_s);
+  std::vector<double> q(31, -10.0);
+  q[static_cast<size_t>(cheap)] = 1.0;
+  q[static_cast<size_t>(costly)] = 1.0;
+  LabelOutcome outcome = RunAlgorithm1(oracle_, 0, q, 10.0);
+  ASSERT_FALSE(outcome.schedule.executions.empty());
+  EXPECT_EQ(outcome.schedule.executions[0].model_id, cheap);
+
+  q[static_cast<size_t>(cheap)] = 0.2;
+  q[static_cast<size_t>(costly)] = 3.5;  // decompressed ratio flips
+  outcome = RunAlgorithm1(oracle_, 0, q, 10.0);
+  ASSERT_FALSE(outcome.schedule.executions.empty());
+  EXPECT_EQ(outcome.schedule.executions[0].model_id, costly);
+}
+
+TEST_F(LabelingServiceTest, Algorithm1RespectsDeadlineFilter) {
+  const int item = 3;
+  const double budget = 0.12;
+  const LabelOutcome outcome =
+      RunAlgorithm1(oracle_, item, std::vector<double>(31, 1.0), budget);
+  ASSERT_FALSE(outcome.schedule.executions.empty());
+  for (const ExecutionRecord& record : outcome.schedule.executions) {
+    EXPECT_LE(oracle_->ExecutionTime(item, record.model_id), budget);
+  }
+  EXPECT_LE(outcome.schedule.makespan_s, budget)
+      << "replay checks feasibility against the realized draw";
+}
+
+TEST_F(LabelingServiceTest, Algorithm1ScoresByMeanTimeNotTheRealizedDraw) {
+  // On item 0 of this corpus model 6 is cheaper on average than model 27
+  // but its realized draw is slower. With equal Q, Algorithm 1 must rank
+  // them as a live scheduler would, by the zoo's mean time.
+  const data::Dataset dataset = data::Dataset::Generate(
+      data::DatasetProfile::MsCoco(), zoo_->labels(), 64, 41);
+  const data::Oracle oracle(zoo_, &dataset);
+  const int cheaper_mean = 6;
+  const int cheaper_draw = 27;
+  ASSERT_LT(zoo_->model(cheaper_mean).time_s,
+            zoo_->model(cheaper_draw).time_s);
+  ASSERT_GT(oracle.ExecutionTime(0, cheaper_mean),
+            oracle.ExecutionTime(0, cheaper_draw));
+  std::vector<double> q(31, -10.0);
+  q[static_cast<size_t>(cheaper_mean)] = 1.0;
+  q[static_cast<size_t>(cheaper_draw)] = 1.0;
+  const LabelOutcome outcome = RunAlgorithm1(&oracle, 0, q, 1.0);
+  ASSERT_FALSE(outcome.schedule.executions.empty());
+  EXPECT_EQ(outcome.schedule.executions[0].model_id, cheaper_mean);
+}
+
 TEST_F(LabelingServiceTest, LiveAndStoredSubmissionsAgree) {
   // The oracle replays exactly what live execution produces, so a live
   // submission of an item's scene must match the stored submission's
@@ -274,8 +349,19 @@ TEST_F(LabelingServiceTest, RecallTargetStopsEarly) {
   for (int item = 0; item < 20; ++item) {
     const LabelOutcome outcome = service.Submit(WorkItem::Stored(item));
     EXPECT_GE(outcome.recall, 0.5 - 1e-9);
-    EXPECT_LT(outcome.schedule.executions.size(), 30u)
+    const std::vector<ExecutionRecord>& executions =
+        outcome.schedule.executions;
+    EXPECT_LT(executions.size(), 30u)
         << "the optimal policy reaches half recall well before 30 models";
+    // Stopping was tight: before the last model the target was not reached.
+    if (executions.size() >= 2) {
+      double value = 0.0;
+      for (size_t k = 0; k + 1 < executions.size(); ++k) {
+        value += executions[k].gain;
+      }
+      EXPECT_LT(ValueRecall(value, oracle_->TrueTotalValue(item)), 0.5)
+          << "item " << item;
+    }
   }
 }
 

@@ -74,7 +74,8 @@ int ReferenceDeadlinePick(ModelValuePredictor* predictor,
     if ((*pick.started)[static_cast<size_t>(m)]) continue;
     const double planned = pick.exec->PlannedTime(m);
     if (planned > pick.remaining_time()) continue;
-    const double ratio = SchedulingProfit(q[static_cast<size_t>(m)]) / planned;
+    const double ratio = SchedulingProfit(q[static_cast<size_t>(m)]) /
+                         pick.exec->model(m).time_s;
     if (best == -1 || ratio > best_ratio) {
       best = m;
       best_ratio = ratio;

@@ -1,21 +1,25 @@
-// Tests of the public facade (AdaptiveModelScheduler): it must honour
-// resource constraints on live data and never inspect unexecuted models.
+// Tests of what a LabelingService session promises on live items, where
+// nothing but the executed models' outputs is known: the END stop, the
+// full-run value, Eq. 3 rewards, deadlines that hold up to one overrun, and
+// parallel execution fitting more models into a deadline than serial.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <map>
 #include <set>
+#include <vector>
 
-#include "core/scheduler_api.h"
+#include "core/labeling_service.h"
+#include "core/reward.h"
 #include "data/dataset.h"
 #include "data/dataset_profile.h"
-#include "util/rng.h"
 
 namespace ams::core {
 namespace {
 
-// Deterministic stand-in predictor: rewards any model whose task is "not yet
-// represented" in the state, approximated by constant preferences; END low.
+// Deterministic, stateless stand-in predictor.
 class StaticPredictor : public ModelValuePredictor {
  public:
   explicit StaticPredictor(std::vector<double> q) : q_(std::move(q)) {}
@@ -23,6 +27,9 @@ class StaticPredictor : public ModelValuePredictor {
     return q_;
   }
   int num_actions() const override { return static_cast<int>(q_.size()); }
+  std::unique_ptr<ModelValuePredictor> ClonePredictor() const override {
+    return std::make_unique<StaticPredictor>(q_);
+  }
 
  private:
   std::vector<double> q_;
@@ -33,7 +40,7 @@ class SchedulerApiTest : public ::testing::Test {
   static void SetUpTestSuite() {
     zoo_ = new zoo::ModelZoo(zoo::ModelZoo::CreateDefault());
     dataset_ = new data::Dataset(data::Dataset::Generate(
-        data::DatasetProfile::MsCoco(), zoo_->labels(), 30, 91));
+        data::DatasetProfile::MsCoco(), zoo_->labels(), 60, 23));
   }
   static void TearDownTestSuite() {
     delete dataset_;
@@ -44,6 +51,14 @@ class SchedulerApiTest : public ::testing::Test {
     q[30] = end_q;
     return q;
   }
+  static ScheduleConstraints Budget(
+      double time_s,
+      double memory_mb = std::numeric_limits<double>::infinity()) {
+    ScheduleConstraints constraints;
+    constraints.time_budget_s = time_s;
+    constraints.memory_budget_mb = memory_mb;
+    return constraints;
+  }
   static zoo::ModelZoo* zoo_;
   static data::Dataset* dataset_;
 };
@@ -53,63 +68,54 @@ data::Dataset* SchedulerApiTest::dataset_ = nullptr;
 
 TEST_F(SchedulerApiTest, GreedyStopsWhenEndDominates) {
   StaticPredictor predictor(UniformQ(/*model_q=*/-0.5, /*end_q=*/0.0));
-  AdaptiveModelScheduler scheduler(zoo_, &predictor);
-  const ScheduleResult result =
-      scheduler.LabelItemGreedy(dataset_->item(0).scene);
-  EXPECT_TRUE(result.executions.empty()) << "END outranks every model";
-  EXPECT_DOUBLE_EQ(result.makespan_s, 0.0);
+  LabelingService service = LabelingServiceBuilder(zoo_)
+                                .WithPredictor(&predictor)
+                                .WithMode(ExecutionMode::kGreedy)
+                                .Build();
+  const LabelOutcome outcome = service.Submit(dataset_->item(0).scene);
+  EXPECT_TRUE(outcome.schedule.executions.empty())
+      << "END outranks every model";
+  EXPECT_EQ(outcome.schedule.makespan_s, 0.0);
 }
 
-TEST_F(SchedulerApiTest, GreedyRunsEverythingWhenModelsDominate) {
+TEST_F(SchedulerApiTest, GreedyFullRunCollectsTheUnionValue) {
+  // A live greedy run that never prefers END executes every model once and
+  // holds the best confidence per valuable label over the whole zoo.
   StaticPredictor predictor(UniformQ(1.0, -5.0));
-  AdaptiveModelScheduler scheduler(zoo_, &predictor);
-  const ScheduleResult result =
-      scheduler.LabelItemGreedy(dataset_->item(1).scene);
-  EXPECT_EQ(result.executions.size(), 30u);
+  LabelingService service = LabelingServiceBuilder(zoo_)
+                                .WithPredictor(&predictor)
+                                .WithMode(ExecutionMode::kGreedy)
+                                .Build();
+  const zoo::LatentScene& scene = dataset_->item(1).scene;
+  const LabelOutcome outcome = service.Submit(scene);
+  ASSERT_EQ(outcome.schedule.executions.size(), 30u);
   std::set<int> models;
-  for (const auto& record : result.executions) models.insert(record.model_id);
+  for (const ExecutionRecord& record : outcome.schedule.executions) {
+    models.insert(record.model_id);
+  }
   EXPECT_EQ(models.size(), 30u) << "each model exactly once";
-  // Value equals the full-execution union value.
-  double expected = 0.0;
   std::map<int, double> best;
   for (int m = 0; m < 30; ++m) {
-    for (const auto& out : zoo_->Execute(m, dataset_->item(1).scene)) {
+    for (const auto& out : zoo_->Execute(m, scene)) {
       if (out.confidence >= zoo::kValuableConfidence) {
         best[out.label_id] = std::max(best[out.label_id], out.confidence);
       }
     }
   }
+  double expected = 0.0;
   for (const auto& [label, conf] : best) expected += conf;
-  EXPECT_NEAR(result.value, expected, 1e-9);
-}
-
-TEST_F(SchedulerApiTest, DeadlineIsRespectedOnLiveItems) {
-  StaticPredictor predictor(UniformQ(1.0, -5.0));
-  AdaptiveModelScheduler scheduler(zoo_, &predictor);
-  for (int i = 0; i < 10; ++i) {
-    ScheduleConstraints constraints;
-    constraints.time_budget_s = 0.8;
-    const ScheduleResult result =
-        scheduler.LabelItem(dataset_->item(i).scene, constraints);
-    // Planned with mean times; realized jitter is within ~1.6x of the mean,
-    // so a generous slack covers the last model's overshoot.
-    EXPECT_LE(result.makespan_s, 0.8 + 0.4);
-    EXPECT_FALSE(result.executions.empty());
-    // Serial: records are contiguous in time.
-    double now = 0.0;
-    for (const auto& record : result.executions) {
-      EXPECT_NEAR(record.start_s, now, 1e-9);
-      now = record.finish_s;
-    }
-  }
+  EXPECT_NEAR(outcome.schedule.value, expected, 1e-9);
 }
 
 TEST_F(SchedulerApiTest, RewardsFollowEquationThree) {
   StaticPredictor predictor(UniformQ(1.0, -5.0));
-  AdaptiveModelScheduler scheduler(zoo_, &predictor);
-  const ScheduleResult result =
-      scheduler.LabelItemGreedy(dataset_->item(2).scene);
-  for (const auto& record : result.executions) {
+  LabelingService service = LabelingServiceBuilder(zoo_)
+                                .WithPredictor(&predictor)
+                                .WithMode(ExecutionMode::kGreedy)
+                                .Build();
+  const LabelOutcome outcome = service.Submit(dataset_->item(2).scene);
+  ASSERT_FALSE(outcome.schedule.executions.empty());
+  for (const ExecutionRecord& record : outcome.schedule.executions) {
     EXPECT_NEAR(record.reward,
                 ModelReward(record.fresh, zoo_->model(record.model_id).theta),
                 1e-12);
@@ -119,51 +125,58 @@ TEST_F(SchedulerApiTest, RewardsFollowEquationThree) {
   }
 }
 
-TEST_F(SchedulerApiTest, ParallelSchedulingHonoursMemoryBudget) {
+TEST_F(SchedulerApiTest, LiveDeadlinesHoldUpToOneOverrun) {
+  // Live items check feasibility against mean times, and a realized time
+  // can exceed its mean by up to about 1.6x, so a schedule may end past its
+  // deadline by one model's overrun. Serial schedules are contiguous in
+  // time.
   StaticPredictor predictor(UniformQ(1.0, -5.0));
-  AdaptiveModelScheduler scheduler(zoo_, &predictor);
+  LabelingService serial = LabelingServiceBuilder(zoo_)
+                               .WithPredictor(&predictor)
+                               .WithMode(ExecutionMode::kSerial)
+                               .WithConstraints(Budget(0.8))
+                               .Build();
+  LabelingService parallel = LabelingServiceBuilder(zoo_)
+                                 .WithPredictor(&predictor)
+                                 .WithMode(ExecutionMode::kParallel)
+                                 .WithConstraints(Budget(1.0, 8192.0))
+                                 .Build();
   for (int i = 0; i < 10; ++i) {
-    ScheduleConstraints constraints;
-    constraints.time_budget_s = 1.0;
-    constraints.memory_budget_mb = 8192.0;
-    const ScheduleResult result =
-        scheduler.LabelItemParallel(dataset_->item(i).scene, constraints);
-    // Reconstruct concurrent memory from the intervals.
-    for (const auto& a : result.executions) {
-      double concurrent = 0.0;
-      for (const auto& b : result.executions) {
-        if (b.start_s <= a.start_s && a.start_s < b.finish_s) {
-          concurrent += zoo_->model(b.model_id).mem_mb;
-        }
-      }
-      EXPECT_LE(concurrent, constraints.memory_budget_mb + 1e-6);
+    const zoo::LatentScene& scene = dataset_->item(i).scene;
+    const LabelOutcome s = serial.Submit(scene);
+    EXPECT_LE(s.schedule.makespan_s, 0.8 + 0.4);
+    EXPECT_FALSE(s.schedule.executions.empty());
+    double now = 0.0;
+    for (const ExecutionRecord& record : s.schedule.executions) {
+      EXPECT_NEAR(record.start_s, now, 1e-9);
+      now = record.finish_s;
     }
-    EXPECT_LE(result.makespan_s, constraints.time_budget_s + 0.4);
+    const LabelOutcome p = parallel.Submit(scene);
+    EXPECT_LE(p.schedule.makespan_s, 1.0 + 0.4);
+    EXPECT_LE(p.schedule.peak_mem_mb, 8192.0 + 1e-6);
   }
 }
 
 TEST_F(SchedulerApiTest, ParallelBeatsSerialUnderTightDeadline) {
   StaticPredictor predictor(UniformQ(1.0, -5.0));
-  AdaptiveModelScheduler scheduler(zoo_, &predictor);
-  ScheduleConstraints constraints;
-  constraints.time_budget_s = 0.5;
-  constraints.memory_budget_mb = 16384.0;
+  LabelingService serial = LabelingServiceBuilder(zoo_)
+                               .WithPredictor(&predictor)
+                               .WithMode(ExecutionMode::kSerial)
+                               .WithConstraints(Budget(0.5))
+                               .Build();
+  LabelingService parallel = LabelingServiceBuilder(zoo_)
+                                 .WithPredictor(&predictor)
+                                 .WithMode(ExecutionMode::kParallel)
+                                 .WithConstraints(Budget(0.5, 16384.0))
+                                 .Build();
   double serial_models = 0.0, parallel_models = 0.0;
   for (int i = 0; i < 15; ++i) {
-    serial_models += static_cast<double>(
-        scheduler.LabelItem(dataset_->item(i).scene, constraints)
-            .executions.size());
-    parallel_models += static_cast<double>(
-        scheduler.LabelItemParallel(dataset_->item(i).scene, constraints)
-            .executions.size());
+    const zoo::LatentScene& scene = dataset_->item(i).scene;
+    serial_models += serial.Submit(scene).schedule.num_executions;
+    parallel_models += parallel.Submit(scene).schedule.num_executions;
   }
   EXPECT_GT(parallel_models, serial_models * 1.5)
       << "parallel packing should execute far more models per deadline";
-}
-
-TEST_F(SchedulerApiTest, PredictorActionSpaceIsValidated) {
-  StaticPredictor bad(std::vector<double>(7, 0.0));
-  EXPECT_DEATH(AdaptiveModelScheduler(zoo_, &bad), "action space");
 }
 
 }  // namespace

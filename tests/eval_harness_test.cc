@@ -5,6 +5,7 @@
 
 #include <cstdlib>
 #include <memory>
+#include <numeric>
 
 #include "data/dataset.h"
 #include "data/dataset_profile.h"
@@ -116,6 +117,23 @@ TEST_F(EvalHarnessTest, OptimalStarSweepDominatesPolicies) {
   for (size_t k = 0; k < deadlines.size(); ++k) {
     EXPECT_GE(star.avg_recall[k] + 1e-9, random.avg_recall[k]);
   }
+}
+
+TEST_F(EvalHarnessTest, OptimalStarSweepsDoNotDependOnTheThreadCount) {
+  // Both bounds average per-item recalls, so splitting the items over
+  // another number of threads must not move a single bit.
+  std::vector<int> items(static_cast<size_t>(dataset_->size()));
+  std::iota(items.begin(), items.end(), 0);
+  const DeadlineSweep one =
+      ComputeOptimalStarSweep(*oracle_, items, DefaultDeadlines(), 1);
+  const DeadlineSweep three =
+      ComputeOptimalStarSweep(*oracle_, items, DefaultDeadlines(), 3);
+  EXPECT_EQ(one.avg_recall, three.avg_recall);
+  const MemorySweep memory_one = ComputeOptimalStarMemorySweep(
+      *oracle_, items, 8192.0, DefaultMemoryDeadlines(), 1);
+  const MemorySweep memory_three = ComputeOptimalStarMemorySweep(
+      *oracle_, items, 8192.0, DefaultMemoryDeadlines(), 3);
+  EXPECT_EQ(memory_one.avg_recall, memory_three.avg_recall);
 }
 
 TEST_F(EvalHarnessTest, MemorySweepBasicContract) {

@@ -1,34 +1,44 @@
-// Locks the paper's recall sweeps to committed bits. The parity tests compare
-// one driver or picker with another, so a change that moved every path at
-// once (a different Algorithm 2 anchor ratio, a reordered pick loop) would
-// pass them all while the scheduler got worse. This test compares the Fig 10
-// and Fig 11 sweeps over a seeded corpus and a seeded, untrained paper-shaped
-// agent against tests/fixtures/recall_golden.inc instead, every average
-// recall as its uint64 bit pattern:
+// Locks the paper's recall results to committed bits. The parity tests
+// compare one driver or picker with another, so a change that moved every
+// path at once (a different Algorithm 2 anchor ratio, a reordered pick loop)
+// would pass them all while the scheduler got worse. This test runs the
+// figures' evaluation entry points over a seeded corpus and a seeded,
+// untrained paper-shaped agent and compares every result with a committed
+// fixture as its uint64 bit pattern:
 //
-//   Fig 10  ComputeDeadlineSweep: Algorithm 1 (cost_q_greedy) and
-//           RandomPolicy(19), 4 deadlines.
-//   Fig 11  ComputeMemorySweep: Algorithm 2 and random packing, 4 deadlines
-//           under 8 GB.
+//   Fig 10    ComputeDeadlineSweep: Algorithm 1 (a kSerial session over the
+//             agent) and RandomPolicy(19), 4 deadlines.
+//   Fig 11    ComputeMemorySweep: Algorithm 2 and random packing, 4 deadlines
+//             under 8 GB.
+//   Figs 4-6  ComputeRecallCurve (average models and time per threshold) and
+//             ComputeFullRecallCosts (per-item models and time to full
+//             recall) of the optimal and q_greedy policies.
 //
-// The fixture was written by the disabled WriteFixture case below, run from
-// the build directory and then copied into tests/fixtures:
+// The sweeps' average recalls are in tests/fixtures/recall_golden.inc, the
+// curves and costs in tests/fixtures/recall_curve_golden.inc. Each fixture
+// was written by a disabled case below, run from the build directory and
+// then copied into tests/fixtures:
 //
 //   ./tests/eval_recall_golden_test --gtest_filter='*WriteFixture'
 //       --gtest_also_run_disabled_tests
+//   ./tests/eval_recall_golden_test --gtest_filter='*WriteCurveFixture'
+//       --gtest_also_run_disabled_tests
 //
-// Regenerate it only from a scheduler whose outcomes are already trusted; a
-// fixture rewritten by the code under test locks nothing. A change that
-// moves recall on purpose rewrites the fixture and says why.
+// Regenerate a fixture only from a scheduler whose outcomes are already
+// trusted; a fixture rewritten by the code under test locks nothing. A change
+// that moves a result on purpose rewrites the fixture and says why.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "data/dataset.h"
@@ -36,10 +46,10 @@
 #include "data/oracle.h"
 #include "eval/deadline_sweep.h"
 #include "eval/memory_sweep.h"
+#include "eval/recall_curve.h"
 #include "nn/net.h"
 #include "rl/agent.h"
 #include "sched/basic_policies.h"
-#include "sched/cost_q_greedy.h"
 #include "zoo/model_zoo.h"
 
 namespace ams::eval {
@@ -51,7 +61,7 @@ constexpr uint64_t kAgentSeed = 1502;
 constexpr uint64_t kPackingSeed = 1503;
 constexpr int kHiddenDim = 256;
 constexpr double kMemoryBudgetMb = 8.0 * 1024.0;
-// Both sweeps fan out over two workers: seeded policies keep per-worker
+// Every golden fans out over two workers: seeded policies keep per-worker
 // history, so the partition is part of the locked configuration.
 constexpr int kThreads = 2;
 
@@ -63,19 +73,59 @@ using Bits = std::vector<uint64_t>;
 // Defines kGoldenAlgorithm1, kGoldenRandom, kGoldenAlgorithm2 and
 // kGoldenPacking: each sweep's average recall per deadline, as double bits.
 #include "fixtures/recall_golden.inc"
+// Defines kGolden{Optimal,QGreedy}{CurveModels,CurveTime,CostModels,
+// CostTime}: each policy's recall-curve averages per threshold and its
+// per-item full-recall costs, as double bits.
+#include "fixtures/recall_curve_golden.inc"
 
-uint64_t BitsOf(double recall) {
+uint64_t BitsOf(double value) {
   uint64_t bits;
-  std::memcpy(&bits, &recall, sizeof(bits));
+  std::memcpy(&bits, &value, sizeof(bits));
   return bits;
 }
 
-/// Algorithm 1 over a private agent clone (nets cache activations, so each
-/// sweep worker owns one).
-struct OwnedCostQGreedy : sched::CostQGreedyPolicy {
-  explicit OwnedCostQGreedy(std::unique_ptr<rl::Agent> a)
-      : sched::CostQGreedyPolicy(a.get()), agent(std::move(a)) {}
+double ValueOf(uint64_t bits) {
+  double value;
+  std::memcpy(&value, &bits, sizeof(value));
+  return value;
+}
+
+/// Q-greedy over a private agent clone (nets cache activations, so each
+/// session worker owns one).
+struct OwnedQGreedy : sched::QGreedyPolicy {
+  explicit OwnedQGreedy(std::unique_ptr<rl::Agent> a)
+      : sched::QGreedyPolicy(a.get()), agent(std::move(a)) {}
   std::unique_ptr<rl::Agent> agent;
+};
+
+nn::MlpConfig AgentShape(const zoo::ModelZoo& zoo) {
+  nn::MlpConfig config;
+  config.input_dim = zoo.labels().total_labels();
+  config.hidden_dims = {kHiddenDim};
+  config.output_dim = zoo.num_models() + 1;
+  return config;
+}
+
+/// The seeded corpus and agent every golden here runs on. The agent has the
+/// paper's Q-net shape (labels -> 256 -> models + END) and is untrained: its
+/// He-normal Q rows still rank models item by item, which is all the
+/// pickers need to produce distinct, seed-locked schedules.
+struct GoldenWorld {
+  GoldenWorld()
+      : zoo(zoo::ModelZoo::CreateDefault()),
+        dataset(data::Dataset::Generate(data::DatasetProfile::MsCoco(),
+                                        zoo.labels(), kItems, kCorpusSeed)),
+        oracle(&zoo, &dataset),
+        agent(std::make_unique<nn::Mlp>(AgentShape(zoo), kAgentSeed),
+              nn::NetKind::kMlp) {
+    for (int i = 0; i < kItems; ++i) items.push_back(i);
+  }
+
+  const zoo::ModelZoo zoo;
+  const data::Dataset dataset;
+  const data::Oracle oracle;
+  rl::Agent agent;
+  std::vector<int> items;
 };
 
 /// The four sweeps' average recalls, in fixture order.
@@ -87,29 +137,14 @@ struct Sweeps {
 };
 
 Sweeps RunSweeps() {
-  const zoo::ModelZoo zoo = zoo::ModelZoo::CreateDefault();
-  const data::Dataset dataset = data::Dataset::Generate(
-      data::DatasetProfile::MsCoco(), zoo.labels(), kItems, kCorpusSeed);
-  const data::Oracle oracle(&zoo, &dataset);
-  std::vector<int> items;
-  for (int i = 0; i < kItems; ++i) items.push_back(i);
+  GoldenWorld world;
+  const data::Oracle& oracle = world.oracle;
+  const std::vector<int>& items = world.items;
+  rl::Agent& agent = world.agent;
 
-  // The paper's Q-net shape (labels -> 256 -> models + END), untrained: its
-  // He-normal Q rows still rank models item by item, which is all the
-  // pickers need to produce distinct, seed-locked schedules.
-  nn::MlpConfig config;
-  config.input_dim = zoo.labels().total_labels();
-  config.hidden_dims = {kHiddenDim};
-  config.output_dim = zoo.num_models() + 1;
-  rl::Agent agent(std::make_unique<nn::Mlp>(config, kAgentSeed),
-                  nn::NetKind::kMlp);
-
-  const PolicyFactory algorithm1 = [&agent] {
-    return std::make_unique<OwnedCostQGreedy>(agent.Clone());
-  };
   Sweeps sweeps;
   sweeps.algorithm1 =
-      ComputeDeadlineSweep(algorithm1, oracle, items, kDeadlines, kThreads)
+      ComputeDeadlineSweep(&agent, oracle, items, kDeadlines, kThreads)
           .avg_recall;
   sweeps.random =
       ComputeDeadlineSweep(
@@ -127,26 +162,85 @@ Sweeps RunSweeps() {
   return sweeps;
 }
 
-void ExpectGolden(const std::string& sweep, const std::vector<double>& got,
+/// One policy's Figs 4-6 recall curve over the default thresholds and its
+/// per-item cost of full recall (the Fig 2 and Fig 8 CDFs' input).
+struct CurveRun {
+  std::vector<double> curve_models;
+  std::vector<double> curve_time_s;
+  std::vector<double> cost_models;
+  std::vector<double> cost_time_s;
+};
+
+CurveRun RunCurve(const GoldenWorld& world, const PolicyFactory& factory) {
+  const RecallCurve curve = ComputeRecallCurve(
+      factory, world.oracle, world.items, DefaultThresholds(), kThreads);
+  const FullRecallCosts costs = ComputeFullRecallCosts(
+      factory, world.oracle, world.items, /*recall_target=*/1.0, kThreads);
+  return {curve.avg_models, curve.avg_time_s, costs.models, costs.time_s};
+}
+
+/// The optimal and Q-greedy curve runs, in fixture order.
+struct Curves {
+  CurveRun optimal;
+  CurveRun q_greedy;
+};
+
+Curves RunCurves() {
+  GoldenWorld world;
+  rl::Agent* agent = &world.agent;
+  Curves curves;
+  curves.optimal = RunCurve(
+      world, [] { return std::make_unique<sched::OptimalPolicy>(); });
+  curves.q_greedy = RunCurve(world, [agent] {
+    return std::make_unique<OwnedQGreedy>(agent->Clone());
+  });
+  return curves;
+}
+
+void ExpectGolden(const std::string& series, const std::vector<double>& got,
                   const Bits& want) {
-  ASSERT_EQ(got.size(), want.size()) << sweep;
-  for (size_t d = 0; d < got.size(); ++d) {
-    EXPECT_TRUE(std::isfinite(got[d]) && got[d] >= 0.0 && got[d] <= 1.0)
-        << sweep << " deadline " << d << ": recall " << got[d];
-    double golden;
-    std::memcpy(&golden, &want[d], sizeof(golden));
-    EXPECT_EQ(BitsOf(got[d]), want[d])
-        << sweep << " deadline " << d << ": recall " << got[d]
-        << ", golden " << golden;
+  ASSERT_EQ(got.size(), want.size()) << series;
+  for (size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(BitsOf(got[k]), want[k])
+        << series << " entry " << k << ": " << got[k] << ", golden "
+        << ValueOf(want[k]);
   }
 }
 
 TEST(RecallGoldenTest, SweepsReproduceGoldenRecall) {
   const Sweeps sweeps = RunSweeps();
+  for (const std::vector<double>* recalls :
+       {&sweeps.algorithm1, &sweeps.random, &sweeps.algorithm2,
+        &sweeps.packing}) {
+    for (const double recall : *recalls) {
+      EXPECT_TRUE(std::isfinite(recall) && recall >= 0.0 && recall <= 1.0)
+          << "recall " << recall;
+    }
+  }
   ExpectGolden("Fig 10 Algorithm 1", sweeps.algorithm1, kGoldenAlgorithm1);
   ExpectGolden("Fig 10 random", sweeps.random, kGoldenRandom);
   ExpectGolden("Fig 11 Algorithm 2", sweeps.algorithm2, kGoldenAlgorithm2);
   ExpectGolden("Fig 11 random packing", sweeps.packing, kGoldenPacking);
+}
+
+TEST(RecallGoldenTest, CurvesReproduceGoldenCosts) {
+  const Curves curves = RunCurves();
+  ExpectGolden("optimal curve models", curves.optimal.curve_models,
+               kGoldenOptimalCurveModels);
+  ExpectGolden("optimal curve time", curves.optimal.curve_time_s,
+               kGoldenOptimalCurveTime);
+  ExpectGolden("optimal full-recall models", curves.optimal.cost_models,
+               kGoldenOptimalCostModels);
+  ExpectGolden("optimal full-recall time", curves.optimal.cost_time_s,
+               kGoldenOptimalCostTime);
+  ExpectGolden("q_greedy curve models", curves.q_greedy.curve_models,
+               kGoldenQGreedyCurveModels);
+  ExpectGolden("q_greedy curve time", curves.q_greedy.curve_time_s,
+               kGoldenQGreedyCurveTime);
+  ExpectGolden("q_greedy full-recall models", curves.q_greedy.cost_models,
+               kGoldenQGreedyCostModels);
+  ExpectGolden("q_greedy full-recall time", curves.q_greedy.cost_time_s,
+               kGoldenQGreedyCostTime);
 }
 
 TEST(RecallGoldenTest, FixtureIsNotDegenerate) {
@@ -159,16 +253,45 @@ TEST(RecallGoldenTest, FixtureIsNotDegenerate) {
       EXPECT_NE((*sweep)[d], (*sweep)[d - 1]);
     }
   }
+  // Likewise a curve must cost more at full recall than at the lowest
+  // threshold, and full recall must cost more on some items than on others.
+  for (const Bits* curve :
+       {&kGoldenOptimalCurveModels, &kGoldenOptimalCurveTime,
+        &kGoldenQGreedyCurveModels, &kGoldenQGreedyCurveTime}) {
+    ASSERT_EQ(curve->size(), DefaultThresholds().size());
+    EXPECT_LT(ValueOf(curve->front()), ValueOf(curve->back()));
+  }
+  for (const Bits* costs :
+       {&kGoldenOptimalCostModels, &kGoldenOptimalCostTime,
+        &kGoldenQGreedyCostModels, &kGoldenQGreedyCostTime}) {
+    ASSERT_EQ(costs->size(), static_cast<size_t>(kItems));
+    EXPECT_NE(std::adjacent_find(costs->begin(), costs->end(),
+                                 std::not_equal_to<uint64_t>()),
+              costs->end());
+  }
 }
 
 // --- the generator ----------------------------------------------------------
 
-void WriteBits(const std::string& name, const std::vector<double>& recalls,
-               const std::vector<double>& deadlines, std::ostream& out) {
+// One entry per line, commented with its value and where it was measured.
+void WriteBits(const std::string& name, const std::vector<double>& values,
+               const std::vector<double>& at, const char* unit,
+               std::ostream& out) {
   out << "const Bits " << name << " = {\n";
-  for (size_t d = 0; d < recalls.size(); ++d) {
-    out << "    " << BitsOf(recalls[d]) << "u,  // " << recalls[d] << " at "
-        << deadlines[d] << " s\n";
+  for (size_t k = 0; k < values.size(); ++k) {
+    out << "    " << BitsOf(values[k]) << "u,  // " << values[k] << " at "
+        << at[k] << unit << "\n";
+  }
+  out << "};\n";
+}
+
+// Per-item entries, three to a line in item order.
+void WriteItemBits(const std::string& name, const std::vector<double>& values,
+                   std::ostream& out) {
+  out << "const Bits " << name << " = {\n";
+  for (size_t k = 0; k < values.size(); ++k) {
+    out << (k % 3 == 0 ? "   " : "") << " " << BitsOf(values[k]) << "u,"
+        << (k % 3 == 2 || k + 1 == values.size() ? "\n" : "");
   }
   out << "};\n";
 }
@@ -182,10 +305,36 @@ TEST(RecallGoldenFixture, DISABLED_WriteFixture) {
          "of\n"
          "// tests/eval_recall_golden_test.cc; read it before "
          "regenerating.\n";
-  WriteBits("kGoldenAlgorithm1", sweeps.algorithm1, kDeadlines, out);
-  WriteBits("kGoldenRandom", sweeps.random, kDeadlines, out);
-  WriteBits("kGoldenAlgorithm2", sweeps.algorithm2, kMemoryDeadlines, out);
-  WriteBits("kGoldenPacking", sweeps.packing, kMemoryDeadlines, out);
+  WriteBits("kGoldenAlgorithm1", sweeps.algorithm1, kDeadlines, " s", out);
+  WriteBits("kGoldenRandom", sweeps.random, kDeadlines, " s", out);
+  WriteBits("kGoldenAlgorithm2", sweeps.algorithm2, kMemoryDeadlines, " s",
+            out);
+  WriteBits("kGoldenPacking", sweeps.packing, kMemoryDeadlines, " s", out);
+}
+
+TEST(RecallGoldenFixture, DISABLED_WriteCurveFixture) {
+  const Curves curves = RunCurves();
+  const std::vector<double> thresholds = DefaultThresholds();
+  std::ofstream out("recall_curve_golden.inc");
+  ASSERT_TRUE(out.good());
+  out << "// Figs 4-6 recall curves (average models and seconds per recall\n"
+         "// threshold) and per-item full-recall costs of the optimal and\n"
+         "// q_greedy policies, as double bit patterns. Written by the "
+         "disabled\n"
+         "// WriteCurveFixture case of tests/eval_recall_golden_test.cc; read "
+         "it\n"
+         "// before regenerating.\n";
+  const std::pair<const char*, const CurveRun*> runs[] = {
+      {"Optimal", &curves.optimal}, {"QGreedy", &curves.q_greedy}};
+  for (const auto& [policy, run] : runs) {
+    const std::string prefix = std::string("kGolden") + policy;
+    WriteBits(prefix + "CurveModels", run->curve_models, thresholds,
+              " recall", out);
+    WriteBits(prefix + "CurveTime", run->curve_time_s, thresholds, " recall",
+              out);
+    WriteItemBits(prefix + "CostModels", run->cost_models, out);
+    WriteItemBits(prefix + "CostTime", run->cost_time_s, out);
+  }
 }
 
 }  // namespace

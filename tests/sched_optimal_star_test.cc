@@ -3,13 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "core/labeling_service.h"
 #include "data/dataset.h"
 #include "data/dataset_profile.h"
 #include "data/oracle.h"
 #include "sched/basic_policies.h"
 #include "sched/optimal_star.h"
-#include "sched/parallel_runner.h"
-#include "sched/serial_runner.h"
 
 namespace ams::sched {
 namespace {
@@ -26,6 +28,23 @@ class OptimalStarTest : public ::testing::Test {
     delete oracle_;
     delete dataset_;
     delete zoo_;
+  }
+  // An oracle-backed session under `constraints`; `factory` picks a serial
+  // policy, and without one the session packs randomly (seed 1).
+  static core::LabelingService Session(
+      const core::ScheduleConstraints& constraints,
+      const core::LabelingService::PolicyFactory& factory = nullptr) {
+    core::LabelingServiceBuilder builder(zoo_);
+    builder.WithOracle(oracle_).WithConstraints(constraints);
+    if (factory != nullptr) {
+      builder.WithMode(core::ExecutionMode::kSerial).WithPolicyFactory(factory);
+    } else {
+      builder.WithMode(core::ExecutionMode::kParallelRandom).WithSeed(1);
+    }
+    return builder.Build();
+  }
+  static double Value(core::LabelingService* session, int item) {
+    return session->Submit(core::WorkItem::Stored(item)).schedule.value;
   }
   static zoo::ModelZoo* zoo_;
   static data::Dataset* dataset_;
@@ -58,17 +77,23 @@ TEST_F(OptimalStarTest, DominatesRandomAndTracksOptimalClosely) {
   // paper itself hedges with "in most cases"), so the hard assertion is
   // dominance over random per item, plus closeness to the value-ordered
   // optimal policy (>= 85% per item, >= 100% on average).
-  RandomPolicy random(3);
-  OptimalPolicy optimal;
+  const std::vector<double> deadlines = {0.3, 0.8, 1.5, 3.0};
+  std::vector<core::LabelingService> random, optimal;
+  for (const double deadline : deadlines) {
+    core::ScheduleConstraints constraints;
+    constraints.time_budget_s = deadline;
+    random.push_back(Session(
+        constraints, [] { return std::make_unique<RandomPolicy>(3); }));
+    optimal.push_back(Session(
+        constraints, [] { return std::make_unique<OptimalPolicy>(); }));
+  }
   double bound_sum = 0.0, optimal_sum = 0.0;
   for (int item = 0; item < oracle_->num_items(); ++item) {
-    for (double deadline : {0.3, 0.8, 1.5, 3.0}) {
+    for (size_t d = 0; d < deadlines.size(); ++d) {
+      const double deadline = deadlines[d];
       const double bound = OptimalStarValueDeadline(*oracle_, item, deadline);
-      SerialRunConfig config;
-      config.time_budget = deadline;
-      EXPECT_GE(bound + 1e-9,
-                RunSerial(&random, *oracle_, item, config).value);
-      const double exact = RunSerial(&optimal, *oracle_, item, config).value;
+      EXPECT_GE(bound + 1e-9, Value(&random[d], item));
+      const double exact = Value(&optimal[d], item);
       EXPECT_GE(bound + 1e-9, exact * 0.85)
           << "item " << item << " deadline " << deadline;
       bound_sum += bound;
@@ -84,14 +109,13 @@ TEST_F(OptimalStarTest, MemoryBoundDominatesParallelRuns) {
       for (double deadline : {0.5, 1.0, 2.0}) {
         const double bound = OptimalStarValueDeadlineMemory(
             *oracle_, item, deadline, mem_gb * 1024.0);
-        ParallelRunConfig config;
-        config.time_budget = deadline;
-        config.mem_budget_mb = mem_gb * 1024.0;
-        const auto run = RunParallel(ParallelPolicyKind::kRandom, nullptr,
-                                     *oracle_, item, config);
+        core::ScheduleConstraints constraints;
+        constraints.time_budget_s = deadline;
+        constraints.memory_budget_mb = mem_gb * 1024.0;
+        core::LabelingService packing = Session(constraints);
         // Same caveat as above: a heuristic reference, so assert near-
         // dominance per item rather than a certified bound.
-        EXPECT_GE(bound + 1e-9, run.value * 0.9)
+        EXPECT_GE(bound + 1e-9, Value(&packing, item) * 0.9)
             << "item " << item << " mem " << mem_gb << " dl " << deadline;
       }
     }

@@ -11,9 +11,7 @@
 #include "data/dataset_profile.h"
 #include "data/oracle.h"
 #include "sched/basic_policies.h"
-#include "sched/cost_q_greedy.h"
 #include "sched/rule_based.h"
-#include "sched/serial_runner.h"
 
 namespace ams::sched {
 namespace {
@@ -132,47 +130,6 @@ TEST_F(PoliciesTest, QGreedyPicksArgmaxAmongUnexecuted) {
   EXPECT_EQ(policy.NextModel(state, inf), 3);
   state.Apply(3, {});
   EXPECT_EQ(policy.NextModel(state, inf), 20);
-}
-
-TEST_F(PoliciesTest, CostQGreedyDividesByModelTime) {
-  // Give two models equal Q; the cheaper one must win. Then give the
-  // expensive one enough Q to flip the ratio.
-  const int cheap = 18;   // gender_cls_s, 60 ms
-  const int costly = 23;  // action_cls_l, 400 ms
-  ASSERT_LT(zoo_->model(cheap).time_s, zoo_->model(costly).time_s);
-  {
-    std::vector<double> q(31, -10.0);
-    q[static_cast<size_t>(cheap)] = 1.0;
-    q[static_cast<size_t>(costly)] = 1.0;
-    FakePredictor predictor(q);
-    CostQGreedyPolicy policy(&predictor);
-    policy.BeginItem(Context(0));
-    core::LabelingState state(1104, 30);
-    EXPECT_EQ(policy.NextModel(state, 10.0), cheap);
-  }
-  {
-    std::vector<double> q(31, -10.0);
-    q[static_cast<size_t>(cheap)] = 0.2;
-    q[static_cast<size_t>(costly)] = 3.5;  // decompressed ratio flips
-    FakePredictor predictor(q);
-    CostQGreedyPolicy policy(&predictor);
-    policy.BeginItem(Context(0));
-    core::LabelingState state(1104, 30);
-    EXPECT_EQ(policy.NextModel(state, 10.0), costly);
-  }
-}
-
-TEST_F(PoliciesTest, CostQGreedyRespectsDeadlineFilter) {
-  std::vector<double> q(31, 1.0);
-  FakePredictor predictor(q);
-  CostQGreedyPolicy policy(&predictor);
-  const int item = 3;
-  policy.BeginItem(Context(item));
-  core::LabelingState state(1104, 30);
-  const double budget = 0.12;
-  const int m = policy.NextModel(state, budget);
-  ASSERT_GE(m, 0);
-  EXPECT_LE(oracle_->ExecutionTime(item, m), budget);
 }
 
 TEST_F(PoliciesTest, RuleEngineScalesTaskWeightsOncePerItem) {

@@ -1,24 +1,28 @@
-// Tests of the serial and parallel run drivers: budget enforcement,
-// trajectory invariants and memory accounting.
+// Tests of serial and parallel runs over stored items, driven through
+// LabelingService sessions: budget enforcement, trajectory invariants,
+// memory rebuilt from the execution intervals, and Algorithm 2 against
+// random packing.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
+#include <utility>
+#include <vector>
 
-#include "core/predictor.h"
+#include "core/labeling_service.h"
+#include "core/value.h"
 #include "data/dataset.h"
 #include "data/dataset_profile.h"
 #include "data/oracle.h"
-#include "sched/basic_policies.h"
-#include "sched/parallel_runner.h"
-#include "sched/serial_runner.h"
 
-namespace ams::sched {
+namespace ams::core {
 namespace {
 
-// Oracle-informed predictor: returns each model's remaining true marginal
-// value. Gives the parallel runner a strong signal without training.
-class OraclePredictor : public core::ModelValuePredictor {
+// Oracle-informed predictor for one stored item: each model's Q is the log
+// of the value its valuable outputs would still add in the current state.
+// A strong signal for Algorithm 2 without training.
+class OraclePredictor : public ModelValuePredictor {
  public:
   OraclePredictor(const data::Oracle* oracle, int item)
       : oracle_(oracle), item_(item) {}
@@ -48,13 +52,30 @@ class RunnerTest : public ::testing::Test {
   static void SetUpTestSuite() {
     zoo_ = new zoo::ModelZoo(zoo::ModelZoo::CreateDefault());
     dataset_ = new data::Dataset(data::Dataset::Generate(
-        data::DatasetProfile::MirFlickr25(), zoo_->labels(), 80, 17));
+        data::DatasetProfile::MsCoco(), zoo_->labels(), 60, 23));
     oracle_ = new data::Oracle(zoo_, dataset_);
   }
   static void TearDownTestSuite() {
     delete oracle_;
     delete dataset_;
     delete zoo_;
+  }
+  static ScheduleConstraints Budget(
+      double time_s,
+      double memory_mb = std::numeric_limits<double>::infinity()) {
+    ScheduleConstraints constraints;
+    constraints.time_budget_s = time_s;
+    constraints.memory_budget_mb = memory_mb;
+    return constraints;
+  }
+  // An oracle-backed session; `predictor` is null for random packing.
+  static LabelingService Session(ExecutionMode mode,
+                                 ModelValuePredictor* predictor,
+                                 const ScheduleConstraints& constraints) {
+    LabelingServiceBuilder builder(zoo_);
+    builder.WithOracle(oracle_).WithMode(mode).WithConstraints(constraints);
+    if (predictor != nullptr) builder.WithPredictor(predictor);
+    return builder.Build();
   }
   static zoo::ModelZoo* zoo_;
   static data::Dataset* dataset_;
@@ -65,84 +86,79 @@ zoo::ModelZoo* RunnerTest::zoo_ = nullptr;
 data::Dataset* RunnerTest::dataset_ = nullptr;
 data::Oracle* RunnerTest::oracle_ = nullptr;
 
-class SerialDeadlineTest : public RunnerTest,
-                           public ::testing::WithParamInterface<double> {};
+class SerialTrajectoryTest : public RunnerTest,
+                             public ::testing::WithParamInterface<double> {};
 
-TEST_P(SerialDeadlineTest, NeverExceedsBudgetAndTrajectoryIsConsistent) {
-  RandomPolicy policy(1);
-  SerialRunConfig config;
-  config.time_budget = GetParam();
+TEST_P(SerialTrajectoryTest, NeverExceedsBudgetAndTrajectoryIsConsistent) {
+  // Replay plans with the realized draw, so a serial schedule never
+  // overruns; running recall (summed gains) only grows and ends at the
+  // outcome's recall.
+  const double budget = GetParam();
+  LabelingService service = LabelingServiceBuilder(zoo_)
+                                .WithOracle(oracle_)
+                                .WithMode(ExecutionMode::kSerial)
+                                .WithPolicy("random")
+                                .WithConstraints(Budget(budget))
+                                .Build();
   for (int item = 0; item < 30; ++item) {
-    const SerialRunResult run = RunSerial(&policy, *oracle_, item, config);
-    EXPECT_LE(run.time_used, config.time_budget + 1e-9);
-    double prev_time = 0.0, prev_recall = 0.0;
-    for (const auto& step : run.steps) {
-      EXPECT_GT(step.time_after, prev_time);
-      EXPECT_GE(step.recall_after, prev_recall - 1e-12);
-      prev_time = step.time_after;
-      prev_recall = step.recall_after;
+    const LabelOutcome outcome = service.Submit(WorkItem::Stored(item));
+    const std::vector<ExecutionRecord>& executions =
+        outcome.schedule.executions;
+    EXPECT_LE(outcome.schedule.makespan_s, budget + 1e-9);
+    EXPECT_EQ(outcome.schedule.num_executions,
+              static_cast<int>(executions.size()));
+    const double total = oracle_->TrueTotalValue(item);
+    double now = 0.0, value = 0.0, recall = 0.0;
+    for (const ExecutionRecord& record : executions) {
+      EXPECT_EQ(record.start_s, now);
+      EXPECT_GT(record.finish_s, record.start_s);
+      now = record.finish_s;
+      value += record.gain;
+      EXPECT_GE(ValueRecall(value, total), recall - 1e-12);
+      recall = ValueRecall(value, total);
     }
-    EXPECT_EQ(run.models_executed, static_cast<int>(run.steps.size()));
-    if (!run.steps.empty()) {
-      EXPECT_NEAR(run.steps.back().time_after, run.time_used, 1e-9);
-      EXPECT_NEAR(run.steps.back().recall_after, run.recall, 1e-12);
+    EXPECT_EQ(now, outcome.schedule.makespan_s);
+    if (!executions.empty()) {
+      EXPECT_EQ(recall, outcome.recall);
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Budgets, SerialDeadlineTest,
+INSTANTIATE_TEST_SUITE_P(Budgets, SerialTrajectoryTest,
                          ::testing::Values(0.1, 0.5, 1.0, 3.0));
-
-TEST_F(RunnerTest, RecallTargetStopsEarly) {
-  OptimalPolicy policy;
-  SerialRunConfig config;
-  config.recall_target = 0.5;
-  for (int item = 0; item < 30; ++item) {
-    const SerialRunResult run = RunSerial(&policy, *oracle_, item, config);
-    EXPECT_GE(run.recall, 0.5 - 1e-9);
-    // Stopping was tight: before the last model the target was not reached.
-    if (run.steps.size() >= 2) {
-      EXPECT_LT(run.steps[run.steps.size() - 2].recall_after, 0.5);
-    }
-  }
-}
-
-TEST_F(RunnerTest, FullRecallRunRecallsEverything) {
-  NoPolicy policy;
-  SerialRunConfig config;
-  config.recall_target = 1.0;
-  const SerialRunResult run = RunSerial(&policy, *oracle_, 0, config);
-  EXPECT_NEAR(run.recall, 1.0, 1e-9);
-  EXPECT_NEAR(run.value, oracle_->TrueTotalValue(0), 1e-9);
-}
 
 class ParallelMemoryTest
     : public RunnerTest,
       public ::testing::WithParamInterface<std::pair<double, double>> {};
 
-TEST_P(ParallelMemoryTest, RespectsMemoryAndDeadline) {
+TEST_P(ParallelMemoryTest, IntervalsRespectMemoryAndDeadline) {
+  // Algorithm 2 (over an oracle signal) and random packing on stored items:
+  // concurrent memory rebuilt from the recorded intervals never exceeds the
+  // budget, and each interval lasts exactly the item's realized draw.
   const auto [mem_gb, deadline] = GetParam();
-  ParallelRunConfig config;
-  config.mem_budget_mb = mem_gb * 1024.0;
-  config.time_budget = deadline;
+  const ScheduleConstraints constraints = Budget(deadline, mem_gb * 1024.0);
+  LabelingService packing =
+      Session(ExecutionMode::kParallelRandom, nullptr, constraints);
   for (int item = 0; item < 20; ++item) {
     OraclePredictor predictor(oracle_, item);
-    for (const auto kind :
-         {ParallelPolicyKind::kAlgorithm2, ParallelPolicyKind::kRandom}) {
-      const ParallelRunResult run = RunParallel(
-          kind, kind == ParallelPolicyKind::kAlgorithm2 ? &predictor : nullptr,
-          *oracle_, item, config);
-      EXPECT_LE(run.peak_mem_mb, config.mem_budget_mb + 1e-6);
-      EXPECT_LE(run.makespan, config.time_budget + 1e-9);
-      // Independently re-check memory from the recorded intervals.
-      for (const auto& a : run.steps) {
+    LabelingService algorithm2 =
+        Session(ExecutionMode::kParallel, &predictor, constraints);
+    for (LabelingService* service : {&algorithm2, &packing}) {
+      const ScheduleResult run =
+          service->Submit(WorkItem::Stored(item)).schedule;
+      EXPECT_LE(run.peak_mem_mb, constraints.memory_budget_mb + 1e-6);
+      EXPECT_LE(run.makespan_s, deadline + 1e-9);
+      for (const ExecutionRecord& a : run.executions) {
+        EXPECT_GE(a.start_s, 0.0);
+        EXPECT_NEAR(a.finish_s - a.start_s,
+                    oracle_->ExecutionTime(item, a.model_id), 1e-9);
         double concurrent = 0.0;
-        for (const auto& b : run.steps) {
-          if (b.start <= a.start && a.start < b.finish) {
-            concurrent += oracle_->zoo().model(b.model).mem_mb;
+        for (const ExecutionRecord& b : run.executions) {
+          if (b.start_s <= a.start_s && a.start_s < b.finish_s) {
+            concurrent += zoo_->model(b.model_id).mem_mb;
           }
         }
-        EXPECT_LE(concurrent, config.mem_budget_mb + 1e-6);
+        EXPECT_LE(concurrent, constraints.memory_budget_mb + 1e-6);
       }
     }
   }
@@ -155,39 +171,21 @@ INSTANTIATE_TEST_SUITE_P(Budgets, ParallelMemoryTest,
                                            std::make_pair(16.0, 2.0)));
 
 TEST_F(RunnerTest, Algorithm2WithOracleSignalBeatsRandomOnAverage) {
-  ParallelRunConfig config;
-  config.mem_budget_mb = 8192.0;
-  config.time_budget = 0.8;
+  const ScheduleConstraints constraints = Budget(0.8, 8192.0);
+  LabelingService packing =
+      Session(ExecutionMode::kParallelRandom, nullptr, constraints);
   double alg2 = 0.0, random = 0.0;
   for (int item = 0; item < oracle_->num_items(); ++item) {
     OraclePredictor predictor(oracle_, item);
-    alg2 += RunParallel(ParallelPolicyKind::kAlgorithm2, &predictor, *oracle_,
-                        item, config)
+    alg2 += Session(ExecutionMode::kParallel, &predictor, constraints)
+                .Submit(WorkItem::Stored(item))
                 .recall;
-    random += RunParallel(ParallelPolicyKind::kRandom, nullptr, *oracle_, item,
-                          config)
-                  .recall;
+    random += packing.Submit(WorkItem::Stored(item)).recall;
   }
   EXPECT_GT(alg2, random * 1.15)
       << "alg2=" << alg2 / oracle_->num_items()
       << " random=" << random / oracle_->num_items();
 }
 
-TEST_F(RunnerTest, ParallelStepsHaveConsistentIntervals) {
-  ParallelRunConfig config;
-  config.mem_budget_mb = 16384.0;
-  config.time_budget = 1.0;
-  OraclePredictor predictor(oracle_, 5);
-  const ParallelRunResult run = RunParallel(ParallelPolicyKind::kAlgorithm2,
-                                            &predictor, *oracle_, 5, config);
-  for (const auto& step : run.steps) {
-    EXPECT_GE(step.start, 0.0);
-    EXPECT_GT(step.finish, step.start);
-    EXPECT_NEAR(step.finish - step.start,
-                oracle_->ExecutionTime(5, step.model), 1e-9);
-  }
-  EXPECT_EQ(run.models_executed, static_cast<int>(run.steps.size()));
-}
-
 }  // namespace
-}  // namespace ams::sched
+}  // namespace ams::core

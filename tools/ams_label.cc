@@ -9,9 +9,10 @@
 //             [--seed N] [--deadline SECONDS] [--memory GB] [--label N]
 //             [--workers N] [--cache DIR] [--csv PATH]
 //
-// `--policy` accepts any sched::PolicyRegistry name (default cost_q_greedy,
-// i.e. Algorithm 1); `--memory` switches to Algorithm 2 (parallel
-// scheduling under deadline + memory).
+// With neither `--policy` nor `--memory` it runs Algorithm 1: a serial
+// session over the trained agent. `--policy` runs any sched::PolicyRegistry
+// name instead; `--memory` switches to Algorithm 2 (parallel scheduling
+// under deadline + memory).
 //
 // Examples:
 //   ams_label --dataset mirflickr25 --deadline 0.5 --label 200
@@ -43,8 +44,7 @@ using namespace ams;
 struct Options {
   std::string dataset = "mscoco";
   std::string scheme = "dueling";
-  std::string policy = "cost_q_greedy";
-  bool policy_set = false;  // --policy given explicitly
+  std::string policy;  // empty: Algorithm 1 over the agent
   int items = 1500;
   int episodes = 1200;
   int hidden = 128;
@@ -70,7 +70,7 @@ struct Options {
                "usage: %s [--dataset mscoco|places365|mirflickr25|stanford40|"
                "voc2012]\n"
                "          [--scheme dqn|double|dueling|sarsa]\n"
-               "          [--policy %s]\n"
+               "          [--policy %s]  (default: Algorithm 1)\n"
                "          [--items N] [--episodes N] [--hidden N] [--seed N]\n"
                "          [--deadline S] [--memory GB] [--label N]\n"
                "          [--workers N] [--cache DIR] [--csv PATH]\n",
@@ -91,7 +91,6 @@ Options Parse(int argc, char** argv) {
       opts.scheme = next();
     } else if (!std::strcmp(argv[i], "--policy")) {
       opts.policy = next();
-      opts.policy_set = true;
     } else if (!std::strcmp(argv[i], "--items")) {
       opts.items = std::atoi(next());
     } else if (!std::strcmp(argv[i], "--episodes")) {
@@ -116,11 +115,12 @@ Options Parse(int argc, char** argv) {
       Usage(argv[0]);
     }
   }
+  if (opts.policy.empty()) return opts;
   if (!sched::PolicyRegistry::Global().Contains(opts.policy)) {
     std::fprintf(stderr, "unknown policy: %s\n", opts.policy.c_str());
     Usage(argv[0]);
   }
-  if (opts.policy_set && opts.memory_gb > 0.0) {
+  if (opts.memory_gb > 0.0) {
     std::fprintf(stderr,
                  "--policy selects a serial policy; --memory runs Algorithm 2 "
                  "(predictor-driven). Pick one.\n");
@@ -173,7 +173,7 @@ int main(int argc, char** argv) {
   // Only Q-driven scheduling consults the agent; baselines like random or
   // rule_based skip training entirely.
   const bool needs_agent =
-      opts.memory_gb > 0.0 ||
+      opts.policy.empty() ||
       sched::PolicyRegistry::Global().Traits(opts.policy).needs_predictor;
   std::unique_ptr<rl::Agent> agent;
   if (needs_agent) {
@@ -210,6 +210,10 @@ int main(int argc, char** argv) {
     std::printf(
         "scheduling with Algorithm 2 (deadline %.2f s, memory %.0f GB)...\n",
         opts.deadline, opts.memory_gb);
+  } else if (opts.policy.empty()) {
+    builder.WithMode(core::ExecutionMode::kSerial).WithPredictor(agent.get());
+    std::printf("scheduling with Algorithm 1 (deadline %.2f s)...\n",
+                opts.deadline);
   } else {
     sched::PolicyOptions policy_options;
     policy_options.predictor = agent.get();  // null for predictor-less policies
