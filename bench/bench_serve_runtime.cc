@@ -30,16 +30,6 @@
 // reported relative to the plain serve run (quota backpressure on the
 // enqueue thread costs a little; the ordering itself is one linear band
 // scan per pop).
-//
-// The next two scenarios measure the sharded routing front end at equal
-// total worker counts: "serve_equal_workers" is a single runtime with
-// 4 * max(1, workers/4) workers, and "route_sharded_4" is a
-// route::ShardRouter over 4 shard runtimes of max(1, workers/4) workers
-// each (consistent-hash placement, no rebalance tick — a closed burst over
-// a uniform corpus is already balanced). The router must hold at least
-// 0.9x the equal-worker single runtime (route_vs_equal_serve_ratio in the
-// JSON): per-request routing is one ring lookup, and sharding the queue
-// can only cost where placement leaves a shard idle at the tail.
 
 #include <cmath>
 #include <cstdlib>
@@ -59,7 +49,6 @@
 #include "data/oracle.h"
 #include "nn/net.h"
 #include "rl/agent.h"
-#include "route/shard_router.h"
 #include "serve/server_runtime.h"
 #include "util/check.h"
 #include "util/table.h"
@@ -129,18 +118,6 @@ void Run() {
   core::LabelingService mixed_session = build_session(workers);
   core::LabelingService tenant_session = build_session(workers);
 
-  // The sharded comparison holds total workers equal: one runtime with
-  // kShards * per-shard workers vs a router over kShards runtimes.
-  const int kShards = 4;
-  const int per_shard_workers = std::max(1, workers / kShards);
-  const int equal_workers = kShards * per_shard_workers;
-  core::LabelingService equal_session = build_session(equal_workers);
-  std::vector<core::LabelingService> shard_sessions;
-  shard_sessions.reserve(static_cast<size_t>(kShards));
-  for (int s = 0; s < kShards; ++s) {
-    shard_sessions.push_back(build_session(per_shard_workers));
-  }
-
   serve::ServeOptions serve_options;
   serve_options.workers = workers;
   serve_options.queue_capacity = num_items;  // closed burst fits entirely
@@ -159,19 +136,6 @@ void Run() {
   tenant_quota.max_queued = std::max(8, num_items / 8);
   tenant_options.tenant_quotas.default_quota = tenant_quota;
   serve::ServerRuntime tenant_runtime(&tenant_session, tenant_options);
-
-  serve::ServeOptions equal_options = serve_options;
-  equal_options.workers = equal_workers;
-  serve::ServerRuntime equal_runtime(&equal_session, equal_options);
-
-  route::RouterOptions router_options;
-  router_options.serve = serve_options;
-  router_options.serve.workers = per_shard_workers;
-  std::vector<core::LabelingService*> shard_session_ptrs;
-  for (core::LabelingService& session : shard_sessions) {
-    shard_session_ptrs.push_back(&session);
-  }
-  route::ShardRouter router(shard_session_ptrs, router_options);
 
   // Seeded 20/60/20 class assignment, fixed across trials.
   std::vector<serve::PriorityClass> mixed_classes;
@@ -203,10 +167,6 @@ void Run() {
   mixed_result.name = "serve_runtime_mixed";
   BenchResult tenant_result;
   tenant_result.name = "serve_runtime_tenants";
-  BenchResult equal_result;
-  equal_result.name = "serve_equal_workers";
-  BenchResult route_result;
-  route_result.name = "route_sharded_4";
 
   const auto run_batch = [&](bool record) {
     util::Timer timer;
@@ -259,43 +219,17 @@ void Run() {
     }
   };
 
-  const auto run_route = [&](route::ShardRouter* target,
-                             BenchResult* result_out, bool record) {
-    std::vector<std::future<serve::ServeResult>> futures;
-    futures.reserve(work.size());
-    util::Timer timer;
-    for (const core::WorkItem& item : work) {
-      futures.push_back(target->Enqueue(item));
-    }
-    target->Drain();
-    const double wall = timer.ElapsedSeconds();
-    if (!record) return;
-    result_out->wall_s = std::min(result_out->wall_s, wall);
-    if (result_out->executions == 0) {
-      for (std::future<serve::ServeResult>& future : futures) {
-        const serve::ServeResult result = future.get();
-        AMS_CHECK(result.ok(), "closed-burst routed run dropped an item");
-        result_out->recall_sum += result.outcome.recall;
-        result_out->executions += result.outcome.schedule.num_executions;
-      }
-    }
-  };
-
   // Warm-up every path (predictor clone pools, allocator), then interleave
   // trials so machine noise hits all alike; each reports its best trial.
   run_batch(false);
   run_serve(&runtime, &serve_result, ServeMode::kPlain, false);
   run_serve(&mixed_runtime, &mixed_result, ServeMode::kMixedClasses, false);
   run_serve(&tenant_runtime, &tenant_result, ServeMode::kTenants, false);
-  run_serve(&equal_runtime, &equal_result, ServeMode::kPlain, false);
-  run_route(&router, &route_result, false);
   for (int r = 0; r < repeats; ++r) {
     run_batch(true);
     run_serve(&runtime, &serve_result, ServeMode::kPlain, true);
     run_serve(&mixed_runtime, &mixed_result, ServeMode::kMixedClasses, true);
     run_serve(&tenant_runtime, &tenant_result, ServeMode::kTenants, true);
-    run_serve(&equal_runtime, &equal_result, ServeMode::kPlain, true);
-    run_route(&router, &route_result, true);
   }
   batch_result.items_per_s =
       static_cast<double>(num_items) / batch_result.wall_s;
@@ -305,10 +239,6 @@ void Run() {
       static_cast<double>(num_items) / mixed_result.wall_s;
   tenant_result.items_per_s =
       static_cast<double>(num_items) / tenant_result.wall_s;
-  equal_result.items_per_s =
-      static_cast<double>(num_items) / equal_result.wall_s;
-  route_result.items_per_s =
-      static_cast<double>(num_items) / route_result.wall_s;
 
   AMS_CHECK(std::abs(serve_result.recall_sum - batch_result.recall_sum) < 1e-9,
             "serve runtime changed recall vs SubmitBatch");
@@ -323,28 +253,12 @@ void Run() {
             "tenant quotas / value ordering changed recall vs SubmitBatch");
   AMS_CHECK(tenant_result.executions == batch_result.executions,
             "tenant quotas / value ordering changed the schedules");
-  AMS_CHECK(std::abs(equal_result.recall_sum - batch_result.recall_sum) <
-                1e-9,
-            "equal-worker serve runtime changed recall vs SubmitBatch");
-  AMS_CHECK(equal_result.executions == batch_result.executions,
-            "equal-worker serve runtime changed the schedules");
-  AMS_CHECK(std::abs(route_result.recall_sum - batch_result.recall_sum) <
-                1e-9,
-            "sharded routing changed recall vs SubmitBatch");
-  AMS_CHECK(route_result.executions == batch_result.executions,
-            "sharded routing changed the schedules vs SubmitBatch");
 
   const double ratio = serve_result.items_per_s / batch_result.items_per_s;
   const double mixed_ratio =
       mixed_result.items_per_s / batch_result.items_per_s;
   const double tenant_ratio =
       tenant_result.items_per_s / batch_result.items_per_s;
-  const double equal_ratio =
-      equal_result.items_per_s / batch_result.items_per_s;
-  const double route_ratio =
-      route_result.items_per_s / batch_result.items_per_s;
-  const double route_vs_equal =
-      route_result.items_per_s / equal_result.items_per_s;
   bench::Banner("Serve runtime vs SubmitBatch (" + std::to_string(num_items) +
                 " items, best of " + std::to_string(repeats) +
                 " interleaved trials, " + std::to_string(workers) +
@@ -360,14 +274,7 @@ void Run() {
   table.AddRow(tenant_result.name,
                {tenant_result.wall_s, tenant_result.items_per_s,
                 tenant_ratio});
-  table.AddRow(equal_result.name,
-               {equal_result.wall_s, equal_result.items_per_s, equal_ratio});
-  table.AddRow(route_result.name,
-               {route_result.wall_s, route_result.items_per_s, route_ratio});
   table.Print(std::cout);
-  std::cout << "route_sharded_4 vs serve_equal_workers (" << kShards
-            << " shards x " << per_shard_workers << " workers vs 1 x "
-            << equal_workers << "): " << route_vs_equal << "\n";
 
   std::ofstream json("BENCH_serve.json");
   AMS_CHECK(json.good(), "cannot open BENCH_serve.json for writing");
@@ -379,9 +286,7 @@ void Run() {
        << ", \"deadline_s\": " << constraints.time_budget_s
        << ", \"memory_mb\": " << constraints.memory_budget_mb
        << ", \"resident_per_worker\": "
-       << runtime.options().max_resident_per_worker
-       << ", \"route_shards\": " << kShards
-       << ", \"route_workers_per_shard\": " << per_shard_workers << "},\n";
+       << runtime.options().max_resident_per_worker << "},\n";
   json << "  \"configs\": [\n";
   json << "    {\"name\": \"submit_batch\", \"wall_s\": " << batch_result.wall_s
        << ", \"items_per_s\": " << batch_result.items_per_s
@@ -396,29 +301,19 @@ void Run() {
   json << "    {\"name\": \"serve_runtime_tenants\", \"wall_s\": "
        << tenant_result.wall_s
        << ", \"items_per_s\": " << tenant_result.items_per_s
-       << ", \"speedup_vs_submit_batch\": " << tenant_ratio << "},\n";
-  json << "    {\"name\": \"serve_equal_workers\", \"wall_s\": "
-       << equal_result.wall_s
-       << ", \"items_per_s\": " << equal_result.items_per_s
-       << ", \"speedup_vs_submit_batch\": " << equal_ratio << "},\n";
-  json << "    {\"name\": \"route_sharded_4\", \"wall_s\": "
-       << route_result.wall_s
-       << ", \"items_per_s\": " << route_result.items_per_s
-       << ", \"speedup_vs_submit_batch\": " << route_ratio << "}\n";
+       << ", \"speedup_vs_submit_batch\": " << tenant_ratio << "}\n";
   json << "  ],\n";
   json << "  \"serve_vs_submit_ratio\": " << ratio << ",\n";
   json << "  \"mixed_vs_single_class_ratio\": "
        << mixed_result.items_per_s / serve_result.items_per_s << ",\n";
   json << "  \"tenant_vs_single_class_ratio\": "
-       << tenant_result.items_per_s / serve_result.items_per_s << ",\n";
-  json << "  \"route_vs_equal_serve_ratio\": " << route_vs_equal << "\n";
+       << tenant_result.items_per_s / serve_result.items_per_s << "\n";
   json << "}\n";
   std::cout << "\nwrote BENCH_serve.json (serve/submit ratio " << ratio
             << ", mixed/single-class ratio "
             << mixed_result.items_per_s / serve_result.items_per_s
             << ", tenant/single-class ratio "
-            << tenant_result.items_per_s / serve_result.items_per_s
-            << ", route/equal-serve ratio " << route_vs_equal << ")\n";
+            << tenant_result.items_per_s / serve_result.items_per_s << ")\n";
 }
 
 }  // namespace

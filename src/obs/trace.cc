@@ -13,21 +13,17 @@ namespace ams::obs {
 namespace {
 
 constexpr std::array<const char*, kNumPhases> kPhaseNames = {
-    "enqueue",     "quota_reject", "placement", "queue_wait", "exec",
-    "tick",        "forward",      "migrate_out", "migrate_in",
+    "enqueue", "quota_reject", "queue_wait", "exec", "tick", "forward",
 };
 
 /// Per-phase names for args a0..a3 in exported JSON. nullptr = arg unused.
 constexpr std::array<std::array<const char*, 4>, kNumPhases> kPhaseArgNames = {{
     {"class", "tenant", "outcome", nullptr},        // enqueue
     {"class", "tenant", nullptr, nullptr},          // quota_reject
-    {"shard", "class", nullptr, nullptr},           // placement
     {"class", "tenant", nullptr, nullptr},          // queue_wait
     {"class", "deadline_missed", nullptr, nullptr}, // exec
     {"resident", "completed", "arena_used_bytes", nullptr},  // tick
     {"rows", "memo_hits", "simd_tier", nullptr},    // forward
-    {"from_shard", "to_shard", nullptr, nullptr},   // migrate_out
-    {"from_shard", "to_shard", nullptr, nullptr},   // migrate_in
 }};
 
 std::size_t RoundUpPow2(std::size_t n) {

@@ -21,27 +21,23 @@ namespace ams::obs {
 ///
 ///   kEnqueue     instant  admission decision   a0=class a1=tenant a2=outcome
 ///   kQuotaReject instant  quota refusal        a0=class a1=tenant
-///   kPlacement   instant  router pick          a0=shard a1=class
 ///   kQueueWait   span     enqueue -> pop       a0=class a1=tenant
 ///   kExec        span     pop -> completion    a0=class a1=deadline_missed
 ///   kTick        span     one stepper tick     a0=resident a1=completed
 ///                                              a2=arena_used_bytes
 ///   kForward     span     batched Q-forward    a0=rows a1=memo_hits
 ///                                              a2=simd_tier
-///   kMigrateOut  instant  StealBatch handoff   a0=from_shard a1=to_shard
-///   kMigrateIn   instant  Requeue arrival      a0=from_shard a1=to_shard
+///
+/// Phase numbers never leave the process: exports write PhaseName().
 enum class Phase : std::uint8_t {
   kEnqueue = 0,
   kQuotaReject,
-  kPlacement,
   kQueueWait,
   kExec,
   kTick,
   kForward,
-  kMigrateOut,
-  kMigrateIn,
 };
-inline constexpr int kNumPhases = 9;
+inline constexpr int kNumPhases = 6;
 
 /// Stable lowercase name used in trace JSON and summaries.
 const char* PhaseName(Phase phase);
@@ -64,8 +60,8 @@ struct TraceEvent {
   std::int32_t a3 = 0;
 };
 
-/// The lane index admission-side events (enqueue/placement/migration) are
-/// recorded under; worker lanes use their worker index. Exported traces name
+/// The lane index admission-side events (enqueue/quota_reject) are recorded
+/// under; worker lanes use their worker index. Exported traces name
 /// this lane "admission" instead of "worker 65535".
 inline constexpr std::uint16_t kAdmissionLane = 0xFFFF;
 
@@ -131,16 +127,16 @@ class TraceBuffer {
 };
 
 /// Sampling decision + identity that rides on a request through the queue
-/// and across shard migrations (a field on serve::QueuedRequest). `id` is
-/// cluster-unique: (admitting shard + 1) << 40 | admission sequence.
+/// (a field on serve::QueuedRequest). `id` is nonzero for a sampled request:
+/// its admission sequence + 1.
 struct TraceContext {
   std::uint64_t id = 0;
   bool sampled = false;
 };
 
 /// Owner of the per-(shard, lane) TraceBuffers and the runtime on/off
-/// switch. One Tracer serves a whole process — a sharded router hands the
-/// same Tracer to every shard runtime; lanes are keyed by (shard, lane).
+/// switch. One Tracer serves a whole process; lanes are keyed by (shard,
+/// lane), and a serving runtime records every lane under shard 0.
 ///
 /// Cost model: when disabled (or when a request was not sampled) every
 /// instrumentation site reduces to one relaxed atomic load and a branch.

@@ -547,73 +547,6 @@ void AdmissionQueue::TenantFinished(int tenant_id) {
   if (wake) not_full_.notify_all();
 }
 
-int AdmissionQueue::StealBatch(int max_requests,
-                               std::vector<QueuedRequest>* out) {
-  AMS_CHECK(out != nullptr);
-  int stolen = 0;
-  std::unique_lock<std::mutex> lock(mu_);
-  if (closed_) return 0;
-  while (stolen < max_requests && TotalLocked() > 0) {
-    int cls = -1;
-    for (int c = kNumPriorityClasses - 1; c >= 0; --c) {
-      if (!bands_[static_cast<size_t>(c)].heap.empty()) {
-        cls = c;
-        break;
-      }
-    }
-    const std::vector<QueuedRequest>& band = bands_[static_cast<size_t>(cls)].heap;
-    const WithinClassOrder order = OrderForLocked(cls);
-    // The band's last-served request: a kEdf heap only orders its head, so
-    // the latest (deadline, sequence) is found by scan; value bands are
-    // unordered slabs anyway.
-    size_t chosen = 0;
-    for (size_t i = 1; i < band.size(); ++i) {
-      if (order == WithinClassOrder::kEdf) {
-        if (band[i].deadline_s > band[chosen].deadline_s ||
-            (band[i].deadline_s == band[chosen].deadline_s &&
-             band[i].sequence > band[chosen].sequence)) {
-          chosen = i;
-        }
-      } else if (band[i].value_density < band[chosen].value_density ||
-                 (band[i].value_density == band[chosen].value_density &&
-                  band[i].sequence > band[chosen].sequence)) {
-        chosen = i;
-      }
-    }
-    QueuedRequest request;
-    RemoveAtLocked(cls, chosen, &request);
-    if (track_tenants_) --tenants_[request.tenant_id].queued;
-    out->push_back(std::move(request));
-    ++stolen;
-  }
-  if (stolen == 0) return 0;
-  depth_.store(TotalLocked(), std::memory_order_relaxed);
-  const bool wake = waiting_enqueuers_ > 0;
-  lock.unlock();
-  // Freed slots can unblock kBlock enqueuers (class- and tenant-specific
-  // predicates, hence notify_all — see TryPop).
-  if (wake) not_full_.notify_all();
-  return stolen;
-}
-
-bool AdmissionQueue::Requeue(QueuedRequest&& request) {
-  const int cls = static_cast<int>(request.priority_class);
-  AMS_CHECK(cls >= 0 && cls < kNumPriorityClasses, "unknown priority class");
-  std::unique_lock<std::mutex> lock(mu_);
-  if (closed_) return false;
-  if (track_tenants_) ++tenants_[request.tenant_id].queued;
-  std::vector<QueuedRequest>& band = bands_[static_cast<size_t>(cls)].heap;
-  band.push_back(std::move(request));
-  if (OrderForLocked(cls) == WithinClassOrder::kEdf) {
-    std::push_heap(band.begin(), band.end(), Later);
-  }
-  depth_.store(TotalLocked(), std::memory_order_relaxed);
-  const bool wake = waiting_poppers_ > 0;
-  lock.unlock();
-  if (wake) not_empty_.notify_one();
-  return true;
-}
-
 void AdmissionQueue::Close() {
   {
     std::lock_guard<std::mutex> lock(mu_);

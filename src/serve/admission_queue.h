@@ -257,34 +257,6 @@ class AdmissionQueue {
   /// accounting is off.
   void TenantFinished(int tenant_id);
 
-  /// Migration seam for the sharded router (route::ShardRouter): removes up
-  /// to `max_requests` queued-but-not-started requests and appends them to
-  /// `out` with every admission stamp intact — priority class, tenant,
-  /// value density, slack, absolute deadline, sequence, and enqueue time
-  /// all travel with the request, so a peer queue sharing the same Clock
-  /// re-admits it with identical urgency. Victims are the requests this
-  /// queue would serve LAST: the least important non-empty class first, and
-  /// within a band the latest (deadline, sequence) under kEdf or the lowest
-  /// value density (ties: newest) under value ordering — stealing never
-  /// takes work the local shard was about to serve. The stolen tenants'
-  /// queued counts are released here (the work now counts against the
-  /// destination queue) and blocked enqueuers are woken by the freed space;
-  /// round-robin and starvation accounting are untouched (no pop happened).
-  /// Returns the number stolen; 0 on a closed queue — during shutdown work
-  /// drains in place instead of migrating.
-  int StealBatch(int max_requests, std::vector<QueuedRequest>* out);
-
-  /// Re-admits a stolen request with its stamps preserved: arrival time and
-  /// deadline are NOT re-stamped, and no admission gate runs — capacity,
-  /// class caps, tenant quotas, and rate buckets were already applied at
-  /// the original front door, and migration must never drop, bounce, or
-  /// block a legitimately admitted request (transient capacity overshoot is
-  /// bounded by the router's per-tick migration batch). The tenant's queued
-  /// count moves to this queue so pops and quota sheds stay consistent.
-  /// False iff this queue is closed; the request is left intact for the
-  /// caller to route elsewhere or resolve.
-  bool Requeue(QueuedRequest&& request);
-
   /// Stops admission (subsequent Enqueues return kClosed) and wakes every
   /// blocked enqueuer and popper. Queued requests remain poppable.
   void Close();

@@ -111,51 +111,6 @@ std::string LatencyHistogram::SnapshotJson() const {
   return out.str();
 }
 
-namespace {
-
-/// other += into target, both relaxed — the merge contract allows torn
-/// cross-counter views (same as any scrape of live counters).
-void AddCounter(std::atomic<long>* target, const std::atomic<long>& other) {
-  const long n = other.load(std::memory_order_relaxed);
-  if (n != 0) target->fetch_add(n, std::memory_order_relaxed);
-}
-
-}  // namespace
-
-void LatencyHistogram::MergeFrom(const LatencyHistogram& other) {
-  for (int b = 0; b < kBuckets; ++b) {
-    AddCounter(&buckets_[static_cast<size_t>(b)],
-               other.buckets_[static_cast<size_t>(b)]);
-  }
-  AddCounter(&count_, other.count_);
-  sum_ns_.fetch_add(other.sum_ns_.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-  AtomicMax(&max_, other.max_.load(std::memory_order_relaxed));
-}
-
-void ClassMetrics::MergeFrom(const ClassMetrics& other) {
-  AddCounter(&enqueued, other.enqueued);
-  AddCounter(&completed, other.completed);
-  AddCounter(&rejected, other.rejected);
-  AddCounter(&shed, other.shed);
-  AddCounter(&shutdown_refused, other.shutdown_refused);
-  AddCounter(&deadline_misses, other.deadline_misses);
-  queue_delay.MergeFrom(other.queue_delay);
-  total_latency.MergeFrom(other.total_latency);
-}
-
-void TenantMetrics::MergeFrom(const TenantMetrics& other) {
-  AddCounter(&enqueued, other.enqueued);
-  AddCounter(&completed, other.completed);
-  AddCounter(&rejected, other.rejected);
-  AddCounter(&quota_rejected, other.quota_rejected);
-  AddCounter(&shed, other.shed);
-  AddCounter(&shutdown_refused, other.shutdown_refused);
-  AddCounter(&deadline_misses, other.deadline_misses);
-  queue_delay.MergeFrom(other.queue_delay);
-  total_latency.MergeFrom(other.total_latency);
-}
-
 void Metrics::RecordTick(double tick_s, std::size_t arena_used_bytes) {
   tick_duration.Record(tick_s);
   AtomicMaxLong(&arena_high_water_bytes,
@@ -167,46 +122,6 @@ void Metrics::RecordForward(double forward_s, int rows) {
   forward_batches.fetch_add(1, std::memory_order_relaxed);
   forward_rows.fetch_add(rows, std::memory_order_relaxed);
   AtomicMaxLong(&forward_rows_max, rows);
-}
-
-void Metrics::MergeFrom(const Metrics& other) {
-  AddCounter(&enqueued, other.enqueued);
-  AddCounter(&completed, other.completed);
-  AddCounter(&rejected, other.rejected);
-  AddCounter(&quota_rejected, other.quota_rejected);
-  AddCounter(&shed, other.shed);
-  AddCounter(&shutdown_refused, other.shutdown_refused);
-  AddCounter(&deadline_misses, other.deadline_misses);
-  AddCounter(&migrated_in, other.migrated_in);
-  AddCounter(&migrated_out, other.migrated_out);
-  AddCounter(&queue_depth, other.queue_depth);
-  AddCounter(&in_flight, other.in_flight);
-  queue_delay.MergeFrom(other.queue_delay);
-  service_time.MergeFrom(other.service_time);
-  total_latency.MergeFrom(other.total_latency);
-  tick_duration.MergeFrom(other.tick_duration);
-  forward_duration.MergeFrom(other.forward_duration);
-  AddCounter(&forward_batches, other.forward_batches);
-  AddCounter(&forward_rows, other.forward_rows);
-  // Gauge/high-water policy (regression-locked by route_metrics_merge_test):
-  // counters sum across shards, high-water marks take the max — a 4-shard
-  // aggregate's high water is the highest shard's, never 4x one shard's.
-  AtomicMaxLong(&forward_rows_max,
-                other.forward_rows_max.load(std::memory_order_relaxed));
-  AtomicMaxLong(&arena_high_water_bytes,
-                other.arena_high_water_bytes.load(std::memory_order_relaxed));
-  for (int c = 0; c < kNumPriorityClasses; ++c) {
-    by_class[static_cast<size_t>(c)].MergeFrom(
-        other.by_class[static_cast<size_t>(c)]);
-  }
-  default_tenant_.MergeFrom(other.default_tenant_);
-  // Other's map mutex only; for_tenant locks this registry's own mutex, so
-  // no ordering cycle as long as nobody merges two registries into each
-  // other concurrently (the documented one-directional contract).
-  std::lock_guard<std::mutex> lock(other.tenants_mu_);
-  for (const auto& [tenant_id, tenant] : other.tenants_) {
-    for_tenant(tenant_id).MergeFrom(tenant);
-  }
 }
 
 TenantMetrics& Metrics::for_tenant(int tenant_id) {
@@ -243,8 +158,8 @@ namespace {
 /// contract for what can still tear.
 struct CounterSnapshot {
   long enqueued, completed, rejected, quota_rejected, shed, shutdown_refused,
-      deadline_misses, migrated_in, migrated_out, queue_depth, in_flight,
-      forward_batches, forward_rows, forward_rows_max, arena_high_water_bytes;
+      deadline_misses, queue_depth, in_flight, forward_batches, forward_rows,
+      forward_rows_max, arena_high_water_bytes;
 };
 
 struct ClassSnapshot {
@@ -292,8 +207,6 @@ std::string Metrics::SnapshotJson(double uptime_s) const {
   top.shed = shed.load(std::memory_order_relaxed);
   top.shutdown_refused = shutdown_refused.load(std::memory_order_relaxed);
   top.deadline_misses = deadline_misses.load(std::memory_order_relaxed);
-  top.migrated_in = migrated_in.load(std::memory_order_relaxed);
-  top.migrated_out = migrated_out.load(std::memory_order_relaxed);
   top.queue_depth = queue_depth.load(std::memory_order_relaxed);
   top.in_flight = in_flight.load(std::memory_order_relaxed);
   top.forward_batches = forward_batches.load(std::memory_order_relaxed);
@@ -327,9 +240,7 @@ std::string Metrics::SnapshotJson(double uptime_s) const {
       << ", \"quota_rejected\": " << top.quota_rejected
       << ", \"shed\": " << top.shed
       << ", \"shutdown_refused\": " << top.shutdown_refused
-      << ", \"deadline_misses\": " << top.deadline_misses
-      << ", \"migrated_in\": " << top.migrated_in
-      << ", \"migrated_out\": " << top.migrated_out << "},\n";
+      << ", \"deadline_misses\": " << top.deadline_misses << "},\n";
   out << "  \"gauges\": {\"queue_depth\": " << top.queue_depth
       << ", \"in_flight\": " << top.in_flight << "},\n";
   out << "  \"uptime_s\": " << FormatSeconds(uptime_s)

@@ -45,13 +45,6 @@ class LatencyHistogram {
   /// {"count":N,"mean_s":...,"p50_s":...,"p95_s":...,"p99_s":...,"max_s":...}
   std::string SnapshotJson() const;
 
-  /// Folds `other` into this histogram: bucket-wise counter sums, summed
-  /// count/sum, max of maxes. Exact — both histograms share the fixed
-  /// bucket layout, so merging loses nothing beyond each input's own
-  /// bucket resolution. `other` may be recorded into concurrently (relaxed
-  /// reads see some valid recent state); this histogram must not be.
-  void MergeFrom(const LatencyHistogram& other);
-
  private:
   static constexpr int kBuckets = 64;
   static constexpr double kMinSeconds = 1e-6;
@@ -85,8 +78,6 @@ struct ClassMetrics {
   std::atomic<long> deadline_misses{0};
   LatencyHistogram queue_delay;
   LatencyHistogram total_latency;
-
-  void MergeFrom(const ClassMetrics& other);
 };
 
 /// Per-tenant slice of the registry: the quota-accounting view. Same
@@ -105,8 +96,6 @@ struct TenantMetrics {
   std::atomic<long> deadline_misses{0};
   LatencyHistogram queue_delay;
   LatencyHistogram total_latency;
-
-  void MergeFrom(const TenantMetrics& other);
 };
 
 /// The serving runtime's metrics registry: throughput counters, queue/flight
@@ -116,13 +105,9 @@ struct TenantMetrics {
 ///
 /// Counter semantics: every request increments `enqueued` exactly once and
 /// then exactly one of {completed, rejected, shed, shutdown_refused}; at any
-/// quiescent instant enqueued + migrated_in == completed + rejected + shed +
-/// shutdown_refused + migrated_out. (On an unsharded runtime the migration
-/// counters stay 0 and the PR-5 identity holds unchanged.) The same holds
-/// within each ClassMetrics slice, whose members never see migration: a
-/// migrated request's class/tenant slices are counted where it was admitted
-/// and where it completes, so per-class and per-tenant totals remain
-/// cluster-wide truths even though the per-shard split shifts.
+/// quiescent instant enqueued == completed + rejected + shed +
+/// shutdown_refused. The same holds within each ClassMetrics and
+/// TenantMetrics slice.
 class Metrics {
  public:
   // --- counters ---
@@ -136,12 +121,6 @@ class Metrics {
   std::atomic<long> shutdown_refused{0};
   /// Completions that landed after their request deadline.
   std::atomic<long> deadline_misses{0};
-  /// Requests moved between shards by the router's rebalancer: admitted
-  /// here but handed off (`migrated_out`), or admitted on a peer shard and
-  /// requeued here (`migrated_in`). Both are 0 outside a sharded setup, and
-  /// they cancel in any aggregate across all shards.
-  std::atomic<long> migrated_in{0};
-  std::atomic<long> migrated_out{0};
 
   // --- gauges (sampled by the runtime at queue transitions) ---
   std::atomic<long> queue_depth{0};
@@ -217,15 +196,6 @@ class Metrics {
 
   /// Same, with uptime taken from the attached clock (0 when none).
   std::string SnapshotJson() const;
-
-  /// Folds `other` into this registry: counters and gauges summed,
-  /// histograms merged bucket-wise, per-class slices merged element-wise,
-  /// and per-tenant slices merged by tenant id (creating slices here as
-  /// needed). The cross-shard aggregation primitive behind
-  /// route::AggregatedMetrics. `other` may still be written to concurrently
-  /// (the merge reads each atomic once, relaxed); this registry must be
-  /// private to the caller while merging.
-  void MergeFrom(const Metrics& other);
 
  private:
   const util::Clock* clock_ = nullptr;

@@ -82,10 +82,9 @@ struct QueuedRequest {
   /// When the request entered the queue; stamped by AdmissionQueue on the
   /// serve clock (before any kBlock wait: arrival time, not admit time).
   double enqueue_time_s = 0.0;
-  /// Tracing identity, stamped once at original admission (obs::Tracer
-  /// sampling decision + cluster-unique id). Rides the request through
-  /// StealBatch/Requeue migration so a request's span chain stays connected
-  /// across shards; zero/unsampled when tracing is off.
+  /// Tracing identity, stamped once at admission (obs::Tracer sampling
+  /// decision + trace id). Rides the request from enqueue to completion so
+  /// its span chain stays connected; zero/unsampled when tracing is off.
   obs::TraceContext trace;
   std::promise<ServeResult> promise;
 };

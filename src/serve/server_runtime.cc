@@ -47,8 +47,7 @@ ServerRuntime::ServerRuntime(core::LabelingService* session,
   AMS_CHECK(session != nullptr);
   if (options_.workers <= 0) options_.workers = session->worker_count();
   if (tracer_ != nullptr) {
-    admission_lane_ = tracer_->EnsureLane(
-        static_cast<uint16_t>(options_.shard_id), obs::kAdmissionLane);
+    admission_lane_ = tracer_->EnsureLane(0, obs::kAdmissionLane);
   }
   AMS_CHECK(options_.max_resident_per_worker >= 1,
             "a worker must hold at least one resident item");
@@ -120,11 +119,8 @@ std::future<ServeResult> ServerRuntime::Enqueue(
   }
   if (tracer_ != nullptr && tracer_->enabled() &&
       tracer_->ShouldSample(request.sequence)) {
-    // Cluster-unique id: shard in the high bits, admission sequence below.
-    // Stamped exactly once — migrated requests keep the id of the shard
-    // that admitted them, which is what connects a cross-shard span chain.
-    request.trace.id =
-        (static_cast<uint64_t>(options_.shard_id) + 1) << 40 | request.sequence;
+    // Nonzero: id 0 marks lane-scoped events (ticks, forwards).
+    request.trace.id = request.sequence + 1;
     request.trace.sampled = true;
   }
   const obs::TraceContext trace = request.trace;
@@ -241,8 +237,7 @@ void ServerRuntime::WorkerLoop(int worker_index) {
   // it stays null (and every site a single branch) when tracing is off.
   obs::TraceBuffer* lane = nullptr;
   if (tracer_ != nullptr) {
-    lane = tracer_->EnsureLane(static_cast<uint16_t>(options_.shard_id),
-                               static_cast<uint16_t>(worker_index));
+    lane = tracer_->EnsureLane(0, static_cast<uint16_t>(worker_index));
     stepper->AttachTracer(tracer_, lane, clock_);
   }
   // Tracked requests keyed by stepper ticket. A flat swap-pop slab instead
@@ -292,9 +287,8 @@ void ServerRuntime::WorkerLoop(int worker_index) {
           tracked.trace = request.trace;
           if (lane != nullptr && request.trace.sampled &&
               tracer_->enabled()) {
-            // The queue-wait span is written retroactively at pop time —
-            // its start is the (possibly remote-shard) enqueue stamp, so a
-            // migrated request's wait covers the whole cross-shard journey.
+            // The queue-wait span is written retroactively at pop time,
+            // starting at the request's enqueue stamp.
             obs::TraceEvent event;
             event.id = request.trace.id;
             event.ts_s = request.enqueue_time_s;
@@ -388,33 +382,6 @@ void ServerRuntime::WorkerLoop(int worker_index) {
       FinishOne();
     }
   }
-}
-
-int ServerRuntime::StealQueued(int max_requests,
-                               std::vector<QueuedRequest>* out) {
-  const int stolen = queue_.StealBatch(max_requests, out);
-  if (stolen == 0) return 0;
-  metrics_.queue_depth.store(static_cast<long>(queue_.size()),
-                             std::memory_order_relaxed);
-  metrics_.migrated_out.fetch_add(stolen, std::memory_order_relaxed);
-  // Ownership left with the batch: this runtime's Drain() must not wait on
-  // requests another shard will complete.
-  for (int i = 0; i < stolen; ++i) FinishOne();
-  return stolen;
-}
-
-bool ServerRuntime::RequeueMigrated(QueuedRequest&& request) {
-  // Count outstanding before the queue sees the request, mirroring Enqueue:
-  // a worker could pop and finish it before we returned.
-  outstanding_.fetch_add(1, std::memory_order_acq_rel);
-  if (!queue_.Requeue(std::move(request))) {
-    FinishOne();  // undo; the caller still owns the request
-    return false;
-  }
-  metrics_.migrated_in.fetch_add(1, std::memory_order_relaxed);
-  metrics_.queue_depth.store(static_cast<long>(queue_.size()),
-                             std::memory_order_relaxed);
-  return true;
 }
 
 void ServerRuntime::Drain() {

@@ -69,12 +69,8 @@ struct ServeOptions {
   /// forward spans — into per-worker obs::TraceBuffer lanes, and the phase
   /// section of Metrics populates. Null (the default) keeps every
   /// instrumentation site at a single pointer test; a disabled tracer costs
-  /// one extra relaxed load. Must outlive the runtime. A sharded router
-  /// passes one shared tracer to every shard.
+  /// one extra relaxed load. Must outlive the runtime.
   obs::Tracer* tracer = nullptr;
-  /// This runtime's shard index in a sharded deployment (trace lane keying
-  /// and cluster-unique trace ids); 0 standalone.
-  int shard_id = 0;
 };
 
 /// The asynchronous serving runtime over a labeling session: admission in
@@ -151,23 +147,6 @@ class ServerRuntime {
   /// a full kBlock queue are woken with that status.
   void Shutdown();
 
-  /// Migration seam for route::ShardRouter. Steals up to `max_requests`
-  /// queued-but-not-started requests (the ones this runtime would serve
-  /// last; see AdmissionQueue::StealBatch) with their promises and
-  /// admission stamps intact, transferring ownership to the caller: this
-  /// runtime's Drain() no longer waits on them and `migrated_out` is
-  /// counted. Returns the number stolen (0 while shutting down). The caller
-  /// must either RequeueMigrated each request on a peer runtime sharing the
-  /// same serve Clock (deadlines are absolute clock readings) or resolve
-  /// its promise itself.
-  int StealQueued(int max_requests, std::vector<QueuedRequest>* out);
-
-  /// Admits a request stolen from a peer runtime, preserving its stamps and
-  /// bypassing admission gates (see AdmissionQueue::Requeue); counts
-  /// `migrated_in` and makes Drain() wait on it. False iff this runtime is
-  /// shutting down — the request is left intact for the caller.
-  bool RequeueMigrated(QueuedRequest&& request);
-
   Metrics& metrics() { return metrics_; }
   const Metrics& metrics() const { return metrics_; }
   /// Metrics snapshot stamped with the runtime's uptime on the serve clock.
@@ -223,9 +202,9 @@ class ServerRuntime {
   const ValueEstimator* estimator_ = nullptr;
   AdmissionQueue queue_;
   /// Tracing (options.tracer): `admission_lane_` takes the enqueue-side
-  /// instants (enqueue/quota/migration events race from many caller
-  /// threads; the ring's fetch_add ticketing makes that safe); each worker
-  /// caches its own lane in WorkerLoop. Both null when tracing is off.
+  /// instants (enqueue/quota events race from many caller threads; the
+  /// ring's fetch_add ticketing makes that safe); each worker caches its
+  /// own lane in WorkerLoop. Both null when tracing is off.
   obs::Tracer* tracer_ = nullptr;
   obs::TraceBuffer* admission_lane_ = nullptr;
   std::vector<std::thread> workers_;

@@ -13,8 +13,8 @@ namespace ams::util {
 /// non-decreasing and safe to read from any thread.
 ///
 /// Lives in util:: so every layer — obs:: tracing, core:: steppers, the
-/// serve:: and route:: runtimes — shares one time axis without a dependency
-/// on the serving runtime.
+/// serve:: runtime — shares one time axis without a dependency on the
+/// serving runtime.
 class Clock {
  public:
   virtual ~Clock() = default;

@@ -2,9 +2,8 @@
 // rounding, drop-oldest overwrite, oldest-first snapshots), the Tracer's
 // runtime toggle / sampling / lane registry, ScopedSpan recording, the
 // ChromeTraceSink JSON shape, and the deterministic end-to-end span-chain
-// property — a request admitted on one shard and migrated to another under a
-// ManualClock yields exactly one connected enqueue -> queue_wait -> exec
-// chain per sampled request, with matched migrate_out/migrate_in hops and no
+// property — every request served by a ServerRuntime under a ManualClock
+// yields exactly one connected enqueue -> queue_wait -> exec chain, with no
 // lost or duplicated phase events.
 
 #include "obs/trace.h"
@@ -26,8 +25,6 @@
 #include "data/oracle.h"
 #include "nn/net.h"
 #include "rl/agent.h"
-#include "route/placement.h"
-#include "route/shard_router.h"
 #include "serve/server_runtime.h"
 #include "util/clock.h"
 #include "zoo/model_zoo.h"
@@ -234,9 +231,8 @@ TEST(ChromeTraceSinkTest, WritesTheDroppedEventCount) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end span conservation through migration, deterministic under a
-// ManualClock. Mirrors the router rebalance test: all placement pinned to
-// shard 0, single starved workers, manual rebalance tick.
+// End-to-end span conservation through the serving runtime, deterministic
+// under a ManualClock: one worker holding one resident item at a time.
 // ---------------------------------------------------------------------------
 
 class TraceChainTest : public ::testing::Test {
@@ -262,24 +258,18 @@ class TraceChainTest : public ::testing::Test {
                                        nn::NetKind::kMlp);
   }
 
-  static std::vector<core::LabelingService> BuildShardSessions(
-      rl::Agent* agent, int shards) {
+  static core::LabelingService BuildSession(rl::Agent* agent) {
     core::ScheduleConstraints constraints;
     constraints.time_budget_s = 1.0;
     constraints.memory_budget_mb = 8000.0;
-    std::vector<core::LabelingService> sessions;
-    sessions.reserve(static_cast<size_t>(shards));
-    for (int i = 0; i < shards; ++i) {
-      sessions.push_back(core::LabelingServiceBuilder(zoo_)
-                             .WithOracle(oracle_)
-                             .WithPredictor(agent)
-                             .WithMode(core::ExecutionMode::kParallel)
-                             .WithConstraints(constraints)
-                             .WithWorkers(1)
-                             .WithSeed(17 + static_cast<uint64_t>(i))
-                             .Build());
-    }
-    return sessions;
+    return core::LabelingServiceBuilder(zoo_)
+        .WithOracle(oracle_)
+        .WithPredictor(agent)
+        .WithMode(core::ExecutionMode::kParallel)
+        .WithConstraints(constraints)
+        .WithWorkers(1)
+        .WithSeed(17)
+        .Build();
   }
 
   static zoo::ModelZoo* zoo_;
@@ -291,58 +281,37 @@ zoo::ModelZoo* TraceChainTest::zoo_ = nullptr;
 data::Dataset* TraceChainTest::dataset_ = nullptr;
 data::Oracle* TraceChainTest::oracle_ = nullptr;
 
-TEST_F(TraceChainTest, MigratedRequestsKeepOneConnectedSpanChain) {
+TEST_F(TraceChainTest, EveryRequestKeepsOneConnectedSpanChain) {
   std::unique_ptr<rl::Agent> agent = MakeAgent(41);
-  std::vector<core::LabelingService> sessions =
-      BuildShardSessions(agent.get(), /*shards=*/2);
+  core::LabelingService session = BuildSession(agent.get());
 
   util::ManualClock clock(5.0);
   Tracer tracer;
-  route::RouterOptions options;
-  options.serve.workers = 1;
-  options.serve.max_resident_per_worker = 1;
-  options.serve.queue_capacity = 256;
-  options.serve.clock = &clock;
-  options.serve.tracer = &tracer;
-  options.max_migrate_per_tick = 64;
-  // Worst-case placement skew: everything lands on shard 0, so the
-  // rebalance tick must migrate, and migrated requests complete on shard 1.
-  class PinnedPlacement final : public route::Placement {
-   public:
-    int ShardFor(const route::RouteKey&,
-                 const route::ShardLoadView&) override {
-      return 0;
-    }
-    const char* name() const override { return "pinned"; }
-  } pinned;
-  options.placement = &pinned;
-  std::vector<core::LabelingService*> shard_sessions;
-  for (core::LabelingService& session : sessions) {
-    shard_sessions.push_back(&session);
-  }
-  route::ShardRouter router(shard_sessions, options);
+  serve::ServeOptions options;
+  options.workers = 1;
+  options.max_resident_per_worker = 1;
+  options.queue_capacity = 256;
+  options.clock = &clock;
+  options.tracer = &tracer;
+  serve::ServerRuntime runtime(&session, options);
 
   const int kRequests = 64;
   std::vector<std::future<serve::ServeResult>> futures;
   for (int i = 0; i < kRequests; ++i) {
-    futures.push_back(router.Enqueue(core::WorkItem::Stored(i % 48)));
+    futures.push_back(runtime.Enqueue(core::WorkItem::Stored(i % 48)));
   }
   clock.Advance(1.0);
-  const int moved = router.RebalanceOnce();
-  EXPECT_GT(moved, 0);
   for (std::future<serve::ServeResult>& future : futures) {
     EXPECT_EQ(future.get().status, serve::ServeStatus::kOk);
   }
-  router.Drain();
-  router.Shutdown();
+  runtime.Drain();
+  runtime.Shutdown();
 
   const std::vector<TraceEvent> events = tracer.Collect();
   EXPECT_EQ(tracer.TotalDropped(), 0u);
 
-  // Index lifecycle events by trace id; count migration hops.
+  // Index lifecycle events by trace id.
   std::map<std::uint64_t, int> enqueues, waits, execs;
-  std::set<std::uint64_t> migrated_out_ids, migrated_in_ids;
-  int placements = 0, outs = 0, ins = 0;
   for (const TraceEvent& event : events) {
     switch (static_cast<Phase>(event.phase)) {
       case Phase::kEnqueue:
@@ -355,27 +324,14 @@ TEST_F(TraceChainTest, MigratedRequestsKeepOneConnectedSpanChain) {
       case Phase::kExec:
         ++execs[event.id];
         break;
-      case Phase::kPlacement:
-        ++placements;
-        break;
-      case Phase::kMigrateOut:
-        ++outs;
-        migrated_out_ids.insert(event.id);
-        break;
-      case Phase::kMigrateIn:
-        ++ins;
-        migrated_in_ids.insert(event.id);
-        break;
       default:
         break;
     }
   }
 
   // Span conservation: every sampled admitted request has exactly one
-  // enqueue, one queue_wait, and one exec — migration neither loses nor
-  // duplicates a phase.
+  // enqueue, one queue_wait, and one exec — no phase is lost or duplicated.
   EXPECT_EQ(enqueues.size(), static_cast<size_t>(kRequests));
-  EXPECT_EQ(placements, kRequests);
   for (const auto& [id, count] : enqueues) {
     EXPECT_EQ(count, 1) << "trace id " << id;
     EXPECT_EQ(waits[id], 1) << "trace id " << id;
@@ -383,15 +339,6 @@ TEST_F(TraceChainTest, MigratedRequestsKeepOneConnectedSpanChain) {
   }
   EXPECT_EQ(waits.size(), enqueues.size());
   EXPECT_EQ(execs.size(), enqueues.size());
-
-  // Every migration departure has a matching arrival, id for id.
-  EXPECT_EQ(outs, moved);
-  EXPECT_EQ(ins, outs);
-  EXPECT_EQ(migrated_out_ids, migrated_in_ids);
-  // Migrated requests still completed exactly once.
-  for (std::uint64_t id : migrated_out_ids) {
-    EXPECT_EQ(execs[id], 1) << "migrated trace id " << id;
-  }
 
   // Chains are time-ordered: each request's queue wait starts at its
   // enqueue timestamp and its execution starts no earlier than the wait.
@@ -428,8 +375,7 @@ TEST_F(TraceChainTest, MigratedRequestsKeepOneConnectedSpanChain) {
 
 TEST_F(TraceChainTest, SamplingRecordsOnlyEveryNthLifecycle) {
   std::unique_ptr<rl::Agent> agent = MakeAgent(43);
-  std::vector<core::LabelingService> sessions =
-      BuildShardSessions(agent.get(), /*shards=*/1);
+  core::LabelingService session = BuildSession(agent.get());
 
   Tracer::Options trace_options;
   trace_options.sample_every = 4;
@@ -438,7 +384,7 @@ TEST_F(TraceChainTest, SamplingRecordsOnlyEveryNthLifecycle) {
   serve_options.workers = 1;
   serve_options.queue_capacity = 256;
   serve_options.tracer = &tracer;
-  serve::ServerRuntime runtime(&sessions[0], serve_options);
+  serve::ServerRuntime runtime(&session, serve_options);
 
   const int kRequests = 32;
   std::vector<std::future<serve::ServeResult>> futures;

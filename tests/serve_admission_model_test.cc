@@ -18,14 +18,6 @@
 // concurrency — the ordering claims stay single-threaded where they are
 // well-defined.
 //
-// The RouterModel section extends the harness to a multi-shard setup: N
-// (real AdmissionQueue, ReferenceQueue) pairs behind a real
-// route::ConsistentHashPlacement, with a migrate op that replays
-// route::PlanRebalance + StealBatch/Requeue against the model's
-// Steal/Requeue mirrors — covering placement determinism, migration
-// conservation (no request lost or duplicated across shards), and
-// per-tenant quota integrity across shards.
-//
 // The per-config seed count is 25 by default and env-overridable via
 // AMS_MODEL_SEEDS (the nightly CI soak runs 500).
 
@@ -39,18 +31,14 @@
 #include <deque>
 #include <limits>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <random>
-#include <set>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "route/placement.h"
-#include "route/shard_router.h"
 #include "serve/admission_queue.h"
 #include "serve/priority_class.h"
 #include "util/clock.h"
@@ -263,56 +251,6 @@ class ReferenceQueue {
   }
 
   void Close() { closed_ = true; }
-
-  /// Mirrors AdmissionQueue::StealBatch: the last-served requests leave
-  /// first — least important non-empty class, latest (deadline, sequence)
-  /// under kEdf, lowest density (ties: newest) under value ordering — with
-  /// tenant queued counts released and round-robin/starvation state
-  /// untouched. Empty on a closed queue.
-  std::vector<Request> Steal(int max_requests) {
-    std::vector<Request> stolen;
-    if (closed_) return stolen;
-    while (static_cast<int>(stolen.size()) < max_requests &&
-           TotalSize() > 0) {
-      int cls = -1;
-      for (int c = kNumPriorityClasses - 1; c >= 0; --c) {
-        if (!bands_[static_cast<size_t>(c)].empty()) {
-          cls = c;
-          break;
-        }
-      }
-      std::vector<Request>& band = bands_[static_cast<size_t>(cls)];
-      const WithinClassOrder order = OrderFor(cls);
-      size_t chosen = 0;
-      for (size_t i = 1; i < band.size(); ++i) {
-        if (order == WithinClassOrder::kEdf) {
-          if (band[i].deadline_s > band[chosen].deadline_s ||
-              (band[i].deadline_s == band[chosen].deadline_s &&
-               band[i].sequence > band[chosen].sequence)) {
-            chosen = i;
-          }
-        } else if (band[i].value_density < band[chosen].value_density ||
-                   (band[i].value_density == band[chosen].value_density &&
-                    band[i].sequence > band[chosen].sequence)) {
-          chosen = i;
-        }
-      }
-      const Request victim = band[chosen];
-      band.erase(band.begin() + static_cast<long>(chosen));
-      if (track_tenants_) --tenants_[victim.tenant].queued;
-      stolen.push_back(victim);
-    }
-    return stolen;
-  }
-
-  /// Mirrors AdmissionQueue::Requeue: gate-free re-admission of a migrated
-  /// request with all stamps preserved; false iff closed.
-  bool Requeue(const Request& request) {
-    if (closed_) return false;
-    if (track_tenants_) ++tenants_[request.tenant].queued;
-    bands_[static_cast<size_t>(request.cls)].push_back(request);
-    return true;
-  }
 
   OverloadPolicy PolicyFor(int cls) const {
     const std::optional<OverloadPolicy>& per_class =
@@ -941,264 +879,6 @@ TEST(AdmissionModelTest, SaturatedHighPriorityStillDrainsBatchWithinKBound) {
     }
   }
   EXPECT_LE(pops, kBatchRequests * kBound);
-}
-
-// --- the router model: multi-shard traces with migration -------------------
-
-/// Read-only depth view over the real shard queues, as the router exposes
-/// to its Placement.
-class RealQueueLoadView final : public route::ShardLoadView {
- public:
-  explicit RealQueueLoadView(
-      const std::vector<std::unique_ptr<AdmissionQueue>>* shards)
-      : shards_(shards) {}
-  int num_shards() const override {
-    return static_cast<int>(shards_->size());
-  }
-  size_t QueueDepth(int shard) const override {
-    return (*shards_)[static_cast<size_t>(shard)]->size();
-  }
-
- private:
-  const std::vector<std::unique_ptr<AdmissionQueue>>* shards_;
-};
-
-/// One randomized multi-shard episode: kShards (real, model) queue pairs
-/// behind a real consistent-hash placement, driven through the same seeded
-/// enqueue / pop / migrate / finish / advance / close trace, asserting per
-/// step that every shard's observable state matches its model — and at the
-/// end that every admitted request left the cluster exactly once (popped or
-/// shed, never lost, never duplicated by migration).
-void RunRouterEpisode(const NamedConfig& named, uint64_t seed, int num_ops) {
-  constexpr int kShards = 3;
-  constexpr int kTenants = 3;
-  util::ManualClock clock;
-  AdmissionConfig config = named.config;
-  config.clock = &clock;
-  std::vector<std::unique_ptr<AdmissionQueue>> real;
-  std::vector<std::unique_ptr<ReferenceQueue>> model;
-  for (int s = 0; s < kShards; ++s) {
-    real.push_back(std::make_unique<AdmissionQueue>(config));
-    model.push_back(std::make_unique<ReferenceQueue>(config, &clock));
-  }
-  const RealQueueLoadView load(&real);
-  route::ConsistentHashPlacement placement;
-  route::ConsistentHashPlacement replacement;  // a "restarted" placement
-  std::array<StarvationChecker, kShards> starvation = {
-      StarvationChecker(config.starvation_bound),
-      StarvationChecker(config.starvation_bound),
-      StarvationChecker(config.starvation_bound)};
-
-  std::mt19937_64 rng(seed);
-  const double slacks[] = {0.5, 1.0, 1.0, 2.0, 4.0, kInf};
-  const double densities[] = {0.25, 0.5, 1.0, 1.0, 2.0, 8.0};
-  uint64_t next_sequence = 0;
-  /// Sequences admitted somewhere and not yet popped or shed. Migration
-  /// must move entries between shards without touching this set.
-  std::set<uint64_t> in_cluster;
-  std::array<std::deque<std::pair<uint64_t, int>>, kShards> outstanding;
-  const std::string context =
-      named.name + " router seed " + std::to_string(seed);
-
-  const auto pop_once = [&](int shard) {
-    std::array<size_t, kNumPriorityClasses> queued_before{};
-    for (int c = 0; c < kNumPriorityClasses; ++c) {
-      queued_before[static_cast<size_t>(c)] =
-          model[static_cast<size_t>(shard)]->BandSize(c);
-    }
-    const std::optional<ReferenceQueue::Request> expected =
-        model[static_cast<size_t>(shard)]->Pop();
-    QueuedRequest popped;
-    const bool got = real[static_cast<size_t>(shard)]->TryPop(&popped);
-    ASSERT_EQ(got, expected.has_value()) << context << " shard " << shard;
-    if (!got) return;
-    ASSERT_EQ(popped.sequence, expected->sequence)
-        << context << " shard " << shard;
-    ASSERT_EQ(static_cast<int>(popped.priority_class), expected->cls)
-        << context;
-    ASSERT_EQ(popped.tenant_id, expected->tenant) << context;
-    ASSERT_EQ(in_cluster.erase(expected->sequence), 1u)
-        << context << ": popped a request not in the cluster (lost or "
-        << "duplicated by migration)";
-    outstanding[static_cast<size_t>(shard)].emplace_back(expected->sequence,
-                                                         expected->tenant);
-    starvation[static_cast<size_t>(shard)].OnPop(queued_before,
-                                                 expected->cls);
-  };
-  const auto finish_once = [&](int shard) {
-    if (outstanding[static_cast<size_t>(shard)].empty()) return;
-    const int tenant = outstanding[static_cast<size_t>(shard)].front().second;
-    outstanding[static_cast<size_t>(shard)].pop_front();
-    real[static_cast<size_t>(shard)]->TenantFinished(tenant);
-    model[static_cast<size_t>(shard)]->Finish(tenant);
-  };
-  const auto migrate_once = [&]() {
-    std::vector<size_t> depths;
-    for (const auto& shard : real) depths.push_back(shard->size());
-    const route::RebalancePlan plan =
-        route::PlanRebalance(depths, /*ratio=*/1.5, /*max_moves=*/4);
-    if (plan.moves == 0) return;
-    std::vector<QueuedRequest> stolen;
-    const int got = real[static_cast<size_t>(plan.from)]->StealBatch(
-        plan.moves, &stolen);
-    const std::vector<ReferenceQueue::Request> expected =
-        model[static_cast<size_t>(plan.from)]->Steal(plan.moves);
-    ASSERT_EQ(static_cast<size_t>(got), expected.size()) << context;
-    for (size_t i = 0; i < stolen.size(); ++i) {
-      // Identical victim choice, stamps riding along.
-      ASSERT_EQ(stolen[i].sequence, expected[i].sequence) << context;
-      ASSERT_EQ(static_cast<int>(stolen[i].priority_class), expected[i].cls)
-          << context;
-      ASSERT_EQ(stolen[i].tenant_id, expected[i].tenant) << context;
-      ASSERT_EQ(stolen[i].deadline_s, expected[i].deadline_s) << context;
-      ASSERT_TRUE(model[static_cast<size_t>(plan.to)]->Requeue(expected[i]))
-          << context;
-      ASSERT_TRUE(
-          real[static_cast<size_t>(plan.to)]->Requeue(std::move(stolen[i])))
-          << context;
-    }
-  };
-
-  for (int op = 0; op < num_ops; ++op) {
-    const uint64_t roll = rng() % 100;
-    if (roll < 10) clock.Advance(static_cast<double>(rng() % 3));
-    if (roll < 50) {
-      const int cls = static_cast<int>(rng() % kNumPriorityClasses);
-      const int tenant = static_cast<int>(rng() % kTenants);
-      const uint64_t key = rng() % 64;
-      const double slack = slacks[rng() % std::size(slacks)];
-      const double density = densities[rng() % std::size(densities)];
-      const route::RouteKey route_key{tenant, key};
-      const int shard = placement.ShardFor(route_key, load);
-      // Placement determinism: an independently constructed placement (a
-      // restarted router) must pick the same shard for the same key.
-      ASSERT_EQ(shard, replacement.ShardFor(route_key, load)) << context;
-      ReferenceQueue& shard_model = *model[static_cast<size_t>(shard)];
-      if (!shard_model.closed() &&
-          (!shard_model.HasSpace(cls) ||
-           !shard_model.TenantHasRoomNow(tenant)) &&
-          shard_model.PolicyFor(cls) == OverloadPolicy::kBlock) {
-        // A kBlock enqueue would park; free a slot on that shard instead.
-        if (!outstanding[static_cast<size_t>(shard)].empty()) {
-          finish_once(shard);
-        } else {
-          pop_once(shard);
-          if (::testing::Test::HasFatalFailure()) return;
-        }
-        continue;
-      }
-      const uint64_t sequence = next_sequence++;
-      const ModelAdmit expected =
-          shard_model.Enqueue(sequence, cls, slack, tenant, density);
-      std::vector<QueuedRequest> bounced;
-      const AdmitOutcome outcome = real[static_cast<size_t>(shard)]->Enqueue(
-          MakeRequest(sequence, slack, cls, tenant, density), &bounced);
-      ASSERT_EQ(outcome, expected.outcome) << context;
-      if (outcome == AdmitOutcome::kAccepted) {
-        in_cluster.insert(sequence);
-        ASSERT_EQ(bounced.size(), expected.victims.size()) << context;
-        for (size_t v = 0; v < bounced.size(); ++v) {
-          ASSERT_EQ(bounced[v].sequence, expected.victims[v]) << context;
-          ASSERT_EQ(in_cluster.erase(expected.victims[v]), 1u) << context;
-        }
-      } else {
-        ASSERT_EQ(bounced.size(), 1u) << context;
-        ASSERT_EQ(bounced[0].sequence, sequence) << context;
-      }
-    } else if (roll < 70) {
-      pop_once(static_cast<int>(rng() % kShards));
-      if (::testing::Test::HasFatalFailure()) return;
-    } else if (roll < 85) {
-      migrate_once();
-      if (::testing::Test::HasFatalFailure()) return;
-    } else if (roll < 95) {
-      finish_once(static_cast<int>(rng() % kShards));
-    } else if (roll >= 97 && !model[0]->closed()) {
-      // The router's shutdown ordering closes every shard together.
-      for (int s = 0; s < kShards; ++s) {
-        real[static_cast<size_t>(s)]->Close();
-        model[static_cast<size_t>(s)]->Close();
-      }
-    }
-    for (int s = 0; s < kShards; ++s) {
-      ASSERT_EQ(real[static_cast<size_t>(s)]->size(),
-                model[static_cast<size_t>(s)]->TotalSize())
-          << context << " shard " << s;
-      for (int c = 0; c < kNumPriorityClasses; ++c) {
-        ASSERT_EQ(
-            real[static_cast<size_t>(s)]->class_size(
-                static_cast<PriorityClass>(c)),
-            model[static_cast<size_t>(s)]->BandSize(c))
-            << context << " shard " << s << " class " << c;
-      }
-      if (model[0]->tracks_tenants()) {
-        // Quota integrity across shards: migration moved each tenant's
-        // queued counts with the requests.
-        for (int t = 0; t < kTenants; ++t) {
-          ASSERT_EQ(real[static_cast<size_t>(s)]->tenant_queued(t),
-                    model[static_cast<size_t>(s)]->TenantQueued(t))
-              << context << " shard " << s << " tenant " << t;
-          ASSERT_EQ(real[static_cast<size_t>(s)]->tenant_in_flight(t),
-                    model[static_cast<size_t>(s)]->TenantInFlight(t))
-              << context << " shard " << s << " tenant " << t;
-        }
-      }
-    }
-  }
-  // Drain every shard and account for every surviving request.
-  for (int s = 0; s < kShards; ++s) {
-    while (model[static_cast<size_t>(s)]->TotalSize() > 0) {
-      pop_once(s);
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-    QueuedRequest leftover;
-    ASSERT_FALSE(real[static_cast<size_t>(s)]->TryPop(&leftover)) << context;
-  }
-  // Migration conservation: nothing admitted is left unaccounted.
-  ASSERT_TRUE(in_cluster.empty())
-      << context << ": " << in_cluster.size()
-      << " requests lost across migrations";
-}
-
-TEST(RouterModelTest, RandomizedMultiShardTracesMatchPerShardModels) {
-  const int seeds_per_config = SeedsPerConfig();
-  for (const NamedConfig& named : PropertyConfigs()) {
-    for (int seed = 0; seed < seeds_per_config; ++seed) {
-      RunRouterEpisode(named, static_cast<uint64_t>(seed) * 131 + 29, 400);
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-  }
-}
-
-TEST(RouterModelTest, MigrationPreservesWithinClassServiceOrder) {
-  // Deterministic micro-trace: load one shard, migrate, and check the
-  // destination serves the migrated requests in exactly the order the
-  // source would have (EDF on preserved absolute deadlines).
-  util::ManualClock clock(50.0);
-  AdmissionConfig config;
-  config.capacity = 16;
-  config.overload = OverloadPolicy::kReject;
-  config.clock = &clock;
-  AdmissionQueue hot(config);
-  AdmissionQueue cold(config);
-  std::vector<QueuedRequest> bounced;
-  for (const auto& [seq, slack] : std::vector<std::pair<uint64_t, double>>{
-           {0, 9.0}, {1, 3.0}, {2, 7.0}, {3, 5.0}}) {
-    ASSERT_EQ(hot.Enqueue(MakeRequest(seq, slack, /*cls=*/1), &bounced),
-              AdmitOutcome::kAccepted);
-  }
-  clock.Advance(100.0);  // every deadline is now past; stamps must survive
-  std::vector<QueuedRequest> stolen;
-  ASSERT_EQ(hot.StealBatch(4, &stolen), 4);
-  for (QueuedRequest& request : stolen) {
-    ASSERT_TRUE(cold.Requeue(std::move(request)));
-  }
-  // EDF on the original deadlines: slack 3, 5, 7, 9 -> seq 1, 3, 2, 0.
-  QueuedRequest popped;
-  for (const uint64_t expected : {1u, 3u, 2u, 0u}) {
-    ASSERT_TRUE(cold.TryPop(&popped));
-    EXPECT_EQ(popped.sequence, expected);
-  }
 }
 
 // --- deterministic ordering / quota contract tests -------------------------

@@ -8,20 +8,19 @@
 //             [--workers N] [--queue-cap N] [--resident N]
 //             [--overload block|reject|shed] [--order edf|value|hybrid]
 //             [--slack S] [--class-mix I:S:B] [--starvation-bound K]
-//             [--tenants N] [--quota SPEC]
-//             [--shards N] [--placement hash|least|p2c] [--rebalance S]
-//             [--live]
+//             [--tenants N] [--quota SPEC] [--live]
 //             [--deadline S] [--memory GB] [--hidden N] [--seed N]
 //             [--json PATH] [--trace PATH] [--trace-sample N]
 //
-// `--rate` is the open-loop arrival rate in requests/second (Poisson, seeded
-// by --seed); 0 enqueues everything at once (closed burst). `--slack` grants
-// each request a latency deadline of arrival + S seconds (EDF admission
-// order, misses counted); 0 means no deadlines. `--class-mix` assigns each
-// request a priority class (interactive:standard:batch) with the given
-// relative shares, seeded — thinning the single Poisson arrival process
-// into independent per-class Poisson streams of rate * share each; the
-// report then breaks admission and latency out per class. `--order` picks
+// `--requests` (>= 1) cycles through the corpus. `--rate` is the open-loop
+// arrival rate in requests/second (Poisson, seeded by --seed); 0 enqueues
+// everything at once (closed burst). `--slack` grants each request a
+// latency deadline of arrival + S seconds (EDF admission order, misses
+// counted); 0 means no deadlines. `--class-mix` assigns each request a
+// priority class (interactive:standard:batch) with the given relative
+// shares, seeded — thinning the single Poisson arrival process into
+// independent per-class Poisson streams of rate * share each; the report
+// then breaks admission and latency out per class. `--order` picks
 // the within-class admission order: "edf" (deadline only, the default),
 // "value" (highest estimated marginal recall per unit cost first, scored by
 // the runtime's ProfileValueEstimator), or "hybrid" (densest request whose
@@ -32,19 +31,9 @@
 // burst=B}; the report then breaks admission out per tenant. The scheduling
 // agent is an untrained net with the paper's architecture — per-decision
 // cost matches a trained agent while setup stays in milliseconds (train and
-// serve real checkpoints through ams_label's cache if needed).
-//
-// `--shards N` (N > 1) serves through a route::ShardRouter instead of a
-// single runtime: N independent shard runtimes (the --workers budget split
-// evenly across them), a `--placement` policy picking the shard per request
-// (consistent hash on (tenant, item), least-queued, or power-of-two-choices
-// over the queue-depth gauges), and, with `--rebalance S`, a background tick
-// every S seconds migrating queued work from the hottest shard to the
-// coldest. The report and JSON snapshot then carry the aggregated cluster
-// view plus the per-shard breakdown. `--live` submits each request as a
-// WorkItem::Live over the corpus scene instead of a stored item id —
-// exercising the live execution path (live requests have no stable
-// identity, so hash placement keys them by arrival order).
+// serve real checkpoints through ams_label's cache if needed). `--live`
+// submits each request as a WorkItem::Live over the corpus scene instead of
+// a stored item id, exercising the live execution path.
 //
 // Examples:
 //   ams_serve --rate 2000 --workers 4 --slack 0.05
@@ -52,14 +41,13 @@
 //   ams_serve --rate 4000 --class-mix 70:25:5 --overload shed --slack 0.1
 //   ams_serve --order value --overload shed --queue-cap 64 --rate 8000
 //   ams_serve --tenants 4 --quota queued=32,rate=500,burst=50 --rate 4000
-//   ams_serve --shards 4 --placement p2c --rebalance 0.05 --rate 8000
 //   ams_serve --live --rate 2000 --slack 0.1
-//   ams_serve --shards 4 --rebalance 0.02 --trace trace.json --trace-sample 4
+//   ams_serve --rate 8000 --trace trace.json --trace-sample 4
 //
 // `--trace PATH` turns on the obs:: tracing layer and, after the run
 // drains, writes every retained span (admission, queue wait, stepper ticks,
-// batched Q-forwards, execution, migration hops) as Chrome trace-event JSON
-// to PATH — load it in Perfetto or chrome://tracing, or summarize it with
+// batched Q-forwards, execution) as Chrome trace-event JSON to PATH — load
+// it in Perfetto or chrome://tracing, or summarize it with
 // tools/trace_summary.py. `--trace-sample N` records the per-request
 // lifecycle spans of every Nth request only (default 1 = all); tick and
 // forward spans are always per-tick. Each per-lane ring holds 32 events per
@@ -91,9 +79,6 @@
 #include "data/oracle.h"
 #include "nn/net.h"
 #include "rl/agent.h"
-#include "route/aggregated_metrics.h"
-#include "route/placement.h"
-#include "route/shard_router.h"
 #include "serve/server_runtime.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -119,9 +104,6 @@ struct Options {
   int starvation_bound = 16;
   int tenants = 1;        // request spread; > 1 enables the per-tenant report
   std::string quota;      // "queued=N,inflight=N,rate=R,burst=B"; empty = none
-  int shards = 1;         // > 1 serves through a route::ShardRouter
-  std::string placement = "hash";  // hash | least | p2c
-  double rebalance_s = 0.0;  // > 0 starts the router's rebalance tick
   bool live = false;      // submit WorkItem::Live scenes, not stored ids
   double deadline = 1.0;  // per-item scheduling time budget (simulated)
   double memory_gb = 8.0; // per-item memory budget (Algorithm 2)
@@ -141,7 +123,6 @@ struct Options {
       "          [--order edf|value|hybrid] [--slack S] [--class-mix I:S:B]\n"
       "          [--starvation-bound K] [--tenants N]\n"
       "          [--quota queued=N,inflight=N,rate=R,burst=B]\n"
-      "          [--shards N] [--placement hash|least|p2c] [--rebalance S]\n"
       "          [--live] [--deadline S] [--memory GB]\n"
       "          [--hidden N] [--seed N] [--json PATH]\n"
       "          [--trace PATH] [--trace-sample N]\n",
@@ -184,12 +165,6 @@ Options Parse(int argc, char** argv) {
       opts.tenants = std::atoi(next());
     } else if (!std::strcmp(argv[i], "--quota")) {
       opts.quota = next();
-    } else if (!std::strcmp(argv[i], "--shards")) {
-      opts.shards = std::atoi(next());
-    } else if (!std::strcmp(argv[i], "--placement")) {
-      opts.placement = next();
-    } else if (!std::strcmp(argv[i], "--rebalance")) {
-      opts.rebalance_s = std::atof(next());
     } else if (!std::strcmp(argv[i], "--live")) {
       opts.live = true;
     } else if (!std::strcmp(argv[i], "--deadline")) {
@@ -209,6 +184,14 @@ Options Parse(int argc, char** argv) {
     } else {
       Usage(argv[0]);
     }
+  }
+  if (opts.requests < 1) {
+    std::fprintf(stderr, "--requests must be >= 1\n");
+    Usage(argv[0]);
+  }
+  if (!(opts.rate >= 0.0)) {  // also catches NaN
+    std::fprintf(stderr, "--rate must be >= 0 (0 = closed burst)\n");
+    Usage(argv[0]);
   }
   if (opts.trace_sample < 1) {
     std::fprintf(stderr, "--trace-sample must be >= 1\n");
@@ -234,20 +217,6 @@ Options Parse(int argc, char** argv) {
   }
   if (opts.tenants < 1) {
     std::fprintf(stderr, "--tenants must be >= 1\n");
-    Usage(argv[0]);
-  }
-  if (opts.shards < 1) {
-    std::fprintf(stderr, "--shards must be >= 1\n");
-    Usage(argv[0]);
-  }
-  if (opts.placement != "hash" && opts.placement != "least" &&
-      opts.placement != "p2c") {
-    std::fprintf(stderr, "unknown --placement (want hash|least|p2c): %s\n",
-                 opts.placement.c_str());
-    Usage(argv[0]);
-  }
-  if (opts.rebalance_s < 0.0) {
-    std::fprintf(stderr, "--rebalance must be >= 0\n");
     Usage(argv[0]);
   }
   return opts;
@@ -356,37 +325,18 @@ int main(int argc, char** argv) {
   core::ScheduleConstraints constraints;
   constraints.time_budget_s = opts.deadline;
   constraints.memory_budget_mb = opts.memory_gb * 1024.0;
-  // Sharded serving splits the --workers budget evenly: the comparison a
-  // `--shards N` run invites is against a single runtime with the same
-  // total worker count. A single-shard run keeps the original semantics
-  // (<= 0 resolves from hardware concurrency inside the runtime).
-  const int per_shard_workers =
-      opts.shards > 1
-          ? std::max(1, (opts.workers > 0
-                             ? opts.workers
-                             : std::max(1, static_cast<int>(
-                                               std::thread::
-                                                   hardware_concurrency()))) /
-                            opts.shards)
-          : opts.workers;
-  std::vector<core::LabelingService> sessions;
-  sessions.reserve(static_cast<size_t>(opts.shards));
-  for (int s = 0; s < opts.shards; ++s) {
-    // One session per shard: a session's predictor clone pool serves one
-    // runtime's workers.
-    sessions.push_back(core::LabelingServiceBuilder(&zoo)
-                           .WithOracle(&oracle)
-                           .WithPredictor(&agent)
-                           .WithMode(core::ExecutionMode::kParallel)
-                           .WithConstraints(constraints)
-                           .WithKernelMode(core::KernelMode::kLean)
-                           .WithWorkers(per_shard_workers)
-                           .WithSeed(opts.seed + static_cast<uint64_t>(s))
-                           .Build());
-  }
+  core::LabelingService session = core::LabelingServiceBuilder(&zoo)
+                                      .WithOracle(&oracle)
+                                      .WithPredictor(&agent)
+                                      .WithMode(core::ExecutionMode::kParallel)
+                                      .WithConstraints(constraints)
+                                      .WithKernelMode(core::KernelMode::kLean)
+                                      .WithWorkers(opts.workers)
+                                      .WithSeed(opts.seed)
+                                      .Build();
 
   serve::ServeOptions serve_options;
-  serve_options.workers = per_shard_workers;
+  serve_options.workers = opts.workers;
   serve_options.queue_capacity = opts.queue_cap;
   serve_options.max_resident_per_worker = opts.resident;
   serve_options.overload = PolicyFromName(opts.overload);
@@ -397,8 +347,6 @@ int main(int argc, char** argv) {
   }
   if (opts.slack_s > 0.0) serve_options.default_slack_s = opts.slack_s;
 
-  // One tracer for the whole process: every shard runtime registers its
-  // lanes in it, so the post-run dump is a single merged timeline.
   std::unique_ptr<obs::Tracer> tracer;
   if (!opts.trace_path.empty()) {
     obs::Tracer::Options trace_options;
@@ -416,48 +364,20 @@ int main(int argc, char** argv) {
     serve_options.tracer = tracer.get();
   }
 
-  std::unique_ptr<route::Placement> placement;
-  std::unique_ptr<serve::ServerRuntime> runtime;
-  std::unique_ptr<route::ShardRouter> router;
-  if (opts.shards > 1) {
-    placement = route::PlacementFromName(opts.placement.c_str(), opts.seed);
-    route::RouterOptions router_options;
-    router_options.serve = serve_options;
-    router_options.placement = placement.get();
-    router_options.rebalance_interval_s = opts.rebalance_s;
-    std::vector<core::LabelingService*> shard_sessions;
-    for (core::LabelingService& session : sessions) {
-      shard_sessions.push_back(&session);
-    }
-    router = std::make_unique<route::ShardRouter>(shard_sessions,
-                                                  router_options);
-  } else {
-    runtime =
-        std::make_unique<serve::ServerRuntime>(&sessions[0], serve_options);
-  }
-  const int worker_count = router != nullptr
-                               ? opts.shards * router->shard(0).worker_count()
-                               : runtime->worker_count();
+  serve::ServerRuntime runtime(&session, serve_options);
 
   std::printf(
       "serving %d %srequests (rate %s/s, %d workers, queue %d, overload %s, "
       "order %s, slack %s, mix %s, %d tenant%s%s)...\n",
       opts.requests, opts.live ? "live " : "",
       opts.rate > 0.0 ? util::FormatDouble(opts.rate, 0).c_str() : "inf",
-      worker_count, opts.queue_cap, opts.overload.c_str(),
+      runtime.worker_count(), opts.queue_cap, opts.overload.c_str(),
       opts.order.c_str(),
       opts.slack_s > 0.0 ? util::FormatDouble(opts.slack_s, 3).c_str()
                          : "inf",
       opts.class_mix.empty() ? "standard-only" : opts.class_mix.c_str(),
       opts.tenants, opts.tenants == 1 ? "" : "s",
       opts.quota.empty() ? "" : ", quota-limited");
-  if (router != nullptr) {
-    std::printf("routing over %d shards (%s placement, rebalance %s)\n",
-                opts.shards, opts.placement.c_str(),
-                opts.rebalance_s > 0.0
-                    ? (util::FormatDouble(opts.rebalance_s, 3) + " s").c_str()
-                    : "off");
-  }
 
   // Open-loop arrivals: exponential inter-arrival gaps at --rate, paced
   // against the wall clock so service-time jitter never slows admission.
@@ -492,14 +412,9 @@ int main(int argc, char** argv) {
     const core::WorkItem item =
         opts.live ? core::WorkItem::Live(&dataset.item(r % opts.items).scene)
                   : core::WorkItem::Stored(r % opts.items);
-    futures.push_back(router != nullptr ? router->Enqueue(item, request)
-                                        : runtime->Enqueue(item, request));
+    futures.push_back(runtime.Enqueue(item, request));
   }
-  if (router != nullptr) {
-    router->Drain();
-  } else {
-    runtime->Drain();
-  }
+  runtime.Drain();
   const double wall_s = wall.ElapsedSeconds();
 
   long ok = 0, rejected = 0, shed = 0, misses = 0;
@@ -523,18 +438,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Sharded runs report the aggregated cluster registry; the per-shard
-  // breakdown rides along in the JSON snapshot and the shard table below.
-  serve::Metrics merged;
-  if (router != nullptr) {
-    std::vector<const serve::Metrics*> registries;
-    for (int s = 0; s < opts.shards; ++s) {
-      registries.push_back(&router->shard(s).metrics());
-    }
-    route::AggregatedMetrics(registries).MergeInto(&merged);
-  }
-  const serve::Metrics& metrics =
-      router != nullptr ? merged : runtime->metrics();
+  const serve::Metrics& metrics = runtime.metrics();
   util::AsciiTable table;
   table.SetHeader({"metric", "value"});
   table.AddRow("completed", {static_cast<double>(ok)});
@@ -600,26 +504,7 @@ int main(int argc, char** argv) {
     per_tenant.Print(std::cout);
   }
 
-  if (router != nullptr) {
-    // The load-balancing view: where placement sent traffic and how much
-    // the rebalancer had to move afterwards.
-    util::AsciiTable per_shard;
-    per_shard.SetHeader({"shard", "routed", "enqueued", "completed",
-                         "migrated in", "migrated out"});
-    for (int s = 0; s < opts.shards; ++s) {
-      const serve::Metrics& shard = router->shard(s).metrics();
-      per_shard.AddRow(std::to_string(s),
-                       {static_cast<double>(router->routed(s)),
-                        static_cast<double>(shard.enqueued.load()),
-                        static_cast<double>(shard.completed.load()),
-                        static_cast<double>(shard.migrated_in.load()),
-                        static_cast<double>(shard.migrated_out.load())});
-    }
-    per_shard.Print(std::cout);
-  }
-
-  const std::string snapshot =
-      router != nullptr ? router->MetricsJson() : runtime->MetricsJson();
+  const std::string snapshot = runtime.MetricsJson();
   if (!opts.json_path.empty()) {
     std::FILE* out = std::fopen(opts.json_path.c_str(), "w");
     if (out == nullptr) {
@@ -641,19 +526,11 @@ int main(int argc, char** argv) {
     }
     const std::vector<obs::TraceEvent> events = tracer->Collect();
     const std::uint64_t dropped = tracer->TotalDropped();
-    if (router != nullptr) {
-      router->DumpTrace(trace_out);
-    } else {
-      obs::ChromeTraceSink(dropped).Write(events, trace_out);
-    }
+    obs::ChromeTraceSink(dropped).Write(events, trace_out);
     std::printf("trace written to %s (%zu events, %llu dropped)\n",
                 opts.trace_path.c_str(), events.size(),
                 static_cast<unsigned long long>(dropped));
   }
-  if (router != nullptr) {
-    router->Shutdown();
-  } else {
-    runtime->Shutdown();
-  }
+  runtime.Shutdown();
   return 0;
 }

@@ -4,19 +4,17 @@
 Usage:
     trace_summary.py TRACE.json [--metrics METRICS.json] [--tolerance R]
 
-Reads the Chrome trace-event JSON written by `ams_serve --trace` (or
-`route::ShardRouter::DumpTrace` / `obs::ChromeTraceSink`), checks that it is
-structurally well-formed, and prints a per-phase latency table: count and
-p50/p95/p99/mean/max over the span durations of each duration phase
-(queue_wait, exec, tick, forward), plus counts for the instant phases
-(enqueue, quota_reject, placement, migrate_out, migrate_in). Span phases
+Reads the Chrome trace-event JSON written by `ams_serve --trace` (through
+`obs::ChromeTraceSink`), checks that it is structurally well-formed, and
+prints a per-phase latency table: count and p50/p95/p99/mean/max over the
+span durations of each duration phase (queue_wait, exec, tick, forward),
+plus counts for the instant phases (enqueue, quota_reject). Span phases
 nothing recorded land in the table as an explicit "no samples" row — a run
 with no forwards at all (every row served from the memo, or a session
 without a predictor) summarizes cleanly rather than hiding the phase.
 
-Validation failures (missing keys, unknown `ph` types, negative durations,
-unbalanced migrate_out/migrate_in) exit non-zero, so CI can gate on the
-exporter staying Perfetto-loadable.
+Validation failures (missing keys, unknown `ph` types, negative durations)
+exit non-zero, so CI can gate on the exporter staying Perfetto-loadable.
 
 With `--metrics`, cross-checks the trace against the MetricsJson snapshot of
 the same run: queue_wait percentiles recomputed exactly from the trace must
@@ -38,8 +36,7 @@ import sys
 
 # Phases emitted with a duration ("ph": "X") vs. as instants ("ph": "i").
 SPAN_PHASES = ("queue_wait", "exec", "tick", "forward")
-INSTANT_PHASES = ("enqueue", "quota_reject", "placement", "migrate_out",
-                  "migrate_in")
+INSTANT_PHASES = ("enqueue", "quota_reject")
 KNOWN_PHASES = set(SPAN_PHASES) | set(INSTANT_PHASES)
 
 
@@ -103,13 +100,6 @@ def validate(events):
             if ev.get("s") != "t":
                 raise TraceError(f"event {i} ({name}) instant missing s=t scope")
         counts[name] = counts.get(name, 0) + 1
-    # Span conservation at the trace level: every migration departure must
-    # land somewhere (the router records the bounce-back as a migrate_in on
-    # the source shard, so equality holds even when requeue fails).
-    if counts.get("migrate_out", 0) != counts.get("migrate_in", 0):
-        raise TraceError(
-            "unbalanced migration: {} migrate_out vs {} migrate_in".format(
-                counts.get("migrate_out", 0), counts.get("migrate_in", 0)))
     return counts
 
 
@@ -176,9 +166,7 @@ def check_metrics(durs, metrics_path, tolerance, out=sys.stdout):
     """
     with open(metrics_path) as handle:
         doc = json.load(handle)
-    # Router snapshots nest the cluster view under "aggregate".
-    agg = doc.get("aggregate", doc)
-    hist = agg.get("latency", {}).get("queue_delay")
+    hist = doc.get("latency", {}).get("queue_delay")
     if hist is None:
         return ["metrics JSON has no latency.queue_delay histogram"]
     waits = durs["queue_wait"]
