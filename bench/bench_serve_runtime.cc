@@ -24,12 +24,9 @@
 // A fourth scenario replays the workload as a skewed tenant mix (4 tenants,
 // ~70/10/10/10 seeded shares) under per-tenant queued quotas (kBlock
 // backpressure, so nothing is dropped and the outcome assertions still
-// hold) with value-density within-class ordering — the full paper-aware
-// multi-tenant admission path: ProfileValueEstimator scoring at enqueue,
-// density-ordered bands, tenant accounting on every pop. Its throughput is
+// hold): tenant accounting on every enqueue and pop. Its throughput is
 // reported relative to the plain serve run (quota backpressure on the
-// enqueue thread costs a little; the ordering itself is one linear band
-// scan per pop).
+// enqueue thread costs a little).
 
 #include <cmath>
 #include <cstdlib>
@@ -127,35 +124,34 @@ void Run() {
   serve::ServerRuntime runtime(&serve_session, serve_options);
   serve::ServerRuntime mixed_runtime(&mixed_session, serve_options);
 
-  // The skewed-tenant scenario: value-density ordering plus per-tenant
-  // queued quotas under kBlock (backpressure, never drops — the outcome
-  // assertions stay exact).
+  // The skewed-tenant scenario: per-tenant queued quotas under kBlock
+  // (backpressure, never drops — the outcome assertions stay exact).
   serve::ServeOptions tenant_options = serve_options;
-  tenant_options.within_class_order = serve::WithinClassOrder::kValueDensity;
   serve::TenantQuota tenant_quota;
   tenant_quota.max_queued = std::max(8, num_items / 8);
   tenant_options.tenant_quotas.default_quota = tenant_quota;
   serve::ServerRuntime tenant_runtime(&tenant_session, tenant_options);
 
-  // Seeded 20/60/20 class assignment, fixed across trials.
-  std::vector<serve::PriorityClass> mixed_classes;
-  mixed_classes.reserve(work.size());
+  // Per-request admission options of each scenario, fixed across trials:
+  // all defaults, a seeded 20/60/20 class assignment, and a seeded
+  // ~70/10/10/10 tenant assignment.
+  using Requests = std::vector<serve::ServerRuntime::RequestOptions>;
+  const Requests plain_requests(work.size());
+  Requests mixed_requests(work.size());
   {
     std::mt19937_64 class_rng(17);
     std::discrete_distribution<int> class_of({2.0, 6.0, 2.0});
-    for (size_t i = 0; i < work.size(); ++i) {
-      mixed_classes.push_back(
-          static_cast<serve::PriorityClass>(class_of(class_rng)));
+    for (serve::ServerRuntime::RequestOptions& request : mixed_requests) {
+      request.priority_class =
+          static_cast<serve::PriorityClass>(class_of(class_rng));
     }
   }
-  // Seeded ~70/10/10/10 tenant assignment, fixed across trials.
-  std::vector<int> tenant_ids;
-  tenant_ids.reserve(work.size());
+  Requests tenant_requests(work.size());
   {
     std::mt19937_64 tenant_rng(23);
     std::discrete_distribution<int> tenant_of({7.0, 1.0, 1.0, 1.0});
-    for (size_t i = 0; i < work.size(); ++i) {
-      tenant_ids.push_back(tenant_of(tenant_rng));
+    for (serve::ServerRuntime::RequestOptions& request : tenant_requests) {
+      request.tenant_id = tenant_of(tenant_rng);
     }
   }
 
@@ -182,28 +178,14 @@ void Run() {
       }
     }
   };
-  enum class ServeMode { kPlain, kMixedClasses, kTenants };
   const auto run_serve = [&](serve::ServerRuntime* target,
-                             BenchResult* result_out, ServeMode mode,
-                             bool record) {
+                             BenchResult* result_out,
+                             const Requests& requests, bool record) {
     std::vector<std::future<serve::ServeResult>> futures;
     futures.reserve(work.size());
     util::Timer timer;
     for (size_t i = 0; i < work.size(); ++i) {
-      switch (mode) {
-        case ServeMode::kPlain:
-          futures.push_back(target->Enqueue(work[i]));
-          break;
-        case ServeMode::kMixedClasses:
-          futures.push_back(target->Enqueue(work[i], mixed_classes[i]));
-          break;
-        case ServeMode::kTenants: {
-          serve::ServerRuntime::RequestOptions request;
-          request.tenant_id = tenant_ids[i];
-          futures.push_back(target->Enqueue(work[i], request));
-          break;
-        }
-      }
+      futures.push_back(target->Enqueue(work[i], requests[i]));
     }
     target->Drain();
     const double wall = timer.ElapsedSeconds();
@@ -222,14 +204,14 @@ void Run() {
   // Warm-up every path (predictor clone pools, allocator), then interleave
   // trials so machine noise hits all alike; each reports its best trial.
   run_batch(false);
-  run_serve(&runtime, &serve_result, ServeMode::kPlain, false);
-  run_serve(&mixed_runtime, &mixed_result, ServeMode::kMixedClasses, false);
-  run_serve(&tenant_runtime, &tenant_result, ServeMode::kTenants, false);
+  run_serve(&runtime, &serve_result, plain_requests, false);
+  run_serve(&mixed_runtime, &mixed_result, mixed_requests, false);
+  run_serve(&tenant_runtime, &tenant_result, tenant_requests, false);
   for (int r = 0; r < repeats; ++r) {
     run_batch(true);
-    run_serve(&runtime, &serve_result, ServeMode::kPlain, true);
-    run_serve(&mixed_runtime, &mixed_result, ServeMode::kMixedClasses, true);
-    run_serve(&tenant_runtime, &tenant_result, ServeMode::kTenants, true);
+    run_serve(&runtime, &serve_result, plain_requests, true);
+    run_serve(&mixed_runtime, &mixed_result, mixed_requests, true);
+    run_serve(&tenant_runtime, &tenant_result, tenant_requests, true);
   }
   batch_result.items_per_s =
       static_cast<double>(num_items) / batch_result.wall_s;
@@ -250,9 +232,9 @@ void Run() {
             "priority classes changed the schedules vs SubmitBatch");
   AMS_CHECK(std::abs(tenant_result.recall_sum - batch_result.recall_sum) <
                 1e-9,
-            "tenant quotas / value ordering changed recall vs SubmitBatch");
+            "tenant quotas changed recall vs SubmitBatch");
   AMS_CHECK(tenant_result.executions == batch_result.executions,
-            "tenant quotas / value ordering changed the schedules");
+            "tenant quotas changed the schedules vs SubmitBatch");
 
   const double ratio = serve_result.items_per_s / batch_result.items_per_s;
   const double mixed_ratio =

@@ -441,57 +441,6 @@ LabelOutcome LabelingService::Submit(const WorkItem& item) {
   return RunOne(item, &session_state_, stream_id);
 }
 
-WorkEstimate LabelingService::EstimateWork(const WorkItem& item) const {
-  WorkEstimate estimate;
-  if (item.item >= 0 && config_.oracle != nullptr) {
-    // Stored item: the oracle IS the item's profile — the paper's stored
-    // full-execution outputs. Full value recall is achievable; its
-    // predicted cost is the summed execution time of the models with
-    // valuable output.
-    const data::Oracle& oracle = *config_.oracle;
-    if (item.item >= oracle.num_items()) return estimate;
-    if (oracle.TrueTotalValue(item.item) <= 0.0) return estimate;
-    estimate.expected_value = 1.0;
-    estimate.expected_cost_s = oracle.ValuableTime(item.item);
-    return estimate;
-  }
-  if (item.scene == nullptr) return estimate;
-  // Live scene: predict per task whether its models are likely to emit
-  // valuable labels from the scene structure, then charge the mean
-  // execution time of every model of the active tasks (the scheduler does
-  // not know a priori which tier suffices).
-  const zoo::LatentScene& scene = *item.scene;
-  bool task_active[zoo::kNumTasks] = {};
-  task_active[static_cast<int>(zoo::TaskKind::kObjectDetection)] =
-      !scene.objects.empty();
-  task_active[static_cast<int>(zoo::TaskKind::kPlaceClassification)] =
-      scene.scene_clarity >= 0.5;
-  const bool face = scene.has_visible_face();
-  task_active[static_cast<int>(zoo::TaskKind::kFaceDetection)] = face;
-  task_active[static_cast<int>(zoo::TaskKind::kFaceLandmark)] = face;
-  task_active[static_cast<int>(zoo::TaskKind::kEmotionClassification)] = face;
-  task_active[static_cast<int>(zoo::TaskKind::kGenderClassification)] = face;
-  task_active[static_cast<int>(zoo::TaskKind::kPoseEstimation)] =
-      scene.has_person();
-  task_active[static_cast<int>(zoo::TaskKind::kHandLandmark)] =
-      scene.has_visible_hands();
-  task_active[static_cast<int>(zoo::TaskKind::kActionClassification)] =
-      scene.action_id >= 0 && scene.action_clarity >= 0.5;
-  task_active[static_cast<int>(zoo::TaskKind::kDogClassification)] =
-      scene.has_dog && scene.dog_visibility >= 0.5;
-  double cost_s = 0.0;
-  bool any_active = false;
-  for (const zoo::ModelSpec& spec : config_.zoo->models()) {
-    if (!task_active[static_cast<int>(spec.task)]) continue;
-    any_active = true;
-    cost_s += spec.time_s;
-  }
-  if (!any_active) return estimate;
-  estimate.expected_value = 1.0;
-  estimate.expected_cost_s = cost_s;
-  return estimate;
-}
-
 sched::SchedulingPolicy* LabelingService::session_policy() {
   if (!session_state_ready_) {
     session_state_ =

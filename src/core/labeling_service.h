@@ -65,20 +65,6 @@ struct LabelOutcome {
   double recall = -1.0;
 };
 
-/// A-priori profile of one item's labeling work, cheap enough to compute at
-/// admission time (no model execution, no Q-forward): what value recall the
-/// scheduler can expect to realize on the item and what it is predicted to
-/// cost. The ratio is the item's value density — marginal recall per unit
-/// cost, the currency the paper's scheduler optimizes — which
-/// serve::ValueEstimator feeds into admission ordering.
-struct WorkEstimate {
-  /// Expected achievable value recall in [0, 1]; 0 when no model is
-  /// expected to produce valuable output on the item.
-  double expected_value = 0.0;
-  /// Predicted seconds of model execution to realize that value.
-  double expected_cost_s = 0.0;
-};
-
 /// The public facade of the framework: one session-based API over every
 /// scheduling regime the paper describes — greedy, Algorithm 1, Algorithm 2,
 /// and all registry policies — on live scenes or stored items, one at a
@@ -147,15 +133,6 @@ class LabelingService {
   /// for predictor sessions. SubmitBatch/Run workers use their own
   /// instances, which are not observable here.
   sched::SchedulingPolicy* session_policy();
-
-  /// Profiles one item's work from what is knowable before any model runs:
-  /// stored items read the oracle's per-item profile (valuable-model
-  /// execution time, whether any value exists), live items read the scene
-  /// structure against the zoo's task costs (which tasks are likely to emit
-  /// valuable labels, and what those tasks' models cost). Thread-safe and
-  /// allocation-free; the admission-time touchpoint behind
-  /// serve::ProfileValueEstimator.
-  WorkEstimate EstimateWork(const WorkItem& item) const;
 
   /// The session hand-off point for asynchronous backends: a worker-scoped
   /// stepper that multiplexes a dynamic set of in-flight items by advancing

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <utility>
 
 #include "util/check.h"
@@ -35,47 +34,12 @@ const char* OverloadPolicyName(OverloadPolicy policy) {
   return "unknown";
 }
 
-const char* WithinClassOrderName(WithinClassOrder order) {
-  switch (order) {
-    case WithinClassOrder::kEdf:
-      return "edf";
-    case WithinClassOrder::kValueDensity:
-      return "value";
-    case WithinClassOrder::kHybrid:
-      return "hybrid";
-  }
-  return "unknown";
-}
-
-bool WithinClassOrderFromName(const char* name, WithinClassOrder* out) {
-  if (name == nullptr || out == nullptr) return false;
-  if (!std::strcmp(name, "edf")) {
-    *out = WithinClassOrder::kEdf;
-  } else if (!std::strcmp(name, "value")) {
-    *out = WithinClassOrder::kValueDensity;
-  } else if (!std::strcmp(name, "hybrid")) {
-    *out = WithinClassOrder::kHybrid;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 AdmissionQueue::AdmissionQueue(const AdmissionConfig& config)
     : config_(config),
       clock_(config.clock != nullptr ? config.clock
                                      : &util::Clock::Monotonic()),
-      forced_service_after_(config.starvation_bound -
-                            (kNumPriorityClasses - 1)),
       track_tenants_(!config.tenant_quotas.empty()) {
   AMS_CHECK(config_.capacity >= 1, "admission queue needs capacity >= 1");
-  AMS_CHECK(config_.starvation_bound >= kNumPriorityClasses,
-            "the starvation bound must cover one pop per class");
-  for (const ClassConfig& cls : config_.classes) {
-    AMS_CHECK(cls.weight >= 0, "class weights must be non-negative");
-    AMS_CHECK(cls.queue_capacity >= 0,
-              "per-class capacity must be >= 0 (0 = uncapped)");
-  }
   const auto check_quota = [](const TenantQuota& quota) {
     AMS_CHECK(quota.max_queued >= 0 && quota.max_in_flight >= 0,
               "tenant quota caps must be >= 0 (0 = unlimited)");
@@ -99,42 +63,14 @@ AdmissionQueue::AdmissionQueue(const AdmissionConfig& config)
   }
 }
 
-AdmissionQueue::AdmissionQueue(int capacity, OverloadPolicy policy)
-    : AdmissionQueue([&] {
-        AdmissionConfig config;
-        config.capacity = capacity;
-        config.overload = policy;
-        return config;
-      }()) {}
-
-OverloadPolicy AdmissionQueue::PolicyFor(PriorityClass cls) const {
-  const std::optional<OverloadPolicy>& per_class =
-      config_.classes[static_cast<size_t>(cls)].overload;
-  return per_class.has_value() ? *per_class : config_.overload;
-}
-
-WithinClassOrder AdmissionQueue::OrderFor(PriorityClass cls) const {
-  return OrderForLocked(static_cast<int>(cls));  // config-only: no lock needed
-}
-
-WithinClassOrder AdmissionQueue::OrderForLocked(int cls) const {
-  const std::optional<WithinClassOrder>& per_class =
-      config_.classes[static_cast<size_t>(cls)].order;
-  return per_class.has_value() ? *per_class : config_.within_class_order;
-}
-
 size_t AdmissionQueue::TotalLocked() const {
   size_t total = 0;
-  for (const ClassBand& band : bands_) total += band.heap.size();
+  for (const std::vector<QueuedRequest>& band : bands_) total += band.size();
   return total;
 }
 
-bool AdmissionQueue::HasSpaceLocked(int cls) const {
-  if (TotalLocked() >= static_cast<size_t>(config_.capacity)) return false;
-  const int class_cap = config_.classes[static_cast<size_t>(cls)].queue_capacity;
-  return class_cap == 0 ||
-         bands_[static_cast<size_t>(cls)].heap.size() <
-             static_cast<size_t>(class_cap);
+bool AdmissionQueue::HasSpaceLocked() const {
+  return TotalLocked() < static_cast<size_t>(config_.capacity);
 }
 
 bool AdmissionQueue::TenantHasRoomLocked(const TenantQuota* quota,
@@ -148,137 +84,27 @@ bool AdmissionQueue::TenantHasRoomLocked(const TenantQuota* quota,
 }
 
 int AdmissionQueue::SelectClassLocked() {
-  // 1. Starvation guard: a class passed over forced_service_after_ times
-  //    while non-empty is served now; longest-passed-over first, ties to
-  //    the more important class. Guard service does not touch the
-  //    round-robin turn.
-  int chosen = -1;
-  for (int c = 0; c < kNumPriorityClasses; ++c) {
-    const ClassBand& band = bands_[static_cast<size_t>(c)];
-    if (band.heap.empty() || band.passed_over < forced_service_after_) continue;
-    if (chosen < 0 ||
-        band.passed_over > bands_[static_cast<size_t>(chosen)].passed_over) {
-      chosen = c;
+  // The current class keeps its turn while it has work and credit;
+  // otherwise the turn advances cyclically to the next non-empty class,
+  // reloading that class's credit from its weight.
+  if (rr_credit_ > 0 && !bands_[static_cast<size_t>(rr_class_)].empty()) {
+    --rr_credit_;
+    return rr_class_;
+  }
+  for (int step = 1; step <= kNumPriorityClasses; ++step) {
+    const int c = (rr_class_ + step) % kNumPriorityClasses;
+    if (!bands_[static_cast<size_t>(c)].empty()) {
+      rr_class_ = c;
+      rr_credit_ = kClassWeights[static_cast<size_t>(c)] - 1;
+      return c;
     }
   }
-  if (chosen < 0) {
-    // 2. Weighted round-robin: the current class keeps its turn while it
-    //    has work and credit; otherwise the turn advances cyclically to the
-    //    next non-empty positive-weight class, reloading that class's
-    //    credit from its weight.
-    if (rr_credit_ > 0 && config_.classes[static_cast<size_t>(rr_class_)].weight > 0 &&
-        !bands_[static_cast<size_t>(rr_class_)].heap.empty()) {
-      chosen = rr_class_;
-      --rr_credit_;
-    } else {
-      for (int step = 1; step <= kNumPriorityClasses; ++step) {
-        const int c = (rr_class_ + step) % kNumPriorityClasses;
-        if (config_.classes[static_cast<size_t>(c)].weight > 0 &&
-            !bands_[static_cast<size_t>(c)].heap.empty()) {
-          rr_class_ = c;
-          rr_credit_ = config_.classes[static_cast<size_t>(c)].weight - 1;
-          chosen = c;
-          break;
-        }
-      }
-    }
-  }
-  if (chosen < 0) {
-    // 3. Strict fallback: only weight-0 (background) classes have work;
-    //    serve the most important one.
-    for (int c = 0; c < kNumPriorityClasses; ++c) {
-      if (!bands_[static_cast<size_t>(c)].heap.empty()) {
-        chosen = c;
-        break;
-      }
-    }
-  }
-  AMS_CHECK(chosen >= 0, "SelectClassLocked called on an empty queue");
-  // Starvation accounting: every other class with queued work was passed
-  // over by this pop; the served class (and empty classes) start fresh.
-  for (int c = 0; c < kNumPriorityClasses; ++c) {
-    ClassBand& band = bands_[static_cast<size_t>(c)];
-    if (c == chosen || band.heap.empty()) {
-      band.passed_over = 0;
-    } else {
-      ++band.passed_over;
-    }
-  }
-  return chosen;
-}
-
-size_t AdmissionQueue::SelectWithinLocked(int cls, double now_s) const {
-  const std::vector<QueuedRequest>& band =
-      bands_[static_cast<size_t>(cls)].heap;
-  AMS_CHECK(!band.empty(), "SelectWithinLocked on an empty band");
-  const WithinClassOrder order = OrderForLocked(cls);
-  if (order == WithinClassOrder::kEdf) return 0;  // heap head
-  if (order == WithinClassOrder::kValueDensity) {
-    // Highest density first; FIFO among equal densities.
-    size_t best = 0;
-    for (size_t i = 1; i < band.size(); ++i) {
-      if (band[i].value_density > band[best].value_density ||
-          (band[i].value_density == band[best].value_density &&
-           band[i].sequence < band[best].sequence)) {
-        best = i;
-      }
-    }
-    return best;
-  }
-  // kHybrid: highest density among still-feasible requests (ties: earlier
-  // deadline, then sequence); EDF over everything once all are late.
-  size_t best = band.size();
-  for (size_t i = 0; i < band.size(); ++i) {
-    if (band[i].deadline_s < now_s) continue;  // already late
-    if (best == band.size() ||
-        band[i].value_density > band[best].value_density ||
-        (band[i].value_density == band[best].value_density &&
-         (band[i].deadline_s < band[best].deadline_s ||
-          (band[i].deadline_s == band[best].deadline_s &&
-           band[i].sequence < band[best].sequence)))) {
-      best = i;
-    }
-  }
-  if (best < band.size()) return best;
-  best = 0;
-  for (size_t i = 1; i < band.size(); ++i) {
-    if (band[i].deadline_s < band[best].deadline_s ||
-        (band[i].deadline_s == band[best].deadline_s &&
-         band[i].sequence < band[best].sequence)) {
-      best = i;
-    }
-  }
-  return best;
-}
-
-void AdmissionQueue::RemoveAtLocked(int cls, size_t i, QueuedRequest* out) {
-  std::vector<QueuedRequest>& band = bands_[static_cast<size_t>(cls)].heap;
-  if (OrderForLocked(cls) == WithinClassOrder::kEdf) {
-    if (i == 0) {
-      // The common case: popping the heap head through the heap primitive.
-      std::pop_heap(band.begin(), band.end(), Later);
-      *out = std::move(band.back());
-      band.pop_back();
-      return;
-    }
-    // Eviction from the middle breaks the heap property at one position;
-    // re-heapify the bounded band.
-    *out = std::move(band[i]);
-    band[i] = std::move(band.back());
-    band.pop_back();
-    std::make_heap(band.begin(), band.end(), Later);
-    return;
-  }
-  // Scan-ordered bands have no invariant beyond membership: swap-pop.
-  *out = std::move(band[i]);
-  band[i] = std::move(band.back());
-  band.pop_back();
+  AMS_CHECK(false, "SelectClassLocked called on an empty queue");
+  return -1;
 }
 
 bool AdmissionQueue::BandHasTenantLocked(int cls, int tenant) const {
-  const std::vector<QueuedRequest>& band =
-      bands_[static_cast<size_t>(cls)].heap;
-  for (const QueuedRequest& request : band) {
+  for (const QueuedRequest& request : bands_[static_cast<size_t>(cls)]) {
     if (request.tenant_id == tenant) return true;
   }
   return false;
@@ -286,28 +112,23 @@ bool AdmissionQueue::BandHasTenantLocked(int cls, int tenant) const {
 
 void AdmissionQueue::EvictVictimLocked(int cls, int tenant_filter,
                                        QueuedRequest* victim) {
-  std::vector<QueuedRequest>& band = bands_[static_cast<size_t>(cls)].heap;
+  std::vector<QueuedRequest>& band = bands_[static_cast<size_t>(cls)];
   AMS_CHECK(!band.empty(), "no shed victim in the chosen class");
-  const WithinClassOrder order = OrderForLocked(cls);
-  // Linear scan over the bounded band: the oldest admission sequence under
-  // kEdf, the lowest value density (ties: oldest) under value ordering.
+  // Linear scan over the bounded band for the oldest admission sequence.
   size_t chosen = band.size();
   for (size_t i = 0; i < band.size(); ++i) {
     if (tenant_filter >= 0 && band[i].tenant_id != tenant_filter) continue;
-    if (chosen == band.size()) {
-      chosen = i;
-      continue;
-    }
-    if (order == WithinClassOrder::kEdf) {
-      if (band[i].sequence < band[chosen].sequence) chosen = i;
-    } else if (band[i].value_density < band[chosen].value_density ||
-               (band[i].value_density == band[chosen].value_density &&
-                band[i].sequence < band[chosen].sequence)) {
+    if (chosen == band.size() || band[i].sequence < band[chosen].sequence) {
       chosen = i;
     }
   }
   AMS_CHECK(chosen < band.size(), "no shed victim matches the tenant filter");
-  RemoveAtLocked(cls, chosen, victim);
+  // Eviction from the middle breaks the heap property at one position;
+  // re-heapify the bounded band.
+  *victim = std::move(band[chosen]);
+  band[chosen] = std::move(band.back());
+  band.pop_back();
+  std::make_heap(band.begin(), band.end(), Later);
 }
 
 AdmitOutcome AdmissionQueue::Enqueue(QueuedRequest&& request,
@@ -318,7 +139,6 @@ AdmitOutcome AdmissionQueue::Enqueue(QueuedRequest&& request,
   // Negative ids would collide with EvictVictimLocked's "no tenant filter"
   // sentinel and corrupt quota accounting.
   AMS_CHECK(request.tenant_id >= 0, "tenant ids must be >= 0");
-  const size_t bounced_at_entry = bounced->size();
   // Arrival stamps (before any kBlock wait: the latency clock starts when
   // the caller showed up, and EDF urgency is arrival + slack).
   request.enqueue_time_s = clock_->NowSeconds();
@@ -330,7 +150,7 @@ AdmitOutcome AdmissionQueue::Enqueue(QueuedRequest&& request,
     bounced->push_back(std::move(request));
     return AdmitOutcome::kClosed;
   }
-  const OverloadPolicy policy = PolicyFor(request.priority_class);
+  const OverloadPolicy policy = config_.overload;
   const TenantQuota* quota =
       track_tenants_ ? config_.tenant_quotas.QuotaFor(request.tenant_id)
                      : nullptr;
@@ -372,8 +192,9 @@ AdmitOutcome AdmissionQueue::Enqueue(QueuedRequest&& request,
   }
   if (policy == OverloadPolicy::kBlock) {
     ++waiting_enqueuers_;
-    not_full_.wait(lock, [this, cls, quota, tenant] {
-      return closed_ || (HasSpaceLocked(cls) && TenantHasRoomLocked(quota, tenant));
+    not_full_.wait(lock, [this, quota, tenant] {
+      return closed_ ||
+             (HasSpaceLocked() && TenantHasRoomLocked(quota, tenant));
     });
     --waiting_enqueuers_;
   }
@@ -415,27 +236,19 @@ AdmitOutcome AdmissionQueue::Enqueue(QueuedRequest&& request,
     --tenant->queued;
     bounced->push_back(std::move(victim));
   }
-  if (!HasSpaceLocked(cls)) {
+  if (!HasSpaceLocked()) {
     if (policy == OverloadPolicy::kReject) {
       lock.unlock();
       bounced->push_back(std::move(request));
       return AdmitOutcome::kRejected;
     }
-    // kShedOldest. A class-cap overflow sheds within the arriving class; a
-    // queue-wide overflow sheds from the least important non-empty class
-    // that is no more important than the arrival.
-    const int class_cap =
-        config_.classes[static_cast<size_t>(cls)].queue_capacity;
+    // kShedOldest: shed from the least important non-empty class that is
+    // no more important than the arrival.
     int victim_class = -1;
-    if (class_cap > 0 && bands_[static_cast<size_t>(cls)].heap.size() >=
-                             static_cast<size_t>(class_cap)) {
-      victim_class = cls;
-    } else {
-      for (int c = kNumPriorityClasses - 1; c >= cls; --c) {
-        if (!bands_[static_cast<size_t>(c)].heap.empty()) {
-          victim_class = c;
-          break;
-        }
+    for (int c = kNumPriorityClasses - 1; c >= cls; --c) {
+      if (!bands_[static_cast<size_t>(c)].empty()) {
+        victim_class = c;
+        break;
       }
     }
     if (victim_class < 0) {
@@ -451,36 +264,25 @@ AdmitOutcome AdmissionQueue::Enqueue(QueuedRequest&& request,
     bounced->push_back(std::move(victim));
   }
   if (tenant != nullptr) ++tenant->queued;
-  std::vector<QueuedRequest>& band = bands_[static_cast<size_t>(cls)].heap;
+  std::vector<QueuedRequest>& band = bands_[static_cast<size_t>(cls)];
   band.push_back(std::move(request));
-  if (OrderForLocked(cls) == WithinClassOrder::kEdf) {
-    std::push_heap(band.begin(), band.end(), Later);
-  }
+  std::push_heap(band.begin(), band.end(), Later);
   depth_.store(TotalLocked(), std::memory_order_relaxed);
+  // Only kBlock enqueuers wait and only kShedOldest sheds, so no shed here
+  // can be owed to a blocked enqueuer; poppers are the only wake.
   const bool wake = waiting_poppers_ > 0;
-  // Any shed can satisfy a blocked enqueuer's predicate even though the
-  // total depth did not drop: a victim from another band frees that band's
-  // class cap, a victim of another tenant frees that tenant's queued
-  // quota, and a double shed (quota victim + capacity victim) opens net
-  // queue-wide space. So every shedding enqueue must wake the waiters.
-  const bool wake_enqueuers =
-      bounced->size() > bounced_at_entry && waiting_enqueuers_ > 0;
   lock.unlock();
   if (wake) not_empty_.notify_one();
-  if (wake_enqueuers) not_full_.notify_all();
   return AdmitOutcome::kAccepted;
 }
 
 bool AdmissionQueue::PopLocked(QueuedRequest* out) {
   if (TotalLocked() == 0) return false;
-  const int cls = SelectClassLocked();
-  // Only kHybrid feasibility needs the clock; spare the virtual call on the
-  // kEdf/kValueDensity pop paths.
-  const double now_s = OrderForLocked(cls) == WithinClassOrder::kHybrid
-                           ? clock_->NowSeconds()
-                           : 0.0;
-  const size_t i = SelectWithinLocked(cls, now_s);
-  RemoveAtLocked(cls, i, out);
+  std::vector<QueuedRequest>& band =
+      bands_[static_cast<size_t>(SelectClassLocked())];
+  std::pop_heap(band.begin(), band.end(), Later);
+  *out = std::move(band.back());
+  band.pop_back();
   if (track_tenants_) {
     TenantState& tenant = tenants_[out->tenant_id];
     --tenant.queued;
@@ -496,9 +298,9 @@ bool AdmissionQueue::TryPop(QueuedRequest* out) {
   if (!PopLocked(out)) return false;
   const bool wake = waiting_enqueuers_ > 0;
   lock.unlock();
-  // notify_all, not notify_one: blocked enqueuers wait on class- and
-  // tenant-specific predicates (per-class caps, tenant quotas), so the
-  // single woken thread might not be the one that gained space.
+  // notify_all, not notify_one: blocked enqueuers wait on tenant-specific
+  // predicates (tenant quotas), so the single woken thread might not be the
+  // one that gained space.
   if (wake) not_full_.notify_all();
   return true;
 }
@@ -516,7 +318,7 @@ int AdmissionQueue::TryPopBatch(int max_requests,
   const bool wake = popped > 0 && waiting_enqueuers_ > 0;
   lock.unlock();
   if (wake) {
-    // Several slots may have opened at once, across several classes.
+    // Several slots may have opened at once, across several tenants.
     not_full_.notify_all();
   }
   return popped;
@@ -563,7 +365,7 @@ bool AdmissionQueue::closed() const {
 
 size_t AdmissionQueue::class_size(PriorityClass cls) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return bands_[static_cast<size_t>(cls)].heap.size();
+  return bands_[static_cast<size_t>(cls)].size();
 }
 
 int AdmissionQueue::tenant_queued(int tenant_id) const {

@@ -30,39 +30,11 @@ enum class OverloadPolicy {
   /// (batch work is shed before interactive work; an arrival never
   /// displaces more important work — when only more important work is
   /// resident, the arrival itself bounces as kRejected). Within the victim
-  /// class, the victim is the oldest admission sequence under kEdf ordering
-  /// and the lowest value density (ties: oldest) under kValueDensity and
-  /// kHybrid ordering.
+  /// class, the victim is the oldest admission sequence.
   kShedOldest,
 };
 
 const char* OverloadPolicyName(OverloadPolicy policy);
-
-/// How the requests queued within one priority class are ordered for
-/// service. Paper-aware admission: the scheduler's scarce model-execution
-/// budget should go where it buys the most marginal recall per unit cost,
-/// so a band can serve by each request's stamped value density instead of
-/// (or blended with) its deadline.
-enum class WithinClassOrder {
-  /// Earliest deadline first, FIFO among equal deadlines (the PR-4
-  /// behavior; the default).
-  kEdf,
-  /// Highest QueuedRequest::value_density first, FIFO among equal
-  /// densities. Deadlines still stamp latency metrics but do not order.
-  kValueDensity,
-  /// Deadline-feasible value density: among requests whose slack still
-  /// admits them (deadline >= now at pop time), the highest density pops
-  /// first (ties: earlier deadline, then FIFO); when every queued request
-  /// has already missed its deadline, the band falls back to EDF so the
-  /// least-late work drains first.
-  kHybrid,
-};
-
-const char* WithinClassOrderName(WithinClassOrder order);
-
-/// Parses "edf" / "value" / "hybrid"; false on anything else (`*out`
-/// untouched).
-bool WithinClassOrderFromName(const char* name, WithinClassOrder* out);
 
 /// How AdmissionQueue::Enqueue disposed of a request.
 enum class AdmitOutcome {
@@ -81,32 +53,14 @@ enum class AdmitOutcome {
   kClosed,
 };
 
-/// Per-class admission configuration.
-struct ClassConfig {
-  /// Weighted-round-robin share: consecutive pops granted to this class per
-  /// RR turn while it has queued work. 0 = strict background — the class is
-  /// never chosen by the round-robin and drains only when every
-  /// positive-weight class is empty (strict priority) or when the
-  /// starvation bound forces it.
-  int weight = 1;
-  /// Bound on this class's queued requests; 0 = bounded only by the
-  /// queue-wide capacity.
-  int queue_capacity = 0;
-  /// Overload policy applied to arrivals of this class; unset = the
-  /// queue-wide policy.
-  std::optional<OverloadPolicy> overload;
-  /// Within-class service order of this class's band; unset = the
-  /// queue-wide AdmissionConfig::within_class_order.
-  std::optional<WithinClassOrder> order;
-};
-
-/// The default per-class table (shared by AdmissionConfig and
-/// ServeOptions so the defaults cannot diverge): 8:4:1
-/// interactive:standard:batch weights, no per-class caps or overrides.
-inline constexpr std::array<ClassConfig, kNumPriorityClasses>
-    kDefaultClassConfigs = {ClassConfig{8, 0, std::nullopt, std::nullopt},
-                            ClassConfig{4, 0, std::nullopt, std::nullopt},
-                            ClassConfig{1, 0, std::nullopt, std::nullopt}};
+/// Weighted-round-robin share of each class, indexed by PriorityClass:
+/// consecutive pops a class is granted per turn while it has queued work.
+/// Fixed at 8:4:1 interactive:standard:batch. The cycle bounds starvation
+/// by itself: a class with queued work is passed over at most the other
+/// two weights' sum of consecutive pops — 5 (interactive), 9 (standard)
+/// and 12 (batch).
+inline constexpr std::array<int, kNumPriorityClasses> kClassWeights = {
+    8, 4, 1};
 
 /// Admission quota of one tenant. A zero limit means "unlimited" for that
 /// dimension; the all-zero default constrains nothing.
@@ -153,26 +107,13 @@ struct TenantQuotaTable {
   }
 };
 
-/// Admission-queue configuration. Defaults reproduce the single-band
-/// behavior for uniform-class workloads (any weights do: with one non-empty
-/// class every pop is that class's EDF head).
+/// Admission-queue configuration. The pop order is fixed (see
+/// AdmissionQueue); only capacity, overload, quotas and the clock are set.
 struct AdmissionConfig {
   /// Bound on the total queued (not yet popped) requests, >= 1.
   int capacity = 1024;
-  /// Queue-wide overload policy (per-class override in `classes`).
+  /// What a full queue does with new work, for every class.
   OverloadPolicy overload = OverloadPolicy::kBlock;
-  /// Queue-wide within-class service order (per-class override in
-  /// `classes`). kEdf reproduces the PR-4 pop/shed behavior exactly.
-  WithinClassOrder within_class_order = WithinClassOrder::kEdf;
-  /// Starvation bound K, >= kNumPriorityClasses: whenever a class has
-  /// queued work, it is served at least once within every K consecutive
-  /// pops, whatever the weights (so a backlog of n requests drains within
-  /// n*K pops). Internally a class is force-served once it has been passed
-  /// over K - (kNumPriorityClasses - 1) times, which keeps the bound exact
-  /// even when several classes starve at once.
-  int starvation_bound = 16;
-  /// Per-class weight/cap/policy/order, indexed by PriorityClass.
-  std::array<ClassConfig, kNumPriorityClasses> classes = kDefaultClassConfigs;
   /// Per-tenant quotas; empty = no tenant accounting (zero overhead).
   TenantQuotaTable tenant_quotas;
   /// Timestamp source for admission stamps (enqueue_time_s, deadline_s);
@@ -181,53 +122,39 @@ struct AdmissionConfig {
 };
 
 /// Bounded multi-tenant admission queue in front of the serving runtime:
-/// one band per PriorityClass ordered by the class's WithinClassOrder,
-/// weighted round-robin service between classes with a hard starvation
-/// bound, per-class overload policy + queue cap on top of the queue-wide
-/// capacity, and per-tenant quotas (queued cap, in-flight cap, rate token
-/// bucket). Thread-safe; the blocking operations (kBlock enqueues, WaitPop)
-/// are condition-variable based and wake on Close().
+/// one EDF band per PriorityClass, weighted round-robin between classes at
+/// the fixed kClassWeights, one overload policy over a queue-wide capacity,
+/// and per-tenant quotas (queued cap, in-flight cap, rate token bucket).
+/// Thread-safe; the blocking operations (kBlock enqueues, WaitPop) are
+/// condition-variable based and wake on Close().
 ///
 /// Pop-order contract (the reference model in
 /// tests/serve_admission_model_test.cc mirrors this literally):
-///  1. Starvation guard: a non-empty class that has been passed over for
-///     starvation_bound - (kNumPriorityClasses - 1) consecutive pops is
-///     served now; among several such classes, the longest-passed-over
-///     wins, ties to the more important class.
-///  2. Weighted round-robin: the current class keeps serving while it has
-///     queued work and credit left (credit starts at its weight each turn);
-///     otherwise the turn advances cyclically to the next non-empty class
-///     with weight > 0.
-///  3. Strict fallback: if no non-empty class has weight > 0, the most
-///     important non-empty class is served.
-/// Within the chosen class, the band's effective WithinClassOrder picks the
-/// request: kEdf pops (deadline, then admission sequence); kValueDensity
-/// pops (highest value_density, then admission sequence); kHybrid pops the
-/// highest-density request whose deadline is still >= now (ties: earlier
-/// deadline, then sequence), falling back to the kEdf rule when every
-/// queued request is already late. Single-class kEdf workloads therefore
-/// pop in exactly the legacy single-band EDF order.
+///  1. Between classes, weighted round-robin: the current class keeps
+///     serving while it has queued work and credit left (credit starts at
+///     its kClassWeights entry each turn); otherwise the turn advances
+///     cyclically to the next non-empty class. A class with queued work is
+///     therefore passed over at most 5 / 9 / 12 consecutive pops
+///     (interactive / standard / batch).
+///  2. Within the chosen class, earliest deadline first: (deadline, then
+///     admission sequence). Single-class workloads therefore pop in exactly
+///     the single-band EDF order.
 ///
 /// Tenant-quota contract: an arrival whose tenant is over quota is treated
-/// as overload of the arrival's class — kReject bounces it kRejectedQuota;
-/// kShedOldest shed a queued-cap breach by displacing the tenant's own
-/// queued work (least important class first, never a class more important
-/// than the arrival; the victim within the band follows the shed rule of
-/// the band's order), and bounces kRejectedQuota when the tenant has
-/// nothing sheddable (in-flight breach, or only more-important work);
-/// kBlock waits until the tenant has room again (pops free queued slots,
-/// TenantFinished frees in-flight slots). An empty rate-token bucket always
-/// bounces kRejectedQuota immediately, whatever the policy.
+/// as overload — kReject bounces it kRejectedQuota; kShedOldest sheds a
+/// queued-cap breach by displacing the tenant's own oldest queued request
+/// (least important class first, never a class more important than the
+/// arrival), and bounces kRejectedQuota when the tenant has nothing
+/// sheddable (in-flight breach, or only more-important work); kBlock waits
+/// until the tenant has room again (pops free queued slots, TenantFinished
+/// frees in-flight slots). An empty rate-token bucket always bounces
+/// kRejectedQuota immediately, whatever the policy.
 class AdmissionQueue {
  public:
   explicit AdmissionQueue(const AdmissionConfig& config);
-  /// Single-band convenience: queue-wide `capacity` and `policy`, default
-  /// class table.
-  AdmissionQueue(int capacity, OverloadPolicy policy);
 
   /// Stamps the request (enqueue_time_s = now, deadline_s = now + slack_s),
-  /// applies the tenant quota and the class's overload policy, and queues
-  /// it.
+  /// applies the tenant quota and the overload policy, and queues it.
   ///  - kAccepted: the request was consumed; any shed victims (kShedOldest)
   ///    are appended to `bounced` with their original promises intact.
   ///  - kRejected / kRejectedQuota / kClosed: the request itself is
@@ -275,32 +202,15 @@ class AdmissionQueue {
   /// mutex). Lets tests wait for "the enqueuer has parked" deterministically
   /// instead of sleeping.
   int waiting_enqueuers() const;
-  int capacity() const { return config_.capacity; }
-  OverloadPolicy policy() const { return config_.overload; }
-  /// Effective within-class order of one class (per-class override or the
-  /// queue-wide setting).
-  WithinClassOrder OrderFor(PriorityClass cls) const;
-  const AdmissionConfig& config() const { return config_; }
 
  private:
-  /// Min-heap comparator on (deadline, sequence) for kEdf bands.
+  /// Min-heap comparator on (deadline, sequence) for the EDF bands.
   /// Implemented as a std::push_heap/pop_heap max-heap with inverted
   /// comparison.
   static bool Later(const QueuedRequest& a, const QueuedRequest& b) {
     if (a.deadline_s != b.deadline_s) return a.deadline_s > b.deadline_s;
     return a.sequence > b.sequence;
   }
-
-  struct ClassBand {
-    /// This class's queued requests: a (deadline, sequence) heap for kEdf
-    /// bands, an unordered slab (pop selects by linear scan) for
-    /// kValueDensity/kHybrid bands.
-    std::vector<QueuedRequest> heap;
-    /// Pops that served other classes while this one had queued work, since
-    /// this class was last served. Reaching the forced-service threshold
-    /// triggers the starvation guard.
-    int passed_over = 0;
-  };
 
   /// Per-tenant accounting (only maintained when the quota table is
   /// non-empty).
@@ -312,46 +222,35 @@ class AdmissionQueue {
     bool bucket_started = false;
   };
 
-  /// Effective overload policy for one class.
-  OverloadPolicy PolicyFor(PriorityClass cls) const;
-  WithinClassOrder OrderForLocked(int cls) const;
-  /// Whether class `cls` can accept one more request (queue-wide and
-  /// per-class caps).
-  bool HasSpaceLocked(int cls) const;
+  /// Whether the queue can accept one more request.
+  bool HasSpaceLocked() const;
   /// Whether `tenant`'s queued and in-flight counts leave room under
   /// `quota` (null quota = always true).
   bool TenantHasRoomLocked(const TenantQuota* quota,
                            const TenantState* tenant) const;
   size_t TotalLocked() const;
-  /// The pop-order contract: which class serves the next pop; -1 if all
-  /// bands are empty. Updates the round-robin / starvation accounting as a
+  /// The round-robin half of the pop-order contract: which class serves
+  /// the next pop (the queue must be non-empty). Advances the turn as a
   /// side effect, so call exactly once per actual pop.
   int SelectClassLocked();
-  /// Index of the request the band's order serves next (band non-empty).
-  size_t SelectWithinLocked(int cls, double now_s) const;
   bool PopLocked(QueuedRequest* out);
   /// Pops the shed victim of class `cls` into `victim`: the oldest
-  /// (smallest admission sequence) request under kEdf, the lowest value
-  /// density (ties: oldest) under kValueDensity/kHybrid. When
-  /// `tenant_filter` is non-negative only that tenant's requests are
-  /// candidates (the band must contain one).
+  /// (smallest admission sequence) request. When `tenant_filter` is
+  /// non-negative only that tenant's requests are candidates (the band
+  /// must contain one).
   void EvictVictimLocked(int cls, int tenant_filter, QueuedRequest* victim);
   /// Whether class `cls` holds at least one request of `tenant`.
   bool BandHasTenantLocked(int cls, int tenant) const;
-  /// Removes band index `i` preserving the band's invariant (re-heapify for
-  /// kEdf bands, swap-pop for scan bands) and moves it into `out`.
-  void RemoveAtLocked(int cls, size_t i, QueuedRequest* out);
 
   const AdmissionConfig config_;
   const util::Clock* const clock_;
-  /// Forced-service threshold derived from config_.starvation_bound.
-  const int forced_service_after_;
   /// Tenant accounting enabled (config_.tenant_quotas non-empty).
   const bool track_tenants_;
   mutable std::mutex mu_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
-  std::array<ClassBand, kNumPriorityClasses> bands_;
+  /// One (deadline, sequence) heap of queued requests per class.
+  std::array<std::vector<QueuedRequest>, kNumPriorityClasses> bands_;
   std::map<int, TenantState> tenants_;
   /// Weighted-round-robin cursor: current class and pops left in its turn.
   /// Starts one before class 0 (cyclically) with no credit, so the first

@@ -4,10 +4,9 @@
 namespace ams::serve {
 
 /// Multi-tenant service band of one serving request. Lower value = more
-/// important. The admission queue keeps one EDF band per class and arbitrates
-/// between classes with weighted round-robin plus a hard starvation bound
-/// (see AdmissionQueue); the overload policy can be set per class so batch
-/// work is shed before interactive work.
+/// important. The admission queue keeps one EDF band per class, arbitrates
+/// between classes with weighted round-robin at 8:4:1, and sheds batch work
+/// before interactive work (see AdmissionQueue).
 enum class PriorityClass {
   /// Latency-sensitive user-facing traffic (paid tier, dashboards).
   kInteractive = 0,

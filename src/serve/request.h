@@ -46,27 +46,20 @@ struct ServeResult {
   bool deadline_met() const { return slack_s >= 0.0; }
 };
 
-/// One request resident in the admission queue. Within its priority class,
-/// the band's WithinClassOrder decides who pops first: kEdf orders by
-/// (deadline, sequence) — earliest deadline first, FIFO among equal
-/// deadlines, deadline-less (infinite deadline) requests draining last in
-/// order — while kValueDensity/kHybrid order by the request's stamped
-/// value density (see AdmissionQueue). Service between classes is the
-/// admission queue's weighted round-robin with a starvation bound.
+/// One request resident in the admission queue. Within its priority class
+/// it pops by (deadline, sequence): earliest deadline first, FIFO among
+/// equal deadlines, deadline-less (infinite deadline) requests draining
+/// last in order. Service between classes is the admission queue's
+/// weighted round-robin at 8:4:1 (see AdmissionQueue).
 struct QueuedRequest {
   core::WorkItem item;
-  /// Which service band the request rides in (weight, cap and overload
-  /// policy are per-class AdmissionQueue configuration).
+  /// Which service band the request rides in (its round-robin weight is
+  /// serve::kClassWeights).
   PriorityClass priority_class = PriorityClass::kStandard;
   /// Tenant owning the request: the unit of quota accounting (max queued,
   /// max in flight, rate bucket) and of per-tenant metrics slices. 0 is the
   /// default tenant.
   int tenant_id = 0;
-  /// Estimated marginal value recall per second of predicted model-execution
-  /// cost, stamped by the runtime's serve::ValueEstimator at enqueue (0 when
-  /// value ordering is off). Under kValueDensity/kHybrid, higher density
-  /// pops first and lowest density is shed first.
-  double value_density = 0.0;
   /// Latency budget granted at enqueue: the admission queue stamps
   /// deadline_s = enqueue_time_s + slack_s on the serve clock. Infinity =
   /// no deadline (pure FIFO within the class).

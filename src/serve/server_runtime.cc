@@ -12,29 +12,10 @@ AdmissionConfig ServerRuntime::AdmissionConfigFrom(
   AdmissionConfig config;
   config.capacity = options.queue_capacity;
   config.overload = options.overload;
-  config.within_class_order = options.within_class_order;
-  config.starvation_bound = options.starvation_bound;
-  config.classes = options.classes;
   config.tenant_quotas = options.tenant_quotas;
   config.clock = options.clock;
   return config;
 }
-
-namespace {
-
-/// Whether any class's effective order consults value densities (in which
-/// case enqueues must stamp them).
-bool NeedsValueDensity(const ServeOptions& options) {
-  for (int c = 0; c < kNumPriorityClasses; ++c) {
-    const WithinClassOrder order =
-        options.classes[static_cast<size_t>(c)].order.value_or(
-            options.within_class_order);
-    if (order != WithinClassOrder::kEdf) return true;
-  }
-  return false;
-}
-
-}  // namespace
 
 ServerRuntime::ServerRuntime(core::LabelingService* session,
                              ServeOptions options)
@@ -52,14 +33,6 @@ ServerRuntime::ServerRuntime(core::LabelingService* session,
   AMS_CHECK(options_.max_resident_per_worker >= 1,
             "a worker must hold at least one resident item");
   AMS_CHECK(options_.default_slack_s > 0.0, "deadline slack must be positive");
-  if (NeedsValueDensity(options_)) {
-    if (options_.value_estimator != nullptr) {
-      estimator_ = options_.value_estimator;
-    } else {
-      owned_estimator_ = std::make_unique<ProfileValueEstimator>(session);
-      estimator_ = owned_estimator_.get();
-    }
-  }
   metrics_.AttachClock(clock_);
   workers_.reserve(static_cast<size_t>(options_.workers));
   for (int w = 0; w < options_.workers; ++w) {
@@ -71,29 +44,6 @@ ServerRuntime::~ServerRuntime() { Shutdown(); }
 
 std::future<ServeResult> ServerRuntime::Enqueue(const core::WorkItem& item) {
   return Enqueue(item, RequestOptions{});
-}
-
-std::future<ServeResult> ServerRuntime::Enqueue(const core::WorkItem& item,
-                                                double slack_s) {
-  RequestOptions request;
-  request.slack_s = slack_s;
-  return Enqueue(item, request);
-}
-
-std::future<ServeResult> ServerRuntime::Enqueue(const core::WorkItem& item,
-                                                PriorityClass cls) {
-  RequestOptions request;
-  request.priority_class = cls;
-  return Enqueue(item, request);
-}
-
-std::future<ServeResult> ServerRuntime::Enqueue(const core::WorkItem& item,
-                                                double slack_s,
-                                                PriorityClass cls) {
-  RequestOptions request;
-  request.slack_s = slack_s;
-  request.priority_class = cls;
-  return Enqueue(item, request);
 }
 
 std::future<ServeResult> ServerRuntime::Enqueue(
@@ -112,11 +62,6 @@ std::future<ServeResult> ServerRuntime::Enqueue(
       item.item >= 0
           ? static_cast<uint64_t>(item.item)
           : live_sequence_.fetch_add(1, std::memory_order_relaxed);
-  if (estimator_ != nullptr) {
-    // Stamped before admission: the density orders kValueDensity/kHybrid
-    // bands and picks shed victims.
-    request.value_density = estimator_->ValueDensity(item);
-  }
   if (tracer_ != nullptr && tracer_->enabled() &&
       tracer_->ShouldSample(request.sequence)) {
     // Nonzero: id 0 marks lane-scoped events (ticks, forwards).

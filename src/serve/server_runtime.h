@@ -1,7 +1,6 @@
 #ifndef AMS_SERVE_SERVER_RUNTIME_H_
 #define AMS_SERVE_SERVER_RUNTIME_H_
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <future>
@@ -17,13 +16,13 @@
 #include "serve/metrics.h"
 #include "serve/priority_class.h"
 #include "serve/request.h"
-#include "serve/value_estimator.h"
 #include "util/clock.h"
 
 namespace ams::serve {
 
-/// Serving-runtime knobs. Defaults favor throughput with backpressure and
-/// an 8:4:1 interactive:standard:batch service ratio.
+/// Serving-runtime knobs. Defaults favor throughput with backpressure; the
+/// admission order itself is fixed (EDF within a class, 8:4:1 weighted
+/// round-robin between classes; see AdmissionQueue).
 struct ServeOptions {
   /// Worker run-loops; <= 0 resolves to the session's worker count.
   int workers = 0;
@@ -35,30 +34,15 @@ struct ServeOptions {
   /// the per-tick batched forward and bookkeeping (32 measures fastest in
   /// bench_serve_runtime; beyond that the working set stops fitting cache).
   int max_resident_per_worker = 32;
-  /// What a full queue does with new work (per-class override in
-  /// `classes`).
+  /// What a full queue does with new work.
   OverloadPolicy overload = OverloadPolicy::kBlock;
   /// Deadline slack granted to Enqueue() calls that do not pass their own:
   /// deadline = arrival + slack. Infinity = no deadline (pure FIFO order
   /// within a class).
   double default_slack_s = std::numeric_limits<double>::infinity();
-  /// Per-class weight / queue cap / overload override / order override,
-  /// indexed by PriorityClass (see AdmissionConfig).
-  std::array<ClassConfig, kNumPriorityClasses> classes = kDefaultClassConfigs;
-  /// Starvation bound K across classes (see AdmissionConfig).
-  int starvation_bound = 16;
-  /// Within-class admission order (per-class override in `classes`): kEdf
-  /// reproduces the deadline-only PR-4 behavior; kValueDensity/kHybrid
-  /// serve by estimated marginal recall per unit cost (see AdmissionConfig
-  /// and ValueEstimator).
-  WithinClassOrder within_class_order = WithinClassOrder::kEdf;
   /// Per-tenant quotas (queued cap, in-flight cap, rate bucket); empty =
   /// no tenant accounting.
   TenantQuotaTable tenant_quotas;
-  /// Scores QueuedRequest::value_density at enqueue when any class orders
-  /// by value; null = a ProfileValueEstimator over the session. Must
-  /// outlive the runtime when set.
-  const ValueEstimator* value_estimator = nullptr;
   /// Time source for every serve-side timestamp (admission stamps,
   /// deadlines, latencies, metrics uptime); null = util::Clock::Monotonic().
   /// Tests inject a util::ManualClock here for deterministic timing
@@ -79,8 +63,8 @@ struct ServeOptions {
 /// core::LabelingService::ItemStepper, issuing one deduplicated batched
 /// Q-forward per loop tick across all items resident on that worker. The
 /// admission queue releases work per priority class (weighted round-robin
-/// with a starvation bound, EDF within a class) and applies the configured
-/// overload policy when full.
+/// at 8:4:1, EDF within a class) and applies the configured overload policy
+/// when full.
 ///
 /// Per-item outcomes are identical to Submit() on the same session: items
 /// are independent and the batched Q-path is bitwise identical to scalar,
@@ -103,7 +87,7 @@ class ServerRuntime {
   ServerRuntime(const ServerRuntime&) = delete;
   ServerRuntime& operator=(const ServerRuntime&) = delete;
 
-  /// Per-request admission parameters for the fully general Enqueue.
+  /// Per-request admission parameters.
   struct RequestOptions {
     /// Latency budget (deadline = arrival + slack): positive, infinity =
     /// explicitly no deadline. Unset = ServeOptions::default_slack_s.
@@ -121,19 +105,8 @@ class ServerRuntime {
   /// any number of concurrent enqueuers.
   std::future<ServeResult> Enqueue(const core::WorkItem& item);
 
-  /// Same, with a per-request deadline of now + `slack_s` (EDF priority
-  /// within the class: tighter slack pops sooner).
-  std::future<ServeResult> Enqueue(const core::WorkItem& item, double slack_s);
-
-  /// Same, in an explicit priority class with the default slack.
-  std::future<ServeResult> Enqueue(const core::WorkItem& item,
-                                   PriorityClass cls);
-
-  /// Class + slack, default tenant.
-  std::future<ServeResult> Enqueue(const core::WorkItem& item, double slack_s,
-                                   PriorityClass cls);
-
-  /// Fully explicit: slack + class + tenant.
+  /// Same, with an explicit slack (EDF priority within the class: tighter
+  /// slack pops sooner), class and tenant.
   std::future<ServeResult> Enqueue(const core::WorkItem& item,
                                    const RequestOptions& request);
 
@@ -194,12 +167,6 @@ class ServerRuntime {
   /// registry tracks uptime itself from AttachClock time (= construction).
   const util::Clock* clock_;
   Metrics metrics_;
-  /// The default estimator when value ordering is on and no
-  /// options.value_estimator was supplied.
-  std::unique_ptr<ProfileValueEstimator> owned_estimator_;
-  /// The estimator stamping QueuedRequest::value_density; null when every
-  /// class orders kEdf (no density is computed — the PR-4 enqueue path).
-  const ValueEstimator* estimator_ = nullptr;
   AdmissionQueue queue_;
   /// Tracing (options.tracer): `admission_lane_` takes the enqueue-side
   /// instants (enqueue/quota events race from many caller threads; the

@@ -13,6 +13,9 @@
 //   Figs 4-6  ComputeRecallCurve (average models and time per threshold) and
 //             ComputeFullRecallCosts (per-item models and time to full
 //             recall) of the optimal and q_greedy policies.
+//   Table 2   the same curve and costs of RuleBasedPolicy(DefaultRules(),
+//             999), bench_table2_rules' rule set and seed: the
+//             rule-vs-agent comparison is this run against q_greedy's.
 //
 // The sweeps' average recalls are in tests/fixtures/recall_golden.inc, the
 // curves and costs in tests/fixtures/recall_curve_golden.inc. Each fixture
@@ -50,6 +53,7 @@
 #include "nn/net.h"
 #include "rl/agent.h"
 #include "sched/basic_policies.h"
+#include "sched/rule_based.h"
 #include "zoo/model_zoo.h"
 
 namespace ams::eval {
@@ -73,9 +77,9 @@ using Bits = std::vector<uint64_t>;
 // Defines kGoldenAlgorithm1, kGoldenRandom, kGoldenAlgorithm2 and
 // kGoldenPacking: each sweep's average recall per deadline, as double bits.
 #include "fixtures/recall_golden.inc"
-// Defines kGolden{Optimal,QGreedy}{CurveModels,CurveTime,CostModels,
-// CostTime}: each policy's recall-curve averages per threshold and its
-// per-item full-recall costs, as double bits.
+// Defines kGolden{Optimal,QGreedy,RuleBased}{CurveModels,CurveTime,
+// CostModels,CostTime}: each policy's recall-curve averages per threshold
+// and its per-item full-recall costs, as double bits.
 #include "fixtures/recall_curve_golden.inc"
 
 uint64_t BitsOf(double value) {
@@ -179,10 +183,11 @@ CurveRun RunCurve(const GoldenWorld& world, const PolicyFactory& factory) {
   return {curve.avg_models, curve.avg_time_s, costs.models, costs.time_s};
 }
 
-/// The optimal and Q-greedy curve runs, in fixture order.
+/// The optimal, Q-greedy and rule-based curve runs, in fixture order.
 struct Curves {
   CurveRun optimal;
   CurveRun q_greedy;
+  CurveRun rule_based;
 };
 
 Curves RunCurves() {
@@ -193,6 +198,12 @@ Curves RunCurves() {
       world, [] { return std::make_unique<sched::OptimalPolicy>(); });
   curves.q_greedy = RunCurve(world, [agent] {
     return std::make_unique<OwnedQGreedy>(agent->Clone());
+  });
+  // Table II's rule set with bench_table2_rules' seed: the rule-vs-agent
+  // comparison is this run against q_greedy's.
+  curves.rule_based = RunCurve(world, [] {
+    return std::make_unique<sched::RuleBasedPolicy>(sched::DefaultRules(),
+                                                    999);
   });
   return curves;
 }
@@ -241,6 +252,14 @@ TEST(RecallGoldenTest, CurvesReproduceGoldenCosts) {
                kGoldenQGreedyCostModels);
   ExpectGolden("q_greedy full-recall time", curves.q_greedy.cost_time_s,
                kGoldenQGreedyCostTime);
+  ExpectGolden("rule_based curve models", curves.rule_based.curve_models,
+               kGoldenRuleBasedCurveModels);
+  ExpectGolden("rule_based curve time", curves.rule_based.curve_time_s,
+               kGoldenRuleBasedCurveTime);
+  ExpectGolden("rule_based full-recall models", curves.rule_based.cost_models,
+               kGoldenRuleBasedCostModels);
+  ExpectGolden("rule_based full-recall time", curves.rule_based.cost_time_s,
+               kGoldenRuleBasedCostTime);
 }
 
 TEST(RecallGoldenTest, FixtureIsNotDegenerate) {
@@ -257,13 +276,15 @@ TEST(RecallGoldenTest, FixtureIsNotDegenerate) {
   // threshold, and full recall must cost more on some items than on others.
   for (const Bits* curve :
        {&kGoldenOptimalCurveModels, &kGoldenOptimalCurveTime,
-        &kGoldenQGreedyCurveModels, &kGoldenQGreedyCurveTime}) {
+        &kGoldenQGreedyCurveModels, &kGoldenQGreedyCurveTime,
+        &kGoldenRuleBasedCurveModels, &kGoldenRuleBasedCurveTime}) {
     ASSERT_EQ(curve->size(), DefaultThresholds().size());
     EXPECT_LT(ValueOf(curve->front()), ValueOf(curve->back()));
   }
   for (const Bits* costs :
        {&kGoldenOptimalCostModels, &kGoldenOptimalCostTime,
-        &kGoldenQGreedyCostModels, &kGoldenQGreedyCostTime}) {
+        &kGoldenQGreedyCostModels, &kGoldenQGreedyCostTime,
+        &kGoldenRuleBasedCostModels, &kGoldenRuleBasedCostTime}) {
     ASSERT_EQ(costs->size(), static_cast<size_t>(kItems));
     EXPECT_NE(std::adjacent_find(costs->begin(), costs->end(),
                                  std::not_equal_to<uint64_t>()),
@@ -318,14 +339,16 @@ TEST(RecallGoldenFixture, DISABLED_WriteCurveFixture) {
   std::ofstream out("recall_curve_golden.inc");
   ASSERT_TRUE(out.good());
   out << "// Figs 4-6 recall curves (average models and seconds per recall\n"
-         "// threshold) and per-item full-recall costs of the optimal and\n"
-         "// q_greedy policies, as double bit patterns. Written by the "
-         "disabled\n"
-         "// WriteCurveFixture case of tests/eval_recall_golden_test.cc; read "
-         "it\n"
-         "// before regenerating.\n";
+         "// threshold) and per-item full-recall costs of the optimal,\n"
+         "// q_greedy and rule_based policies, as double bit patterns. "
+         "Written\n"
+         "// by the disabled WriteCurveFixture case of\n"
+         "// tests/eval_recall_golden_test.cc; read it before "
+         "regenerating.\n";
   const std::pair<const char*, const CurveRun*> runs[] = {
-      {"Optimal", &curves.optimal}, {"QGreedy", &curves.q_greedy}};
+      {"Optimal", &curves.optimal},
+      {"QGreedy", &curves.q_greedy},
+      {"RuleBased", &curves.rule_based}};
   for (const auto& [policy, run] : runs) {
     const std::string prefix = std::string("kGolden") + policy;
     WriteBits(prefix + "CurveModels", run->curve_models, thresholds,

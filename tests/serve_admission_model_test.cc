@@ -1,22 +1,20 @@
 // Model-checking harness for serve::AdmissionQueue: a single-threaded
 // reference model reimplements the queue's documented pop-order and
-// admission contract (within-class ordering — EDF, value density, or
-// deadline-feasible hybrid — weighted round-robin with a starvation guard
-// between classes, per-class caps and overload policies, and per-tenant
-// quotas: queued caps, in-flight caps, rate token buckets) in the simplest
-// possible form, and randomized seeded op sequences — enqueue / pop /
-// batch-pop / tenant-finish / clock-advance / close across every overload
-// policy, priority class, ordering mode and tenant — are replayed against
-// both implementations, asserting exactly equal pop order and exactly
-// equal shed/reject/quota decisions at every step. The harness also checks
-// the starvation bound (a non-empty class is served at least once within
-// every K consecutive pops) on every trace, and locks two regressions:
-// a uniform-class kEdf workload must pop in exactly the legacy single-band
-// EDF order, and kEdf mode must ignore stamped value densities bit-exactly
-// (the PR-4 behavior). A final multi-threaded stress run checks
-// conservation (every request resolves exactly once) under real
-// concurrency — the ordering claims stay single-threaded where they are
-// well-defined.
+// admission contract (EDF within a class, weighted round-robin at 8:4:1
+// between classes, the queue-wide overload policy, and per-tenant quotas:
+// queued caps, in-flight caps, rate token buckets) in the simplest possible
+// form, and randomized seeded op sequences — enqueue / pop / batch-pop /
+// tenant-finish / clock-advance / close across every overload policy,
+// priority class and tenant — are replayed against both implementations,
+// asserting exactly equal pop order and exactly equal shed/reject/quota
+// decisions at every step. The harness also checks the round-robin's
+// starvation limits (a class with queued work is passed over at most
+// 5 / 9 / 12 consecutive pops: interactive / standard / batch) on every
+// trace, and locks two regressions: a uniform-class workload must pop in
+// exactly the legacy single-band EDF order, and tenant ids must do nothing
+// without quotas. A final multi-threaded stress run checks conservation
+// (every request resolves exactly once) under real concurrency — the
+// ordering claims stay single-threaded where they are well-defined.
 //
 // The per-config seed count is 25 by default and env-overridable via
 // AMS_MODEL_SEEDS (the nightly CI soak runs 500).
@@ -71,22 +69,22 @@ struct ModelAdmit {
 /// against, not a copy of it.
 class ReferenceQueue {
  public:
+  /// The contract's round-robin weights, interactive:standard:batch.
+  static constexpr int kWeights[kNumPriorityClasses] = {8, 4, 1};
+
   struct Request {
     uint64_t sequence = 0;
     int cls = 0;
     int tenant = 0;
     double deadline_s = kInf;
-    double value_density = 0.0;
   };
 
   ReferenceQueue(const AdmissionConfig& config, const util::Clock* clock)
       : config_(config),
         clock_(clock),
-        forced_after_(config.starvation_bound - (kNumPriorityClasses - 1)),
         track_tenants_(!config.tenant_quotas.empty()) {}
 
-  ModelAdmit Enqueue(uint64_t sequence, int cls, double slack_s, int tenant,
-                     double density) {
+  ModelAdmit Enqueue(uint64_t sequence, int cls, double slack_s, int tenant) {
     ModelAdmit result;
     const double now = clock_->NowSeconds();
     const double deadline = now + slack_s;
@@ -118,7 +116,7 @@ class ReferenceQueue {
       // Spent by passing the gate (not by admission), like the real queue.
       state->tokens -= 1.0;
     }
-    const OverloadPolicy policy = PolicyFor(cls);
+    const OverloadPolicy policy = config_.overload;
     if (!TenantHasRoom(quota, state)) {
       // The single-threaded harness never enqueues when kBlock would park.
       EXPECT_NE(policy, OverloadPolicy::kBlock);
@@ -141,99 +139,69 @@ class ReferenceQueue {
         result.outcome = AdmitOutcome::kRejectedQuota;
         return result;
       }
-      const Request victim = EvictVictim(victim_class, tenant);
+      const Request victim = EvictOldest(victim_class, tenant);
       --state->queued;
       result.victims.push_back(victim.sequence);
     }
-    if (!HasSpace(cls)) {
+    if (!HasSpace()) {
       EXPECT_NE(policy, OverloadPolicy::kBlock);
       if (policy == OverloadPolicy::kReject) {
         result.outcome = AdmitOutcome::kRejected;
         return result;
       }
-      const int class_cap =
-          config_.classes[static_cast<size_t>(cls)].queue_capacity;
+      // Shed from the least important non-empty class no more important
+      // than the arrival.
       int victim_class = -1;
-      if (class_cap > 0 &&
-          bands_[static_cast<size_t>(cls)].size() >=
-              static_cast<size_t>(class_cap)) {
-        victim_class = cls;
-      } else {
-        for (int c = kNumPriorityClasses - 1; c >= cls; --c) {
-          if (!bands_[static_cast<size_t>(c)].empty()) {
-            victim_class = c;
-            break;
-          }
+      for (int c = kNumPriorityClasses - 1; c >= cls; --c) {
+        if (!bands_[static_cast<size_t>(c)].empty()) {
+          victim_class = c;
+          break;
         }
       }
       if (victim_class < 0) {
         result.outcome = AdmitOutcome::kRejected;
         return result;
       }
-      const Request victim = EvictVictim(victim_class, /*tenant_filter=*/-1);
+      const Request victim = EvictOldest(victim_class, /*tenant_filter=*/-1);
       if (track_tenants_) --tenants_[victim.tenant].queued;
       result.victims.push_back(victim.sequence);
     }
     if (state != nullptr) ++state->queued;
     bands_[static_cast<size_t>(cls)].push_back(
-        {sequence, cls, tenant, deadline, density});
+        {sequence, cls, tenant, deadline});
     return result;
   }
 
   /// Predicts the next pop: which request comes out, updating the
-  /// round-robin / starvation / tenant accounting exactly per the contract.
+  /// round-robin turn and tenant accounting exactly per the contract.
   std::optional<Request> Pop() {
     if (TotalSize() == 0) return std::nullopt;
-    // 1. Starvation guard.
+    // 1. Weighted round-robin between classes.
     int chosen = -1;
-    for (int c = 0; c < kNumPriorityClasses; ++c) {
-      if (bands_[static_cast<size_t>(c)].empty() ||
-          passed_over_[static_cast<size_t>(c)] < forced_after_) {
-        continue;
-      }
-      if (chosen < 0 || passed_over_[static_cast<size_t>(c)] >
-                            passed_over_[static_cast<size_t>(chosen)]) {
-        chosen = c;
-      }
-    }
-    // 2. Weighted round-robin.
-    if (chosen < 0) {
-      if (rr_credit_ > 0 && Weight(rr_class_) > 0 &&
-          !bands_[static_cast<size_t>(rr_class_)].empty()) {
-        chosen = rr_class_;
-        --rr_credit_;
-      } else {
-        for (int step = 1; step <= kNumPriorityClasses; ++step) {
-          const int c = (rr_class_ + step) % kNumPriorityClasses;
-          if (Weight(c) > 0 && !bands_[static_cast<size_t>(c)].empty()) {
-            rr_class_ = c;
-            rr_credit_ = Weight(c) - 1;
-            chosen = c;
-            break;
-          }
-        }
-      }
-    }
-    // 3. Strict fallback.
-    if (chosen < 0) {
-      for (int c = 0; c < kNumPriorityClasses; ++c) {
+    if (rr_credit_ > 0 && !bands_[static_cast<size_t>(rr_class_)].empty()) {
+      chosen = rr_class_;
+      --rr_credit_;
+    } else {
+      for (int step = 1; step <= kNumPriorityClasses; ++step) {
+        const int c = (rr_class_ + step) % kNumPriorityClasses;
         if (!bands_[static_cast<size_t>(c)].empty()) {
+          rr_class_ = c;
+          rr_credit_ = kWeights[c] - 1;
           chosen = c;
           break;
         }
       }
     }
-    // Starvation accounting on the pre-pop band contents.
-    for (int c = 0; c < kNumPriorityClasses; ++c) {
-      if (c == chosen || bands_[static_cast<size_t>(c)].empty()) {
-        passed_over_[static_cast<size_t>(c)] = 0;
-      } else {
-        ++passed_over_[static_cast<size_t>(c)];
+    // 2. EDF within the chosen class: (deadline, sequence).
+    std::vector<Request>& band = bands_[static_cast<size_t>(chosen)];
+    size_t best = 0;
+    for (size_t i = 1; i < band.size(); ++i) {
+      if (band[i].deadline_s < band[best].deadline_s ||
+          (band[i].deadline_s == band[best].deadline_s &&
+           band[i].sequence < band[best].sequence)) {
+        best = i;
       }
     }
-    // Within the chosen class: the band's effective order.
-    std::vector<Request>& band = bands_[static_cast<size_t>(chosen)];
-    const size_t best = SelectWithin(chosen, clock_->NowSeconds());
     const Request popped = band[best];
     band.erase(band.begin() + static_cast<long>(best));
     if (track_tenants_) {
@@ -252,25 +220,8 @@ class ReferenceQueue {
 
   void Close() { closed_ = true; }
 
-  OverloadPolicy PolicyFor(int cls) const {
-    const std::optional<OverloadPolicy>& per_class =
-        config_.classes[static_cast<size_t>(cls)].overload;
-    return per_class.has_value() ? *per_class : config_.overload;
-  }
-
-  WithinClassOrder OrderFor(int cls) const {
-    const std::optional<WithinClassOrder>& per_class =
-        config_.classes[static_cast<size_t>(cls)].order;
-    return per_class.has_value() ? *per_class : config_.within_class_order;
-  }
-
-  bool HasSpace(int cls) const {
-    if (TotalSize() >= static_cast<size_t>(config_.capacity)) return false;
-    const int class_cap =
-        config_.classes[static_cast<size_t>(cls)].queue_capacity;
-    return class_cap == 0 ||
-           bands_[static_cast<size_t>(cls)].size() <
-               static_cast<size_t>(class_cap);
+  bool HasSpace() const {
+    return TotalSize() < static_cast<size_t>(config_.capacity);
   }
 
   /// Whether an enqueue for `tenant` would be admitted without parking
@@ -315,10 +266,6 @@ class ReferenceQueue {
     bool bucket_started = false;
   };
 
-  int Weight(int cls) const {
-    return config_.classes[static_cast<size_t>(cls)].weight;
-  }
-
   bool TenantHasRoom(const TenantQuota* quota,
                      const TenantState* state) const {
     if (quota == nullptr || state == nullptr) return true;
@@ -336,75 +283,14 @@ class ReferenceQueue {
     return false;
   }
 
-  /// The request the band's order serves next.
-  size_t SelectWithin(int cls, double now_s) const {
-    const std::vector<Request>& band = bands_[static_cast<size_t>(cls)];
-    const WithinClassOrder order = OrderFor(cls);
-    if (order == WithinClassOrder::kEdf) {
-      size_t best = 0;
-      for (size_t i = 1; i < band.size(); ++i) {
-        if (band[i].deadline_s < band[best].deadline_s ||
-            (band[i].deadline_s == band[best].deadline_s &&
-             band[i].sequence < band[best].sequence)) {
-          best = i;
-        }
-      }
-      return best;
-    }
-    if (order == WithinClassOrder::kValueDensity) {
-      size_t best = 0;
-      for (size_t i = 1; i < band.size(); ++i) {
-        if (band[i].value_density > band[best].value_density ||
-            (band[i].value_density == band[best].value_density &&
-             band[i].sequence < band[best].sequence)) {
-          best = i;
-        }
-      }
-      return best;
-    }
-    // kHybrid: densest still-feasible request; EDF when everything is late.
-    size_t best = band.size();
-    for (size_t i = 0; i < band.size(); ++i) {
-      if (band[i].deadline_s < now_s) continue;
-      if (best == band.size() ||
-          band[i].value_density > band[best].value_density ||
-          (band[i].value_density == band[best].value_density &&
-           (band[i].deadline_s < band[best].deadline_s ||
-            (band[i].deadline_s == band[best].deadline_s &&
-             band[i].sequence < band[best].sequence)))) {
-        best = i;
-      }
-    }
-    if (best < band.size()) return best;
-    best = 0;
-    for (size_t i = 1; i < band.size(); ++i) {
-      if (band[i].deadline_s < band[best].deadline_s ||
-          (band[i].deadline_s == band[best].deadline_s &&
-           band[i].sequence < band[best].sequence)) {
-        best = i;
-      }
-    }
-    return best;
-  }
-
-  /// Removes and returns the shed victim of class `cls` (optionally
-  /// restricted to one tenant): oldest under kEdf, lowest density (ties:
-  /// oldest) under value ordering.
-  Request EvictVictim(int cls, int tenant_filter) {
+  /// Removes and returns the oldest request of class `cls` (optionally
+  /// restricted to one tenant).
+  Request EvictOldest(int cls, int tenant_filter) {
     std::vector<Request>& band = bands_[static_cast<size_t>(cls)];
-    const WithinClassOrder order = OrderFor(cls);
     size_t chosen = band.size();
     for (size_t i = 0; i < band.size(); ++i) {
       if (tenant_filter >= 0 && band[i].tenant != tenant_filter) continue;
-      if (chosen == band.size()) {
-        chosen = i;
-        continue;
-      }
-      if (order == WithinClassOrder::kEdf) {
-        if (band[i].sequence < band[chosen].sequence) chosen = i;
-      } else if (band[i].value_density < band[chosen].value_density ||
-                 (band[i].value_density == band[chosen].value_density &&
-                  band[i].sequence < band[chosen].sequence)) {
+      if (chosen == band.size() || band[i].sequence < band[chosen].sequence) {
         chosen = i;
       }
     }
@@ -415,10 +301,8 @@ class ReferenceQueue {
 
   const AdmissionConfig config_;
   const util::Clock* clock_;
-  const int forced_after_;
   const bool track_tenants_;
   std::array<std::vector<Request>, kNumPriorityClasses> bands_;
-  std::array<int, kNumPriorityClasses> passed_over_{};
   std::map<int, TenantState> tenants_;
   int rr_class_ = kNumPriorityClasses - 1;
   int rr_credit_ = 0;
@@ -428,21 +312,21 @@ class ReferenceQueue {
 // --- the harness -----------------------------------------------------------
 
 QueuedRequest MakeRequest(uint64_t sequence, double slack_s, int cls,
-                          int tenant = 0, double density = 0.0) {
+                          int tenant = 0) {
   QueuedRequest request;
   request.sequence = sequence;
   request.slack_s = slack_s;
   request.priority_class = static_cast<PriorityClass>(cls);
   request.tenant_id = tenant;
-  request.value_density = density;
   return request;
 }
 
-/// Tracks the starvation bound along a pop trace: a class with queued work
-/// may be passed over at most K-1 consecutive pops.
+/// Tracks the round-robin's starvation limits along a pop trace: a class
+/// with queued work is passed over at most 5 (interactive), 9 (standard)
+/// or 12 (batch) consecutive pops — the other two weights' sum.
 class StarvationChecker {
  public:
-  explicit StarvationChecker(int bound_k) : bound_k_(bound_k) {}
+  static constexpr int kMaxPassedOver[kNumPriorityClasses] = {5, 9, 12};
 
   /// `queued_before` = per-class band sizes before the pop; `served` = the
   /// popped class.
@@ -453,15 +337,13 @@ class StarvationChecker {
         passed_[static_cast<size_t>(c)] = 0;
       } else {
         ++passed_[static_cast<size_t>(c)];
-        ASSERT_LE(passed_[static_cast<size_t>(c)], bound_k_ - 1)
-            << "class " << c << " starved past the K = " << bound_k_
-            << " bound";
+        ASSERT_LE(passed_[static_cast<size_t>(c)], kMaxPassedOver[c])
+            << "class " << c << " passed over past its round-robin limit";
       }
     }
   }
 
  private:
-  const int bound_k_;
   std::array<int, kNumPriorityClasses> passed_{};
 };
 
@@ -470,10 +352,11 @@ struct NamedConfig {
   AdmissionConfig config;
 };
 
+/// One config per overload policy, plus the tenant-quota shapes.
 std::vector<NamedConfig> PropertyConfigs() {
   std::vector<NamedConfig> configs;
   {
-    AdmissionConfig c;  // default weights 8:4:1
+    AdmissionConfig c;
     c.capacity = 8;
     c.overload = OverloadPolicy::kReject;
     configs.push_back({"default_reject", c});
@@ -482,66 +365,13 @@ std::vector<NamedConfig> PropertyConfigs() {
     AdmissionConfig c;
     c.capacity = 6;
     c.overload = OverloadPolicy::kShedOldest;
-    c.starvation_bound = 3;  // tightest feasible bound
-    c.classes[0].weight = 1;
-    c.classes[1].weight = 1;
-    c.classes[2].weight = 1;
-    configs.push_back({"equal_weights_shed_k3", c});
-  }
-  {
-    AdmissionConfig c;
-    c.capacity = 7;
-    c.overload = OverloadPolicy::kShedOldest;
-    c.starvation_bound = 4;
-    c.classes[0].weight = 1;  // strict priority: background classes drain
-    c.classes[1].weight = 0;  // via the starvation guard only
-    c.classes[2].weight = 0;
-    c.classes[2].queue_capacity = 3;
-    configs.push_back({"strict_priority_capped_batch", c});
+    configs.push_back({"default_shed", c});
   }
   {
     AdmissionConfig c;
     c.capacity = 8;
     c.overload = OverloadPolicy::kBlock;
-    c.starvation_bound = 5;
-    c.classes[0].weight = 4;
-    c.classes[1].weight = 2;
-    c.classes[2].weight = 1;
-    configs.push_back({"block_weighted_k5", c});
-  }
-  {
-    AdmissionConfig c;  // mixed per-class policies
-    c.capacity = 8;
-    c.overload = OverloadPolicy::kBlock;
-    c.starvation_bound = 6;
-    c.classes[2].queue_capacity = 2;
-    c.classes[2].overload = OverloadPolicy::kReject;
-    c.classes[0].overload = OverloadPolicy::kShedOldest;
-    configs.push_back({"mixed_class_policies", c});
-  }
-  {
-    AdmissionConfig c;  // value-density ordering everywhere
-    c.capacity = 8;
-    c.overload = OverloadPolicy::kReject;
-    c.within_class_order = WithinClassOrder::kValueDensity;
-    configs.push_back({"value_density_reject", c});
-  }
-  {
-    AdmissionConfig c;  // hybrid ordering + shedding (lowest-density victims)
-    c.capacity = 6;
-    c.overload = OverloadPolicy::kShedOldest;
-    c.within_class_order = WithinClassOrder::kHybrid;
-    c.starvation_bound = 4;
-    configs.push_back({"hybrid_shed_k4", c});
-  }
-  {
-    AdmissionConfig c;  // per-class order overrides over a hybrid default
-    c.capacity = 8;
-    c.overload = OverloadPolicy::kReject;
-    c.within_class_order = WithinClassOrder::kHybrid;
-    c.classes[0].order = WithinClassOrder::kEdf;
-    c.classes[2].order = WithinClassOrder::kValueDensity;
-    configs.push_back({"mixed_order_overrides", c});
+    configs.push_back({"default_block", c});
   }
   {
     AdmissionConfig c;  // every tenant capped at 2 queued, shed policy
@@ -558,13 +388,12 @@ std::vector<NamedConfig> PropertyConfigs() {
     configs.push_back({"tenant_inflight_caps_reject", c});
   }
   {
-    AdmissionConfig c;  // tenant 0 rate-limited, value ordering on top
+    AdmissionConfig c;  // tenant 0 rate-limited, tenant 1 capped
     c.capacity = 8;
     c.overload = OverloadPolicy::kShedOldest;
-    c.within_class_order = WithinClassOrder::kValueDensity;
     c.tenant_quotas.per_tenant[0] = TenantQuota{0, 0, 1.0, 3.0};
     c.tenant_quotas.per_tenant[1] = TenantQuota{2, 2, 0.0, 0.0};
-    configs.push_back({"rate_limited_tenant_value_order", c});
+    configs.push_back({"rate_limited_tenant", c});
   }
   return configs;
 }
@@ -578,11 +407,10 @@ void RunEpisode(const NamedConfig& named, uint64_t seed, int num_ops) {
   config.clock = &clock;
   AdmissionQueue real(config);
   ReferenceQueue model(config, &clock);
-  StarvationChecker starvation(config.starvation_bound);
+  StarvationChecker starvation;
 
   std::mt19937_64 rng(seed);
   const double slacks[] = {0.5, 1.0, 1.0, 2.0, 4.0, kInf};  // ties included
-  const double densities[] = {0.25, 0.5, 1.0, 1.0, 2.0, 8.0};  // ties included
   constexpr int kTenants = 3;
   uint64_t next_sequence = 0;
   /// Popped-but-unfinished requests, FIFO: (sequence, tenant).
@@ -621,10 +449,9 @@ void RunEpisode(const NamedConfig& named, uint64_t seed, int num_ops) {
       const int cls = static_cast<int>(rng() % kNumPriorityClasses);
       const int tenant = static_cast<int>(rng() % kTenants);
       const double slack = slacks[rng() % std::size(slacks)];
-      const double density = densities[rng() % std::size(densities)];
       if (!model.closed() &&
-          (!model.HasSpace(cls) || !model.TenantHasRoomNow(tenant)) &&
-          model.PolicyFor(cls) == OverloadPolicy::kBlock) {
+          (!model.HasSpace() || !model.TenantHasRoomNow(tenant)) &&
+          config.overload == OverloadPolicy::kBlock) {
         // A kBlock enqueue would park forever without a concurrent worker;
         // free a slot (a finish unblocks in-flight caps, a pop unblocks
         // queue space) and skip the enqueue.
@@ -637,11 +464,10 @@ void RunEpisode(const NamedConfig& named, uint64_t seed, int num_ops) {
         continue;
       }
       const uint64_t sequence = next_sequence++;
-      const ModelAdmit expected =
-          model.Enqueue(sequence, cls, slack, tenant, density);
+      const ModelAdmit expected = model.Enqueue(sequence, cls, slack, tenant);
       std::vector<QueuedRequest> bounced;
-      const AdmitOutcome outcome = real.Enqueue(
-          MakeRequest(sequence, slack, cls, tenant, density), &bounced);
+      const AdmitOutcome outcome =
+          real.Enqueue(MakeRequest(sequence, slack, cls, tenant), &bounced);
       ASSERT_EQ(outcome, expected.outcome) << context;
       if (outcome == AdmitOutcome::kAccepted) {
         ASSERT_EQ(bounced.size(), expected.victims.size()) << context;
@@ -723,7 +549,7 @@ TEST(AdmissionModelTest, BatchPopsMatchTheModelAcrossClasses) {
     for (uint64_t sequence = 0; sequence < 24; ++sequence) {
       const int cls = static_cast<int>(rng() % kNumPriorityClasses);
       const double slack = slacks[rng() % std::size(slacks)];
-      model.Enqueue(sequence, cls, slack, /*tenant=*/0, /*density=*/0.0);
+      model.Enqueue(sequence, cls, slack, /*tenant=*/0);
       std::vector<QueuedRequest> bounced;
       ASSERT_EQ(real.Enqueue(MakeRequest(sequence, slack, cls), &bounced),
                 AdmitOutcome::kAccepted);
@@ -778,11 +604,11 @@ TEST(AdmissionModelTest, SingleClassWorkloadsReproduceLegacyEdfOrderExactly) {
   }
 }
 
-TEST(AdmissionModelTest, KEdfModeIgnoresStampedDensitiesBitExactly) {
-  // The PR-4 parity lock for the ordering seam: under kEdf (the default)
-  // the queue must behave bit-identically whether or not requests carry
-  // value densities and tenant ids — densities are inert payload until a
-  // band opts into value ordering, and tenants are inert without quotas.
+TEST(AdmissionModelTest, TenantIdsDoNothingWithoutQuotasBitExactly) {
+  // Without quotas (the default) the queue must behave bit-identically
+  // whether or not requests carry tenant ids: tenants are inert payload
+  // until a quota table names them.
+  EXPECT_TRUE(AdmissionConfig().tenant_quotas.empty());
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     util::ManualClock clock_a, clock_b;
     AdmissionConfig config;
@@ -792,8 +618,8 @@ TEST(AdmissionModelTest, KEdfModeIgnoresStampedDensitiesBitExactly) {
     config_a.clock = &clock_a;
     AdmissionConfig config_b = config;
     config_b.clock = &clock_b;
-    AdmissionQueue plain(config_a);    // PR-4 style: no densities, tenant 0
-    AdmissionQueue stamped(config_b);  // same stream with random stamps
+    AdmissionQueue plain(config_a);    // every request tenant 0
+    AdmissionQueue stamped(config_b);  // same stream with random tenants
     std::mt19937_64 rng(seed);
     const double slacks[] = {0.5, 1.0, 1.0, 2.0, kInf};
     uint64_t sequence = 0;
@@ -808,13 +634,11 @@ TEST(AdmissionModelTest, KEdfModeIgnoresStampedDensitiesBitExactly) {
         const int cls = static_cast<int>(rng() % kNumPriorityClasses);
         const double slack = slacks[rng() % std::size(slacks)];
         const int tenant = static_cast<int>(rng() % 4);
-        const double density = static_cast<double>(rng() % 8);
         std::vector<QueuedRequest> bounced_plain, bounced_stamped;
         const AdmitOutcome a = plain.Enqueue(
             MakeRequest(sequence, slack, cls), &bounced_plain);
         const AdmitOutcome b = stamped.Enqueue(
-            MakeRequest(sequence, slack, cls, tenant, density),
-            &bounced_stamped);
+            MakeRequest(sequence, slack, cls, tenant), &bounced_stamped);
         ASSERT_EQ(a, b) << "seed " << seed;
         ASSERT_EQ(bounced_plain.size(), bounced_stamped.size());
         for (size_t v = 0; v < bounced_plain.size(); ++v) {
@@ -835,169 +659,7 @@ TEST(AdmissionModelTest, KEdfModeIgnoresStampedDensitiesBitExactly) {
   }
 }
 
-TEST(AdmissionModelTest, SaturatedHighPriorityStillDrainsBatchWithinKBound) {
-  // The acceptance scenario, deterministically: strict interactive-over-
-  // batch with a saturating interactive stream; queued batch work must
-  // drain within |batch| * K pops, and batch is never passed over K times.
-  constexpr int kBound = 5;
-  util::ManualClock clock;
-  AdmissionConfig config;
-  config.capacity = 64;
-  config.overload = OverloadPolicy::kReject;
-  config.starvation_bound = kBound;
-  config.classes[0].weight = 1;
-  config.classes[1].weight = 0;
-  config.classes[2].weight = 0;
-  config.clock = &clock;
-  AdmissionQueue queue(config);
-  std::vector<QueuedRequest> bounced;
-  uint64_t sequence = 0;
-  constexpr int kBatchRequests = 6;
-  for (int i = 0; i < kBatchRequests; ++i) {
-    ASSERT_EQ(queue.Enqueue(MakeRequest(sequence++, kInf, 2), &bounced),
-              AdmitOutcome::kAccepted);
-  }
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_EQ(queue.Enqueue(MakeRequest(sequence++, kInf, 0), &bounced),
-              AdmitOutcome::kAccepted);
-  }
-  int pops = 0;
-  int drained = 0;
-  int since_batch = 0;
-  QueuedRequest popped;
-  while (drained < kBatchRequests) {
-    ASSERT_TRUE(queue.TryPop(&popped));
-    ++pops;
-    if (popped.priority_class == PriorityClass::kBatch) {
-      ++drained;
-      since_batch = 0;
-    } else {
-      ASSERT_LT(++since_batch, kBound) << "batch starved past K";
-      // Keep the interactive band saturated.
-      ASSERT_EQ(queue.Enqueue(MakeRequest(sequence++, kInf, 0), &bounced),
-                AdmitOutcome::kAccepted);
-    }
-  }
-  EXPECT_LE(pops, kBatchRequests * kBound);
-}
-
-// --- deterministic ordering / quota contract tests -------------------------
-
-TEST(AdmissionModelTest, DefaultConfigIsEdfWithNoQuotas) {
-  // The configuration-default lock behind the PR-4 parity guarantee.
-  const AdmissionConfig config;
-  EXPECT_EQ(config.within_class_order, WithinClassOrder::kEdf);
-  EXPECT_TRUE(config.tenant_quotas.empty());
-  for (const ClassConfig& cls : config.classes) {
-    EXPECT_FALSE(cls.order.has_value());
-  }
-}
-
-TEST(AdmissionModelTest, ValueDensityOrderPopsDensestFirstWithFifoTies) {
-  util::ManualClock clock;
-  AdmissionConfig config;
-  config.capacity = 8;
-  config.overload = OverloadPolicy::kReject;
-  config.within_class_order = WithinClassOrder::kValueDensity;
-  config.clock = &clock;
-  AdmissionQueue queue(config);
-  std::vector<QueuedRequest> bounced;
-  // Deadlines deliberately anti-correlated with density: seq 2 is the most
-  // urgent but least dense, so EDF would pop it first and value order must
-  // not.
-  const struct {
-    uint64_t seq;
-    double slack;
-    double density;
-  } arrivals[] = {{0, 5.0, 1.0}, {1, 9.0, 4.0}, {2, 0.5, 0.5},
-                  {3, 7.0, 4.0}, {4, 3.0, 2.0}};
-  for (const auto& a : arrivals) {
-    ASSERT_EQ(queue.Enqueue(MakeRequest(a.seq, a.slack, /*cls=*/1,
-                                        /*tenant=*/0, a.density),
-                            &bounced),
-              AdmitOutcome::kAccepted);
-  }
-  // Density order 4,4,2,1,0.5 with the FIFO tie between seq 1 and seq 3.
-  for (const uint64_t want : {1u, 3u, 4u, 0u, 2u}) {
-    QueuedRequest popped;
-    ASSERT_TRUE(queue.TryPop(&popped));
-    EXPECT_EQ(popped.sequence, want);
-  }
-}
-
-TEST(AdmissionModelTest, HybridServesFeasibleDensityAndFallsBackToEdf) {
-  util::ManualClock clock;
-  AdmissionConfig config;
-  config.capacity = 8;
-  config.overload = OverloadPolicy::kReject;
-  config.within_class_order = WithinClassOrder::kHybrid;
-  config.clock = &clock;
-  AdmissionQueue queue(config);
-  std::vector<QueuedRequest> bounced;
-  // All enqueued at t = 0: A expires at 1s, B at 100s, C at 100s.
-  ASSERT_EQ(queue.Enqueue(MakeRequest(0, 1.0, 1, 0, /*density=*/9.0),
-                          &bounced),
-            AdmitOutcome::kAccepted);
-  ASSERT_EQ(queue.Enqueue(MakeRequest(1, 100.0, 1, 0, /*density=*/1.0),
-                          &bounced),
-            AdmitOutcome::kAccepted);
-  ASSERT_EQ(queue.Enqueue(MakeRequest(2, 100.0, 1, 0, /*density=*/3.0),
-                          &bounced),
-            AdmitOutcome::kAccepted);
-  // t = 2: A is late. The densest FEASIBLE request (C) pops first — A's
-  // higher density no longer counts, its slack no longer admits it.
-  clock.Advance(2.0);
-  QueuedRequest popped;
-  ASSERT_TRUE(queue.TryPop(&popped));
-  EXPECT_EQ(popped.sequence, 2u);
-  ASSERT_TRUE(queue.TryPop(&popped));
-  EXPECT_EQ(popped.sequence, 1u);
-  // Only the late request remains: the EDF fallback drains it.
-  ASSERT_TRUE(queue.TryPop(&popped));
-  EXPECT_EQ(popped.sequence, 0u);
-  // And when EVERYTHING is late, the band is pure EDF: earliest deadline
-  // first regardless of density.
-  ASSERT_EQ(queue.Enqueue(MakeRequest(3, 1.0, 1, 0, /*density=*/1.0),
-                          &bounced),
-            AdmitOutcome::kAccepted);
-  ASSERT_EQ(queue.Enqueue(MakeRequest(4, 2.0, 1, 0, /*density=*/9.0),
-                          &bounced),
-            AdmitOutcome::kAccepted);
-  clock.Advance(50.0);
-  ASSERT_TRUE(queue.TryPop(&popped));
-  EXPECT_EQ(popped.sequence, 3u);
-  ASSERT_TRUE(queue.TryPop(&popped));
-  EXPECT_EQ(popped.sequence, 4u);
-}
-
-TEST(AdmissionModelTest, ShedVictimIsLowestDensityUnderValueOrdering) {
-  util::ManualClock clock;
-  AdmissionConfig config;
-  config.capacity = 2;
-  config.overload = OverloadPolicy::kShedOldest;
-  config.within_class_order = WithinClassOrder::kValueDensity;
-  config.clock = &clock;
-  AdmissionQueue queue(config);
-  std::vector<QueuedRequest> bounced;
-  // The OLDEST resident (seq 0) is also the densest; under value ordering
-  // the shed victim is the lowest-density resident (seq 1) instead.
-  ASSERT_EQ(queue.Enqueue(MakeRequest(0, kInf, 1, 0, /*density=*/5.0),
-                          &bounced),
-            AdmitOutcome::kAccepted);
-  ASSERT_EQ(queue.Enqueue(MakeRequest(1, kInf, 1, 0, /*density=*/1.0),
-                          &bounced),
-            AdmitOutcome::kAccepted);
-  ASSERT_EQ(queue.Enqueue(MakeRequest(2, kInf, 1, 0, /*density=*/3.0),
-                          &bounced),
-            AdmitOutcome::kAccepted);
-  ASSERT_EQ(bounced.size(), 1u);
-  EXPECT_EQ(bounced[0].sequence, 1u);
-  QueuedRequest popped;
-  ASSERT_TRUE(queue.TryPop(&popped));
-  EXPECT_EQ(popped.sequence, 0u);
-  ASSERT_TRUE(queue.TryPop(&popped));
-  EXPECT_EQ(popped.sequence, 2u);
-}
+// --- deterministic quota contract tests ------------------------------------
 
 TEST(AdmissionModelTest, TenantQueuedCapShedsTheTenantsOwnOldestWork) {
   util::ManualClock clock;
@@ -1117,14 +779,10 @@ TEST(AdmissionModelTest, TokenBucketRefillsOnTheManualClock) {
 /// Multi-threaded interleavings: ordering is timing-dependent, but request
 /// conservation is not — every enqueued sequence must surface exactly once
 /// as a pop, a shed victim, a rejection, or a post-close refusal.
-void RunConcurrentConservation(OverloadPolicy policy,
-                               WithinClassOrder order,
-                               bool with_quotas) {
+void RunConcurrentConservation(OverloadPolicy policy, bool with_quotas) {
   AdmissionConfig config;
   config.capacity = 8;
   config.overload = policy;
-  config.within_class_order = order;
-  config.starvation_bound = 4;
   if (with_quotas) {
     // Loose caps so kBlock enqueues always have a worker-side unblocker
     // (poppers call TenantFinished immediately: in-flight never saturates).
@@ -1151,10 +809,9 @@ void RunConcurrentConservation(OverloadPolicy policy,
         const int cls = static_cast<int>(rng() % kNumPriorityClasses);
         const double slack = (rng() % 2 == 0) ? 1.0 : kInf;
         const int tenant = static_cast<int>(rng() % 2);
-        const double density = static_cast<double>(rng() % 4);
         std::vector<QueuedRequest> bounced;
         const AdmitOutcome outcome = queue.Enqueue(
-            MakeRequest(sequence, slack, cls, tenant, density), &bounced);
+            MakeRequest(sequence, slack, cls, tenant), &bounced);
         if (outcome == AdmitOutcome::kAccepted) ++local_accepted;
         for (QueuedRequest& request : bounced) {
           local_bounced.push_back(request.sequence);
@@ -1203,29 +860,25 @@ void RunConcurrentConservation(OverloadPolicy policy,
 }
 
 TEST(AdmissionModelTest, ConcurrentConservationUnderBlock) {
-  RunConcurrentConservation(OverloadPolicy::kBlock, WithinClassOrder::kEdf,
-                            /*with_quotas=*/false);
+  RunConcurrentConservation(OverloadPolicy::kBlock, /*with_quotas=*/false);
 }
 
 TEST(AdmissionModelTest, ConcurrentConservationUnderReject) {
-  RunConcurrentConservation(OverloadPolicy::kReject, WithinClassOrder::kEdf,
-                            /*with_quotas=*/false);
+  RunConcurrentConservation(OverloadPolicy::kReject, /*with_quotas=*/false);
 }
 
 TEST(AdmissionModelTest, ConcurrentConservationUnderShedOldest) {
   RunConcurrentConservation(OverloadPolicy::kShedOldest,
-                            WithinClassOrder::kEdf, /*with_quotas=*/false);
+                            /*with_quotas=*/false);
 }
 
-TEST(AdmissionModelTest, ConcurrentConservationUnderValueOrderAndQuotas) {
+TEST(AdmissionModelTest, ConcurrentConservationUnderShedOldestAndQuotas) {
   RunConcurrentConservation(OverloadPolicy::kShedOldest,
-                            WithinClassOrder::kValueDensity,
                             /*with_quotas=*/true);
 }
 
-TEST(AdmissionModelTest, ConcurrentConservationUnderHybridBlockAndQuotas) {
-  RunConcurrentConservation(OverloadPolicy::kBlock, WithinClassOrder::kHybrid,
-                            /*with_quotas=*/true);
+TEST(AdmissionModelTest, ConcurrentConservationUnderBlockAndQuotas) {
+  RunConcurrentConservation(OverloadPolicy::kBlock, /*with_quotas=*/true);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Tests of the serve:: subsystem: admission-queue ordering (EDF within a
-// class, weighted round-robin with a starvation bound between classes), all
-// three overload policies including the per-class variants, seeded parity
+// class, weighted round-robin at 8:4:1 between classes, which bounds how
+// long a class with queued work waits), all three overload policies, seeded
+// parity
 // between the asynchronous runtime and offline Submit(), Drain() under
 // concurrent enqueuers, shutdown semantics, the deterministic Clock seam,
 // and the metrics registry. Timing-sensitive assertions run on a
@@ -48,8 +49,8 @@ QueuedRequest MakeRequest(uint64_t sequence, double slack_s,
   return request;
 }
 
-AdmissionConfig SingleBand(int capacity, OverloadPolicy policy,
-                           const util::Clock* clock) {
+AdmissionConfig QueueConfig(int capacity, OverloadPolicy policy,
+                            const util::Clock* clock) {
   AdmissionConfig config;
   config.capacity = capacity;
   config.overload = policy;
@@ -68,7 +69,7 @@ void AwaitState(const Predicate& predicate) {
 TEST(AdmissionQueueTest, PopsEarliestDeadlineFirstWithFifoTieBreak) {
   // Frozen ManualClock: deadline == slack exactly, so ties are exact.
   util::ManualClock clock;
-  AdmissionQueue queue(SingleBand(8, OverloadPolicy::kReject, &clock));
+  AdmissionQueue queue(QueueConfig(8, OverloadPolicy::kReject, &clock));
   std::vector<QueuedRequest> bounced;
   // Out-of-order deadlines, plus two deadline-less (infinite) requests.
   for (const auto& [seq, slack] : std::vector<std::pair<uint64_t, double>>{
@@ -91,7 +92,7 @@ TEST(AdmissionQueueTest, PopsEarliestDeadlineFirstWithFifoTieBreak) {
 
 TEST(AdmissionQueueTest, StampsArrivalAndDeadlineOnTheServeClock) {
   util::ManualClock clock(100.0);
-  AdmissionQueue queue(SingleBand(4, OverloadPolicy::kReject, &clock));
+  AdmissionQueue queue(QueueConfig(4, OverloadPolicy::kReject, &clock));
   std::vector<QueuedRequest> bounced;
   ASSERT_EQ(queue.Enqueue(MakeRequest(0, 2.5), &bounced),
             AdmitOutcome::kAccepted);
@@ -110,7 +111,7 @@ TEST(AdmissionQueueTest, StampsArrivalAndDeadlineOnTheServeClock) {
 
 TEST(AdmissionQueueTest, RejectPolicyBouncesNewWorkWhenFull) {
   util::ManualClock clock;
-  AdmissionQueue queue(SingleBand(2, OverloadPolicy::kReject, &clock));
+  AdmissionQueue queue(QueueConfig(2, OverloadPolicy::kReject, &clock));
   std::vector<QueuedRequest> bounced;
   EXPECT_EQ(queue.Enqueue(MakeRequest(0, 1.0), &bounced),
             AdmitOutcome::kAccepted);
@@ -127,7 +128,7 @@ TEST(AdmissionQueueTest, RejectPolicyBouncesNewWorkWhenFull) {
 
 TEST(AdmissionQueueTest, ShedOldestPolicyEvictsStalestAcceptedWork) {
   util::ManualClock clock;
-  AdmissionQueue queue(SingleBand(2, OverloadPolicy::kShedOldest, &clock));
+  AdmissionQueue queue(QueueConfig(2, OverloadPolicy::kShedOldest, &clock));
   std::vector<QueuedRequest> bounced;
   EXPECT_EQ(queue.Enqueue(MakeRequest(0, 1.0), &bounced),
             AdmitOutcome::kAccepted);
@@ -149,7 +150,7 @@ TEST(AdmissionQueueTest, ShedOldestPolicyEvictsStalestAcceptedWork) {
 
 TEST(AdmissionQueueTest, BlockPolicyAppliesBackpressureUntilAPop) {
   util::ManualClock clock;
-  AdmissionQueue queue(SingleBand(1, OverloadPolicy::kBlock, &clock));
+  AdmissionQueue queue(QueueConfig(1, OverloadPolicy::kBlock, &clock));
   std::vector<QueuedRequest> bounced;
   ASSERT_EQ(queue.Enqueue(MakeRequest(0, 1.0), &bounced),
             AdmitOutcome::kAccepted);
@@ -175,7 +176,7 @@ TEST(AdmissionQueueTest, BlockPolicyAppliesBackpressureUntilAPop) {
 
 TEST(AdmissionQueueTest, CloseWakesBlockedCallersAndKeepsQueuedWork) {
   util::ManualClock clock;
-  AdmissionQueue queue(SingleBand(1, OverloadPolicy::kBlock, &clock));
+  AdmissionQueue queue(QueueConfig(1, OverloadPolicy::kBlock, &clock));
   std::vector<QueuedRequest> bounced;
   ASSERT_EQ(queue.Enqueue(MakeRequest(0, 1.0), &bounced),
             AdmitOutcome::kAccepted);
@@ -198,21 +199,6 @@ TEST(AdmissionQueueTest, CloseWakesBlockedCallersAndKeepsQueuedWork) {
 
 // --- priority classes ------------------------------------------------------
 
-AdmissionConfig ClassConfigured(int capacity, OverloadPolicy policy,
-                                const util::Clock* clock, int w_interactive,
-                                int w_standard, int w_batch,
-                                int starvation_bound = 16) {
-  AdmissionConfig config;
-  config.capacity = capacity;
-  config.overload = policy;
-  config.clock = clock;
-  config.starvation_bound = starvation_bound;
-  config.classes[0].weight = w_interactive;
-  config.classes[1].weight = w_standard;
-  config.classes[2].weight = w_batch;
-  return config;
-}
-
 std::vector<PriorityClass> PopClasses(AdmissionQueue* queue, int n) {
   std::vector<PriorityClass> order;
   QueuedRequest popped;
@@ -224,39 +210,38 @@ std::vector<PriorityClass> PopClasses(AdmissionQueue* queue, int n) {
 
 TEST(AdmissionQueueTest, WeightedRoundRobinSharesPopsByClassWeight) {
   util::ManualClock clock;
-  AdmissionQueue queue(
-      ClassConfigured(64, OverloadPolicy::kReject, &clock, /*interactive=*/2,
-                      /*standard=*/1, /*batch=*/1));
+  AdmissionQueue queue(QueueConfig(64, OverloadPolicy::kReject, &clock));
   std::vector<QueuedRequest> bounced;
   uint64_t seq = 0;
-  for (int i = 0; i < 4; ++i) {
-    for (const PriorityClass cls :
-         {PriorityClass::kInteractive, PriorityClass::kStandard,
-          PriorityClass::kBatch}) {
+  const auto enqueue = [&](PriorityClass cls, int n) {
+    for (int i = 0; i < n; ++i) {
       ASSERT_EQ(queue.Enqueue(MakeRequest(seq++, kInf, cls), &bounced),
                 AdmitOutcome::kAccepted);
     }
-  }
-  EXPECT_EQ(queue.class_size(PriorityClass::kInteractive), 4u);
-  // Weights 2:1:1 with every class backlogged: turns of 2 interactive pops,
-  // 1 standard, 1 batch; once interactive drains, standard and batch
-  // alternate 1:1.
+  };
+  enqueue(PriorityClass::kInteractive, 10);
+  enqueue(PriorityClass::kStandard, 6);
+  enqueue(PriorityClass::kBatch, 3);
+  // Weights 8:4:1 with every class backlogged: a turn of 8 interactive
+  // pops, 4 standard, 1 batch. Then interactive's last 2 and standard's
+  // last 2 end their turns early, and batch drains alone.
   using PC = PriorityClass;
-  const std::vector<PriorityClass> expected = {
-      PC::kInteractive, PC::kInteractive, PC::kStandard, PC::kBatch,
-      PC::kInteractive, PC::kInteractive, PC::kStandard, PC::kBatch,
-      PC::kStandard,    PC::kBatch,       PC::kStandard, PC::kBatch};
-  EXPECT_EQ(PopClasses(&queue, 12), expected);
+  std::vector<PriorityClass> expected(8, PC::kInteractive);
+  expected.insert(expected.end(), 4, PC::kStandard);
+  expected.push_back(PC::kBatch);
+  expected.insert(expected.end(), 2, PC::kInteractive);
+  expected.insert(expected.end(), 2, PC::kStandard);
+  expected.insert(expected.end(), 2, PC::kBatch);
+  EXPECT_EQ(PopClasses(&queue, 19), expected);
+  EXPECT_EQ(queue.size(), 0u);
 }
 
-TEST(AdmissionQueueTest, StrictPriorityWithStarvationBoundStillDrainsBatch) {
-  // Strict A-over-B: batch weight 0 means batch is served only by the
-  // starvation guard (or when interactive is empty). K = 4 forces one
-  // batch pop at least every 4 pops while batch has queued work.
+TEST(AdmissionQueueTest, SaturatedInteractiveAndStandardStillDrainBatch) {
+  // The round-robin alone bounds starvation: with interactive and standard
+  // topped back up after every pop, queued batch work still pops at least
+  // once in every 13 pops (8 interactive + 4 standard + 1 batch).
   util::ManualClock clock;
-  AdmissionQueue queue(
-      ClassConfigured(64, OverloadPolicy::kReject, &clock, /*interactive=*/1,
-                      /*standard=*/0, /*batch=*/0, /*starvation_bound=*/4));
+  AdmissionQueue queue(QueueConfig(64, OverloadPolicy::kReject, &clock));
   std::vector<QueuedRequest> bounced;
   uint64_t seq = 0;
   constexpr int kBatchRequests = 5;
@@ -265,13 +250,12 @@ TEST(AdmissionQueueTest, StrictPriorityWithStarvationBoundStillDrainsBatch) {
                             &bounced),
               AdmitOutcome::kAccepted);
   }
-  // Saturating interactive stream: top the band back up after every pop so
-  // it is never empty — batch drains through the guard alone.
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_EQ(
-        queue.Enqueue(MakeRequest(seq++, kInf, PriorityClass::kInteractive),
-                      &bounced),
-        AdmitOutcome::kAccepted);
+  for (const PriorityClass cls :
+       {PriorityClass::kInteractive, PriorityClass::kStandard}) {
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_EQ(queue.Enqueue(MakeRequest(seq++, kInf, cls), &bounced),
+                AdmitOutcome::kAccepted);
+    }
   }
   int pops = 0;
   int batch_drained = 0;
@@ -284,25 +268,20 @@ TEST(AdmissionQueueTest, StrictPriorityWithStarvationBoundStillDrainsBatch) {
       ++batch_drained;
       pops_since_batch = 0;
     } else {
-      ++pops_since_batch;
-      // The bound: batch is never passed over for K = 4 consecutive pops.
-      ASSERT_LT(pops_since_batch, 4);
-      // Keep interactive saturated.
-      ASSERT_EQ(
-          queue.Enqueue(MakeRequest(seq++, kInf, PriorityClass::kInteractive),
-                        &bounced),
-          AdmitOutcome::kAccepted);
+      ASSERT_LT(++pops_since_batch, 13) << "batch starved past 12 pops";
+      // Keep the popped class saturated.
+      ASSERT_EQ(queue.Enqueue(MakeRequest(seq++, kInf, popped.priority_class),
+                              &bounced),
+                AdmitOutcome::kAccepted);
     }
   }
-  // All batch work drained within |batch| * K pops despite saturation.
-  EXPECT_LE(pops, kBatchRequests * 4);
+  // Every cycle is exactly 8 + 4 + 1 pops, so the limit is reached.
+  EXPECT_EQ(pops, kBatchRequests * 13);
 }
 
 TEST(AdmissionQueueTest, BatchPopsSpanClassesInContractOrder) {
   util::ManualClock clock;
-  AdmissionQueue queue(
-      ClassConfigured(64, OverloadPolicy::kReject, &clock, /*interactive=*/2,
-                      /*standard=*/1, /*batch=*/1));
+  AdmissionQueue queue(QueueConfig(64, OverloadPolicy::kReject, &clock));
   std::vector<QueuedRequest> bounced;
   // 2 interactive (EDF-inverted arrival), 1 standard, 1 batch.
   ASSERT_EQ(queue.Enqueue(MakeRequest(0, 9.0, PriorityClass::kInteractive),
@@ -332,8 +311,7 @@ TEST(AdmissionQueueTest, BatchPopsSpanClassesInContractOrder) {
 
 TEST(AdmissionQueueTest, ShedOldestTakesVictimsFromTheLeastImportantClass) {
   util::ManualClock clock;
-  AdmissionQueue queue(
-      ClassConfigured(4, OverloadPolicy::kShedOldest, &clock, 8, 4, 1));
+  AdmissionQueue queue(QueueConfig(4, OverloadPolicy::kShedOldest, &clock));
   std::vector<QueuedRequest> bounced;
   ASSERT_EQ(queue.Enqueue(MakeRequest(0, kInf, PriorityClass::kInteractive),
                           &bounced),
@@ -369,8 +347,7 @@ TEST(AdmissionQueueTest, ShedOldestShedsOwnClassWhenOnlyResidentClass) {
   // the arrival displaces its own class's oldest, preserving the
   // single-band shed semantics.
   util::ManualClock clock;
-  AdmissionQueue queue(
-      ClassConfigured(2, OverloadPolicy::kShedOldest, &clock, 8, 4, 1));
+  AdmissionQueue queue(QueueConfig(2, OverloadPolicy::kShedOldest, &clock));
   std::vector<QueuedRequest> bounced;
   ASSERT_EQ(
       queue.Enqueue(MakeRequest(0, kInf, PriorityClass::kBatch), &bounced),
@@ -389,8 +366,7 @@ TEST(AdmissionQueueTest, ShedOldestShedsOwnClassWhenOnlyResidentClass) {
 
 TEST(AdmissionQueueTest, ShedOldestNeverDisplacesMoreImportantWork) {
   util::ManualClock clock;
-  AdmissionQueue queue(
-      ClassConfigured(2, OverloadPolicy::kShedOldest, &clock, 8, 4, 1));
+  AdmissionQueue queue(QueueConfig(2, OverloadPolicy::kShedOldest, &clock));
   std::vector<QueuedRequest> bounced;
   ASSERT_EQ(queue.Enqueue(MakeRequest(0, kInf, PriorityClass::kInteractive),
                           &bounced),
@@ -406,35 +382,6 @@ TEST(AdmissionQueueTest, ShedOldestNeverDisplacesMoreImportantWork) {
   ASSERT_EQ(bounced.size(), 1u);
   EXPECT_EQ(bounced[0].sequence, 2u);
   EXPECT_EQ(queue.size(), 2u);
-}
-
-TEST(AdmissionQueueTest, PerClassCapAndOverloadOverrideApply) {
-  util::ManualClock clock;
-  AdmissionConfig config =
-      ClassConfigured(16, OverloadPolicy::kBlock, &clock, 8, 4, 1);
-  // Batch rides a 2-deep sub-queue with fail-fast admission, while the
-  // queue-wide policy stays kBlock.
-  config.classes[2].queue_capacity = 2;
-  config.classes[2].overload = OverloadPolicy::kReject;
-  AdmissionQueue queue(config);
-  std::vector<QueuedRequest> bounced;
-  ASSERT_EQ(
-      queue.Enqueue(MakeRequest(0, kInf, PriorityClass::kBatch), &bounced),
-      AdmitOutcome::kAccepted);
-  ASSERT_EQ(
-      queue.Enqueue(MakeRequest(1, kInf, PriorityClass::kBatch), &bounced),
-      AdmitOutcome::kAccepted);
-  // Class cap reached with plenty of global space: batch rejects.
-  EXPECT_EQ(
-      queue.Enqueue(MakeRequest(2, kInf, PriorityClass::kBatch), &bounced),
-      AdmitOutcome::kRejected);
-  ASSERT_EQ(bounced.size(), 1u);
-  EXPECT_EQ(bounced[0].sequence, 2u);
-  // Other classes are unaffected by the batch cap.
-  EXPECT_EQ(
-      queue.Enqueue(MakeRequest(3, kInf, PriorityClass::kStandard), &bounced),
-      AdmitOutcome::kAccepted);
-  EXPECT_EQ(queue.size(), 3u);
 }
 
 // --- serving runtime -------------------------------------------------------
@@ -591,8 +538,9 @@ TEST_F(ServerRuntimeTest, PriorityClassesChangeOrderButNeverOutcomes) {
                                    PriorityClass::kStandard};
   std::vector<std::future<ServeResult>> futures;
   for (int i = 0; i < num_items; ++i) {
-    futures.push_back(
-        runtime.Enqueue(core::WorkItem::Stored(i), classes[i % 3]));
+    ServerRuntime::RequestOptions request;
+    request.priority_class = classes[i % 3];
+    futures.push_back(runtime.Enqueue(core::WorkItem::Stored(i), request));
   }
   for (int i = 0; i < num_items; ++i) {
     const ServeResult result = futures[static_cast<size_t>(i)].get();
@@ -821,11 +769,12 @@ TEST_F(ServerRuntimeTest, ManualClockMakesRuntimeLatenciesExact) {
   options.workers = 2;
   options.clock = &clock;
   ServerRuntime runtime(&session, options);
+  ServerRuntime::RequestOptions request;
+  request.slack_s = 4.0;
+  request.priority_class = PriorityClass::kInteractive;
   std::vector<std::future<ServeResult>> futures;
   for (int i = 0; i < 12; ++i) {
-    futures.push_back(
-        runtime.Enqueue(core::WorkItem::Stored(i), /*slack_s=*/4.0,
-                        PriorityClass::kInteractive));
+    futures.push_back(runtime.Enqueue(core::WorkItem::Stored(i), request));
   }
   runtime.Drain();
   for (std::future<ServeResult>& future : futures) {
@@ -923,75 +872,6 @@ TEST_F(ServerRuntimeTest, EmptyHistogramQueriesAreWellDefined) {
   histogram.Record(0.010);
   EXPECT_DOUBLE_EQ(histogram.Percentile(-5.0), histogram.Percentile(0.0));
   EXPECT_DOUBLE_EQ(histogram.Percentile(250.0), histogram.Percentile(100.0));
-}
-
-TEST_F(ServerRuntimeTest, ValueDensityOrderingNeverChangesOutcomes) {
-  // The estimator seam end-to-end: value-density admission (default
-  // ProfileValueEstimator over the session) reorders service but items are
-  // independent — every outcome must still equal offline Submit().
-  const int num_items = 30;
-  std::unique_ptr<rl::Agent> agent = MakeAgent(*zoo_, 43);
-
-  core::LabelingService offline = BuildPredictorSession(agent.get(), 1);
-  std::vector<core::LabelOutcome> expected;
-  for (int i = 0; i < num_items; ++i) {
-    expected.push_back(offline.Submit(core::WorkItem::Stored(i)));
-  }
-
-  core::LabelingService session = BuildPredictorSession(agent.get(), 2);
-  ServeOptions options;
-  options.workers = 2;
-  options.max_resident_per_worker = 4;
-  options.within_class_order = WithinClassOrder::kValueDensity;
-  ServerRuntime runtime(&session, options);
-  std::vector<std::future<ServeResult>> futures;
-  for (int i = 0; i < num_items; ++i) {
-    futures.push_back(runtime.Enqueue(core::WorkItem::Stored(i)));
-  }
-  for (int i = 0; i < num_items; ++i) {
-    const ServeResult result = futures[static_cast<size_t>(i)].get();
-    ASSERT_EQ(result.status, ServeStatus::kOk) << "item " << i;
-    ExpectSameOutcome(expected[static_cast<size_t>(i)], result.outcome);
-  }
-}
-
-TEST_F(ServerRuntimeTest, ProfileValueEstimatorScoresItemsFromTheirProfiles) {
-  std::unique_ptr<rl::Agent> agent = MakeAgent(*zoo_, 47);
-  core::LabelingService session = BuildPredictorSession(agent.get(), 1);
-  const ProfileValueEstimator estimator(&session);
-  // Stored items: density = 1 / oracle valuable time — strictly positive
-  // whenever the item has any value, and denser for cheaper items.
-  for (int i = 0; i < 8; ++i) {
-    const core::WorkEstimate estimate =
-        session.EstimateWork(core::WorkItem::Stored(i));
-    const double density = estimator.ValueDensity(core::WorkItem::Stored(i));
-    if (estimate.expected_value > 0.0) {
-      EXPECT_GT(estimate.expected_cost_s, 0.0) << "item " << i;
-      EXPECT_NEAR(density, 1.0 / estimate.expected_cost_s, 1e-12);
-    } else {
-      EXPECT_EQ(density, 0.0);
-    }
-  }
-  // Out-of-range stored items score zero instead of crashing.
-  EXPECT_EQ(estimator.ValueDensity(core::WorkItem::Stored(1 << 20)), 0.0);
-  // Live scenes: an empty scene promises no valuable output; a dog-only
-  // scene charges exactly the dog-classification models' mean times.
-  zoo::LatentScene empty_scene;
-  empty_scene.scene_clarity = 0.1;  // too murky for a valuable place label
-  EXPECT_EQ(estimator.ValueDensity(core::WorkItem::Live(&empty_scene)), 0.0);
-  zoo::LatentScene dog_scene;
-  dog_scene.scene_clarity = 0.1;
-  dog_scene.has_dog = true;
-  dog_scene.dog_visibility = 0.9;
-  double dog_cost = 0.0;
-  for (const int model : zoo_->ModelsForTask(zoo::TaskKind::kDogClassification)) {
-    dog_cost += zoo_->model(model).time_s;
-  }
-  const core::WorkEstimate dog_estimate =
-      session.EstimateWork(core::WorkItem::Live(&dog_scene));
-  EXPECT_DOUBLE_EQ(dog_estimate.expected_value, 1.0);
-  EXPECT_DOUBLE_EQ(dog_estimate.expected_cost_s, dog_cost);
-  EXPECT_GT(estimator.ValueDensity(core::WorkItem::Live(&dog_scene)), 0.0);
 }
 
 TEST_F(ServerRuntimeTest, TenantQuotaRejectionsResolveAndCountPerTenant) {

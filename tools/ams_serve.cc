@@ -6,40 +6,40 @@
 // Usage:
 //   ams_serve [--dataset NAME] [--items N] [--requests N] [--rate R]
 //             [--workers N] [--queue-cap N] [--resident N]
-//             [--overload block|reject|shed] [--order edf|value|hybrid]
-//             [--slack S] [--class-mix I:S:B] [--starvation-bound K]
-//             [--tenants N] [--quota SPEC] [--live]
+//             [--overload block|reject|shed] [--slack S]
+//             [--class-mix I:S:B] [--tenants N] [--quota SPEC] [--live]
 //             [--deadline S] [--memory GB] [--hidden N] [--seed N]
 //             [--json PATH] [--trace PATH] [--trace-sample N]
 //
-// `--requests` (>= 1) cycles through the corpus. `--rate` is the open-loop
-// arrival rate in requests/second (Poisson, seeded by --seed); 0 enqueues
-// everything at once (closed burst). `--slack` grants each request a
-// latency deadline of arrival + S seconds (EDF admission order, misses
-// counted); 0 means no deadlines. `--class-mix` assigns each request a
-// priority class (interactive:standard:batch) with the given relative
-// shares, seeded — thinning the single Poisson arrival process into
-// independent per-class Poisson streams of rate * share each; the report
-// then breaks admission and latency out per class. `--order` picks
-// the within-class admission order: "edf" (deadline only, the default),
-// "value" (highest estimated marginal recall per unit cost first, scored by
-// the runtime's ProfileValueEstimator), or "hybrid" (densest request whose
-// slack still admits it). `--tenants N` spreads requests over N tenants
-// with a seeded harmonic skew (tenant 0 heaviest — share of tenant t is
-// proportional to 1/(t+1)), and `--quota` applies one quota to every tenant
-// as comma-separated key=value pairs from {queued=N, inflight=N, rate=R,
-// burst=B}; the report then breaks admission out per tenant. The scheduling
-// agent is an untrained net with the paper's architecture — per-decision
-// cost matches a trained agent while setup stays in milliseconds (train and
-// serve real checkpoints through ams_label's cache if needed). `--live`
-// submits each request as a WorkItem::Live over the corpus scene instead of
-// a stored item id, exercising the live execution path.
+// `--requests` (>= 1) cycles through a corpus of `--items` (>= 1) items.
+// `--rate` is the open-loop arrival rate in requests/second (Poisson,
+// seeded by --seed); 0 enqueues everything at once (closed burst).
+// `--queue-cap` and `--resident` (each >= 1) bound the admission queue and
+// each worker's resident set. `--slack` grants each request a latency
+// deadline of arrival + S seconds (EDF admission order within a class,
+// misses counted); 0 means no deadlines. `--class-mix` assigns each
+// request a priority class (interactive:standard:batch) with the given
+// relative shares, seeded — thinning the single Poisson arrival process
+// into independent per-class Poisson streams of rate * share each; the
+// classes are served 8:4:1 and the report breaks admission and latency out
+// per class. `--tenants N` spreads requests over N tenants with a seeded
+// harmonic skew (tenant 0 heaviest — share of tenant t is proportional to
+// 1/(t+1)), and `--quota` applies one quota to every tenant as
+// comma-separated key=value pairs from {queued=N, inflight=N, rate=R,
+// burst=B} (N integers >= 0 and R >= 0, 0 = unlimited; B >= 1, or 0 for
+// the default of 1); the report then breaks admission out per tenant. The
+// scheduling agent is an untrained net with the paper's architecture —
+// per-decision cost matches a trained agent while setup stays in
+// milliseconds (train and serve real checkpoints through ams_label's cache
+// if needed). `--live` submits each request as a WorkItem::Live over the
+// corpus scene instead of a stored item id, exercising the live execution
+// path. `--deadline` and `--memory` (each >= 0) are every item's Algorithm 2
+// time and memory budget, and `--hidden` (>= 1) is the agent's hidden width.
 //
 // Examples:
 //   ams_serve --rate 2000 --workers 4 --slack 0.05
 //   ams_serve --rate 8000 --queue-cap 64 --overload shed --requests 20000
 //   ams_serve --rate 4000 --class-mix 70:25:5 --overload shed --slack 0.1
-//   ams_serve --order value --overload shed --queue-cap 64 --rate 8000
 //   ams_serve --tenants 4 --quota queued=32,rate=500,burst=50 --rate 4000
 //   ams_serve --live --rate 2000 --slack 0.1
 //   ams_serve --rate 8000 --trace trace.json --trace-sample 4
@@ -57,6 +57,7 @@
 
 #include <algorithm>
 #include <array>
+#include <climits>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -97,11 +98,8 @@ struct Options {
   int queue_cap = 1024;
   int resident = 16;
   std::string overload = "block";
-  std::string order = "edf";  // raw spelling for the banner
-  serve::WithinClassOrder order_enum = serve::WithinClassOrder::kEdf;
   double slack_s = 0.0;   // 0 = no deadlines
   std::string class_mix;  // "I:S:B" shares; empty = all standard
-  int starvation_bound = 16;
   int tenants = 1;        // request spread; > 1 enables the per-tenant report
   std::string quota;      // "queued=N,inflight=N,rate=R,burst=B"; empty = none
   bool live = false;      // submit WorkItem::Live scenes, not stored ids
@@ -120,8 +118,7 @@ struct Options {
       "usage: %s [--dataset mscoco|places365|mirflickr25|stanford40|voc2012]\n"
       "          [--items N] [--requests N] [--rate R] [--workers N]\n"
       "          [--queue-cap N] [--resident N] [--overload block|reject|shed]\n"
-      "          [--order edf|value|hybrid] [--slack S] [--class-mix I:S:B]\n"
-      "          [--starvation-bound K] [--tenants N]\n"
+      "          [--slack S] [--class-mix I:S:B] [--tenants N]\n"
       "          [--quota queued=N,inflight=N,rate=R,burst=B]\n"
       "          [--live] [--deadline S] [--memory GB]\n"
       "          [--hidden N] [--seed N] [--json PATH]\n"
@@ -153,14 +150,10 @@ Options Parse(int argc, char** argv) {
       opts.resident = std::atoi(next());
     } else if (!std::strcmp(argv[i], "--overload")) {
       opts.overload = next();
-    } else if (!std::strcmp(argv[i], "--order")) {
-      opts.order = next();
     } else if (!std::strcmp(argv[i], "--slack")) {
       opts.slack_s = std::atof(next());
     } else if (!std::strcmp(argv[i], "--class-mix")) {
       opts.class_mix = next();
-    } else if (!std::strcmp(argv[i], "--starvation-bound")) {
-      opts.starvation_bound = std::atoi(next());
     } else if (!std::strcmp(argv[i], "--tenants")) {
       opts.tenants = std::atoi(next());
     } else if (!std::strcmp(argv[i], "--quota")) {
@@ -189,6 +182,24 @@ Options Parse(int argc, char** argv) {
     std::fprintf(stderr, "--requests must be >= 1\n");
     Usage(argv[0]);
   }
+  if (opts.items < 1) {
+    std::fprintf(stderr, "--items must be >= 1\n");
+    Usage(argv[0]);
+  }
+  if (opts.queue_cap < 1) {
+    std::fprintf(stderr, "--queue-cap must be >= 1\n");
+    Usage(argv[0]);
+  }
+  if (opts.resident < 1) {
+    std::fprintf(stderr, "--resident must be >= 1\n");
+    Usage(argv[0]);
+  }
+  if (!(std::isfinite(opts.slack_s) && opts.slack_s >= 0.0)) {
+    std::fprintf(stderr,
+                 "--slack must be a finite number of seconds >= 0 "
+                 "(0 = no deadlines)\n");
+    Usage(argv[0]);
+  }
   if (!(opts.rate >= 0.0)) {  // also catches NaN
     std::fprintf(stderr, "--rate must be >= 0 (0 = closed burst)\n");
     Usage(argv[0]);
@@ -203,27 +214,29 @@ Options Parse(int argc, char** argv) {
                  opts.overload.c_str());
     Usage(argv[0]);
   }
-  if (opts.starvation_bound < serve::kNumPriorityClasses) {
-    std::fprintf(stderr,
-                 "--starvation-bound must be >= %d (one pop per class)\n",
-                 serve::kNumPriorityClasses);
-    Usage(argv[0]);
-  }
-  if (!serve::WithinClassOrderFromName(opts.order.c_str(),
-                                       &opts.order_enum)) {
-    std::fprintf(stderr, "unknown --order (want edf|value|hybrid): %s\n",
-                 opts.order.c_str());
-    Usage(argv[0]);
-  }
   if (opts.tenants < 1) {
     std::fprintf(stderr, "--tenants must be >= 1\n");
+    Usage(argv[0]);
+  }
+  // ScheduleConstraints' own rules (also catches NaN); inf = no budget.
+  if (!(opts.deadline >= 0.0)) {
+    std::fprintf(stderr, "--deadline must be a number of seconds >= 0\n");
+    Usage(argv[0]);
+  }
+  if (!(opts.memory_gb >= 0.0)) {
+    std::fprintf(stderr, "--memory must be a number of GB >= 0\n");
+    Usage(argv[0]);
+  }
+  if (opts.hidden < 1) {
+    std::fprintf(stderr, "--hidden must be >= 1\n");
     Usage(argv[0]);
   }
   return opts;
 }
 
 /// Parses "--quota queued=N,inflight=N,rate=R,burst=B" (any subset) into a
-/// TenantQuota; exits on malformed specs.
+/// TenantQuota; exits with a usage error on a malformed or out-of-range
+/// entry (the queue would abort on the latter).
 serve::TenantQuota QuotaFromSpec(const std::string& spec) {
   serve::TenantQuota quota;
   size_t start = 0;
@@ -235,23 +248,27 @@ serve::TenantQuota QuotaFromSpec(const std::string& spec) {
     bool ok = eq != std::string::npos && eq + 1 < pair.size();
     if (ok) {
       const std::string key = pair.substr(0, eq);
-      const double value = std::atof(pair.c_str() + eq + 1);
-      if (key == "queued") {
-        quota.max_queued = static_cast<int>(value);
-      } else if (key == "inflight") {
-        quota.max_in_flight = static_cast<int>(value);
-      } else if (key == "rate") {
-        quota.rate_per_s = value;
-      } else if (key == "burst") {
-        quota.burst = value;
+      const char* text = pair.c_str() + eq + 1;
+      char* parsed_end = nullptr;
+      if (key == "queued" || key == "inflight") {
+        const long value = std::strtol(text, &parsed_end, 10);
+        ok = *parsed_end == '\0' && value >= 0 && value <= INT_MAX;
+        int& field = key == "queued" ? quota.max_queued : quota.max_in_flight;
+        field = static_cast<int>(value);
+      } else if (key == "rate" || key == "burst") {
+        const double value = std::strtod(text, &parsed_end);
+        ok = *parsed_end == '\0' && std::isfinite(value) &&
+             (key == "rate" ? value >= 0.0 : value == 0.0 || value >= 1.0);
+        double& field = key == "rate" ? quota.rate_per_s : quota.burst;
+        field = value;
       } else {
         ok = false;
       }
     }
     if (!ok) {
       std::fprintf(stderr,
-                   "bad --quota entry (want queued=N,inflight=N,rate=R,"
-                   "burst=B): %s\n",
+                   "bad --quota entry (want queued=N,inflight=N with "
+                   "integers N >= 0, rate=R >= 0, burst=B >= 1 or 0): %s\n",
                    pair.c_str());
       std::exit(2);
     }
@@ -303,9 +320,10 @@ std::array<double, serve::kNumPriorityClasses> MixFromSpec(
 
 int main(int argc, char** argv) {
   const Options opts = Parse(argc, argv);
-  // Validate the mix before the (comparatively slow) corpus build.
+  // Validate the mix and quota before the (comparatively slow) corpus build.
   const std::array<double, serve::kNumPriorityClasses> mix =
       MixFromSpec(opts.class_mix);
+  const serve::TenantQuota quota = QuotaFromSpec(opts.quota);
 
   std::printf("building zoo + %s corpus (%d items, seed %llu)...\n",
               opts.dataset.c_str(), opts.items,
@@ -340,11 +358,7 @@ int main(int argc, char** argv) {
   serve_options.queue_capacity = opts.queue_cap;
   serve_options.max_resident_per_worker = opts.resident;
   serve_options.overload = PolicyFromName(opts.overload);
-  serve_options.starvation_bound = opts.starvation_bound;
-  serve_options.within_class_order = opts.order_enum;
-  if (!opts.quota.empty()) {
-    serve_options.tenant_quotas.default_quota = QuotaFromSpec(opts.quota);
-  }
+  if (!opts.quota.empty()) serve_options.tenant_quotas.default_quota = quota;
   if (opts.slack_s > 0.0) serve_options.default_slack_s = opts.slack_s;
 
   std::unique_ptr<obs::Tracer> tracer;
@@ -368,11 +382,10 @@ int main(int argc, char** argv) {
 
   std::printf(
       "serving %d %srequests (rate %s/s, %d workers, queue %d, overload %s, "
-      "order %s, slack %s, mix %s, %d tenant%s%s)...\n",
+      "slack %s, mix %s, %d tenant%s%s)...\n",
       opts.requests, opts.live ? "live " : "",
       opts.rate > 0.0 ? util::FormatDouble(opts.rate, 0).c_str() : "inf",
       runtime.worker_count(), opts.queue_cap, opts.overload.c_str(),
-      opts.order.c_str(),
       opts.slack_s > 0.0 ? util::FormatDouble(opts.slack_s, 3).c_str()
                          : "inf",
       opts.class_mix.empty() ? "standard-only" : opts.class_mix.c_str(),
