@@ -27,7 +27,7 @@ void LabelingState::Reset() {
 }
 
 std::vector<zoo::LabelOutput> LabelingState::Apply(
-    int model_id, const std::vector<zoo::LabelOutput>& outputs) {
+    int model_id, zoo::LabelOutputView outputs) {
   MarkExecuted(model_id);
   std::vector<zoo::LabelOutput> fresh;
   for (const auto& out : outputs) {

@@ -27,7 +27,7 @@ class LabelingState {
   /// Returns O'(m, d): the valuable outputs whose labels were not yet set.
   /// Marks the model executed even if nothing new is produced.
   std::vector<zoo::LabelOutput> Apply(int model_id,
-                                      const std::vector<zoo::LabelOutput>& outputs);
+                                      zoo::LabelOutputView outputs);
 
   /// The two halves of Apply, for callers that walk the outputs themselves
   /// (ScheduleKernel's one pass per finish event). MarkExecuted records the

@@ -37,9 +37,9 @@ double LiveExecutionContext::RealizedTime(int model) const {
   return zoo_->SampleExecutionTime(model, *scene_);
 }
 
-const std::vector<zoo::LabelOutput>& LiveExecutionContext::Execute(
-    int model) const {
-  last_outputs_ = zoo_->Execute(model, *scene_);
+zoo::LabelOutputView LiveExecutionContext::Execute(int model) const {
+  last_outputs_.clear();
+  zoo_->ExecuteInto(model, *scene_, &last_outputs_);
   return last_outputs_;
 }
 
@@ -63,8 +63,7 @@ double ReplayExecutionContext::RealizedTime(int model) const {
   return oracle_->ExecutionTime(item_, model);
 }
 
-const std::vector<zoo::LabelOutput>& ReplayExecutionContext::Execute(
-    int model) const {
+zoo::LabelOutputView ReplayExecutionContext::Execute(int model) const {
   return oracle_->Output(item_, model);
 }
 
@@ -172,8 +171,7 @@ bool ScheduleKernel::Step() {
   mem_free_ += done_run.mem_mb;
   mem_used_ -= done_run.mem_mb;
 
-  const std::vector<zoo::LabelOutput>& outputs =
-      exec_->Execute(done_run.model_id);
+  const zoo::LabelOutputView outputs = exec_->Execute(done_run.model_id);
 
   // Full mode appends the record it fills; lean reuses one scratch record —
   // no output copies, no reward, no per-event allocations once the fresh
@@ -182,7 +180,7 @@ bool ScheduleKernel::Step() {
   if (mode_ == KernelMode::kFull) {
     result_.executions.emplace_back();
     record = &result_.executions.back();
-    record->outputs = outputs;
+    record->outputs.assign(outputs.begin(), outputs.end());
   }
   record->model_id = done_run.model_id;
   record->start_s = done_run.start_s;

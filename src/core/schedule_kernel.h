@@ -88,10 +88,10 @@ class ExecutionContext {
   /// Realized duration charged when the model actually runs.
   virtual double RealizedTime(int model) const = 0;
 
-  /// Runs the model and returns its raw outputs by reference: replay serves
-  /// the oracle's stored vectors directly (no copies), live contexts return
-  /// an internal buffer that stays valid until the next Execute call.
-  virtual const std::vector<zoo::LabelOutput>& Execute(int model) const = 0;
+  /// Runs the model and returns a view of its raw outputs: replay serves the
+  /// oracle's stored outputs directly (no copies), live contexts an internal
+  /// buffer that stays valid until the next Execute call.
+  virtual zoo::LabelOutputView Execute(int model) const = 0;
 };
 
 /// Live inference on one scene via ModelZoo::Execute. Never peeks at outputs
@@ -104,7 +104,7 @@ class LiveExecutionContext : public ExecutionContext {
   /// The zoo's per-model mean times.
   const double* PlannedTimes() const override;
   double RealizedTime(int model) const override;
-  const std::vector<zoo::LabelOutput>& Execute(int model) const override;
+  zoo::LabelOutputView Execute(int model) const override;
 
   /// Moves the context to another scene (same contract as the constructor).
   void Rebind(const zoo::LatentScene* scene);
@@ -112,14 +112,15 @@ class LiveExecutionContext : public ExecutionContext {
  private:
   const zoo::ModelZoo* zoo_;
   const zoo::LatentScene* scene_;
-  /// Holds the last Execute result so outputs can be served by reference
-  /// (the kernel consumes them before the next execution).
+  /// Holds the last Execute result so outputs can be served as a view (the
+  /// kernel consumes them before the next execution); reused, so it grows
+  /// only while outputs get longer.
   mutable std::vector<zoo::LabelOutput> last_outputs_;
 };
 
 /// Replay of one stored item: outputs and times come from the oracle, so
-/// planned and realized times coincide and Execute serves the oracle's
-/// stored vectors by reference without any intermediate copy.
+/// planned and realized times coincide and Execute serves a view of the
+/// oracle's stored outputs without any intermediate copy.
 class ReplayExecutionContext : public ExecutionContext {
  public:
   ReplayExecutionContext(const data::Oracle* oracle, int item);
@@ -128,7 +129,7 @@ class ReplayExecutionContext : public ExecutionContext {
   /// The oracle's stored execution-time row for the item.
   const double* PlannedTimes() const override;
   double RealizedTime(int model) const override;
-  const std::vector<zoo::LabelOutput>& Execute(int model) const override;
+  zoo::LabelOutputView Execute(int model) const override;
 
   /// Moves the context to another stored item (checked like the
   /// constructor).

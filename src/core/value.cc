@@ -15,7 +15,8 @@ ValueAccumulator::ValueAccumulator(const data::Oracle* oracle, int item)
 double ValueAccumulator::MarginalGain(int model) const {
   if (added_[static_cast<size_t>(model)]) return 0.0;
   double gain = 0.0;
-  for (const auto& out : oracle_->ValuableOutput(item_, model)) {
+  for (const auto& out : oracle_->Output(item_, model)) {
+    if (out.confidence < zoo::kValuableConfidence) continue;
     const double prev = best_conf_[static_cast<size_t>(out.label_id)];
     if (out.confidence > prev) gain += out.confidence - prev;
   }
@@ -26,7 +27,8 @@ double ValueAccumulator::AddModel(int model) {
   AMS_CHECK(!added_[static_cast<size_t>(model)], "model added twice");
   added_[static_cast<size_t>(model)] = true;
   double gain = 0.0;
-  for (const auto& out : oracle_->ValuableOutput(item_, model)) {
+  for (const auto& out : oracle_->Output(item_, model)) {
+    if (out.confidence < zoo::kValuableConfidence) continue;
     double& best = best_conf_[static_cast<size_t>(out.label_id)];
     if (out.confidence > best) {
       gain += out.confidence - best;

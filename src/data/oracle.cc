@@ -1,76 +1,90 @@
 #include "data/oracle.h"
 
 #include <algorithm>
+#include <limits>
+#include <utility>
 
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace ams::data {
 
 Oracle::Oracle(const zoo::ModelZoo* zoo, const Dataset* dataset)
     : zoo_(zoo), dataset_(dataset) {
   AMS_CHECK(zoo != nullptr && dataset != nullptr);
+  num_models_ = zoo->num_models();
   const int n = dataset->size();
-  const int m = zoo->num_models();
-  outputs_.resize(static_cast<size_t>(n));
-  valuable_.resize(static_cast<size_t>(n));
-  solo_value_.assign(static_cast<size_t>(n),
-                     std::vector<double>(static_cast<size_t>(m), 0.0));
-  exec_time_.assign(static_cast<size_t>(n),
-                    std::vector<double>(static_cast<size_t>(m), 0.0));
-  true_total_value_.assign(static_cast<size_t>(n), 0.0);
-  label_profit_.resize(static_cast<size_t>(n));
+  const size_t cells =
+      static_cast<size_t>(n) * static_cast<size_t>(num_models_);
+  exec_time_.resize(cells);
+  solo_value_.resize(cells);
+  true_total_value_.resize(static_cast<size_t>(n));
+  const int num_blocks = (n + kBuildBlockItems - 1) / kBuildBlockItems;
+  blocks_.resize(static_cast<size_t>(num_blocks));
+  util::ParallelFor(0, num_blocks, util::ThreadPool::DefaultThreads(),
+                    [this](int block) { BuildBlock(block); });
+}
 
-  for (int i = 0; i < n; ++i) {
-    const zoo::LatentScene& scene = dataset->item(i).scene;
-    auto& per_model = outputs_[static_cast<size_t>(i)];
-    auto& per_model_valuable = valuable_[static_cast<size_t>(i)];
-    per_model.resize(static_cast<size_t>(m));
-    per_model_valuable.resize(static_cast<size_t>(m));
-    std::vector<std::pair<int, double>>& profits =
-        label_profit_[static_cast<size_t>(i)];
-    for (int j = 0; j < m; ++j) {
-      per_model[static_cast<size_t>(j)] = zoo->Execute(j, scene);
-      exec_time_[static_cast<size_t>(i)][static_cast<size_t>(j)] =
-          zoo->SampleExecutionTime(j, scene);
+void Oracle::BuildBlock(int block) {
+  const int first = block * kBuildBlockItems;
+  const int last = std::min(first + kBuildBlockItems, num_items());
+  // The block's outputs grow here and are copied once, exactly sized, into
+  // its storage, so the build's slack is one block per thread.
+  std::vector<zoo::LabelOutput> outputs;
+  std::vector<uint32_t> offsets;
+  offsets.reserve(static_cast<size_t>(last - first) *
+                      static_cast<size_t>(num_models_) +
+                  1);
+  // Best valuable confidence per label on the current item (0 = none yet:
+  // valuable confidences are positive) and the labels it touched.
+  std::vector<double> best(static_cast<size_t>(zoo_->labels().total_labels()),
+                           0.0);
+  std::vector<int> touched;
+  for (int i = first; i < last; ++i) {
+    const zoo::LatentScene& scene = dataset_->item(i).scene;
+    for (int m = 0; m < num_models_; ++m) {
+      const size_t begin = outputs.size();
+      offsets.push_back(static_cast<uint32_t>(begin));
+      zoo_->ExecuteInto(m, scene, &outputs);
+      exec_time_[Cell(i, m)] = zoo_->SampleExecutionTime(m, scene);
       double solo = 0.0;
-      for (const auto& out : per_model[static_cast<size_t>(j)]) {
+      for (size_t k = begin; k < outputs.size(); ++k) {
+        const zoo::LabelOutput& out = outputs[k];
         if (out.confidence < zoo::kValuableConfidence) continue;
-        per_model_valuable[static_cast<size_t>(j)].push_back(out);
         solo += out.confidence;
-        auto it = std::find_if(profits.begin(), profits.end(),
-                               [&](const auto& p) {
-                                 return p.first == out.label_id;
-                               });
-        if (it == profits.end()) {
-          profits.emplace_back(out.label_id, out.confidence);
-        } else {
-          it->second = std::max(it->second, out.confidence);
-        }
+        double& label_best = best[static_cast<size_t>(out.label_id)];
+        if (label_best == 0.0) touched.push_back(out.label_id);
+        label_best = std::max(label_best, out.confidence);
       }
-      solo_value_[static_cast<size_t>(i)][static_cast<size_t>(j)] = solo;
+      solo_value_[Cell(i, m)] = solo;
     }
-    std::sort(profits.begin(), profits.end());
+    // f(M, d): the per-label maxima summed in ascending label order.
+    std::sort(touched.begin(), touched.end());
     double total = 0.0;
-    for (const auto& p : profits) total += p.second;
+    for (const int label : touched) {
+      total += best[static_cast<size_t>(label)];
+      best[static_cast<size_t>(label)] = 0.0;
+    }
+    touched.clear();
     true_total_value_[static_cast<size_t>(i)] = total;
   }
+  AMS_CHECK(outputs.size() <= std::numeric_limits<uint32_t>::max(),
+            "an oracle block holds more outputs than uint32_t offsets reach");
+  offsets.push_back(static_cast<uint32_t>(outputs.size()));
+  Block& stored = blocks_[static_cast<size_t>(block)];
+  stored.outputs.assign(outputs.begin(), outputs.end());
+  stored.offsets = std::move(offsets);
 }
 
-const std::vector<zoo::LabelOutput>& Oracle::Output(int item, int model) const {
-  return outputs_[static_cast<size_t>(item)][static_cast<size_t>(model)];
-}
-
-const std::vector<zoo::LabelOutput>& Oracle::ValuableOutput(int item,
-                                                            int model) const {
-  return valuable_[static_cast<size_t>(item)][static_cast<size_t>(model)];
-}
-
-bool Oracle::ModelValuable(int item, int model) const {
-  return !ValuableOutput(item, model).empty();
-}
-
-double Oracle::ModelSoloValue(int item, int model) const {
-  return solo_value_[static_cast<size_t>(item)][static_cast<size_t>(model)];
+zoo::LabelOutputView Oracle::Output(int item, int model) const {
+  const Block& block =
+      blocks_[static_cast<size_t>(item) / kBuildBlockItems];
+  const size_t pair =
+      static_cast<size_t>(item) % kBuildBlockItems *
+          static_cast<size_t>(num_models_) +
+      static_cast<size_t>(model);
+  const uint32_t begin = block.offsets[pair];
+  return {block.outputs.data() + begin, block.offsets[pair + 1] - begin};
 }
 
 double Oracle::TrueTotalValue(int item) const {
@@ -78,12 +92,15 @@ double Oracle::TrueTotalValue(int item) const {
 }
 
 double Oracle::LabelProfit(int item, int label) const {
-  const auto& profits = label_profit_[static_cast<size_t>(item)];
-  auto it = std::lower_bound(
-      profits.begin(), profits.end(), std::make_pair(label, 0.0),
-      [](const auto& a, const auto& b) { return a.first < b.first; });
-  if (it != profits.end() && it->first == label) return it->second;
-  return 0.0;
+  double profit = 0.0;
+  for (int m = 0; m < num_models(); ++m) {
+    for (const zoo::LabelOutput& out : Output(item, m)) {
+      if (out.label_id == label && out.confidence >= zoo::kValuableConfidence) {
+        profit = std::max(profit, out.confidence);
+      }
+    }
+  }
+  return profit;
 }
 
 int Oracle::NumValuableModels(int item) const {
@@ -92,10 +109,6 @@ int Oracle::NumValuableModels(int item) const {
     if (ModelValuable(item, j)) ++count;
   }
   return count;
-}
-
-double Oracle::ExecutionTime(int item, int model) const {
-  return exec_time_[static_cast<size_t>(item)][static_cast<size_t>(model)];
 }
 
 double Oracle::ValuableTime(int item) const {

@@ -142,10 +142,17 @@ double ModelZoo::SampleExecutionTime(int model_id, const LatentScene& scene) con
 
 std::vector<LabelOutput> ModelZoo::Execute(int model_id,
                                            const LatentScene& scene) const {
+  std::vector<LabelOutput> out;
+  ExecuteInto(model_id, scene, &out);
+  return out;
+}
+
+void ModelZoo::ExecuteInto(int model_id, const LatentScene& scene,
+                           std::vector<LabelOutput>* dest) const {
   const ModelSpec& spec = model(model_id);
   // Independent deterministic noise stream per (item, model).
   util::Rng rng(util::HashCombine(scene.item_seed, 0xE0E0u + model_id));
-  std::vector<LabelOutput> out;
+  std::vector<LabelOutput>& out = *dest;
   const double acc = spec.accuracy;
 
   switch (spec.task) {
@@ -302,7 +309,6 @@ std::vector<LabelOutput> ModelZoo::Execute(int model_id,
       break;
     }
   }
-  return out;
 }
 
 }  // namespace ams::zoo

@@ -1,6 +1,7 @@
 #ifndef AMS_ZOO_MODEL_ZOO_H_
 #define AMS_ZOO_MODEL_ZOO_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "zoo/label_space.h"
@@ -13,6 +14,28 @@ namespace ams::zoo {
 struct LabelOutput {
   int label_id;
   double confidence;
+};
+
+/// A read-only view of consecutive LabelOutputs: a pointer and a size, as
+/// the oracle stores outputs and execution contexts serve them. It owns
+/// nothing; whatever it was built from must outlive it. Built implicitly
+/// from a vector, so vectors pass wherever a view is taken.
+class LabelOutputView {
+ public:
+  LabelOutputView() = default;
+  LabelOutputView(const LabelOutput* data, size_t size)
+      : data_(data), size_(size) {}
+  LabelOutputView(const std::vector<LabelOutput>& outputs)
+      : data_(outputs.data()), size_(outputs.size()) {}
+
+  const LabelOutput* begin() const { return data_; }
+  const LabelOutput* end() const { return data_ + size_; }
+  const LabelOutput& operator[](size_t i) const { return data_[i]; }
+  size_t size() const { return size_; }
+
+ private:
+  const LabelOutput* data_ = nullptr;
+  size_t size_ = 0;
 };
 
 /// Confidence threshold above which a label counts as "valuable"
@@ -49,6 +72,11 @@ class ModelZoo {
   /// May return an empty vector (the model "found nothing") or only
   /// low-confidence outputs — both are the waste the paper's Fig. 1 shows.
   std::vector<LabelOutput> Execute(int model_id, const LatentScene& scene) const;
+  /// Execute's outputs appended to `dest`, so a caller that keeps one
+  /// buffer (the oracle build, a live execution context) allocates only as
+  /// it grows.
+  void ExecuteInto(int model_id, const LatentScene& scene,
+                   std::vector<LabelOutput>* dest) const;
 
   /// Sum of all model mean times (the "no policy" per-item cost).
   double TotalTimeSeconds() const;

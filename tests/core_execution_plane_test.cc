@@ -397,8 +397,7 @@ uint64_t Bits(double x) {
   return bits;
 }
 
-bool SameOutputs(const std::vector<zoo::LabelOutput>& a,
-                 const std::vector<zoo::LabelOutput>& b) {
+bool SameOutputs(zoo::LabelOutputView a, zoo::LabelOutputView b) {
   return std::equal(a.begin(), a.end(), b.begin(), b.end(),
                     [](const zoo::LabelOutput& x, const zoo::LabelOutput& y) {
                       return x.label_id == y.label_id &&
@@ -618,6 +617,7 @@ TEST_F(ExecutionPlaneTest, ReArmedRecordsMatchFreshKernels) {
   int skipped = 0;
   int stopped = 0;
   int same_count_pairs = 0;
+  int stored_full_records = 0;
   for (const RecordScenario& scenario : scenarios) {
     for (KernelMode kernel_mode : {KernelMode::kLean, KernelMode::kFull}) {
       const std::string path =
@@ -650,10 +650,19 @@ TEST_F(ExecutionPlaneTest, ReArmedRecordsMatchFreshKernels) {
       // versions from item to item (live stream ids continue the session's
       // sequence).
       for (size_t i = 0; i < items.size(); ++i) {
-        const std::string diff =
-            OutcomeDifference(fresh[i].outcome, session.Submit(items[i]));
+        const LabelOutcome outcome = session.Submit(items[i]);
+        const std::string diff = OutcomeDifference(fresh[i].outcome, outcome);
         EXPECT_TRUE(diff.empty())
             << path << ", Submit, item " << i << ": " << diff;
+        // A replayed kFull record carries the oracle's stored outputs.
+        if (kernel_mode != KernelMode::kFull || items[i].item < 0) continue;
+        for (const ExecutionRecord& record : outcome.schedule.executions) {
+          ++stored_full_records;
+          EXPECT_TRUE(SameOutputs(
+              record.outputs, oracle.Output(items[i].item, record.model_id)))
+              << path << ", Submit, item " << i << ", model "
+              << record.model_id;
+        }
       }
       for (size_t i = 0; i < items.size(); ++i) {
         predictor.set_offset(i % 2 == 0 ? stopping : offset);
@@ -699,6 +708,7 @@ TEST_F(ExecutionPlaneTest, ReArmedRecordsMatchFreshKernels) {
   EXPECT_GT(same_count_pairs, 0)
       << "no consecutive items reached the same label count with different "
          "label sets";
+  EXPECT_GT(stored_full_records, 0) << "no replayed kFull record was checked";
 }
 
 }  // namespace

@@ -137,11 +137,18 @@ TEST_F(EnvTest, DuplicateTaskOutputsEarnPunishment) {
   // place models emit at most the scene label valuably, it gets -1.
   const auto place_models =
       oracle_->zoo().ModelsForTask(zoo::TaskKind::kPlaceClassification);
+  // The first valuable label of a model's output, or -1 if it has none.
+  const auto first_valuable_label = [&](int item, int model) {
+    for (const zoo::LabelOutput& out : oracle_->Output(item, model)) {
+      if (out.confidence >= zoo::kValuableConfidence) return out.label_id;
+    }
+    return -1;
+  };
   for (int item = 0; item < oracle_->num_items(); ++item) {
-    const auto& large_out = oracle_->ValuableOutput(item, place_models[2]);
-    const auto& small_out = oracle_->ValuableOutput(item, place_models[0]);
-    if (large_out.empty() || small_out.empty()) continue;
-    if (large_out[0].label_id != small_out[0].label_id) continue;
+    const int large_label = first_valuable_label(item, place_models[2]);
+    const int small_label = first_valuable_label(item, place_models[0]);
+    if (large_label < 0 || small_label < 0) continue;
+    if (large_label != small_label) continue;
     env.Reset(item);
     env.Step(place_models[2]);
     const StepResult duplicate = env.Step(place_models[0]);

@@ -1,8 +1,14 @@
 // Unit tests of the Oracle: stored outputs must exactly mirror live
 // execution, and the derived value quantities must satisfy their defining
-// identities.
+// identities. The corpus spans two full build blocks and a partial third,
+// so every check covers block boundaries and the short last block.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <map>
 
 #include "data/dataset.h"
 #include "data/dataset_profile.h"
@@ -12,12 +18,20 @@
 namespace ams::data {
 namespace {
 
+uint64_t Bits(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
 class OracleTest : public ::testing::Test {
  protected:
+  static constexpr int kItems = 2 * Oracle::kBuildBlockItems + 37;
+
   static void SetUpTestSuite() {
     zoo_ = new zoo::ModelZoo(zoo::ModelZoo::CreateDefault());
     dataset_ = new Dataset(Dataset::Generate(DatasetProfile::MsCoco(),
-                                             zoo_->labels(), 120, 21));
+                                             zoo_->labels(), kItems, 21));
     oracle_ = new Oracle(zoo_, dataset_);
   }
   static void TearDownTestSuite() {
@@ -36,15 +50,31 @@ Dataset* OracleTest::dataset_ = nullptr;
 Oracle* OracleTest::oracle_ = nullptr;
 
 TEST_F(OracleTest, StoredOutputsMatchLiveExecution) {
-  for (int item = 0; item < 20; ++item) {
+  ASSERT_EQ(oracle_->num_items(), kItems);
+  for (int item = 0; item < oracle_->num_items(); ++item) {
     for (int m = 0; m < oracle_->num_models(); ++m) {
       const auto live = zoo_->Execute(m, dataset_->item(item).scene);
-      const auto& stored = oracle_->Output(item, m);
-      ASSERT_EQ(live.size(), stored.size());
+      const zoo::LabelOutputView stored = oracle_->Output(item, m);
+      ASSERT_EQ(live.size(), stored.size())
+          << "item " << item << " model " << m;
       for (size_t i = 0; i < live.size(); ++i) {
         EXPECT_EQ(live[i].label_id, stored[i].label_id);
-        EXPECT_DOUBLE_EQ(live[i].confidence, stored[i].confidence);
+        EXPECT_EQ(Bits(live[i].confidence), Bits(stored[i].confidence))
+            << "item " << item << " model " << m << " output " << i;
       }
+    }
+  }
+}
+
+TEST_F(OracleTest, ExecutionTimesAreTheZooDraws) {
+  for (int item = 0; item < oracle_->num_items(); ++item) {
+    const double* row = oracle_->ExecutionTimes(item);
+    for (int m = 0; m < oracle_->num_models(); ++m) {
+      const double draw =
+          zoo_->SampleExecutionTime(m, dataset_->item(item).scene);
+      EXPECT_EQ(Bits(row[m]), Bits(draw)) << "item " << item << " model " << m;
+      EXPECT_EQ(Bits(oracle_->ExecutionTime(item, m)), Bits(draw))
+          << "item " << item << " model " << m;
     }
   }
 }
@@ -56,42 +86,46 @@ TEST_F(OracleTest, ValuableOutputsAreTheHighConfidenceSubset) {
       for (const auto& out : oracle_->Output(item, m)) {
         if (out.confidence >= zoo::kValuableConfidence) ++expected;
       }
-      EXPECT_EQ(oracle_->ValuableOutput(item, m).size(), expected);
-      for (const auto& out : oracle_->ValuableOutput(item, m)) {
-        EXPECT_GE(out.confidence, zoo::kValuableConfidence);
-      }
-      EXPECT_EQ(oracle_->ModelValuable(item, m), expected > 0);
+      EXPECT_EQ(oracle_->ModelValuable(item, m), expected > 0)
+          << "item " << item << " model " << m;
     }
   }
 }
 
 TEST_F(OracleTest, SoloValueIsSumOfValuableConfidences) {
-  for (int item = 0; item < 40; ++item) {
+  for (int item = 0; item < oracle_->num_items(); ++item) {
     for (int m = 0; m < oracle_->num_models(); ++m) {
+      // In output order, as the oracle sums.
       double sum = 0.0;
-      for (const auto& out : oracle_->ValuableOutput(item, m)) {
-        sum += out.confidence;
+      for (const auto& out : zoo_->Execute(m, dataset_->item(item).scene)) {
+        if (out.confidence >= zoo::kValuableConfidence) sum += out.confidence;
       }
-      EXPECT_NEAR(oracle_->ModelSoloValue(item, m), sum, 1e-9);
+      EXPECT_EQ(Bits(oracle_->ModelSoloValue(item, m)), Bits(sum))
+          << "item " << item << " model " << m;
     }
   }
 }
 
 TEST_F(OracleTest, LabelProfitIsMaxConfidenceAcrossModels) {
-  for (int item = 0; item < 40; ++item) {
-    // Recompute profits independently.
+  for (int item = 0; item < oracle_->num_items(); ++item) {
+    // Recompute profits independently from the zoo.
     std::map<int, double> best;
     for (int m = 0; m < oracle_->num_models(); ++m) {
-      for (const auto& out : oracle_->ValuableOutput(item, m)) {
+      for (const auto& out : zoo_->Execute(m, dataset_->item(item).scene)) {
+        if (out.confidence < zoo::kValuableConfidence) continue;
         best[out.label_id] = std::max(best[out.label_id], out.confidence);
       }
     }
+    // f(M, d) sums the per-label maxima in ascending label order (the
+    // map's order).
     double total = 0.0;
     for (const auto& [label, conf] : best) {
-      EXPECT_NEAR(oracle_->LabelProfit(item, label), conf, 1e-9);
+      EXPECT_EQ(Bits(oracle_->LabelProfit(item, label)), Bits(conf))
+          << "item " << item << " label " << label;
       total += conf;
     }
-    EXPECT_NEAR(oracle_->TrueTotalValue(item), total, 1e-9);
+    EXPECT_EQ(Bits(oracle_->TrueTotalValue(item)), Bits(total))
+        << "item " << item;
     EXPECT_DOUBLE_EQ(oracle_->LabelProfit(item, 1103), best.count(1103)
                                                            ? best[1103]
                                                            : 0.0);
@@ -107,8 +141,8 @@ TEST_F(OracleTest, TimeAccountingIdentities) {
       total += t;
       if (oracle_->ModelValuable(item, m)) valuable += t;
     }
-    EXPECT_NEAR(oracle_->TotalTime(item), total, 1e-9);
-    EXPECT_NEAR(oracle_->ValuableTime(item), valuable, 1e-9);
+    EXPECT_EQ(Bits(oracle_->TotalTime(item)), Bits(total));
+    EXPECT_EQ(Bits(oracle_->ValuableTime(item)), Bits(valuable));
     EXPECT_LE(oracle_->ValuableTime(item), oracle_->TotalTime(item));
   }
 }

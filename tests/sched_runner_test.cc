@@ -30,7 +30,8 @@ class OraclePredictor : public ModelValuePredictor {
     std::vector<double> q(31, 0.0);
     for (int m = 0; m < 30; ++m) {
       double value = 0.0;
-      for (const auto& out : oracle_->ValuableOutput(item_, m)) {
+      for (const auto& out : oracle_->Output(item_, m)) {
+        if (out.confidence < zoo::kValuableConfidence) continue;
         if (state[static_cast<size_t>(out.label_id)] == 0.0f) {
           value += out.confidence;
         }

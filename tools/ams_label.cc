@@ -115,6 +115,34 @@ Options Parse(int argc, char** argv) {
       Usage(argv[0]);
     }
   }
+  // Out-of-range numbers are usage errors, caught before the corpus is
+  // built: past this point they abort in the corpus, trainer or kernel.
+  if (opts.items < 1) {
+    std::fprintf(stderr, "--items must be >= 1\n");
+    Usage(argv[0]);
+  }
+  if (opts.episodes < 1) {
+    std::fprintf(stderr, "--episodes must be >= 1\n");
+    Usage(argv[0]);
+  }
+  if (opts.hidden < 1) {
+    std::fprintf(stderr, "--hidden must be >= 1\n");
+    Usage(argv[0]);
+  }
+  // ScheduleConstraints' own rules (also catches NaN); inf = no budget.
+  if (!(opts.deadline >= 0.0)) {
+    std::fprintf(stderr, "--deadline must be a number of seconds >= 0\n");
+    Usage(argv[0]);
+  }
+  if (!(opts.memory_gb >= 0.0)) {
+    std::fprintf(stderr,
+                 "--memory must be a number of GB >= 0 (0 = Algorithm 1)\n");
+    Usage(argv[0]);
+  }
+  if (opts.label_count < 1) {
+    std::fprintf(stderr, "--label must be >= 1\n");
+    Usage(argv[0]);
+  }
   if (opts.policy.empty()) return opts;
   if (!sched::PolicyRegistry::Global().Contains(opts.policy)) {
     std::fprintf(stderr, "unknown policy: %s\n", opts.policy.c_str());
