@@ -9,7 +9,6 @@
 #include <iostream>
 #include <memory>
 
-#include "bench/agent_policies.h"
 #include "bench/bench_util.h"
 #include "core/labeling_service.h"
 #include "data/dataset.h"
@@ -77,13 +76,12 @@ void Run() {
 
     // Position at which the first landmark model appears in the sequence,
     // measured through a Q-greedy session run to full recall.
-    sched::PolicyOptions options;
-    options.predictor = agent.get();
     core::LabelingService service =
         core::LabelingServiceBuilder(&zoo)
             .WithOracle(&oracle)
             .WithMode(core::ExecutionMode::kSerial)
-            .WithPolicy("q_greedy", options)
+            .WithPredictor(agent.get())
+            .WithPolicy("q_greedy")
             .WithRecallTarget(1.0)
             .Build();
     double pos_sum = 0.0;
@@ -102,7 +100,7 @@ void Run() {
       pos_sum += position;
     }
     const eval::RecallCurve curve = eval::ComputeRecallCurve(
-        bench::QGreedyFactory(agent.get()), oracle, items,
+        eval::PolicySpec{"q_greedy", {}, agent.get()}, oracle, items,
         eval::DefaultThresholds());
     table.AddRow({ShapingName(shaping),
                   util::FormatDouble(pos_sum / items.size(), 1),

@@ -7,7 +7,6 @@
 #include <iostream>
 #include <memory>
 
-#include "bench/agent_policies.h"
 #include "bench/bench_util.h"
 #include "data/dataset.h"
 #include "data/dataset_profile.h"
@@ -15,7 +14,6 @@
 #include "eval/recall_curve.h"
 #include "eval/world.h"
 #include "rl/trainer.h"
-#include "sched/basic_policies.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "zoo/model_zoo.h"
@@ -56,10 +54,9 @@ void Run() {
     items.resize(std::min<size_t>(
         items.size(), static_cast<size_t>(world_config.eval_items)));
     const eval::FullRecallCosts agent_costs = eval::ComputeFullRecallCosts(
-        bench::QGreedyFactory(agent), oracle, items);
+        eval::PolicySpec{"q_greedy", {}, agent}, oracle, items);
     const eval::FullRecallCosts random_costs = eval::ComputeFullRecallCosts(
-        [] { return std::make_unique<sched::RandomPolicy>(3); }, oracle,
-        items);
+        eval::PolicySpec{"random", {/*seed=*/3}}, oracle, items);
     return std::pair<double, double>{util::Mean(agent_costs.time_s),
                                      util::Mean(random_costs.time_s)};
   };

@@ -8,12 +8,10 @@
 // (optimal = 22.1% of no policy).
 
 #include <iostream>
-#include <memory>
 
 #include "bench/bench_util.h"
 #include "eval/recall_curve.h"
 #include "eval/world.h"
-#include "sched/basic_policies.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -41,8 +39,7 @@ void Run() {
     }
     // Random policy: random order until full value recall.
     const eval::FullRecallCosts random_costs = eval::ComputeFullRecallCosts(
-        [] { return std::make_unique<sched::RandomPolicy>(1234); }, oracle,
-        items);
+        eval::PolicySpec{"random", {/*seed=*/1234}}, oracle, items);
     random_times.insert(random_times.end(), random_costs.time_s.begin(),
                         random_costs.time_s.end());
   }

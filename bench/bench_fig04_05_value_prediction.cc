@@ -12,12 +12,10 @@
 #include <memory>
 #include <vector>
 
-#include "bench/agent_policies.h"
 #include "bench/bench_util.h"
 #include "eval/agent_cache.h"
 #include "eval/recall_curve.h"
 #include "eval/world.h"
-#include "sched/basic_policies.h"
 #include "util/table.h"
 
 namespace {
@@ -59,18 +57,16 @@ void Run() {
     std::vector<eval::RecallCurve> curves;
     for (size_t s = 0; s < std::size(kSchemes); ++s) {
       eval::RecallCurve curve = eval::ComputeRecallCurve(
-          bench::QGreedyFactory(agents[agent_index].get()), oracle, items,
-          thresholds);
+          eval::PolicySpec{"q_greedy", {}, agents[agent_index].get()},
+          oracle, items, thresholds);
       curve.policy_name = SchemeName(kSchemes[s]);
       curves.push_back(std::move(curve));
       ++agent_index;
     }
     curves.push_back(eval::ComputeRecallCurve(
-        [] { return std::make_unique<sched::RandomPolicy>(77); }, oracle,
-        items, thresholds));
+        eval::PolicySpec{"random", {/*seed=*/77}}, oracle, items, thresholds));
     curves.push_back(eval::ComputeRecallCurve(
-        [] { return std::make_unique<sched::OptimalPolicy>(); }, oracle, items,
-        thresholds));
+        eval::PolicySpec{"optimal"}, oracle, items, thresholds));
 
     bench::Banner("Fig. 4 (" + name +
                   ") — avg number of executed models vs required recall");

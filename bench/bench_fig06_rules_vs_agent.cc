@@ -10,13 +10,10 @@
 #include <iostream>
 #include <memory>
 
-#include "bench/agent_policies.h"
 #include "bench/bench_util.h"
 #include "eval/agent_cache.h"
 #include "eval/recall_curve.h"
 #include "eval/world.h"
-#include "sched/basic_policies.h"
-#include "sched/rule_based.h"
 #include "util/table.h"
 
 namespace {
@@ -41,23 +38,19 @@ void Run() {
   const std::vector<double> thresholds = eval::DefaultThresholds();
   std::vector<eval::RecallCurve> curves;
   curves.push_back(eval::ComputeRecallCurve(
-      [] {
-        return std::make_unique<sched::RuleBasedPolicy>(sched::DefaultRules(),
-                                                        4242);
-      },
-      oracle, items, thresholds));
+      eval::PolicySpec{"rule_based", {/*seed=*/4242}}, oracle, items,
+      thresholds));
   {
     eval::RecallCurve curve = eval::ComputeRecallCurve(
-        bench::QGreedyFactory(agent.get()), oracle, items, thresholds);
+        eval::PolicySpec{"q_greedy", {}, agent.get()}, oracle, items,
+        thresholds);
     curve.policy_name = "dueling_dqn";
     curves.push_back(std::move(curve));
   }
   curves.push_back(eval::ComputeRecallCurve(
-      [] { return std::make_unique<sched::RandomPolicy>(77); }, oracle, items,
-      thresholds));
+      eval::PolicySpec{"random", {/*seed=*/77}}, oracle, items, thresholds));
   curves.push_back(eval::ComputeRecallCurve(
-      [] { return std::make_unique<sched::OptimalPolicy>(); }, oracle, items,
-      thresholds));
+      eval::PolicySpec{"optimal"}, oracle, items, thresholds));
 
   std::vector<std::string> header = {"recall"};
   for (const auto& curve : curves) header.push_back(curve.policy_name);

@@ -12,12 +12,10 @@
 #include <iostream>
 #include <memory>
 
-#include "bench/agent_policies.h"
 #include "bench/bench_util.h"
 #include "eval/agent_cache.h"
 #include "eval/recall_curve.h"
 #include "eval/world.h"
-#include "sched/basic_policies.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -51,18 +49,14 @@ void Run() {
     const data::Oracle& oracle = world.oracle(d);
     const std::vector<int> items = world.EvalItems(d);
 
-    const eval::FullRecallCosts costs_a1 =
-        eval::ComputeFullRecallCosts(bench::QGreedyFactory(agent1), oracle,
-                                     items);
-    const eval::FullRecallCosts costs_a2 =
-        eval::ComputeFullRecallCosts(bench::QGreedyFactory(agent2), oracle,
-                                     items);
+    const eval::FullRecallCosts costs_a1 = eval::ComputeFullRecallCosts(
+        eval::PolicySpec{"q_greedy", {}, agent1}, oracle, items);
+    const eval::FullRecallCosts costs_a2 = eval::ComputeFullRecallCosts(
+        eval::PolicySpec{"q_greedy", {}, agent2}, oracle, items);
     const eval::FullRecallCosts costs_rnd = eval::ComputeFullRecallCosts(
-        [] { return std::make_unique<sched::RandomPolicy>(31); }, oracle,
-        items);
+        eval::PolicySpec{"random", {/*seed=*/31}}, oracle, items);
     const eval::FullRecallCosts costs_opt = eval::ComputeFullRecallCosts(
-        [] { return std::make_unique<sched::OptimalPolicy>(); }, oracle,
-        items);
+        eval::PolicySpec{"optimal"}, oracle, items);
 
     bench::Banner(std::string("Fig. 8 — avg time to full value recall on ") +
                   (ds == 0 ? "Dataset1 (Stanford40)" : "Dataset2 (VOC 2012)"));

@@ -18,7 +18,6 @@
 #include "eval/agent_cache.h"
 #include "eval/recall_curve.h"
 #include "eval/world.h"
-#include "sched/basic_policies.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -96,15 +95,13 @@ void Run() {
     for (size_t s = 0; s < std::size(kSchemes); ++s) {
       rl::Agent* agent = agents[ti * std::size(kSchemes) + s].get();
       double order_sum = 0.0, time_sum = 0.0;
-      // A Q-greedy session run to full recall; the builder clones the agent
-      // for the session's policy.
-      sched::PolicyOptions options;
-      options.predictor = agent;
+      // A Q-greedy session over the agent, run to full recall.
       core::LabelingService service =
           core::LabelingServiceBuilder(&oracle.zoo())
               .WithOracle(&oracle)
               .WithMode(core::ExecutionMode::kSerial)
-              .WithPolicy("q_greedy", options)
+              .WithPredictor(agent)
+              .WithPolicy("q_greedy")
               .WithRecallTarget(1.0)
               .Build();
       for (int item : items) {
@@ -126,8 +123,7 @@ void Run() {
     }
     // Random baseline (same for every theta up to seed).
     const eval::FullRecallCosts random_costs = eval::ComputeFullRecallCosts(
-        [] { return std::make_unique<sched::RandomPolicy>(123); }, oracle,
-        items);
+        eval::PolicySpec{"random", {/*seed=*/123}}, oracle, items);
     orders.push_back((oracle.num_models() + 1) / 2.0);  // uniform expectation
     times.push_back(util::Mean(random_costs.time_s));
     order_table.AddRow(util::FormatDouble(kThetas[ti], 0), orders, 1);

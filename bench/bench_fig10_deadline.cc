@@ -12,12 +12,10 @@
 #include <iostream>
 #include <memory>
 
-#include "bench/agent_policies.h"
 #include "bench/bench_util.h"
 #include "eval/agent_cache.h"
 #include "eval/deadline_sweep.h"
 #include "eval/world.h"
-#include "sched/basic_policies.h"
 #include "util/table.h"
 
 namespace {
@@ -54,10 +52,9 @@ void Run() {
     const eval::DeadlineSweep alg1 =
         eval::ComputeDeadlineSweep(agent, oracle, items, deadlines);
     const eval::DeadlineSweep qgreedy = eval::ComputeDeadlineSweep(
-        bench::QGreedyFactory(agent), oracle, items, deadlines);
+        eval::PolicySpec{"q_greedy", {}, agent}, oracle, items, deadlines);
     const eval::DeadlineSweep random = eval::ComputeDeadlineSweep(
-        [] { return std::make_unique<sched::RandomPolicy>(19); }, oracle,
-        items, deadlines);
+        eval::PolicySpec{"random", {/*seed=*/19}}, oracle, items, deadlines);
     const eval::DeadlineSweep star =
         eval::ComputeOptimalStarSweep(oracle, items, deadlines);
 

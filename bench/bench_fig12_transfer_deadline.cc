@@ -13,7 +13,6 @@
 #include "eval/agent_cache.h"
 #include "eval/deadline_sweep.h"
 #include "eval/world.h"
-#include "sched/basic_policies.h"
 #include "util/table.h"
 
 namespace {
@@ -48,8 +47,7 @@ void Run() {
     const eval::DeadlineSweep sweep_a2 =
         eval::ComputeDeadlineSweep(agents[1].get(), oracle, items, deadlines);
     const eval::DeadlineSweep sweep_rnd = eval::ComputeDeadlineSweep(
-        [] { return std::make_unique<sched::RandomPolicy>(59); }, oracle,
-        items, deadlines);
+        eval::PolicySpec{"random", {/*seed=*/59}}, oracle, items, deadlines);
     const eval::DeadlineSweep sweep_star =
         eval::ComputeOptimalStarSweep(oracle, items, deadlines);
 

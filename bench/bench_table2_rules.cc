@@ -4,14 +4,12 @@
 // to random (rules help only marginally; see bench_fig06 for the curves).
 
 #include <iostream>
-#include <memory>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "core/labeling_service.h"
-#include "util/check.h"
 #include "eval/recall_curve.h"
 #include "eval/world.h"
-#include "sched/basic_policies.h"
 #include "sched/rule_based.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -30,8 +28,8 @@ void Run() {
   }
   table.Print(std::cout);
 
-  // Fire-rate diagnostics on MSCOCO traffic (single-threaded run so the
-  // policy instance accumulates counts).
+  // Fire-rate diagnostics on MSCOCO traffic: each rule fires at most once
+  // per item, on the first fresh label that triggers it.
   eval::World world(eval::WorldConfig::FromEnv());
   const int d = world.IndexOf("mscoco");
   const data::Oracle& oracle = world.oracle(d);
@@ -47,21 +45,33 @@ void Run() {
           .WithMode(core::ExecutionMode::kSerial)
           .WithPolicy("rule_based", options)
           .WithRecallTarget(1.0)
-          .WithKernelMode(core::KernelMode::kLean)  // only makespan is read
+          .WithKernelMode(core::KernelMode::kFull)  // fresh labels are read
           .Build();
   double rule_time = 0.0;
+  std::vector<int> fire_counts(rules.size(), 0);
   for (int item : items) {
-    rule_time +=
-        service.Submit(core::WorkItem::Stored(item)).schedule.makespan_s;
+    const core::LabelOutcome outcome =
+        service.Submit(core::WorkItem::Stored(item));
+    rule_time += outcome.schedule.makespan_s;
+    std::vector<bool> fired(rules.size(), false);
+    for (const core::ExecutionRecord& record : outcome.schedule.executions) {
+      for (const zoo::LabelOutput& out : record.fresh) {
+        for (size_t r = 0; r < rules.size(); ++r) {
+          if (fired[r] ||
+              !sched::RuleTriggered(rules[r], oracle.zoo().labels(),
+                                    out.label_id)) {
+            continue;
+          }
+          fired[r] = true;
+          ++fire_counts[r];
+        }
+      }
+    }
   }
   rule_time /= static_cast<double>(items.size());
-  const auto* policy =
-      dynamic_cast<const sched::RuleBasedPolicy*>(service.session_policy());
-  AMS_CHECK(policy != nullptr,
-            "rule_based session must expose a RuleBasedPolicy");
 
   const eval::FullRecallCosts random_costs = eval::ComputeFullRecallCosts(
-      [] { return std::make_unique<sched::RandomPolicy>(7); }, oracle, items);
+      eval::PolicySpec{"random", {/*seed=*/7}}, oracle, items);
   const double random_time = util::Mean(random_costs.time_s);
 
   bench::Banner("Rule fire counts over " + std::to_string(items.size()) +
@@ -70,7 +80,7 @@ void Run() {
   fires.SetHeader({"#", "rule", "fired"});
   for (size_t r = 0; r < rules.size(); ++r) {
     fires.AddRow({std::to_string(r + 1), rules[r].description,
-                  std::to_string(policy->rule_fire_counts()[r])});
+                  std::to_string(fire_counts[r])});
   }
   fires.Print(std::cout);
 

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "core/value.h"
-#include "sched/policy_adapter.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -18,39 +17,13 @@ namespace ams::core {
 
 namespace {
 
-// A policy bundled with the predictor clone it decides from, so each worker
-// of a WithPolicy(name, {predictor}) session owns a private copy of a
-// stateful predictor (same idiom as cloning an rl::Agent per eval thread).
-class PolicyWithPredictor : public sched::SchedulingPolicy {
- public:
-  PolicyWithPredictor(std::unique_ptr<ModelValuePredictor> predictor,
-                      std::unique_ptr<sched::SchedulingPolicy> inner)
-      : predictor_(std::move(predictor)), inner_(std::move(inner)) {}
-
-  std::string name() const override { return inner_->name(); }
-  void BeginItem(const sched::ItemContext& ctx) override {
-    inner_->BeginItem(ctx);
-  }
-  int NextModel(const LabelingState& state, double remaining_time) override {
-    return inner_->NextModel(state, remaining_time);
-  }
-  void OnExecuted(int model,
-                  const std::vector<zoo::LabelOutput>& fresh) override {
-    inner_->OnExecuted(model, fresh);
-  }
-
-  sched::SchedulingPolicy* inner() const { return inner_.get(); }
-
- private:
-  std::unique_ptr<ModelValuePredictor> predictor_;
-  std::unique_ptr<sched::SchedulingPolicy> inner_;
-};
-
-// The decision row a predictor-driven mode's picker reads: greedy compares
-// raw Q against END, Algorithms 1 and 2 rank models by SchedulingProfit(Q).
-DecisionRow DecisionRowFor(ExecutionMode mode) {
-  return mode == ExecutionMode::kGreedy ? DecisionRow::kQ
-                                        : DecisionRow::kSchedulingProfit;
+// The decision row a predictor session's picker reads: greedy compares raw
+// Q against END and q_greedy ranks by raw Q, while Algorithms 1 and 2 rank
+// models by SchedulingProfit(Q).
+DecisionRow DecisionRowFor(ExecutionMode mode, bool has_policy) {
+  return mode == ExecutionMode::kGreedy || has_policy
+             ? DecisionRow::kQ
+             : DecisionRow::kSchedulingProfit;
 }
 
 }  // namespace
@@ -87,38 +60,51 @@ struct LabelingService::PredictorPool {
 
 /// One resident item record. RunOne keeps one per decision state and an
 /// ItemStepper one per slot of its resident set; Arm() re-binds it to each
-/// new item, so the kernel's tables, the execution contexts and the slot
-/// picker are built once per record and never per item. A record keeps no
-/// pointer to its session (sessions are movable); every call that needs
-/// the configuration takes it.
+/// new item, so the kernel's tables, the execution contexts, the per-item
+/// policy state and the installed picker are built once per record and
+/// never per item. A record keeps no pointer to its session (sessions are
+/// movable); every call that needs the configuration takes it.
 class LabelingService::ResidentItem {
  public:
-  /// `plane` is the stepper's shared plane; when it is null a
-  /// predictor-driven record builds a private single-slot plane over
-  /// `predictor` (RunOne). Policy and random-packing sessions (null
-  /// `predictor`) hold no slot and build their picker per item.
-  ResidentItem(ExecutionMode mode, ModelValuePredictor* predictor,
-               DecisionPlane* plane) {
+  /// `plane` is the stepper's shared plane; when it is null a record over a
+  /// `predictor` builds a private single-slot plane (RunOne). A policy
+  /// session's record installs a picker over `policy`, the worker's policy
+  /// object, and its own per-item state; q_greedy reads the slot. Other
+  /// predictor sessions install the mode's slot picker, and random packing
+  /// builds its picker per item.
+  ResidentItem(const Config& config, ModelValuePredictor* predictor,
+               DecisionPlane* plane, sched::PolicyPicker* policy)
+      : policy_(policy) {
     hooks_.on_executed = [this](const ExecutionRecord& record,
                                 const LabelingState&) {
       return OnExecuted(record);
     };
-    if (predictor == nullptr) return;
-    if (plane == nullptr) {
-      private_plane_ =
-          std::make_unique<DecisionPlane>(predictor, DecisionRowFor(mode));
-      plane = private_plane_.get();
+    if (predictor != nullptr) {
+      if (plane == nullptr) {
+        private_plane_ = std::make_unique<DecisionPlane>(
+            predictor, DecisionRowFor(config.mode, policy != nullptr));
+        plane = private_plane_.get();
+      }
+      slot_ = plane->NewSlot();
     }
-    slot_ = plane->NewSlot();
-    switch (mode) {
+    if (policy != nullptr) {
+      policy_item_.zoo = config.zoo;
+      policy_item_.slot = slot_;
+      picker_ = [this](const PickContext& pick) {
+        return pick.idle ? policy_->Pick(pick, &policy_item_) : -1;
+      };
+      return;
+    }
+    if (slot_ == nullptr) return;
+    switch (config.mode) {
       case ExecutionMode::kGreedy:
-        slot_picker_ = MakeGreedyPicker(slot_);
+        picker_ = MakeGreedyPicker(slot_);
         break;
       case ExecutionMode::kSerial:
-        slot_picker_ = MakeDeadlinePicker(slot_);
+        picker_ = MakeDeadlinePicker(slot_);
         break;
       case ExecutionMode::kParallel:
-        slot_picker_ = MakeDeadlineMemoryPicker(slot_);
+        picker_ = MakeDeadlineMemoryPicker(slot_);
         break;
       case ExecutionMode::kParallelRandom:
         AMS_CHECK(false, "random packing takes no predictor");
@@ -129,13 +115,12 @@ class LabelingService::ResidentItem {
   ResidentItem& operator=(const ResidentItem&) = delete;
 
   /// Re-arms the record for `item`: rebinds the execution context, resets
-  /// the recall tally, builds the per-item picker when the session has one
-  /// (`policy`, or random packing seeded by `stream_id`), invalidates the
-  /// slot and re-arms the kernel. Returns false when the item's recall
-  /// target is met before any execution (e.g. an item with no valuable
-  /// labels): nothing to schedule, and recall() is final.
-  bool Arm(const Config& config, const WorkItem& item,
-           sched::SchedulingPolicy* policy, uint64_t stream_id) {
+  /// the recall tally, sets the policy up for the item (or builds random
+  /// packing's picker, seeded by `stream_id`), invalidates the slot and
+  /// re-arms the kernel. Returns false when the item's recall target is met
+  /// before any execution (e.g. an item with no valuable labels): nothing
+  /// to schedule, and recall() is final.
+  bool Arm(const Config& config, const WorkItem& item, uint64_t stream_id) {
     stored_ = item.item >= 0;
     AMS_CHECK(stored_ || item.scene != nullptr,
               "WorkItem needs a scene or a stored item id");
@@ -161,16 +146,15 @@ class LabelingService::ResidentItem {
       exec = &*live_;
     }
 
-    ModelPicker picker;  // per-item pickers; a slot picker stays installed
-    adapter_.reset();
-    if (policy != nullptr) {
-      sched::ItemContext ctx;
-      ctx.oracle = stored_ ? config.oracle : nullptr;
-      ctx.zoo = config.zoo;
-      ctx.item = item.item;
-      ctx.chunk_id = item.chunk_id;
-      adapter_.emplace(policy, ctx);
-      picker = adapter_->Picker();
+    // Random packing's per-item picker; every other picker stays installed.
+    // The policy is set up before the skip below, so a seeded policy draws
+    // for every item, scheduled or not.
+    ModelPicker picker;
+    if (policy_ != nullptr) {
+      policy_item_.oracle = stored_ ? config.oracle : nullptr;
+      policy_item_.item = item.item;
+      policy_item_.chunk_id = item.chunk_id;
+      policy_->Arm(&policy_item_);
     } else if (config.mode == ExecutionMode::kParallelRandom) {
       picker = MakeRandomPackingPicker(
           util::HashCombine(config.seed, 0x9A7Au + stream_id));
@@ -186,8 +170,8 @@ class LabelingService::ResidentItem {
       kernel_->Rearm(exec, std::move(picker));
     } else {
       kernel_.emplace(exec, config.constraints,
-                      picker != nullptr ? std::move(picker) : slot_picker_,
-                      hooks_, config.kernel_mode);
+                      picker != nullptr ? std::move(picker) : picker_, hooks_,
+                      config.kernel_mode);
     }
     return true;
   }
@@ -203,7 +187,7 @@ class LabelingService::ResidentItem {
 
  private:
   bool OnExecuted(const ExecutionRecord& record) {
-    if (adapter_.has_value()) adapter_->NotifyExecuted(record);
+    if (policy_ != nullptr) policy_->OnExecuted(record, &policy_item_);
     if (!stored_) return false;
     value_ += record.gain;
     return RecallTargetReached(recall(), recall_target_);
@@ -215,10 +199,11 @@ class LabelingService::ResidentItem {
   double value_ = 0.0;        // summed ExecutionRecord::gain
   double total_value_ = 0.0;  // Oracle::TrueTotalValue of the stored item
   double recall_target_ = -1.0;
-  std::optional<sched::PolicyAdapter> adapter_;
+  sched::PolicyPicker* policy_;  // the worker's; null without a policy
+  sched::PolicyItem policy_item_;
   std::unique_ptr<DecisionPlane> private_plane_;
   DecisionPlane::Slot* slot_ = nullptr;
-  ModelPicker slot_picker_;
+  ModelPicker picker_;
   KernelHooks hooks_;
   std::optional<ScheduleKernel> kernel_;
 };
@@ -262,11 +247,11 @@ LabelOutcome LabelingService::RunOne(const WorkItem& item,
                                      uint64_t stream_id) const {
   if (state->record == nullptr) {
     state->record = std::make_unique<ResidentItem>(
-        config_.mode, state->predictor, /*plane=*/nullptr);
+        config_, state->predictor, /*plane=*/nullptr, state->policy.get());
   }
   ResidentItem& record = *state->record;
   LabelOutcome outcome;
-  if (record.Arm(config_, item, state->policy.get(), stream_id)) {
+  if (record.Arm(config_, item, stream_id)) {
     ScheduleKernel& kernel = record.kernel();
     while (kernel.Step()) {
     }
@@ -286,7 +271,8 @@ LabelingService::ItemStepper::ItemStepper(const LabelingService* session,
     // predictor clone, the regime the plane's row memo exists for: at
     // steady state most decision points are served without a forward pass.
     plane_ = std::make_unique<DecisionPlane>(
-        state_.predictor, DecisionRowFor(session->config_.mode),
+        state_.predictor,
+        DecisionRowFor(session->config_.mode, state_.policy != nullptr),
         /*memoize_rows=*/true);
   }
 }
@@ -310,7 +296,8 @@ uint64_t LabelingService::ItemStepper::Admit(const WorkItem& item,
   ResidentItem* record = nullptr;
   if (free_records_.empty()) {
     records_.push_back(std::make_unique<ResidentItem>(
-        session_->config_.mode, state_.predictor, plane_.get()));
+        session_->config_, state_.predictor, plane_.get(),
+        state_.policy.get()));
     // Room for every record, so Tick hands them back without allocating.
     free_records_.reserve(records_.size());
     record = records_.back().get();
@@ -318,8 +305,7 @@ uint64_t LabelingService::ItemStepper::Admit(const WorkItem& item,
     record = free_records_.back();
     free_records_.pop_back();
   }
-  if (!record->Arm(session_->config_, item, /*policy=*/nullptr,
-                   stream_id)) {
+  if (!record->Arm(session_->config_, item, stream_id)) {
     free_records_.push_back(record);
     Completion done;
     done.ticket = ticket;
@@ -422,11 +408,15 @@ int LabelingService::ItemStepper::resident() const {
 
 std::unique_ptr<LabelingService::ItemStepper> LabelingService::NewItemStepper(
     int worker_index) {
-  AMS_CHECK(config_.policy_factory == nullptr,
-            "item steppers multiplex items event-by-event; stateful policies "
-            "need sequential submission (Submit/SubmitBatch)");
   AMS_CHECK(worker_index >= 0);
-  return std::unique_ptr<ItemStepper>(new ItemStepper(this, worker_index));
+  std::unique_ptr<ItemStepper> stepper(new ItemStepper(this, worker_index));
+  const sched::PolicyPicker* policy = stepper->state_.policy.get();
+  AMS_CHECK(policy == nullptr || !policy->depends_on_item_order(),
+            "item steppers interleave items, so they refuse policies whose "
+            "outcomes depend on item order: rule_based draws from its rng on "
+            "every pick, and explore_exploit sets an item up from what "
+            "earlier items of its chunk executed (use Submit/SubmitBatch)");
+  return stepper;
 }
 
 LabelOutcome LabelingService::Submit(const WorkItem& item) {
@@ -439,21 +429,6 @@ LabelOutcome LabelingService::Submit(const WorkItem& item) {
                                  ? static_cast<uint64_t>(item.item)
                                  : live_sequence_++;
   return RunOne(item, &session_state_, stream_id);
-}
-
-sched::SchedulingPolicy* LabelingService::session_policy() {
-  if (!session_state_ready_) {
-    session_state_ =
-        MakeDecisionState(/*clone_predictor=*/false, /*worker_index=*/0);
-    session_state_ready_ = true;
-  }
-  sched::SchedulingPolicy* policy = session_state_.policy.get();
-  // Unwrap the predictor-owning shim so callers can downcast to the
-  // concrete policy type for diagnostics.
-  if (auto* wrapped = dynamic_cast<PolicyWithPredictor*>(policy)) {
-    return wrapped->inner();
-  }
-  return policy;
 }
 
 std::vector<LabelOutcome> LabelingService::SubmitBatch(
@@ -510,8 +485,8 @@ std::vector<LabelOutcome> LabelingService::SubmitBatch(
 
   const auto run_block = [&](const std::pair<size_t, size_t>& block,
                              int worker_index) {
-    // One decision state per worker, kept across its items: policies carry
-    // chunk-adaptive history from item to item.
+    // One decision state per worker, kept across its items: policy objects
+    // carry their rng and chunk-adaptive history from item to item.
     DecisionState state =
         MakeDecisionState(/*clone_predictor=*/true, worker_index);
     for (size_t gi = block.first; gi < block.second; ++gi) {
@@ -593,7 +568,6 @@ LabelingServiceBuilder& LabelingServiceBuilder::WithPolicyFactory(
   config_.policy_factory = [factory = std::move(factory)](int) {
     return factory();
   };
-  config_.policy_name.clear();
   has_pending_policy_ = false;
   return *this;
 }
@@ -634,42 +608,36 @@ LabelingServiceBuilder& LabelingServiceBuilder::WithRecallTarget(
 LabelingService LabelingServiceBuilder::Build() const {
   LabelingService::Config config = config_;
   if (has_pending_policy_) {
-    sched::PolicyRegistry& registry = sched::PolicyRegistry::Global();
-    AMS_CHECK(registry.Contains(pending_policy_name_),
-              "unknown policy '" + pending_policy_name_ +
-                  "'; known: " + registry.JoinedNames());
-    config.policy_name = pending_policy_name_;
-    const std::string name = pending_policy_name_;
+    const std::string& name = pending_policy_name_;
+    AMS_CHECK(sched::PolicyRegistry::Contains(name),
+              "unknown policy '" + name +
+                  "'; known: " + sched::PolicyRegistry::JoinedNames());
+    const bool needs_predictor =
+        sched::PolicyRegistry::Traits(name).needs_predictor;
+    AMS_CHECK(!needs_predictor || config.predictor != nullptr,
+              "policy '" + name +
+                  "' reads Q from the session predictor; configure "
+                  "WithPredictor");
+    AMS_CHECK(needs_predictor || config.predictor == nullptr,
+              "policy '" + name +
+                  "' reads no predictor; configure a predictor or a policy, "
+                  "not both");
     const sched::PolicyOptions options = pending_policy_options_;
-    config.policy_factory =
-        [name, options](int worker) -> std::unique_ptr<sched::SchedulingPolicy> {
-      // Each worker's policy gets a private predictor clone when the
-      // predictor supports it (non-clonable predictors are shared and must
-      // be thread-safe), and a worker-decorrelated seed so seeded baselines
-      // don't replay identical random sequences on every worker.
-      sched::PolicyOptions per_worker = options;
+    config.policy_factory = [name, options](int worker) {
       // Worker 0 keeps the caller's seed so sequential sessions reproduce
-      // direct policy construction; only extra workers decorrelate.
+      // direct policy construction; only extra workers decorrelate, so
+      // seeded baselines don't replay one random sequence on every worker.
+      sched::PolicyOptions per_worker = options;
       if (worker != 0) {
         per_worker.seed = util::HashCombine(options.seed,
                                             static_cast<uint64_t>(worker));
       }
-      std::unique_ptr<ModelValuePredictor> clone =
-          options.predictor != nullptr ? options.predictor->ClonePredictor()
-                                       : nullptr;
-      if (clone != nullptr) per_worker.predictor = clone.get();
-      std::unique_ptr<sched::SchedulingPolicy> policy =
-          sched::PolicyRegistry::Global().Create(name, per_worker);
-      if (clone == nullptr) return policy;
-      return std::make_unique<PolicyWithPredictor>(std::move(clone),
-                                                   std::move(policy));
+      return sched::PolicyRegistry::Create(name, per_worker);
     };
   }
   config.constraints.Validate();
 
   const bool has_policy = config.policy_factory != nullptr;
-  AMS_CHECK(!(config.predictor != nullptr && has_policy),
-            "configure a predictor or a policy, not both");
   switch (config.mode) {
     case ExecutionMode::kGreedy:
       // Greedy is the unconstrained schedule (§V intro); a budget the
@@ -680,7 +648,7 @@ LabelingService LabelingServiceBuilder::Build() const {
                 "for budgeted scheduling");
       [[fallthrough]];
     case ExecutionMode::kParallel:
-      AMS_CHECK(config.predictor != nullptr,
+      AMS_CHECK(config.predictor != nullptr && !has_policy,
                 "greedy/parallel modes are predictor-driven (WithPredictor); "
                 "policies schedule serially");
       break;

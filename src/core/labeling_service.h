@@ -13,7 +13,7 @@
 #include "data/oracle.h"
 #include "data/stream.h"
 #include "obs/trace.h"
-#include "sched/policy.h"
+#include "sched/policy_picker.h"
 #include "sched/policy_registry.h"
 
 namespace ams::core {
@@ -22,11 +22,12 @@ namespace ams::core {
 enum class ExecutionMode {
   /// Q-greedy, END-stop (§V intro). Predictor-driven, unconstrained.
   kGreedy,
-  /// Serial scheduling under a deadline: Algorithm 1 when the session has a
-  /// predictor, or any registry policy when it has one of those. Algorithm 1
-  /// scores a model by SchedulingProfit(Q) over the zoo's mean time and
-  /// checks feasibility against the execution context's planned time (the
-  /// realized draw under replay, the mean time on live items).
+  /// Serial scheduling under a deadline: a registry policy when the session
+  /// has one (q_greedy also reads the session predictor), otherwise
+  /// Algorithm 1 over the predictor. Algorithm 1 scores a model by
+  /// SchedulingProfit(Q) over the zoo's mean time; it and every policy check
+  /// feasibility against the execution context's planned time (the realized
+  /// draw under replay, the mean time on live items).
   kSerial,
   /// Algorithm 2 under deadline + memory. Predictor-driven.
   kParallel,
@@ -70,10 +71,11 @@ struct LabelOutcome {
 /// and all registry policies — on live scenes or stored items, one at a
 /// time, in batches, or as a stream. Construct via LabelingServiceBuilder.
 ///
-/// Threading model: Submit() runs inline and keeps one session-level policy
-/// instance, so chunked-stream policies accumulate knowledge across
-/// consecutive submissions. SubmitBatch()/Run() fan out over a
-/// util::ThreadPool with per-worker policy/predictor instances and a
+/// Threading model: Submit() runs inline and keeps one session-level
+/// decision state (policy object, resident record), so chunked-stream
+/// policies accumulate knowledge across consecutive submissions.
+/// SubmitBatch()/Run() fan out over a util::ThreadPool with a decision state
+/// per worker (its own policy object and predictor clone) and a
 /// deterministic partition (whole chunks never split across workers), so
 /// results are reproducible for a fixed seed and worker count. A session
 /// parallelizes internally but is not itself thread-safe: issue
@@ -85,18 +87,20 @@ struct LabelOutcome {
 /// decision state (RunOne), and ItemStepper multiplexes in-flight items for
 /// the serving runtime, sharing one batched, memoized Q-forward per tick.
 /// Both run items on resident item records: one per RunOne decision state
-/// and one per stepper slot, each holding a rebindable execution context, a
-/// picker bound to a stable decision-plane slot, the hooks and a kernel that
-/// is re-armed per item. Recall is the sum of the kernel's per-execution
-/// gains over the item's total value, so no output is walked twice, and a
-/// warm lean record labels an item without touching the heap.
+/// and one per stepper slot, each holding a rebindable execution context,
+/// the picker it installs once (over a stable decision-plane slot, or over
+/// the worker's policy object and the record's per-item policy state), the
+/// hooks and a kernel that is re-armed per item. Recall is the sum of the
+/// kernel's per-execution gains over the item's total value, so no output
+/// is walked twice, and a warm lean record labels an item without touching
+/// the heap.
 /// The one execution-plane knob, WithKernelMode(kLean), skips result
 /// materialization for recall-only paths; it changes cost, never recall.
 class LabelingService {
  public:
   using Sink = std::function<void(const WorkItem&, const LabelOutcome&)>;
   using PolicyFactory =
-      std::function<std::unique_ptr<sched::SchedulingPolicy>()>;
+      std::function<std::unique_ptr<sched::PolicyPicker>()>;
 
   LabelingService(LabelingService&&) = default;
   LabelingService& operator=(LabelingService&&) = default;
@@ -124,15 +128,6 @@ class LabelingService {
     return config_.constraints;
   }
   int worker_count() const { return config_.workers; }
-  /// Registry name of the session's policy; empty for predictor sessions
-  /// and custom factories.
-  const std::string& policy_name() const { return config_.policy_name; }
-
-  /// The policy instance behind sequential Submit() calls (created on first
-  /// use), for diagnostics like RuleBasedPolicy::rule_fire_counts(); nullptr
-  /// for predictor sessions. SubmitBatch/Run workers use their own
-  /// instances, which are not observable here.
-  sched::SchedulingPolicy* session_policy();
 
   /// The session hand-off point for asynchronous backends: a worker-scoped
   /// stepper that multiplexes a dynamic set of in-flight items by advancing
@@ -145,7 +140,8 @@ class LabelingService {
   /// one finish event and reports completed items. Items
   /// are independent, so interleaving them cannot change any outcome — per
   /// item, a stepper run is bit-identical to Submit() with the same
-  /// stream_id.
+  /// stream_id. (The random policy draws an item's permutation when the
+  /// item is admitted, so it matches Submit for the same admission order.)
   ///
   /// A stepper is single-threaded (one per serve worker, like a SubmitBatch
   /// worker); distinct steppers of one session may run concurrently. Create
@@ -153,13 +149,16 @@ class LabelingService {
   /// private decision-state machinery.)
   class ItemStepper;
 
-  /// Creates a stepper bound to this session's configuration. Stateful
-  /// policy sessions are rejected (a policy accumulates knowledge across an
-  /// item sequence; multiplexed stepping would interleave that history) —
-  /// steppers serve predictor-driven and random-packing sessions.
-  /// `worker_index` keys the per-worker predictor clone pool; concurrent
-  /// steppers must use distinct indices. Do not run SubmitBatch/Run on the
-  /// session while steppers are live (they share the clone pool).
+  /// Creates a stepper bound to this session's configuration, with the
+  /// worker's own policy object. Steppers serve predictor, random-packing
+  /// and policy sessions, except the policies whose outcomes depend on item
+  /// order, which are rejected: rule_based draws from its rng on every
+  /// pick, and explore_exploit sets an item up from what earlier items of
+  /// its chunk executed. `worker_index` keys the per-worker predictor clone
+  /// pool and seeds the worker's policy as SubmitBatch's worker of that
+  /// index; concurrent steppers must use distinct indices. Do not run
+  /// SubmitBatch/Run on the session while steppers are live (they share the
+  /// clone pool).
   std::unique_ptr<ItemStepper> NewItemStepper(int worker_index);
 
  private:
@@ -173,9 +172,7 @@ class LabelingService {
     /// Per-worker policy constructor; the worker index decorrelates seeded
     /// policies across workers (registry path only — custom factories get
     /// called as-is).
-    std::function<std::unique_ptr<sched::SchedulingPolicy>(int)>
-        policy_factory;
-    std::string policy_name;
+    std::function<std::unique_ptr<sched::PolicyPicker>(int)> policy_factory;
     ScheduleConstraints constraints;
     ExecutionMode mode = ExecutionMode::kGreedy;
     KernelMode kernel_mode = KernelMode::kFull;
@@ -187,14 +184,14 @@ class LabelingService {
   explicit LabelingService(Config config);
 
   /// One resident item record: a rebindable execution context, the recall
-  /// tally, a picker bound to a stable decision-plane slot, the hooks and a
-  /// kernel, all re-armed per item (defined in the .cc). Heap-allocated and
-  /// never moved, so the hooks can capture it.
+  /// tally, the per-item policy state, the picker it installs once, the
+  /// hooks and a kernel, all re-armed per item (defined in the .cc).
+  /// Heap-allocated and never moved, so the hooks and picker can capture it.
   class ResidentItem;
 
-  // One worker's decision-making state (policies and rl agents are stateful
-  // and must not be shared across threads). Predictor clones are owned by
-  // the session's PredictorPool, keyed by worker index.
+  // One worker's decision-making state (policy objects and rl agents are
+  // stateful and must not be shared across threads). Predictor clones are
+  // owned by the session's PredictorPool, keyed by worker index.
   struct DecisionState {
     DecisionState();
     DecisionState(DecisionState&&) noexcept;
@@ -202,7 +199,7 @@ class LabelingService {
     ~DecisionState();
 
     ModelValuePredictor* predictor = nullptr;
-    std::unique_ptr<sched::SchedulingPolicy> policy;
+    std::unique_ptr<sched::PolicyPicker> policy;
     /// RunOne's record, built on first use over a private single-slot plane
     /// and re-armed for every item this state labels.
     std::unique_ptr<ResidentItem> record;
@@ -327,11 +324,11 @@ class LabelingService::ItemStepper {
   TickStats tick_stats_;
 };
 
-/// Builder of LabelingService sessions. Exactly one decision source —
-/// WithPredictor or WithPolicy/WithPolicyFactory — must be configured for
-/// kGreedy/kSerial/kParallel (kParallelRandom takes none); Build() validates
-/// the whole configuration and crashes with a clear message on an invalid
-/// one.
+/// Builder of LabelingService sessions. kGreedy and kParallel take a
+/// predictor; kSerial takes a predictor (Algorithm 1) or a policy
+/// (WithPolicy/WithPolicyFactory), and q_greedy takes both; kParallelRandom
+/// takes neither. Build() validates the whole configuration and crashes
+/// with a clear message on an invalid one.
 class LabelingServiceBuilder {
  public:
   /// `zoo` must outlive the built service.
@@ -341,20 +338,22 @@ class LabelingServiceBuilder {
   /// reports value recall. The oracle must wrap the same zoo.
   LabelingServiceBuilder& WithOracle(const data::Oracle* oracle);
 
-  /// Predictor-driven scheduling (greedy / Algorithm 1 / Algorithm 2).
-  /// The predictor must outlive the service; it is cloned per worker when it
-  /// supports ClonePredictor (rl::Agent does).
+  /// Predictor-driven scheduling (greedy / Algorithm 1 / Algorithm 2), and
+  /// the Q that q_greedy reads. The predictor must outlive the service; it
+  /// is cloned per worker when it supports ClonePredictor (rl::Agent does).
   LabelingServiceBuilder& WithPredictor(ModelValuePredictor* predictor);
 
-  /// Policy-driven serial scheduling, resolved through
-  /// sched::PolicyRegistry::Global(). Unknown names fail in Build(). When
-  /// `options.predictor` is set and clonable, every worker's policy gets a
-  /// private predictor clone.
+  /// Policy-driven serial scheduling, resolved through sched::PolicyRegistry.
+  /// Unknown names fail in Build(), as does q_greedy without WithPredictor.
+  /// Worker 0 gets `options.seed`; worker w > 0 gets
+  /// util::HashCombine(options.seed, w), so seeded baselines do not replay
+  /// one random sequence on every worker.
   LabelingServiceBuilder& WithPolicy(const std::string& name,
                                      sched::PolicyOptions options = {});
 
   /// Policy-driven serial scheduling with a custom factory (called once per
-  /// worker; instances are never shared across threads).
+  /// worker and as-is, so a policy built from a fixed seed is seeded alike
+  /// on every worker; instances are never shared across threads).
   LabelingServiceBuilder& WithPolicyFactory(
       LabelingService::PolicyFactory factory);
 

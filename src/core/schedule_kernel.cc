@@ -139,6 +139,12 @@ void ScheduleKernel::StartModels() {
     if (m < 0) break;
     AMS_CHECK(m < num_models_ && !started_[static_cast<size_t>(m)],
               "picker returned an already-started model");
+    // The one budget check, whatever the picker: a started model must fit
+    // the time left (planned, with slack for rounding) and the free memory.
+    AMS_CHECK(planned_time_[m] <= pick.remaining_time() + 1e-9,
+              "picker returned a model exceeding the remaining time");
+    AMS_CHECK(mem_mb_[m] <= mem_free_,
+              "picker returned a model exceeding the free memory");
     started_[static_cast<size_t>(m)] = true;
     unstarted_.erase(
         std::lower_bound(unstarted_.begin(), unstarted_.end(), m));

@@ -177,7 +177,9 @@ struct PickContext {
 
 /// Returns the next model to start *now*, or -1 to start nothing (the kernel
 /// then advances to the next finish event, or stops once nothing is
-/// running). Serial strategies return a model only when `idle`.
+/// running). Serial strategies return a model only when `idle`. The model
+/// must be unstarted, its planned time must fit the remaining time and its
+/// memory the free memory: the kernel checks all three.
 using ModelPicker = std::function<int(const PickContext&)>;
 
 /// Optional kernel hooks.
@@ -232,8 +234,8 @@ class ScheduleKernel {
   /// state, the best-confidence entries the last item touched, the started
   /// flags and unstarted list, the running list, the clocks, the stop flags
   /// and the result, without allocating. A non-null `picker` replaces the
-  /// kernel's picker (per-item pickers: policies, random packing); null
-  /// keeps the current one. Constraints, hooks and mode stay.
+  /// kernel's picker (random packing's per-item picker); null keeps the
+  /// current one. Constraints, hooks and mode stay.
   void Rearm(const ExecutionContext* exec, ModelPicker picker = nullptr);
 
   /// Advances past the next finish event. Returns false once the schedule is

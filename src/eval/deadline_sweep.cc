@@ -70,19 +70,18 @@ std::vector<double> AverageRecallOverItems(
   return avg_recall;
 }
 
-DeadlineSweep ComputeDeadlineSweep(const PolicyFactory& factory,
+DeadlineSweep ComputeDeadlineSweep(const PolicySpec& policy,
                                    const data::Oracle& oracle,
                                    const std::vector<int>& items,
                                    const std::vector<double>& deadlines,
                                    int num_threads) {
   DeadlineSweep sweep;
-  sweep.policy_name = factory()->name();
+  sweep.policy_name = policy.name;
   sweep.deadlines_s = deadlines;
   sweep.avg_recall = AverageRecallPerDeadline(
       oracle, items, deadlines, std::numeric_limits<double>::infinity(),
       num_threads, [&](size_t, core::LabelingServiceBuilder* builder) {
-        builder->WithMode(core::ExecutionMode::kSerial)
-            .WithPolicyFactory(factory);
+        ConfigurePolicySession(policy, builder);
       });
   return sweep;
 }

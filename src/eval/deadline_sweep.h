@@ -25,8 +25,8 @@ struct DeadlineSweep {
 /// Default deadline grid 0.25 .. 5.0 s.
 std::vector<double> DefaultDeadlines();
 
-/// Runs the policy on every item for every deadline and averages the recall.
-DeadlineSweep ComputeDeadlineSweep(const PolicyFactory& factory,
+/// Runs `policy` on every item for every deadline and averages the recall.
+DeadlineSweep ComputeDeadlineSweep(const PolicySpec& policy,
                                    const data::Oracle& oracle,
                                    const std::vector<int>& items,
                                    const std::vector<double>& deadlines,

@@ -10,28 +10,34 @@ std::vector<double> DefaultThresholds() {
   return {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0};
 }
 
+void ConfigurePolicySession(const PolicySpec& policy,
+                            core::LabelingServiceBuilder* builder) {
+  builder->WithMode(core::ExecutionMode::kSerial)
+      .WithPolicyFactory([name = policy.name, options = policy.options] {
+        return sched::PolicyRegistry::Create(name, options);
+      });
+  if (policy.predictor != nullptr) builder->WithPredictor(policy.predictor);
+}
+
 namespace {
 
 // Labels every item to full recall through one serial session whose workers
-// each own a policy from `factory`. The full kernel mode keeps every
-// execution record, so each item's trajectory can be read back from
-// schedule.executions.
-std::vector<core::LabelOutcome> RunToFullRecall(const PolicyFactory& factory,
+// each own a `policy`. The full kernel mode keeps every execution record, so
+// each item's trajectory can be read back from schedule.executions.
+std::vector<core::LabelOutcome> RunToFullRecall(const PolicySpec& policy,
                                                 const data::Oracle& oracle,
                                                 const std::vector<int>& items,
                                                 int num_threads) {
   std::vector<core::WorkItem> work;
   work.reserve(items.size());
   for (int item : items) work.push_back(core::WorkItem::Stored(item));
-  core::LabelingService service = core::LabelingServiceBuilder(&oracle.zoo())
-                                      .WithOracle(&oracle)
-                                      .WithMode(core::ExecutionMode::kSerial)
-                                      .WithPolicyFactory(factory)
-                                      .WithKernelMode(core::KernelMode::kFull)
-                                      .WithRecallTarget(1.0)
-                                      .WithWorkers(num_threads)
-                                      .Build();
-  return service.SubmitBatch(work);
+  core::LabelingServiceBuilder builder(&oracle.zoo());
+  builder.WithOracle(&oracle)
+      .WithKernelMode(core::KernelMode::kFull)
+      .WithRecallTarget(1.0)
+      .WithWorkers(num_threads);
+  ConfigurePolicySession(policy, &builder);
+  return builder.Build().SubmitBatch(work);
 }
 
 struct Cost {
@@ -59,7 +65,7 @@ Cost CostToReach(const core::LabelOutcome& outcome, double total_value,
 
 }  // namespace
 
-RecallCurve ComputeRecallCurve(const PolicyFactory& factory,
+RecallCurve ComputeRecallCurve(const PolicySpec& policy,
                                const data::Oracle& oracle,
                                const std::vector<int>& items,
                                const std::vector<double>& thresholds,
@@ -67,10 +73,10 @@ RecallCurve ComputeRecallCurve(const PolicyFactory& factory,
   AMS_CHECK(!items.empty());
   AMS_CHECK(!thresholds.empty());
   const std::vector<core::LabelOutcome> outcomes =
-      RunToFullRecall(factory, oracle, items, num_threads);
+      RunToFullRecall(policy, oracle, items, num_threads);
 
   RecallCurve curve;
-  curve.policy_name = factory()->name();
+  curve.policy_name = policy.name;
   curve.thresholds = thresholds;
   curve.avg_models.assign(thresholds.size(), 0.0);
   curve.avg_time_s.assign(thresholds.size(), 0.0);
@@ -90,12 +96,12 @@ RecallCurve ComputeRecallCurve(const PolicyFactory& factory,
   return curve;
 }
 
-FullRecallCosts ComputeFullRecallCosts(const PolicyFactory& factory,
+FullRecallCosts ComputeFullRecallCosts(const PolicySpec& policy,
                                        const data::Oracle& oracle,
                                        const std::vector<int>& items,
                                        double recall_target, int num_threads) {
   const std::vector<core::LabelOutcome> outcomes =
-      RunToFullRecall(factory, oracle, items, num_threads);
+      RunToFullRecall(policy, oracle, items, num_threads);
   FullRecallCosts costs;
   costs.time_s.reserve(outcomes.size());
   costs.models.reserve(outcomes.size());

@@ -1,19 +1,33 @@
 #ifndef AMS_EVAL_RECALL_CURVE_H_
 #define AMS_EVAL_RECALL_CURVE_H_
 
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/predictor.h"
 #include "data/oracle.h"
-#include "sched/policy.h"
+#include "sched/policy_registry.h"
+
+namespace ams::core {
+class LabelingServiceBuilder;
+}  // namespace ams::core
 
 namespace ams::eval {
 
-/// Creates a fresh policy instance; called once per session worker so
-/// stateful policies never share state across threads.
-using PolicyFactory = std::function<std::unique_ptr<sched::SchedulingPolicy>()>;
+/// A registry policy under evaluation, and the name its results carry. Every
+/// session worker builds its own policy from `options` as given, so a seeded
+/// policy draws the same sequence on every worker (a WithPolicy session
+/// decorrelates its workers instead). `predictor` is the session predictor
+/// q_greedy reads Q from; null for the other policies.
+struct PolicySpec {
+  std::string name;
+  sched::PolicyOptions options = {};
+  core::ModelValuePredictor* predictor = nullptr;
+};
+
+/// Makes `builder` a kSerial session over `policy`.
+void ConfigurePolicySession(const PolicySpec& policy,
+                            core::LabelingServiceBuilder* builder);
 
 /// Per-threshold statistics of the "cost to reach a required value recall"
 /// experiments (Figs. 4-6): for each threshold, the average number of
@@ -28,12 +42,12 @@ struct RecallCurve {
 /// Default threshold grid 0.1, 0.2, ..., 1.0.
 std::vector<double> DefaultThresholds();
 
-/// Runs `factory`'s policy on every item until full recall, through one
+/// Runs `policy` on every item until full recall, through one
 /// LabelingService::SubmitBatch over `num_threads` workers (<= 0: all
 /// cores), then derives the per-threshold averages from each item's
 /// executions: a threshold's cost is the model count and finish time of the
 /// first execution whose running recall reaches it.
-RecallCurve ComputeRecallCurve(const PolicyFactory& factory,
+RecallCurve ComputeRecallCurve(const PolicySpec& policy,
                                const data::Oracle& oracle,
                                const std::vector<int>& items,
                                const std::vector<double>& thresholds,
@@ -46,7 +60,7 @@ struct FullRecallCosts {
   std::vector<double> models;   // per item
 };
 
-FullRecallCosts ComputeFullRecallCosts(const PolicyFactory& factory,
+FullRecallCosts ComputeFullRecallCosts(const PolicySpec& policy,
                                        const data::Oracle& oracle,
                                        const std::vector<int>& items,
                                        double recall_target = 1.0,

@@ -1,88 +1,91 @@
 #include "sched/basic_policies.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/check.h"
 
 namespace ams::sched {
 
+namespace {
+
+// Walks item->order from item->next to the first unstarted model that fits;
+// models that no longer fit are skipped, not dropped.
+int WalkOrder(const core::PickContext& pick, PolicyItem* item) {
+  const double remaining = pick.remaining_time();
+  for (size_t i = item->next; i < item->order.size(); ++i) {
+    const int m = item->order[i];
+    if ((*pick.started)[static_cast<size_t>(m)]) continue;
+    if (pick.planned_time[m] <= remaining) {
+      if (i == item->next) ++item->next;
+      return m;
+    }
+  }
+  return -1;
+}
+
+}  // namespace
+
 RandomPolicy::RandomPolicy(uint64_t seed) : rng_(seed) {}
 
-void RandomPolicy::BeginItem(const ItemContext& ctx) {
-  ctx_ = ctx;
-  order_.resize(static_cast<size_t>(ctx.num_models()));
-  for (int m = 0; m < ctx.num_models(); ++m) {
-    order_[static_cast<size_t>(m)] = m;
-  }
-  rng_.Shuffle(&order_);
-  pos_ = 0;
+void RandomPolicy::Arm(PolicyItem* item) {
+  item->order.resize(static_cast<size_t>(item->zoo->num_models()));
+  std::iota(item->order.begin(), item->order.end(), 0);
+  rng_.Shuffle(&item->order);
+  item->next = 0;
 }
 
-int RandomPolicy::NextModel(const core::LabelingState& state,
-                            double remaining_time) {
-  // Walk the permutation; skip models that no longer fit.
-  for (size_t i = pos_; i < order_.size(); ++i) {
-    const int m = order_[i];
-    if (state.model_executed(m)) continue;
-    if (Fits(ctx_, state, m, remaining_time)) {
-      if (i == pos_) ++pos_;
-      return m;
-    }
+int RandomPolicy::Pick(const core::PickContext& pick, PolicyItem* item) {
+  return WalkOrder(pick, item);
+}
+
+int NoPolicy::Pick(const core::PickContext& pick, PolicyItem* item) {
+  (void)item;
+  const double remaining = pick.remaining_time();
+  for (int k = 0; k < pick.num_unstarted; ++k) {
+    const int m = pick.unstarted[k];
+    if (pick.planned_time[m] <= remaining) return m;
   }
   return -1;
 }
 
-int NoPolicy::NextModel(const core::LabelingState& state,
-                        double remaining_time) {
-  for (int m = 0; m < ctx_.num_models(); ++m) {
-    if (Fits(ctx_, state, m, remaining_time)) return m;
-  }
-  return -1;
-}
-
-void OptimalPolicy::BeginItem(const ItemContext& ctx) {
-  AMS_CHECK(ctx.oracle != nullptr,
+void OptimalPolicy::Arm(PolicyItem* item) {
+  AMS_CHECK(item->oracle != nullptr,
             "OptimalPolicy is an oracle baseline and needs stored outputs");
-  ctx_ = ctx;
-  order_.clear();
-  for (int m = 0; m < ctx.oracle->num_models(); ++m) {
-    if (ctx.oracle->ModelSoloValue(ctx.item, m) > 0.0) order_.push_back(m);
+  const data::Oracle& oracle = *item->oracle;
+  const int id = item->item;
+  item->order.clear();
+  for (int m = 0; m < oracle.num_models(); ++m) {
+    if (oracle.ModelSoloValue(id, m) > 0.0) item->order.push_back(m);
   }
-  std::sort(order_.begin(), order_.end(), [&](int a, int b) {
-    return ctx.oracle->ModelSoloValue(ctx.item, a) >
-           ctx.oracle->ModelSoloValue(ctx.item, b);
+  std::sort(item->order.begin(), item->order.end(), [&](int a, int b) {
+    return oracle.ModelSoloValue(id, a) > oracle.ModelSoloValue(id, b);
   });
-  pos_ = 0;
+  item->next = 0;
 }
 
-int OptimalPolicy::NextModel(const core::LabelingState& state,
-                             double remaining_time) {
-  for (size_t i = pos_; i < order_.size(); ++i) {
-    const int m = order_[i];
-    if (state.model_executed(m)) continue;
-    if (Fits(ctx_, state, m, remaining_time)) {
-      if (i == pos_) ++pos_;
-      return m;
-    }
-  }
-  return -1;
+int OptimalPolicy::Pick(const core::PickContext& pick, PolicyItem* item) {
+  return WalkOrder(pick, item);
 }
 
-QGreedyPolicy::QGreedyPolicy(core::ModelValuePredictor* predictor)
-    : predictor_(predictor) {
-  AMS_CHECK(predictor != nullptr);
+void QGreedyPolicy::Arm(PolicyItem* item) {
+  AMS_CHECK(item->slot != nullptr &&
+                item->slot->plane()->row_kind() == core::DecisionRow::kQ,
+            "q_greedy reads Q from the session predictor; configure "
+            "WithPredictor");
 }
 
-int QGreedyPolicy::NextModel(const core::LabelingState& state,
-                             double remaining_time) {
-  const std::vector<double> q = predictor_->PredictValues(state.Features());
+int QGreedyPolicy::Pick(const core::PickContext& pick, PolicyItem* item) {
+  const double* q = item->slot->Row(*pick.state).data();
+  const double remaining = pick.remaining_time();
   int best = -1;
   double best_q = 0.0;
-  for (int m = 0; m < ctx_.num_models(); ++m) {
-    if (!Fits(ctx_, state, m, remaining_time)) continue;
-    if (best == -1 || q[static_cast<size_t>(m)] > best_q) {
+  for (int k = 0; k < pick.num_unstarted; ++k) {
+    const int m = pick.unstarted[k];
+    if (pick.planned_time[m] > remaining) continue;
+    if (best == -1 || q[m] > best_q) {
       best = m;
-      best_q = q[static_cast<size_t>(m)];
+      best_q = q[m];
     }
   }
   return best;

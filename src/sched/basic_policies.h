@@ -1,72 +1,49 @@
 #ifndef AMS_SCHED_BASIC_POLICIES_H_
 #define AMS_SCHED_BASIC_POLICIES_H_
 
-#include <memory>
-#include <vector>
+#include <cstdint>
 
-#include "core/predictor.h"
-#include "sched/policy.h"
+#include "sched/policy_picker.h"
 #include "util/rng.h"
 
 namespace ams::sched {
 
 /// "Random policy" baseline (§II, §VI): a fresh uniformly random model
-/// permutation per item, executed in order; models that no longer fit the
-/// remaining budget are skipped.
-class RandomPolicy : public SchedulingPolicy {
+/// permutation per item, drawn when the item is armed and executed in order;
+/// models that no longer fit the remaining budget are skipped.
+class RandomPolicy : public PolicyPicker {
  public:
   explicit RandomPolicy(uint64_t seed);
-  std::string name() const override { return "random"; }
-  void BeginItem(const ItemContext& ctx) override;
-  int NextModel(const core::LabelingState& state, double remaining_time) override;
+  void Arm(PolicyItem* item) override;
+  int Pick(const core::PickContext& pick, PolicyItem* item) override;
 
  private:
   util::Rng rng_;
-  ItemContext ctx_;
-  std::vector<int> order_;
-  size_t pos_ = 0;
 };
 
 /// "No policy" baseline (§II): executes every model in id order.
-class NoPolicy : public SchedulingPolicy {
+class NoPolicy : public PolicyPicker {
  public:
-  std::string name() const override { return "no_policy"; }
-  void BeginItem(const ItemContext& ctx) override { ctx_ = ctx; }
-  int NextModel(const core::LabelingState& state, double remaining_time) override;
-
- private:
-  ItemContext ctx_;
+  int Pick(const core::PickContext& pick, PolicyItem* item) override;
 };
 
 /// "Optimal policy" baseline (§VI-B): orders models by their true output
 /// value (oracle solo value, descending); stops once only worthless models
 /// remain. An oracle policy — it peeks at ground truth.
-class OptimalPolicy : public SchedulingPolicy {
+class OptimalPolicy : public PolicyPicker {
  public:
-  std::string name() const override { return "optimal"; }
-  void BeginItem(const ItemContext& ctx) override;
-  int NextModel(const core::LabelingState& state, double remaining_time) override;
-
- private:
-  ItemContext ctx_;
-  std::vector<int> order_;  // models with positive solo value, best first
-  size_t pos_ = 0;
+  void Arm(PolicyItem* item) override;
+  int Pick(const core::PickContext& pick, PolicyItem* item) override;
 };
 
-/// "Q-Greedy policy" (§VI-B): executes the unexecuted model with the highest
-/// predicted Q value; never stops voluntarily (the run driver's stop
-/// condition — recall target or deadline — terminates it).
-class QGreedyPolicy : public SchedulingPolicy {
+/// "Q-Greedy policy" (§VI-B): executes the unstarted model with the highest
+/// predicted Q, read from the record's kQ decision row over the session
+/// predictor; never stops voluntarily (the recall target or the deadline
+/// terminates it).
+class QGreedyPolicy : public PolicyPicker {
  public:
-  /// The predictor must outlive the policy.
-  explicit QGreedyPolicy(core::ModelValuePredictor* predictor);
-  std::string name() const override { return "q_greedy"; }
-  void BeginItem(const ItemContext& ctx) override { ctx_ = ctx; }
-  int NextModel(const core::LabelingState& state, double remaining_time) override;
-
- private:
-  core::ModelValuePredictor* predictor_;
-  ItemContext ctx_;
+  void Arm(PolicyItem* item) override;
+  int Pick(const core::PickContext& pick, PolicyItem* item) override;
 };
 
 }  // namespace ams::sched

@@ -1,7 +1,6 @@
 #include "sched/rule_based.h"
 
-#include "util/check.h"
-#include "zoo/label_space.h"
+#include <utility>
 
 namespace ams::sched {
 
@@ -33,37 +32,59 @@ std::vector<ExecutionRule> DefaultRules() {
   };
 }
 
-RuleBasedPolicy::RuleBasedPolicy(std::vector<ExecutionRule> rules, uint64_t seed)
-    : rules_(std::move(rules)),
-      fire_counts_(rules_.size(), 0),
-      fired_this_item_(rules_.size(), false),
-      task_weight_(static_cast<size_t>(zoo::kNumTasks), 1.0),
-      rng_(seed) {}
-
-void RuleBasedPolicy::BeginItem(const ItemContext& ctx) {
-  ctx_ = ctx;
-  std::fill(task_weight_.begin(), task_weight_.end(), 1.0);
-  std::fill(fired_this_item_.begin(), fired_this_item_.end(), false);
+bool RuleTriggered(const ExecutionRule& rule, const zoo::LabelSpace& labels,
+                   int label_id) {
+  const TaskKind task = labels.TaskOfLabel(label_id);
+  const int offset = labels.OffsetInTask(label_id);
+  switch (rule.trigger) {
+    case ExecutionRule::Trigger::kObjectPerson:
+      return task == TaskKind::kObjectDetection &&
+             offset == zoo::LabelSpace::kObjectPerson;
+    case ExecutionRule::Trigger::kObjectDog:
+      return task == TaskKind::kObjectDetection &&
+             offset == zoo::LabelSpace::kObjectDog;
+    case ExecutionRule::Trigger::kFace:
+      return task == TaskKind::kFaceDetection;
+    case ExecutionRule::Trigger::kAnyPoseKeypoint:
+      return task == TaskKind::kPoseEstimation;
+    case ExecutionRule::Trigger::kWristKeypoint:
+      return task == TaskKind::kPoseEstimation &&
+             (offset == zoo::LabelSpace::kPoseLeftWrist ||
+              offset == zoo::LabelSpace::kPoseRightWrist);
+    case ExecutionRule::Trigger::kIndoorPlace:
+      return task == TaskKind::kPlaceClassification &&
+             labels.IsIndoorScene(offset);
+  }
+  return false;
 }
 
-int RuleBasedPolicy::NextModel(const core::LabelingState& state,
-                               double remaining_time) {
+RuleBasedPolicy::RuleBasedPolicy(std::vector<ExecutionRule> rules,
+                                 uint64_t seed)
+    : rules_(std::move(rules)), rng_(seed) {}
+
+void RuleBasedPolicy::Arm(PolicyItem* item) {
+  item->task_weight.assign(static_cast<size_t>(zoo::kNumTasks), 1.0);
+  item->fired.assign(rules_.size(), false);
+}
+
+int RuleBasedPolicy::Pick(const core::PickContext& pick, PolicyItem* item) {
   // Sample a task by weight among tasks that still have a runnable model,
   // then pick that task's most capable runnable model (a practitioner runs
   // the best variant of a family first; weaker tiers only as fallback).
-  const auto& zoo = ctx_.model_zoo();
+  const zoo::ModelZoo& zoo = *item->zoo;
+  const double remaining = pick.remaining_time();
   std::vector<double> weights(static_cast<size_t>(zoo::kNumTasks), 0.0);
   std::vector<int> best_model(static_cast<size_t>(zoo::kNumTasks), -1);
   bool any = false;
-  for (int m = 0; m < zoo.num_models(); ++m) {
-    if (!Fits(ctx_, state, m, remaining_time)) continue;
-    const int t = static_cast<int>(zoo.model(m).task);
-    if (best_model[static_cast<size_t>(t)] == -1 ||
-        zoo.model(m).accuracy >
-            zoo.model(best_model[static_cast<size_t>(t)]).accuracy) {
-      best_model[static_cast<size_t>(t)] = m;
+  for (int k = 0; k < pick.num_unstarted; ++k) {
+    const int m = pick.unstarted[k];
+    if (pick.planned_time[m] > remaining) continue;
+    const size_t t = static_cast<size_t>(zoo.model(m).task);
+    if (best_model[t] == -1 ||
+        zoo.model(m).accuracy > zoo.model(best_model[t]).accuracy) {
+      best_model[t] = m;
     }
-    weights[static_cast<size_t>(t)] = task_weight_[static_cast<size_t>(t)];
+    weights[t] = item->task_weight[t];
     any = true;
   }
   if (!any) return -1;
@@ -71,47 +92,17 @@ int RuleBasedPolicy::NextModel(const core::LabelingState& state,
   return best_model[static_cast<size_t>(task)];
 }
 
-void RuleBasedPolicy::OnExecuted(int model,
-                                 const std::vector<zoo::LabelOutput>& fresh) {
-  (void)model;
-  const auto& labels = ctx_.model_zoo().labels();
-  for (const auto& out : fresh) {
-    const TaskKind task = labels.TaskOfLabel(out.label_id);
-    const int offset = labels.OffsetInTask(out.label_id);
+void RuleBasedPolicy::OnExecuted(const core::ExecutionRecord& record,
+                                 PolicyItem* item) {
+  const zoo::LabelSpace& labels = item->zoo->labels();
+  for (const zoo::LabelOutput& out : record.fresh) {
     for (size_t r = 0; r < rules_.size(); ++r) {
-      if (fired_this_item_[r]) continue;
-      const ExecutionRule& rule = rules_[r];
-      bool triggered = false;
-      switch (rule.trigger) {
-        case ExecutionRule::Trigger::kObjectPerson:
-          triggered = task == TaskKind::kObjectDetection &&
-                      offset == zoo::LabelSpace::kObjectPerson;
-          break;
-        case ExecutionRule::Trigger::kObjectDog:
-          triggered = task == TaskKind::kObjectDetection &&
-                      offset == zoo::LabelSpace::kObjectDog;
-          break;
-        case ExecutionRule::Trigger::kFace:
-          triggered = task == TaskKind::kFaceDetection;
-          break;
-        case ExecutionRule::Trigger::kAnyPoseKeypoint:
-          triggered = task == TaskKind::kPoseEstimation;
-          break;
-        case ExecutionRule::Trigger::kWristKeypoint:
-          triggered = task == TaskKind::kPoseEstimation &&
-                      (offset == zoo::LabelSpace::kPoseLeftWrist ||
-                       offset == zoo::LabelSpace::kPoseRightWrist);
-          break;
-        case ExecutionRule::Trigger::kIndoorPlace:
-          triggered = task == TaskKind::kPlaceClassification &&
-                      labels.IsIndoorScene(offset);
-          break;
+      if (item->fired[r] || !RuleTriggered(rules_[r], labels, out.label_id)) {
+        continue;
       }
-      if (triggered) {
-        fired_this_item_[r] = true;
-        ++fire_counts_[r];
-        task_weight_[static_cast<size_t>(rule.target_task)] *= rule.factor;
-      }
+      item->fired[r] = true;
+      item->task_weight[static_cast<size_t>(rules_[r].target_task)] *=
+          rules_[r].factor;
     }
   }
 }

@@ -4,8 +4,9 @@
 #include <string>
 #include <vector>
 
-#include "sched/policy.h"
+#include "sched/policy_picker.h"
 #include "util/rng.h"
+#include "zoo/label_space.h"
 #include "zoo/task.h"
 
 namespace ams::sched {
@@ -34,32 +35,32 @@ struct ExecutionRule {
 /// suppressions).
 std::vector<ExecutionRule> DefaultRules();
 
+/// True when `label_id`, a freshly emitted valuable label, matches the
+/// rule's trigger.
+bool RuleTriggered(const ExecutionRule& rule, const zoo::LabelSpace& labels,
+                   int label_id);
+
 /// Rule-based scheduling policy (§III-B, §VI-C): every task starts with an
 /// equal execution weight; fresh labels fire rules that scale task weights;
 /// the next model is sampled proportionally to its task's weight among those
-/// that fit. Within a task, the cheaper tiers are preferred first, matching
-/// how a practitioner would order a model family by cost.
-class RuleBasedPolicy : public SchedulingPolicy {
+/// that fit. Within a task, the most accurate runnable model goes first,
+/// matching how a practitioner would order a model family.
+class RuleBasedPolicy : public PolicyPicker {
  public:
   RuleBasedPolicy(std::vector<ExecutionRule> rules, uint64_t seed);
 
-  std::string name() const override { return "rule_based"; }
-  void BeginItem(const ItemContext& ctx) override;
-  int NextModel(const core::LabelingState& state, double remaining_time) override;
-  void OnExecuted(int model, const std::vector<zoo::LabelOutput>& fresh) override;
+  void Arm(PolicyItem* item) override;
+  int Pick(const core::PickContext& pick, PolicyItem* item) override;
+  void OnExecuted(const core::ExecutionRecord& record,
+                  PolicyItem* item) override;
+  /// Every pick draws from the worker's rng.
+  bool depends_on_item_order() const override { return true; }
 
-  /// Number of times each rule fired since construction (for Table II
-  /// diagnostics).
-  const std::vector<int>& rule_fire_counts() const { return fire_counts_; }
   const std::vector<ExecutionRule>& rules() const { return rules_; }
 
  private:
   std::vector<ExecutionRule> rules_;
-  std::vector<int> fire_counts_;
-  std::vector<bool> fired_this_item_;
-  std::vector<double> task_weight_;
   util::Rng rng_;
-  ItemContext ctx_;
 };
 
 }  // namespace ams::sched

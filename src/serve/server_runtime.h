@@ -78,8 +78,8 @@ struct ServeOptions {
 /// per-worker predictor clone pool).
 class ServerRuntime {
  public:
-  /// `session` must be predictor-driven or random-packing (stateful policy
-  /// sessions cannot be multiplexed; see LabelingService::NewItemStepper).
+  /// `session` must not run rule_based or explore_exploit, whose outcomes
+  /// depend on item order (see LabelingService::NewItemStepper).
   explicit ServerRuntime(core::LabelingService* session,
                          ServeOptions options = {});
   ~ServerRuntime();

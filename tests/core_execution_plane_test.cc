@@ -29,6 +29,7 @@
 #include "nn/net.h"
 #include "rl/agent.h"
 #include "sched/basic_policies.h"
+#include "sched/policy_registry.h"
 #include "util/rng.h"
 
 namespace ams::core {
@@ -236,12 +237,14 @@ TEST_F(ExecutionPlaneTest, DeadlineSweepLeanPathMatchesFullRecall) {
   std::vector<int> items;
   for (int i = 0; i < 24; ++i) items.push_back(i);
   const std::vector<double> deadlines = {0.25, 0.5, 1.0, 2.0};
+  // Every worker's policy gets seed 19, in the sweep and in the replica.
   const auto factory = [] {
     return std::make_unique<sched::RandomPolicy>(19);
   };
   // The sweep runs on the lean kernel path internally.
   const eval::DeadlineSweep sweep = eval::ComputeDeadlineSweep(
-      factory, *oracle_, items, deadlines, /*num_threads=*/2);
+      eval::PolicySpec{"random", {/*seed=*/19}}, *oracle_, items, deadlines,
+      /*num_threads=*/2);
   // Full-path replica of the sweep's sessions.
   for (size_t d = 0; d < deadlines.size(); ++d) {
     ScheduleConstraints constraints;
@@ -709,6 +712,77 @@ TEST_F(ExecutionPlaneTest, ReArmedRecordsMatchFreshKernels) {
       << "no consecutive items reached the same label count with different "
          "label sets";
   EXPECT_GT(stored_full_records, 0) << "no replayed kFull record was checked";
+}
+
+// Every registry policy whose outcomes do not depend on item order labels
+// an item bit for bit alike on the three drivers: Submit, a one-worker
+// SubmitBatch and an ItemStepper admitting items in submission order (the
+// order random draws its permutations in, skipped items included). The
+// sequence has items the recall target skips or stops early and, for the
+// policies that need no stored outputs, live scenes.
+TEST_F(ExecutionPlaneTest, PolicyDriversAgreeBitForBit) {
+  std::unique_ptr<rl::Agent> agent = MakeAgent(*zoo_, nn::NetKind::kMlp, 23);
+  const data::Dataset dataset = data::Dataset::Generate(
+      data::DatasetProfile::MsCoco(), zoo_->labels(), 64, 41);
+  const data::Oracle oracle(zoo_, &dataset);
+  ScheduleConstraints constraints;
+  constraints.time_budget_s = 0.8;
+  sched::PolicyOptions options;
+  options.seed = kRecordSeed;
+
+  int skipped = 0;
+  for (const char* policy : {"no_policy", "optimal", "q_greedy", "random"}) {
+    const bool live_ok = std::string(policy) != "optimal";
+    std::vector<WorkItem> items;
+    std::vector<uint64_t> stream_ids;
+    for (int i = 0; i < dataset.size(); ++i) {
+      items.push_back(live_ok && i % 4 == 3
+                          ? WorkItem::Live(&dataset.item(i).scene)
+                          : WorkItem::Stored(i));
+      stream_ids.push_back(static_cast<uint64_t>(i));
+    }
+    for (KernelMode kernel_mode : {KernelMode::kLean, KernelMode::kFull}) {
+      const std::string path =
+          std::string(policy) +
+          (kernel_mode == KernelMode::kLean ? " lean" : " full");
+      LabelingServiceBuilder builder(zoo_);
+      builder.WithOracle(&oracle)
+          .WithMode(ExecutionMode::kSerial)
+          .WithPolicy(policy, options)
+          .WithConstraints(constraints)
+          .WithKernelMode(kernel_mode)
+          .WithWorkers(1)
+          .WithRecallTarget(kRecordTarget);
+      if (sched::PolicyRegistry::Traits(policy).needs_predictor) {
+        builder.WithPredictor(agent.get());
+      }
+      LabelingService session = builder.Build();
+
+      std::vector<LabelOutcome> submitted;
+      for (const WorkItem& item : items) {
+        submitted.push_back(session.Submit(item));
+      }
+      const std::vector<LabelOutcome> batched = session.SubmitBatch(items);
+      std::unique_ptr<LabelingService::ItemStepper> stepper =
+          session.NewItemStepper(0);
+      const std::vector<LabelOutcome> stepped =
+          StepThrough(stepper.get(), items, stream_ids, /*max_resident=*/3);
+      for (size_t i = 0; i < items.size(); ++i) {
+        const std::string batch_diff =
+            OutcomeDifference(submitted[i], batched[i]);
+        EXPECT_TRUE(batch_diff.empty())
+            << path << ", SubmitBatch, item " << i << ": " << batch_diff;
+        const std::string step_diff =
+            OutcomeDifference(submitted[i], stepped[i]);
+        EXPECT_TRUE(step_diff.empty())
+            << path << ", stepper, item " << i << ": " << step_diff;
+        if (items[i].item >= 0 && submitted[i].schedule.num_executions == 0) {
+          ++skipped;
+        }
+      }
+    }
+  }
+  EXPECT_GT(skipped, 0) << "no item was skipped for having no value";
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 
 #include <cmath>
 #include <numeric>
-#include <set>
 #include <vector>
 
 #include "core/labeling_service.h"
@@ -150,41 +149,49 @@ TEST_F(LabelingServiceTest, BuilderRejectsUnknownPolicyName) {
 
 // --- policy registry -------------------------------------------------------
 
-TEST_F(LabelingServiceTest, RegistryListsAllBuiltInPolicies) {
-  const std::vector<std::string> names =
-      sched::PolicyRegistry::Global().Names();
-  const std::set<std::string> set(names.begin(), names.end());
-  for (const char* expected :
-       {"random", "no_policy", "optimal", "q_greedy", "rule_based",
-        "explore_exploit"}) {
-    EXPECT_TRUE(set.count(expected)) << "missing policy: " << expected;
-  }
+TEST_F(LabelingServiceTest, RegistryIsTheSixBuiltInPolicies) {
+  const std::vector<std::string> names = sched::PolicyRegistry::Names();
+  EXPECT_EQ(names, (std::vector<std::string>{"explore_exploit", "no_policy",
+                                             "optimal", "q_greedy", "random",
+                                             "rule_based"}));
+  EXPECT_EQ(sched::PolicyRegistry::JoinedNames(),
+            "explore_exploit, no_policy, optimal, q_greedy, random, "
+            "rule_based");
 }
 
 TEST_F(LabelingServiceTest, RegistryCreatesPoliciesByName) {
   sched::PolicyOptions options;
   options.seed = 11;
-  StaticPredictor predictor(UniformQ(1.0, -5.0));
-  options.predictor = &predictor;
-  for (const char* name :
-       {"random", "no_policy", "optimal", "q_greedy", "rule_based",
-        "explore_exploit"}) {
-    const auto policy = sched::PolicyRegistry::Global().Create(name, options);
-    ASSERT_NE(policy, nullptr);
-    EXPECT_EQ(policy->name(), name);
+  for (const std::string& name : sched::PolicyRegistry::Names()) {
+    const std::unique_ptr<sched::PolicyPicker> policy =
+        sched::PolicyRegistry::Create(name, options);
+    ASSERT_NE(policy, nullptr) << name;
+    // Exactly the two policies an item stepper refuses.
+    EXPECT_EQ(policy->depends_on_item_order(),
+              name == "rule_based" || name == "explore_exploit")
+        << name;
+    EXPECT_EQ(sched::PolicyRegistry::Traits(name).needs_predictor,
+              name == "q_greedy")
+        << name;
+    EXPECT_EQ(sched::PolicyRegistry::Traits(name).needs_chunked_stream,
+              name == "explore_exploit")
+        << name;
   }
 }
 
-TEST_F(LabelingServiceTest, RegistryUnknownNameReturnsNullOrDies) {
-  EXPECT_EQ(sched::PolicyRegistry::Global().TryCreate("bogus", {}), nullptr);
-  EXPECT_FALSE(sched::PolicyRegistry::Global().Contains("bogus"));
-  EXPECT_DEATH(sched::PolicyRegistry::Global().Create("bogus", {}),
-               "unknown policy");
+TEST_F(LabelingServiceTest, RegistryRejectsUnknownNames) {
+  EXPECT_FALSE(sched::PolicyRegistry::Contains("bogus"));
+  EXPECT_DEATH(sched::PolicyRegistry::Create("bogus", {}), "unknown policy");
+  EXPECT_DEATH(sched::PolicyRegistry::Traits("bogus"), "unknown policy");
 }
 
-TEST_F(LabelingServiceTest, RegistryRequiresPredictorForQPolicies) {
-  EXPECT_DEATH(sched::PolicyRegistry::Global().Create("q_greedy", {}),
-               "predictor");
+TEST_F(LabelingServiceTest, BuilderRequiresPredictorForQGreedy) {
+  EXPECT_DEATH(LabelingServiceBuilder(zoo_)
+                   .WithOracle(oracle_)
+                   .WithMode(ExecutionMode::kSerial)
+                   .WithPolicy("q_greedy")
+                   .Build(),
+               "q_greedy.*WithPredictor");
 }
 
 // --- scheduling through sessions -------------------------------------------

@@ -179,5 +179,29 @@ TEST_F(SchedulerApiTest, ParallelBeatsSerialUnderTightDeadline) {
       << "parallel packing should execute far more models per deadline";
 }
 
+// The kernel is the one place that checks a pick against the budgets,
+// whatever the picker: a model whose planned time exceeds the time left, or
+// whose memory exceeds the free memory, is refused when it would start.
+TEST_F(SchedulerApiTest, KernelRefusesPicksOverBudget) {
+  const LiveExecutionContext exec(zoo_, &dataset_->item(0).scene);
+  // Starts the most expensive unstarted model, budget or not.
+  const ModelPicker reckless = [](const PickContext& pick) {
+    int worst = -1;
+    for (int k = 0; k < pick.num_unstarted; ++k) {
+      const int m = pick.unstarted[k];
+      if (worst == -1 || pick.planned_time[m] > pick.planned_time[worst]) {
+        worst = m;
+      }
+    }
+    return worst;
+  };
+  const double slowest =
+      *std::max_element(zoo_->mean_times().begin(), zoo_->mean_times().end());
+  EXPECT_DEATH(RunScheduleKernel(exec, Budget(slowest / 2), reckless),
+               "exceeding the remaining time");
+  EXPECT_DEATH(RunScheduleKernel(exec, Budget(slowest * 100, 1.0), reckless),
+               "exceeding the free memory");
+}
+
 }  // namespace
 }  // namespace ams::core

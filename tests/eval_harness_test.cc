@@ -15,7 +15,6 @@
 #include "eval/memory_sweep.h"
 #include "eval/recall_curve.h"
 #include "eval/world.h"
-#include "sched/basic_policies.h"
 
 namespace ams::eval {
 namespace {
@@ -48,8 +47,8 @@ data::Oracle* EvalHarnessTest::oracle_ = nullptr;
 
 TEST_F(EvalHarnessTest, RecallCurveIsMonotoneInThreshold) {
   const RecallCurve curve = ComputeRecallCurve(
-      [] { return std::make_unique<sched::RandomPolicy>(1); }, *oracle_,
-      Items(), DefaultThresholds());
+      PolicySpec{"random", {/*seed=*/1}}, *oracle_, Items(),
+      DefaultThresholds());
   EXPECT_EQ(curve.policy_name, "random");
   ASSERT_EQ(curve.avg_models.size(), 10u);
   for (size_t k = 1; k < curve.thresholds.size(); ++k) {
@@ -62,11 +61,10 @@ TEST_F(EvalHarnessTest, RecallCurveIsMonotoneInThreshold) {
 TEST_F(EvalHarnessTest, OptimalCurveDominatesRandom) {
   const auto items = Items();
   const RecallCurve random = ComputeRecallCurve(
-      [] { return std::make_unique<sched::RandomPolicy>(1); }, *oracle_, items,
+      PolicySpec{"random", {/*seed=*/1}}, *oracle_, items,
       DefaultThresholds());
   const RecallCurve optimal = ComputeRecallCurve(
-      [] { return std::make_unique<sched::OptimalPolicy>(); }, *oracle_, items,
-      DefaultThresholds());
+      PolicySpec{"optimal"}, *oracle_, items, DefaultThresholds());
   for (size_t k = 0; k < random.thresholds.size(); ++k) {
     EXPECT_LE(optimal.avg_models[k], random.avg_models[k] + 1e-9);
     EXPECT_LE(optimal.avg_time_s[k], random.avg_time_s[k] + 1e-9);
@@ -78,11 +76,9 @@ TEST_F(EvalHarnessTest, FullRecallCostsMatchSingleThreadedRuns) {
   // computation (deterministic policies).
   const auto items = Items();
   const FullRecallCosts costs = ComputeFullRecallCosts(
-      [] { return std::make_unique<sched::OptimalPolicy>(); }, *oracle_, items,
-      1.0, /*num_threads=*/4);
+      PolicySpec{"optimal"}, *oracle_, items, 1.0, /*num_threads=*/4);
   const FullRecallCosts costs_single = ComputeFullRecallCosts(
-      [] { return std::make_unique<sched::OptimalPolicy>(); }, *oracle_, items,
-      1.0, /*num_threads=*/1);
+      PolicySpec{"optimal"}, *oracle_, items, 1.0, /*num_threads=*/1);
   ASSERT_EQ(costs.time_s.size(), costs_single.time_s.size());
   for (size_t i = 0; i < costs.time_s.size(); ++i) {
     EXPECT_DOUBLE_EQ(costs.time_s[i], costs_single.time_s[i]);
@@ -94,11 +90,10 @@ TEST_F(EvalHarnessTest, DeadlineSweepRecallIsMonotoneInDeadline) {
   // Deterministic policy: recall must be (near-)monotone in the budget. The
   // random policy reshuffles per run, so it only gets a loose noise bound.
   const DeadlineSweep optimal = ComputeDeadlineSweep(
-      [] { return std::make_unique<sched::OptimalPolicy>(); }, *oracle_,
-      Items(), DefaultDeadlines());
+      PolicySpec{"optimal"}, *oracle_, Items(), DefaultDeadlines());
   const DeadlineSweep random = ComputeDeadlineSweep(
-      [] { return std::make_unique<sched::RandomPolicy>(2); }, *oracle_,
-      Items(), DefaultDeadlines());
+      PolicySpec{"random", {/*seed=*/2}}, *oracle_, Items(),
+      DefaultDeadlines());
   for (size_t k = 1; k < optimal.deadlines_s.size(); ++k) {
     EXPECT_GE(optimal.avg_recall[k], optimal.avg_recall[k - 1] - 1e-9);
     EXPECT_GE(random.avg_recall[k], random.avg_recall[k - 1] - 0.1);
@@ -112,8 +107,7 @@ TEST_F(EvalHarnessTest, OptimalStarSweepDominatesPolicies) {
   const auto deadlines = DefaultDeadlines();
   const DeadlineSweep star = ComputeOptimalStarSweep(*oracle_, items, deadlines);
   const DeadlineSweep random = ComputeDeadlineSweep(
-      [] { return std::make_unique<sched::RandomPolicy>(2); }, *oracle_, items,
-      deadlines);
+      PolicySpec{"random", {/*seed=*/2}}, *oracle_, items, deadlines);
   for (size_t k = 0; k < deadlines.size(); ++k) {
     EXPECT_GE(star.avg_recall[k] + 1e-9, random.avg_recall[k]);
   }

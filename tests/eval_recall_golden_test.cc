@@ -7,15 +7,16 @@
 // fixture as its uint64 bit pattern:
 //
 //   Fig 10    ComputeDeadlineSweep: Algorithm 1 (a kSerial session over the
-//             agent) and RandomPolicy(19), 4 deadlines.
+//             agent) and random with seed 19 on every worker, 4 deadlines.
 //   Fig 11    ComputeMemorySweep: Algorithm 2 and random packing, 4 deadlines
 //             under 8 GB.
 //   Figs 4-6  ComputeRecallCurve (average models and time per threshold) and
 //             ComputeFullRecallCosts (per-item models and time to full
 //             recall) of the optimal and q_greedy policies.
-//   Table 2   the same curve and costs of RuleBasedPolicy(DefaultRules(),
-//             999), bench_table2_rules' rule set and seed: the
-//             rule-vs-agent comparison is this run against q_greedy's.
+//   Table 2   the same curve and costs of rule_based over DefaultRules()
+//             with seed 999 on every worker, bench_table2_rules' rule set
+//             and seed: the rule-vs-agent comparison is this run against
+//             q_greedy's.
 //
 // The sweeps' average recalls are in tests/fixtures/recall_golden.inc, the
 // curves and costs in tests/fixtures/recall_curve_golden.inc. Each fixture
@@ -52,8 +53,6 @@
 #include "eval/recall_curve.h"
 #include "nn/net.h"
 #include "rl/agent.h"
-#include "sched/basic_policies.h"
-#include "sched/rule_based.h"
 #include "zoo/model_zoo.h"
 
 namespace ams::eval {
@@ -93,14 +92,6 @@ double ValueOf(uint64_t bits) {
   std::memcpy(&value, &bits, sizeof(value));
   return value;
 }
-
-/// Q-greedy over a private agent clone (nets cache activations, so each
-/// session worker owns one).
-struct OwnedQGreedy : sched::QGreedyPolicy {
-  explicit OwnedQGreedy(std::unique_ptr<rl::Agent> a)
-      : sched::QGreedyPolicy(a.get()), agent(std::move(a)) {}
-  std::unique_ptr<rl::Agent> agent;
-};
 
 nn::MlpConfig AgentShape(const zoo::ModelZoo& zoo) {
   nn::MlpConfig config;
@@ -150,11 +141,9 @@ Sweeps RunSweeps() {
   sweeps.algorithm1 =
       ComputeDeadlineSweep(&agent, oracle, items, kDeadlines, kThreads)
           .avg_recall;
-  sweeps.random =
-      ComputeDeadlineSweep(
-          [] { return std::make_unique<sched::RandomPolicy>(19); }, oracle,
-          items, kDeadlines, kThreads)
-          .avg_recall;
+  sweeps.random = ComputeDeadlineSweep(PolicySpec{"random", {/*seed=*/19}},
+                                       oracle, items, kDeadlines, kThreads)
+                      .avg_recall;
   sweeps.algorithm2 =
       ComputeMemorySweep(&agent, oracle, items, kMemoryBudgetMb,
                          kMemoryDeadlines, kPackingSeed, kThreads)
@@ -175,11 +164,11 @@ struct CurveRun {
   std::vector<double> cost_time_s;
 };
 
-CurveRun RunCurve(const GoldenWorld& world, const PolicyFactory& factory) {
+CurveRun RunCurve(const GoldenWorld& world, const PolicySpec& policy) {
   const RecallCurve curve = ComputeRecallCurve(
-      factory, world.oracle, world.items, DefaultThresholds(), kThreads);
+      policy, world.oracle, world.items, DefaultThresholds(), kThreads);
   const FullRecallCosts costs = ComputeFullRecallCosts(
-      factory, world.oracle, world.items, /*recall_target=*/1.0, kThreads);
+      policy, world.oracle, world.items, /*recall_target=*/1.0, kThreads);
   return {curve.avg_models, curve.avg_time_s, costs.models, costs.time_s};
 }
 
@@ -192,19 +181,14 @@ struct Curves {
 
 Curves RunCurves() {
   GoldenWorld world;
-  rl::Agent* agent = &world.agent;
   Curves curves;
-  curves.optimal = RunCurve(
-      world, [] { return std::make_unique<sched::OptimalPolicy>(); });
-  curves.q_greedy = RunCurve(world, [agent] {
-    return std::make_unique<OwnedQGreedy>(agent->Clone());
-  });
-  // Table II's rule set with bench_table2_rules' seed: the rule-vs-agent
-  // comparison is this run against q_greedy's.
-  curves.rule_based = RunCurve(world, [] {
-    return std::make_unique<sched::RuleBasedPolicy>(sched::DefaultRules(),
-                                                    999);
-  });
+  curves.optimal = RunCurve(world, {"optimal"});
+  // q_greedy reads Q from the session's per-worker clones of the agent.
+  curves.q_greedy = RunCurve(world, {"q_greedy", {}, &world.agent});
+  // Table II's rule set (the default for an empty rule list) with
+  // bench_table2_rules' seed: the rule-vs-agent comparison is this run
+  // against q_greedy's.
+  curves.rule_based = RunCurve(world, {"rule_based", {/*seed=*/999}});
   return curves;
 }
 

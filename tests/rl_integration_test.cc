@@ -12,7 +12,6 @@
 #include "data/oracle.h"
 #include "eval/recall_curve.h"
 #include "rl/trainer.h"
-#include "sched/basic_policies.h"
 #include "util/stats.h"
 #include "zoo/model_zoo.h"
 
@@ -69,20 +68,11 @@ TEST_F(RlIntegrationTest, DuelingAgentBeatsRandomOnHeldOutItems) {
   // Evaluate on the first 150 held-out items.
   std::vector<int> items(dataset_->test_indices().begin(),
                          dataset_->test_indices().begin() + 150);
+  // Q-greedy over the agent; the session clones it per worker.
   const eval::FullRecallCosts agent_costs = eval::ComputeFullRecallCosts(
-      [&] {
-        // Q-greedy over a per-thread clone (nets are not thread-safe).
-        struct Holder : sched::QGreedyPolicy {
-          explicit Holder(std::unique_ptr<rl::Agent> a)
-              : sched::QGreedyPolicy(a.get()), owned(std::move(a)) {}
-          std::unique_ptr<rl::Agent> owned;
-        };
-        return std::make_unique<Holder>(agent->Clone());
-      },
-      *oracle_, items);
+      eval::PolicySpec{"q_greedy", {}, agent.get()}, *oracle_, items);
   const eval::FullRecallCosts random_costs = eval::ComputeFullRecallCosts(
-      [] { return std::make_unique<sched::RandomPolicy>(99); }, *oracle_,
-      items);
+      eval::PolicySpec{"random", {/*seed=*/99}}, *oracle_, items);
 
   const double agent_time = util::Mean(agent_costs.time_s);
   const double random_time = util::Mean(random_costs.time_s);

@@ -990,15 +990,21 @@ TEST_F(ServerRuntimeTest, TenantInFlightCapThrottlesAdmissionUntilCompletion) {
   EXPECT_EQ(runtime.metrics().quota_rejected.load(), rejected);
 }
 
-TEST_F(ServerRuntimeTest, SteppersRejectStatefulPolicySessions) {
-  core::LabelingService session =
-      core::LabelingServiceBuilder(zoo_)
-          .WithOracle(oracle_)
-          .WithMode(core::ExecutionMode::kSerial)
-          .WithPolicy("random", {})
-          .WithConstraints({/*time*/ 1.0})
-          .Build();
-  EXPECT_DEATH(session.NewItemStepper(0), "stateful policies");
+TEST_F(ServerRuntimeTest, SteppersRejectOrderDependentPolicies) {
+  // rule_based draws from its rng on every pick; explore_exploit sets an
+  // item up from what earlier items of its chunk executed. Interleaving
+  // items would change either's outcomes.
+  for (const char* policy : {"rule_based", "explore_exploit"}) {
+    core::LabelingService session =
+        core::LabelingServiceBuilder(zoo_)
+            .WithOracle(oracle_)
+            .WithMode(core::ExecutionMode::kSerial)
+            .WithPolicy(policy, {})
+            .WithConstraints({/*time*/ 1.0})
+            .Build();
+    EXPECT_DEATH(session.NewItemStepper(0), "depend on item order")
+        << policy;
+  }
 }
 
 TEST(PriorityClassTest, NamesRoundTrip) {

@@ -11,8 +11,11 @@
 //
 // With neither `--policy` nor `--memory` it runs Algorithm 1: a serial
 // session over the trained agent. `--policy` runs any sched::PolicyRegistry
-// name instead; `--memory` switches to Algorithm 2 (parallel scheduling
-// under deadline + memory).
+// name instead, serially (q_greedy reads Q from the trained agent; the
+// other policies need no agent); `--memory` switches to Algorithm 2
+// (parallel scheduling under deadline + memory). The corpus needs at least
+// two items: a fifth of it, and at least one item, is the training split,
+// and only the rest is labeled.
 //
 // Examples:
 //   ams_label --dataset mirflickr25 --deadline 0.5 --label 200
@@ -62,7 +65,7 @@ struct Options {
 
 [[noreturn]] void Usage(const char* argv0) {
   std::string policies;
-  for (const std::string& name : sched::PolicyRegistry::Global().Names()) {
+  for (const std::string& name : sched::PolicyRegistry::Names()) {
     if (!policies.empty()) policies += "|";
     policies += name;
   }
@@ -117,8 +120,12 @@ Options Parse(int argc, char** argv) {
   }
   // Out-of-range numbers are usage errors, caught before the corpus is
   // built: past this point they abort in the corpus, trainer or kernel.
-  if (opts.items < 1) {
-    std::fprintf(stderr, "--items must be >= 1\n");
+  // Dataset::Split keeps max(1, items / 5) items for training, so a 1-item
+  // corpus would leave nothing to label.
+  if (opts.items < 2) {
+    std::fprintf(stderr,
+                 "--items must be >= 2 (the training split takes at least "
+                 "one item; the rest is labeled)\n");
     Usage(argv[0]);
   }
   if (opts.episodes < 1) {
@@ -144,7 +151,7 @@ Options Parse(int argc, char** argv) {
     Usage(argv[0]);
   }
   if (opts.policy.empty()) return opts;
-  if (!sched::PolicyRegistry::Global().Contains(opts.policy)) {
+  if (!sched::PolicyRegistry::Contains(opts.policy)) {
     std::fprintf(stderr, "unknown policy: %s\n", opts.policy.c_str());
     Usage(argv[0]);
   }
@@ -154,7 +161,7 @@ Options Parse(int argc, char** argv) {
                  "(predictor-driven). Pick one.\n");
     Usage(argv[0]);
   }
-  if (sched::PolicyRegistry::Global().Traits(opts.policy).needs_chunked_stream) {
+  if (sched::PolicyRegistry::Traits(opts.policy).needs_chunked_stream) {
     std::fprintf(stderr,
                  "policy '%s' needs a chunked stream; this tool generates "
                  "i.i.d. corpora (see examples/video_surveillance).\n",
@@ -202,7 +209,7 @@ int main(int argc, char** argv) {
   // rule_based skip training entirely.
   const bool needs_agent =
       opts.policy.empty() ||
-      sched::PolicyRegistry::Global().Traits(opts.policy).needs_predictor;
+      sched::PolicyRegistry::Traits(opts.policy).needs_predictor;
   std::unique_ptr<rl::Agent> agent;
   if (needs_agent) {
     eval::AgentCache cache(opts.cache_dir);
@@ -244,10 +251,10 @@ int main(int argc, char** argv) {
                 opts.deadline);
   } else {
     sched::PolicyOptions policy_options;
-    policy_options.predictor = agent.get();  // null for predictor-less policies
     policy_options.seed = opts.seed;
     builder.WithMode(core::ExecutionMode::kSerial)
         .WithPolicy(opts.policy, policy_options);
+    if (agent != nullptr) builder.WithPredictor(agent.get());
     std::printf("scheduling with policy '%s' (deadline %.2f s)...\n",
                 opts.policy.c_str(), opts.deadline);
   }
