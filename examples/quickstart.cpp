@@ -60,7 +60,7 @@ int main() {
     for (const auto& record : result.executions) {
       std::printf("  %-14s ->", zoo.model(record.model_id).name.c_str());
       if (record.fresh.empty()) {
-        std::printf(" (nothing new, reward %.2f)", record.reward);
+        std::printf(" (nothing new)");
       } else {
         int shown = 0;
         for (const auto& out : record.fresh) {

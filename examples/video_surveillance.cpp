@@ -126,10 +126,7 @@ int main() {
       bool recalled = false;
       for (const auto& record : executions) {
         for (const auto& out : oracle.Output(item, record.model_id)) {
-          if (out.label_id == face_label &&
-              out.confidence >= zoo::kValuableConfidence) {
-            recalled = true;
-          }
+          if (out.label_id == face_label) recalled = true;
         }
       }
       if (recalled) ++face_found;

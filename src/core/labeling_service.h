@@ -359,7 +359,7 @@ class LabelingServiceBuilder {
 
   LabelingServiceBuilder& WithConstraints(const ScheduleConstraints& c);
   LabelingServiceBuilder& WithMode(ExecutionMode mode);
-  /// KernelMode::kLean skips per-execution output copies and the
+  /// KernelMode::kLean skips the per-execution records and the
   /// recalled-label map: LabelOutcome keeps makespan, value, execution count
   /// and recall but `schedule.executions`/`recalled_labels` stay empty. The
   /// offline recall-only paths (deadline/memory sweeps) run lean.

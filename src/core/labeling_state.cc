@@ -31,7 +31,6 @@ std::vector<zoo::LabelOutput> LabelingState::Apply(
   MarkExecuted(model_id);
   std::vector<zoo::LabelOutput> fresh;
   for (const auto& out : outputs) {
-    if (out.confidence < zoo::kValuableConfidence) continue;
     if (SetLabel(out.label_id)) fresh.push_back(out);
   }
   return fresh;

@@ -11,10 +11,11 @@ namespace ams::core {
 /// over the label space, where bit i says whether label i has been emitted
 /// (valuably) by any executed model, plus bookkeeping of which models ran.
 ///
-/// Design decision: only valuable outputs (conf >= kValuableConfidence) set
-/// state bits and count as "new labels" for O'(m, d). Low-confidence outputs
-/// are treated as waste, consistent with Fig. 1 grouping "no output" and
-/// "low-confidence output" together as useless executions.
+/// Design decision: only valuable (high-confidence) outputs set state bits
+/// and count as "new labels" for O'(m, d). Low-confidence outputs are
+/// treated as waste, consistent with Fig. 1 grouping "no output" and
+/// "low-confidence output" together as useless executions. ModelZoo::Execute
+/// drops them, so every output that reaches the state is valuable.
 class LabelingState {
  public:
   LabelingState(int num_labels, int num_models);
@@ -23,8 +24,8 @@ class LabelingState {
   /// models the last item set.
   void Reset();
 
-  /// Registers the execution of `model_id` with the given raw outputs.
-  /// Returns O'(m, d): the valuable outputs whose labels were not yet set.
+  /// Registers the execution of `model_id` with its (valuable) outputs.
+  /// Returns O'(m, d): the outputs whose labels were not yet set.
   /// Marks the model executed even if nothing new is produced.
   std::vector<zoo::LabelOutput> Apply(int model_id,
                                       zoo::LabelOutputView outputs);

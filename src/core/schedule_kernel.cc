@@ -5,7 +5,6 @@
 #include <memory>
 #include <numeric>
 
-#include "core/reward.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -179,31 +178,28 @@ bool ScheduleKernel::Step() {
 
   const zoo::LabelOutputView outputs = exec_->Execute(done_run.model_id);
 
-  // Full mode appends the record it fills; lean reuses one scratch record —
-  // no output copies, no reward, no per-event allocations once the fresh
-  // buffer has grown.
+  // Full mode appends the record it fills; lean reuses one scratch record,
+  // so no event allocates once the fresh buffer has grown.
   ExecutionRecord* record = &scratch_record_;
   if (mode_ == KernelMode::kFull) {
     result_.executions.emplace_back();
     record = &result_.executions.back();
-    record->outputs.assign(outputs.begin(), outputs.end());
   }
   record->model_id = done_run.model_id;
   record->start_s = done_run.start_s;
   record->finish_s = done_run.finish_s;
   record->fresh.clear();
 
-  // One walk over the outputs. A valuable output beating its label's best
-  // confidence credits the difference twice, in the two association orders
-  // that must both stay bit-identical: per label into f(S, d), and per
-  // execution into the gain (ValueAccumulator::AddModel's order). best == 0
-  // means never credited (valuable confidences are > 0), so the first
+  // One walk over the (valuable) outputs. An output beating its label's
+  // best confidence credits the difference twice, in the two association
+  // orders that must both stay bit-identical: per label into f(S, d), and
+  // per execution into the gain (ValueAccumulator::AddModel's order).
+  // best == 0 means never credited (confidences are > 0), so the first
   // credit is exactly a fresh label: it sets the state bit, joins O'(m, d)
   // and is recorded in the touched list.
   state_.MarkExecuted(done_run.model_id);
   double gain = 0.0;
   for (const auto& out : outputs) {
-    if (out.confidence < zoo::kValuableConfidence) continue;
     double& best = best_conf_[static_cast<size_t>(out.label_id)];
     if (out.confidence > best) {
       if (best == 0.0) {
@@ -218,12 +214,6 @@ bool ScheduleKernel::Step() {
     }
   }
   record->gain = gain;
-  if (mode_ == KernelMode::kFull) {
-    record->reward =
-        ModelReward(record->fresh, zoo_->models()[static_cast<size_t>(
-                                                      done_run.model_id)]
-                                       .theta);
-  }
   result_.makespan_s = std::max(result_.makespan_s, done_run.finish_s);
   ++result_.num_executions;
 

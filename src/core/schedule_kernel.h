@@ -31,13 +31,8 @@ struct ExecutionRecord {
   int model_id = -1;
   double start_s = 0.0;
   double finish_s = 0.0;
-  /// Raw model output (labels + confidences, incl. low-confidence ones).
-  /// Empty in lean kernel mode (outputs are never materialized there).
-  std::vector<zoo::LabelOutput> outputs;
   /// O'(m, d): newly emitted valuable labels.
   std::vector<zoo::LabelOutput> fresh;
-  /// Reward of Eq. (3) for this execution; 0 in lean kernel mode.
-  double reward = 0.0;
   /// f(S ∪ {m}, d) − f(S, d): the value this execution added, summed over
   /// its outputs in ValueAccumulator::AddModel's order, so a running sum of
   /// gains is bitwise ValueAccumulator::Value() and recall needs no second
@@ -88,9 +83,10 @@ class ExecutionContext {
   /// Realized duration charged when the model actually runs.
   virtual double RealizedTime(int model) const = 0;
 
-  /// Runs the model and returns a view of its raw outputs: replay serves the
-  /// oracle's stored outputs directly (no copies), live contexts an internal
-  /// buffer that stays valid until the next Execute call.
+  /// Runs the model and returns a view of its valuable outputs (what
+  /// ModelZoo::Execute keeps): replay serves the oracle's stored outputs
+  /// directly (no copies), live contexts an internal buffer that stays valid
+  /// until the next Execute call.
   virtual zoo::LabelOutputView Execute(int model) const = 0;
 };
 
@@ -189,21 +185,20 @@ struct KernelHooks {
   /// already in flight still drains (its outputs count, exactly as in
   /// Algorithm 2's final window).
   ///
-  /// In lean kernel mode the record passed here is a reused scratch whose
-  /// `outputs` are empty and `reward` is 0; `model_id`, `start_s`,
-  /// `finish_s`, `fresh` and `gain` are always valid.
+  /// In lean kernel mode the record passed here is a reused scratch, valid
+  /// only for the call; its fields are set as in full mode.
   std::function<bool(const ExecutionRecord&, const LabelingState&)>
       on_executed;
 };
 
 /// How much the kernel materializes per run.
 enum class KernelMode {
-  /// Full ScheduleResult: per-execution records (with output copies) and
-  /// the recalled-label union. The default.
+  /// Full ScheduleResult: per-execution records (model, times, fresh labels
+  /// and gain) and the recalled-label union. The default.
   kFull,
   /// Lean: accumulates only makespan, value, execution count and peak
-  /// memory — no per-execution output copies, no recalled-label map. The
-  /// offline recall-only paths (deadline/memory sweeps) run here.
+  /// memory — no per-execution records, no recalled-label map. The offline
+  /// recall-only paths (deadline/memory sweeps) run here.
   kLean,
 };
 

@@ -16,7 +16,6 @@ double ValueAccumulator::MarginalGain(int model) const {
   if (added_[static_cast<size_t>(model)]) return 0.0;
   double gain = 0.0;
   for (const auto& out : oracle_->Output(item_, model)) {
-    if (out.confidence < zoo::kValuableConfidence) continue;
     const double prev = best_conf_[static_cast<size_t>(out.label_id)];
     if (out.confidence > prev) gain += out.confidence - prev;
   }
@@ -28,7 +27,6 @@ double ValueAccumulator::AddModel(int model) {
   added_[static_cast<size_t>(model)] = true;
   double gain = 0.0;
   for (const auto& out : oracle_->Output(item_, model)) {
-    if (out.confidence < zoo::kValuableConfidence) continue;
     double& best = best_conf_[static_cast<size_t>(out.label_id)];
     if (out.confidence > best) {
       gain += out.confidence - best;

@@ -17,7 +17,6 @@ Oracle::Oracle(const zoo::ModelZoo* zoo, const Dataset* dataset)
   const size_t cells =
       static_cast<size_t>(n) * static_cast<size_t>(num_models_);
   exec_time_.resize(cells);
-  solo_value_.resize(cells);
   true_total_value_.resize(static_cast<size_t>(n));
   const int num_blocks = (n + kBuildBlockItems - 1) / kBuildBlockItems;
   blocks_.resize(static_cast<size_t>(num_blocks));
@@ -35,8 +34,8 @@ void Oracle::BuildBlock(int block) {
   offsets.reserve(static_cast<size_t>(last - first) *
                       static_cast<size_t>(num_models_) +
                   1);
-  // Best valuable confidence per label on the current item (0 = none yet:
-  // valuable confidences are positive) and the labels it touched.
+  // Best confidence per label on the current item (0 = none yet: stored
+  // confidences are positive) and the labels it touched.
   std::vector<double> best(static_cast<size_t>(zoo_->labels().total_labels()),
                            0.0);
   std::vector<int> touched;
@@ -47,16 +46,12 @@ void Oracle::BuildBlock(int block) {
       offsets.push_back(static_cast<uint32_t>(begin));
       zoo_->ExecuteInto(m, scene, &outputs);
       exec_time_[Cell(i, m)] = zoo_->SampleExecutionTime(m, scene);
-      double solo = 0.0;
       for (size_t k = begin; k < outputs.size(); ++k) {
         const zoo::LabelOutput& out = outputs[k];
-        if (out.confidence < zoo::kValuableConfidence) continue;
-        solo += out.confidence;
         double& label_best = best[static_cast<size_t>(out.label_id)];
         if (label_best == 0.0) touched.push_back(out.label_id);
         label_best = std::max(label_best, out.confidence);
       }
-      solo_value_[Cell(i, m)] = solo;
     }
     // f(M, d): the per-label maxima summed in ascending label order.
     std::sort(touched.begin(), touched.end());
@@ -87,6 +82,14 @@ zoo::LabelOutputView Oracle::Output(int item, int model) const {
   return {block.outputs.data() + begin, block.offsets[pair + 1] - begin};
 }
 
+double Oracle::ModelSoloValue(int item, int model) const {
+  double solo = 0.0;
+  for (const zoo::LabelOutput& out : Output(item, model)) {
+    solo += out.confidence;
+  }
+  return solo;
+}
+
 double Oracle::TrueTotalValue(int item) const {
   return true_total_value_[static_cast<size_t>(item)];
 }
@@ -95,20 +98,10 @@ double Oracle::LabelProfit(int item, int label) const {
   double profit = 0.0;
   for (int m = 0; m < num_models(); ++m) {
     for (const zoo::LabelOutput& out : Output(item, m)) {
-      if (out.label_id == label && out.confidence >= zoo::kValuableConfidence) {
-        profit = std::max(profit, out.confidence);
-      }
+      if (out.label_id == label) profit = std::max(profit, out.confidence);
     }
   }
   return profit;
-}
-
-int Oracle::NumValuableModels(int item) const {
-  int count = 0;
-  for (int j = 0; j < num_models(); ++j) {
-    if (ModelValuable(item, j)) ++count;
-  }
-  return count;
 }
 
 double Oracle::ValuableTime(int item) const {

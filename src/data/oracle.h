@@ -17,9 +17,10 @@ namespace ams::data {
 ///
 /// The tables are flat and item-major. Each block of kBuildBlockItems items
 /// keeps the outputs of all its (item, model) pairs in one contiguous array,
-/// indexed by one uint32_t offset per pair; execution times and solo values
-/// are items x models rows. The constructor builds the blocks concurrently
-/// on ThreadPool::DefaultThreads() threads, each block writing only its own
+/// indexed by one uint32_t offset per pair; execution times are an items x
+/// models row. Only valuable outputs are stored: ModelZoo::ExecuteInto drops
+/// the rest. The constructor builds the blocks concurrently on
+/// ThreadPool::DefaultThreads() threads, each block writing only its own
 /// storage and rows. ModelZoo::Execute and SampleExecutionTime are pure
 /// functions of (scene, model), so every stored bit is the same for any
 /// thread count.
@@ -36,22 +37,20 @@ class Oracle {
   int num_items() const { return dataset_->size(); }
   int num_models() const { return num_models_; }
 
-  /// Stored output of `model` on `item` (all labels, incl. low-confidence),
-  /// exactly ModelZoo::Execute's; a view valid for the oracle's lifetime.
+  /// Stored output of `model` on `item`: its valuable labels, exactly
+  /// ModelZoo::Execute's; a view valid for the oracle's lifetime.
   zoo::LabelOutputView Output(int item, int model) const;
 
-  /// True whenever the output holds a valuable (conf >= threshold) label
-  /// ("blue box" in Fig. 1).
+  /// True whenever the model emits a valuable label on the item ("blue box"
+  /// in Fig. 1).
   bool ModelValuable(int item, int model) const {
-    return ModelSoloValue(item, model) > 0.0;
+    return !Output(item, model).empty();
   }
 
-  /// Sum of confidences of the model's own valuable labels, in output order
-  /// (no overlap accounting). The "true output value" by which the Optimal
+  /// Sum of the confidences of the model's own outputs, in output order (no
+  /// overlap accounting). The "true output value" by which the Optimal
   /// policy of §VI-B orders models.
-  double ModelSoloValue(int item, int model) const {
-    return solo_value_[Cell(item, model)];
-  }
+  double ModelSoloValue(int item, int model) const;
 
   /// Sum over all valuable labels, in ascending label order, of the best
   /// confidence any model assigns: f(M, d), the denominator of the
@@ -59,12 +58,9 @@ class Oracle {
   double TrueTotalValue(int item) const;
 
   /// Best confidence any model assigns to `label` on `item` (the label's
-  /// profit p_i), or 0 if no model outputs it valuably. Scans the item's
-  /// stored outputs.
+  /// profit p_i), or 0 if no model outputs it. Scans the item's stored
+  /// outputs.
   double LabelProfit(int item, int label) const;
-
-  /// Number of models with valuable output on `item`.
-  int NumValuableModels(int item) const;
 
   /// Per-item execution-time draw for `model` (jittered, deterministic).
   double ExecutionTime(int item, int model) const {
@@ -103,7 +99,6 @@ class Oracle {
   std::vector<Block> blocks_;
   // Indexed by Cell(item, model).
   std::vector<double> exec_time_;
-  std::vector<double> solo_value_;
   std::vector<double> true_total_value_;
 };
 

@@ -25,7 +25,7 @@ std::vector<double> AverageRecallPerDeadline(
   // One session per deadline; the session fans the batch out over its
   // workers with a private policy or predictor clone per worker. Only recall
   // is read here, so the sessions run on the lean kernel path (no
-  // per-execution output copies, no recalled-label maps).
+  // per-execution records, no recalled-label maps).
   std::vector<double> avg_recall(deadlines.size(), 0.0);
   for (size_t d = 0; d < deadlines.size(); ++d) {
     core::ScheduleConstraints constraints;

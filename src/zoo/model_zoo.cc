@@ -77,7 +77,8 @@ double Confidence(double accuracy, double visibility, int label_id,
   return std::clamp(c, 0.02, 0.99);
 }
 
-// A spurious low-confidence output (Fig. 1 "person 0.43"); never valuable.
+// A spurious low-confidence output (Fig. 1 "person 0.43"); never valuable,
+// so ExecuteInto drops it.
 double FalsePositiveConfidence(util::Rng* rng) {
   return std::clamp(rng->Uniform(0.05, 0.45), 0.02, 0.45);
 }
@@ -153,6 +154,7 @@ void ModelZoo::ExecuteInto(int model_id, const LatentScene& scene,
   // Independent deterministic noise stream per (item, model).
   util::Rng rng(util::HashCombine(scene.item_seed, 0xE0E0u + model_id));
   std::vector<LabelOutput>& out = *dest;
+  const size_t begin = out.size();
   const double acc = spec.accuracy;
 
   switch (spec.task) {
@@ -309,6 +311,13 @@ void ModelZoo::ExecuteInto(int model_id, const LatentScene& scene,
       break;
     }
   }
+  // Every draw above still happens, so the kept outputs have the bits and
+  // the order they would have among all the model's outputs.
+  out.erase(std::remove_if(out.begin() + static_cast<long>(begin), out.end(),
+                           [](const LabelOutput& o) {
+                             return o.confidence < kValuableConfidence;
+                           }),
+            out.end());
 }
 
 }  // namespace ams::zoo

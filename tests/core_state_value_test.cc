@@ -19,16 +19,17 @@ namespace {
 // Apply takes a view of the outputs; a temporary vector outlives the call.
 using Outputs = std::vector<zoo::LabelOutput>;
 
+// Apply sees only valuable outputs: the zoo drops the rest
+// (ModelZooTest.ExecuteKeepsOnlyValuableOutputs).
 TEST(LabelingStateTest, ApplyTracksFreshValuableLabelsOnly) {
   LabelingState state(10, 3);
-  const std::vector<zoo::LabelOutput> outputs = {
-      {1, 0.9}, {2, 0.3} /*low conf*/, {3, 0.6}};
+  const std::vector<zoo::LabelOutput> outputs = {{1, 0.9}, {3, 0.6}};
   const auto fresh = state.Apply(0, outputs);
   ASSERT_EQ(fresh.size(), 2u);
   EXPECT_EQ(fresh[0].label_id, 1);
   EXPECT_EQ(fresh[1].label_id, 3);
   EXPECT_TRUE(state.label_set(1));
-  EXPECT_FALSE(state.label_set(2)) << "low confidence must not set the bit";
+  EXPECT_FALSE(state.label_set(2));
   EXPECT_TRUE(state.label_set(3));
   EXPECT_EQ(state.num_labels_set(), 2);
   EXPECT_TRUE(state.model_executed(0));
@@ -59,8 +60,7 @@ TEST(LabelingStateTest, SetIndicesMirrorFeaturesInAscendingOrder) {
   // with the dense scan).
   state.Apply(0, Outputs{{7, 0.9}, {2, 0.8}});
   EXPECT_EQ(state.SetIndices(), (std::vector<int>{2, 7}));
-  state.Apply(1, Outputs{{4, 0.95}, {7, 0.99} /*dup*/,
-                         {1, 0.2} /*low conf*/});
+  state.Apply(1, Outputs{{4, 0.95}, {7, 0.99} /*dup*/});
   EXPECT_EQ(state.SetIndices(), (std::vector<int>{2, 4, 7}));
   ASSERT_EQ(state.num_labels_set(),
             static_cast<int>(state.SetIndices().size()));

@@ -147,16 +147,6 @@ TEST_F(OracleTest, TimeAccountingIdentities) {
   }
 }
 
-TEST_F(OracleTest, NumValuableModelsConsistent) {
-  for (int item = 0; item < oracle_->num_items(); ++item) {
-    int count = 0;
-    for (int m = 0; m < oracle_->num_models(); ++m) {
-      if (oracle_->ModelValuable(item, m)) ++count;
-    }
-    EXPECT_EQ(oracle_->NumValuableModels(item), count);
-  }
-}
-
 TEST_F(OracleTest, TrueTotalValueBoundsSoloValues) {
   for (int item = 0; item < oracle_->num_items(); ++item) {
     double max_solo = 0.0;

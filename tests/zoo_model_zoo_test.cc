@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "zoo/model_zoo.h"
 
@@ -122,15 +123,53 @@ TEST_F(ModelZooTest, PersonTasksSilentOnEmptyScenes) {
 }
 
 TEST_F(ModelZooTest, FalsePositivesNeverValuable) {
-  // Action classifiers on person-free scenes occasionally emit spurious
-  // labels; these must stay below the valuable threshold.
+  // Action classifiers on person-free scenes occasionally draw spurious
+  // labels; these stay below the valuable threshold, so none is emitted.
   for (uint64_t seed = 0; seed < 200; ++seed) {
     LatentScene scene = EmptyScene();
     scene.item_seed = seed;
     for (int m : zoo_.ModelsForTask(TaskKind::kActionClassification)) {
-      for (const LabelOutput& out : zoo_.Execute(m, scene)) {
-        EXPECT_LT(out.confidence, kValuableConfidence);
+      EXPECT_TRUE(zoo_.Execute(m, scene).empty())
+          << zoo_.model(m).name << " seed " << seed;
+    }
+  }
+}
+
+TEST_F(ModelZooTest, ExecuteKeepsOnlyValuableOutputs) {
+  // The zoo is the one place that drops low-confidence outputs, so none
+  // reaches the oracle, a live context or a labeling state bit. Small
+  // models on these scenes draw many of them.
+  size_t kept = 0;
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    for (LatentScene scene : {PersonScene(), EmptyScene()}) {
+      scene.item_seed = seed;
+      for (int m = 0; m < zoo_.num_models(); ++m) {
+        for (const LabelOutput& out : zoo_.Execute(m, scene)) {
+          EXPECT_GE(out.confidence, kValuableConfidence)
+              << zoo_.model(m).name << " seed " << seed;
+          ++kept;
+        }
       }
+    }
+  }
+  EXPECT_GT(kept, 0u);
+}
+
+TEST_F(ModelZooTest, ExecuteIntoFiltersOnlyWhatItAppends) {
+  // The oracle build appends many (item, model) pairs to one buffer: a
+  // call leaves what the buffer already held, low confidence included.
+  const LatentScene scene = PersonScene();
+  for (int m = 0; m < zoo_.num_models(); ++m) {
+    std::vector<LabelOutput> buffer = {{7, 0.1}, {8, 0.9}};
+    zoo_.ExecuteInto(m, scene, &buffer);
+    const std::vector<LabelOutput> alone = zoo_.Execute(m, scene);
+    ASSERT_EQ(buffer.size(), 2 + alone.size()) << zoo_.model(m).name;
+    EXPECT_EQ(buffer[0].label_id, 7);
+    EXPECT_EQ(buffer[0].confidence, 0.1);
+    EXPECT_EQ(buffer[1].label_id, 8);
+    for (size_t i = 0; i < alone.size(); ++i) {
+      EXPECT_EQ(buffer[2 + i].label_id, alone[i].label_id);
+      EXPECT_EQ(buffer[2 + i].confidence, alone[i].confidence);
     }
   }
 }

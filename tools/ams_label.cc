@@ -234,6 +234,7 @@ int main(int argc, char** argv) {
   constraints.time_budget_s = opts.deadline;
   core::LabelingServiceBuilder builder(&zoo);
   builder.WithOracle(&oracle)
+      .WithKernelMode(core::KernelMode::kLean)
       .WithConstraints(constraints)
       .WithWorkers(opts.workers)
       .WithSeed(opts.seed);
@@ -275,8 +276,7 @@ int main(int argc, char** argv) {
   std::vector<std::vector<std::string>> csv_rows;
   for (int i = 0; i < n; ++i) {
     const core::LabelOutcome& outcome = outcomes[static_cast<size_t>(i)];
-    const int executed =
-        static_cast<int>(outcome.schedule.executions.size());
+    const int executed = outcome.schedule.num_executions;
     recall.Add(outcome.recall);
     models.Add(executed);
     sim_time.Add(outcome.schedule.makespan_s);
