@@ -8,7 +8,7 @@
 
 // Compiled with -ffp-contract=off (CMakeLists.txt): the scalar remainder
 // loops here are the bitwise reference for the SIMD tiers, so the compiler
-// must not FMA-contract them even under AMS_NATIVE_ARCH=-march=native.
+// must not FMA-contract them even when CMAKE_CXX_FLAGS adds -march=native.
 
 namespace ams::nn {
 

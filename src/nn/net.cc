@@ -69,21 +69,6 @@ void QValueNet::CopyWeightsFrom(QValueNet* src) {
   }
 }
 
-void QValueNet::PredictBatch(const std::vector<const std::vector<float>*>& rows,
-                             const std::vector<const std::vector<int>*>& indices,
-                             Matrix* q) {
-  (void)indices;  // the dense fallback stacks every row in full
-  const int n = static_cast<int>(rows.size());
-  Matrix x;
-  x.Resize(n, input_dim());  // no zero-fill: every row is overwritten
-  for (int i = 0; i < n; ++i) {
-    const std::vector<float>& row = *rows[static_cast<size_t>(i)];
-    AMS_CHECK(static_cast<int>(row.size()) == input_dim());
-    std::copy(row.begin(), row.end(), x.Row(i));
-  }
-  Forward(x, q);
-}
-
 std::vector<float> QValueNet::Predict1(const std::vector<float>& x) {
   AMS_CHECK(static_cast<int>(x.size()) == input_dim());
   Matrix in = Matrix::FromRowVector(x);

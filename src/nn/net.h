@@ -46,15 +46,14 @@ class QValueNet {
   /// rows. Implementations skip the dense input build and the
   /// activation-caching copies that only Backward needs, so this is the fast
   /// path for batched prediction. Clobbers cached activations — do not call
-  /// Backward for a batch forwarded this way. The base implementation stacks
-  /// the rows and calls Forward (ignoring `indices`).
+  /// Backward for a batch forwarded this way.
   ///
   /// `indices` may be empty or parallel to `rows`: a non-null indices[i]
   /// lists the nonzero positions of rows[i] in ascending order, so the first
   /// layer skips the dense feature scan (DenseLayer::ForwardSparseRows).
   virtual void PredictBatch(const std::vector<const std::vector<float>*>& rows,
                             const std::vector<const std::vector<int>*>& indices,
-                            Matrix* q);
+                            Matrix* q) = 0;
   void PredictBatch(const std::vector<const std::vector<float>*>& rows,
                     Matrix* q) {
     PredictBatch(rows, {}, q);

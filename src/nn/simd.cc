@@ -8,8 +8,9 @@
 #include "util/check.h"
 
 // This file (like every kernel file) is compiled with -ffp-contract=off so
-// that even an AMS_NATIVE_ARCH=-march=native build cannot fuse the separate
-// mul+add below into an FMA — bitwise parity across tiers depends on it.
+// that even a build with -march=native in CMAKE_CXX_FLAGS cannot fuse the
+// separate mul+add below into an FMA — bitwise parity across tiers depends
+// on it.
 
 namespace ams::nn::simd {
 

@@ -13,13 +13,12 @@ namespace ams::obs {
 namespace {
 
 constexpr std::array<const char*, kNumPhases> kPhaseNames = {
-    "enqueue", "quota_reject", "queue_wait", "exec", "tick", "forward",
+    "enqueue", "queue_wait", "exec", "tick", "forward",
 };
 
 /// Per-phase names for args a0..a3 in exported JSON. nullptr = arg unused.
 constexpr std::array<std::array<const char*, 4>, kNumPhases> kPhaseArgNames = {{
     {"class", "tenant", "outcome", nullptr},        // enqueue
-    {"class", "tenant", nullptr, nullptr},          // quota_reject
     {"class", "tenant", nullptr, nullptr},          // queue_wait
     {"class", "deadline_missed", nullptr, nullptr}, // exec
     {"resident", "completed", "arena_used_bytes", nullptr},  // tick

@@ -19,25 +19,23 @@ namespace ams::obs {
 /// spans carry a duration. Every phase's four int args have fixed meanings
 /// (see kPhaseArgNames in trace.cc and the README "Observability" section):
 ///
-///   kEnqueue     instant  admission decision   a0=class a1=tenant a2=outcome
-///   kQuotaReject instant  quota refusal        a0=class a1=tenant
-///   kQueueWait   span     enqueue -> pop       a0=class a1=tenant
-///   kExec        span     pop -> completion    a0=class a1=deadline_missed
-///   kTick        span     one stepper tick     a0=resident a1=completed
-///                                              a2=arena_used_bytes
-///   kForward     span     batched Q-forward    a0=rows a1=memo_hits
-///                                              a2=simd_tier
+///   kEnqueue    instant  admission decision   a0=class a1=tenant a2=outcome
+///   kQueueWait  span     enqueue -> pop       a0=class a1=tenant
+///   kExec       span     pop -> completion    a0=class a1=deadline_missed
+///   kTick       span     one stepper tick     a0=resident a1=completed
+///                                             a2=arena_used_bytes
+///   kForward    span     batched Q-forward    a0=rows a1=memo_hits
+///                                             a2=simd_tier
 ///
 /// Phase numbers never leave the process: exports write PhaseName().
 enum class Phase : std::uint8_t {
   kEnqueue = 0,
-  kQuotaReject,
   kQueueWait,
   kExec,
   kTick,
   kForward,
 };
-inline constexpr int kNumPhases = 6;
+inline constexpr int kNumPhases = 5;
 
 /// Stable lowercase name used in trace JSON and summaries.
 const char* PhaseName(Phase phase);
@@ -60,7 +58,7 @@ struct TraceEvent {
   std::int32_t a3 = 0;
 };
 
-/// The lane index admission-side events (enqueue/quota_reject) are recorded
+/// The lane index admission-side events (enqueue instants) are recorded
 /// under; worker lanes use their worker index. Exported traces name
 /// this lane "admission" instead of "worker 65535".
 inline constexpr std::uint16_t kAdmissionLane = 0xFFFF;
@@ -234,32 +232,23 @@ class ScopedSpan {
   std::int32_t a0_ = 0, a1_ = 0, a2_ = 0, a3_ = 0;
 };
 
-/// Export seam: turns collected events into bytes. Implementations must not
-/// assume events are request-complete — a ring that wrapped has holes.
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-  virtual void Write(const std::vector<TraceEvent>& events,
-                     std::ostream& out) const = 0;
-};
-
 /// Chrome trace-event JSON ({"traceEvents": [...]}), loadable in Perfetto
 /// and chrome://tracing. Spans become complete ("ph":"X") events, instants
 /// become thread-scoped instants ("ph":"i"); pid = shard, tid = lane, with
 /// process/thread-name metadata so shards and workers read naturally.
-/// Timestamps are microseconds on the recording clock's own axis.
+/// Timestamps are microseconds on the recording clock's own axis. The
+/// events need not be request-complete: a ring that wrapped has holes.
 ///
 /// `dropped_events` (Tracer::TotalDropped() when the events were collected)
 /// is written as the top-level "otherData": {"dropped_events": N}, so a
 /// reader can refuse a trace whose rings wrapped instead of mistaking the
 /// holes for behaviour (tools/trace_summary.py does).
-class ChromeTraceSink : public TraceSink {
+class ChromeTraceSink {
  public:
   explicit ChromeTraceSink(std::uint64_t dropped_events = 0)
       : dropped_events_(dropped_events) {}
 
-  void Write(const std::vector<TraceEvent>& events,
-             std::ostream& out) const override;
+  void Write(const std::vector<TraceEvent>& events, std::ostream& out) const;
 
  private:
   std::uint64_t dropped_events_;

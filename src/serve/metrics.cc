@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
+
+#include "util/check.h"
 
 namespace ams::serve {
 
@@ -124,13 +128,53 @@ void Metrics::RecordForward(double forward_s, int rows) {
   AtomicMaxLong(&forward_rows_max, rows);
 }
 
-TenantMetrics& Metrics::for_tenant(int tenant_id) {
-  if (tenant_id == 0) return default_tenant_;
-  std::lock_guard<std::mutex> lock(tenants_mu_);
-  return tenants_[tenant_id];
+void RequestLedger::Enqueued() const {
+  for (RequestMetrics* slice : slices_) {
+    slice->enqueued.fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
-const TenantMetrics* Metrics::find_tenant(int tenant_id) const {
+void RequestLedger::Bounced(ServeStatus status, bool quota) const {
+  AMS_CHECK(status != ServeStatus::kOk, "completed requests are not bounced");
+  std::atomic<long> RequestMetrics::*outcome =
+      status == ServeStatus::kShed       ? &RequestMetrics::shed
+      : status == ServeStatus::kShutdown ? &RequestMetrics::shutdown_refused
+                                         : &RequestMetrics::rejected;
+  for (RequestMetrics* slice : slices_) {
+    (slice->*outcome).fetch_add(1, std::memory_order_relaxed);
+    if (quota) slice->quota_rejected.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+void RequestLedger::Popped(double queue_delay_s) const {
+  for (RequestMetrics* slice : slices_) {
+    slice->queue_delay.Record(queue_delay_s);
+  }
+}
+
+void RequestLedger::Completed(double service_s, double latency_s,
+                              bool deadline_met) const {
+  service_time_->Record(service_s);
+  for (RequestMetrics* slice : slices_) {
+    slice->total_latency.Record(latency_s);
+    slice->completed.fetch_add(1, std::memory_order_relaxed);
+    if (!deadline_met) {
+      slice->deadline_misses.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+}
+
+RequestLedger Metrics::LedgerFor(PriorityClass cls, int tenant_id) {
+  RequestMetrics* tenant = &default_tenant_;
+  if (tenant_id != 0) {
+    std::lock_guard<std::mutex> lock(tenants_mu_);
+    tenant = &tenants_[tenant_id];
+  }
+  return RequestLedger({&total, &by_class[static_cast<size_t>(cls)], tenant},
+                       &service_time);
+}
+
+const RequestMetrics* Metrics::find_tenant(int tenant_id) const {
   if (tenant_id == 0) return &default_tenant_;
   std::lock_guard<std::mutex> lock(tenants_mu_);
   const auto it = tenants_.find(tenant_id);
@@ -150,48 +194,61 @@ std::string Metrics::SnapshotJson() const {
 
 namespace {
 
-/// Plain-value images of the registry's counter sections: SnapshotJson
-/// loads each section into one of these in a tight pass *before* any
-/// stream formatting, so the values in one emitted snapshot come from a
-/// single narrow read window instead of interleaving atomic reads with
+/// Plain-value image of one ledger slice's counters. SnapshotJson loads
+/// every slice into one of these in a tight pass *before* any stream
+/// formatting, so the values in one emitted snapshot come from a single
+/// narrow read window instead of interleaving atomic reads with
 /// (comparatively slow) JSON formatting. See the header's consistency
-/// contract for what can still tear.
-struct CounterSnapshot {
-  long enqueued, completed, rejected, quota_rejected, shed, shutdown_refused,
-      deadline_misses, queue_depth, in_flight, forward_batches, forward_rows,
-      forward_rows_max, arena_high_water_bytes;
-};
-
-struct ClassSnapshot {
-  long enqueued, completed, rejected, shed, shutdown_refused, deadline_misses;
-};
-
-struct TenantSnapshot {
+/// contract for what can still tear. The histograms format at write time
+/// from `slice`.
+struct SliceSnapshot {
+  const RequestMetrics* slice;
   long enqueued, completed, rejected, quota_rejected, shed, shutdown_refused,
       deadline_misses;
 };
 
-ClassSnapshot LoadClass(const ClassMetrics& cls) {
-  ClassSnapshot s;
-  s.enqueued = cls.enqueued.load(std::memory_order_relaxed);
-  s.completed = cls.completed.load(std::memory_order_relaxed);
-  s.rejected = cls.rejected.load(std::memory_order_relaxed);
-  s.shed = cls.shed.load(std::memory_order_relaxed);
-  s.shutdown_refused = cls.shutdown_refused.load(std::memory_order_relaxed);
-  s.deadline_misses = cls.deadline_misses.load(std::memory_order_relaxed);
-  return s;
+SliceSnapshot LoadSlice(const RequestMetrics& slice) {
+  const auto load = [](const std::atomic<long>& counter) {
+    return counter.load(std::memory_order_relaxed);
+  };
+  return {&slice,
+          load(slice.enqueued),
+          load(slice.completed),
+          load(slice.rejected),
+          load(slice.quota_rejected),
+          load(slice.shed),
+          load(slice.shutdown_refused),
+          load(slice.deadline_misses)};
 }
 
-TenantSnapshot LoadTenant(const TenantMetrics& tenant) {
-  TenantSnapshot s;
-  s.enqueued = tenant.enqueued.load(std::memory_order_relaxed);
-  s.completed = tenant.completed.load(std::memory_order_relaxed);
-  s.rejected = tenant.rejected.load(std::memory_order_relaxed);
-  s.quota_rejected = tenant.quota_rejected.load(std::memory_order_relaxed);
-  s.shed = tenant.shed.load(std::memory_order_relaxed);
-  s.shutdown_refused = tenant.shutdown_refused.load(std::memory_order_relaxed);
-  s.deadline_misses = tenant.deadline_misses.load(std::memory_order_relaxed);
-  return s;
+/// `{"enqueued": N, ..., "deadline_misses": N}`, then, with `histograms`,
+/// the slice's `"queue_delay"` and `"total"` before the closing brace.
+void WriteSlice(const SliceSnapshot& s, bool histograms, std::ostream& out) {
+  out << "{\"enqueued\": " << s.enqueued << ", \"completed\": " << s.completed
+      << ", \"rejected\": " << s.rejected
+      << ", \"quota_rejected\": " << s.quota_rejected
+      << ", \"shed\": " << s.shed
+      << ", \"shutdown_refused\": " << s.shutdown_refused
+      << ", \"deadline_misses\": " << s.deadline_misses;
+  if (histograms) {
+    out << ", \"queue_delay\": " << s.slice->queue_delay.SnapshotJson()
+        << ", \"total\": " << s.slice->total_latency.SnapshotJson();
+  }
+  out << "}";
+}
+
+using NamedSlices = std::vector<std::pair<std::string, SliceSnapshot>>;
+
+/// `"key": {"name": {...}, ...}`: one object per class or tenant slice.
+void WriteSliceMap(const char* key, const NamedSlices& slices,
+                   std::ostream& out) {
+  out << "  \"" << key << "\": {";
+  for (size_t i = 0; i < slices.size(); ++i) {
+    if (i > 0) out << ", ";
+    out << "\"" << slices[i].first << "\": ";
+    WriteSlice(slices[i].second, /*histograms=*/true, out);
+  }
+  out << "}";
 }
 
 }  // namespace
@@ -199,34 +256,25 @@ TenantSnapshot LoadTenant(const TenantMetrics& tenant) {
 std::string Metrics::SnapshotJson(double uptime_s) const {
   // Phase 1: the consistent read pass — every counter in the registry is
   // loaded once, back to back, before a single byte is formatted.
-  CounterSnapshot top;
-  top.enqueued = enqueued.load(std::memory_order_relaxed);
-  top.completed = completed.load(std::memory_order_relaxed);
-  top.rejected = rejected.load(std::memory_order_relaxed);
-  top.quota_rejected = quota_rejected.load(std::memory_order_relaxed);
-  top.shed = shed.load(std::memory_order_relaxed);
-  top.shutdown_refused = shutdown_refused.load(std::memory_order_relaxed);
-  top.deadline_misses = deadline_misses.load(std::memory_order_relaxed);
-  top.queue_depth = queue_depth.load(std::memory_order_relaxed);
-  top.in_flight = in_flight.load(std::memory_order_relaxed);
-  top.forward_batches = forward_batches.load(std::memory_order_relaxed);
-  top.forward_rows = forward_rows.load(std::memory_order_relaxed);
-  top.forward_rows_max = forward_rows_max.load(std::memory_order_relaxed);
-  top.arena_high_water_bytes =
+  const SliceSnapshot totals = LoadSlice(total);
+  const long depth = queue_depth.load(std::memory_order_relaxed);
+  const long flying = in_flight.load(std::memory_order_relaxed);
+  const long batches = forward_batches.load(std::memory_order_relaxed);
+  const long rows = forward_rows.load(std::memory_order_relaxed);
+  const long rows_max = forward_rows_max.load(std::memory_order_relaxed);
+  const long arena_bytes =
       arena_high_water_bytes.load(std::memory_order_relaxed);
-  std::array<ClassSnapshot, kNumPriorityClasses> classes;
+  NamedSlices classes;
   for (int c = 0; c < kNumPriorityClasses; ++c) {
-    classes[static_cast<size_t>(c)] = LoadClass(by_class[static_cast<size_t>(c)]);
+    classes.emplace_back(PriorityClassName(static_cast<PriorityClass>(c)),
+                         LoadSlice(by_class[static_cast<size_t>(c)]));
   }
-  std::vector<std::pair<int, TenantSnapshot>> tenants;
-  std::vector<const TenantMetrics*> tenant_slices;
-  tenants.emplace_back(0, LoadTenant(default_tenant_));
-  tenant_slices.push_back(&default_tenant_);
+  NamedSlices tenants;
+  tenants.emplace_back("0", LoadSlice(default_tenant_));
   {
     std::lock_guard<std::mutex> lock(tenants_mu_);
     for (const auto& [tenant_id, tenant] : tenants_) {
-      tenants.emplace_back(tenant_id, LoadTenant(tenant));
-      tenant_slices.push_back(&tenant);
+      tenants.emplace_back(std::to_string(tenant_id), LoadSlice(tenant));
     }
   }
 
@@ -234,68 +282,34 @@ std::string Metrics::SnapshotJson(double uptime_s) const {
   // at format time (bucket-consistent, best effort vs. the counter pass).
   std::ostringstream out;
   out << "{\n";
-  out << "  \"counters\": {\"enqueued\": " << top.enqueued
-      << ", \"completed\": " << top.completed
-      << ", \"rejected\": " << top.rejected
-      << ", \"quota_rejected\": " << top.quota_rejected
-      << ", \"shed\": " << top.shed
-      << ", \"shutdown_refused\": " << top.shutdown_refused
-      << ", \"deadline_misses\": " << top.deadline_misses << "},\n";
-  out << "  \"gauges\": {\"queue_depth\": " << top.queue_depth
-      << ", \"in_flight\": " << top.in_flight << "},\n";
+  out << "  \"counters\": ";
+  WriteSlice(totals, /*histograms=*/false, out);
+  out << ",\n";
+  out << "  \"gauges\": {\"queue_depth\": " << depth
+      << ", \"in_flight\": " << flying << "},\n";
   out << "  \"uptime_s\": " << FormatSeconds(uptime_s)
       << ", \"completed_per_s\": "
       << FormatSeconds(uptime_s > 0.0
-                           ? static_cast<double>(top.completed) / uptime_s
+                           ? static_cast<double>(totals.completed) / uptime_s
                            : 0.0)
       << ",\n";
-  out << "  \"latency\": {\"queue_delay\": " << queue_delay.SnapshotJson()
+  out << "  \"latency\": {\"queue_delay\": " << total.queue_delay.SnapshotJson()
       << ", \"service\": " << service_time.SnapshotJson()
-      << ", \"total\": " << total_latency.SnapshotJson() << "},\n";
+      << ", \"total\": " << total.total_latency.SnapshotJson() << "},\n";
   out << "  \"phases\": {\"tick\": " << tick_duration.SnapshotJson()
       << ", \"forward\": " << forward_duration.SnapshotJson()
-      << ", \"forward_batches\": " << top.forward_batches
-      << ", \"forward_rows\": " << top.forward_rows
-      << ", \"forward_rows_max\": " << top.forward_rows_max
+      << ", \"forward_batches\": " << batches
+      << ", \"forward_rows\": " << rows
+      << ", \"forward_rows_max\": " << rows_max
       << ", \"forward_rows_mean\": "
-      << FormatSeconds(top.forward_batches > 0
-                           ? static_cast<double>(top.forward_rows) /
-                                 static_cast<double>(top.forward_batches)
-                           : 0.0)
-      << ", \"arena_high_water_bytes\": " << top.arena_high_water_bytes
-      << "},\n";
-  out << "  \"classes\": {";
-  for (int c = 0; c < kNumPriorityClasses; ++c) {
-    const ClassSnapshot& s = classes[static_cast<size_t>(c)];
-    const ClassMetrics& cls = by_class[static_cast<size_t>(c)];
-    if (c > 0) out << ", ";
-    out << "\"" << PriorityClassName(static_cast<PriorityClass>(c))
-        << "\": {\"enqueued\": " << s.enqueued
-        << ", \"completed\": " << s.completed
-        << ", \"rejected\": " << s.rejected << ", \"shed\": " << s.shed
-        << ", \"shutdown_refused\": " << s.shutdown_refused
-        << ", \"deadline_misses\": " << s.deadline_misses
-        << ", \"queue_delay\": " << cls.queue_delay.SnapshotJson()
-        << ", \"total\": " << cls.total_latency.SnapshotJson() << "}";
-  }
-  out << "},\n";
-  out << "  \"tenants\": {";
-  for (size_t i = 0; i < tenants.size(); ++i) {
-    const auto& [tenant_id, s] = tenants[i];
-    const TenantMetrics& tenant = *tenant_slices[i];
-    if (i > 0) out << ", ";
-    out << "\"" << tenant_id << "\": {\"enqueued\": " << s.enqueued
-        << ", \"completed\": " << s.completed
-        << ", \"rejected\": " << s.rejected
-        << ", \"quota_rejected\": " << s.quota_rejected
-        << ", \"shed\": " << s.shed
-        << ", \"shutdown_refused\": " << s.shutdown_refused
-        << ", \"deadline_misses\": " << s.deadline_misses
-        << ", \"queue_delay\": " << tenant.queue_delay.SnapshotJson()
-        << ", \"total\": " << tenant.total_latency.SnapshotJson() << "}";
-  }
-  out << "}\n";
-  out << "}";
+      << FormatSeconds(batches > 0 ? static_cast<double>(rows) /
+                                         static_cast<double>(batches)
+                                   : 0.0)
+      << ", \"arena_high_water_bytes\": " << arena_bytes << "},\n";
+  WriteSliceMap("classes", classes, out);
+  out << ",\n";
+  WriteSliceMap("tenants", tenants, out);
+  out << "\n}";
   return out.str();
 }
 

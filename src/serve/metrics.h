@@ -10,6 +10,7 @@
 #include <string>
 
 #include "serve/priority_class.h"
+#include "serve/request.h"
 #include "util/clock.h"
 
 namespace ams::serve {
@@ -64,72 +65,94 @@ class LatencyHistogram {
   std::atomic<double> max_{0.0};
 };
 
-/// Per-priority-class slice of the registry: the same counter semantics as
-/// the queue-wide counters, restricted to one class's requests, plus that
-/// class's latency breakdown. This is what makes tenant isolation
-/// observable — a saturating batch tenant shows up in by-class queue delay
-/// long before it moves the global percentiles.
-struct ClassMetrics {
-  std::atomic<long> enqueued{0};
-  std::atomic<long> completed{0};
-  std::atomic<long> rejected{0};
-  std::atomic<long> shed{0};
-  std::atomic<long> shutdown_refused{0};
-  std::atomic<long> deadline_misses{0};
-  LatencyHistogram queue_delay;
-  LatencyHistogram total_latency;
-};
-
-/// Per-tenant slice of the registry: the quota-accounting view. Same
-/// counter semantics as the queue-wide counters restricted to one tenant's
-/// requests, plus `quota_rejected` — refusals caused by the tenant's own
-/// quota (queued/in-flight caps, rate bucket) rather than queue pressure.
-/// Slices are created lazily on first use and live for the registry's
-/// lifetime (pointer-stable).
-struct TenantMetrics {
-  std::atomic<long> enqueued{0};
-  std::atomic<long> completed{0};
-  std::atomic<long> rejected{0};
-  std::atomic<long> quota_rejected{0};
-  std::atomic<long> shed{0};
-  std::atomic<long> shutdown_refused{0};
-  std::atomic<long> deadline_misses{0};
-  LatencyHistogram queue_delay;
-  LatencyHistogram total_latency;
-};
-
-/// The serving runtime's metrics registry: throughput counters, queue/flight
-/// gauges, and latency histograms, all safely updatable from every worker
-/// and enqueuer concurrently, plus per-priority-class and per-tenant
-/// breakdowns. Exported as one JSON snapshot for scraping.
+/// One slice of the request ledger: how many requests entered admission and
+/// how each one left, plus their queue-delay and total-latency histograms.
+/// The registry keeps one slice for every request, one per priority class
+/// and one per tenant, and counts each request in exactly three of them
+/// (see RequestLedger).
 ///
 /// Counter semantics: every request increments `enqueued` exactly once and
 /// then exactly one of {completed, rejected, shed, shutdown_refused}; at any
 /// quiescent instant enqueued == completed + rejected + shed +
-/// shutdown_refused. The same holds within each ClassMetrics and
-/// TenantMetrics slice.
-class Metrics {
- public:
-  // --- counters ---
+/// shutdown_refused in every slice.
+struct RequestMetrics {
   std::atomic<long> enqueued{0};
   std::atomic<long> completed{0};
   std::atomic<long> rejected{0};
-  /// Subset of `rejected` caused by a tenant quota (queued/in-flight cap or
-  /// rate bucket) rather than queue pressure.
+  /// Subset of `rejected` caused by the tenant's own quota (queued/in-flight
+  /// cap or rate bucket) rather than queue pressure.
   std::atomic<long> quota_rejected{0};
   std::atomic<long> shed{0};
   std::atomic<long> shutdown_refused{0};
   /// Completions that landed after their request deadline.
   std::atomic<long> deadline_misses{0};
+  LatencyHistogram queue_delay;
+  LatencyHistogram total_latency;
+};
+
+/// The ledger slices one request is counted in (the totals, its class and
+/// its tenant), as Metrics::LedgerFor resolves them. Each lifecycle event is
+/// one call, which counts it in all three.
+class RequestLedger {
+ public:
+  RequestLedger() = default;
+
+  /// The request arrived at admission.
+  void Enqueued() const;
+  /// The request left unlabeled: `status` is kRejected, kShed or kShutdown,
+  /// and `quota` marks a rejection by the tenant's own quota.
+  void Bounced(ServeStatus status, bool quota) const;
+  /// A worker popped the request `queue_delay_s` after its arrival.
+  void Popped(double queue_delay_s) const;
+  /// The request was labeled `service_s` after its pop (recorded in the
+  /// registry-wide service histogram) and `latency_s` after its arrival.
+  void Completed(double service_s, double latency_s, bool deadline_met) const;
+
+ private:
+  friend class Metrics;
+  RequestLedger(const std::array<RequestMetrics*, 3>& slices,
+                LatencyHistogram* service_time)
+      : slices_(slices), service_time_(service_time) {}
+
+  std::array<RequestMetrics*, 3> slices_{};
+  LatencyHistogram* service_time_ = nullptr;
+};
+
+/// The serving runtime's metrics registry: the request ledger (totals,
+/// per-class and per-tenant RequestMetrics slices), queue/flight gauges and
+/// the service-time histogram, all safely updatable from every worker and
+/// enqueuer concurrently. Exported as one JSON snapshot for scraping.
+class Metrics {
+ public:
+  // --- the request ledger ---
+  /// Every request.
+  RequestMetrics total;
+  /// Per priority class, indexed by PriorityClass: a saturating batch class
+  /// shows up in its own queue delay long before it moves the totals.
+  std::array<RequestMetrics, kNumPriorityClasses> by_class;
+
+  const RequestMetrics& for_class(PriorityClass cls) const {
+    return by_class[static_cast<size_t>(cls)];
+  }
+  /// The tenant's slice (the quota-accounting view); nullptr when a non-zero
+  /// tenant has none yet. Tenant 0 (the default tenant every plain Enqueue
+  /// rides) is an inline member, so the single-tenant path never locks;
+  /// other tenants' slices are created on first use and live as long as the
+  /// registry.
+  const RequestMetrics* find_tenant(int tenant_id) const;
+
+  /// The slices a request of class `cls` from tenant `tenant_id` is counted
+  /// in. A non-zero tenant costs a short mutex-guarded map lookup (creating
+  /// its slice on first use), so keep the ledger rather than resolving it
+  /// per event.
+  RequestLedger LedgerFor(PriorityClass cls, int tenant_id);
 
   // --- gauges (sampled by the runtime at queue transitions) ---
   std::atomic<long> queue_depth{0};
   std::atomic<long> in_flight{0};
 
-  // --- latency histograms ---
-  LatencyHistogram queue_delay;
+  /// Pop -> completion of every completed request.
   LatencyHistogram service_time;
-  LatencyHistogram total_latency;
 
   // --- phase attribution (the MetricsJson face of the obs:: tracing layer;
   //     populated only while a Tracer is attached to the runtime and
@@ -153,45 +176,25 @@ class Metrics {
   /// Folds one traced forward pass (rows > 0) into the phase section.
   void RecordForward(double forward_s, int rows);
 
-  // --- per-class slices, indexed by PriorityClass ---
-  std::array<ClassMetrics, kNumPriorityClasses> by_class;
-
-  ClassMetrics& for_class(PriorityClass cls) {
-    return by_class[static_cast<size_t>(cls)];
-  }
-  const ClassMetrics& for_class(PriorityClass cls) const {
-    return by_class[static_cast<size_t>(cls)];
-  }
-
-  /// The tenant's metrics slice. Tenant 0 (the default tenant every plain
-  /// Enqueue rides) is an inline member — lock-free, keeping the
-  /// single-tenant hot path free of any mutex. Non-zero tenants are created
-  /// on first use behind a short mutex-guarded map lookup; cache the
-  /// returned reference on hot paths (it stays valid for the registry's
-  /// lifetime).
-  TenantMetrics& for_tenant(int tenant_id);
-  /// Read-only lookup; nullptr when a non-zero tenant has no slice yet.
-  const TenantMetrics* find_tenant(int tenant_id) const;
-
   /// Binds the uptime axis to a serve clock: SnapshotJson() (the no-arg
   /// overload) measures uptime as now - attach time on `clock`. The clock
   /// must outlive the registry.
   void AttachClock(const util::Clock* clock);
 
-  /// One JSON object with counters, gauges, histograms, the phase section,
-  /// the per-class breakdown, and the completion throughput over `uptime_s`
-  /// (pass the runtime's clock reading).
+  /// One JSON object: the totals' counters, gauges, the latency histograms,
+  /// the phase section, every class and tenant slice, and the completion
+  /// throughput over `uptime_s` (pass the runtime's clock reading).
   ///
-  /// Consistency contract: each section's counters are loaded into plain
-  /// locals in one tight pass *before* any formatting, so a snapshot taken
-  /// mid-run reflects one narrow read window rather than values drifting
-  /// apart over the milliseconds JSON formatting takes. What is still NOT
-  /// guaranteed — and cannot be without stalling the hot path — is
-  /// cross-counter exactness: a request completing inside the read window
-  /// can make identities like enqueued == completed + ... off by the
-  /// requests in flight during the pass, and histograms (read after the
-  /// counter pass) may include a few events the counters missed. At any
-  /// quiescent instant every identity holds exactly.
+  /// Consistency contract: every slice's counters (and the gauges) are
+  /// loaded into plain locals in one tight pass *before* any formatting, so
+  /// a snapshot taken mid-run reflects one narrow read window rather than
+  /// values drifting apart over the milliseconds JSON formatting takes.
+  /// What is still NOT guaranteed — and cannot be without stalling the hot
+  /// path — is cross-counter exactness: a request completing inside the
+  /// read window can make identities like enqueued == completed + ... off
+  /// by the requests in flight during the pass, and histograms (read after
+  /// the counter pass) may include a few events the counters missed. At
+  /// any quiescent instant every identity holds exactly.
   std::string SnapshotJson(double uptime_s) const;
 
   /// Same, with uptime taken from the attached clock (0 when none).
@@ -201,12 +204,12 @@ class Metrics {
   const util::Clock* clock_ = nullptr;
   double attach_time_s_ = 0.0;
   /// Tenant 0's slice, inline so the default-tenant path never locks.
-  TenantMetrics default_tenant_;
-  /// Non-zero tenant slices: std::map for pointer stability (for_tenant
-  /// hands out long-lived references) and deterministic JSON ordering. The
-  /// mutex only guards the map structure; the slices themselves are atomic.
+  RequestMetrics default_tenant_;
+  /// Non-zero tenant slices: std::map for pointer stability (ledgers hold
+  /// long-lived pointers) and deterministic JSON ordering. The mutex only
+  /// guards the map structure; the slices themselves are atomic.
   mutable std::mutex tenants_mu_;
-  std::map<int, TenantMetrics> tenants_;
+  std::map<int, RequestMetrics> tenants_;
 };
 
 }  // namespace ams::serve

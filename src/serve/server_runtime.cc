@@ -71,10 +71,8 @@ std::future<ServeResult> ServerRuntime::Enqueue(
   const obs::TraceContext trace = request.trace;
   std::future<ServeResult> future = request.promise.get_future();
 
-  metrics_.enqueued.fetch_add(1, std::memory_order_relaxed);
-  metrics_.for_class(cls).enqueued.fetch_add(1, std::memory_order_relaxed);
-  metrics_.for_tenant(request.tenant_id)
-      .enqueued.fetch_add(1, std::memory_order_relaxed);
+  const RequestLedger ledger = metrics_.LedgerFor(cls, request.tenant_id);
+  ledger.Enqueued();
   // Count the request as outstanding BEFORE it becomes poppable, so Drain()
   // can never observe zero while a worker races us to completion; every
   // refusal path undoes this through FinishOne().
@@ -88,30 +86,25 @@ std::future<ServeResult> ServerRuntime::Enqueue(
     RecordRequestInstant(obs::Phase::kEnqueue, trace, static_cast<int>(cls),
                          request_options.tenant_id,
                          static_cast<int>(outcome));
-    if (outcome == AdmitOutcome::kRejectedQuota) {
-      RecordRequestInstant(obs::Phase::kQuotaReject, trace,
-                           static_cast<int>(cls), request_options.tenant_id,
-                           0);
-    }
   }
   switch (outcome) {
     case AdmitOutcome::kAccepted:
       // Anything bounced is a shed victim displaced by this request.
       for (QueuedRequest& victim : bounced) {
-        ResolveBounced(std::move(victim), ServeStatus::kShed);
+        const RequestLedger victim_ledger =
+            metrics_.LedgerFor(victim.priority_class, victim.tenant_id);
+        ResolveBounced(std::move(victim), ServeStatus::kShed, victim_ledger,
+                       /*quota=*/false);
       }
       break;
     case AdmitOutcome::kRejected:
-      ResolveBounced(std::move(bounced.back()), ServeStatus::kRejected);
-      break;
     case AdmitOutcome::kRejectedQuota:
-      metrics_.quota_rejected.fetch_add(1, std::memory_order_relaxed);
-      metrics_.for_tenant(request_options.tenant_id)
-          .quota_rejected.fetch_add(1, std::memory_order_relaxed);
-      ResolveBounced(std::move(bounced.back()), ServeStatus::kRejected);
+      ResolveBounced(std::move(bounced.back()), ServeStatus::kRejected, ledger,
+                     outcome == AdmitOutcome::kRejectedQuota);
       break;
     case AdmitOutcome::kClosed:
-      ResolveBounced(std::move(bounced.back()), ServeStatus::kShutdown);
+      ResolveBounced(std::move(bounced.back()), ServeStatus::kShutdown, ledger,
+                     /*quota=*/false);
       break;
   }
   return future;
@@ -132,28 +125,9 @@ void ServerRuntime::RecordRequestInstant(obs::Phase phase,
 }
 
 void ServerRuntime::ResolveBounced(QueuedRequest&& request,
-                                   ServeStatus status) {
-  ClassMetrics& class_metrics = metrics_.for_class(request.priority_class);
-  TenantMetrics& tenant_metrics = metrics_.for_tenant(request.tenant_id);
-  switch (status) {
-    case ServeStatus::kRejected:
-      metrics_.rejected.fetch_add(1, std::memory_order_relaxed);
-      class_metrics.rejected.fetch_add(1, std::memory_order_relaxed);
-      tenant_metrics.rejected.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case ServeStatus::kShed:
-      metrics_.shed.fetch_add(1, std::memory_order_relaxed);
-      class_metrics.shed.fetch_add(1, std::memory_order_relaxed);
-      tenant_metrics.shed.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case ServeStatus::kShutdown:
-      metrics_.shutdown_refused.fetch_add(1, std::memory_order_relaxed);
-      class_metrics.shutdown_refused.fetch_add(1, std::memory_order_relaxed);
-      tenant_metrics.shutdown_refused.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case ServeStatus::kOk:
-      AMS_CHECK(false, "completed requests are not bounced");
-  }
+                                   ServeStatus status,
+                                   const RequestLedger& ledger, bool quota) {
+  ledger.Bounced(status, quota);
   const double now = clock_->NowSeconds();
   ServeResult result;
   result.status = status;
@@ -225,7 +199,8 @@ void ServerRuntime::WorkerLoop(int worker_index) {
           tracked.promise = std::move(request.promise);
           tracked.priority_class = request.priority_class;
           tracked.tenant_id = request.tenant_id;
-          tracked.tenant_metrics = &metrics_.for_tenant(request.tenant_id);
+          tracked.ledger =
+              metrics_.LedgerFor(request.priority_class, request.tenant_id);
           tracked.deadline_s = request.deadline_s;
           tracked.enqueue_time_s = request.enqueue_time_s;
           tracked.admit_time_s = now;
@@ -243,11 +218,7 @@ void ServerRuntime::WorkerLoop(int worker_index) {
             event.a1 = request.tenant_id;
             lane->Record(event);
           }
-          metrics_.queue_delay.Record(now - request.enqueue_time_s);
-          metrics_.for_class(request.priority_class)
-              .queue_delay.Record(now - request.enqueue_time_s);
-          tracked.tenant_metrics->queue_delay.Record(now -
-                                                     request.enqueue_time_s);
+          tracked.ledger.Popped(now - request.enqueue_time_s);
           const uint64_t ticket =
               stepper->Admit(request.item, request.stream_id);
           in_flight.emplace_back(ticket, std::move(tracked));
@@ -293,20 +264,8 @@ void ServerRuntime::WorkerLoop(int worker_index) {
       result.service_s = now - tracked.admit_time_s;
       result.latency_s = now - tracked.enqueue_time_s;
       result.slack_s = tracked.deadline_s - now;
-      ClassMetrics& class_metrics = metrics_.for_class(tracked.priority_class);
-      TenantMetrics& tenant_metrics = *tracked.tenant_metrics;
-      metrics_.service_time.Record(result.service_s);
-      metrics_.total_latency.Record(result.latency_s);
-      class_metrics.total_latency.Record(result.latency_s);
-      tenant_metrics.total_latency.Record(result.latency_s);
-      metrics_.completed.fetch_add(1, std::memory_order_relaxed);
-      class_metrics.completed.fetch_add(1, std::memory_order_relaxed);
-      tenant_metrics.completed.fetch_add(1, std::memory_order_relaxed);
-      if (!result.deadline_met()) {
-        metrics_.deadline_misses.fetch_add(1, std::memory_order_relaxed);
-        class_metrics.deadline_misses.fetch_add(1, std::memory_order_relaxed);
-        tenant_metrics.deadline_misses.fetch_add(1, std::memory_order_relaxed);
-      }
+      tracked.ledger.Completed(result.service_s, result.latency_s,
+                               result.deadline_met());
       metrics_.in_flight.fetch_sub(1, std::memory_order_relaxed);
       if (lane != nullptr && tracked.trace.sampled && tracer_->enabled()) {
         // Exec span, admit -> completion, closed retroactively like the

@@ -49,7 +49,7 @@ struct ServeOptions {
   /// assertions.
   const util::Clock* clock = nullptr;
   /// Tracing seam: when set (and enabled), the runtime records lifecycle
-  /// spans — enqueue/quota instants, queue-wait, exec, per-tick stepper and
+  /// spans — enqueue instants, queue-wait, exec, per-tick stepper and
   /// forward spans — into per-worker obs::TraceBuffer lanes, and the phase
   /// section of Metrics populates. Null (the default) keeps every
   /// instrumentation site at a single pointer test; a disabled tracer costs
@@ -138,9 +138,8 @@ class ServerRuntime {
     std::promise<ServeResult> promise;
     PriorityClass priority_class = PriorityClass::kStandard;
     int tenant_id = 0;
-    /// The tenant's metrics slice, resolved once at admission (pointer
-    /// stays valid for the registry's lifetime).
-    TenantMetrics* tenant_metrics = nullptr;
+    /// The request's ledger slices, resolved once at admission.
+    RequestLedger ledger;
     double deadline_s = std::numeric_limits<double>::infinity();
     double enqueue_time_s = 0.0;
     double admit_time_s = 0.0;
@@ -155,8 +154,10 @@ class ServerRuntime {
   /// (no-op when tracing is off/disabled).
   void RecordRequestInstant(obs::Phase phase, const obs::TraceContext& trace,
                             int a0, int a1, int a2);
-  /// Resolves a bounced (rejected / shed / post-shutdown) request.
-  void ResolveBounced(QueuedRequest&& request, ServeStatus status);
+  /// Resolves a bounced (rejected / shed / post-shutdown) request counted
+  /// in `ledger`; `quota` marks a rejection by the tenant's own quota.
+  void ResolveBounced(QueuedRequest&& request, ServeStatus status,
+                      const RequestLedger& ledger, bool quota);
   /// Completed-work accounting shared by every resolution path.
   void FinishOne();
 
@@ -169,7 +170,7 @@ class ServerRuntime {
   Metrics metrics_;
   AdmissionQueue queue_;
   /// Tracing (options.tracer): `admission_lane_` takes the enqueue-side
-  /// instants (enqueue/quota events race from many caller threads; the
+  /// instants (enqueue events race from many caller threads; the
   /// ring's fetch_add ticketing makes that safe); each worker caches its
   /// own lane in WorkerLoop. Both null when tracing is off.
   obs::Tracer* tracer_ = nullptr;

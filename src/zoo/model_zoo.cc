@@ -77,12 +77,6 @@ double Confidence(double accuracy, double visibility, int label_id,
   return std::clamp(c, 0.02, 0.99);
 }
 
-// A spurious low-confidence output (Fig. 1 "person 0.43"); never valuable,
-// so ExecuteInto drops it.
-double FalsePositiveConfidence(util::Rng* rng) {
-  return std::clamp(rng->Uniform(0.05, 0.45), 0.02, 0.45);
-}
-
 }  // namespace
 
 ModelZoo ModelZoo::CreateDefault() {
@@ -167,13 +161,6 @@ void ModelZoo::ExecuteInto(int model_id, const LatentScene& scene,
             labels_.LabelId(TaskKind::kObjectDetection, scene.objects[i]);
         out.push_back({label, Confidence(acc, vis, label, model_id, &rng)});
       }
-      // Occasional spurious low-confidence detection.
-      if (rng.Bernoulli(0.15)) {
-        const int fake = rng.UniformInt(
-            0, kTaskLabelCounts[static_cast<int>(TaskKind::kObjectDetection)] - 1);
-        out.push_back({labels_.LabelId(TaskKind::kObjectDetection, fake),
-                       FalsePositiveConfidence(&rng)});
-      }
       break;
     }
     case TaskKind::kPlaceClassification: {
@@ -181,17 +168,6 @@ void ModelZoo::ExecuteInto(int model_id, const LatentScene& scene,
           labels_.LabelId(TaskKind::kPlaceClassification, scene.scene_id);
       out.push_back(
           {label, Confidence(acc, scene.scene_clarity, label, model_id, &rng)});
-      // A runner-up guess with low confidence.
-      if (rng.Bernoulli(0.4)) {
-        const int second = rng.UniformInt(
-            0,
-            kTaskLabelCounts[static_cast<int>(TaskKind::kPlaceClassification)] -
-                1);
-        if (second != scene.scene_id) {
-          out.push_back({labels_.LabelId(TaskKind::kPlaceClassification, second),
-                         FalsePositiveConfidence(&rng)});
-        }
-      }
       break;
     }
     case TaskKind::kFaceDetection: {
@@ -203,9 +179,6 @@ void ModelZoo::ExecuteInto(int model_id, const LatentScene& scene,
         const int label = labels_.LabelId(TaskKind::kFaceDetection, 0);
         out.push_back(
             {label, Confidence(acc, best_quality, label, model_id, &rng)});
-      } else if (scene.has_person() && rng.Bernoulli(0.1)) {
-        out.push_back({labels_.LabelId(TaskKind::kFaceDetection, 0),
-                       FalsePositiveConfidence(&rng)});
       }
       break;
     }
@@ -274,13 +247,6 @@ void ModelZoo::ExecuteInto(int model_id, const LatentScene& scene,
             labels_.LabelId(TaskKind::kActionClassification, scene.action_id);
         out.push_back({label, Confidence(acc, scene.action_clarity, label,
                                          model_id, &rng)});
-      } else if (rng.Bernoulli(0.1)) {
-        const int fake = rng.UniformInt(
-            0,
-            kTaskLabelCounts[static_cast<int>(TaskKind::kActionClassification)] -
-                1);
-        out.push_back({labels_.LabelId(TaskKind::kActionClassification, fake),
-                       FalsePositiveConfidence(&rng)});
       }
       break;
     }
@@ -311,8 +277,8 @@ void ModelZoo::ExecuteInto(int model_id, const LatentScene& scene,
       break;
     }
   }
-  // Every draw above still happens, so the kept outputs have the bits and
-  // the order they would have among all the model's outputs.
+  // Low-confidence detections are waste (Fig. 1): only valuable ones leave
+  // the zoo.
   out.erase(std::remove_if(out.begin() + static_cast<long>(begin), out.end(),
                            [](const LabelOutput& o) {
                              return o.confidence < kValuableConfidence;

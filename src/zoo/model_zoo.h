@@ -72,9 +72,9 @@ class ModelZoo {
 
   /// Simulated inference: the scene's valuable (label, confidence) pairs,
   /// each at or above kValuableConfidence, in the order the model emitted
-  /// them. The model also draws low-confidence guesses, which are dropped,
-  /// so an empty result covers both kinds of waste the paper's Fig. 1 shows:
-  /// no output and only low-confidence output.
+  /// them. Detections the model makes with lower confidence are dropped, so
+  /// an empty result covers both kinds of waste the paper's Fig. 1 shows: no
+  /// output and only low-confidence output.
   std::vector<LabelOutput> Execute(int model_id, const LatentScene& scene) const;
   /// Execute's outputs appended to `dest`, so a caller that keeps one
   /// buffer (the oracle build, a live execution context) allocates only as

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <iterator>
 #include <future>
 #include <limits>
 #include <memory>
@@ -513,7 +514,7 @@ TEST_F(ServerRuntimeTest, LiveScenesServeLikeOfflineSubmitAndMixWithStored) {
                       stored.outcome);
   }
   runtime.Drain();
-  EXPECT_EQ(runtime.metrics().completed.load(), 2 * num_items);
+  EXPECT_EQ(runtime.metrics().total.completed.load(), 2 * num_items);
 }
 
 TEST_F(ServerRuntimeTest, PriorityClassesChangeOrderButNeverOutcomes) {
@@ -621,10 +622,10 @@ TEST_F(ServerRuntimeTest, DrainCompletesAllAcceptedWorkUnderConcurrentEnqueuers)
       EXPECT_TRUE(future.get().ok());
     }
   }
-  EXPECT_EQ(runtime.metrics().completed.load(), kEnqueuers * kPerThread);
-  EXPECT_EQ(runtime.metrics().enqueued.load(), kEnqueuers * kPerThread);
-  EXPECT_EQ(runtime.metrics().rejected.load(), 0);
-  EXPECT_EQ(runtime.metrics().shed.load(), 0);
+  EXPECT_EQ(runtime.metrics().total.completed.load(), kEnqueuers * kPerThread);
+  EXPECT_EQ(runtime.metrics().total.enqueued.load(), kEnqueuers * kPerThread);
+  EXPECT_EQ(runtime.metrics().total.rejected.load(), 0);
+  EXPECT_EQ(runtime.metrics().total.shed.load(), 0);
 }
 
 TEST_F(ServerRuntimeTest, RejectOverloadResolvesEveryFutureOneWayOrAnother) {
@@ -655,11 +656,11 @@ TEST_F(ServerRuntimeTest, RejectOverloadResolvesEveryFutureOneWayOrAnother) {
   }
   EXPECT_EQ(ok + refused, kRequests);
   EXPECT_GE(ok, 1) << "admitted work must still complete under overload";
-  EXPECT_EQ(runtime.metrics().completed.load(), ok);
-  EXPECT_EQ(runtime.metrics().rejected.load(), refused);
+  EXPECT_EQ(runtime.metrics().total.completed.load(), ok);
+  EXPECT_EQ(runtime.metrics().total.rejected.load(), refused);
   // The default class rode every request: per-class slices mirror the
   // queue-wide counters.
-  const ClassMetrics& standard =
+  const RequestMetrics& standard =
       runtime.metrics().for_class(PriorityClass::kStandard);
   EXPECT_EQ(standard.completed.load(), ok);
   EXPECT_EQ(standard.rejected.load(), refused);
@@ -695,9 +696,9 @@ TEST_F(ServerRuntimeTest, ShedOldestOverloadDropsStaleWorkButCompletesRest) {
   EXPECT_GE(ok, 1);
   // Nothing is ever refused at the door under single-class shed-oldest; the
   // queue trades stale accepted work for fresh arrivals instead.
-  EXPECT_EQ(runtime.metrics().rejected.load(), 0);
-  EXPECT_EQ(runtime.metrics().shed.load(), shed);
-  EXPECT_EQ(runtime.metrics().completed.load(), ok);
+  EXPECT_EQ(runtime.metrics().total.rejected.load(), 0);
+  EXPECT_EQ(runtime.metrics().total.shed.load(), shed);
+  EXPECT_EQ(runtime.metrics().total.completed.load(), ok);
 }
 
 TEST_F(ServerRuntimeTest, ShutdownCompletesAcceptedWorkAndRefusesNewWork) {
@@ -717,7 +718,7 @@ TEST_F(ServerRuntimeTest, ShutdownCompletesAcceptedWorkAndRefusesNewWork) {
   const ServeResult refused =
       runtime.Enqueue(core::WorkItem::Stored(0)).get();
   EXPECT_EQ(refused.status, ServeStatus::kShutdown);
-  EXPECT_EQ(runtime.metrics().shutdown_refused.load(), 1);
+  EXPECT_EQ(runtime.metrics().total.shutdown_refused.load(), 1);
   runtime.Shutdown();  // idempotent
 }
 
@@ -787,11 +788,11 @@ TEST_F(ServerRuntimeTest, ManualClockMakesRuntimeLatenciesExact) {
     EXPECT_TRUE(result.deadline_met());
   }
   const Metrics& metrics = runtime.metrics();
-  EXPECT_EQ(metrics.deadline_misses.load(), 0);
+  EXPECT_EQ(metrics.total.deadline_misses.load(), 0);
   EXPECT_EQ(metrics.for_class(PriorityClass::kInteractive).completed.load(),
             12);
-  EXPECT_DOUBLE_EQ(metrics.total_latency.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(metrics.total_latency.max(), 0.0);
+  EXPECT_DOUBLE_EQ(metrics.total.total_latency.mean(), 0.0);
+  EXPECT_DOUBLE_EQ(metrics.total.total_latency.max(), 0.0);
   // Uptime runs on the same manual clock.
   clock.Advance(8.0);
   const std::string json = runtime.MetricsJson();
@@ -818,17 +819,17 @@ TEST_F(ServerRuntimeTest, MetricsSnapshotExportsCountersAndPercentiles) {
   }
 
   const Metrics& metrics = runtime.metrics();
-  EXPECT_EQ(metrics.completed.load(), 30);
-  EXPECT_EQ(metrics.deadline_misses.load(), 0);
-  EXPECT_EQ(metrics.total_latency.count(), 30);
+  EXPECT_EQ(metrics.total.completed.load(), 30);
+  EXPECT_EQ(metrics.total.deadline_misses.load(), 0);
+  EXPECT_EQ(metrics.total.total_latency.count(), 30);
   // Percentiles are monotone and bracketed by the recorded extremes.
-  const double p50 = metrics.total_latency.Percentile(50);
-  const double p95 = metrics.total_latency.Percentile(95);
-  const double p99 = metrics.total_latency.Percentile(99);
+  const double p50 = metrics.total.total_latency.Percentile(50);
+  const double p95 = metrics.total.total_latency.Percentile(95);
+  const double p99 = metrics.total.total_latency.Percentile(99);
   EXPECT_GT(p50, 0.0);
   EXPECT_LE(p50, p95);
   EXPECT_LE(p95, p99);
-  EXPECT_LE(p99, metrics.total_latency.max() * 1.0001);
+  EXPECT_LE(p99, metrics.total.total_latency.max() * 1.0001);
 
   const std::string json = runtime.MetricsJson();
   for (const char* key :
@@ -918,14 +919,14 @@ TEST_F(ServerRuntimeTest, TenantQuotaRejectionsResolveAndCountPerTenant) {
   }
 
   const Metrics& metrics = runtime.metrics();
-  EXPECT_EQ(metrics.quota_rejected.load(), 8);
-  const TenantMetrics* slice1 = metrics.find_tenant(1);
+  EXPECT_EQ(metrics.total.quota_rejected.load(), 8);
+  const RequestMetrics* slice1 = metrics.find_tenant(1);
   ASSERT_NE(slice1, nullptr);
   EXPECT_EQ(slice1->enqueued.load(), 10);
   EXPECT_EQ(slice1->completed.load(), 2);
   EXPECT_EQ(slice1->rejected.load(), 8);
   EXPECT_EQ(slice1->quota_rejected.load(), 8);
-  const TenantMetrics* slice2 = metrics.find_tenant(2);
+  const RequestMetrics* slice2 = metrics.find_tenant(2);
   ASSERT_NE(slice2, nullptr);
   EXPECT_EQ(slice2->completed.load(), 10);
   EXPECT_EQ(slice2->quota_rejected.load(), 0);
@@ -965,7 +966,7 @@ TEST_F(ServerRuntimeTest, TenantInFlightCapThrottlesAdmissionUntilCompletion) {
     runtime.Drain();
     EXPECT_TRUE(future.get().ok()) << "request " << i;
   }
-  EXPECT_EQ(runtime.metrics().quota_rejected.load(), 0);
+  EXPECT_EQ(runtime.metrics().total.quota_rejected.load(), 0);
   // A concurrent burst races worker pops against arrivals, so how many
   // bounce is timing-dependent — but every future resolves one way, the
   // quota counter matches the rejections exactly, and accepted work all
@@ -987,7 +988,106 @@ TEST_F(ServerRuntimeTest, TenantInFlightCapThrottlesAdmissionUntilCompletion) {
   }
   EXPECT_EQ(ok + rejected, 30);
   EXPECT_GE(ok, 1);
-  EXPECT_EQ(runtime.metrics().quota_rejected.load(), rejected);
+  EXPECT_EQ(runtime.metrics().total.quota_rejected.load(), rejected);
+}
+
+TEST_F(ServerRuntimeTest, LedgerSlicesBalanceAndSumToTheTotals) {
+  // Every outcome in one run: a two-slot shed-oldest queue in front of one
+  // single-item worker sheds, and refuses a batch arrival that finds only
+  // more important work queued; tenant 2's rate bucket refuses all but its
+  // burst of 2; one enqueue after Shutdown is refused. Interactive requests
+  // carry a 1 ns slack, so their completions miss. How the worker's pops
+  // interleave with the arrivals decides the shed and reject counts, but
+  // not the identities checked at quiescence.
+  std::unique_ptr<rl::Agent> agent = MakeAgent(*zoo_, 61);
+  core::LabelingService session = BuildPredictorSession(agent.get(), 1);
+  ServeOptions options;
+  options.workers = 1;
+  options.queue_capacity = 2;
+  options.max_resident_per_worker = 1;
+  options.overload = OverloadPolicy::kShedOldest;
+  TenantQuota limited;
+  limited.rate_per_s = 1e-6;
+  limited.burst = 2.0;
+  options.tenant_quotas.per_tenant[2] = limited;
+  ServerRuntime runtime(&session, options);
+
+  const PriorityClass classes[] = {PriorityClass::kInteractive,
+                                   PriorityClass::kStandard,
+                                   PriorityClass::kBatch};
+  std::vector<std::future<ServeResult>> futures;
+  for (int i = 0; i < 54; ++i) {  // each (class, tenant) pair six times
+    ServerRuntime::RequestOptions request;
+    request.priority_class = classes[i % 3];
+    if (request.priority_class == PriorityClass::kInteractive) {
+      request.slack_s = 1e-9;
+    }
+    request.tenant_id = (i / 3) % 3;
+    futures.push_back(runtime.Enqueue(core::WorkItem::Stored(i % 48), request));
+  }
+  runtime.Drain();
+  runtime.Shutdown();
+  futures.push_back(runtime.Enqueue(core::WorkItem::Stored(0)));
+  for (std::future<ServeResult>& future : futures) future.get();
+
+  const Metrics& metrics = runtime.metrics();
+  const RequestMetrics& total = metrics.total;
+  std::vector<const RequestMetrics*> class_slices, tenant_slices;
+  for (const PriorityClass cls : classes) {
+    class_slices.push_back(&metrics.for_class(cls));
+  }
+  for (int tenant = 0; tenant < 3; ++tenant) {
+    ASSERT_NE(metrics.find_tenant(tenant), nullptr) << "tenant " << tenant;
+    tenant_slices.push_back(metrics.find_tenant(tenant));
+  }
+  EXPECT_EQ(metrics.find_tenant(3), nullptr);
+
+  // The outcomes that do not depend on timing.
+  EXPECT_EQ(total.enqueued.load(), 55);
+  EXPECT_EQ(total.shutdown_refused.load(), 1);
+  EXPECT_EQ(tenant_slices[2]->quota_rejected.load(), 16);
+  EXPECT_EQ(total.quota_rejected.load(), 16);
+
+  // Each slice accounts for every request it took in exactly once.
+  std::vector<const RequestMetrics*> every_slice = {&total};
+  every_slice.insert(every_slice.end(), class_slices.begin(),
+                     class_slices.end());
+  every_slice.insert(every_slice.end(), tenant_slices.begin(),
+                     tenant_slices.end());
+  for (size_t i = 0; i < every_slice.size(); ++i) {
+    const RequestMetrics& slice = *every_slice[i];
+    EXPECT_EQ(slice.enqueued.load(),
+              slice.completed.load() + slice.rejected.load() +
+                  slice.shed.load() + slice.shutdown_refused.load())
+        << "slice " << i;
+    EXPECT_LE(slice.quota_rejected.load(), slice.rejected.load())
+        << "slice " << i;
+  }
+
+  // The classes and the tenants each partition the totals.
+  using Counter = std::atomic<long> RequestMetrics::*;
+  const Counter counters[] = {
+      &RequestMetrics::enqueued,       &RequestMetrics::completed,
+      &RequestMetrics::rejected,       &RequestMetrics::quota_rejected,
+      &RequestMetrics::shed,           &RequestMetrics::shutdown_refused,
+      &RequestMetrics::deadline_misses};
+  for (const std::vector<const RequestMetrics*>* parts :
+       {&class_slices, &tenant_slices}) {
+    for (size_t c = 0; c < std::size(counters); ++c) {
+      long sum = 0;
+      for (const RequestMetrics* part : *parts) {
+        sum += (part->*counters[c]).load();
+      }
+      EXPECT_EQ(sum, (total.*counters[c]).load()) << "counter " << c;
+    }
+    long queue_delays = 0, latencies = 0;
+    for (const RequestMetrics* part : *parts) {
+      queue_delays += part->queue_delay.count();
+      latencies += part->total_latency.count();
+    }
+    EXPECT_EQ(queue_delays, total.queue_delay.count());
+    EXPECT_EQ(latencies, total.total_latency.count());
+  }
 }
 
 TEST_F(ServerRuntimeTest, SteppersRejectOrderDependentPolicies) {

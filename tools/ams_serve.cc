@@ -57,6 +57,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <climits>
 #include <cmath>
 #include <cstddef>
@@ -71,6 +72,7 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/labeling_service.h"
@@ -316,6 +318,35 @@ std::array<double, serve::kNumPriorityClasses> MixFromSpec(
   return mix;
 }
 
+using Slices =
+    std::vector<std::pair<std::string, const serve::RequestMetrics*>>;
+
+/// One row per ledger slice: how its requests entered and left, and its
+/// queue-delay and total-latency percentiles.
+void PrintSlices(const std::string& kind, const Slices& slices) {
+  util::AsciiTable table;
+  table.SetHeader({kind, "enqueued", "completed", "rejected", "quota rej",
+                   "shed", "misses", "queue p50 (ms)", "queue p99 (ms)",
+                   "p50 (ms)", "p95 (ms)", "p99 (ms)"});
+  for (const auto& [name, slice] : slices) {
+    std::vector<std::string> row = {name};
+    for (const std::atomic<long>* count :
+         {&slice->enqueued, &slice->completed, &slice->rejected,
+          &slice->quota_rejected, &slice->shed, &slice->deadline_misses}) {
+      row.push_back(std::to_string(count->load()));
+    }
+    for (const double seconds :
+         {slice->queue_delay.Percentile(50), slice->queue_delay.Percentile(99),
+          slice->total_latency.Percentile(50),
+          slice->total_latency.Percentile(95),
+          slice->total_latency.Percentile(99)}) {
+      row.push_back(util::FormatDouble(seconds * 1e3, 3));
+    }
+    table.AddRow(std::move(row));
+  }
+  table.Print(std::cout);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -430,91 +461,41 @@ int main(int argc, char** argv) {
   runtime.Drain();
   const double wall_s = wall.ElapsedSeconds();
 
-  long ok = 0, rejected = 0, shed = 0, misses = 0;
+  // The ledger counts every outcome; the futures only carry the recall.
   util::RunningStat recall;
   for (std::future<serve::ServeResult>& future : futures) {
     const serve::ServeResult result = future.get();
-    switch (result.status) {
-      case serve::ServeStatus::kOk:
-        ++ok;
-        recall.Add(result.outcome.recall);
-        if (!result.deadline_met()) ++misses;
-        break;
-      case serve::ServeStatus::kRejected:
-        ++rejected;
-        break;
-      case serve::ServeStatus::kShed:
-        ++shed;
-        break;
-      case serve::ServeStatus::kShutdown:
-        break;
-    }
+    if (result.ok()) recall.Add(result.outcome.recall);
   }
 
   const serve::Metrics& metrics = runtime.metrics();
   util::AsciiTable table;
   table.SetHeader({"metric", "value"});
-  table.AddRow("completed", {static_cast<double>(ok)});
-  table.AddRow("rejected", {static_cast<double>(rejected)});
-  table.AddRow("quota rejected",
-               {static_cast<double>(metrics.quota_rejected.load())});
-  table.AddRow("shed", {static_cast<double>(shed)});
-  table.AddRow("deadline misses", {static_cast<double>(misses)});
   table.AddRow("wall (s)", {wall_s});
-  table.AddRow("completed/s", {static_cast<double>(ok) / wall_s});
+  table.AddRow("completed/s",
+               {static_cast<double>(metrics.total.completed.load()) / wall_s});
   table.AddRow("mean recall", {recall.mean()});
-  table.AddRow("queue delay p50 (ms)",
-               {metrics.queue_delay.Percentile(50) * 1e3});
-  table.AddRow("queue delay p99 (ms)",
-               {metrics.queue_delay.Percentile(99) * 1e3});
-  table.AddRow("total latency p50 (ms)",
-               {metrics.total_latency.Percentile(50) * 1e3});
-  table.AddRow("total latency p95 (ms)",
-               {metrics.total_latency.Percentile(95) * 1e3});
-  table.AddRow("total latency p99 (ms)",
-               {metrics.total_latency.Percentile(99) * 1e3});
   table.Print(std::cout);
 
+  PrintSlices("requests", {{"all", &metrics.total}});
   if (!opts.class_mix.empty()) {
-    // The tenant-isolation view: how each service band fared.
-    util::AsciiTable per_class;
-    per_class.SetHeader({"class", "enqueued", "completed", "rejected", "shed",
-                         "misses", "p50 (ms)", "p99 (ms)"});
+    // The isolation view: how each service band fared.
+    Slices classes;
     for (int c = 0; c < serve::kNumPriorityClasses; ++c) {
-      const serve::ClassMetrics& slice =
-          metrics.for_class(static_cast<serve::PriorityClass>(c));
-      per_class.AddRow(
-          serve::PriorityClassName(static_cast<serve::PriorityClass>(c)),
-          {static_cast<double>(slice.enqueued.load()),
-           static_cast<double>(slice.completed.load()),
-           static_cast<double>(slice.rejected.load()),
-           static_cast<double>(slice.shed.load()),
-           static_cast<double>(slice.deadline_misses.load()),
-           slice.total_latency.Percentile(50) * 1e3,
-           slice.total_latency.Percentile(99) * 1e3});
+      const auto cls = static_cast<serve::PriorityClass>(c);
+      classes.emplace_back(serve::PriorityClassName(cls),
+                           &metrics.for_class(cls));
     }
-    per_class.Print(std::cout);
+    PrintSlices("class", classes);
   }
-
   if (opts.tenants > 1) {
     // The quota-accounting view: how each tenant's traffic fared.
-    util::AsciiTable per_tenant;
-    per_tenant.SetHeader({"tenant", "enqueued", "completed", "rejected",
-                          "quota rej", "shed", "p50 (ms)", "p99 (ms)"});
+    Slices tenants;
     for (int t = 0; t < opts.tenants; ++t) {
-      const serve::TenantMetrics* slice = metrics.find_tenant(t);
-      if (slice == nullptr) continue;
-      per_tenant.AddRow(
-          std::to_string(t),
-          {static_cast<double>(slice->enqueued.load()),
-           static_cast<double>(slice->completed.load()),
-           static_cast<double>(slice->rejected.load()),
-           static_cast<double>(slice->quota_rejected.load()),
-           static_cast<double>(slice->shed.load()),
-           slice->total_latency.Percentile(50) * 1e3,
-           slice->total_latency.Percentile(99) * 1e3});
+      const serve::RequestMetrics* slice = metrics.find_tenant(t);
+      if (slice != nullptr) tenants.emplace_back(std::to_string(t), slice);
     }
-    per_tenant.Print(std::cout);
+    PrintSlices("tenant", tenants);
   }
 
   const std::string snapshot = runtime.MetricsJson();

@@ -8,7 +8,7 @@ Reads the Chrome trace-event JSON written by `ams_serve --trace` (through
 `obs::ChromeTraceSink`), checks that it is structurally well-formed, and
 prints a per-phase latency table: count and p50/p95/p99/mean/max over the
 span durations of each duration phase (queue_wait, exec, tick, forward),
-plus counts for the instant phases (enqueue, quota_reject). Span phases
+plus counts for the instant phase (enqueue). Span phases
 nothing recorded land in the table as an explicit "no samples" row — a run
 with no forwards at all (every row served from the memo, or a session
 without a predictor) summarizes cleanly rather than hiding the phase.
@@ -27,6 +27,10 @@ histogram saw — and when no ring wrapped: the exporter writes the tracer's
 dropped-event count as `otherData.dropped_events`, and a nonzero count
 refuses the cross-check with that count named, since lost spans would
 otherwise surface as a misleading percentile mismatch.
+
+`--metrics` also refuses a snapshot whose request ledger does not add up
+(see check_ledger); ams_serve writes its snapshot after draining, so the
+counts are final.
 """
 
 import argparse
@@ -34,9 +38,14 @@ import json
 import math
 import sys
 
+# The request ledger's counters, in every slice of a metrics snapshot.
+LEDGER_COUNTERS = ("enqueued", "completed", "rejected", "quota_rejected",
+                   "shed", "shutdown_refused", "deadline_misses")
+LEDGER_HISTOGRAMS = ("queue_delay", "total")
+
 # Phases emitted with a duration ("ph": "X") vs. as instants ("ph": "i").
 SPAN_PHASES = ("queue_wait", "exec", "tick", "forward")
-INSTANT_PHASES = ("enqueue", "quota_reject")
+INSTANT_PHASES = ("enqueue",)
 KNOWN_PHASES = set(SPAN_PHASES) | set(INSTANT_PHASES)
 
 
@@ -156,13 +165,55 @@ def summarize(events, out=sys.stdout):
     return durs
 
 
+def check_ledger(doc):
+    """Returns the ledger identities a quiescent snapshot breaks: in the
+    totals (`counters`) and in every class and tenant slice, enqueued ==
+    completed + rejected + shed + shutdown_refused and quota_rejected <=
+    rejected; and the classes, as the tenants, sum to the totals counter by
+    counter, histogram counts (against `latency`) included."""
+    totals = dict(doc.get("counters", {}))
+    for key in LEDGER_HISTOGRAMS:
+        hist = doc.get("latency", {}).get(key, {})
+        totals[key] = {"count": hist.get("count")}
+    groups = {group: doc.get(group, {}) for group in ("classes", "tenants")}
+    slices = [("counters", totals)] + [
+        (f"{group}.{name}", part)
+        for group, parts in groups.items() for name, part in parts.items()]
+    problems = [f"{name} lacks {key}" for name, part in slices
+                for key in LEDGER_COUNTERS + LEDGER_HISTOGRAMS
+                if key not in part]
+    if problems:
+        return problems
+    for name, part in slices:
+        outcomes = sum(part[key] for key in
+                       ("completed", "rejected", "shed", "shutdown_refused"))
+        if part["enqueued"] != outcomes:
+            problems.append(f"{name}: enqueued {part['enqueued']} != "
+                            f"{outcomes} outcomes")
+        if part["quota_rejected"] > part["rejected"]:
+            problems.append(f"{name}: quota_rejected > rejected")
+    for group, parts in groups.items():
+        for key in LEDGER_COUNTERS + LEDGER_HISTOGRAMS:
+            got = sum(ledger_count(part, key) for part in parts.values())
+            if got != ledger_count(totals, key):
+                problems.append(f"{group} sum to {key} {got}, the totals "
+                                f"say {ledger_count(totals, key)}")
+    return problems
+
+
+def ledger_count(part, key):
+    """A slice's counter, or the event count of one of its histograms."""
+    return part[key]["count"] if key in LEDGER_HISTOGRAMS else part[key]
+
+
 def check_metrics(durs, metrics_path, tolerance, out=sys.stdout):
     """Cross-checks trace queue_wait percentiles against MetricsJson.
 
-    Returns a list of mismatch strings (empty = pass). `tolerance` is the
-    allowed ratio between the exact trace percentile and the bucketed
-    histogram percentile; values under 50 us on both sides always pass (one
-    bucket down there is wider than anything we care to gate on).
+    Returns a list of mismatch strings (empty = pass), the broken ledger
+    identities (check_ledger) first. `tolerance` is the allowed ratio
+    between the exact trace percentile and the bucketed histogram
+    percentile; values under 50 us on both sides always pass (one bucket
+    down there is wider than anything we care to gate on).
     """
     with open(metrics_path) as handle:
         doc = json.load(handle)
@@ -170,7 +221,7 @@ def check_metrics(durs, metrics_path, tolerance, out=sys.stdout):
     if hist is None:
         return ["metrics JSON has no latency.queue_delay histogram"]
     waits = durs["queue_wait"]
-    mismatches = []
+    mismatches = check_ledger(doc)
     if hist.get("count") != len(waits):
         mismatches.append(
             "queue_wait count mismatch: trace has {} spans, histogram "
@@ -197,7 +248,8 @@ def main(argv=None):
     parser.add_argument("trace", help="Chrome trace JSON from ams_serve --trace")
     parser.add_argument("--metrics", default=None,
                         help="MetricsJson snapshot from the same run "
-                             "(cross-checks queue-delay percentiles)")
+                             "(checks its request ledger and cross-checks "
+                             "queue-delay percentiles)")
     parser.add_argument("--tolerance", type=float, default=1.5,
                         help="allowed trace/histogram percentile ratio "
                              "(default 1.5 = one sqrt(2) bucket plus slack)")

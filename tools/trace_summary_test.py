@@ -106,6 +106,43 @@ class DroppedEventsTest(unittest.TestCase):
         self.assertEqual(trace_summary.load_events(TRACE)[1], 0)
 
 
+class LedgerTest(unittest.TestCase):
+    """--metrics refuses a snapshot whose request ledger does not add up."""
+
+    def load_metrics(self):
+        with open(METRICS) as handle:
+            return json.load(handle)
+
+    def test_fixture_ledger_balances(self):
+        self.assertEqual(trace_summary.check_ledger(self.load_metrics()), [])
+
+    def test_bumped_class_count_is_refused(self):
+        doc = self.load_metrics()
+        doc["classes"]["batch"]["completed"] += 1
+        path = write_temp(doc)
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                status = trace_summary.main([TRACE, "--metrics", path])
+        finally:
+            os.unlink(path)
+        self.assertEqual(status, 1)
+        self.assertIn("classes.batch: enqueued 5 != 6 outcomes",
+                      err.getvalue())
+
+    def test_balanced_slices_must_still_sum_to_the_totals(self):
+        doc = self.load_metrics()
+        doc["tenants"]["0"]["enqueued"] += 1
+        doc["tenants"]["0"]["rejected"] += 1
+        doc["tenants"]["0"]["quota_rejected"] += 2
+        self.assertEqual(trace_summary.check_ledger(doc), [
+            "tenants.0: quota_rejected > rejected",
+            "tenants sum to enqueued 61, the totals say 60",
+            "tenants sum to rejected 1, the totals say 0",
+            "tenants sum to quota_rejected 2, the totals say 0"])
+
+
 class ValidationTest(unittest.TestCase):
     """Malformed traces are rejected, not summarized."""
 
