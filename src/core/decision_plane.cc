@@ -11,46 +11,55 @@ DecisionPlane::DecisionPlane(ModelValuePredictor* predictor, DecisionRow row,
     : predictor_(predictor), row_kind_(row), memoize_rows_(memoize_rows) {
   AMS_CHECK(predictor != nullptr);
   stride_ = static_cast<size_t>(predictor->num_actions());
-}
-
-void DecisionPlane::ToDecisionRow(double* row) const {
-  if (row_kind_ == DecisionRow::kQ) return;
-  for (size_t a = 0; a < stride_; ++a) row[a] = SchedulingProfit(row[a]);
+  AMS_CHECK(stride_ <= 64,
+            "a decision row tracks its transformed entries in a 64-bit mask");
+  // Raw Q is already a kQ row's value.
+  new_row_mask_ = row_kind_ == DecisionRow::kQ ? ~uint64_t{0} : 0;
 }
 
 bool DecisionPlane::ServeFromMemo(Slot* slot, const LabelingState& state) {
   if (!memoize_rows_) return false;
   const auto it = row_memo_.find(state.SetIndices());
   if (it == row_memo_.end()) return false;
-  slot->row_ = it->second;
-  slot->labels_at_ = state.num_labels_set();
+  Attach(slot, &it->second, state);
   ++memo_hits_;
   return true;
 }
 
-void DecisionPlane::MemoizeRow(const std::vector<int>& indices,
-                               const double* row) {
-  if (!memoize_rows_ || row_memo_.size() >= kRowMemoCap) return;
-  std::vector<double>& entry = row_memo_[indices];
-  if (entry.empty()) entry.assign(row, row + stride_);
+DecisionPlane::StoredRow* DecisionPlane::NewMemoRow(
+    const std::vector<int>& indices) {
+  if (!memoize_rows_ || row_memo_.size() >= kRowMemoCap) return nullptr;
+  StoredRow* row = &row_memo_[indices];
+  row->values.resize(stride_);
+  row->transformed = new_row_mask_;
+  return row;
 }
 
-const std::vector<double>& DecisionPlane::Slot::Row(
-    const LabelingState& state) {
-  if (Fresh(state) || plane_->ServeFromMemo(this, state)) return row_;
+DecisionPlane::StoredRow* DecisionPlane::OwnRow(Slot* slot) const {
+  slot->own_.values.resize(stride_);
+  slot->own_.transformed = new_row_mask_;
+  return &slot->own_;
+}
+
+void DecisionPlane::Attach(Slot* slot, StoredRow* row,
+                           const LabelingState& state) {
+  slot->row_ = row;
+  slot->labels_at_ = state.num_labels_set();
+}
+
+void DecisionPlane::Slot::Refresh(const LabelingState& state) {
+  if (plane_->ServeFromMemo(this, state)) return;
   // One row through the batched inference forward rather than
   // PredictValues: the rows are bitwise identical, but the scalar entry is
   // the training forward, which caches activations for Backward and
   // allocates on every call.
+  StoredRow* row = plane_->NewMemoRow(state.SetIndices());
+  if (row == nullptr) row = plane_->OwnRow(this);
   const std::vector<float>* features = &state.Features();
   const std::vector<int>* indices = &state.SetIndices();
-  row_.resize(plane_->stride_);
   plane_->predictor_->PredictValuesBatchTo(&features, &indices, 1,
-                                           row_.data());
-  plane_->ToDecisionRow(row_.data());
-  labels_at_ = state.num_labels_set();
-  plane_->MemoizeRow(state.SetIndices(), row_.data());
-  return row_;
+                                           row->values.data());
+  plane_->Attach(this, row, state);
 }
 
 DecisionPlane::Slot* DecisionPlane::NewSlot() {
@@ -113,15 +122,25 @@ void DecisionPlane::Prefetch(const std::vector<SlotView>& views,
   double* flat = arena->AllocArray<double>(n_rows * stride_);
   predictor_->PredictValuesBatchTo(features, indices, n_rows, flat);
   batched_rows_ += static_cast<long>(n_rows);
+  // A unique row the memo takes is shared in place by every stale slot at
+  // its state; a row it does not take is copied into each one's own buffer.
+  StoredRow** memo_rows = arena->AllocArray<StoredRow*>(n_rows);
   for (size_t u = 0; u < n_rows; ++u) {
-    double* row = flat + u * stride_;
-    ToDecisionRow(row);
-    MemoizeRow(*indices[u], row);
+    memo_rows[u] = NewMemoRow(*indices[u]);
+    if (memo_rows[u] != nullptr) {
+      std::copy(flat + u * stride_, flat + (u + 1) * stride_,
+                memo_rows[u]->values.begin());
+    }
   }
   for (size_t i = 0; i < n_stale; ++i) {
-    const double* row = flat + row_of[i] * stride_;
-    stale_slots[i]->row_.assign(row, row + stride_);
-    stale_slots[i]->labels_at_ = stale_states[i]->num_labels_set();
+    Slot* slot = stale_slots[i];
+    StoredRow* row = memo_rows[row_of[i]];
+    if (row == nullptr) {
+      row = OwnRow(slot);
+      const double* q = flat + row_of[i] * stride_;
+      std::copy(q, q + stride_, row->values.begin());
+    }
+    Attach(slot, row, *stale_states[i]);
   }
 }
 

@@ -342,7 +342,10 @@ void LabelingService::ItemStepper::Tick(std::vector<Completion>* completed) {
   // One deduplicated batched forward pass refreshes every resident item
   // still consulting the picker; items mid-drain (stopped, or nothing new
   // to start) skip the Q refresh entirely. The kForward span is inert (no
-  // clock read) unless the tick is traced and has rows to refresh.
+  // clock read) unless the tick is traced and has slots to refresh, and it
+  // is recorded only when the refresh ran a forward: a refresh the memo
+  // served entirely leaves no span, so forward spans and the metrics'
+  // forward histogram count the same events.
   if (plane_ != nullptr) {
     views_.clear();
     for (const InFlight& flight : inflight_) {
@@ -360,10 +363,14 @@ void LabelingService::ItemStepper::Tick(std::vector<Completion>* completed) {
     if (forward_span.active()) {
       const int rows = static_cast<int>(plane_->batched_rows() - rows_before);
       const int hits = static_cast<int>(plane_->memo_hits() - memo_before);
-      forward_span.set_args(rows, hits, backend_tier_);
-      tick_stats_.forward_s = forward_span.Close();
       tick_stats_.forward_rows = rows;
       tick_stats_.memo_hits = hits;
+      if (rows > 0) {
+        forward_span.set_args(rows, hits, backend_tier_);
+        tick_stats_.forward_s = forward_span.Close();
+      } else {
+        forward_span.Discard();
+      }
     }
   }
 

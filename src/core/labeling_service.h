@@ -136,7 +136,7 @@ class LabelingService {
   /// lifetime, so warm admission allocates nothing) and assigns the item a
   /// ticket; each Tick() refreshes every resident
   /// item's decision-row slot with ONE batched DecisionPlane forward pass
-  /// (memo hits copy stored rows instead), then steps every kernel past
+  /// (memo hits point at stored rows instead), then steps every kernel past
   /// one finish event and reports completed items. Items
   /// are independent, so interleaving them cannot change any outcome — per
   /// item, a stepper run is bit-identical to Submit() with the same
@@ -263,8 +263,9 @@ class LabelingService::ItemStepper {
   struct TickStats {
     bool traced = false;
     double tick_s = 0.0;
-    /// The batched refresh: forward plus the decision-row transform of the
-    /// fresh rows.
+    /// The batched refresh (memo lookups, deduplication and the net's
+    /// forward), when it ran a forward (forward_rows > 0); 0 otherwise.
+    /// Profits are computed by the picks, in the rest of the tick.
     double forward_s = 0.0;
     int forward_rows = 0;
     int memo_hits = 0;
@@ -275,10 +276,12 @@ class LabelingService::ItemStepper {
 
   /// Attaches the tracing seam: while `tracer` is enabled, every non-empty
   /// Tick() records a kTick span (and a kForward span around the batched Q
-  /// refresh when the stepper is predictor-driven) into `lane` stamped on
-  /// `clock`, and publishes TickStats. All three must outlive the stepper;
-  /// recording stays free of heap allocations (preallocated ring slots), so
-  /// the zero-allocation steady-state tick contract holds with tracing on.
+  /// refresh when the stepper is predictor-driven and the refresh ran a
+  /// forward rather than serving every row from the memo) into `lane`
+  /// stamped on `clock`, and publishes TickStats. All three must outlive the
+  /// stepper; recording stays free of heap allocations (preallocated ring
+  /// slots), so the zero-allocation steady-state tick contract holds with
+  /// tracing on.
   void AttachTracer(const obs::Tracer* tracer, obs::TraceBuffer* lane,
                     const util::Clock* clock);
 

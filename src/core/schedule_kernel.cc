@@ -256,19 +256,23 @@ namespace {
 
 // The pick loops below visit only unstarted models, in ascending id order
 // (so ties keep the lowest id), and read the per-item PickContext rows and a
-// decision row computed once per label state, so a pick is arithmetic only.
+// decision row computed once per label state. Algorithms 1 and 2 read a
+// model's profit only once it passes the budget checks, so the row's
+// SchedulingProfit transform runs only for models a pick scores, and once
+// per label state: a later pick at the same state reads the stored profit.
 
 int GreedyPick(DecisionPlane::Slot* slot, const PickContext& pick) {
   if (!pick.idle) return -1;
-  const double* q = slot->Row(*pick.state).data();
+  DecisionPlane::RowView q = slot->Row(*pick.state);
   const int end_action = pick.num_models;
   int best = -1;
   double best_q = q[end_action];
   for (int k = 0; k < pick.num_unstarted; ++k) {
     const int m = pick.unstarted[k];
-    if (best == -1 || q[m] > best_q) {
+    const double qm = q[m];
+    if (best == -1 || qm > best_q) {
       best = m;
-      best_q = q[m];
+      best_q = qm;
     }
   }
   // Stop when END outranks every remaining model.
@@ -278,7 +282,11 @@ int GreedyPick(DecisionPlane::Slot* slot, const PickContext& pick) {
 
 int DeadlinePick(DecisionPlane::Slot* slot, const PickContext& pick) {
   if (!pick.idle) return -1;
-  const double* profit = slot->Row(*pick.state).data();
+  DecisionPlane::RowView profit = slot->Row(*pick.state);
+  // Locals, as in DeadlineMemoryPick below.
+  const int* unstarted = pick.unstarted;
+  const double* planned_time = pick.planned_time;
+  const double* mean_time = pick.mean_time;
   const double remaining = pick.remaining_time();
   // Algorithm 1 lines 3-4: among models whose planned time still fits the
   // budget, pick the one maximizing SchedulingProfit(Q) / mean time. The
@@ -287,9 +295,9 @@ int DeadlinePick(DecisionPlane::Slot* slot, const PickContext& pick) {
   int best = -1;
   double best_ratio = 0.0;
   for (int k = 0; k < pick.num_unstarted; ++k) {
-    const int m = pick.unstarted[k];
-    if (pick.planned_time[m] > remaining) continue;
-    const double ratio = profit[m] / pick.mean_time[m];
+    const int m = unstarted[k];
+    if (planned_time[m] > remaining) continue;
+    const double ratio = profit[m] / mean_time[m];
     if (best == -1 || ratio > best_ratio) {
       best = m;
       best_ratio = ratio;
@@ -299,21 +307,31 @@ int DeadlinePick(DecisionPlane::Slot* slot, const PickContext& pick) {
 }
 
 int DeadlineMemoryPick(DecisionPlane::Slot* slot, const PickContext& pick) {
-  const double* profit = slot->Row(*pick.state).data();
+  DecisionPlane::RowView profit = slot->Row(*pick.state);
+  // Locals: otherwise the profits the loop stores back and the transform's
+  // libm calls force the context to be reloaded for every model.
+  const int* unstarted = pick.unstarted;
+  const double* mem_mb = pick.mem_mb;
+  const double* planned_time = pick.planned_time;
+  const double* mean_time = pick.mean_time;
+  const double mem_free = pick.mem_free;
+  const double now = pick.now;
+  const double deadline = pick.deadline;
+  const bool idle = pick.idle;
   int best = -1;
   double best_score = 0.0;
   for (int k = 0; k < pick.num_unstarted; ++k) {
-    const int m = pick.unstarted[k];
-    const double mem = pick.mem_mb[m];
-    if (mem > pick.mem_free) continue;
-    if (pick.now + pick.planned_time[m] > pick.deadline) continue;
+    const int m = unstarted[k];
+    const double mem = mem_mb[m];
+    if (mem > mem_free) continue;
+    if (now + planned_time[m] > deadline) continue;
     // Algorithm 2 line 4 (idle: anchor by profit / (time * mem)) or lines
     // 7-12 (fill remaining memory by profit / mem). Fills are bounded by the
     // global deadline rather than the literal anchor window: taken literally
     // the filter degenerates to near-serial execution whenever the
     // value-density anchor is a short model.
-    const double score = pick.idle ? profit[m] / (pick.mean_time[m] * mem)
-                                   : profit[m] / mem;
+    const double p = profit[m];
+    const double score = idle ? p / (mean_time[m] * mem) : p / mem;
     if (best == -1 || score > best_score) {
       best = m;
       best_score = score;

@@ -310,7 +310,9 @@ ModelPicker MakeGreedyPicker(DecisionPlane::Slot* slot);
 /// scheduler knows before a model runs; feasibility uses the execution
 /// context's planned time, which is the realized draw under replay and the
 /// mean time on live items. The slot must come from a
-/// DecisionRow::kSchedulingProfit plane, whose rows already hold the profit.
+/// DecisionRow::kSchedulingProfit plane; a pick transforms a model's Q into
+/// its profit only once the model fits, and stores it back into the row for
+/// every later pick at that label state.
 ModelPicker MakeDeadlinePicker(DecisionPlane::Slot* slot);
 
 /// Algorithm 2 picker: when idle, anchors the window with the feasible model
@@ -320,7 +322,8 @@ ModelPicker MakeDeadlinePicker(DecisionPlane::Slot* slot);
 /// bounded by the global deadline rather than the literal anchor window (see
 /// DESIGN note in the implementation: the literal filter degenerates to
 /// serial execution when the value-density anchor is a short model). The
-/// slot must come from a DecisionRow::kSchedulingProfit plane.
+/// slot must come from a DecisionRow::kSchedulingProfit plane, whose profits
+/// are computed as Algorithm 1's are: on first read, for fitting models only.
 ModelPicker MakeDeadlineMemoryPicker(DecisionPlane::Slot* slot);
 
 /// Random feasible packing baseline (§VI-G): reshuffles the model order at

@@ -223,6 +223,10 @@ class ScopedSpan {
   /// (0 when inactive).
   double Close();
 
+  /// Drops the span without recording it, for a span that turned out to
+  /// cover no work.
+  void Discard() { lane_ = nullptr; }
+
  private:
   TraceBuffer* lane_;
   const util::Clock* clock_;

@@ -76,16 +76,17 @@ void QGreedyPolicy::Arm(PolicyItem* item) {
 }
 
 int QGreedyPolicy::Pick(const core::PickContext& pick, PolicyItem* item) {
-  const double* q = item->slot->Row(*pick.state).data();
+  core::DecisionPlane::RowView q = item->slot->Row(*pick.state);
   const double remaining = pick.remaining_time();
   int best = -1;
   double best_q = 0.0;
   for (int k = 0; k < pick.num_unstarted; ++k) {
     const int m = pick.unstarted[k];
     if (pick.planned_time[m] > remaining) continue;
-    if (best == -1 || q[m] > best_q) {
+    const double qm = q[m];
+    if (best == -1 || qm > best_q) {
       best = m;
-      best_q = q[m];
+      best_q = qm;
     }
   }
   return best;

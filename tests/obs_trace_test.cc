@@ -4,7 +4,8 @@
 // ChromeTraceSink JSON shape, and the deterministic end-to-end span-chain
 // property — every request served by a ServerRuntime under a ManualClock
 // yields exactly one connected enqueue -> queue_wait -> exec chain, with no
-// lost or duplicated phase events.
+// lost or duplicated phase events — and that a stepper records a forward
+// span only for a tick whose refresh ran a forward.
 
 #include "obs/trace.h"
 
@@ -147,6 +148,19 @@ TEST(ScopedSpanTest, RecordsOneEventWithDurationAndArgs) {
   EXPECT_DOUBLE_EQ(events[0].dur_s, 0.5);
   EXPECT_EQ(events[0].a0, 1);
   EXPECT_EQ(events[0].a3, 4);
+}
+
+TEST(ScopedSpanTest, DiscardedSpanRecordsNothing) {
+  Tracer tracer;
+  TraceBuffer* lane = tracer.EnsureLane(0, 0);
+  util::ManualClock clock(1.0);
+  {
+    ScopedSpan span(&tracer, lane, &clock, Phase::kForward);
+    span.Discard();
+    EXPECT_FALSE(span.active());
+    EXPECT_DOUBLE_EQ(span.Close(), 0.0);
+  }
+  EXPECT_TRUE(lane->Snapshot().empty());
 }
 
 TEST(ScopedSpanTest, DisabledTracerOrNullLaneRecordsNothing) {
@@ -371,6 +385,58 @@ TEST_F(TraceChainTest, EveryRequestKeepsOneConnectedSpanChain) {
   }
   EXPECT_GT(ticks, 0);
   EXPECT_GT(forwards, 0);
+}
+
+TEST_F(TraceChainTest, StepperRecordsForwardSpansOnlyForRealForwards) {
+  std::unique_ptr<rl::Agent> agent = MakeAgent(47);
+  core::LabelingService session = BuildSession(agent.get());
+  std::unique_ptr<core::LabelingService::ItemStepper> stepper =
+      session.NewItemStepper(0);
+  Tracer tracer;
+  TraceBuffer* lane = tracer.EnsureLane(0, 0);
+  util::ManualClock clock(1.0);
+  stepper->AttachTracer(&tracer, lane, &clock);
+
+  // Serve the corpus twice, eight items resident: the second pass meets
+  // only label states the first memoized, so many refreshes run no forward.
+  std::vector<int> forward_rows;  // per traced tick that ran a forward
+  int memo_only_refreshes = 0;
+  std::vector<core::LabelingService::ItemStepper::Completion> done;
+  const int kServed = 96;
+  int admitted = 0, finished = 0;
+  while (finished < kServed) {
+    while (admitted < kServed && stepper->resident() < 8) {
+      stepper->Admit(core::WorkItem::Stored(admitted % 48),
+                     static_cast<uint64_t>(admitted % 48));
+      ++admitted;
+    }
+    done.clear();
+    stepper->Tick(&done);
+    finished += static_cast<int>(done.size());
+    const core::LabelingService::ItemStepper::TickStats& stats =
+        stepper->last_tick_stats();
+    ASSERT_TRUE(stats.traced);
+    if (stats.forward_rows > 0) {
+      forward_rows.push_back(stats.forward_rows);
+    } else if (stats.memo_hits > 0) {
+      ++memo_only_refreshes;
+    }
+  }
+  ASSERT_GT(memo_only_refreshes, 0) << "no refresh was served by the memo";
+  ASSERT_FALSE(forward_rows.empty());
+
+  // One forward span per tick that ran a forward, in order, carrying that
+  // tick's rows; a refresh the memo served entirely records none.
+  EXPECT_EQ(lane->dropped(), 0u);
+  std::vector<int> span_rows;
+  int empty_spans = 0;
+  for (const TraceEvent& event : lane->Snapshot()) {
+    if (static_cast<Phase>(event.phase) != Phase::kForward) continue;
+    span_rows.push_back(event.a0);
+    if (event.a0 == 0) ++empty_spans;
+  }
+  EXPECT_EQ(empty_spans, 0);
+  EXPECT_EQ(span_rows, forward_rows);
 }
 
 TEST_F(TraceChainTest, SamplingRecordsOnlyEveryNthLifecycle) {

@@ -49,8 +49,9 @@
 // batched Q-forwards, execution) as Chrome trace-event JSON to PATH — load
 // it in Perfetto or chrome://tracing, or summarize it with
 // tools/trace_summary.py. `--trace-sample N` records the per-request
-// lifecycle spans of every Nth request only (default 1 = all); tick and
-// forward spans are always per-tick. Each per-lane ring holds 32 events per
+// lifecycle spans of every Nth request only (default 1 = all); tick spans
+// are always recorded, one per tick, and forward spans one per tick whose
+// refresh ran a forward. Each per-lane ring holds 32 events per
 // request (at most 2^18), and the export records how many events the rings
 // dropped. Tracing off (no --trace) leaves the serving hot path exactly as
 // fast as before — every instrumentation site reduces to one branch.
@@ -396,11 +397,13 @@ int main(int argc, char** argv) {
   if (!opts.trace_path.empty()) {
     obs::Tracer::Options trace_options;
     trace_options.sample_every = opts.trace_sample;
-    // Rings sized for the run: 2,000 requests over 4 workers on a 4-vCPU
-    // host put 10k-23k events on a worker lane (two lifecycle spans per
-    // request plus a tick and a forward span per tick), so 32 events per
-    // request leaves room for faster ticks. The cap bounds memory (56
-    // bytes a slot); a longer run's trace reports what it dropped.
+    // Rings sized for the run: 2,000 requests at 8,000/s over 4 workers on
+    // a 4-vCPU host put 6k-15k events on a worker lane (two lifecycle spans
+    // per request, a tick span per tick, and a forward span per tick that
+    // ran a forward: about one tick in ten, the memo serving the rest), so
+    // 32 events per request leaves room for faster ticks. The cap bounds
+    // memory (56 bytes a slot); a longer run's trace reports what it
+    // dropped.
     trace_options.lane_capacity = std::min<std::size_t>(
         std::max<std::size_t>(trace_options.lane_capacity,
                               static_cast<std::size_t>(opts.requests) * 32),

@@ -30,7 +30,10 @@ otherwise surface as a misleading percentile mismatch.
 
 `--metrics` also refuses a snapshot whose request ledger does not add up
 (see check_ledger); ams_serve writes its snapshot after draining, so the
-counts are final.
+counts are final. And it requires the lane spans to count what the
+snapshot's phase histograms count (see check_lane_spans): one tick span per
+`phases.tick` sample, and one forward span with rows per `phases.forward`
+sample.
 """
 
 import argparse
@@ -206,22 +209,48 @@ def ledger_count(part, key):
     return part[key]["count"] if key in LEDGER_HISTOGRAMS else part[key]
 
 
-def check_metrics(durs, metrics_path, tolerance, out=sys.stdout):
-    """Cross-checks trace queue_wait percentiles against MetricsJson.
+def check_lane_spans(events, doc):
+    """Returns the lane-span counts a snapshot of the same untruncated run
+    contradicts: tick spans against `phases.tick.count`, and forward spans
+    with rows > 0 against `phases.forward.count` (the runtime folds only
+    ticks that ran a forward into that histogram; a stepper records no
+    forward span for a refresh the memo served entirely, and a span with 0
+    rows, as older traces hold, is not counted)."""
+    phases = doc.get("phases", {})
+    spans = {"tick": 0, "forward": 0}
+    for ev in events:
+        if ev.get("ph") != "X" or ev["name"] not in spans:
+            continue
+        if ev["name"] == "forward" and ev.get("args", {}).get("rows", 0) <= 0:
+            continue
+        spans[ev["name"]] += 1
+    problems = []
+    for name, count in spans.items():
+        want = phases.get(name, {}).get("count")
+        if count != want:
+            problems.append(f"{name} spans: the trace has {count}, "
+                            f"phases.{name}.count is {want}")
+    return problems
 
-    Returns a list of mismatch strings (empty = pass), the broken ledger
-    identities (check_ledger) first. `tolerance` is the allowed ratio
-    between the exact trace percentile and the bucketed histogram
-    percentile; values under 50 us on both sides always pass (one bucket
-    down there is wider than anything we care to gate on).
+
+def check_metrics(events, metrics_path, tolerance, out=sys.stdout):
+    """Cross-checks the trace against the MetricsJson snapshot of its run.
+
+    Returns a list of mismatch strings (empty = pass): the broken ledger
+    identities (check_ledger) first, then lane-span counts the phase
+    histograms contradict (check_lane_spans), then queue_wait count and
+    percentile mismatches. `tolerance` is the allowed ratio between the
+    exact trace percentile and the bucketed histogram percentile; values
+    under 50 us on both sides always pass (one bucket down there is wider
+    than anything we care to gate on).
     """
     with open(metrics_path) as handle:
         doc = json.load(handle)
     hist = doc.get("latency", {}).get("queue_delay")
     if hist is None:
         return ["metrics JSON has no latency.queue_delay histogram"]
-    waits = durs["queue_wait"]
-    mismatches = check_ledger(doc)
+    waits = durations_by_phase(events)["queue_wait"]
+    mismatches = check_ledger(doc) + check_lane_spans(events, doc)
     if hist.get("count") != len(waits):
         mismatches.append(
             "queue_wait count mismatch: trace has {} spans, histogram "
@@ -249,7 +278,8 @@ def main(argv=None):
     parser.add_argument("--metrics", default=None,
                         help="MetricsJson snapshot from the same run "
                              "(checks its request ledger and cross-checks "
-                             "queue-delay percentiles)")
+                             "tick and forward counts and queue-delay "
+                             "percentiles)")
     parser.add_argument("--tolerance", type=float, default=1.5,
                         help="allowed trace/histogram percentile ratio "
                              "(default 1.5 = one sqrt(2) bucket plus slack)")
@@ -266,7 +296,7 @@ def main(argv=None):
     if dropped:
         print(f"{dropped} events dropped (trace rings wrapped): span counts "
               "undercount the run")
-    durs = summarize(events)
+    summarize(events)
 
     if args.metrics:
         if dropped:
@@ -276,7 +306,7 @@ def main(argv=None):
                   "larger rings", file=sys.stderr)
             return 1
         try:
-            mismatches = check_metrics(durs, args.metrics, args.tolerance)
+            mismatches = check_metrics(events, args.metrics, args.tolerance)
         except (json.JSONDecodeError, OSError) as err:
             print(f"metrics cross-check failed: {err}", file=sys.stderr)
             return 1

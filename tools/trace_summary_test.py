@@ -56,9 +56,8 @@ class FixtureTest(unittest.TestCase):
 
     def test_queue_wait_matches_histogram_percentiles(self):
         events, _ = trace_summary.load_events(TRACE)
-        durs = trace_summary.durations_by_phase(events)
         mismatches = trace_summary.check_metrics(
-            durs, METRICS, tolerance=1.5, out=io.StringIO())
+            events, METRICS, tolerance=1.5, out=io.StringIO())
         self.assertEqual(mismatches, [])
 
     def test_empty_phase_gets_no_samples_row(self):
@@ -141,6 +140,42 @@ class LedgerTest(unittest.TestCase):
             "tenants sum to enqueued 61, the totals say 60",
             "tenants sum to rejected 1, the totals say 0",
             "tenants sum to quota_rejected 2, the totals say 0"])
+
+
+class LaneSpanTest(unittest.TestCase):
+    """--metrics refuses a snapshot whose phase counts the lane spans
+    contradict."""
+
+    def load(self):
+        with open(METRICS) as handle:
+            doc = json.load(handle)
+        return trace_summary.load_events(TRACE)[0], doc
+
+    def test_fixture_counts_agree_without_its_empty_forward_spans(self):
+        events, doc = self.load()
+        forwards = [ev for ev in events if ev.get("name") == "forward"]
+        self.assertEqual(len(forwards), 108)
+        self.assertEqual(doc["phases"]["forward"]["count"], 82)
+        self.assertEqual(trace_summary.check_lane_spans(events, doc), [])
+
+    def test_doctored_snapshot_is_refused(self):
+        _, doc = self.load()
+        # Counting the 26 empty refreshes as forwards.
+        doc["phases"]["forward"]["count"] = 108
+        doc["phases"]["tick"]["count"] -= 1
+        path = write_temp(doc)
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                status = trace_summary.main([TRACE, "--metrics", path])
+        finally:
+            os.unlink(path)
+        self.assertEqual(status, 1)
+        self.assertIn("tick spans: the trace has 108, phases.tick.count "
+                      "is 107", err.getvalue())
+        self.assertIn("forward spans: the trace has 82, "
+                      "phases.forward.count is 108", err.getvalue())
 
 
 class ValidationTest(unittest.TestCase):
