@@ -32,8 +32,6 @@ class ValueAccumulator {
   /// valuable labels at all.
   double Recall() const;
 
-  bool Added(int model) const { return added_[static_cast<size_t>(model)]; }
-
   const data::Oracle& oracle() const { return *oracle_; }
   int item() const { return item_; }
 

@@ -22,18 +22,6 @@ const char* ServeStatusName(ServeStatus status) {
   return "unknown";
 }
 
-const char* OverloadPolicyName(OverloadPolicy policy) {
-  switch (policy) {
-    case OverloadPolicy::kBlock:
-      return "block";
-    case OverloadPolicy::kReject:
-      return "reject";
-    case OverloadPolicy::kShedOldest:
-      return "shed_oldest";
-  }
-  return "unknown";
-}
-
 AdmissionQueue::AdmissionQueue(const AdmissionConfig& config)
     : config_(config),
       clock_(config.clock != nullptr ? config.clock

@@ -34,8 +34,6 @@ enum class OverloadPolicy {
   kShedOldest,
 };
 
-const char* OverloadPolicyName(OverloadPolicy policy);
-
 /// How AdmissionQueue::Enqueue disposed of a request.
 enum class AdmitOutcome {
   /// Queued; the request was consumed.
@@ -83,10 +81,6 @@ struct TenantQuota {
   /// Values in (0, 1) are rejected at construction (they could never admit
   /// a request).
   double burst = 0.0;
-
-  bool Unconstrained() const {
-    return max_queued == 0 && max_in_flight == 0 && rate_per_s == 0.0;
-  }
 };
 
 /// Per-tenant quota table: explicit entries by tenant id plus an optional

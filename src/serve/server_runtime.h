@@ -28,11 +28,11 @@ struct ServeOptions {
   int workers = 0;
   /// Bound on queued-but-not-admitted requests (admission control).
   int queue_capacity = 1024;
-  /// Items one worker multiplexes at once. Larger than the SubmitBatch wave
-  /// size (16): the run-loop refills continuously, so unlike a wave there
-  /// are no straggler rounds, and a fuller resident set keeps amortizing
-  /// the per-tick batched forward and bookkeeping (32 measures fastest in
-  /// bench_serve_runtime; beyond that the working set stops fitting cache).
+  /// Items one worker multiplexes at once. The run-loop refills
+  /// continuously, and a fuller resident set amortizes the per-tick batched
+  /// forward and bookkeeping over more items until its working set stops
+  /// fitting cache. The benchmark's serving workloads run
+  /// `kResidentPerWorker` = 32 (benchmark/common.h).
   int max_resident_per_worker = 32;
   /// What a full queue does with new work.
   OverloadPolicy overload = OverloadPolicy::kBlock;

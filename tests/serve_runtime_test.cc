@@ -10,12 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <iterator>
 #include <future>
 #include <limits>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <utility>
@@ -518,8 +520,9 @@ TEST_F(ServerRuntimeTest, LiveScenesServeLikeOfflineSubmitAndMixWithStored) {
 }
 
 TEST_F(ServerRuntimeTest, PriorityClassesChangeOrderButNeverOutcomes) {
-  // Items are independent: riding a different service band reorders work
-  // but must not change any labeling result.
+  // Items are independent: riding a different service band, or waiting for
+  // room under a tenant's quota, reorders work but must not change any
+  // labeling result.
   const int num_items = 30;
   std::unique_ptr<rl::Agent> agent = MakeAgent(*zoo_, 29);
 
@@ -529,31 +532,60 @@ TEST_F(ServerRuntimeTest, PriorityClassesChangeOrderButNeverOutcomes) {
     expected.push_back(offline.Submit(core::WorkItem::Stored(i)));
   }
 
-  core::LabelingService session = BuildPredictorSession(agent.get(), 2);
-  ServeOptions options;
-  options.workers = 2;
-  options.max_resident_per_worker = 4;
-  ServerRuntime runtime(&session, options);
+  using Requests = std::vector<ServerRuntime::RequestOptions>;
+  // The three classes in turn.
+  ServeOptions class_options;
+  class_options.workers = 2;
+  class_options.max_resident_per_worker = 4;
   const PriorityClass classes[] = {PriorityClass::kBatch,
                                    PriorityClass::kInteractive,
                                    PriorityClass::kStandard};
-  std::vector<std::future<ServeResult>> futures;
+  Requests class_requests(num_items);
   for (int i = 0; i < num_items; ++i) {
-    ServerRuntime::RequestOptions request;
-    request.priority_class = classes[i % 3];
-    futures.push_back(runtime.Enqueue(core::WorkItem::Stored(i), request));
+    class_requests[static_cast<size_t>(i)].priority_class = classes[i % 3];
   }
-  for (int i = 0; i < num_items; ++i) {
-    const ServeResult result = futures[static_cast<size_t>(i)].get();
-    ASSERT_EQ(result.status, ServeStatus::kOk) << "item " << i;
-    ExpectSameOutcome(expected[static_cast<size_t>(i)], result.outcome);
+  // A skewed mix of 4 tenants (seeded ~70/10/10/10 shares), each capped at
+  // 2 queued requests under kBlock: an enqueue over its tenant's cap waits
+  // for a pop, so nothing is refused.
+  ServeOptions tenant_options = class_options;
+  tenant_options.overload = OverloadPolicy::kBlock;
+  TenantQuota quota;
+  quota.max_queued = 2;
+  tenant_options.tenant_quotas.default_quota = quota;
+  Requests tenant_requests(num_items);
+  std::mt19937_64 tenant_rng(23);
+  std::discrete_distribution<int> tenant_of({7.0, 1.0, 1.0, 1.0});
+  for (ServerRuntime::RequestOptions& request : tenant_requests) {
+    request.tenant_id = tenant_of(tenant_rng);
   }
-  // Per-class accounting: every class saw its share, all completed.
-  const Metrics& metrics = runtime.metrics();
-  for (const PriorityClass cls : classes) {
-    EXPECT_EQ(metrics.for_class(cls).enqueued.load(), 10);
-    EXPECT_EQ(metrics.for_class(cls).completed.load(), 10);
-    EXPECT_EQ(metrics.for_class(cls).total_latency.count(), 10);
+
+  for (const auto& [options, requests] :
+       {std::make_pair(&class_options, &class_requests),
+        std::make_pair(&tenant_options, &tenant_requests)}) {
+    core::LabelingService session = BuildPredictorSession(agent.get(), 2);
+    ServerRuntime runtime(&session, *options);
+    std::vector<std::future<ServeResult>> futures;
+    for (int i = 0; i < num_items; ++i) {
+      futures.push_back(runtime.Enqueue(core::WorkItem::Stored(i),
+                                        (*requests)[static_cast<size_t>(i)]));
+    }
+    for (int i = 0; i < num_items; ++i) {
+      const ServeResult result = futures[static_cast<size_t>(i)].get();
+      ASSERT_EQ(result.status, ServeStatus::kOk) << "item " << i;
+      ExpectSameOutcome(expected[static_cast<size_t>(i)], result.outcome);
+    }
+    // Per-class accounting: every class saw its share, all completed.
+    const Metrics& metrics = runtime.metrics();
+    for (const PriorityClass cls : classes) {
+      const long share = std::count_if(
+          requests->begin(), requests->end(),
+          [cls](const ServerRuntime::RequestOptions& request) {
+            return request.priority_class == cls;
+          });
+      EXPECT_EQ(metrics.for_class(cls).enqueued.load(), share);
+      EXPECT_EQ(metrics.for_class(cls).completed.load(), share);
+      EXPECT_EQ(metrics.for_class(cls).total_latency.count(), share);
+    }
   }
 }
 

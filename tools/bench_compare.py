@@ -6,8 +6,7 @@ Usage:
     bench_compare.py BASELINE CANDIDATE [BASELINE CANDIDATE ...]
 
 Each file is a bench JSON with a "configs" array of
-{"name": ..., "items_per_s": ...} entries (bench_service_throughput,
-bench_serve_runtime and bench_qforward all emit this shape).
+{"name": ..., "items_per_s": ...} entries (bench_qforward emits this shape).
 
 What is compared
 ----------------
@@ -15,15 +14,10 @@ CI runners and developer machines differ wildly in absolute speed (and CI
 runs the benches on a reduced workload), so raw items/s across files is not
 comparable. The gate therefore compares each scenario's NORMALIZED
 throughput: its items_per_s divided by the items_per_s of the file's first
-config (the reference scenario — full / submit_batch / fp32_scalar). That
-ratio is machine- and workload-size-portable: it measures what the repo's
-own paths buy, which is exactly what a code change can regress. A scenario
-whose normalized throughput drops by more than the threshold (default 25%,
-AMS_BENCH_GATE_PCT env) fails the gate.
-
-Setting AMS_BENCH_GATE_ABSOLUTE=1 additionally gates raw items_per_s with
-the same threshold — only meaningful on a stable dedicated runner producing
-both files under identical settings.
+config (the reference scenario, fp32_scalar). That ratio is machine- and
+workload-size-portable: it measures what the repo's own paths buy, which is
+exactly what a code change can regress. A scenario whose normalized
+throughput drops by more than THRESHOLD_PCT (25%) fails the gate.
 
 Scenarios present in the candidate but not the baseline (new benches) pass,
 flagged "new" in the table and listed in an informational note — they are
@@ -32,7 +26,7 @@ Scenarios present in the baseline but missing from the candidate fail with
 a message naming the scenario and both files (a silently dropped bench must
 not pass the gate); deliberately removing a scenario requires regenerating
 the committed baseline in the same change. The reference scenario itself is
-gated only in absolute mode (its normalized value is 1 by construction).
+not gated (its normalized value is 1 by construction).
 
 The per-scenario delta table is printed to stdout and appended to
 $GITHUB_STEP_SUMMARY when set.
@@ -41,6 +35,9 @@ $GITHUB_STEP_SUMMARY when set.
 import json
 import os
 import sys
+
+# Largest tolerated drop of a scenario's normalized throughput, in percent.
+THRESHOLD_PCT = 25.0
 
 
 def load_configs(path):
@@ -61,7 +58,7 @@ def load_configs(path):
     return ordered
 
 
-def compare_pair(baseline_path, candidate_path, threshold_pct, absolute):
+def compare_pair(baseline_path, candidate_path):
     """Returns (rows, failures, notes): one table row per scenario."""
     baseline = load_configs(baseline_path)
     candidate = load_configs(candidate_path)
@@ -94,18 +91,12 @@ def compare_pair(baseline_path, candidate_path, threshold_pct, absolute):
         base_norm = base_raw / base_ref
         cand_norm = cand_raw / cand_ref
         delta_pct = (cand_norm / base_norm - 1.0) * 100.0
-        verdicts = []
         is_reference = name == baseline[0][0]
-        if not is_reference and delta_pct < -threshold_pct:
-            verdicts.append(f"normalized throughput regressed "
-                            f"{-delta_pct:.1f}% (> {threshold_pct:.0f}%)")
-        abs_delta_pct = (cand_raw / base_raw - 1.0) * 100.0
-        if absolute and abs_delta_pct < -threshold_pct:
-            verdicts.append(f"absolute throughput regressed "
-                            f"{-abs_delta_pct:.1f}% (> {threshold_pct:.0f}%)")
-        status = "FAIL" if verdicts else "ok"
-        for verdict in verdicts:
-            failures.append(f"{name}: {verdict}")
+        status = "ok"
+        if not is_reference and delta_pct < -THRESHOLD_PCT:
+            status = "FAIL"
+            failures.append(f"{name}: normalized throughput regressed "
+                            f"{-delta_pct:.1f}% (> {THRESHOLD_PCT:.0f}%)")
         rows.append((name, f"{base_norm:.3f}", f"{cand_norm:.3f}",
                      f"{delta_pct:+.1f}%", status))
     for name, _ in candidate:
@@ -133,25 +124,20 @@ def main(argv):
     if len(argv) < 3 or len(argv) % 2 == 0:
         print(__doc__)
         raise SystemExit(2)
-    threshold_pct = float(os.environ.get("AMS_BENCH_GATE_PCT", "25"))
-    absolute = os.environ.get("AMS_BENCH_GATE_ABSOLUTE", "") not in ("", "0")
 
     output = []
     all_failures = []
     all_notes = []
     for i in range(1, len(argv), 2):
         baseline_path, candidate_path = argv[i], argv[i + 1]
-        rows, failures, notes = compare_pair(baseline_path, candidate_path,
-                                             threshold_pct, absolute)
+        rows, failures, notes = compare_pair(baseline_path, candidate_path)
         output.append(format_table(os.path.basename(baseline_path), rows))
         all_failures.extend(f"{os.path.basename(baseline_path)}: {f}"
                             for f in failures)
         all_notes.extend(notes)
 
     report = "\n".join(output)
-    mode = "normalized+absolute" if absolute else "normalized"
-    report += (f"\nthreshold: {threshold_pct:.0f}% ({mode}; "
-               f"AMS_BENCH_GATE_PCT / AMS_BENCH_GATE_ABSOLUTE)\n")
+    report += f"\nthreshold: {THRESHOLD_PCT:.0f}% of normalized throughput\n"
     for note in all_notes:
         report += f"NOTE: {note}\n"
     print(report)
