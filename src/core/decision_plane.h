@@ -3,8 +3,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <deque>
-#include <unordered_map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -58,7 +59,7 @@ class DecisionPlane {
 
   /// `row` fixes what the plane's rows read as (see DecisionRow); the
   /// predictor's action count must fit a row's 64-bit transformed mask.
-  /// `memoize_rows` opts into the plane-lifetime row memo (see row_memo_
+  /// `memoize_rows` opts into the plane-lifetime row memo (see slabs_
   /// below): computed rows are kept keyed by state signature and later
   /// queries for the same state skip the forward pass entirely. Worth it
   /// only for long-lived planes (the serve runtime's steppers, where steady
@@ -67,27 +68,30 @@ class DecisionPlane {
   /// a fresh stepper per call measured 33.6-37.0 us per item with the memo
   /// and 27.2-34.7 us without it on one worker over 5,000-item calls
   /// (4-vCPU Xeon guest, g++ 12.2 Release), and the per-item path it would
-  /// have replaced beat both, so SubmitBatch keeps per-item pickers.
+  /// have replaced beat both, so SubmitBatch keeps per-item pickers
+  /// (measured with an earlier memo that made three heap allocations per
+  /// insert).
   DecisionPlane(ModelValuePredictor* predictor, DecisionRow row,
                 bool memoize_rows = false);
 
   /// Bound on memoized rows; beyond it new states simply stay unmemoized
   /// (first-come: the common early states are exactly the hot ones) and
-  /// their rows live in slot buffers. A full memo holds about 15 MB: one
-  /// stepper's resident set grew by 15.1 MB while its memo filled on
-  /// mscoco label states (31 actions, about 9,900 album_cold items, g++
-  /// 12.2 on x86-64 Linux), so each serving worker adds that much.
+  /// their rows live in slot buffers. A full memo of 31-action rows holds
+  /// about 10 MB: 8 MB of rows, 1.4 MB of keys (22.7 labels a key on
+  /// mscoco states), a 0.5 MB index and 0.1 MB of key offsets. One
+  /// stepper's resident set (VmRSS) grew by 11.6 MB from its first admit
+  /// until its memo was full: one ItemStepper over the album_cold stack
+  /// (50,000 mscoco items, 32 resident, 9,909 items served; g++ 12.2
+  /// Release on x86-64 Linux). Each serving worker adds that much.
   static constexpr size_t kRowMemoCap = 32768;
 
-  /// One state's decision row: the net's Q values, one per action, and the
-  /// mask of the entries that already read as the plane's DecisionRow value.
-  /// A kQ row starts with every bit set (raw Q is its value); a
-  /// kSchedulingProfit row starts with none, and a pick sets bit a when it
-  /// replaces entry a by SchedulingProfit(entry a).
-  struct StoredRow {
-    std::vector<double> values;
-    uint64_t transformed = 0;
-  };
+  // One state's decision row is num_actions() + 1 doubles in a row: first
+  // the mask of the entries that already read as the plane's DecisionRow
+  // value (its 64 bits kept in the first double's storage, read and written
+  // through memcpy), then the net's Q values, one per action. A kQ row
+  // starts with every bit set (raw Q is its value); a kSchedulingProfit row
+  // starts with none, and a pick sets bit a when it replaces entry a by
+  // SchedulingProfit(entry a).
 
   /// One pick's view of a slot's decision row (Slot::Row). Reading entry `a`
   /// returns raw Q on a kQ plane and SchedulingProfit(Q) on a
@@ -104,7 +108,7 @@ class DecisionPlane {
     ~RowView() {
       // Nothing new: leave a shared memo row's cache line clean.
       if (evaluated_ == 0) return;
-      row_->transformed = transformed_;
+      StoreMask(values_ - 1, transformed_);
       *evaluations_ += evaluated_;
     }
 
@@ -119,14 +123,12 @@ class DecisionPlane {
 
    private:
     friend class Slot;
-    RowView(StoredRow* row, long* evaluations)
-        : row_(row),
-          values_(row->values.data()),
-          transformed_(row->transformed),
+    RowView(double* row, long* evaluations)
+        : values_(row + 1),
+          transformed_(LoadMask(row)),
           evaluations_(evaluations) {}
 
-    StoredRow* row_;
-    double* values_;
+    double* values_;  // the row's Q values; its mask word sits just before
     uint64_t transformed_;
     long* evaluations_;
     long evaluated_ = 0;
@@ -176,9 +178,9 @@ class DecisionPlane {
     void Refresh(const LabelingState& state);
 
     DecisionPlane* plane_;
-    StoredRow* row_ = nullptr;  // a row_memo_ entry or &own_
-    StoredRow own_;             // the row when the memo does not hold it
-    int labels_at_ = -1;        // num_labels_set() the cache was computed at
+    double* row_ = nullptr;    // a row memo row or own_.data()
+    std::vector<double> own_;  // the row when the memo does not hold it
+    int labels_at_ = -1;       // num_labels_set() the cache was computed at
   };
 
   /// A (slot, state) pair eligible for batched refresh.
@@ -213,34 +215,70 @@ class DecisionPlane {
   long profit_evaluations() const { return profit_evaluations_; }
 
  private:
-  /// FNV-1a over a state's sorted set-index list — the state's identity
-  /// (the binary features are fully determined by the set indices).
-  struct IndexListHash {
-    size_t operator()(const std::vector<int>& indices) const {
-      size_t h = 1469598103934665603ull;
-      for (const int i : indices) {
-        h ^= static_cast<size_t>(i) + 0x9E3779B9u;
-        h *= 1099511628211ull;
-      }
-      return h;
-    }
+  /// Memo rows per slab: 128 KB of 31-action rows, so a full memo takes 64
+  /// slabs and a memo of a few thousand rows only a few.
+  static constexpr size_t kSlabRows = 512;
+  /// Bytes a slab's first row is aligned to: a cache line, so a 31-action
+  /// row of 32 doubles spans exactly four.
+  static constexpr size_t kSlabAlign = 64;
+  /// The memo index's first size, in entries; it doubles at load 1/2, up to
+  /// 2 * kRowMemoCap entries for a full memo.
+  static constexpr size_t kMinIndexEntries = 16;
+
+  /// One open-addressed index entry: the key's 32-bit hash and its row
+  /// number plus one (0 marks an empty entry).
+  struct IndexEntry {
+    uint32_t hash;
+    uint32_t row;
+  };
+  /// kSlabRows memo rows in one allocation; `rows` is its first row.
+  struct Slab {
+    std::unique_ptr<double[]> storage;
+    double* rows = nullptr;
   };
 
-  /// Points `slot` at the plane's row memo entry for `state`; false on miss.
-  bool ServeFromMemo(Slot* slot, const LabelingState& state);
-  /// A new row memo entry for `indices`, sized and marked untransformed
-  /// for the Q values about to be written (first-come bounded; see
-  /// kRowMemoCap), or null when the plane does not memoize or is full.
-  StoredRow* NewMemoRow(const std::vector<int>& indices);
+  /// Reads and writes a row's mask word.
+  static uint64_t LoadMask(const double* row) {
+    uint64_t mask = 0;
+    std::memcpy(&mask, row, sizeof(mask));
+    return mask;
+  }
+  static void StoreMask(double* row, uint64_t mask) {
+    std::memcpy(row, &mask, sizeof(mask));
+  }
+  /// FNV-1a over a state's sorted set-index list — the state's identity
+  /// (the binary features are fully determined by the set indices) —
+  /// folded to 32 bits.
+  static uint32_t KeyHash(const std::vector<int>& indices);
+
+  /// Memo row `row`, in place in its slab.
+  double* MemoRow(uint32_t row) const {
+    return slabs_[row / kSlabRows].rows + (row % kSlabRows) * row_words_;
+  }
+  /// True when memo row `row`'s key is `indices`.
+  bool KeyIs(uint32_t row, const std::vector<int>& indices) const;
+  /// Points `slot` at the plane's memo row for `state`, whose key hashes to
+  /// `hash`; false on miss.
+  bool ServeFromMemo(Slot* slot, const LabelingState& state, uint32_t hash);
+  /// A new memo row for `state`, whose key hashes to `hash`, marked
+  /// untransformed for the Q values about to be written (first-come
+  /// bounded; see kRowMemoCap), or null when the plane does not memoize or
+  /// is full. Only for a state the memo does not hold.
+  double* NewMemoRow(const LabelingState& state, uint32_t hash);
+  /// Puts `entry` in the first empty entry of its probe sequence.
+  static void InsertEntry(std::vector<IndexEntry>* index, IndexEntry entry);
+  /// Doubles the memo index and re-inserts its entries.
+  void GrowIndex();
   /// `slot`'s own buffer, sized and marked untransformed likewise.
-  StoredRow* OwnRow(Slot* slot) const;
+  double* OwnRow(Slot* slot) const;
   /// Points `slot` at `row` as the row for `state`.
-  void Attach(Slot* slot, StoredRow* row, const LabelingState& state);
+  void Attach(Slot* slot, double* row, const LabelingState& state);
 
   ModelValuePredictor* predictor_;
   DecisionRow row_kind_;
   size_t stride_ = 0;  // entries per row: predictor_->num_actions()
-  uint64_t new_row_mask_ = 0;  // StoredRow::transformed of a fresh row
+  size_t row_words_ = 0;  // doubles per row: the mask word and stride_ values
+  uint64_t new_row_mask_ = 0;  // the mask of a fresh row
   std::deque<Slot> slots_;  // deque: slot pointers must stay stable
   /// Plane-lifetime decision-row memo keyed by state signature: items pass
   /// through shared sparse label-states (every item starts all-zero, common
@@ -250,9 +288,24 @@ class DecisionPlane {
   /// transformed once for every item that reaches the state. Sound because
   /// a plane wraps one frozen predictor instance (the same assumption every
   /// slot cache already makes), and rows are bitwise identical however they
-  /// were computed. Slots point into it: unordered_map nodes never move and
-  /// the memo never erases.
-  std::unordered_map<std::vector<int>, StoredRow, IndexListHash> row_memo_;
+  /// were computed. The memo is flat, and a plane allocates none of it
+  /// before its first insert (a plane that never memoizes, none at all):
+  /// - rows, numbered in insertion order, live in slabs of kSlabRows rows
+  ///   allocated as the memo grows; slabs never move and the memo never
+  ///   erases, so slots point into them in place;
+  /// - row r's key, the state's sorted set indices narrowed to uint16_t
+  ///   (label ids stop at 1,103; the first insert checks the width), is
+  ///   memo_keys_[key_begin_[r], key_begin_[r + 1]), one pool for all keys;
+  /// - memo_index_ finds a key's row by linear probing over 8-byte entries.
+  ///   It doubles at load 1/2, up to 2 * kRowMemoCap entries, so a memo of
+  ///   a few thousand rows keeps a small, cache-resident index.
+  /// A hit reads the probed index entries, the key and the row. Filling the
+  /// memo allocates once per slab and per growth, never per row.
+  Slab slabs_[kRowMemoCap / kSlabRows];
+  std::vector<uint16_t> memo_keys_;
+  std::vector<uint32_t> key_begin_;  // memo rows + 1 offsets once nonempty
+  std::vector<IndexEntry> memo_index_;  // a power of two entries, or none
+  uint32_t memo_rows_ = 0;
   bool memoize_rows_ = false;
   long batched_rows_ = 0;
   long memo_hits_ = 0;

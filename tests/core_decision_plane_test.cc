@@ -6,10 +6,13 @@
 // for a slot served the same state from the row memo, and none on a kQ
 // plane, which returns raw Q. The Q rows include the transform's edge
 // cases: q at and above its clamp at 10, q so negative that exp underflows
-// to 0, and q == 0.
+// to 0, and q == 0. Slots point into the row memo, so its rows must never
+// move: one case fills the memo past kRowMemoCap and reads its first row
+// through a slot attached before the fill.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <initializer_list>
@@ -61,6 +64,31 @@ class EdgeQPredictor : public ModelValuePredictor {
   }
 };
 
+// Rows that tell every state apart: entry a is 0.125 a - 1 plus the state's
+// label set read as a binary fraction.
+class StateCodeQPredictor : public ModelValuePredictor {
+ public:
+  std::vector<double> PredictValues(
+      const std::vector<float>& features) override {
+    return Q(features);
+  }
+  int num_actions() const override { return kActions; }
+
+  static std::vector<double> Q(const std::vector<float>& features) {
+    double code = 0.0;
+    for (size_t i = 0; i < features.size(); ++i) {
+      if (features[i] != 0.0f) {
+        code += std::ldexp(1.0, static_cast<int>(i) - kLabels);
+      }
+    }
+    std::vector<double> q(kActions);
+    for (int a = 0; a < kActions; ++a) {
+      q[static_cast<size_t>(a)] = 0.125 * a - 1.0 + code;
+    }
+    return q;
+  }
+};
+
 class WideQPredictor : public ModelValuePredictor {
  public:
   std::vector<double> PredictValues(const std::vector<float>&) override {
@@ -75,11 +103,21 @@ LabelingState StateWith(std::initializer_list<int> labels) {
   return state;
 }
 
+// Sets `state` to the labels whose bits `subset` holds.
+void SetSubset(LabelingState* state, int subset) {
+  state->Reset();
+  for (int label = 0; label < kLabels; ++label) {
+    if (subset & (1 << label)) state->SetLabel(label);
+  }
+}
+
 // Reads `actions` of `slot`'s row at `state` through one RowView and
-// expects each to be the plane's decision value for the state's Q.
+// expects each to be the plane's decision value for the state's Q, as
+// `Predictor` computes it.
+template <typename Predictor = EdgeQPredictor>
 void ExpectRow(DecisionPlane::Slot* slot, const LabelingState& state,
                const std::vector<int>& actions) {
-  const std::vector<double> q = EdgeQPredictor::Q(state.Features());
+  const std::vector<double> q = Predictor::Q(state.Features());
   const bool profit =
       slot->plane()->row_kind() == DecisionRow::kSchedulingProfit;
   DecisionPlane::RowView row = slot->Row(state);
@@ -234,6 +272,70 @@ TEST(DecisionPlaneTest, PastTheMemoCapRowsLandInSlotBuffers) {
   ExpectRow(a, early, Actions(0, 1));
   EXPECT_EQ(plane.memo_hits(), 1);
   EXPECT_EQ(plane.profit_evaluations(), evaluations + kActions - 1);
+}
+
+TEST(DecisionPlaneTest, MemoRowsStayInPlaceWhileTheMemoFillsPastItsCap) {
+  StateCodeQPredictor predictor;
+  DecisionPlane plane(&predictor, DecisionRow::kSchedulingProfit,
+                      /*memoize_rows=*/true);
+  // The memo's first row, the empty state's, read in part by a slot that
+  // stays attached to it.
+  const LabelingState empty = StateWith({});
+  DecisionPlane::Slot* early = plane.NewSlot();
+  ExpectRow<StateCodeQPredictor>(early, empty, Actions(0, 2));
+  long evaluations = plane.profit_evaluations();
+
+  // Fill the memo through Prefetch, 64 states a call, past kRowMemoCap:
+  // the states are subsets 1 to kStates of the 16 labels (subset 0 is the
+  // empty state). This crosses every slab and every index growth, and the
+  // states past the cap land in slot buffers.
+  constexpr int kBatch = 64;
+  constexpr int kCap = static_cast<int>(DecisionPlane::kRowMemoCap);
+  constexpr int kStates = kCap + 4 * kBatch;
+  ASSERT_LT(kStates, 1 << kLabels);
+  std::vector<DecisionPlane::Slot*> slots;
+  std::vector<LabelingState> states(kBatch, LabelingState(kLabels, kModels));
+  for (int i = 0; i < kBatch; ++i) slots.push_back(plane.NewSlot());
+  util::Arena arena;
+  std::vector<DecisionPlane::SlotView> views;
+  for (int first = 1; first <= kStates; first += kBatch) {
+    views.clear();
+    for (int i = 0; i < kBatch; ++i) {
+      SetSubset(&states[static_cast<size_t>(i)], first + i);
+      slots[static_cast<size_t>(i)]->Invalidate();
+      views.emplace_back(slots[static_cast<size_t>(i)],
+                         &states[static_cast<size_t>(i)]);
+    }
+    arena.Reset();
+    plane.Prefetch(views, &arena);
+  }
+  EXPECT_EQ(plane.batched_rows(), kStates);
+  EXPECT_EQ(plane.memo_hits(), 0);
+
+  // The early slot still reads its row where it was, bit for bit, and
+  // transforms the odd entries in place: a slot the memo serves the empty
+  // state now finds every entry transformed.
+  ExpectRow<StateCodeQPredictor>(early, empty, Actions(0, 1));
+  evaluations += kActions / 2;
+  EXPECT_EQ(plane.profit_evaluations(), evaluations);
+  DecisionPlane::Slot* late = plane.NewSlot();
+  ExpectRow<StateCodeQPredictor>(late, empty, Actions(0, 1));
+  EXPECT_EQ(plane.memo_hits(), 1);
+  EXPECT_EQ(plane.profit_evaluations(), evaluations);
+
+  // Every memoized state, queried again in reverse insertion order, is a
+  // memo hit with its own row; the states past the cap are not.
+  LabelingState state(kLabels, kModels);
+  long hits = plane.memo_hits();
+  for (int subset = kStates; subset >= 1; --subset) {
+    SetSubset(&state, subset);
+    late->Invalidate();
+    ExpectRow<StateCodeQPredictor>(late, state, {kEdges});
+    if (subset < kCap) ++hits;
+    ASSERT_EQ(plane.memo_hits(), hits) << "subset " << subset;
+  }
+  EXPECT_EQ(plane.memo_hits(), kCap);
+  EXPECT_EQ(plane.profit_evaluations(), evaluations + kStates);
 }
 
 TEST(DecisionPlaneDeathTest, RowsTrackAtMost64Actions) {

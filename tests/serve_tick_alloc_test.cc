@@ -6,7 +6,9 @@
 // must perform ZERO heap allocations once the first pass over the workload
 // has sized every buffer. A warm lean Submit, which labels on the session's
 // resident record, carries the same contract, and so does the raw-buffer
-// Agent forward underneath, checked on its own.
+// Agent forward underneath, checked on its own. Filling a plane's row memo
+// to its cap may allocate per slab and per index or key-pool growth, never
+// per row.
 //
 // The hook is a global operator new/delete replacement with a flag-gated
 // counter. It is compiled out under sanitizers (they interpose allocation
@@ -20,13 +22,16 @@
 #include <new>
 #include <vector>
 
+#include "core/decision_plane.h"
 #include "core/labeling_service.h"
+#include "core/labeling_state.h"
 #include "data/dataset.h"
 #include "data/dataset_profile.h"
 #include "data/oracle.h"
 #include "nn/net.h"
 #include "obs/trace.h"
 #include "rl/agent.h"
+#include "util/arena.h"
 #include "util/clock.h"
 #include "util/rng.h"
 
@@ -171,6 +176,75 @@ TEST(AgentAllocTest, PredictValuesBatchToIsAllocationFreeAfterWarmup) {
     });
     EXPECT_EQ(allocs, 0u) << "net kind " << static_cast<int>(kind);
   }
+}
+
+// Rows written straight into the caller's buffer, so the predictor itself
+// never allocates: entry a is a plus the state's set-label count.
+class RawRowPredictor : public core::ModelValuePredictor {
+ public:
+  static constexpr int kActions = 31;
+
+  std::vector<double> PredictValues(
+      const std::vector<float>& features) override {
+    const std::vector<float>* state = &features;
+    std::vector<double> row(kActions);
+    PredictValuesBatchTo(&state, nullptr, 1, row.data());
+    return row;
+  }
+  void PredictValuesBatchTo(const std::vector<float>* const* states,
+                            const std::vector<int>* const*, size_t count,
+                            double* out) override {
+    for (size_t i = 0; i < count; ++i) {
+      double labels = 0.0;
+      for (const float f : *states[i]) labels += f;
+      for (int a = 0; a < kActions; ++a) *out++ = a + labels;
+    }
+  }
+  int num_actions() const override { return kActions; }
+};
+
+TEST(RowMemoAllocTest, FillingTheMemoAllocatesPerSlabNotPerRow) {
+  AMS_SKIP_WITHOUT_ALLOC_HOOKS();
+  // A stepper's plane fills its row memo with kRowMemoCap distinct label
+  // states, here subsets of 16 labels, 64 per Prefetch. Rows go to slabs,
+  // keys to one pool and the index doubles, so the whole fill may allocate
+  // only per slab and per growth, never per row.
+  constexpr int kLabels = 16;
+  constexpr int kBatch = 64;
+  constexpr int kCap = static_cast<int>(core::DecisionPlane::kRowMemoCap);
+  ASSERT_LE(kCap, 1 << kLabels);
+  RawRowPredictor predictor;
+  core::DecisionPlane plane(&predictor, core::DecisionRow::kSchedulingProfit,
+                            /*memoize_rows=*/true);
+  // Constructed in place: a state reserves its label lists up front, and a
+  // copy would not keep the capacity.
+  std::vector<core::LabelingState> states;
+  states.reserve(kBatch);
+  std::vector<core::DecisionPlane::SlotView> views;
+  views.reserve(kBatch);
+  for (int i = 0; i < kBatch; ++i) {
+    states.emplace_back(kLabels, RawRowPredictor::kActions - 1);
+    views.emplace_back(plane.NewSlot(), &states.back());
+  }
+  util::Arena arena;
+
+  const size_t allocs = CountAllocations([&] {
+    for (int first = 0; first < kCap; first += kBatch) {
+      for (int i = 0; i < kBatch; ++i) {
+        core::LabelingState& state = states[static_cast<size_t>(i)];
+        state.Reset();
+        for (int label = 0; label < kLabels; ++label) {
+          if ((first + i) & (1 << label)) state.SetLabel(label);
+        }
+        views[static_cast<size_t>(i)].first->Invalidate();
+      }
+      arena.Reset();
+      plane.Prefetch(views, &arena);
+    }
+  });
+  EXPECT_EQ(plane.batched_rows(), kCap);
+  EXPECT_EQ(plane.memo_hits(), 0);
+  EXPECT_LT(allocs, 256u);
 }
 
 class TickAllocTest : public ::testing::Test {

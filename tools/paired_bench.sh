@@ -5,30 +5,43 @@
 #
 # Usage (from anywhere inside the repository):
 #
-#   tools/paired_bench.sh BASE_REF
+#   tools/paired_bench.sh BASE_REF [SEEDS [SECONDS]]
 #
+# SEEDS (default 3) pairs of SECONDS-long runs (default 4) per workload.
 # .paired_bench at the repository root is emptied first and then holds the
 # two result sets (base/ and head/), each run's log and both builds.
 # BASE_REF is checked out as a detached git worktree in
 # .paired_bench/worktree, removed again on exit.
-# For seeds 1-3 and every workload of the checkout's BENCHMARK.json, each
-# side runs its own benchmark/run.py --workload W --seed S --seconds 4 into
-# its own results directory, built in its own CARGO_TARGET_DIR. The base
+# For seeds 1 to SEEDS and every workload of the checkout's BENCHMARK.json,
+# each side runs its own benchmark/run.py --workload W --seed S --seconds
+# SECONDS into its own results directory, built in its own
+# CARGO_TARGET_DIR. The base
 # runs only the workloads its own BENCHMARK.json also lists (its run.py
 # accepts no other), so a workload new in the checkout shows up in
 # compare.py as having no runs on the base side. The side that goes first
 # alternates per seed, so drift in the host's speed hits both alike.
+# With 10 or more seeds, enough pairs for the claim rule, the script also
+# prints compare.py --pairs, which says whether a metric's gain can be
+# claimed; a claim is one command:
+#
+#   tools/paired_bench.sh BASE_REF 10 30
 #
 # Exit status: 1 when any run fails (a build failure, a run failure or an
 # output mismatch against Submit) or when the checkout's compare.py finds an
-# end-to-end metric worse than its BENCHMARK.json bound; 0 otherwise.
+# end-to-end metric worse than its BENCHMARK.json bound; 0 otherwise. The
+# --pairs verdict does not change it.
 
 set -uo pipefail
 
-if [[ $# -ne 1 ]]; then
-  echo "usage: tools/paired_bench.sh BASE_REF" >&2
+usage() {
+  echo "usage: tools/paired_bench.sh BASE_REF [SEEDS [SECONDS]]" >&2
   exit 2
-fi
+}
+[[ $# -ge 1 && $# -le 3 ]] || usage
+seeds=${2:-3}
+seconds=${3:-4}
+[[ $seeds =~ ^[1-9][0-9]*$ ]] || usage
+[[ $seconds =~ ^[0-9]*\.?[0-9]+$ && ! $seconds =~ ^0*\.?0*$ ]] || usage
 root=$(git rev-parse --show-toplevel) || exit 2
 base_rev=$(git -C "$root" rev-parse --verify "$1^{commit}") || exit 2
 out="$root/.paired_bench"
@@ -67,7 +80,7 @@ run_side() {
   fi
   echo "== $side $workload seed $seed" >&2
   if ! CARGO_TARGET_DIR="$out/build-$side" python3 "$tree/benchmark/run.py" \
-      --workload "$workload" --seed "$seed" --seconds 4 \
+      --workload "$workload" --seed "$seed" --seconds "$seconds" \
       --results "$out/$side" >"$out/$side-$workload-s$seed.log"; then
     echo "FAILED: $side $workload seed $seed" \
          "(see $out/$side-$workload-s$seed.log)" >&2
@@ -75,7 +88,7 @@ run_side() {
   fi
 }
 
-for seed in 1 2 3; do
+for seed in $(seq 1 "$seeds"); do
   for workload in $head_workloads; do
     if (( seed % 2 == 1 )); then
       run_side base "$base_tree" "$workload" "$seed"
@@ -88,6 +101,10 @@ for seed in 1 2 3; do
 done
 
 echo "== base $base_rev vs head $(git -C "$root" rev-parse HEAD)" \
-     "(4 s runs, seeds 1-3)"
+     "($seconds s runs, seeds 1-$seeds)"
 python3 "$root/benchmark/compare.py" "$out/base" "$out/head" || status=1
+if (( seeds >= 10 )); then
+  echo "== claim rule (compare.py --pairs)"
+  python3 "$root/benchmark/compare.py" --pairs "$out/base" "$out/head"
+fi
 exit "$status"
