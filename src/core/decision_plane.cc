@@ -120,19 +120,37 @@ void DecisionPlane::Attach(Slot* slot, double* row,
   slot->labels_at_ = state.num_labels_set();
 }
 
-void DecisionPlane::Slot::Refresh(const LabelingState& state) {
-  const uint32_t hash =
-      plane_->memoize_rows_ ? KeyHash(state.SetIndices()) : 0;
-  if (plane_->ServeFromMemo(this, state, hash)) return;
+void DecisionPlane::ForwardRow(const LabelingState& state, double* row) {
   // One row through the batched inference forward rather than
   // PredictValues: the rows are bitwise identical, but the scalar entry is
   // the training forward, which caches activations for Backward and
   // allocates on every call.
-  double* row = plane_->NewMemoRow(state, hash);
-  if (row == nullptr) row = plane_->OwnRow(this);
   const std::vector<float>* features = &state.Features();
   const std::vector<int>* indices = &state.SetIndices();
-  plane_->predictor_->PredictValuesBatchTo(&features, &indices, 1, row + 1);
+  predictor_->PredictValuesBatchTo(&features, &indices, 1, row + 1);
+}
+
+void DecisionPlane::AttachOpeningRow(Slot* slot, const LabelingState& state) {
+  if (opening_.empty()) {
+    // After a drop, resize reuses the buffer.
+    opening_.resize(row_words_);
+    StoreMask(opening_.data(), new_row_mask_);
+    ForwardRow(state, opening_.data());
+  }
+  Attach(slot, opening_.data(), state);
+}
+
+void DecisionPlane::Slot::Refresh(const LabelingState& state) {
+  if (!plane_->memoize_rows_ && state.num_labels_set() == 0) {
+    plane_->AttachOpeningRow(this, state);
+    return;
+  }
+  const uint32_t hash =
+      plane_->memoize_rows_ ? KeyHash(state.SetIndices()) : 0;
+  if (plane_->ServeFromMemo(this, state, hash)) return;
+  double* row = plane_->NewMemoRow(state, hash);
+  if (row == nullptr) row = plane_->OwnRow(this);
+  plane_->ForwardRow(state, row);
   plane_->Attach(this, row, state);
 }
 

@@ -41,7 +41,8 @@ enum class DecisionRow {
 /// DecisionRow value; pickers read it through a RowView, which does the
 /// turning on first read. A slot refers to its row in place: a memoized row
 /// lives in the plane's row memo and is shared by every slot at that state
-/// (a memo hit copies nothing), any other row in the slot's own buffer. On
+/// (a memo hit copies nothing), the opening row (below) in the plane, any
+/// other row in the slot's own buffer. On
 /// top of that, LabelingService::ItemStepper, which multiplexes the serve::
 /// runtime's in-flight items, calls Prefetch() once per tick to coalesce all
 /// stale slots into ONE batched forward pass — one prediction per tick
@@ -50,9 +51,22 @@ enum class DecisionRow {
 /// prefetch), so Prefetch is an optimization, never a correctness
 /// requirement.
 ///
+/// Every item opens on the state with no labels set, so a plane without a
+/// row memo keeps that state's row, the opening row, after the single-row
+/// path first forwards it: every later item's first pick reads it, and the
+/// profits earlier picks transformed in it, without a forward. A
+/// SubmitBatch worker builds its plane per call over a predictor clone
+/// synced at the call's start, so the empty state is forwarded once per
+/// worker per call instead of once per item. Like a slot's cached row, the
+/// opening row is right only while the predictor stays frozen: Submit's
+/// plane outlives calls and wraps the session's own predictor, which may
+/// change between calls, so Submit drops it (DropOpeningRow) at every call.
+/// A memoizing plane's memo already holds the empty state's row.
+///
 /// Not thread-safe: one plane per worker, like the predictor it wraps.
-/// Picks write the profits they compute back into shared memo rows, so two
-/// threads must never read rows of one plane either.
+/// Picks write the profits they compute back into shared rows (memo rows,
+/// the opening row), so two threads must never read rows of one plane
+/// either.
 class DecisionPlane {
  public:
   class Slot;  // declared ahead: RowView's constructor is Slot's alone
@@ -64,13 +78,16 @@ class DecisionPlane {
   /// queries for the same state skip the forward pass entirely. Worth it
   /// only for long-lived planes (the serve runtime's steppers, where steady
   /// state becomes mostly memo hits). A per-call plane pays the inserts
-  /// without living long enough to profit: a SubmitBatch driver that ticked
-  /// a fresh stepper per call measured 33.6-37.0 us per item with the memo
-  /// and 27.2-34.7 us without it on one worker over 5,000-item calls
-  /// (4-vCPU Xeon guest, g++ 12.2 Release), and the per-item path it would
-  /// have replaced beat both, so SubmitBatch keeps per-item pickers
-  /// (measured with an earlier memo that made three heap allocations per
-  /// insert).
+  /// without living long enough to profit, and the opening row alone saves
+  /// more than a per-call memo would: the empty state is 1.0 of the 4.99
+  /// rows each SubmitBatch item forwarded, and 30.0 of its 45.8 profit
+  /// transforms (1,667 offline_batch items on one worker). In a
+  /// one-worker SubmitBatch harness (1,667-item calls, 200 rounds
+  /// alternating in one process; 4-vCPU Intel Xeon KVM guest, g++ 12.2
+  /// Release), a per-call flat memo took 8.7% off the CPU per item and the
+  /// opening row 10.8%: the opening row read 2.0% below the memo (138 of
+  /// 200 rounds) with no key hashing and no slab fills, so SubmitBatch
+  /// keeps memo-less per-record planes.
   DecisionPlane(ModelValuePredictor* predictor, DecisionRow row,
                 bool memoize_rows = false);
 
@@ -161,11 +178,14 @@ class DecisionPlane {
     /// invalidated first (LabelingService's resident item records do so on
     /// every re-arm): freshness is keyed on the label count alone, so a
     /// slot left valid would hand the next item the row cached for the
-    /// previous one whenever their label counts match. Each item's first
-    /// query is at the empty state, so with a frozen predictor that row is
-    /// the empty state's and still right; after the predictor changed
-    /// between the two items (Submit decides from the session's own
-    /// predictor) it is stale.
+    /// previous one whenever their label counts match. A stale row of the
+    /// empty state is the one exception, and only under a frozen
+    /// predictor: every item's first query is at the empty state, and its
+    /// row is a function of the predictor alone, which is why the plane
+    /// keeps it as the opening row. After the predictor changed between two
+    /// items (Submit decides from the session's own predictor) that row is
+    /// stale too: invalidating the slot then refreshes it only together
+    /// with DropOpeningRow.
     void Invalidate() { labels_at_ = -1; }
 
     DecisionPlane* plane() const { return plane_; }
@@ -192,6 +212,12 @@ class DecisionPlane {
   /// unbounded stream of items (serve::ServerRuntime) holds a bounded slot
   /// set.
   Slot* NewSlot();
+
+  /// Forgets the opening row, so the next slot refreshed at the empty state
+  /// forwards it again; its buffer is kept. For a plane whose predictor may
+  /// have changed since the row was forwarded. A slot attached to the row
+  /// must be invalidated as well, or it keeps reading the old values.
+  void DropOpeningRow() { opening_.clear(); }
 
   /// Refreshes every stale slot among `views` with one batched forward pass
   /// (fresh slots are skipped; memo-servable slots point at the memo's row;
@@ -271,6 +297,12 @@ class DecisionPlane {
   void GrowIndex();
   /// `slot`'s own buffer, sized and marked untransformed likewise.
   double* OwnRow(Slot* slot) const;
+  /// Writes `state`'s Q values after `row`'s mask word, with one single-row
+  /// forward.
+  void ForwardRow(const LabelingState& state, double* row);
+  /// Points `slot` at the opening row for the empty `state`, forwarding it
+  /// first when the plane holds none.
+  void AttachOpeningRow(Slot* slot, const LabelingState& state);
   /// Points `slot` at `row` as the row for `state`.
   void Attach(Slot* slot, double* row, const LabelingState& state);
 
@@ -280,6 +312,9 @@ class DecisionPlane {
   size_t row_words_ = 0;  // doubles per row: the mask word and stride_ values
   uint64_t new_row_mask_ = 0;  // the mask of a fresh row
   std::deque<Slot> slots_;  // deque: slot pointers must stay stable
+  /// The empty state's row on a plane without a memo, or empty when the
+  /// plane holds none (never forwarded, or dropped).
+  std::vector<double> opening_;
   /// Plane-lifetime decision-row memo keyed by state signature: items pass
   /// through shared sparse label-states (every item starts all-zero, common
   /// label combinations recur across items), so a long-lived driver — the

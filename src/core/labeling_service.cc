@@ -432,6 +432,13 @@ LabelOutcome LabelingService::Submit(const WorkItem& item) {
         MakeDecisionState(/*clone_predictor=*/false, /*worker_index=*/0);
     session_state_ready_ = true;
   }
+  // The record's plane outlives this call and wraps the session's own
+  // predictor, which may have changed since the last one (a training loop,
+  // a checkpoint reload), so the empty state's row is forwarded afresh.
+  if (session_state_.record != nullptr &&
+      session_state_.record->slot() != nullptr) {
+    session_state_.record->slot()->plane()->DropOpeningRow();
+  }
   const uint64_t stream_id = item.item >= 0
                                  ? static_cast<uint64_t>(item.item)
                                  : live_sequence_++;

@@ -25,24 +25,20 @@ void DenseLayer::Forward(const Matrix& x, Matrix* y) const {
   AddRowVector(y, b_);
 }
 
-void DenseLayer::ForwardSparseRows(
-    const std::vector<const std::vector<float>*>& rows,
-    const std::vector<const std::vector<int>*>& indices, Matrix* y) const {
-  const int n = static_cast<int>(rows.size());
+void DenseLayer::ForwardSparseRows(const std::vector<float>* const* rows,
+                                   const std::vector<int>* const* indices,
+                                   size_t count, Matrix* y) const {
   const int in = w_.rows();
-  AMS_CHECK(indices.empty() || indices.size() == rows.size(),
-            "sparse index lists must be absent or parallel to the rows");
-  y->Resize(n, w_.cols());  // SparseRowProduct writes every element
-  for (int i = 0; i < n; ++i) {
-    const std::vector<float>& x = *rows[static_cast<size_t>(i)];
+  y->Resize(static_cast<int>(count), w_.cols());  // every element written
+  for (size_t i = 0; i < count; ++i) {
+    const std::vector<float>& x = *rows[i];
     AMS_CHECK(static_cast<int>(x.size()) == in,
               "dense layer input dim mismatch");
     // Known set positions gather only those weight rows; ascending order
     // keeps the accumulation identical to the dense scan (whose zero
     // entries contribute nothing).
-    const std::vector<int>* idx =
-        indices.empty() ? nullptr : indices[static_cast<size_t>(i)];
-    SparseRowProduct(x.data(), idx, w_, y->Row(i));
+    const std::vector<int>* idx = indices == nullptr ? nullptr : indices[i];
+    SparseRowProduct(x.data(), idx, w_, y->Row(static_cast<int>(i)));
   }
   AddRowVector(y, b_);
 }

@@ -39,17 +39,14 @@ class DenseLayer {
   /// each output element starts at +0, adds v*w for the nonzero inputs in
   /// ascending kk order, then adds the bias.
   ///
-  /// `indices` may be empty (every row is scanned densely) or parallel to
-  /// `rows`; a non-null indices[i] lists the nonzero positions of rows[i] in
+  /// `rows` points at `count` rows. `indices` may be null (every row is
+  /// scanned densely) or point at `count` entries parallel to `rows`; a
+  /// non-null indices[i] lists the nonzero positions of rows[i] in
   /// ascending order (LabelingState::SetIndices), letting that row skip the
   /// dense zero scan entirely while keeping the same accumulation order.
-  void ForwardSparseRows(const std::vector<const std::vector<float>*>& rows,
-                         const std::vector<const std::vector<int>*>& indices,
+  void ForwardSparseRows(const std::vector<float>* const* rows,
+                         const std::vector<int>* const* indices, size_t count,
                          Matrix* y) const;
-  void ForwardSparseRows(const std::vector<const std::vector<float>*>& rows,
-                         Matrix* y) const {
-    ForwardSparseRows(rows, {}, y);
-  }
 
   /// Given the input batch `x` used in Forward and dL/dy, computes dW, db and
   /// (if grad_x != nullptr) dL/dx.

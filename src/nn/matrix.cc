@@ -63,11 +63,12 @@ void SparseRowProduct(const float* x, const std::vector<int>* support,
   }
   float* values = value_scratch.data();
   int* rows = row_scratch.data();
-  // Branchless compaction: every candidate is written, only a nonzero one
-  // advances the cursor. -0.0 compares equal to 0 and is skipped; NaN is
-  // not zero and is kept.
+  const simd::Kernels& kernels = simd::Active();
   int cnt = 0;
   if (support != nullptr) {
+    // Branchless compaction, as in the dense kernel: every candidate is
+    // written, only a nonzero one advances the cursor. -0.0 compares equal
+    // to 0 and is skipped; NaN is not zero and is kept.
     for (const int kk : *support) {
       const float xv = x[kk];
       values[cnt] = xv;
@@ -75,14 +76,9 @@ void SparseRowProduct(const float* x, const std::vector<int>* support,
       cnt += xv != 0.0f;
     }
   } else {
-    for (int kk = 0; kk < k; ++kk) {
-      const float xv = x[kk];
-      values[cnt] = xv;
-      rows[cnt] = kk;
-      cnt += xv != 0.0f;
-    }
+    cnt = kernels.pack_nonzero(x, k, values, rows);
   }
-  simd::Active().gather_rows(values, rows, cnt, b.data(), out, b.cols());
+  kernels.gather_rows(values, rows, cnt, b.data(), out, b.cols());
 }
 
 void Gemm(const Matrix& a, const Matrix& b, Matrix* out) {

@@ -76,9 +76,11 @@ void Gemm(const Matrix& a, const Matrix& b, Matrix* out);
 /// zeros keeps an inf/NaN weight row behind a zero input out of the output.
 /// `support`, when non-null, lists in ascending order the only positions of
 /// x that may be nonzero, so a sparse row skips the scan of its zeros;
-/// otherwise all b.rows() positions of x are scanned. out (b.cols() floats)
-/// must not alias x or b. The compaction scratch is thread-local and
-/// allocation-free once warm.
+/// otherwise all b.rows() positions of x are scanned by the left-pack
+/// kernel (simd::Kernels::pack_nonzero; 8 lanes a step on AVX2), which
+/// every Gemm row — each hidden row of a forward, each dense training
+/// input — runs. out (b.cols() floats) must not alias x or b. The
+/// compaction scratch is thread-local and allocation-free once warm.
 void SparseRowProduct(const float* x, const std::vector<int>* support,
                       const Matrix& b, float* out);
 

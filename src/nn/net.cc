@@ -118,19 +118,24 @@ void Mlp::Forward(const Matrix& x, Matrix* q) {
   *q = pre_act_.back();  // linear output layer
 }
 
-void Mlp::PredictBatch(const std::vector<const std::vector<float>*>& rows,
-                       const std::vector<const std::vector<int>*>& indices,
+void Mlp::PredictBatch(const std::vector<float>* const* rows,
+                       const std::vector<int>* const* indices, size_t count,
                        Matrix* q) {
   // Inference only: the sparse rows feed the first layer directly — no
   // dense input build, no input_ cache copy. Later layers run the normal
-  // dense path on the (small) hidden activations.
+  // dense path on the (small) hidden activations, and the linear output
+  // layer writes straight into q, which grows by Resize like every
+  // activation rather than by an exact-size copy.
   const size_t n = layers_.size();
-  layers_[0].ForwardSparseRows(rows, indices, &pre_act_[0]);
   for (size_t i = 0; i < n; ++i) {
-    if (i > 0) layers_[i].Forward(post_act_[i - 1], &pre_act_[i]);
+    Matrix* y = i + 1 < n ? &pre_act_[i] : q;
+    if (i == 0) {
+      layers_[0].ForwardSparseRows(rows, indices, count, y);
+    } else {
+      layers_[i].Forward(post_act_[i - 1], y);
+    }
     if (i + 1 < n) ReluForward(pre_act_[i], &post_act_[i]);
   }
-  *q = pre_act_.back();
 }
 
 void Mlp::Backward(const Matrix& grad_q) {
@@ -228,12 +233,12 @@ void DuelingMlp::Forward(const Matrix& x, Matrix* q) {
   CombineHeads(x.rows(), q);
 }
 
-void DuelingMlp::PredictBatch(
-    const std::vector<const std::vector<float>*>& rows,
-    const std::vector<const std::vector<int>*>& indices, Matrix* q) {
+void DuelingMlp::PredictBatch(const std::vector<float>* const* rows,
+                              const std::vector<int>* const* indices,
+                              size_t count, Matrix* q) {
   // Inference only: sparse rows feed the first trunk layer directly (see
   // Mlp::PredictBatch).
-  trunk_[0].ForwardSparseRows(rows, indices, &pre_act_[0]);
+  trunk_[0].ForwardSparseRows(rows, indices, count, &pre_act_[0]);
   ReluForward(pre_act_[0], &post_act_[0]);
   for (size_t i = 1; i < trunk_.size(); ++i) {
     trunk_[i].Forward(post_act_[i - 1], &pre_act_[i]);
@@ -242,7 +247,7 @@ void DuelingMlp::PredictBatch(
   const Matrix& trunk_out = post_act_.back();
   value_head_->Forward(trunk_out, &value_out_);
   advantage_head_->Forward(trunk_out, &advantage_out_);
-  CombineHeads(static_cast<int>(rows.size()), q);
+  CombineHeads(static_cast<int>(count), q);
 }
 
 void DuelingMlp::Backward(const Matrix& grad_q) {

@@ -41,23 +41,21 @@ class QValueNet {
   /// networks.
   void CopyWeightsFrom(QValueNet* src);
 
-  /// Inference-only batched forward over sparse state rows: q becomes
-  /// [rows.size(), output_dim], bitwise identical to Forward on the stacked
-  /// rows. Implementations skip the dense input build and the
-  /// activation-caching copies that only Backward needs, so this is the fast
-  /// path for batched prediction. Clobbers cached activations — do not call
-  /// Backward for a batch forwarded this way.
+  /// Inference-only batched forward over `count` sparse state rows passed
+  /// by pointer: q becomes [count, output_dim], bitwise identical to Forward
+  /// on the stacked rows. Implementations skip the dense input build and the
+  /// activation-caching copies that only Backward needs, and write the
+  /// output layer into q itself, so this is the fast path for batched
+  /// prediction and a warm call allocates nothing. Clobbers cached
+  /// activations — do not call Backward for a batch forwarded this way.
   ///
-  /// `indices` may be empty or parallel to `rows`: a non-null indices[i]
-  /// lists the nonzero positions of rows[i] in ascending order, so the first
-  /// layer skips the dense feature scan (DenseLayer::ForwardSparseRows).
-  virtual void PredictBatch(const std::vector<const std::vector<float>*>& rows,
-                            const std::vector<const std::vector<int>*>& indices,
-                            Matrix* q) = 0;
-  void PredictBatch(const std::vector<const std::vector<float>*>& rows,
-                    Matrix* q) {
-    PredictBatch(rows, {}, q);
-  }
+  /// `indices` may be null or point at `count` entries parallel to `rows`:
+  /// a non-null indices[i] lists the nonzero positions of rows[i] in
+  /// ascending order, so the first layer skips the dense feature scan
+  /// (DenseLayer::ForwardSparseRows).
+  virtual void PredictBatch(const std::vector<float>* const* rows,
+                            const std::vector<int>* const* indices,
+                            size_t count, Matrix* q) = 0;
 
   /// Convenience single-state forward pass.
   std::vector<float> Predict1(const std::vector<float>& x);
@@ -83,9 +81,8 @@ class Mlp : public QValueNet {
   int output_dim() const override { return config_.output_dim; }
 
   void Forward(const Matrix& x, Matrix* q) override;
-  using QValueNet::PredictBatch;
-  void PredictBatch(const std::vector<const std::vector<float>*>& rows,
-                    const std::vector<const std::vector<int>*>& indices,
+  void PredictBatch(const std::vector<float>* const* rows,
+                    const std::vector<int>* const* indices, size_t count,
                     Matrix* q) override;
   void Backward(const Matrix& grad_q) override;
   void CollectParams(std::vector<ParamGrad>* out) override;
@@ -119,9 +116,8 @@ class DuelingMlp : public QValueNet {
   int output_dim() const override { return config_.output_dim; }
 
   void Forward(const Matrix& x, Matrix* q) override;
-  using QValueNet::PredictBatch;
-  void PredictBatch(const std::vector<const std::vector<float>*>& rows,
-                    const std::vector<const std::vector<int>*>& indices,
+  void PredictBatch(const std::vector<float>* const* rows,
+                    const std::vector<int>* const* indices, size_t count,
                     Matrix* q) override;
   void Backward(const Matrix& grad_q) override;
   void CollectParams(std::vector<ParamGrad>* out) override;

@@ -14,11 +14,25 @@
 
 namespace ams::nn::simd {
 
-namespace {
-
 // ---------------------------------------------------------------------------
 // Scalar reference kernels. These are the semantics every vector tier must
 // reproduce bitwise (fp32) — they are also the portable fallback.
+
+int internal::ScalarPackNonzero(const float* x, int k, float* values,
+                                int* rows) {
+  // Branchless: every candidate is written, only a nonzero one advances the
+  // cursor, which therefore never passes the scan position.
+  int cnt = 0;
+  for (int kk = 0; kk < k; ++kk) {
+    const float xv = x[kk];
+    values[cnt] = xv;
+    rows[cnt] = kk;
+    cnt += xv != 0.0f;
+  }
+  return cnt;
+}
+
+namespace {
 
 void ScalarAxpy(float v, const float* b, float* out, int n) {
   for (int j = 0; j < n; ++j) out[j] += v * b[j];
@@ -53,7 +67,8 @@ void ScalarDot8(const float* a, const float* bt8, int n, float* acc8) {
 }
 
 const Kernels kScalarKernels = {
-    ScalarAxpy, ScalarGatherRows, ScalarAddInplace, ScalarRelu, ScalarDot8,
+    ScalarAxpy, internal::ScalarPackNonzero, ScalarGatherRows,
+    ScalarAddInplace, ScalarRelu, ScalarDot8,
 };
 
 // ---------------------------------------------------------------------------

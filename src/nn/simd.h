@@ -23,6 +23,16 @@ struct Kernels {
   /// (the scalar kernels' sparse zero-skip; adding 0 * b[j] would differ
   /// for inf/NaN inputs).
   void (*axpy)(float v, const float* b, float* out, int n);
+  /// Left-pack of a dense row's nonzeros, gather_rows' input: writes each
+  /// x[i] != 0 to values and its position i to rows, in ascending i, and
+  /// returns how many. -0.0 compares equal to 0 and is skipped; NaN is not
+  /// zero and is kept. values and rows hold k entries each: a tier may write
+  /// any entry, but never one past k, and the first `count` values (bitwise)
+  /// and positions are the same on every tier. The AVX2 tier packs 8 lanes
+  /// at a time through a movemask and a 256-entry permutation table; its
+  /// write cursor never passes its scan position, so its 8-lane stores stay
+  /// inside the k entries. NEON runs the scalar entry.
+  int (*pack_nonzero)(const float* x, int k, float* values, int* rows);
   /// Row gather, the forward's workhorse: for j in [0, n),
   ///   out[j] = ((+0 + v[0]*w[rows[0]][j]) + v[1]*w[rows[1]][j]) + ...
   /// over t in [0, cnt), so cnt == 0 stores +0. w is row-major with row
@@ -79,6 +89,8 @@ namespace internal {
 /// tier was not compiled into this binary.
 const Kernels* Avx2KernelsOrNull();
 const Kernels* NeonKernelsOrNull();
+/// The scalar tier's pack_nonzero, which the NEON table shares.
+int ScalarPackNonzero(const float* x, int k, float* values, int* rows);
 }  // namespace internal
 
 }  // namespace ams::nn::simd

@@ -10,7 +10,9 @@
 
 #if defined(__AVX2__)
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <immintrin.h>
 
 namespace ams::nn::simd::internal {
@@ -28,6 +30,59 @@ void Avx2Axpy(float v, const float* b, float* out, int n) {
     _mm256_storeu_ps(out + j, _mm256_add_ps(_mm256_loadu_ps(out + j), prod));
   }
   for (; j < n; ++j) out[j] += v * b[j];
+}
+
+// For each 8-bit mask of nonzero lanes, the lanes to move to the front, in
+// ascending order, one per nibble from the lowest; the nibbles past the
+// mask's popcount are 0. 1 KB rather than 8 KB of expanded indices.
+constexpr std::array<uint32_t, 256> MakeLeftPackTable() {
+  std::array<uint32_t, 256> table{};
+  for (unsigned mask = 0; mask < 256; ++mask) {
+    uint32_t packed = 0;
+    unsigned out = 0;
+    for (unsigned lane = 0; lane < 8; ++lane) {
+      if ((mask >> lane) & 1) packed |= lane << (4 * out++);
+    }
+    table[mask] = packed;
+  }
+  return table;
+}
+
+constexpr std::array<uint32_t, 256> kLeftPack = MakeLeftPackTable();
+
+// Left-packs 8 lanes a step: a _CMP_NEQ_UQ compare (true for NaN and any
+// nonzero; -0.0 == 0.0 is false) gives the lane mask, its table entry
+// shifted per lane gives the permutation (permutevar8x32 reads each index's
+// low 3 bits), and the permuted values and positions are stored whole at
+// the cursor. The cursor never passes the block's start, so the stores end
+// at or before kk + 8 <= k; the lanes past the popcount are overwritten by
+// the next step or lie beyond the count. The tail runs the scalar loop.
+int Avx2PackNonzero(const float* x, int k, float* values, int* rows) {
+  const __m256 zero = _mm256_setzero_ps();
+  const __m256i nibbles = _mm256_setr_epi32(0, 4, 8, 12, 16, 20, 24, 28);
+  const __m256i step = _mm256_set1_epi32(8);
+  __m256i positions = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  int cnt = 0;
+  int kk = 0;
+  for (; kk + 8 <= k; kk += 8) {
+    const __m256 v = _mm256_loadu_ps(x + kk);
+    const unsigned mask = static_cast<unsigned>(
+        _mm256_movemask_ps(_mm256_cmp_ps(v, zero, _CMP_NEQ_UQ)));
+    const __m256i perm = _mm256_srlv_epi32(
+        _mm256_set1_epi32(static_cast<int>(kLeftPack[mask])), nibbles);
+    _mm256_storeu_ps(values + cnt, _mm256_permutevar8x32_ps(v, perm));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(rows + cnt),
+                        _mm256_permutevar8x32_epi32(positions, perm));
+    cnt += __builtin_popcount(mask);
+    positions = _mm256_add_epi32(positions, step);
+  }
+  for (; kk < k; ++kk) {
+    const float xv = x[kk];
+    values[cnt] = xv;
+    rows[cnt] = kk;
+    cnt += xv != 0.0f;
+  }
+  return cnt;
 }
 
 // Leading-lanes mask: lane l is active iff l < m, for m in [1, 8].
@@ -127,7 +182,8 @@ void Avx2Dot8(const float* a, const float* bt8, int n, float* acc8) {
 }
 
 const Kernels kAvx2Kernels = {
-    Avx2Axpy, Avx2GatherRows, Avx2AddInplace, Avx2Relu, Avx2Dot8,
+    Avx2Axpy, Avx2PackNonzero, Avx2GatherRows, Avx2AddInplace, Avx2Relu,
+    Avx2Dot8,
 };
 
 }  // namespace

@@ -69,8 +69,11 @@ void NeonDot8(const float* a, const float* bt8, int n, float* acc8) {
   vst1q_f32(acc8 + 4, hi);
 }
 
+// The left-pack is the scalar loop: a NEON one should come with an aarch64
+// run that shows it pays, like the gather's register tile.
 const Kernels kNeonKernels = {
-    NeonAxpy, NeonGatherRows, NeonAddInplace, NeonRelu, NeonDot8,
+    NeonAxpy, ScalarPackNonzero, NeonGatherRows, NeonAddInplace, NeonRelu,
+    NeonDot8,
 };
 
 }  // namespace

@@ -33,15 +33,11 @@ void Agent::PredictValuesBatchTo(const std::vector<float>* const* states,
                                  const std::vector<int>* const* set_indices,
                                  size_t count, double* out) {
   if (count == 0) return;
-  // assign() reuses the pointer-scratch capacity; after warm-up this whole
-  // call (including the net's activation matrices) allocates nothing.
-  batch_rows_.assign(states, states + count);
-  if (set_indices != nullptr) {
-    batch_indices_.assign(set_indices, set_indices + count);
-  } else {
-    batch_indices_.clear();
-  }
-  net_->PredictBatch(batch_rows_, batch_indices_, &batch_q_);
+  // The caller's arrays go straight through, and batch_q_ and the net's
+  // activations grow by Matrix::Resize: a warm call allocates nothing, and
+  // a call with more rows than any before allocates only when a buffer
+  // outgrows its doubled capacity.
+  net_->PredictBatch(states, set_indices, count, &batch_q_);
   const size_t stride = static_cast<size_t>(num_actions());
   double* dst = out;
   for (size_t i = 0; i < count; ++i) {

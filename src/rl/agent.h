@@ -24,9 +24,10 @@ class Agent : public core::ModelValuePredictor {
   /// bitwise identical to the scalar PredictValues result (the net's Gemm
   /// computes rows independently in the same operation order). Set-index
   /// lists, when provided, route the first layer through the sparse-row
-  /// fast path. After warm-up (pointer scratch + net activation matrices at
-  /// steady capacity) a call performs zero heap allocations, which is what
-  /// lets an arena-fed DecisionPlane tick allocation-free.
+  /// fast path. The caller's arrays go straight to the net; once the output
+  /// and the net's activation matrices have grown to the batch size, a call
+  /// performs zero heap allocations, which is what lets an arena-fed
+  /// DecisionPlane tick allocation-free.
   void PredictValuesBatchTo(const std::vector<float>* const* states,
                             const std::vector<int>* const* set_indices,
                             size_t count, double* out) override;
@@ -60,10 +61,8 @@ class Agent : public core::ModelValuePredictor {
  private:
   std::unique_ptr<nn::QValueNet> net_;
   nn::NetKind kind_;
-  /// Scratch for the batched forwards, reused across calls.
+  /// The batched forward's output, reused across calls.
   nn::Matrix batch_q_;
-  std::vector<const std::vector<float>*> batch_rows_;
-  std::vector<const std::vector<int>*> batch_indices_;
 };
 
 }  // namespace ams::rl

@@ -8,10 +8,14 @@
 // cases: q at and above its clamp at 10, q so negative that exp underflows
 // to 0, and q == 0. Slots point into the row memo, so its rows must never
 // move: one case fills the memo past kRowMemoCap and reads its first row
-// through a slot attached before the fill.
+// through a slot attached before the fill. A plane without a memo keeps the
+// empty state's row: one case runs 50 items through one slot and counts a
+// single forward of that state and at most one transform per entry, until
+// the row is dropped for a changed predictor.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -87,6 +91,31 @@ class StateCodeQPredictor : public ModelValuePredictor {
     }
     return q;
   }
+};
+
+// StateCodeQPredictor's rows raised by `offset`, a stand-in for a
+// predictor whose weights change; counts its forwards of the empty state.
+class CountingQPredictor : public ModelValuePredictor {
+ public:
+  std::vector<double> PredictValues(
+      const std::vector<float>& features) override {
+    if (std::all_of(features.begin(), features.end(),
+                    [](float f) { return f == 0.0f; })) {
+      ++empty_forwards;
+    }
+    return Q(features, offset);
+  }
+  int num_actions() const override { return kActions; }
+
+  static std::vector<double> Q(const std::vector<float>& features,
+                               double offset) {
+    std::vector<double> q = StateCodeQPredictor::Q(features);
+    for (double& v : q) v += offset;
+    return q;
+  }
+
+  double offset = 0.0;
+  int empty_forwards = 0;
 };
 
 class WideQPredictor : public ModelValuePredictor {
@@ -336,6 +365,56 @@ TEST(DecisionPlaneTest, MemoRowsStayInPlaceWhileTheMemoFillsPastItsCap) {
   }
   EXPECT_EQ(plane.memo_hits(), kCap);
   EXPECT_EQ(plane.profit_evaluations(), evaluations + kStates);
+}
+
+TEST(DecisionPlaneTest, PlaneWithoutMemoForwardsTheOpeningRowOnce) {
+  CountingQPredictor predictor;
+  DecisionPlane plane(&predictor, DecisionRow::kSchedulingProfit);
+  DecisionPlane::Slot* slot = plane.NewSlot();
+  const LabelingState empty = StateWith({});
+  // Reads `actions` of the slot's row at `state` as one pick, checks them
+  // against the predictor's current offset, and returns the transforms the
+  // pick made.
+  const auto pick = [&](const LabelingState& state,
+                        const std::vector<int>& actions) {
+    const std::vector<double> q =
+        CountingQPredictor::Q(state.Features(), predictor.offset);
+    const long before = plane.profit_evaluations();
+    {
+      DecisionPlane::RowView row = slot->Row(state);
+      for (const int a : actions) {
+        EXPECT_EQ(Bits(row[a]),
+                  Bits(SchedulingProfit(q[static_cast<size_t>(a)])))
+            << "action " << a << ", offset " << predictor.offset;
+      }
+    }
+    return plane.profit_evaluations() - before;
+  };
+
+  // 50 items on one re-armed slot, as a SubmitBatch worker labels them:
+  // each opens on the empty state, scoring every third model from its own
+  // start, then moves on to a labeled state in the slot's own buffer.
+  constexpr int kItems = 50;
+  long opening_evaluations = 0;
+  for (int item = 0; item < kItems; ++item) {
+    slot->Invalidate();
+    opening_evaluations += pick(empty, Actions(item % 3, 3));
+    EXPECT_EQ(pick(StateWith({item % kLabels}), Actions(0, 1)), kActions);
+  }
+  EXPECT_EQ(predictor.empty_forwards, 1);
+  EXPECT_EQ(opening_evaluations, kActions);
+  EXPECT_EQ(plane.memo_hits(), 0);
+
+  // The predictor changes between items: after Submit's drop the next item
+  // forwards the empty state again and reads the new values.
+  predictor.offset = 0.5;
+  plane.DropOpeningRow();
+  slot->Invalidate();
+  EXPECT_EQ(pick(empty, Actions(0, 1)), kActions);
+  EXPECT_EQ(predictor.empty_forwards, 2);
+  slot->Invalidate();
+  EXPECT_EQ(pick(empty, Actions(0, 1)), 0);
+  EXPECT_EQ(predictor.empty_forwards, 2);
 }
 
 TEST(DecisionPlaneDeathTest, RowsTrackAtMost64Actions) {

@@ -1,11 +1,14 @@
 // Tests of the session-based LabelingService facade and the PolicyRegistry:
 // builder validation, batch determinism, registry lookup, serial vs parallel
-// parity on unconstrained items, Algorithm 1's planning rule and the
-// recall-target stop.
+// parity on unconstrained items, Algorithm 1's planning rule, the
+// recall-target stop and how often the empty state is forwarded.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -34,6 +37,31 @@ class StaticPredictor : public ModelValuePredictor {
 
  private:
   std::vector<double> q_;
+};
+
+// StaticPredictor that counts forwards of the empty state; its clones
+// share the counter, so a session's worker clones add to one count.
+class EmptyStateCountingPredictor : public ModelValuePredictor {
+ public:
+  EmptyStateCountingPredictor(std::vector<double> q,
+                              std::shared_ptr<std::atomic<int>> forwards)
+      : q_(std::move(q)), forwards_(std::move(forwards)) {}
+  std::vector<double> PredictValues(
+      const std::vector<float>& features) override {
+    if (std::all_of(features.begin(), features.end(),
+                    [](float f) { return f == 0.0f; })) {
+      forwards_->fetch_add(1);
+    }
+    return q_;
+  }
+  int num_actions() const override { return static_cast<int>(q_.size()); }
+  std::unique_ptr<ModelValuePredictor> ClonePredictor() const override {
+    return std::make_unique<EmptyStateCountingPredictor>(q_, forwards_);
+  }
+
+ private:
+  std::vector<double> q_;
+  std::shared_ptr<std::atomic<int>> forwards_;
 };
 
 class LabelingServiceTest : public ::testing::Test {
@@ -446,6 +474,43 @@ TEST_F(LabelingServiceTest, ParallelModeHonoursMemoryBudget) {
     EXPECT_LE(outcome.schedule.peak_mem_mb, 8192.0 + 1e-6);
     EXPECT_LE(outcome.schedule.makespan_s, 1.0 + 1e-9)
         << "replayed execution times are known, so nothing overshoots";
+  }
+}
+
+// --- the opening row -------------------------------------------------------
+
+TEST_F(LabelingServiceTest, EmptyStateIsForwardedOncePerWorkerBlockPerCall) {
+  // Every item opens on the empty state, and no item is skipped (no recall
+  // target), so each item's first pick reads its row. A SubmitBatch worker
+  // forwards it once for its whole block, on a plane built for the call;
+  // Submit forwards it once per call, since the session's predictor may
+  // change between calls.
+  const auto forwards = std::make_shared<std::atomic<int>>(0);
+  EmptyStateCountingPredictor predictor(UniformQ(1.0, -5.0), forwards);
+  ScheduleConstraints constraints;
+  constraints.time_budget_s = 0.5;
+  constexpr int kWorkers = 3;
+  LabelingService session = LabelingServiceBuilder(zoo_)
+                                .WithOracle(oracle_)
+                                .WithPredictor(&predictor)
+                                .WithMode(ExecutionMode::kSerial)
+                                .WithConstraints(constraints)
+                                .WithWorkers(kWorkers)
+                                .Build();
+  const std::vector<WorkItem> items = StoredItems(30);
+  for (int call = 1; call <= 2; ++call) {
+    const std::vector<LabelOutcome> outcomes = session.SubmitBatch(items);
+    for (const LabelOutcome& outcome : outcomes) {
+      ASSERT_FALSE(outcome.schedule.executions.empty());
+    }
+    EXPECT_EQ(forwards->load(), call * kWorkers) << "call " << call;
+  }
+
+  forwards->store(0);
+  for (int i = 0; i < 4; ++i) {
+    const LabelOutcome outcome = session.Submit(items[static_cast<size_t>(i)]);
+    ASSERT_FALSE(outcome.schedule.executions.empty());
+    EXPECT_EQ(forwards->load(), i + 1) << "Submit call " << i + 1;
   }
 }
 

@@ -118,8 +118,9 @@ TEST(PredictBatchTest, SetIndexListsAreBitwiseIdenticalToDenseScan) {
       net = std::make_unique<Mlp>(config, 13);
     }
     Matrix dense_q, sparse_q;
-    net->PredictBatch(row_ptrs, &dense_q);
-    net->PredictBatch(row_ptrs, index_ptrs, &sparse_q);
+    net->PredictBatch(row_ptrs.data(), nullptr, row_ptrs.size(), &dense_q);
+    net->PredictBatch(row_ptrs.data(), index_ptrs.data(), row_ptrs.size(),
+                      &sparse_q);
     ASSERT_EQ(sparse_q.rows(), dense_q.rows());
     ASSERT_EQ(sparse_q.cols(), dense_q.cols());
     for (int i = 0; i < dense_q.size(); ++i) {

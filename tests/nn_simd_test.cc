@@ -127,6 +127,78 @@ TEST_F(SimdParityTest, GatherRowsBitwiseMatchesScalarAndAxpyChain) {
   }
 }
 
+// The left-pack on the scalar entry and on every supported vector tier
+// against its definition: the count of x[i] != 0, then those values
+// (bitwise) and positions in ascending order. -0.0 is zero and skipped;
+// NaN is not and is kept. Rows mix +-0.0, NaN, +-inf and subnormals, and
+// include all-zero, all-nonzero and mostly-zero rows of every length from 0
+// to 40 (below, at and across the 8-lane steps), 256 (a hidden row) and
+// 1,104 (a dense input). Outputs hold exactly k entries, so a store past
+// them trips ASan.
+TEST_F(SimdParityTest, PackNonzeroMatchesScalarOnEveryTier) {
+  std::vector<simd::Tier> tiers = {simd::Tier::kScalar};
+  for (const simd::Tier tier : {simd::Tier::kAvx2, simd::Tier::kNeon}) {
+    if (simd::TierSupported(tier)) tiers.push_back(tier);
+  }
+  std::vector<int> lengths;
+  for (int k = 0; k <= 40; ++k) lengths.push_back(k);
+  lengths.push_back(256);
+  lengths.push_back(1104);
+  const float inf = std::numeric_limits<float>::infinity();
+  // Two zeros, then eight nonzeros.
+  const float kValues[] = {0.0f,
+                           -0.0f,
+                           1.0f,
+                           -2.5f,
+                           std::numeric_limits<float>::quiet_NaN(),
+                           inf,
+                           -inf,
+                           1e-40f,
+                           -3e-39f,
+                           std::numeric_limits<float>::denorm_min()};
+  const char* const kFills[] = {"all zero", "all nonzero", "mixed",
+                                "mostly zero"};
+  util::Rng rng(61);
+  for (const int k : lengths) {
+    for (int fill = 0; fill < 4; ++fill) {
+      std::vector<float> x(static_cast<size_t>(k));
+      for (float& v : x) {
+        const bool nonzero = fill == 1   ? true
+                             : fill == 2 ? rng.Bernoulli(0.5)
+                             : fill == 3 ? rng.Bernoulli(0.1)
+                                         : false;
+        v = kValues[nonzero ? rng.UniformInt(2, 9) : rng.UniformInt(0, 1)];
+      }
+      std::vector<float> want_values;
+      std::vector<int> want_rows;
+      for (int i = 0; i < k; ++i) {
+        if (x[static_cast<size_t>(i)] != 0.0f) {
+          want_values.push_back(x[static_cast<size_t>(i)]);
+          want_rows.push_back(i);
+        }
+      }
+      const int want = static_cast<int>(want_rows.size());
+      for (const simd::Tier tier : tiers) {
+        const std::string what = std::string("pack_nonzero on ") +
+                                 simd::TierName(tier) + ", k=" +
+                                 std::to_string(k) + ", " + kFills[fill];
+        std::vector<float> values(static_cast<size_t>(k));
+        std::vector<int> rows(static_cast<size_t>(k));
+        const int got = simd::KernelsFor(tier).pack_nonzero(
+            x.data(), k, values.data(), rows.data());
+        ASSERT_EQ(got, want) << what;
+        if (want > 0) {
+          ExpectBitEqual(want_values.data(), values.data(),
+                         static_cast<size_t>(want), what + " values");
+        }
+        ASSERT_TRUE(std::equal(want_rows.begin(), want_rows.end(),
+                               rows.begin()))
+            << what << " positions";
+      }
+    }
+  }
+}
+
 TEST_F(SimdParityTest, AddInplaceBitwiseMatchesScalar) {
   simd::Tier tier;
   if (!VectorTier(&tier)) GTEST_SKIP() << "no vector tier on this machine";
@@ -326,13 +398,13 @@ TEST_F(SimdParityTest, ForwardSparseRowsBitwiseMatchesScalarTier) {
 
   Matrix dense_s, sparse_s;
   simd::ForceTier(simd::Tier::kScalar);
-  layer.ForwardSparseRows(row_ptrs, &dense_s);
-  layer.ForwardSparseRows(row_ptrs, idx_ptrs, &sparse_s);
+  layer.ForwardSparseRows(row_ptrs.data(), nullptr, 4, &dense_s);
+  layer.ForwardSparseRows(row_ptrs.data(), idx_ptrs.data(), 4, &sparse_s);
 
   Matrix dense_v, sparse_v;
   simd::ForceTier(tier);
-  layer.ForwardSparseRows(row_ptrs, &dense_v);
-  layer.ForwardSparseRows(row_ptrs, idx_ptrs, &sparse_v);
+  layer.ForwardSparseRows(row_ptrs.data(), nullptr, 4, &dense_v);
+  layer.ForwardSparseRows(row_ptrs.data(), idx_ptrs.data(), 4, &sparse_v);
 
   ExpectMatrixBitEqual(dense_s, dense_v, "ForwardSparseRows dense-scan");
   ExpectMatrixBitEqual(sparse_s, sparse_v, "ForwardSparseRows indexed");
@@ -401,13 +473,10 @@ TEST_F(SimdParityTest, ZeroInputsHidePoisonedWeightRows) {
     Gemm(x, clean.weights(), &want);
     Gemm(x, poisoned.weights(), &got);
     ExpectMatrixBitEqual(want, got, "Gemm" + on);
-    clean.ForwardSparseRows(row_ptrs, &want);
+    clean.ForwardSparseRows(row_ptrs.data(), nullptr, 3, &want);
     for (const bool hinted : {false, true}) {
-      if (hinted) {
-        poisoned.ForwardSparseRows(row_ptrs, idx_ptrs, &got);
-      } else {
-        poisoned.ForwardSparseRows(row_ptrs, &got);
-      }
+      poisoned.ForwardSparseRows(row_ptrs.data(),
+                                 hinted ? idx_ptrs.data() : nullptr, 3, &got);
       ExpectMatrixBitEqual(want, got,
                            std::string("ForwardSparseRows") +
                                (hinted ? " indexed" : " dense") + on);
@@ -442,13 +511,13 @@ TEST_F(SimdParityTest, PredictBatchBitwiseMatchesScalarTierEndToEnd) {
 
   Matrix mlp_s, duel_s;
   simd::ForceTier(simd::Tier::kScalar);
-  mlp.PredictBatch(row_ptrs, &mlp_s);
-  dueling.PredictBatch(row_ptrs, &duel_s);
+  mlp.PredictBatch(row_ptrs.data(), nullptr, row_ptrs.size(), &mlp_s);
+  dueling.PredictBatch(row_ptrs.data(), nullptr, row_ptrs.size(), &duel_s);
 
   Matrix mlp_v, duel_v;
   simd::ForceTier(tier);
-  mlp.PredictBatch(row_ptrs, &mlp_v);
-  dueling.PredictBatch(row_ptrs, &duel_v);
+  mlp.PredictBatch(row_ptrs.data(), nullptr, row_ptrs.size(), &mlp_v);
+  dueling.PredictBatch(row_ptrs.data(), nullptr, row_ptrs.size(), &duel_v);
 
   ExpectMatrixBitEqual(mlp_s, mlp_v, "Mlp::PredictBatch");
   ExpectMatrixBitEqual(duel_s, duel_v, "DuelingMlp::PredictBatch");

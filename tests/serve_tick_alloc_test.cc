@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
@@ -175,6 +176,47 @@ TEST(AgentAllocTest, PredictValuesBatchToIsAllocationFreeAfterWarmup) {
                                   out.data());
     });
     EXPECT_EQ(allocs, 0u) << "net kind " << static_cast<int>(kind);
+  }
+}
+
+TEST(AgentAllocTest, LargerBatchesAllocateOnlyWhenABufferDoubles) {
+  AMS_SKIP_WITHOUT_ALLOC_HOOKS();
+  // A stepper's forwards grow now and then by a row. The caller's pointer
+  // arrays go straight through to the net, and its output and activations
+  // grow by Matrix::Resize, whose capacity at least doubles: warmed at 8
+  // rows and then 9, every buffer holds 16 rows, so no call from 10 to 16
+  // rows allocates.
+  constexpr int kInput = 40;
+  constexpr int kOutput = 9;
+  constexpr size_t kMaxRows = 16;
+  util::Rng rng(5);
+  std::vector<std::vector<float>> rows(kMaxRows,
+                                       std::vector<float>(kInput, 0.0f));
+  std::vector<std::vector<int>> indices(kMaxRows);
+  std::vector<const std::vector<float>*> row_ptrs;
+  std::vector<const std::vector<int>*> index_ptrs;
+  for (size_t r = 0; r < kMaxRows; ++r) {
+    indices[r] = rng.SampleWithoutReplacement(kInput, 5);
+    std::sort(indices[r].begin(), indices[r].end());
+    for (const int i : indices[r]) rows[r][static_cast<size_t>(i)] = 1.0f;
+    row_ptrs.push_back(&rows[r]);
+    index_ptrs.push_back(&indices[r]);
+  }
+  std::vector<double> out(kMaxRows * kOutput, 0.0);
+  for (const nn::NetKind kind : {nn::NetKind::kMlp, nn::NetKind::kDueling}) {
+    std::unique_ptr<rl::Agent> agent = MakeAgent(kInput, kOutput, kind, 12);
+    for (const size_t warm : {size_t{8}, size_t{9}}) {
+      agent->PredictValuesBatchTo(row_ptrs.data(), index_ptrs.data(), warm,
+                                  out.data());
+    }
+    for (size_t count = 10; count <= kMaxRows; ++count) {
+      const size_t allocs = CountAllocations([&] {
+        agent->PredictValuesBatchTo(row_ptrs.data(), index_ptrs.data(), count,
+                                    out.data());
+      });
+      EXPECT_EQ(allocs, 0u)
+          << "net kind " << static_cast<int>(kind) << ", " << count << " rows";
+    }
   }
 }
 
