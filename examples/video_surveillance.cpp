@@ -125,7 +125,8 @@ int main() {
       // Face recalled within the 0.5 s budget?
       bool recalled = false;
       for (const auto& record : executions) {
-        for (const auto& out : oracle.Output(item, record.model_id)) {
+        for (const zoo::LabelOutput out :
+             oracle.Output(item, record.model_id)) {
           if (out.label_id == face_label) recalled = true;
         }
       }

@@ -30,7 +30,7 @@ std::vector<zoo::LabelOutput> LabelingState::Apply(
     int model_id, zoo::LabelOutputView outputs) {
   MarkExecuted(model_id);
   std::vector<zoo::LabelOutput> fresh;
-  for (const auto& out : outputs) {
+  for (const zoo::LabelOutput out : outputs) {
     if (SetLabel(out.label_id)) fresh.push_back(out);
   }
   return fresh;

@@ -199,7 +199,7 @@ bool ScheduleKernel::Step() {
   // and is recorded in the touched list.
   state_.MarkExecuted(done_run.model_id);
   double gain = 0.0;
-  for (const auto& out : outputs) {
+  for (const zoo::LabelOutput out : outputs) {
     double& best = best_conf_[static_cast<size_t>(out.label_id)];
     if (out.confidence > best) {
       if (best == 0.0) {

@@ -111,7 +111,7 @@ class LiveExecutionContext : public ExecutionContext {
   /// Holds the last Execute result so outputs can be served as a view (the
   /// kernel consumes them before the next execution); reused, so it grows
   /// only while outputs get longer.
-  mutable std::vector<zoo::LabelOutput> last_outputs_;
+  mutable zoo::LabelOutputColumns last_outputs_;
 };
 
 /// Replay of one stored item: outputs and times come from the oracle, so

@@ -15,7 +15,7 @@ ValueAccumulator::ValueAccumulator(const data::Oracle* oracle, int item)
 double ValueAccumulator::MarginalGain(int model) const {
   if (added_[static_cast<size_t>(model)]) return 0.0;
   double gain = 0.0;
-  for (const auto& out : oracle_->Output(item_, model)) {
+  for (const zoo::LabelOutput out : oracle_->Output(item_, model)) {
     const double prev = best_conf_[static_cast<size_t>(out.label_id)];
     if (out.confidence > prev) gain += out.confidence - prev;
   }
@@ -26,7 +26,7 @@ double ValueAccumulator::AddModel(int model) {
   AMS_CHECK(!added_[static_cast<size_t>(model)], "model added twice");
   added_[static_cast<size_t>(model)] = true;
   double gain = 0.0;
-  for (const auto& out : oracle_->Output(item_, model)) {
+  for (const zoo::LabelOutput out : oracle_->Output(item_, model)) {
     double& best = best_conf_[static_cast<size_t>(out.label_id)];
     if (out.confidence > best) {
       gain += out.confidence - best;

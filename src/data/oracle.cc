@@ -29,8 +29,8 @@ void Oracle::BuildBlock(int block) {
   const int last = std::min(first + kBuildBlockItems, num_items());
   // The block's outputs grow here and are copied once, exactly sized, into
   // its storage, so the build's slack is one block per thread.
-  std::vector<zoo::LabelOutput> outputs;
-  std::vector<uint32_t> offsets;
+  zoo::LabelOutputColumns outputs;
+  std::vector<uint16_t> offsets;
   offsets.reserve(static_cast<size_t>(last - first) *
                       static_cast<size_t>(num_models_) +
                   1);
@@ -43,11 +43,11 @@ void Oracle::BuildBlock(int block) {
     const zoo::LatentScene& scene = dataset_->item(i).scene;
     for (int m = 0; m < num_models_; ++m) {
       const size_t begin = outputs.size();
-      offsets.push_back(static_cast<uint32_t>(begin));
+      offsets.push_back(static_cast<uint16_t>(begin));
       zoo_->ExecuteInto(m, scene, &outputs);
       exec_time_[Cell(i, m)] = zoo_->SampleExecutionTime(m, scene);
-      for (size_t k = begin; k < outputs.size(); ++k) {
-        const zoo::LabelOutput& out = outputs[k];
+      for (const zoo::LabelOutput out :
+           outputs.Slice(begin, outputs.size() - begin)) {
         double& label_best = best[static_cast<size_t>(out.label_id)];
         if (label_best == 0.0) touched.push_back(out.label_id);
         label_best = std::max(label_best, out.confidence);
@@ -63,11 +63,11 @@ void Oracle::BuildBlock(int block) {
     touched.clear();
     true_total_value_[static_cast<size_t>(i)] = total;
   }
-  AMS_CHECK(outputs.size() <= std::numeric_limits<uint32_t>::max(),
-            "an oracle block holds more outputs than uint32_t offsets reach");
-  offsets.push_back(static_cast<uint32_t>(outputs.size()));
+  AMS_CHECK(outputs.size() <= std::numeric_limits<uint16_t>::max(),
+            "an oracle block holds more outputs than uint16_t offsets reach");
+  offsets.push_back(static_cast<uint16_t>(outputs.size()));
   Block& stored = blocks_[static_cast<size_t>(block)];
-  stored.outputs.assign(outputs.begin(), outputs.end());
+  stored.outputs = outputs;
   stored.offsets = std::move(offsets);
 }
 
@@ -78,13 +78,13 @@ zoo::LabelOutputView Oracle::Output(int item, int model) const {
       static_cast<size_t>(item) % kBuildBlockItems *
           static_cast<size_t>(num_models_) +
       static_cast<size_t>(model);
-  const uint32_t begin = block.offsets[pair];
-  return {block.outputs.data() + begin, block.offsets[pair + 1] - begin};
+  const uint16_t begin = block.offsets[pair];
+  return block.outputs.Slice(begin, block.offsets[pair + 1] - begin);
 }
 
 double Oracle::ModelSoloValue(int item, int model) const {
   double solo = 0.0;
-  for (const zoo::LabelOutput& out : Output(item, model)) {
+  for (const zoo::LabelOutput out : Output(item, model)) {
     solo += out.confidence;
   }
   return solo;
@@ -97,7 +97,7 @@ double Oracle::TrueTotalValue(int item) const {
 double Oracle::LabelProfit(int item, int label) const {
   double profit = 0.0;
   for (int m = 0; m < num_models(); ++m) {
-    for (const zoo::LabelOutput& out : Output(item, m)) {
+    for (const zoo::LabelOutput out : Output(item, m)) {
       if (out.label_id == label) profit = std::max(profit, out.confidence);
     }
   }

@@ -16,19 +16,24 @@ namespace ams::data {
 /// replay stored outputs instead of re-running inference.
 ///
 /// The tables are flat and item-major. Each block of kBuildBlockItems items
-/// keeps the outputs of all its (item, model) pairs in one contiguous array,
-/// indexed by one uint32_t offset per pair; execution times are an items x
-/// models row. Only valuable outputs are stored: ModelZoo::ExecuteInto drops
-/// the rest. The constructor builds the blocks concurrently on
-/// ThreadPool::DefaultThreads() threads, each block writing only its own
-/// storage and rows. ModelZoo::Execute and SampleExecutionTime are pure
-/// functions of (scene, model), so every stored bit is the same for any
-/// thread count.
+/// keeps the outputs of all its (item, model) pairs in one pair of columns
+/// (zoo::LabelOutputColumns: uint16_t label ids and double confidences, 10
+/// bytes an output), indexed by one uint16_t offset per pair; execution
+/// times are an items x models row. Only valuable outputs are stored:
+/// ModelZoo::ExecuteInto drops the rest. The constructor builds the blocks
+/// concurrently on ThreadPool::DefaultThreads() threads, each block writing
+/// only its own storage and rows. ModelZoo::Execute and SampleExecutionTime
+/// are pure functions of (scene, model), so every stored bit is the same for
+/// any thread count.
 class Oracle {
  public:
   /// Items per build block: the unit of parallel work and of contiguous
-  /// output storage.
-  static constexpr int kBuildBlockItems = 256;
+  /// output storage. Small enough for 16-bit offsets: no model emits a
+  /// label twice and the six single-label tasks emit at most one output, so
+  /// an item holds at most 3 x (80 + 70 + 17 + 42 + 6) = 645 outputs and a
+  /// block at most 41,280 (ModelZooTest.OutputCountsStayWithinTheOffsetBound;
+  /// BuildBlock checks it too).
+  static constexpr int kBuildBlockItems = 64;
 
   Oracle(const zoo::ModelZoo* zoo, const Dataset* dataset);
 
@@ -83,8 +88,8 @@ class Oracle {
   /// The stored outputs of one block's items: pair k = (local item) *
   /// models + model owns outputs [offsets[k], offsets[k + 1]).
   struct Block {
-    std::vector<zoo::LabelOutput> outputs;
-    std::vector<uint32_t> offsets;
+    zoo::LabelOutputColumns outputs;
+    std::vector<uint16_t> offsets;
   };
 
   void BuildBlock(int block);

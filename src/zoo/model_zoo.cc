@@ -135,20 +135,25 @@ double ModelZoo::SampleExecutionTime(int model_id, const LatentScene& scene) con
   return rng.LogNormal(mu, sigma);
 }
 
-std::vector<LabelOutput> ModelZoo::Execute(int model_id,
-                                           const LatentScene& scene) const {
-  std::vector<LabelOutput> out;
+LabelOutputColumns ModelZoo::Execute(int model_id,
+                                     const LatentScene& scene) const {
+  LabelOutputColumns out;
   ExecuteInto(model_id, scene, &out);
   return out;
 }
 
 void ModelZoo::ExecuteInto(int model_id, const LatentScene& scene,
-                           std::vector<LabelOutput>* dest) const {
+                           LabelOutputColumns* dest) const {
   const ModelSpec& spec = model(model_id);
   // Independent deterministic noise stream per (item, model).
   util::Rng rng(util::HashCombine(scene.item_seed, 0xE0E0u + model_id));
-  std::vector<LabelOutput>& out = *dest;
-  const size_t begin = out.size();
+  // Low-confidence detections are waste (Fig. 1): only valuable ones leave
+  // the zoo. Every detection is drawn, so the noise stream advances the
+  // same either way, and one below the threshold is dropped on the spot;
+  // the kept ones keep their order and their bits.
+  const auto emit = [dest](int label, double confidence) {
+    if (confidence >= kValuableConfidence) dest->push_back({label, confidence});
+  };
   const double acc = spec.accuracy;
 
   switch (spec.task) {
@@ -159,15 +164,14 @@ void ModelZoo::ExecuteInto(int model_id, const LatentScene& scene,
         if (rng.Bernoulli(0.25 * (1.0 - acc) * (1.0 - vis))) continue;
         const int label =
             labels_.LabelId(TaskKind::kObjectDetection, scene.objects[i]);
-        out.push_back({label, Confidence(acc, vis, label, model_id, &rng)});
+        emit(label, Confidence(acc, vis, label, model_id, &rng));
       }
       break;
     }
     case TaskKind::kPlaceClassification: {
       const int label =
           labels_.LabelId(TaskKind::kPlaceClassification, scene.scene_id);
-      out.push_back(
-          {label, Confidence(acc, scene.scene_clarity, label, model_id, &rng)});
+      emit(label, Confidence(acc, scene.scene_clarity, label, model_id, &rng));
       break;
     }
     case TaskKind::kFaceDetection: {
@@ -177,8 +181,7 @@ void ModelZoo::ExecuteInto(int model_id, const LatentScene& scene,
       }
       if (best_quality > 0.0) {
         const int label = labels_.LabelId(TaskKind::kFaceDetection, 0);
-        out.push_back(
-            {label, Confidence(acc, best_quality, label, model_id, &rng)});
+        emit(label, Confidence(acc, best_quality, label, model_id, &rng));
       }
       break;
     }
@@ -195,8 +198,7 @@ void ModelZoo::ExecuteInto(int model_id, const LatentScene& scene,
             max_kp * std::clamp(best_quality * (0.55 + 0.45 * acc), 0.0, 1.0));
         for (int k = 0; k < num_kp; ++k) {
           const int label = labels_.LabelId(TaskKind::kFaceLandmark, k);
-          out.push_back(
-              {label, Confidence(acc, best_quality, label, model_id, &rng)});
+          emit(label, Confidence(acc, best_quality, label, model_id, &rng));
         }
       }
       break;
@@ -213,8 +215,7 @@ void ModelZoo::ExecuteInto(int model_id, const LatentScene& scene,
             max_kp * std::clamp(best_vis * (0.6 + 0.4 * acc), 0.0, 1.0));
         for (int k = 0; k < num_kp; ++k) {
           const int label = labels_.LabelId(TaskKind::kPoseEstimation, k);
-          out.push_back(
-              {label, Confidence(acc, best_vis, label, model_id, &rng)});
+          emit(label, Confidence(acc, best_vis, label, model_id, &rng));
         }
       }
       break;
@@ -224,8 +225,7 @@ void ModelZoo::ExecuteInto(int model_id, const LatentScene& scene,
         if (!p.face_visible) continue;
         const int label =
             labels_.LabelId(TaskKind::kEmotionClassification, p.emotion);
-        out.push_back(
-            {label, Confidence(acc, p.face_quality, label, model_id, &rng)});
+        emit(label, Confidence(acc, p.face_quality, label, model_id, &rng));
         break;  // classify the most prominent face only
       }
       break;
@@ -235,8 +235,7 @@ void ModelZoo::ExecuteInto(int model_id, const LatentScene& scene,
         if (!p.face_visible) continue;
         const int label =
             labels_.LabelId(TaskKind::kGenderClassification, p.gender);
-        out.push_back(
-            {label, Confidence(acc, p.face_quality, label, model_id, &rng)});
+        emit(label, Confidence(acc, p.face_quality, label, model_id, &rng));
         break;
       }
       break;
@@ -245,8 +244,8 @@ void ModelZoo::ExecuteInto(int model_id, const LatentScene& scene,
       if (scene.action_id >= 0 && scene.has_person()) {
         const int label =
             labels_.LabelId(TaskKind::kActionClassification, scene.action_id);
-        out.push_back({label, Confidence(acc, scene.action_clarity, label,
-                                         model_id, &rng)});
+        emit(label,
+             Confidence(acc, scene.action_clarity, label, model_id, &rng));
       }
       break;
     }
@@ -262,7 +261,7 @@ void ModelZoo::ExecuteInto(int model_id, const LatentScene& scene,
             max_kp * std::clamp(best * (0.5 + 0.5 * acc), 0.0, 1.0));
         for (int k = 0; k < num_kp; ++k) {
           const int label = labels_.LabelId(TaskKind::kHandLandmark, k);
-          out.push_back({label, Confidence(acc, best, label, model_id, &rng)});
+          emit(label, Confidence(acc, best, label, model_id, &rng));
         }
       }
       break;
@@ -271,19 +270,12 @@ void ModelZoo::ExecuteInto(int model_id, const LatentScene& scene,
       if (scene.has_dog) {
         const int label =
             labels_.LabelId(TaskKind::kDogClassification, scene.dog_breed);
-        out.push_back({label, Confidence(acc, scene.dog_visibility, label,
-                                         model_id, &rng)});
+        emit(label,
+             Confidence(acc, scene.dog_visibility, label, model_id, &rng));
       }
       break;
     }
   }
-  // Low-confidence detections are waste (Fig. 1): only valuable ones leave
-  // the zoo.
-  out.erase(std::remove_if(out.begin() + static_cast<long>(begin), out.end(),
-                           [](const LabelOutput& o) {
-                             return o.confidence < kValuableConfidence;
-                           }),
-            out.end());
 }
 
 }  // namespace ams::zoo

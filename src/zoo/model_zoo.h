@@ -2,6 +2,7 @@
 #define AMS_ZOO_MODEL_ZOO_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "zoo/label_space.h"
@@ -10,33 +11,94 @@
 
 namespace ams::zoo {
 
+// Label ids are stored as uint16_t (LabelOutputColumns).
+static_assert(kTotalLabels <= 65536, "label ids must fit in uint16_t");
+
 /// One emitted label with the model's confidence in it.
 struct LabelOutput {
   int label_id;
   double confidence;
 };
 
-/// A read-only view of consecutive LabelOutputs: a pointer and a size, as
-/// the oracle stores outputs and execution contexts serve them. It owns
-/// nothing; whatever it was built from must outlive it. Built implicitly
-/// from a vector, so vectors pass wherever a view is taken.
+/// A read-only view of consecutive outputs held as two columns, label ids
+/// and confidences: the two pointers and a size, as the oracle stores
+/// outputs and execution contexts serve them. Each element is read as a
+/// LabelOutput value. It owns nothing; whatever it was built from must
+/// outlive it. LabelOutputColumns convert to it implicitly, so they pass
+/// wherever a view is taken.
 class LabelOutputView {
  public:
-  LabelOutputView() = default;
-  LabelOutputView(const LabelOutput* data, size_t size)
-      : data_(data), size_(size) {}
-  LabelOutputView(const std::vector<LabelOutput>& outputs)
-      : data_(outputs.data()), size_(outputs.size()) {}
+  /// Yields the outputs as LabelOutput values (a range-for iterator).
+  class Iterator {
+   public:
+    Iterator(const uint16_t* label, const double* confidence)
+        : label_(label), confidence_(confidence) {}
+    LabelOutput operator*() const { return {*label_, *confidence_}; }
+    Iterator& operator++() {
+      ++label_;
+      ++confidence_;
+      return *this;
+    }
+    bool operator!=(const Iterator& other) const {
+      return label_ != other.label_;
+    }
 
-  const LabelOutput* begin() const { return data_; }
-  const LabelOutput* end() const { return data_ + size_; }
-  const LabelOutput& operator[](size_t i) const { return data_[i]; }
+   private:
+    const uint16_t* label_;
+    const double* confidence_;
+  };
+
+  LabelOutputView() = default;
+  LabelOutputView(const uint16_t* labels, const double* confidences,
+                  size_t size)
+      : labels_(labels), confidences_(confidences), size_(size) {}
+
+  Iterator begin() const { return {labels_, confidences_}; }
+  Iterator end() const { return {labels_ + size_, confidences_ + size_}; }
+  LabelOutput operator[](size_t i) const {
+    return {labels_[i], confidences_[i]};
+  }
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
  private:
-  const LabelOutput* data_ = nullptr;
+  const uint16_t* labels_ = nullptr;
+  const double* confidences_ = nullptr;
   size_t size_ = 0;
+};
+
+/// Outputs as two columns, the zoo's one output format: label ids as
+/// uint16_t and confidences as doubles, 10 bytes an output where a
+/// LabelOutput takes 16 (4 of them padding). ModelZoo::ExecuteInto appends
+/// to them; reads go through LabelOutputView.
+class LabelOutputColumns {
+ public:
+  void push_back(const LabelOutput& out) {
+    labels_.push_back(static_cast<uint16_t>(out.label_id));
+    confidences_.push_back(out.confidence);
+  }
+  void clear() {
+    labels_.clear();
+    confidences_.clear();
+  }
+
+  /// The outputs [first, first + count).
+  LabelOutputView Slice(size_t first, size_t count) const {
+    return {labels_.data() + first, confidences_.data() + first, count};
+  }
+  operator LabelOutputView() const { return Slice(0, size()); }
+
+  LabelOutputView::Iterator begin() const { return Slice(0, size()).begin(); }
+  LabelOutputView::Iterator end() const { return Slice(0, size()).end(); }
+  LabelOutput operator[](size_t i) const {
+    return {labels_[i], confidences_[i]};
+  }
+  size_t size() const { return labels_.size(); }
+  bool empty() const { return labels_.empty(); }
+
+ private:
+  std::vector<uint16_t> labels_;
+  std::vector<double> confidences_;
 };
 
 /// Confidence at or above which a label counts as "valuable"
@@ -75,12 +137,13 @@ class ModelZoo {
   /// them. Detections the model makes with lower confidence are dropped, so
   /// an empty result covers both kinds of waste the paper's Fig. 1 shows: no
   /// output and only low-confidence output.
-  std::vector<LabelOutput> Execute(int model_id, const LatentScene& scene) const;
+  LabelOutputColumns Execute(int model_id, const LatentScene& scene) const;
   /// Execute's outputs appended to `dest`, so a caller that keeps one
   /// buffer (the oracle build, a live execution context) allocates only as
-  /// it grows. Only the appended range is filtered; what `dest` held stays.
+  /// it grows. Only the appended outputs are filtered; what `dest` held
+  /// stays.
   void ExecuteInto(int model_id, const LatentScene& scene,
-                   std::vector<LabelOutput>* dest) const;
+                   LabelOutputColumns* dest) const;
 
   /// Sum of all model mean times (the "no policy" per-item cost).
   double TotalTimeSeconds() const;

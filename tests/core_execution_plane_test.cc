@@ -400,7 +400,8 @@ uint64_t Bits(double x) {
   return bits;
 }
 
-bool SameOutputs(zoo::LabelOutputView a, zoo::LabelOutputView b) {
+bool SameOutputs(const std::vector<zoo::LabelOutput>& a,
+                 const std::vector<zoo::LabelOutput>& b) {
   return std::equal(a.begin(), a.end(), b.begin(), b.end(),
                     [](const zoo::LabelOutput& x, const zoo::LabelOutput& y) {
                       return x.label_id == y.label_id &&

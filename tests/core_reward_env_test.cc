@@ -139,7 +139,7 @@ TEST_F(EnvTest, DuplicateTaskOutputsEarnPunishment) {
       oracle_->zoo().ModelsForTask(zoo::TaskKind::kPlaceClassification);
   // The first valuable label of a model's output, or -1 if it has none.
   const auto first_valuable_label = [&](int item, int model) {
-    for (const zoo::LabelOutput& out : oracle_->Output(item, model)) {
+    for (const zoo::LabelOutput out : oracle_->Output(item, model)) {
       if (out.confidence >= zoo::kValuableConfidence) return out.label_id;
     }
     return -1;

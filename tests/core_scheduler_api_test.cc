@@ -96,7 +96,7 @@ TEST_F(SchedulerApiTest, GreedyFullRunCollectsTheUnionValue) {
   EXPECT_EQ(models.size(), 30u) << "each model exactly once";
   std::map<int, double> best;
   for (int m = 0; m < 30; ++m) {
-    for (const auto& out : zoo_->Execute(m, scene)) {
+    for (const zoo::LabelOutput out : zoo_->Execute(m, scene)) {
       if (out.confidence >= zoo::kValuableConfidence) {
         best[out.label_id] = std::max(best[out.label_id], out.confidence);
       }

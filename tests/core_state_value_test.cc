@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 
 #include "core/labeling_state.h"
 #include "core/value.h"
@@ -16,14 +17,19 @@
 namespace ams::core {
 namespace {
 
-// Apply takes a view of the outputs; a temporary vector outlives the call.
-using Outputs = std::vector<zoo::LabelOutput>;
+// Apply takes a view of the outputs; temporary columns outlive the call.
+zoo::LabelOutputColumns Outputs(
+    std::initializer_list<zoo::LabelOutput> list) {
+  zoo::LabelOutputColumns columns;
+  for (const zoo::LabelOutput& out : list) columns.push_back(out);
+  return columns;
+}
 
 // Apply sees only valuable outputs: the zoo drops the rest
 // (ModelZooTest.ExecuteKeepsOnlyValuableOutputs).
 TEST(LabelingStateTest, ApplyTracksFreshValuableLabelsOnly) {
   LabelingState state(10, 3);
-  const std::vector<zoo::LabelOutput> outputs = {{1, 0.9}, {3, 0.6}};
+  const zoo::LabelOutputColumns outputs = Outputs({{1, 0.9}, {3, 0.6}});
   const auto fresh = state.Apply(0, outputs);
   ASSERT_EQ(fresh.size(), 2u);
   EXPECT_EQ(fresh[0].label_id, 1);
@@ -36,7 +42,7 @@ TEST(LabelingStateTest, ApplyTracksFreshValuableLabelsOnly) {
   EXPECT_EQ(state.num_executed(), 1);
 
   // A second model re-emitting label 1 contributes nothing fresh.
-  const auto fresh2 = state.Apply(1, Outputs{{1, 0.95}, {4, 0.7}});
+  const auto fresh2 = state.Apply(1, Outputs({{1, 0.95}, {4, 0.7}}));
   ASSERT_EQ(fresh2.size(), 1u);
   EXPECT_EQ(fresh2[0].label_id, 4);
   EXPECT_EQ(state.execution_order(), (std::vector<int>{0, 1}));
@@ -44,7 +50,7 @@ TEST(LabelingStateTest, ApplyTracksFreshValuableLabelsOnly) {
 
 TEST(LabelingStateTest, FeaturesAreBinaryAndSized) {
   LabelingState state(5, 2);
-  state.Apply(1, Outputs{{0, 0.8}, {4, 0.9}});
+  state.Apply(1, Outputs({{0, 0.8}, {4, 0.9}}));
   const std::vector<float>& f = state.Features();
   ASSERT_EQ(f.size(), 5u);
   EXPECT_FLOAT_EQ(f[0], 1.0f);
@@ -58,9 +64,9 @@ TEST(LabelingStateTest, SetIndicesMirrorFeaturesInAscendingOrder) {
   // Outputs arrive out of label order; the sparse view must stay sorted
   // (ForwardSparseRows relies on ascending accumulation for bitwise parity
   // with the dense scan).
-  state.Apply(0, Outputs{{7, 0.9}, {2, 0.8}});
+  state.Apply(0, Outputs({{7, 0.9}, {2, 0.8}}));
   EXPECT_EQ(state.SetIndices(), (std::vector<int>{2, 7}));
-  state.Apply(1, Outputs{{4, 0.95}, {7, 0.99} /*dup*/});
+  state.Apply(1, Outputs({{4, 0.95}, {7, 0.99} /*dup*/}));
   EXPECT_EQ(state.SetIndices(), (std::vector<int>{2, 4, 7}));
   ASSERT_EQ(state.num_labels_set(),
             static_cast<int>(state.SetIndices().size()));
@@ -76,14 +82,14 @@ TEST(LabelingStateTest, SetIndicesMirrorFeaturesInAscendingOrder) {
 
 TEST(LabelingStateTest, ResetClearsEverything) {
   LabelingState state(5, 2);
-  state.Apply(0, Outputs{{2, 0.9}});
+  state.Apply(0, Outputs({{2, 0.9}}));
   state.Reset();
   EXPECT_EQ(state.num_executed(), 0);
   EXPECT_EQ(state.num_labels_set(), 0);
   EXPECT_FALSE(state.model_executed(0));
   EXPECT_FALSE(state.label_set(2));
   // After reset the same model may run again (fresh item).
-  state.Apply(0, Outputs{{2, 0.9}});
+  state.Apply(0, Outputs({{2, 0.9}}));
   EXPECT_TRUE(state.label_set(2));
 }
 

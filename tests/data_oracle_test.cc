@@ -1,6 +1,6 @@
 // Unit tests of the Oracle: stored outputs must exactly mirror live
 // execution, and the derived value quantities must satisfy their defining
-// identities. The corpus spans two full build blocks and a partial third,
+// identities. The corpus spans eight full build blocks and a partial ninth,
 // so every check covers block boundaries and the short last block.
 
 #include <gtest/gtest.h>
@@ -26,7 +26,7 @@ uint64_t Bits(double x) {
 
 class OracleTest : public ::testing::Test {
  protected:
-  static constexpr int kItems = 2 * Oracle::kBuildBlockItems + 37;
+  static constexpr int kItems = 8 * Oracle::kBuildBlockItems + 37;
 
   static void SetUpTestSuite() {
     zoo_ = new zoo::ModelZoo(zoo::ModelZoo::CreateDefault());
@@ -51,16 +51,30 @@ Oracle* OracleTest::oracle_ = nullptr;
 
 TEST_F(OracleTest, StoredOutputsMatchLiveExecution) {
   ASSERT_EQ(oracle_->num_items(), kItems);
-  for (int item = 0; item < oracle_->num_items(); ++item) {
-    for (int m = 0; m < oracle_->num_models(); ++m) {
-      const auto live = zoo_->Execute(m, dataset_->item(item).scene);
-      const zoo::LabelOutputView stored = oracle_->Output(item, m);
-      ASSERT_EQ(live.size(), stored.size())
-          << "item " << item << " model " << m;
-      for (size_t i = 0; i < live.size(); ++i) {
-        EXPECT_EQ(live[i].label_id, stored[i].label_id);
-        EXPECT_EQ(Bits(live[i].confidence), Bits(stored[i].confidence))
-            << "item " << item << " model " << m << " output " << i;
+  // actions_only has the most outputs per item of any profile, so its
+  // blocks come nearest the 16-bit offsets' reach. Two full blocks and a
+  // partial third.
+  const Dataset actions =
+      Dataset::Generate(DatasetProfile::ActionsOnly(), zoo_->labels(),
+                        2 * Oracle::kBuildBlockItems + 37, 22);
+  const Oracle actions_oracle(zoo_, &actions);
+  const Oracle* const oracles[] = {oracle_, &actions_oracle};
+  for (const Oracle* oracle : oracles) {
+    const Dataset& dataset = oracle->dataset();
+    for (int item = 0; item < oracle->num_items(); ++item) {
+      for (int m = 0; m < oracle->num_models(); ++m) {
+        const zoo::LabelOutputColumns live =
+            zoo_->Execute(m, dataset.item(item).scene);
+        const zoo::LabelOutputView stored = oracle->Output(item, m);
+        ASSERT_EQ(live.size(), stored.size()) << dataset.profile().name
+                                              << " item " << item
+                                              << " model " << m;
+        for (size_t i = 0; i < live.size(); ++i) {
+          EXPECT_EQ(live[i].label_id, stored[i].label_id);
+          EXPECT_EQ(Bits(live[i].confidence), Bits(stored[i].confidence))
+              << dataset.profile().name << " item " << item << " model "
+              << m << " output " << i;
+        }
       }
     }
   }
@@ -83,7 +97,7 @@ TEST_F(OracleTest, ValuableOutputsAreTheHighConfidenceSubset) {
   for (int item = 0; item < oracle_->num_items(); ++item) {
     for (int m = 0; m < oracle_->num_models(); ++m) {
       size_t expected = 0;
-      for (const auto& out : oracle_->Output(item, m)) {
+      for (const zoo::LabelOutput out : oracle_->Output(item, m)) {
         if (out.confidence >= zoo::kValuableConfidence) ++expected;
       }
       EXPECT_EQ(oracle_->ModelValuable(item, m), expected > 0)
@@ -97,7 +111,8 @@ TEST_F(OracleTest, SoloValueIsSumOfValuableConfidences) {
     for (int m = 0; m < oracle_->num_models(); ++m) {
       // In output order, as the oracle sums.
       double sum = 0.0;
-      for (const auto& out : zoo_->Execute(m, dataset_->item(item).scene)) {
+      for (const zoo::LabelOutput out :
+           zoo_->Execute(m, dataset_->item(item).scene)) {
         if (out.confidence >= zoo::kValuableConfidence) sum += out.confidence;
       }
       EXPECT_EQ(Bits(oracle_->ModelSoloValue(item, m)), Bits(sum))
@@ -111,7 +126,8 @@ TEST_F(OracleTest, LabelProfitIsMaxConfidenceAcrossModels) {
     // Recompute profits independently from the zoo.
     std::map<int, double> best;
     for (int m = 0; m < oracle_->num_models(); ++m) {
-      for (const auto& out : zoo_->Execute(m, dataset_->item(item).scene)) {
+      for (const zoo::LabelOutput out :
+           zoo_->Execute(m, dataset_->item(item).scene)) {
         if (out.confidence < zoo::kValuableConfidence) continue;
         best[out.label_id] = std::max(best[out.label_id], out.confidence);
       }

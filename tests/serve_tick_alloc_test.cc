@@ -152,10 +152,10 @@ TEST(AgentAllocTest, PredictValuesBatchToIsAllocationFreeAfterWarmup) {
                                          std::vector<float>(kInput, 0.0f));
     std::vector<std::vector<int>> indices(kRows);
     for (size_t r = 0; r < kRows; ++r) {
-      for (const int i : rng.SampleWithoutReplacement(kInput, 5)) {
-        rows[r][static_cast<size_t>(i)] = 1.0f;
-        indices[r].push_back(i);
-      }
+      // PredictValuesBatchTo takes ascending set-index hints.
+      indices[r] = rng.SampleWithoutReplacement(kInput, 5);
+      std::sort(indices[r].begin(), indices[r].end());
+      for (const int i : indices[r]) rows[r][static_cast<size_t>(i)] = 1.0f;
     }
     std::vector<const std::vector<float>*> row_ptrs;
     std::vector<const std::vector<int>*> index_ptrs;

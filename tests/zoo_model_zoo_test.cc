@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
+#include "data/dataset.h"
+#include "data/dataset_profile.h"
+#include "data/oracle.h"
 #include "zoo/model_zoo.h"
 
 namespace ams::zoo {
@@ -100,7 +104,7 @@ TEST_F(ModelZooTest, OutputsStayWithinTheModelsTaskRange) {
   const LatentScene scene = PersonScene();
   const LabelSpace& labels = zoo_.labels();
   for (int m = 0; m < zoo_.num_models(); ++m) {
-    for (const LabelOutput& out : zoo_.Execute(m, scene)) {
+    for (const LabelOutput out : zoo_.Execute(m, scene)) {
       EXPECT_EQ(labels.TaskOfLabel(out.label_id), zoo_.model(m).task)
           << zoo_.model(m).name;
       EXPECT_GT(out.confidence, 0.0);
@@ -144,7 +148,7 @@ TEST_F(ModelZooTest, ExecuteKeepsOnlyValuableOutputs) {
     for (LatentScene scene : {PersonScene(), EmptyScene()}) {
       scene.item_seed = seed;
       for (int m = 0; m < zoo_.num_models(); ++m) {
-        for (const LabelOutput& out : zoo_.Execute(m, scene)) {
+        for (const LabelOutput out : zoo_.Execute(m, scene)) {
           EXPECT_GE(out.confidence, kValuableConfidence)
               << zoo_.model(m).name << " seed " << seed;
           ++kept;
@@ -160,18 +164,80 @@ TEST_F(ModelZooTest, ExecuteIntoFiltersOnlyWhatItAppends) {
   // call leaves what the buffer already held, low confidence included.
   const LatentScene scene = PersonScene();
   for (int m = 0; m < zoo_.num_models(); ++m) {
-    std::vector<LabelOutput> buffer = {{7, 0.1}, {8, 0.9}};
+    LabelOutputColumns buffer;
+    buffer.push_back({7, 0.1});
+    buffer.push_back({8, 0.9});
     zoo_.ExecuteInto(m, scene, &buffer);
-    const std::vector<LabelOutput> alone = zoo_.Execute(m, scene);
+    const LabelOutputColumns alone = zoo_.Execute(m, scene);
     ASSERT_EQ(buffer.size(), 2 + alone.size()) << zoo_.model(m).name;
-    EXPECT_EQ(buffer[0].label_id, 7);
-    EXPECT_EQ(buffer[0].confidence, 0.1);
+    const LabelOutput first = buffer[0];
+    EXPECT_EQ(first.label_id, 7);
+    EXPECT_EQ(first.confidence, 0.1);
     EXPECT_EQ(buffer[1].label_id, 8);
     for (size_t i = 0; i < alone.size(); ++i) {
-      EXPECT_EQ(buffer[2 + i].label_id, alone[i].label_id);
-      EXPECT_EQ(buffer[2 + i].confidence, alone[i].confidence);
+      const LabelOutput appended = buffer[2 + i];
+      const LabelOutput own = alone[i];
+      EXPECT_EQ(appended.label_id, own.label_id);
+      EXPECT_EQ(appended.confidence, own.confidence);
     }
   }
+}
+
+TEST_F(ModelZooTest, OutputCountsStayWithinTheOffsetBound) {
+  // The oracle indexes a block's outputs with uint16_t offsets. That rests
+  // on this bound: no model emits a label twice, the six single-label tasks
+  // emit at most one output and no model emits more outputs than its task
+  // has labels, so an item holds at most 3 x (80 + 70 + 17 + 42 + 6) = 645.
+  const auto single_label = [](TaskKind task) {
+    return task != TaskKind::kObjectDetection &&
+           task != TaskKind::kFaceLandmark &&
+           task != TaskKind::kPoseEstimation && task != TaskKind::kHandLandmark;
+  };
+  int bound = 0;
+  for (int t = 0; t < kNumTasks; ++t) {
+    bound += kNumTiers *
+             (single_label(static_cast<TaskKind>(t)) ? 1 : kTaskLabelCounts[t]);
+  }
+  EXPECT_EQ(bound, 645);
+  EXPECT_LE(data::Oracle::kBuildBlockItems * bound, 65535);
+
+  std::vector<data::DatasetProfile> profiles =
+      data::DatasetProfile::AllProfiles();
+  profiles.push_back(data::DatasetProfile::DogsOnly());
+  profiles.push_back(data::DatasetProfile::ActionsOnly());
+  ASSERT_EQ(profiles.size(), 7u);
+  std::vector<bool> emitted(static_cast<size_t>(zoo_.labels().total_labels()));
+  size_t most = 0;
+  for (const data::DatasetProfile& profile : profiles) {
+    const data::Dataset dataset =
+        data::Dataset::Generate(profile, zoo_.labels(), 1000, 31);
+    for (const data::DataItem& item : dataset.items()) {
+      size_t item_outputs = 0;
+      for (int m = 0; m < zoo_.num_models(); ++m) {
+        const TaskKind task = zoo_.model(m).task;
+        const LabelOutputColumns outputs = zoo_.Execute(m, item.scene);
+        for (const LabelOutput out : outputs) {
+          EXPECT_FALSE(emitted[static_cast<size_t>(out.label_id)])
+              << zoo_.model(m).name << " emitted label " << out.label_id
+              << " twice on a " << profile.name << " scene";
+          emitted[static_cast<size_t>(out.label_id)] = true;
+        }
+        for (const LabelOutput out : outputs) {
+          emitted[static_cast<size_t>(out.label_id)] = false;
+        }
+        EXPECT_LE(outputs.size(), static_cast<size_t>(
+                                      kTaskLabelCounts[static_cast<int>(task)]))
+            << zoo_.model(m).name;
+        if (single_label(task)) {
+          EXPECT_LE(outputs.size(), 1u) << zoo_.model(m).name;
+        }
+        item_outputs += outputs.size();
+      }
+      EXPECT_LE(item_outputs, static_cast<size_t>(bound)) << profile.name;
+      most = std::max(most, item_outputs);
+    }
+  }
+  EXPECT_GT(most, 0u);
 }
 
 TEST_F(ModelZooTest, HigherTierIsValuableMoreOften) {
@@ -182,7 +248,7 @@ TEST_F(ModelZooTest, HigherTierIsValuableMoreOften) {
     scene.item_seed = seed * 31 + 7;
     scene.scene_clarity = 0.6;
     for (int tier = 0; tier < 3; ++tier) {
-      for (const LabelOutput& out : zoo_.Execute(place_models[tier], scene)) {
+      for (const LabelOutput out : zoo_.Execute(place_models[tier], scene)) {
         if (out.confidence >= kValuableConfidence &&
             zoo_.labels().OffsetInTask(out.label_id) == scene.scene_id) {
           ++valuable[tier];
