@@ -29,13 +29,15 @@ DecisionRow DecisionRowFor(ExecutionMode mode, bool has_policy) {
 }  // namespace
 
 /// Per-worker predictor clones, created on first use and reused for the
-/// session's lifetime. Cloning an rl::Agent round-trips every weight
-/// through the checkpoint format (milliseconds); paying that once per
+/// session's lifetime. Cloning an rl::Agent allocates a net of the same
+/// shape and copies every weight into it, one copy of the weights (1.1 MB
+/// for the paper's net) and no gradient buffers; paying that once per
 /// worker instead of once per batch is what lets short batches scale.
-/// Every acquisition re-syncs the clone from the live source (raw weight
-/// copy, or a fresh clone when the predictor cannot sync), so a predictor
-/// mutated between batches — a training loop, a checkpoint reload — is
-/// always picked up, exactly as if the clone were rebuilt per batch.
+/// Every acquisition re-syncs the clone from the live source (a raw weight
+/// copy in place, or a fresh clone when the predictor cannot sync), so a
+/// predictor mutated between batches — a training loop, a checkpoint
+/// reload — is always picked up, exactly as if the clone were rebuilt per
+/// batch.
 struct LabelingService::PredictorPool {
   std::mutex mu;
   std::vector<std::unique_ptr<ModelValuePredictor>> clones;  // by worker

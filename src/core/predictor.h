@@ -92,8 +92,8 @@ class ModelValuePredictor {
 
   /// Updates this predictor's parameters in place from `source` (a
   /// same-architecture original this one was cloned from). Lets clone pools
-  /// track a live source cheaply — rl::Agent copies raw weights instead of
-  /// re-cloning through the checkpoint format. Returns false when
+  /// track a live source cheaply — rl::Agent copies raw weights into the
+  /// clone's own buffers, allocating no new net. Returns false when
   /// unsupported; callers then rebuild the clone to pick up changes.
   virtual bool SyncWeightsFrom(ModelValuePredictor* source) {
     (void)source;

@@ -11,12 +11,19 @@
 namespace ams::nn {
 
 DenseLayer::DenseLayer(int in_dim, int out_dim, util::Rng* rng)
-    : w_(Matrix::RandomNormal(in_dim, out_dim,
-                              std::sqrt(2.0f / static_cast<float>(in_dim)), rng)),
-      dw_(in_dim, out_dim),
-      b_(static_cast<size_t>(out_dim), 0.0f),
-      db_(static_cast<size_t>(out_dim), 0.0f) {
+    : w_(rng == nullptr
+             ? Matrix(in_dim, out_dim)
+             : Matrix::RandomNormal(
+                   in_dim, out_dim,
+                   std::sqrt(2.0f / static_cast<float>(in_dim)), rng)),
+      b_(static_cast<size_t>(out_dim), 0.0f) {
   AMS_CHECK(in_dim > 0 && out_dim > 0);
+}
+
+void DenseLayer::EnsureGrads() {
+  if (!db_.empty()) return;  // out_dim > 0, so db_ exists once created
+  dw_ = Matrix(w_.rows(), w_.cols());
+  db_.assign(b_.size(), 0.0f);
 }
 
 void DenseLayer::Forward(const Matrix& x, Matrix* y) const {
@@ -44,8 +51,10 @@ void DenseLayer::ForwardSparseRows(const std::vector<float>* const* rows,
 }
 
 void DenseLayer::Backward(const Matrix& x, const Matrix& grad_y, Matrix* grad_x) {
-  AMS_CHECK(grad_y.cols() == w_.cols());
+  AMS_CHECK(x.cols() == w_.rows() && grad_y.cols() == w_.cols());
   AMS_CHECK(x.rows() == grad_y.rows());
+  // Both outputs keep their shape, so they are written in place.
+  EnsureGrads();
   GemmTransA(x, grad_y, &dw_);      // dW = x^T * dY
   ColumnSums(grad_y, &db_);         // db = column sums of dY
   if (grad_x != nullptr) {
@@ -54,35 +63,31 @@ void DenseLayer::Backward(const Matrix& x, const Matrix& grad_y, Matrix* grad_x)
 }
 
 void DenseLayer::CollectParams(std::vector<ParamGrad>* out) {
+  EnsureGrads();
   out->push_back({w_.data(), dw_.data(), static_cast<size_t>(w_.size())});
   out->push_back({b_.data(), db_.data(), b_.size()});
+}
+
+void DenseLayer::CopyWeightsFrom(const DenseLayer& src) {
+  AMS_CHECK(src.w_.rows() == w_.rows() && src.w_.cols() == w_.cols(),
+            "tensor size mismatch");
+  std::copy(src.w_.data(), src.w_.data() + src.w_.size(), w_.data());
+  std::copy(src.b_.begin(), src.b_.end(), b_.begin());
 }
 
 void DenseLayer::Save(util::BinaryWriter* w) const {
   w->WriteI32(w_.rows());
   w->WriteI32(w_.cols());
-  std::vector<float> flat(w_.data(), w_.data() + w_.size());
-  w->WriteFloatVector(flat);
-  w->WriteFloatVector(b_);
+  w->WriteFloats(w_.data(), static_cast<uint64_t>(w_.size()));
+  w->WriteFloats(b_.data(), b_.size());
 }
 
 bool DenseLayer::Load(util::BinaryReader* r) {
   const int in_dim = r->ReadI32();
   const int out_dim = r->ReadI32();
   if (!r->ok() || in_dim != w_.rows() || out_dim != w_.cols()) return false;
-  std::vector<float> flat = r->ReadFloatVector();
-  std::vector<float> bias = r->ReadFloatVector();
-  if (!r->ok()) return false;
-  if (flat.size() !=
-      static_cast<uint64_t>(in_dim) * static_cast<uint64_t>(out_dim)) {
-    return false;
-  }
-  if (bias.size() != static_cast<size_t>(out_dim)) return false;
-  std::copy(flat.begin(), flat.end(), w_.data());
-  dw_.Fill(0.0f);
-  b_ = std::move(bias);
-  db_.assign(b_.size(), 0.0f);
-  return true;
+  return r->ReadFloats(w_.data(), static_cast<uint64_t>(w_.size())) &&
+         r->ReadFloats(b_.data(), b_.size());
 }
 
 }  // namespace ams::nn

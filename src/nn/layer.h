@@ -17,13 +17,21 @@ struct ParamGrad {
   size_t size;
 };
 
-/// Fully connected layer y = x*W + b with cached gradients.
+/// Fully connected layer y = x*W + b.
 ///
-/// Backward() overwrites dW/db for the most recent Forward() batch; the
-/// trainer calls optimizer.Step() before the next Backward().
+/// A layer that has not trained holds its weights and bias and nothing
+/// else. Its gradient buffers dW and db, each as large as the tensor it
+/// belongs to, are created the first time training needs them: when
+/// CollectParams hands them out or when Backward first writes them. Once
+/// created they are never reallocated, so the ParamGrad pointers a trainer
+/// collected stay valid across Backward calls. Backward() overwrites dW/db
+/// for the most recent Forward() batch; the trainer calls optimizer.Step()
+/// before the next Backward().
 class DenseLayer {
  public:
-  /// He-normal initialization: W ~ N(0, 2/in_dim), b = 0.
+  /// He-normal initialization: W ~ N(0, 2/in_dim), b = 0. With a null
+  /// `rng`, W = 0 and nothing is drawn: the shape a clone or a checkpoint
+  /// load then fills in.
   DenseLayer(int in_dim, int out_dim, util::Rng* rng);
 
   /// y = x*W + b. x is [batch, in_dim]; y becomes [batch, out_dim]. Gemm
@@ -52,13 +60,20 @@ class DenseLayer {
   /// (if grad_x != nullptr) dL/dx.
   void Backward(const Matrix& x, const Matrix& grad_y, Matrix* grad_x);
 
+  /// Appends W and b, each with its gradient buffer (created here, zeroed,
+  /// if this layer has none yet).
   void CollectParams(std::vector<ParamGrad>* out);
 
+  /// Copies W and b from a layer of the same shape; creates no gradient
+  /// buffers.
+  void CopyWeightsFrom(const DenseLayer& src);
+
   void Save(util::BinaryWriter* w) const;
-  /// Loads weights saved from a layer of this layer's shape. Returns false
-  /// on malformed input, including stored dims other than
-  /// in_dim() x out_dim(): nets build their layers from the checkpoint
-  /// header first, so a layer that disagrees with the header is corrupt.
+  /// Reads weights saved from a layer of this layer's shape straight into
+  /// W and b. Returns false on malformed input, including stored dims or
+  /// declared lengths other than this layer's: nets build their layers
+  /// from the checkpoint header first, so a layer that disagrees with the
+  /// header is corrupt. After a failed load the weights are unspecified.
   bool Load(util::BinaryReader* r);
 
   int in_dim() const { return w_.rows(); }
@@ -70,10 +85,13 @@ class DenseLayer {
   const std::vector<float>& bias() const { return b_; }
 
  private:
+  /// Creates dW and db, zeroed, unless they exist already.
+  void EnsureGrads();
+
   Matrix w_;   // [in_dim, out_dim]
-  Matrix dw_;  // same shape
+  Matrix dw_;  // empty until training needs it, then w_'s shape
   std::vector<float> b_;
-  std::vector<float> db_;
+  std::vector<float> db_;  // empty until training needs it, then b_'s size
 };
 
 }  // namespace ams::nn

@@ -1,6 +1,5 @@
 #include "nn/net.h"
 
-#include <sstream>
 #include <utility>
 
 #include "util/check.h"
@@ -57,15 +56,19 @@ bool ReadConfig(util::BinaryReader* r, bool dueling, MlpConfig* cfg) {
 
 }  // namespace
 
+void QValueNet::CollectParams(std::vector<ParamGrad>* out) {
+  std::vector<DenseLayer*> layers;
+  CollectLayers(&layers);
+  for (DenseLayer* layer : layers) layer->CollectParams(out);
+}
+
 void QValueNet::CopyWeightsFrom(QValueNet* src) {
-  std::vector<ParamGrad> dst_params, src_params;
-  CollectParams(&dst_params);
-  src->CollectParams(&src_params);
-  AMS_CHECK(dst_params.size() == src_params.size(), "architecture mismatch");
-  for (size_t i = 0; i < dst_params.size(); ++i) {
-    AMS_CHECK(dst_params[i].size == src_params[i].size, "tensor size mismatch");
-    std::copy(src_params[i].param, src_params[i].param + src_params[i].size,
-              dst_params[i].param);
+  std::vector<DenseLayer*> dst_layers, src_layers;
+  CollectLayers(&dst_layers);
+  src->CollectLayers(&src_layers);
+  AMS_CHECK(dst_layers.size() == src_layers.size(), "architecture mismatch");
+  for (size_t i = 0; i < dst_layers.size(); ++i) {
+    dst_layers[i]->CopyWeightsFrom(*src_layers[i]);
   }
 }
 
@@ -78,10 +81,12 @@ std::vector<float> QValueNet::Predict1(const std::vector<float>& x) {
 }
 
 size_t QValueNet::NumParams() {
-  std::vector<ParamGrad> params;
-  CollectParams(&params);
+  std::vector<DenseLayer*> layers;
+  CollectLayers(&layers);
   size_t n = 0;
-  for (const auto& p : params) n += p.size;
+  for (const DenseLayer* layer : layers) {
+    n += static_cast<size_t>(layer->weights().size()) + layer->bias().size();
+  }
   return n;
 }
 
@@ -89,15 +94,21 @@ size_t QValueNet::NumParams() {
 // Mlp
 
 Mlp::Mlp(const MlpConfig& config, uint64_t seed) : config_(config) {
-  AMS_CHECK(config.input_dim > 0 && config.output_dim > 0);
   util::Rng rng(seed);
-  int prev = config.input_dim;
-  for (int h : config.hidden_dims) {
+  BuildLayers(&rng);
+}
+
+Mlp::Mlp(const MlpConfig& config) : config_(config) { BuildLayers(nullptr); }
+
+void Mlp::BuildLayers(util::Rng* rng) {
+  AMS_CHECK(config_.input_dim > 0 && config_.output_dim > 0);
+  int prev = config_.input_dim;
+  for (int h : config_.hidden_dims) {
     AMS_CHECK(h > 0);
-    layers_.emplace_back(prev, h, &rng);
+    layers_.emplace_back(prev, h, rng);
     prev = h;
   }
-  layers_.emplace_back(prev, config.output_dim, &rng);
+  layers_.emplace_back(prev, config_.output_dim, rng);
   pre_act_.resize(layers_.size());
   post_act_.resize(layers_.size());
   grad_post_.resize(layers_.size());
@@ -153,8 +164,8 @@ void Mlp::Backward(const Matrix& grad_q) {
   }
 }
 
-void Mlp::CollectParams(std::vector<ParamGrad>* out) {
-  for (auto& layer : layers_) layer.CollectParams(out);
+void Mlp::CollectLayers(std::vector<DenseLayer*>* out) {
+  for (DenseLayer& layer : layers_) out->push_back(&layer);
 }
 
 void Mlp::Save(util::BinaryWriter* w) const {
@@ -168,7 +179,7 @@ void Mlp::Save(util::BinaryWriter* w) const {
 bool Mlp::Load(util::BinaryReader* r) {
   MlpConfig cfg;
   if (!ReadConfig(r, /*dueling=*/false, &cfg)) return false;
-  *this = Mlp(cfg, /*seed=*/0);
+  *this = Mlp(cfg);
   for (auto& layer : layers_) {
     if (!layer.Load(r)) return false;
   }
@@ -176,12 +187,10 @@ bool Mlp::Load(util::BinaryReader* r) {
 }
 
 std::unique_ptr<QValueNet> Mlp::Clone() const {
-  auto clone = std::make_unique<Mlp>(config_, /*seed=*/0);
-  std::stringstream buf;
-  util::BinaryWriter w(&buf);
-  Save(&w);
-  util::BinaryReader r(&buf);
-  AMS_CHECK(clone->Load(&r), "clone round-trip failed");
+  std::unique_ptr<Mlp> clone(new Mlp(config_));
+  for (size_t i = 0; i < layers_.size(); ++i) {
+    clone->layers_[i].CopyWeightsFrom(layers_[i]);
+  }
   return clone;
 }
 
@@ -189,17 +198,25 @@ std::unique_ptr<QValueNet> Mlp::Clone() const {
 // DuelingMlp
 
 DuelingMlp::DuelingMlp(const MlpConfig& config, uint64_t seed) : config_(config) {
-  AMS_CHECK(config.input_dim > 0 && config.output_dim > 0);
-  AMS_CHECK(!config.hidden_dims.empty(), "dueling net needs a trunk");
   util::Rng rng(seed);
-  int prev = config.input_dim;
-  for (int h : config.hidden_dims) {
+  BuildLayers(&rng);
+}
+
+DuelingMlp::DuelingMlp(const MlpConfig& config) : config_(config) {
+  BuildLayers(nullptr);
+}
+
+void DuelingMlp::BuildLayers(util::Rng* rng) {
+  AMS_CHECK(config_.input_dim > 0 && config_.output_dim > 0);
+  AMS_CHECK(!config_.hidden_dims.empty(), "dueling net needs a trunk");
+  int prev = config_.input_dim;
+  for (int h : config_.hidden_dims) {
     AMS_CHECK(h > 0);
-    trunk_.emplace_back(prev, h, &rng);
+    trunk_.emplace_back(prev, h, rng);
     prev = h;
   }
-  value_head_ = std::make_unique<DenseLayer>(prev, 1, &rng);
-  advantage_head_ = std::make_unique<DenseLayer>(prev, config.output_dim, &rng);
+  value_head_ = std::make_unique<DenseLayer>(prev, 1, rng);
+  advantage_head_ = std::make_unique<DenseLayer>(prev, config_.output_dim, rng);
   pre_act_.resize(trunk_.size());
   post_act_.resize(trunk_.size());
   grad_post_.resize(trunk_.size());
@@ -293,10 +310,10 @@ void DuelingMlp::Backward(const Matrix& grad_q) {
   }
 }
 
-void DuelingMlp::CollectParams(std::vector<ParamGrad>* out) {
-  for (auto& layer : trunk_) layer.CollectParams(out);
-  value_head_->CollectParams(out);
-  advantage_head_->CollectParams(out);
+void DuelingMlp::CollectLayers(std::vector<DenseLayer*>* out) {
+  for (DenseLayer& layer : trunk_) out->push_back(&layer);
+  out->push_back(value_head_.get());
+  out->push_back(advantage_head_.get());
 }
 
 void DuelingMlp::Save(util::BinaryWriter* w) const {
@@ -312,7 +329,7 @@ void DuelingMlp::Save(util::BinaryWriter* w) const {
 bool DuelingMlp::Load(util::BinaryReader* r) {
   MlpConfig cfg;
   if (!ReadConfig(r, /*dueling=*/true, &cfg)) return false;
-  *this = DuelingMlp(cfg, /*seed=*/0);
+  *this = DuelingMlp(cfg);
   for (auto& layer : trunk_) {
     if (!layer.Load(r)) return false;
   }
@@ -322,12 +339,12 @@ bool DuelingMlp::Load(util::BinaryReader* r) {
 }
 
 std::unique_ptr<QValueNet> DuelingMlp::Clone() const {
-  auto clone = std::make_unique<DuelingMlp>(config_, /*seed=*/0);
-  std::stringstream buf;
-  util::BinaryWriter w(&buf);
-  Save(&w);
-  util::BinaryReader r(&buf);
-  AMS_CHECK(clone->Load(&r), "clone round-trip failed");
+  std::unique_ptr<DuelingMlp> clone(new DuelingMlp(config_));
+  for (size_t i = 0; i < trunk_.size(); ++i) {
+    clone->trunk_[i].CopyWeightsFrom(trunk_[i]);
+  }
+  clone->value_head_->CopyWeightsFrom(*value_head_);
+  clone->advantage_head_->CopyWeightsFrom(*advantage_head_);
   return clone;
 }
 

@@ -17,6 +17,11 @@ namespace ams::nn {
 /// Forward() caches activations so that Backward() can compute gradients for
 /// the same batch; a net instance is therefore NOT thread-safe. Clone() for
 /// per-thread use or for target networks.
+///
+/// A net holds one copy of its weights until it trains: its layers create
+/// their gradient buffers only when CollectParams hands them out or
+/// Backward first writes them (DenseLayer). CopyWeightsFrom, NumParams,
+/// Clone and inference create none.
 class QValueNet {
  public:
   virtual ~QValueNet() = default;
@@ -30,15 +35,21 @@ class QValueNet {
   /// Computes parameter gradients for the cached batch given dL/dQ.
   virtual void Backward(const Matrix& grad_q) = 0;
 
-  virtual void CollectParams(std::vector<ParamGrad>* out) = 0;
+  /// Every layer's weights and bias with their gradient buffers, in
+  /// checkpoint order; creates the buffers a layer does not have yet.
+  void CollectParams(std::vector<ParamGrad>* out);
 
   virtual void Save(util::BinaryWriter* w) const = 0;
   virtual bool Load(util::BinaryReader* r) = 0;
 
+  /// A net of the same architecture holding a copy of this net's weights,
+  /// bit for bit, and nothing else: no cached activations and no gradient
+  /// buffers until the clone itself trains. The layers are built without a
+  /// random draw and the weights copied into them.
   virtual std::unique_ptr<QValueNet> Clone() const = 0;
 
   /// Copies all weights from `src` (same architecture); used to sync target
-  /// networks.
+  /// networks and pooled clones. Creates no gradient buffers on either net.
   void CopyWeightsFrom(QValueNet* src);
 
   /// Inference-only batched forward over `count` sparse state rows passed
@@ -62,6 +73,10 @@ class QValueNet {
 
   /// Total parameter count.
   size_t NumParams();
+
+ private:
+  /// Appends the net's dense layers in checkpoint order.
+  virtual void CollectLayers(std::vector<DenseLayer*>* out) = 0;
 };
 
 /// Plain multilayer perceptron with ReLU hidden activations. The paper's
@@ -85,12 +100,17 @@ class Mlp : public QValueNet {
                     const std::vector<int>* const* indices, size_t count,
                     Matrix* q) override;
   void Backward(const Matrix& grad_q) override;
-  void CollectParams(std::vector<ParamGrad>* out) override;
   void Save(util::BinaryWriter* w) const override;
   bool Load(util::BinaryReader* r) override;
   std::unique_ptr<QValueNet> Clone() const override;
 
  private:
+  /// Zero weights, nothing drawn: what Clone and Load fill in.
+  explicit Mlp(const MlpConfig& config);
+  /// Builds the layers, drawing their weights from `rng` unless it is null.
+  void BuildLayers(util::Rng* rng);
+  void CollectLayers(std::vector<DenseLayer*>* out) override;
+
   MlpConfig config_;
   std::vector<DenseLayer> layers_;
   // Cached per-layer tensors from the last Forward.
@@ -120,12 +140,17 @@ class DuelingMlp : public QValueNet {
                     const std::vector<int>* const* indices, size_t count,
                     Matrix* q) override;
   void Backward(const Matrix& grad_q) override;
-  void CollectParams(std::vector<ParamGrad>* out) override;
   void Save(util::BinaryWriter* w) const override;
   bool Load(util::BinaryReader* r) override;
   std::unique_ptr<QValueNet> Clone() const override;
 
  private:
+  /// Zero weights, nothing drawn: what Clone and Load fill in.
+  explicit DuelingMlp(const MlpConfig& config);
+  /// Builds the trunk and heads, drawing their weights from `rng` unless it
+  /// is null.
+  void BuildLayers(util::Rng* rng);
+  void CollectLayers(std::vector<DenseLayer*>* out) override;
   /// Q = V + A - mean(A) per row, shared by Forward and PredictBatch.
   void CombineHeads(int batch, Matrix* q) const;
 

@@ -71,12 +71,12 @@ inline constexpr std::uint16_t kAdmissionLane = 0xFFFF;
 /// Concurrency contract: multiple producers may Record() concurrently
 /// (distinct fetch_add tickets write distinct slots). Each slot carries a
 /// publish sequence (seqlock): a writer marks the slot in-progress, stores
-/// the payload as relaxed atomic words, then publishes with a release store
-/// of the slot's ticket. Snapshot() validates the sequence before and after
-/// copying and silently drops slots whose writer is still in flight (or that
-/// were lapped mid-copy), so a concurrent wrap can lose a few events from
-/// the snapshot but can never export a torn one. Deterministic tests drive
-/// a single thread and see exact contents.
+/// the payload as release-ordered atomic words, then publishes with a
+/// release store of the slot's ticket. Snapshot() validates the sequence
+/// before and after copying and silently drops slots whose writer is still
+/// in flight (or that were lapped mid-copy), so a concurrent wrap can lose a
+/// few events from the snapshot but can never export a torn one.
+/// Deterministic tests drive a single thread and see exact contents.
 class TraceBuffer {
  public:
   /// `capacity` is rounded up to a power of two (minimum 8).
@@ -109,8 +109,10 @@ class TraceBuffer {
   /// One ring slot. `seq` holds 2*ticket+1 while the writer owns the slot
   /// and 2*ticket+2 once published, so a reader expecting ticket T accepts
   /// the payload only when it observes exactly 2*T+2 on both sides of the
-  /// copy. The payload lives in relaxed atomic words (not a TraceEvent) so
-  /// concurrent overwrite is well-defined and TSan-clean by construction.
+  /// copy. The payload lives in atomic words (not a TraceEvent), stored with
+  /// release and loaded with acquire and no fence, so concurrent overwrite
+  /// is well-defined and every ordering the protocol needs is one TSan
+  /// models.
   struct Slot {
     std::atomic<std::uint64_t> seq{0};
     std::atomic<std::uint64_t> words[kPayloadWords] = {};

@@ -23,8 +23,12 @@ void BinaryWriter::WriteString(const std::string& s) {
 }
 
 void BinaryWriter::WriteFloatVector(const std::vector<float>& v) {
-  WriteU64(v.size());
-  WriteRaw(v.data(), v.size() * sizeof(float));
+  WriteFloats(v.data(), v.size());
+}
+
+void BinaryWriter::WriteFloats(const float* data, uint64_t n) {
+  WriteU64(n);
+  WriteRaw(data, n * sizeof(float));
 }
 
 void BinaryWriter::WriteDoubleVector(const std::vector<double>& v) {
@@ -107,6 +111,11 @@ std::vector<float> BinaryReader::ReadFloatVector() {
   std::vector<float> v(n);
   ReadRaw(v.data(), n * sizeof(float));
   return ok_ ? v : std::vector<float>();
+}
+
+bool BinaryReader::ReadFloats(float* out, uint64_t n) {
+  if (ReadU64() != n) ok_ = false;
+  return ReadRaw(out, n * sizeof(float));
 }
 
 std::vector<double> BinaryReader::ReadDoubleVector() {

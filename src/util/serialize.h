@@ -21,6 +21,9 @@ class BinaryWriter {
   void WriteF64(double v);
   void WriteString(const std::string& s);
   void WriteFloatVector(const std::vector<float>& v);
+  /// `n` floats from `data` in WriteFloatVector's format (u64 length, then
+  /// the floats), with no vector in between.
+  void WriteFloats(const float* data, uint64_t n);
   void WriteDoubleVector(const std::vector<double>& v);
 
   /// True if all writes so far succeeded.
@@ -50,6 +53,10 @@ class BinaryReader {
   double ReadF64();
   std::string ReadString();
   std::vector<float> ReadFloatVector();
+  /// Reads a float vector written for exactly `n` floats straight into
+  /// `out`: a length prefix other than `n` fails the read before any float
+  /// is read. Returns ok().
+  bool ReadFloats(float* out, uint64_t n);
   std::vector<double> ReadDoubleVector();
 
   bool ok() const { return ok_; }

@@ -1,9 +1,10 @@
 // Unit tests of the dense networks: numerically checked gradients for both
 // architectures, serialization round trips and corrupt-checkpoint
-// rejection, and clone independence.
+// rejection, and clones that are bit-exact, independent copies.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -11,7 +12,9 @@
 #include <vector>
 
 #include "nn/grad_check.h"
+#include "nn/loss.h"
 #include "nn/net.h"
+#include "nn/optimizer.h"
 #include "util/rng.h"
 #include "util/serialize.h"
 
@@ -273,23 +276,74 @@ TEST(NetSerializationTest, CorruptCheckpointsFailCleanly) {
   }
 }
 
-TEST(NetTest, CloneIsDeepCopy) {
-  MlpConfig config{5, {6}, 3};
-  Mlp net(config, 13);
-  std::unique_ptr<QValueNet> clone = net.Clone();
-  const Matrix x = RandomBatch(1, 5, 7);
-  Matrix q_before;
-  clone->Forward(x, &q_before);
-  // Mutate the original's weights; the clone must be unaffected.
+// True when `a` and `b` have the same shape and the same bits.
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0;
+}
+
+// Three Adam steps of MSE regression toward `target`, holding the
+// CollectParams pointers across every Backward as the trainer does; the
+// gradient buffers must stay where CollectParams found them.
+void TrainThreeSteps(QValueNet* net, const Matrix& x, const Matrix& target) {
   std::vector<ParamGrad> params;
-  net.CollectParams(&params);
-  for (auto& p : params) {
-    for (size_t i = 0; i < p.size; ++i) p.param[i] += 1.0f;
+  net->CollectParams(&params);
+  Adam optimizer(0.01f);
+  Matrix q, grad;
+  for (int step = 0; step < 3; ++step) {
+    net->Forward(x, &q);
+    MseLoss(q, target, &grad);
+    net->Backward(grad);
+    optimizer.Step(params);
   }
-  Matrix q_after;
-  clone->Forward(x, &q_after);
-  for (int i = 0; i < q_before.size(); ++i) {
-    EXPECT_FLOAT_EQ(q_before.data()[i], q_after.data()[i]);
+  std::vector<ParamGrad> after;
+  net->CollectParams(&after);
+  ASSERT_EQ(after.size(), params.size());
+  for (size_t t = 0; t < params.size(); ++t) {
+    EXPECT_EQ(after[t].param, params[t].param) << "tensor " << t;
+    EXPECT_EQ(after[t].grad, params[t].grad) << "tensor " << t;
+  }
+}
+
+TEST(NetTest, CloneIsDeepCopy) {
+  const MlpConfig config{5, {6}, 3};
+  const Matrix x = RandomBatch(4, 5, 7);
+  const Matrix target = RandomBatch(4, 3, 8);
+  for (const NetKind kind : {NetKind::kMlp, NetKind::kDueling}) {
+    SCOPED_TRACE(kind == NetKind::kMlp ? "mlp" : "dueling");
+    std::unique_ptr<QValueNet> net;
+    if (kind == NetKind::kMlp) {
+      net = std::make_unique<Mlp>(config, 13);
+    } else {
+      net = std::make_unique<DuelingMlp>(config, 13);
+    }
+    // A source that has trained: nonzero biases, gradient buffers and all.
+    TrainThreeSteps(net.get(), x, target);
+    // A clone's rows and checkpoint are its source's, bit for bit.
+    std::unique_ptr<QValueNet> clone = net->Clone();
+    Matrix q_net, q_clone;
+    net->Forward(x, &q_net);
+    clone->Forward(x, &q_clone);
+    EXPECT_TRUE(SameBits(q_clone, q_net));
+    EXPECT_EQ(SavedBytes(*clone, kind), SavedBytes(*net, kind));
+
+    // Trained the same way, a clone ends bit-equal to its source.
+    TrainThreeSteps(net.get(), x, target);
+    TrainThreeSteps(clone.get(), x, target);
+    net->Forward(x, &q_net);
+    clone->Forward(x, &q_clone);
+    EXPECT_TRUE(SameBits(q_clone, q_net));
+    EXPECT_EQ(SavedBytes(*clone, kind), SavedBytes(*net, kind));
+
+    // Mutate the source's weights; the clone must be unaffected.
+    std::vector<ParamGrad> params;
+    net->CollectParams(&params);
+    for (auto& p : params) {
+      for (size_t i = 0; i < p.size; ++i) p.param[i] += 1.0f;
+    }
+    Matrix q_after;
+    clone->Forward(x, &q_after);
+    EXPECT_TRUE(SameBits(q_after, q_clone));
   }
 }
 

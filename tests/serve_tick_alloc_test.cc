@@ -8,11 +8,12 @@
 // resident record, carries the same contract, and so does the raw-buffer
 // Agent forward underneath, checked on its own. Filling a plane's row memo
 // to its cap may allocate per slab and per index or key-pool growth, never
-// per row.
+// per row. Cloning an agent allocates one copy of its weights and little
+// more, and syncing a clone's weights allocates next to nothing.
 //
-// The hook is a global operator new/delete replacement with a flag-gated
-// counter. It is compiled out under sanitizers (they interpose allocation
-// themselves); the tests skip there.
+// The hook is a global operator new/delete replacement with flag-gated
+// call and byte counters. It is compiled out under sanitizers (they
+// interpose allocation themselves); the tests skip there.
 
 #include <gtest/gtest.h>
 
@@ -52,6 +53,7 @@
 namespace ams::alloc_hooks {
 std::atomic<bool> counting{false};
 std::atomic<size_t> allocations{0};
+std::atomic<size_t> bytes{0};
 }  // namespace ams::alloc_hooks
 
 #if AMS_ALLOC_HOOKS
@@ -61,6 +63,7 @@ namespace {
 void* CountedAlloc(std::size_t size, std::size_t align) {
   if (ams::alloc_hooks::counting.load(std::memory_order_relaxed)) {
     ams::alloc_hooks::allocations.fetch_add(1, std::memory_order_relaxed);
+    ams::alloc_hooks::bytes.fetch_add(size, std::memory_order_relaxed);
   }
   if (size == 0) size = 1;
   void* ptr = nullptr;
@@ -106,14 +109,19 @@ void operator delete[](void* ptr, std::size_t, std::align_val_t) noexcept {
 namespace ams {
 namespace {
 
-/// Runs `fn` with the allocation counter armed and returns how many heap
-/// allocations it performed.
+/// Runs `fn` with the allocation counters armed and returns how many heap
+/// allocations it performed; `bytes`, when non-null, receives how many
+/// bytes they asked for.
 template <typename Fn>
-size_t CountAllocations(Fn&& fn) {
+size_t CountAllocations(Fn&& fn, size_t* bytes = nullptr) {
   alloc_hooks::allocations.store(0, std::memory_order_relaxed);
+  alloc_hooks::bytes.store(0, std::memory_order_relaxed);
   alloc_hooks::counting.store(true, std::memory_order_relaxed);
   fn();
   alloc_hooks::counting.store(false, std::memory_order_relaxed);
+  if (bytes != nullptr) {
+    *bytes = alloc_hooks::bytes.load(std::memory_order_relaxed);
+  }
   return alloc_hooks::allocations.load(std::memory_order_relaxed);
 }
 
@@ -217,6 +225,47 @@ TEST(AgentAllocTest, LargerBatchesAllocateOnlyWhenABufferDoubles) {
       EXPECT_EQ(allocs, 0u)
           << "net kind " << static_cast<int>(kind) << ", " << count << " rows";
     }
+  }
+}
+
+TEST(AgentAllocTest, CloneAllocatesOneCopyOfTheWeights) {
+  AMS_SKIP_WITHOUT_ALLOC_HOOKS();
+  // The paper's net, 1104 -> 256 -> 31 (1.1 MB of weights). A clone is
+  // built without a random draw and gets the weights copied in, with no
+  // checkpoint round trip and no gradient buffers, so it allocates its
+  // parameters' bytes plus the objects around them. Syncing its weights
+  // from the source copies in place and reports its size without creating
+  // gradient buffers either.
+  constexpr size_t kSlackBytes = 4096;
+  nn::MlpConfig config;
+  config.input_dim = 1104;
+  config.hidden_dims = {256};
+  config.output_dim = 31;
+  for (const nn::NetKind kind : {nn::NetKind::kMlp, nn::NetKind::kDueling}) {
+    std::unique_ptr<nn::QValueNet> net;
+    if (kind == nn::NetKind::kDueling) {
+      net = std::make_unique<nn::DuelingMlp>(config, 17);
+    } else {
+      net = std::make_unique<nn::Mlp>(config, 17);
+    }
+    const rl::Agent agent(std::move(net), kind);
+    const size_t param_bytes =
+        sizeof(float) * agent.Clone()->net()->NumParams();
+    std::unique_ptr<rl::Agent> clone;
+    size_t bytes = 0;
+    CountAllocations([&] { clone = agent.Clone(); }, &bytes);
+    EXPECT_GE(bytes, param_bytes) << "net kind " << static_cast<int>(kind);
+    EXPECT_LE(bytes, param_bytes + kSlackBytes)
+        << "net kind " << static_cast<int>(kind);
+
+    std::unique_ptr<rl::Agent> source = agent.Clone();
+    CountAllocations(
+        [&] {
+          ASSERT_TRUE(clone->SyncWeightsFrom(source.get()));
+          EXPECT_EQ(clone->net()->NumParams() * sizeof(float), param_bytes);
+        },
+        &bytes);
+    EXPECT_LE(bytes, kSlackBytes) << "net kind " << static_cast<int>(kind);
   }
 }
 

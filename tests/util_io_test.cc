@@ -94,6 +94,35 @@ TEST(SerializeTest, TruncatedInputFailsGracefully) {
   EXPECT_FALSE(reader.ok());
 }
 
+TEST(SerializeTest, ReadFloatsChecksTheDeclaredLength) {
+  // WriteFloats writes WriteFloatVector's format; ReadFloats reads it in
+  // place only when the length prefix is the one the caller expects.
+  const float values[] = {1.0f, -2.5f, 3.0f};
+  std::stringstream buffer;
+  BinaryWriter writer(&buffer);
+  writer.WriteFloats(values, 3);
+  writer.WriteFloats(values, 3);
+  ASSERT_TRUE(writer.ok());
+  const std::string bytes = buffer.str();
+  {
+    std::stringstream as_vector(bytes);
+    BinaryReader reader(&as_vector);
+    const std::vector<float> want = {1.0f, -2.5f, 3.0f};
+    EXPECT_EQ(reader.ReadFloatVector(), want);
+    float out[3] = {0.0f, 0.0f, 0.0f};
+    EXPECT_TRUE(reader.ReadFloats(out, 3));
+    EXPECT_EQ(std::vector<float>(out, out + 3), want);
+  }
+  {
+    std::stringstream wrong_length(bytes);
+    BinaryReader reader(&wrong_length);
+    float out[4] = {7.0f, 7.0f, 7.0f, 7.0f};
+    EXPECT_FALSE(reader.ReadFloats(out, 4));
+    EXPECT_EQ(out[0], 7.0f) << "a float was read past a wrong length";
+    EXPECT_FALSE(reader.ok());
+  }
+}
+
 TEST(SerializeTest, EmptyContainers) {
   std::stringstream buffer;
   BinaryWriter writer(&buffer);
