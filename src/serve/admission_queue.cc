@@ -51,14 +51,55 @@ AdmissionQueue::AdmissionQueue(const AdmissionConfig& config)
   }
 }
 
-size_t AdmissionQueue::TotalLocked() const {
-  size_t total = 0;
-  for (const std::vector<QueuedRequest>& band : bands_) total += band.size();
-  return total;
+void AdmissionQueue::Band::Push(const EdfKey& key) {
+  if (sorted && (empty() || Later()(key, keys.back()))) {
+    keys.push_back(key);
+    return;
+  }
+  if (sorted) {
+    DropPopped();
+    sorted = false;
+  }
+  keys.push_back(key);
+  std::push_heap(keys.begin(), keys.end(), Later());
+}
+
+AdmissionQueue::EdfKey AdmissionQueue::Band::Pop() {
+  if (sorted) {
+    const EdfKey key = keys[head++];
+    if (2 * head >= keys.size()) DropPopped();
+    return key;
+  }
+  std::pop_heap(keys.begin(), keys.end(), Later());
+  const EdfKey key = keys.back();
+  keys.pop_back();
+  sorted = keys.empty();
+  return key;
+}
+
+AdmissionQueue::EdfKey AdmissionQueue::Band::Remove(size_t i) {
+  const EdfKey key = keys[i];
+  if (sorted) {
+    keys.erase(keys.begin() + static_cast<std::ptrdiff_t>(i));
+    if (2 * head >= keys.size()) DropPopped();
+    return key;
+  }
+  // Removal from the middle breaks the heap property at one position;
+  // re-heapify the bounded band.
+  keys[i] = keys.back();
+  keys.pop_back();
+  std::make_heap(keys.begin(), keys.end(), Later());
+  sorted = keys.empty();
+  return key;
+}
+
+void AdmissionQueue::Band::DropPopped() {
+  keys.erase(keys.begin(), keys.begin() + static_cast<std::ptrdiff_t>(head));
+  head = 0;
 }
 
 bool AdmissionQueue::HasSpaceLocked() const {
-  return TotalLocked() < static_cast<size_t>(config_.capacity);
+  return queued_ < static_cast<size_t>(config_.capacity);
 }
 
 bool AdmissionQueue::TenantHasRoomLocked(const TenantQuota* quota,
@@ -92,31 +133,42 @@ int AdmissionQueue::SelectClassLocked() {
 }
 
 bool AdmissionQueue::BandHasTenantLocked(int cls, int tenant) const {
-  for (const QueuedRequest& request : bands_[static_cast<size_t>(cls)]) {
-    if (request.tenant_id == tenant) return true;
+  const Band& band = bands_[static_cast<size_t>(cls)];
+  for (size_t i = band.head; i < band.keys.size(); ++i) {
+    if (band.keys[i].tenant_id == tenant) return true;
   }
   return false;
 }
 
+uint32_t AdmissionQueue::ParkLocked(QueuedRequest&& request) {
+  if (free_slots_.empty()) {
+    pool_.push_back(std::move(request));
+    return static_cast<uint32_t>(pool_.size() - 1);
+  }
+  const uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  pool_[slot] = std::move(request);
+  return slot;
+}
+
 void AdmissionQueue::EvictVictimLocked(int cls, int tenant_filter,
-                                       QueuedRequest* victim) {
-  std::vector<QueuedRequest>& band = bands_[static_cast<size_t>(cls)];
+                                       std::vector<QueuedRequest>* bounced) {
+  Band& band = bands_[static_cast<size_t>(cls)];
   AMS_CHECK(!band.empty(), "no shed victim in the chosen class");
   // Linear scan over the bounded band for the oldest admission sequence.
-  size_t chosen = band.size();
-  for (size_t i = 0; i < band.size(); ++i) {
-    if (tenant_filter >= 0 && band[i].tenant_id != tenant_filter) continue;
-    if (chosen == band.size() || band[i].sequence < band[chosen].sequence) {
+  const std::vector<EdfKey>& keys = band.keys;
+  size_t chosen = keys.size();
+  for (size_t i = band.head; i < keys.size(); ++i) {
+    if (tenant_filter >= 0 && keys[i].tenant_id != tenant_filter) continue;
+    if (chosen == keys.size() || keys[i].sequence < keys[chosen].sequence) {
       chosen = i;
     }
   }
-  AMS_CHECK(chosen < band.size(), "no shed victim matches the tenant filter");
-  // Eviction from the middle breaks the heap property at one position;
-  // re-heapify the bounded band.
-  *victim = std::move(band[chosen]);
-  band[chosen] = std::move(band.back());
-  band.pop_back();
-  std::make_heap(band.begin(), band.end(), Later);
+  AMS_CHECK(chosen < keys.size(), "no shed victim matches the tenant filter");
+  const uint32_t slot = band.Remove(chosen).slot;
+  --queued_;
+  free_slots_.push_back(slot);
+  bounced->push_back(std::move(pool_[slot]));
 }
 
 AdmitOutcome AdmissionQueue::Enqueue(QueuedRequest&& request,
@@ -219,10 +271,8 @@ AdmitOutcome AdmissionQueue::Enqueue(QueuedRequest&& request,
       bounced->push_back(std::move(request));
       return AdmitOutcome::kRejectedQuota;
     }
-    QueuedRequest victim;
-    EvictVictimLocked(victim_class, request.tenant_id, &victim);
+    EvictVictimLocked(victim_class, request.tenant_id, bounced);
     --tenant->queued;
-    bounced->push_back(std::move(victim));
   }
   if (!HasSpaceLocked()) {
     if (policy == OverloadPolicy::kReject) {
@@ -246,16 +296,15 @@ AdmitOutcome AdmissionQueue::Enqueue(QueuedRequest&& request,
       bounced->push_back(std::move(request));
       return AdmitOutcome::kRejected;
     }
-    QueuedRequest victim;
-    EvictVictimLocked(victim_class, /*tenant_filter=*/-1, &victim);
-    if (track_tenants_) --tenants_[victim.tenant_id].queued;
-    bounced->push_back(std::move(victim));
+    EvictVictimLocked(victim_class, /*tenant_filter=*/-1, bounced);
+    if (track_tenants_) --tenants_[bounced->back().tenant_id].queued;
   }
   if (tenant != nullptr) ++tenant->queued;
-  std::vector<QueuedRequest>& band = bands_[static_cast<size_t>(cls)];
-  band.push_back(std::move(request));
-  std::push_heap(band.begin(), band.end(), Later);
-  depth_.store(TotalLocked(), std::memory_order_relaxed);
+  EdfKey key{request.deadline_s, request.sequence, 0, request.tenant_id};
+  key.slot = ParkLocked(std::move(request));
+  bands_[static_cast<size_t>(cls)].Push(key);
+  ++queued_;
+  depth_.store(queued_, std::memory_order_relaxed);
   // Only kBlock enqueuers wait and only kShedOldest sheds, so no shed here
   // can be owed to a blocked enqueuer; poppers are the only wake.
   const bool wake = waiting_poppers_ > 0;
@@ -264,26 +313,24 @@ AdmitOutcome AdmissionQueue::Enqueue(QueuedRequest&& request,
   return AdmitOutcome::kAccepted;
 }
 
-bool AdmissionQueue::PopLocked(QueuedRequest* out) {
-  if (TotalLocked() == 0) return false;
-  std::vector<QueuedRequest>& band =
-      bands_[static_cast<size_t>(SelectClassLocked())];
-  std::pop_heap(band.begin(), band.end(), Later);
-  *out = std::move(band.back());
-  band.pop_back();
+QueuedRequest& AdmissionQueue::PopLocked() {
+  const EdfKey key = bands_[static_cast<size_t>(SelectClassLocked())].Pop();
   if (track_tenants_) {
-    TenantState& tenant = tenants_[out->tenant_id];
+    TenantState& tenant = tenants_[key.tenant_id];
     --tenant.queued;
     ++tenant.in_flight;
   }
-  depth_.store(TotalLocked(), std::memory_order_relaxed);
-  return true;
+  --queued_;
+  depth_.store(queued_, std::memory_order_relaxed);
+  free_slots_.push_back(key.slot);
+  return pool_[key.slot];
 }
 
 bool AdmissionQueue::TryPop(QueuedRequest* out) {
   AMS_CHECK(out != nullptr);
   std::unique_lock<std::mutex> lock(mu_);
-  if (!PopLocked(out)) return false;
+  if (queued_ == 0) return false;
+  *out = std::move(PopLocked());
   const bool wake = waiting_enqueuers_ > 0;
   lock.unlock();
   // notify_all, not notify_one: blocked enqueuers wait on tenant-specific
@@ -298,9 +345,9 @@ int AdmissionQueue::TryPopBatch(int max_requests,
   AMS_CHECK(out != nullptr);
   int popped = 0;
   std::unique_lock<std::mutex> lock(mu_);
-  QueuedRequest request;
-  while (popped < max_requests && PopLocked(&request)) {
-    out->push_back(std::move(request));
+  // Each request moves once, from its pool slot into `out`.
+  while (popped < max_requests && queued_ > 0) {
+    out->push_back(std::move(PopLocked()));
     ++popped;
   }
   const bool wake = popped > 0 && waiting_enqueuers_ > 0;
@@ -316,9 +363,10 @@ bool AdmissionQueue::WaitPop(QueuedRequest* out) {
   AMS_CHECK(out != nullptr);
   std::unique_lock<std::mutex> lock(mu_);
   ++waiting_poppers_;
-  not_empty_.wait(lock, [this] { return closed_ || TotalLocked() > 0; });
+  not_empty_.wait(lock, [this] { return closed_ || queued_ > 0; });
   --waiting_poppers_;
-  if (!PopLocked(out)) return false;  // closed and empty: no more work, ever
+  if (queued_ == 0) return false;  // closed and empty: no more work, ever
+  *out = std::move(PopLocked());
   const bool wake = waiting_enqueuers_ > 0;
   lock.unlock();
   if (wake) not_full_.notify_all();

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -143,6 +144,17 @@ struct AdmissionConfig {
 /// until the tenant has room again (pops free queued slots, TenantFinished
 /// frees in-flight slots). An empty rate-token bucket always bounces
 /// kRejectedQuota immediately, whatever the policy.
+///
+/// Storage: each class's EDF band holds 24-byte keys (deadline, sequence,
+/// pool slot, tenant), never requests. While every arrival in a band is
+/// later than the one before it (one producer at one slack, the common
+/// case) the keys stay sorted and a pop takes the front one; the first
+/// arrival out of that order turns the band into a binary heap until it
+/// empties. Either way the pop order is the (deadline, sequence) order. The
+/// requests wait in one slot pool shared by the bands, with a free list of
+/// slot indices; a pop moves its request once, from the slot to the caller.
+/// The pool grows one slot at a time to the deepest the queue has been and
+/// is reused from then on.
 class AdmissionQueue {
  public:
   explicit AdmissionQueue(const AdmissionConfig& config);
@@ -198,13 +210,48 @@ class AdmissionQueue {
   int waiting_enqueuers() const;
 
  private:
-  /// Min-heap comparator on (deadline, sequence) for the EDF bands.
-  /// Implemented as a std::push_heap/pop_heap max-heap with inverted
-  /// comparison.
-  static bool Later(const QueuedRequest& a, const QueuedRequest& b) {
-    if (a.deadline_s != b.deadline_s) return a.deadline_s > b.deadline_s;
-    return a.sequence > b.sequence;
-  }
+  /// A queued request's entry in its class's band: the ordering key
+  /// (deadline, admission sequence), the pool slot holding the request, and
+  /// its tenant, so the shed scans never touch the request itself.
+  struct EdfKey {
+    double deadline_s;
+    uint64_t sequence;
+    uint32_t slot;
+    int32_t tenant_id;
+  };
+  static_assert(sizeof(EdfKey) == 24, "an EDF key is 24 bytes");
+
+  /// Whether `a` pops after `b`: (deadline, sequence) order, which is also
+  /// the inverted comparison that makes std::push_heap/pop_heap a min-heap.
+  /// A functor type, so the heap algorithms inline it.
+  struct Later {
+    bool operator()(const EdfKey& a, const EdfKey& b) const {
+      if (a.deadline_s != b.deadline_s) return a.deadline_s > b.deadline_s;
+      return a.sequence > b.sequence;
+    }
+  };
+
+  /// One class's queued keys, `keys[head..)`. Sorted mode: every key was
+  /// pushed later than the one before it, so the live keys ascend and a
+  /// pop takes `keys[head]`; popped keys are dropped in bulk once they are
+  /// half the array. Heap mode, from the first push out of that order (an
+  /// ascending array already is a heap under Later) until the band
+  /// empties: `head` is 0 and `keys` a std::push_heap/pop_heap heap.
+  struct Band {
+    std::vector<EdfKey> keys;
+    size_t head = 0;
+    bool sorted = true;
+
+    size_t size() const { return keys.size() - head; }
+    bool empty() const { return keys.size() == head; }
+    void Push(const EdfKey& key);
+    /// Removes and returns the earliest key (the band must be non-empty).
+    EdfKey Pop();
+    /// Removes and returns `keys[i]`, i >= head.
+    EdfKey Remove(size_t i);
+    /// Erases the popped prefix `keys[0..head)`.
+    void DropPopped();
+  };
 
   /// Per-tenant accounting (only maintained when the quota table is
   /// non-empty).
@@ -222,17 +269,24 @@ class AdmissionQueue {
   /// `quota` (null quota = always true).
   bool TenantHasRoomLocked(const TenantQuota* quota,
                            const TenantState* tenant) const;
-  size_t TotalLocked() const;
   /// The round-robin half of the pop-order contract: which class serves
   /// the next pop (the queue must be non-empty). Advances the turn as a
   /// side effect, so call exactly once per actual pop.
   int SelectClassLocked();
-  bool PopLocked(QueuedRequest* out);
-  /// Pops the shed victim of class `cls` into `victim`: the oldest
-  /// (smallest admission sequence) request. When `tenant_filter` is
-  /// non-negative only that tenant's requests are candidates (the band
-  /// must contain one).
-  void EvictVictimLocked(int cls, int tenant_filter, QueuedRequest* victim);
+  /// Pops the next key per the pop-order contract (the queue must be
+  /// non-empty), settles the tenant accounting and frees the key's slot.
+  /// Returns the slot's request for the caller to move out: it stays in
+  /// place until the next ParkLocked, which the held lock rules out.
+  QueuedRequest& PopLocked();
+  /// Moves `request` into a free pool slot, growing the pool when none is
+  /// free, and returns the slot.
+  uint32_t ParkLocked(QueuedRequest&& request);
+  /// Removes the shed victim of class `cls` and appends its request to
+  /// `bounced`: the oldest (smallest admission sequence) request. When
+  /// `tenant_filter` is non-negative only that tenant's requests are
+  /// candidates (the band must contain one).
+  void EvictVictimLocked(int cls, int tenant_filter,
+                         std::vector<QueuedRequest>* bounced);
   /// Whether class `cls` holds at least one request of `tenant`.
   bool BandHasTenantLocked(int cls, int tenant) const;
 
@@ -243,15 +297,26 @@ class AdmissionQueue {
   mutable std::mutex mu_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
-  /// One (deadline, sequence) heap of queued requests per class.
-  std::array<std::vector<QueuedRequest>, kNumPriorityClasses> bands_;
+  /// One band of keys per class.
+  std::array<Band, kNumPriorityClasses> bands_;
+  /// Where queued requests wait, indexed by EdfKey::slot. Grows by one
+  /// slot when an arrival finds no free one and never shrinks, so it holds
+  /// the deepest the queue has been, not `capacity`. A popped or shed
+  /// request leaves a moved-from slot behind.
+  std::vector<QueuedRequest> pool_;
+  /// Slots of `pool_` that hold no queued request, reused last-freed first.
+  std::vector<uint32_t> free_slots_;
+  /// Queued requests: the summed band sizes.
+  size_t queued_ = 0;
   std::map<int, TenantState> tenants_;
   /// Weighted-round-robin cursor: current class and pops left in its turn.
   /// Starts one before class 0 (cyclically) with no credit, so the first
   /// pop's turn scan begins at the most important class.
   int rr_class_ = kNumPriorityClasses - 1;
   int rr_credit_ = 0;
-  std::atomic<size_t> depth_{0};  // mirrors the summed band sizes
+  /// `queued_` as of the last completed Enqueue or pop, stored under the
+  /// mutex for size()'s lock-free read.
+  std::atomic<size_t> depth_{0};
   /// Sleeper counts, so the hot paths skip the condition-variable notify
   /// (a potential futex syscall) entirely while everyone is busy — the
   /// steady-state throughput regime.

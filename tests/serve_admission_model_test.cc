@@ -12,9 +12,14 @@
 // 5 / 9 / 12 consecutive pops: interactive / standard / batch) on every
 // trace, and locks two regressions: a uniform-class workload must pop in
 // exactly the legacy single-band EDF order, and tenant ids must do nothing
-// without quotas. A final multi-threaded stress run checks conservation
-// (every request resolves exactly once) under real concurrency — the
-// ordering claims stay single-threaded where they are well-defined.
+// without quotas. A deep-band case runs bands hundreds deep, kept sorted
+// while arrivals come in order and turned into heaps when one does not,
+// against the model; a payload case checks that every request leaves the
+// queue's slot pool with its own item, stream id, trace id and promise
+// while the pool grows and its slots are reused. A final multi-threaded
+// stress run checks conservation (every request resolves exactly once)
+// under real concurrency — the ordering claims stay single-threaded where
+// they are well-defined.
 //
 // The per-config seed count is 25 by default and env-overridable via
 // AMS_MODEL_SEEDS (the nightly CI soak runs 500).
@@ -24,9 +29,11 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <deque>
+#include <future>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -532,6 +539,90 @@ TEST(AdmissionModelTest, RandomizedOpSequencesMatchTheReferenceModel) {
   }
 }
 
+TEST(AdmissionModelTest, DeepInOrderBandsMatchTheModel) {
+  // A band keeps its keys sorted while arrivals come in (deadline,
+  // sequence) order and drops popped keys in bulk; an arrival out of that
+  // order turns it into a heap until it empties. The randomized episodes
+  // above stay a few requests deep. Here each class has one slack and the
+  // clock only moves forward, so arrivals come in order and bands grow
+  // hundreds deep; in odd rounds one arrival in 40 takes a shorter slack,
+  // which turns its band into a heap. Every outcome, shed victim and pop
+  // is compared with the model.
+  util::ManualClock clock;
+  AdmissionConfig config;
+  config.capacity = 600;
+  config.overload = OverloadPolicy::kShedOldest;
+  config.tenant_quotas.default_quota = TenantQuota{250, 0, 0.0, 0.0};
+  config.clock = &clock;
+  AdmissionQueue real(config);
+  ReferenceQueue model(config, &clock);
+  std::mt19937_64 rng(30);
+  const double class_slacks[kNumPriorityClasses] = {1.0, 2.0, kInf};
+  uint64_t next_sequence = 0;
+
+  const auto enqueue = [&](bool out_of_order) {
+    const int cls = static_cast<int>(rng() % kNumPriorityClasses);
+    const int tenant = static_cast<int>(rng() % 3);
+    const double slack =
+        out_of_order ? 0.25 : class_slacks[static_cast<size_t>(cls)];
+    const uint64_t sequence = next_sequence++;
+    const ModelAdmit expected = model.Enqueue(sequence, cls, slack, tenant);
+    std::vector<QueuedRequest> bounced;
+    ASSERT_EQ(real.Enqueue(MakeRequest(sequence, slack, cls, tenant),
+                           &bounced),
+              expected.outcome)
+        << "sequence " << sequence;
+    if (expected.outcome != AdmitOutcome::kAccepted) {
+      ASSERT_EQ(bounced.size(), 1u);
+      ASSERT_EQ(bounced[0].sequence, sequence);
+      return;
+    }
+    ASSERT_EQ(bounced.size(), expected.victims.size());
+    for (size_t v = 0; v < bounced.size(); ++v) {
+      ASSERT_EQ(bounced[v].sequence, expected.victims[v]);
+    }
+  };
+  const auto pop_batch = [&](int max_requests) {
+    std::vector<QueuedRequest> batch;
+    real.TryPopBatch(max_requests, &batch);
+    for (const QueuedRequest& popped : batch) {
+      const std::optional<ReferenceQueue::Request> expected = model.Pop();
+      ASSERT_TRUE(expected.has_value());
+      ASSERT_EQ(popped.sequence, expected->sequence);
+    }
+    if (static_cast<int>(batch.size()) < max_requests) {
+      ASSERT_EQ(model.TotalSize(), 0u);
+    }
+  };
+
+  constexpr int kRounds = 8;
+  for (int round = 0; round < kRounds; ++round) {
+    const bool mixed = round % 2 == 1;
+    // Fill: mostly arrivals, up to capacity and past it (sheds).
+    for (int op = 0; op < 800; ++op) {
+      clock.Advance(0.001);
+      if (rng() % 10 < 9) {
+        enqueue(mixed && rng() % 40 == 0);
+      } else {
+        pop_batch(1);
+      }
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    // Drain: mostly batch pops, a trickle of arrivals.
+    while (model.TotalSize() > 0) {
+      clock.Advance(0.001);
+      if (rng() % 10 < 2) {
+        enqueue(mixed && rng() % 40 == 0);
+      } else {
+        pop_batch(static_cast<int>(rng() % 8) + 1);
+      }
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    ASSERT_EQ(real.size(), 0u);
+  }
+  EXPECT_GE(next_sequence, 6000u);
+}
+
 TEST(AdmissionModelTest, BatchPopsMatchTheModelAcrossClasses) {
   // Dedicated TryPopBatch-vs-model pass: fill with a class/deadline mix,
   // then drain through one big batch pop and compare against successive
@@ -772,6 +863,139 @@ TEST(AdmissionModelTest, TokenBucketRefillsOnTheManualClock) {
   // Other tenants never touch tenant 9's bucket.
   EXPECT_EQ(queue.Enqueue(MakeRequest(8, kInf, 1, /*tenant=*/2), &bounced),
             AdmitOutcome::kAccepted);
+}
+
+// --- payloads through the slot pool ----------------------------------------
+
+/// The payload the payload test derives from each request's sequence.
+int PayloadItem(uint64_t sequence) {
+  return static_cast<int>(sequence * 7 + 3);
+}
+uint64_t PayloadStream(uint64_t sequence) {
+  return sequence * 0x9E3779B97F4A7C15ull + 11;
+}
+uint64_t PayloadTraceId(uint64_t sequence) { return ~sequence; }
+
+TEST(AdmissionModelTest, RequestsKeepTheirPayloadAndPromiseThroughSlotReuse) {
+  // The bands sift keys while the requests wait in a slot pool, so a
+  // request must come back out of its own slot: every popped, shed and
+  // bounced request must carry the item, stream id and trace id derived
+  // from its sequence, and setting its promise must resolve the future
+  // kept for that sequence, exactly once. Fills of growing depth grow the
+  // pool step by step; the drains and the seeded ops between them (shed
+  // policy, tenant queued caps) reuse its slots in every order.
+  util::ManualClock clock;
+  AdmissionConfig config;
+  config.capacity = 48;
+  config.overload = OverloadPolicy::kShedOldest;
+  config.tenant_quotas.default_quota = TenantQuota{12, 0, 0.0, 0.0};
+  config.clock = &clock;
+  AdmissionQueue real(config);
+  ReferenceQueue model(config, &clock);
+  constexpr int kTenants = 5;
+  std::mt19937_64 rng(29);
+  const double slacks[] = {0.5, 1.0, 1.0, 2.0, 4.0, kInf};
+  std::map<uint64_t, std::future<ServeResult>> futures;
+  uint64_t next_sequence = 0;
+  int shed = 0;
+
+  const auto resolve = [&](QueuedRequest& request, uint64_t sequence) {
+    ASSERT_EQ(request.sequence, sequence);
+    ASSERT_EQ(request.item.item, PayloadItem(sequence));
+    ASSERT_EQ(request.stream_id, PayloadStream(sequence));
+    ASSERT_EQ(request.trace.id, PayloadTraceId(sequence));
+    const auto it = futures.find(sequence);
+    ASSERT_NE(it, futures.end())
+        << "sequence " << sequence << " came back twice";
+    ServeResult result;
+    result.latency_s = static_cast<double>(sequence);
+    ASSERT_NO_THROW(request.promise.set_value(result))
+        << "sequence " << sequence << " came back without its promise";
+    ASSERT_EQ(it->second.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    ASSERT_EQ(it->second.get().latency_s, static_cast<double>(sequence));
+    futures.erase(it);
+  };
+  const auto enqueue = [&](int cls, int tenant) {
+    const double slack = slacks[rng() % std::size(slacks)];
+    const uint64_t sequence = next_sequence++;
+    const ModelAdmit expected = model.Enqueue(sequence, cls, slack, tenant);
+    QueuedRequest request = MakeRequest(sequence, slack, cls, tenant);
+    request.item.item = PayloadItem(sequence);
+    request.stream_id = PayloadStream(sequence);
+    request.trace.id = PayloadTraceId(sequence);
+    futures.emplace(sequence, request.promise.get_future());
+    std::vector<QueuedRequest> bounced;
+    const AdmitOutcome outcome = real.Enqueue(std::move(request), &bounced);
+    ASSERT_EQ(outcome, expected.outcome) << "sequence " << sequence;
+    if (outcome != AdmitOutcome::kAccepted) {
+      ASSERT_EQ(bounced.size(), 1u);
+      resolve(bounced[0], sequence);
+      return;
+    }
+    ASSERT_EQ(bounced.size(), expected.victims.size());
+    for (size_t v = 0; v < bounced.size(); ++v) {
+      resolve(bounced[v], expected.victims[v]);
+      if (::testing::Test::HasFatalFailure()) return;
+      ++shed;
+    }
+  };
+  const auto pop_batch = [&](int max_requests) {
+    std::vector<QueuedRequest> batch;
+    const int popped = real.TryPopBatch(max_requests, &batch);
+    ASSERT_EQ(static_cast<size_t>(popped), batch.size());
+    for (QueuedRequest& request : batch) {
+      const std::optional<ReferenceQueue::Request> expected = model.Pop();
+      ASSERT_TRUE(expected.has_value());
+      resolve(request, expected->sequence);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    if (popped < max_requests) {
+      ASSERT_EQ(model.TotalSize(), 0u);
+    }
+  };
+  const auto pop_one = [&] {
+    const std::optional<ReferenceQueue::Request> expected = model.Pop();
+    QueuedRequest popped;
+    ASSERT_EQ(real.TryPop(&popped), expected.has_value());
+    if (expected.has_value()) resolve(popped, expected->sequence);
+  };
+
+  constexpr int kCycles = 8;
+  constexpr int kOpsPerCycle = 300;
+  for (int cycle = 0; cycle < kCycles; ++cycle) {
+    // Seeded ops that keep the queue shallow: pops outpace arrivals.
+    for (int op = 0; op < kOpsPerCycle; ++op) {
+      const uint64_t roll = rng() % 100;
+      if (roll < 10) clock.Advance(static_cast<double>(rng() % 3));
+      if (roll < 45) {
+        enqueue(static_cast<int>(rng() % kNumPriorityClasses),
+                static_cast<int>(rng() % kTenants));
+      } else if (roll < 80) {
+        pop_one();
+      } else {
+        pop_batch(static_cast<int>(rng() % 4) + 1);
+      }
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    // Fill deeper than any earlier cycle (10, 20, ... arrivals, then past
+    // capacity, where the shed policy and the caps evict), then drain.
+    const int arrivals = std::min(10 * (cycle + 1), config.capacity + 8);
+    for (int i = 0; i < arrivals; ++i) {
+      enqueue(static_cast<int>(rng() % kNumPriorityClasses), i % kTenants);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    while (model.TotalSize() > 0) {
+      pop_batch(7);
+      if (::testing::Test::HasFatalFailure()) return;
+      pop_one();
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    ASSERT_EQ(real.size(), 0u);
+  }
+  EXPECT_TRUE(futures.empty()) << futures.size() << " futures never resolved";
+  EXPECT_GE(next_sequence, 1000u);
+  EXPECT_GT(shed, 0);
 }
 
 // --- concurrent conservation -----------------------------------------------

@@ -9,7 +9,8 @@
 // Agent forward underneath, checked on its own. Filling a plane's row memo
 // to its cap may allocate per slab and per index or key-pool growth, never
 // per row. Cloning an agent allocates one copy of its weights and little
-// more, and syncing a clone's weights allocates next to nothing.
+// more, and syncing a clone's weights allocates next to nothing. A warm
+// admission queue fills and drains without allocating.
 //
 // The hook is a global operator new/delete replacement with flag-gated
 // call and byte counters. It is compiled out under sanitizers (they
@@ -33,6 +34,7 @@
 #include "nn/net.h"
 #include "obs/trace.h"
 #include "rl/agent.h"
+#include "serve/admission_queue.h"
 #include "util/arena.h"
 #include "util/clock.h"
 #include "util/rng.h"
@@ -336,6 +338,65 @@ TEST(RowMemoAllocTest, FillingTheMemoAllocatesPerSlabNotPerRow) {
   EXPECT_EQ(plane.batched_rows(), kCap);
   EXPECT_EQ(plane.memo_hits(), 0);
   EXPECT_LT(allocs, 256u);
+}
+
+TEST(AdmissionQueueAllocTest, WarmFillAndDrainAllocateNothing) {
+  AMS_SKIP_WITHOUT_ALLOC_HOOKS();
+  // The admission queue parks requests in a slot pool that grows to the
+  // deepest fill and is reused from then on; its key arrays, sorted or
+  // heaps, and its free list keep their capacity too. Once one fill to
+  // 2,048 requests and a drain in 32-request batches has sized them, an
+  // identical cycle allocates nothing. The requests and their promises are
+  // built before each counted cycle, and the drained requests are
+  // destroyed after it.
+  constexpr int kDepth = 2048;
+  constexpr int kBatch = 32;
+  util::ManualClock clock;
+  serve::AdmissionConfig config;
+  config.capacity = kDepth;
+  config.overload = serve::OverloadPolicy::kReject;
+  config.clock = &clock;
+  serve::AdmissionQueue queue(config);
+  std::vector<serve::QueuedRequest> bounced;
+  bounced.reserve(kDepth);
+  std::vector<serve::QueuedRequest> drained;
+  drained.reserve(kDepth);
+
+  const auto make_requests = [] {
+    std::vector<serve::QueuedRequest> requests(kDepth);
+    for (int i = 0; i < kDepth; ++i) {
+      serve::QueuedRequest& request = requests[static_cast<size_t>(i)];
+      request.sequence = static_cast<uint64_t>(i);
+      // Batch arrivals come in deadline order (their band stays sorted);
+      // the other classes' do not (their bands turn into heaps).
+      request.priority_class = static_cast<serve::PriorityClass>(i % 3);
+      request.slack_s = request.priority_class == serve::PriorityClass::kBatch
+                            ? 1.0
+                            : 0.25 * static_cast<double>((i * 7) % 11);
+      request.item = core::WorkItem::Stored(i);
+    }
+    return requests;
+  };
+  const auto fill_and_drain = [&](std::vector<serve::QueuedRequest>* requests) {
+    for (serve::QueuedRequest& request : *requests) {
+      queue.Enqueue(std::move(request), &bounced);
+    }
+    while (queue.TryPopBatch(kBatch, &drained) > 0) {
+    }
+  };
+
+  std::vector<serve::QueuedRequest> requests = make_requests();
+  fill_and_drain(&requests);
+  ASSERT_EQ(drained.size(), static_cast<size_t>(kDepth));
+  ASSERT_TRUE(bounced.empty());
+  drained.clear();
+
+  requests = make_requests();
+  const size_t allocs = CountAllocations([&] { fill_and_drain(&requests); });
+  EXPECT_EQ(allocs, 0u) << "a warm fill and drain touched the heap";
+  ASSERT_EQ(drained.size(), static_cast<size_t>(kDepth));
+  EXPECT_TRUE(bounced.empty());
+  EXPECT_EQ(queue.size(), 0u);
 }
 
 class TickAllocTest : public ::testing::Test {
