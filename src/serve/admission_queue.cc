@@ -78,12 +78,12 @@ AdmissionQueue::EdfKey AdmissionQueue::Band::Pop() {
 }
 
 AdmissionQueue::EdfKey AdmissionQueue::Band::Remove(size_t i) {
+  // Sheds come only with overload, so a sorted band turns into a heap here
+  // rather than keep a removal path of its own (no-op on a heap).
+  i -= head;
+  DropPopped();
+  sorted = false;
   const EdfKey key = keys[i];
-  if (sorted) {
-    keys.erase(keys.begin() + static_cast<std::ptrdiff_t>(i));
-    if (2 * head >= keys.size()) DropPopped();
-    return key;
-  }
   // Removal from the middle breaks the heap property at one position;
   // re-heapify the bounded band.
   keys[i] = keys.back();

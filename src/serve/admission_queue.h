@@ -149,12 +149,12 @@ struct AdmissionConfig {
 /// pool slot, tenant), never requests. While every arrival in a band is
 /// later than the one before it (one producer at one slack, the common
 /// case) the keys stay sorted and a pop takes the front one; the first
-/// arrival out of that order turns the band into a binary heap until it
-/// empties. Either way the pop order is the (deadline, sequence) order. The
-/// requests wait in one slot pool shared by the bands, with a free list of
-/// slot indices; a pop moves its request once, from the slot to the caller.
-/// The pool grows one slot at a time to the deepest the queue has been and
-/// is reused from then on.
+/// arrival out of that order, or the first shed, turns the band into a
+/// binary heap until it empties. Either way the pop order is the
+/// (deadline, sequence) order. The requests wait in one slot pool shared by
+/// the bands, with a free list of slot indices; a pop moves its request
+/// once, from the slot to the caller. The pool grows one slot at a time to
+/// the deepest the queue has been and is reused from then on.
 class AdmissionQueue {
  public:
   explicit AdmissionQueue(const AdmissionConfig& config);
@@ -234,9 +234,10 @@ class AdmissionQueue {
   /// One class's queued keys, `keys[head..)`. Sorted mode: every key was
   /// pushed later than the one before it, so the live keys ascend and a
   /// pop takes `keys[head]`; popped keys are dropped in bulk once they are
-  /// half the array. Heap mode, from the first push out of that order (an
-  /// ascending array already is a heap under Later) until the band
-  /// empties: `head` is 0 and `keys` a std::push_heap/pop_heap heap.
+  /// half the array. Heap mode, from the first push out of that order or
+  /// the first removal (an ascending array already is a heap under Later)
+  /// until the band empties: `head` is 0 and `keys` a
+  /// std::push_heap/pop_heap heap.
   struct Band {
     std::vector<EdfKey> keys;
     size_t head = 0;
@@ -247,7 +248,7 @@ class AdmissionQueue {
     void Push(const EdfKey& key);
     /// Removes and returns the earliest key (the band must be non-empty).
     EdfKey Pop();
-    /// Removes and returns `keys[i]`, i >= head.
+    /// Removes and returns `keys[i]`, i >= head, leaving a heap.
     EdfKey Remove(size_t i);
     /// Erases the popped prefix `keys[0..head)`.
     void DropPopped();

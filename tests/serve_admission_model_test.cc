@@ -542,12 +542,12 @@ TEST(AdmissionModelTest, RandomizedOpSequencesMatchTheReferenceModel) {
 TEST(AdmissionModelTest, DeepInOrderBandsMatchTheModel) {
   // A band keeps its keys sorted while arrivals come in (deadline,
   // sequence) order and drops popped keys in bulk; an arrival out of that
-  // order turns it into a heap until it empties. The randomized episodes
-  // above stay a few requests deep. Here each class has one slack and the
-  // clock only moves forward, so arrivals come in order and bands grow
-  // hundreds deep; in odd rounds one arrival in 40 takes a shorter slack,
-  // which turns its band into a heap. Every outcome, shed victim and pop
-  // is compared with the model.
+  // order, or a shed, turns it into a heap until it empties. The randomized
+  // episodes above stay a few requests deep. Here each class has one slack
+  // and the clock only moves forward, so arrivals come in order and bands
+  // grow hundreds deep until the fills shed past capacity; in odd rounds one
+  // arrival in 40 takes a shorter slack, which turns its band into a heap.
+  // Every outcome, shed victim and pop is compared with the model.
   util::ManualClock clock;
   AdmissionConfig config;
   config.capacity = 600;

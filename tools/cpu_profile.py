@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Reports a tools/cpu_sampler.cc profile: CPU-time shares by function.
 
-    python3 tools/cpu_profile.py prof.txt [--under REGEX] [--top N]
-        [--group NAME=REGEX ...] [--min-samples N]
+    python3 tools/cpu_profile.py prof.txt [--group NAME=REGEX ...]
+        [--min-samples N]
 
 Symbolizes every sampled frame with addr2line (-i, so code inlined into a
 function is charged to the inlined function when the binary has debug
 info; without it, to the enclosing symbol), keeps the samples whose stack
-holds a function matching --under (default ServerRuntime::WorkerLoop: the
-serving runtime's worker threads), and prints over them
+holds ServerRuntime::WorkerLoop (the serving runtime's worker threads), and
+prints over them
 
   - self shares: each sample charged to the innermost function of its first
     frame in the executable, so time in a library leaf (a futex wait in
@@ -26,11 +26,14 @@ serving runtime's worker threads), and prints over them
     function anywhere on the stack, e.g.
     --group 'heap=std::_*(pop|push|make|adjust)_heap|AdmissionQueue::Later'.
 
+Each of the three tables lists its 25 largest entries.
+
 Symbolize before rebuilding: the profile holds addresses, which only the
 binaries that were sampled can name.
 
-Exit status: 1 when fewer than --min-samples samples fall under --under
-(the ctest smoke check), 2 on an unreadable profile; 0 otherwise.
+Exit status: 1 when fewer than --min-samples samples fall under
+WorkerLoop (the ctest smoke check), 2 on an unreadable profile; 0
+otherwise.
 """
 
 import argparse
@@ -39,6 +42,11 @@ import os
 import re
 import subprocess
 import sys
+
+# Samples are kept when a function on their stack matches this.
+UNDER = re.compile(r"ServerRuntime::WorkerLoop")
+# Rows printed per table.
+TOP = 25
 
 
 def read_profile(path):
@@ -165,10 +173,6 @@ class Symbolizer:
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("profile")
-    parser.add_argument("--under", default=r"ServerRuntime::WorkerLoop",
-                        help="keep samples with a matching function on the "
-                             "stack (default: the serving workers)")
-    parser.add_argument("--top", type=int, default=25)
     parser.add_argument("--group", action="append", default=[],
                         metavar="NAME=REGEX")
     parser.add_argument("--min-samples", type=int, default=0)
@@ -179,7 +183,6 @@ def main():
         if not sep:
             parser.error("--group takes NAME=REGEX")
         groups.append((name, re.compile(pattern)))
-    under = re.compile(args.under)
 
     try:
         exe, maps, samples = read_profile(args.profile)
@@ -201,7 +204,7 @@ def main():
                   for i, pc in enumerate(stack)]
         names = {name for module, chain in frames if module == exe
                  for name in chain}
-        if not any(under.search(name) for name in names):
+        if not any(UNDER.search(name) for name in names):
             continue
         kept += 1
         threads.add(tid)
@@ -217,13 +220,13 @@ def main():
                 drop_template_arguments(name) for name in caller))] += 1
 
     print("%d of %d samples under /%s/, %d threads" %
-          (kept, len(samples), args.under, len(threads)))
+          (kept, len(samples), UNDER.pattern, len(threads)))
     if kept == 0:
         return 1 if args.min_samples > 0 else 0
 
     def table(title, counts):
         print("\n%s" % title)
-        for name, count in counts.most_common(args.top):
+        for name, count in counts.most_common(TOP):
             print("  %6.2f%%  %s" % (100.0 * count / kept, name))
 
     table("self (library leaves charged to their first executable frame)",

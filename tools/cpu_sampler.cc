@@ -14,10 +14,9 @@
 //   python3 tools/cpu_profile.py prof.txt
 //
 // AMS_SAMPLER_OUT names the output file; without it the library does
-// nothing. AMS_SAMPLER_PERIOD_US sets the period in microseconds of each
-// thread's CPU time (default 1000). Samples past the buffer's 64 MB are
-// counted as dropped. Do not combine with a sanitizer runtime, which
-// interposes pthread_create itself.
+// nothing. The period is 1 ms of each thread's CPU time. Samples past the
+// buffer's 64 MB are counted as dropped. Do not combine with a sanitizer
+// runtime, which interposes pthread_create itself.
 
 #include <dlfcn.h>
 #include <execinfo.h>
@@ -46,6 +45,8 @@ constexpr int kMaxFrames = 64;
 constexpr int kSkippedFrames = 2;
 /// Sample buffer: 8M words of address space, resident only as it fills.
 constexpr size_t kBufferWords = size_t{1} << 23;
+/// One sample per millisecond of a thread's CPU time.
+constexpr long kPeriodNs = 1000000;
 
 /// Each sample is a header word (frame count << 32 | tid), then the
 /// frames, innermost first. The header is stored last, with release, so
@@ -54,7 +55,6 @@ std::atomic<uint64_t>* g_buffer = nullptr;
 std::atomic<size_t> g_used{0};
 std::atomic<uint64_t> g_dropped{0};
 std::atomic<bool> g_stopped{false};
-long g_period_ns = 1000000;
 char g_out_path[4096];
 
 using PthreadCreate = int (*)(pthread_t*, const pthread_attr_t*,
@@ -105,8 +105,7 @@ void ArmThisThread() {
   if (timer_create(CLOCK_THREAD_CPUTIME_ID, &event, &timer.id) != 0) return;
   timer.armed = true;
   itimerspec spec{};
-  spec.it_interval.tv_sec = g_period_ns / 1000000000;
-  spec.it_interval.tv_nsec = g_period_ns % 1000000000;
+  spec.it_interval.tv_nsec = kPeriodNs;
   spec.it_value = spec.it_interval;
   timer_settime(timer.id, 0, &spec, nullptr);
 }
@@ -131,7 +130,7 @@ void WriteProfile() {
   }
   const size_t used = g_used.load(std::memory_order_relaxed);
   std::fprintf(out, "# cpu_sampler period_ns=%ld dropped=%llu\n",
-               g_period_ns,
+               kPeriodNs,
                static_cast<unsigned long long>(
                    g_dropped.load(std::memory_order_relaxed)));
   char exe[4096];
@@ -188,10 +187,6 @@ __attribute__((constructor, used)) void StartSampler() {
     return;
   }
   std::strcpy(g_out_path, path);
-  if (const char* period = std::getenv("AMS_SAMPLER_PERIOD_US")) {
-    const long us = std::strtol(period, nullptr, 10);
-    if (us > 0) g_period_ns = us * 1000;
-  }
   void* buffer = mmap(nullptr, kBufferWords * sizeof(uint64_t),
                       PROT_READ | PROT_WRITE,
                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
