@@ -9,14 +9,13 @@
 #include <memory>
 
 #include <array>
-#include <numeric>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "core/labeling_service.h"
 #include "data/dataset.h"
 #include "data/dataset_profile.h"
 #include "data/oracle.h"
-#include "data/stream.h"
 #include "eval/world.h"
 #include "util/table.h"
 #include "zoo/model_zoo.h"
@@ -40,9 +39,15 @@ void Run() {
                 std::to_string(num_chunks) + " chunks x " +
                 std::to_string(chunk_len) + " frames)");
 
-  // Streaming sessions: the service keeps each chunk's frames on one worker
-  // in arrival order, so the chunk knowledge builds up exactly as it would
-  // online (while different chunks may run concurrently).
+  // The stream, in arrival order, each frame tagged with its chunk: the
+  // service keeps each chunk's frames on one worker in that order, so the
+  // chunk knowledge builds up exactly as it would online (while different
+  // chunks may run concurrently).
+  std::vector<core::WorkItem> frames;
+  frames.reserve(static_cast<size_t>(dataset.size()));
+  for (int i = 0; i < dataset.size(); ++i) {
+    frames.push_back(core::WorkItem::Stored(i, dataset.item(i).chunk_id));
+  }
   auto run_policy = [&](const std::string& policy) {
     sched::PolicyOptions options;
     options.seed = 17;
@@ -56,16 +61,12 @@ void Run() {
             .WithKernelMode(core::KernelMode::kLean)  // counts/recall only
             .WithWorkers(1)  // numbers must not vary with the core count
             .Build();
-    std::vector<int> indices(static_cast<size_t>(dataset.size()));
-    std::iota(indices.begin(), indices.end(), 0);
-    data::DataStream stream(&dataset, indices, /*shuffle=*/false, /*seed=*/1);
     double time_sum = 0.0, models_sum = 0.0, recall_sum = 0.0;
-    service.Run(&stream, [&](const core::WorkItem&,
-                             const core::LabelOutcome& outcome) {
+    for (const core::LabelOutcome& outcome : service.SubmitBatch(frames)) {
       time_sum += outcome.schedule.makespan_s;
       models_sum += static_cast<double>(outcome.schedule.num_executions);
       recall_sum += outcome.recall;
-    });
+    }
     const double n = static_cast<double>(dataset.size());
     return std::array<double, 3>{time_sum / n, models_sum / n,
                                  recall_sum / n};

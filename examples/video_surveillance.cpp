@@ -4,21 +4,19 @@
 //      of each segment and then runs only the models that paid off;
 //   2. a DRL agent whose face-detector priority θ is boosted (Eq. 3), so the
 //      security-critical "face" label arrives within a tight deadline.
-// Both run through LabelingService sessions; part 1 uses the streaming
-// entry point (Run) over a DataStream.
+// Both run through LabelingService sessions; part 1 submits the segmented
+// stream as one SubmitBatch of chunk-tagged frames.
 //
 //   ./build/examples/video_surveillance
 
 #include <cstdio>
 #include <memory>
-#include <numeric>
 #include <vector>
 
 #include "core/labeling_service.h"
 #include "data/dataset.h"
 #include "data/dataset_profile.h"
 #include "data/oracle.h"
-#include "data/stream.h"
 #include "rl/trainer.h"
 #include "util/stats.h"
 #include "zoo/model_zoo.h"
@@ -34,9 +32,15 @@ int main() {
         /*chunk_len=*/25, /*seed=*/21);
     const data::Oracle oracle(&zoo, &stream_data);
 
-    // Streaming sessions: items arrive chunk by chunk; the service keeps a
-    // chunk's frames on one worker so the policy's segment knowledge builds
-    // up exactly as it would online.
+    // Frames arrive chunk by chunk, each tagged with its chunk; the service
+    // keeps a chunk's frames on one worker, in order, so the policy's
+    // segment knowledge builds up exactly as it would online.
+    std::vector<core::WorkItem> frames;
+    frames.reserve(static_cast<size_t>(stream_data.size()));
+    for (int i = 0; i < stream_data.size(); ++i) {
+      frames.push_back(
+          core::WorkItem::Stored(i, stream_data.item(i).chunk_id));
+    }
     const auto run_stream = [&](const std::string& policy,
                                 util::RunningStat* time_stat,
                                 util::RunningStat* recall_stat) {
@@ -51,15 +55,10 @@ int main() {
               .WithRecallTarget(1.0)
               .WithWorkers(1)  // numbers must not vary with the core count
               .Build();
-      std::vector<int> indices(static_cast<size_t>(stream_data.size()));
-      std::iota(indices.begin(), indices.end(), 0);
-      data::DataStream stream(&stream_data, indices, /*shuffle=*/false,
-                              /*seed=*/1);
-      service.Run(&stream, [&](const core::WorkItem&,
-                               const core::LabelOutcome& outcome) {
+      for (const core::LabelOutcome& outcome : service.SubmitBatch(frames)) {
         time_stat->Add(outcome.schedule.makespan_s);
         if (recall_stat != nullptr) recall_stat->Add(outcome.recall);
-      });
+      }
     };
 
     util::RunningStat explore_time, random_time, explore_recall;

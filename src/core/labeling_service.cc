@@ -533,23 +533,6 @@ std::vector<LabelOutcome> LabelingService::SubmitBatch(
   return results;
 }
 
-int LabelingService::Run(data::DataStream* stream, const Sink& sink) {
-  AMS_CHECK(stream != nullptr);
-  AMS_CHECK(config_.oracle != nullptr,
-            "streaming sessions replay stored items; configure WithOracle");
-  std::vector<WorkItem> items;
-  items.reserve(static_cast<size_t>(stream->size()));
-  while (!stream->Done()) {
-    const int item = stream->Next();
-    items.push_back(WorkItem::Stored(item, stream->current_chunk()));
-  }
-  const std::vector<LabelOutcome> outcomes = SubmitBatch(items);
-  if (sink != nullptr) {
-    for (size_t i = 0; i < items.size(); ++i) sink(items[i], outcomes[i]);
-  }
-  return static_cast<int>(items.size());
-}
-
 LabelingServiceBuilder::LabelingServiceBuilder(const zoo::ModelZoo* zoo) {
   AMS_CHECK(zoo != nullptr);
   config_.zoo = zoo;

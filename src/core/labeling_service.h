@@ -11,7 +11,6 @@
 #include "core/predictor.h"
 #include "core/schedule_kernel.h"
 #include "data/oracle.h"
-#include "data/stream.h"
 #include "obs/trace.h"
 #include "sched/policy_picker.h"
 #include "sched/policy_registry.h"
@@ -69,21 +68,22 @@ struct LabelOutcome {
 /// The public facade of the framework: one session-based API over every
 /// scheduling regime the paper describes — greedy, Algorithm 1, Algorithm 2,
 /// and all registry policies — on live scenes or stored items, one at a
-/// time, in batches, or as a stream. Construct via LabelingServiceBuilder.
+/// time, in batches, or multiplexed in flight by an ItemStepper. Construct
+/// via LabelingServiceBuilder.
 ///
 /// Threading model: Submit() runs inline and keeps one session-level
 /// decision state (policy object, resident record), so chunked-stream
 /// policies accumulate knowledge across consecutive submissions.
-/// SubmitBatch()/Run() fan out over a util::ThreadPool with a decision state
+/// SubmitBatch() fans out over a util::ThreadPool with a decision state
 /// per worker (its own policy object and predictor clone) and a
 /// deterministic partition (whole chunks never split across workers), so
 /// results are reproducible for a fixed seed and worker count. A session
 /// parallelizes internally but is not itself thread-safe: issue
-/// Submit/SubmitBatch/Run calls one at a time (the live-item sequence and
+/// Submit/SubmitBatch calls one at a time (the live-item sequence and
 /// the pooled per-worker predictor clones are shared session state).
 ///
 /// Two drivers label items, and both produce bit-identical outcomes:
-/// Submit/SubmitBatch/Run label each item start to finish on a per-worker
+/// Submit/SubmitBatch label each item start to finish on a per-worker
 /// decision state (RunOne), and ItemStepper multiplexes in-flight items for
 /// the serving runtime, sharing one batched, memoized Q-forward per tick.
 /// Both run items on resident item records: one per RunOne decision state
@@ -98,7 +98,6 @@ struct LabelOutcome {
 /// materialization for recall-only paths; it changes cost, never recall.
 class LabelingService {
  public:
-  using Sink = std::function<void(const WorkItem&, const LabelOutcome&)>;
   using PolicyFactory =
       std::function<std::unique_ptr<sched::PolicyPicker>()>;
 
@@ -112,13 +111,9 @@ class LabelingService {
   }
 
   /// Labels a batch, fanned out over the session's workers. Result order
-  /// matches item order.
+  /// matches item order. A stream is one batch in arrival order, each item
+  /// tagged with its chunk (WorkItem::chunk_id).
   std::vector<LabelOutcome> SubmitBatch(const std::vector<WorkItem>& items);
-
-  /// Drains an oracle-backed stream through the session (chunk ids taken
-  /// from the stream), invoking `sink` once per item in arrival order after
-  /// all work completes. Returns the number of items labeled.
-  int Run(data::DataStream* stream, const Sink& sink);
 
   const zoo::ModelZoo& zoo() const { return *config_.zoo; }
   const data::Oracle* oracle() const { return config_.oracle; }
@@ -157,7 +152,7 @@ class LabelingService {
   /// its chunk executed. `worker_index` keys the per-worker predictor clone
   /// pool and seeds the worker's policy as SubmitBatch's worker of that
   /// index; concurrent steppers must use distinct indices. Do not run
-  /// SubmitBatch/Run on the session while steppers are live (they share the
+  /// SubmitBatch on the session while steppers are live (they share the
   /// clone pool).
   std::unique_ptr<ItemStepper> NewItemStepper(int worker_index);
 
@@ -367,7 +362,7 @@ class LabelingServiceBuilder {
   /// and recall but `schedule.executions`/`recalled_labels` stay empty. The
   /// offline recall-only paths (deadline/memory sweeps) run lean.
   LabelingServiceBuilder& WithKernelMode(KernelMode mode);
-  /// Worker threads for SubmitBatch/Run; <= 0 means hardware concurrency.
+  /// Worker threads for SubmitBatch; <= 0 means hardware concurrency.
   LabelingServiceBuilder& WithWorkers(int workers);
   LabelingServiceBuilder& WithSeed(uint64_t seed);
   /// Oracle-backed serial sessions stop an item once this value recall is

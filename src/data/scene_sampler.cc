@@ -105,11 +105,6 @@ const std::vector<int>& SceneSampler::PreferredObjects(int scene_id) const {
   return scene_objects_[static_cast<size_t>(scene_id)];
 }
 
-const std::vector<int>& SceneSampler::PreferredActions(int scene_id) const {
-  AMS_CHECK(scene_id >= 0 && scene_id < kNumScenes);
-  return scene_actions_[static_cast<size_t>(scene_id)];
-}
-
 zoo::LatentScene SceneSampler::Sample(util::Rng* rng, uint64_t item_seed) const {
   zoo::LatentScene scene;
   scene.item_seed = item_seed;

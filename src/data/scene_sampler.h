@@ -30,8 +30,6 @@ class SceneSampler {
 
   /// Preferred object categories for a scene id (exposed for tests).
   const std::vector<int>& PreferredObjects(int scene_id) const;
-  /// Preferred actions for a scene id (exposed for tests).
-  const std::vector<int>& PreferredActions(int scene_id) const;
 
  private:
   DatasetProfile profile_;

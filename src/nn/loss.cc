@@ -8,7 +8,7 @@
 namespace ams::nn {
 
 double QLoss(const Matrix& q, const std::vector<int>& actions,
-             const std::vector<float>& targets, LossKind kind, Matrix* grad) {
+             const std::vector<float>& targets, Matrix* grad) {
   const int batch = q.rows();
   AMS_CHECK(static_cast<int>(actions.size()) == batch);
   AMS_CHECK(static_cast<int>(targets.size()) == batch);
@@ -20,18 +20,13 @@ double QLoss(const Matrix& q, const std::vector<int>& actions,
     const int a = actions[b];
     AMS_DCHECK(a >= 0 && a < q.cols(), "action out of range");
     const float err = q.At(b, a) - targets[b];
-    if (kind == LossKind::kMse) {
+    const float abs_err = std::fabs(err);
+    if (abs_err <= 1.0f) {
       loss += 0.5 * static_cast<double>(err) * static_cast<double>(err);
       grad->At(b, a) = err * inv_batch;
-    } else {  // Huber with delta = 1
-      const float abs_err = std::fabs(err);
-      if (abs_err <= 1.0f) {
-        loss += 0.5 * static_cast<double>(err) * static_cast<double>(err);
-        grad->At(b, a) = err * inv_batch;
-      } else {
-        loss += static_cast<double>(abs_err) - 0.5;
-        grad->At(b, a) = (err > 0.0f ? 1.0f : -1.0f) * inv_batch;
-      }
+    } else {
+      loss += static_cast<double>(abs_err) - 0.5;
+      grad->At(b, a) = (err > 0.0f ? 1.0f : -1.0f) * inv_batch;
     }
   }
   return loss / batch;

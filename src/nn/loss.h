@@ -7,18 +7,14 @@
 
 namespace ams::nn {
 
-enum class LossKind {
-  kMse,
-  kHuber,  // delta = 1 (smooth L1), the standard DQN choice
-};
-
-/// Temporal-difference loss for Q-learning batches.
+/// Temporal-difference loss for Q-learning batches: Huber with delta = 1
+/// (smooth L1), the standard DQN choice.
 ///
 /// For each row b, compares q.At(b, actions[b]) against targets[b]; entries
 /// for non-selected actions receive zero gradient. Returns the mean loss and
 /// fills `grad` (same shape as q) with dLoss/dQ (already divided by batch).
 double QLoss(const Matrix& q, const std::vector<int>& actions,
-             const std::vector<float>& targets, LossKind kind, Matrix* grad);
+             const std::vector<float>& targets, Matrix* grad);
 
 /// Plain elementwise MSE between `pred` and `target` (used by tests and the
 /// gradient checker). Fills grad with dLoss/dPred.

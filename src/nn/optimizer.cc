@@ -22,42 +22,6 @@ void EnsureState(std::vector<std::vector<float>>* state,
 
 }  // namespace
 
-Sgd::Sgd(float lr, float momentum) : lr_(lr), momentum_(momentum) {
-  AMS_CHECK(lr > 0.0f);
-  AMS_CHECK(momentum >= 0.0f && momentum < 1.0f);
-}
-
-void Sgd::Step(const std::vector<ParamGrad>& params) {
-  EnsureState(&velocity_, params);
-  for (size_t t = 0; t < params.size(); ++t) {
-    const ParamGrad& p = params[t];
-    AMS_DCHECK(velocity_[t].size() == p.size);
-    float* v = velocity_[t].data();
-    for (size_t i = 0; i < p.size; ++i) {
-      v[i] = momentum_ * v[i] - lr_ * p.grad[i];
-      p.param[i] += v[i];
-    }
-  }
-}
-
-RmsProp::RmsProp(float lr, float rho, float eps) : lr_(lr), rho_(rho), eps_(eps) {
-  AMS_CHECK(lr > 0.0f);
-  AMS_CHECK(rho > 0.0f && rho < 1.0f);
-}
-
-void RmsProp::Step(const std::vector<ParamGrad>& params) {
-  EnsureState(&sq_avg_, params);
-  for (size_t t = 0; t < params.size(); ++t) {
-    const ParamGrad& p = params[t];
-    float* s = sq_avg_[t].data();
-    for (size_t i = 0; i < p.size; ++i) {
-      const float g = p.grad[i];
-      s[i] = rho_ * s[i] + (1.0f - rho_) * g * g;
-      p.param[i] -= lr_ * g / (std::sqrt(s[i]) + eps_);
-    }
-  }
-}
-
 Adam::Adam(float lr, float beta1, float beta2, float eps)
     : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {
   AMS_CHECK(lr > 0.0f);
@@ -84,14 +48,6 @@ void Adam::Step(const std::vector<ParamGrad>& params) {
       p.param[i] -= lr_ * m_hat / (std::sqrt(v_hat) + eps_);
     }
   }
-}
-
-std::unique_ptr<Optimizer> MakeOptimizer(const std::string& name, float lr) {
-  if (name == "sgd") return std::make_unique<Sgd>(lr, 0.9f);
-  if (name == "rmsprop") return std::make_unique<RmsProp>(lr);
-  if (name == "adam") return std::make_unique<Adam>(lr);
-  AMS_CHECK(false, "unknown optimizer: " + name);
-  return nullptr;
 }
 
 }  // namespace ams::nn

@@ -1,65 +1,27 @@
 #ifndef AMS_NN_OPTIMIZER_H_
 #define AMS_NN_OPTIMIZER_H_
 
-#include <memory>
-#include <string>
+#include <cstdint>
 #include <vector>
 
 #include "nn/layer.h"
 
 namespace ams::nn {
 
-/// First-order optimizer over a fixed set of parameter tensors.
+/// Adam (Kingma & Ba) with bias correction over a fixed set of parameter
+/// tensors: the optimizer of the DRL trainer.
 ///
-/// Optimizer state (momentum/moment buffers) is keyed by position in the
-/// `params` vector, so callers must pass the same CollectParams() output in
-/// the same order on every Step().
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-
-  /// Applies one update using the gradients currently stored next to each
-  /// parameter tensor.
-  virtual void Step(const std::vector<ParamGrad>& params) = 0;
-
-  virtual std::string name() const = 0;
-};
-
-/// SGD with classical momentum: v = mu*v - lr*g; p += v.
-class Sgd : public Optimizer {
- public:
-  explicit Sgd(float lr, float momentum = 0.0f);
-  void Step(const std::vector<ParamGrad>& params) override;
-  std::string name() const override { return "sgd"; }
-
- private:
-  float lr_;
-  float momentum_;
-  std::vector<std::vector<float>> velocity_;
-};
-
-/// RMSProp: s = rho*s + (1-rho)*g^2; p -= lr * g / (sqrt(s)+eps).
-class RmsProp : public Optimizer {
- public:
-  explicit RmsProp(float lr, float rho = 0.99f, float eps = 1e-8f);
-  void Step(const std::vector<ParamGrad>& params) override;
-  std::string name() const override { return "rmsprop"; }
-
- private:
-  float lr_;
-  float rho_;
-  float eps_;
-  std::vector<std::vector<float>> sq_avg_;
-};
-
-/// Adam (Kingma & Ba) with bias correction. The default optimizer for all
-/// DRL trainers in this repo.
-class Adam : public Optimizer {
+/// The moment buffers are keyed by position in the `params` vector, so
+/// callers must pass the same CollectParams() output in the same order on
+/// every Step().
+class Adam {
  public:
   explicit Adam(float lr, float beta1 = 0.9f, float beta2 = 0.999f,
                 float eps = 1e-8f);
-  void Step(const std::vector<ParamGrad>& params) override;
-  std::string name() const override { return "adam"; }
+
+  /// Applies one update using the gradients currently stored next to each
+  /// parameter tensor.
+  void Step(const std::vector<ParamGrad>& params);
 
  private:
   float lr_;
@@ -70,9 +32,6 @@ class Adam : public Optimizer {
   std::vector<std::vector<float>> m_;
   std::vector<std::vector<float>> v_;
 };
-
-/// Factory by name ("sgd" | "rmsprop" | "adam"); crashes on unknown name.
-std::unique_ptr<Optimizer> MakeOptimizer(const std::string& name, float lr);
 
 }  // namespace ams::nn
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "nn/loss.h"
 #include "nn/optimizer.h"
 #include "rl/epsilon.h"
 #include "rl/replay_buffer.h"
@@ -83,8 +84,7 @@ std::unique_ptr<Agent> AgentTrainer::Train(const std::vector<int>& item_indices,
 
   std::vector<nn::ParamGrad> params;
   online->CollectParams(&params);
-  std::unique_ptr<nn::Optimizer> optimizer = nn::MakeOptimizer(
-      config_.optimizer, static_cast<float>(config_.learning_rate));
+  nn::Adam optimizer(static_cast<float>(config_.learning_rate));
 
   ReplayBuffer buffer(config_.replay_capacity);
   EpsilonSchedule epsilon(config_.eps_start, config_.eps_end,
@@ -184,9 +184,9 @@ std::unique_ptr<Agent> AgentTrainer::Train(const std::vector<int>& item_indices,
     actions.resize(static_cast<size_t>(bs));
     targets.resize(static_cast<size_t>(bs));
     online->Forward(batch_states, &q_pred);
-    nn::QLoss(q_pred, actions, targets, config_.loss, &grad);
+    nn::QLoss(q_pred, actions, targets, &grad);
     online->Backward(grad);
-    optimizer->Step(params);
+    optimizer.Step(params);
   };
 
   int global_step = 0;

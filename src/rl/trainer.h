@@ -7,7 +7,6 @@
 
 #include "core/env.h"
 #include "data/oracle.h"
-#include "nn/loss.h"
 #include "rl/agent.h"
 
 namespace ams::rl {
@@ -24,7 +23,8 @@ enum class DrlScheme : int {
 std::string SchemeName(DrlScheme scheme);
 
 /// Hyperparameters of agent training. Defaults reproduce the paper's setup
-/// (one 256-unit ReLU hidden layer, §IV-B) at a CPU-friendly scale.
+/// (one 256-unit ReLU hidden layer, §IV-B) at a CPU-friendly scale. The
+/// trainer minimizes the Huber TD loss (nn::QLoss) with Adam.
 struct TrainConfig {
   DrlScheme scheme = DrlScheme::kDuelingDqn;
   /// Width of the hidden layer(s). The paper uses 256.
@@ -48,8 +48,6 @@ struct TrainConfig {
   core::RewardShaping shaping = core::RewardShaping::kLogSum;
   /// §IV-B: the END action speeds up convergence; disable for the ablation.
   bool enable_end_action = true;
-  nn::LossKind loss = nn::LossKind::kHuber;
-  std::string optimizer = "adam";
   uint64_t seed = 42;
 };
 

@@ -326,51 +326,41 @@ QueuedRequest& AdmissionQueue::PopLocked() {
   return pool_[key.slot];
 }
 
-bool AdmissionQueue::TryPop(QueuedRequest* out) {
-  AMS_CHECK(out != nullptr);
-  std::unique_lock<std::mutex> lock(mu_);
-  if (queued_ == 0) return false;
-  *out = std::move(PopLocked());
-  const bool wake = waiting_enqueuers_ > 0;
-  lock.unlock();
-  // notify_all, not notify_one: blocked enqueuers wait on tenant-specific
-  // predicates (tenant quotas), so the single woken thread might not be the
-  // one that gained space.
-  if (wake) not_full_.notify_all();
-  return true;
-}
-
-int AdmissionQueue::TryPopBatch(int max_requests,
-                                std::vector<QueuedRequest>* out) {
-  AMS_CHECK(out != nullptr);
+int AdmissionQueue::PopBatchAndUnlock(int max_requests,
+                                      std::vector<QueuedRequest>* out,
+                                      std::unique_lock<std::mutex>* lock) {
   int popped = 0;
-  std::unique_lock<std::mutex> lock(mu_);
   // Each request moves once, from its pool slot into `out`.
   while (popped < max_requests && queued_ > 0) {
     out->push_back(std::move(PopLocked()));
     ++popped;
   }
   const bool wake = popped > 0 && waiting_enqueuers_ > 0;
-  lock.unlock();
-  if (wake) {
-    // Several slots may have opened at once, across several tenants.
-    not_full_.notify_all();
-  }
+  lock->unlock();
+  // notify_all, not notify_one: several slots may have opened at once, and
+  // blocked enqueuers wait on tenant-specific predicates (tenant quotas),
+  // so a single woken thread might not be the one that gained space.
+  if (wake) not_full_.notify_all();
   return popped;
 }
 
-bool AdmissionQueue::WaitPop(QueuedRequest* out) {
+int AdmissionQueue::TryPopBatch(int max_requests,
+                                std::vector<QueuedRequest>* out) {
   AMS_CHECK(out != nullptr);
+  std::unique_lock<std::mutex> lock(mu_);
+  return PopBatchAndUnlock(max_requests, out, &lock);
+}
+
+int AdmissionQueue::WaitPopBatch(int max_requests,
+                                 std::vector<QueuedRequest>* out) {
+  AMS_CHECK(out != nullptr);
+  AMS_CHECK(max_requests > 0, "a blocking pop must ask for a request");
   std::unique_lock<std::mutex> lock(mu_);
   ++waiting_poppers_;
   not_empty_.wait(lock, [this] { return closed_ || queued_ > 0; });
   --waiting_poppers_;
-  if (queued_ == 0) return false;  // closed and empty: no more work, ever
-  *out = std::move(PopLocked());
-  const bool wake = waiting_enqueuers_ > 0;
-  lock.unlock();
-  if (wake) not_full_.notify_all();
-  return true;
+  // Closed and empty pops nothing: no more work, ever.
+  return PopBatchAndUnlock(max_requests, out, &lock);
 }
 
 void AdmissionQueue::TenantFinished(int tenant_id) {

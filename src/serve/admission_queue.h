@@ -120,7 +120,7 @@ struct AdmissionConfig {
 /// one EDF band per PriorityClass, weighted round-robin between classes at
 /// the fixed kClassWeights, one overload policy over a queue-wide capacity,
 /// and per-tenant quotas (queued cap, in-flight cap, rate token bucket).
-/// Thread-safe; the blocking operations (kBlock enqueues, WaitPop) are
+/// Thread-safe; the blocking operations (kBlock enqueues, WaitPopBatch) are
 /// condition-variable based and wake on Close().
 ///
 /// Pop-order contract (the reference model in
@@ -170,19 +170,18 @@ class AdmissionQueue {
   AdmitOutcome Enqueue(QueuedRequest&& request,
                        std::vector<QueuedRequest>* bounced);
 
-  /// Pops the next request per the pop-order contract; false when empty.
-  bool TryPop(QueuedRequest* out);
-
   /// Pops up to `max_requests` under one lock (the worker refill path: one
-  /// acquisition per tick instead of one per item). A single batch spans
-  /// classes exactly as `max_requests` successive TryPops would. Returns
-  /// the number appended to `out`.
+  /// acquisition per tick instead of one per item), moving each request
+  /// from its slot to the end of `out`. A single batch spans classes in
+  /// exactly the pop-order contract's order, as that many successive pops
+  /// would. Returns the number appended; 0 when the queue is empty.
   int TryPopBatch(int max_requests, std::vector<QueuedRequest>* out);
 
-  /// Blocks until a request is available or the queue is closed AND empty
-  /// (drain-then-stop: queued work survives Close). False means "no more
-  /// work, ever" — the worker run-loops' exit signal.
-  bool WaitPop(QueuedRequest* out);
+  /// TryPopBatch that first blocks until a request is queued or the queue
+  /// is closed AND empty (drain-then-stop: queued work survives Close).
+  /// `max_requests` must be positive, so 0 means "no more work, ever" —
+  /// the worker run-loops' exit signal.
+  int WaitPopBatch(int max_requests, std::vector<QueuedRequest>* out);
 
   /// Reports one popped request of `tenant_id` as finished, freeing an
   /// in-flight quota slot and waking enqueuers blocked on it. Call exactly
@@ -279,6 +278,11 @@ class AdmissionQueue {
   /// Returns the slot's request for the caller to move out: it stays in
   /// place until the next ParkLocked, which the held lock rules out.
   QueuedRequest& PopLocked();
+  /// The body of both batch pops: pops up to `max_requests` into `out`
+  /// under the held `lock`, releases it, and wakes blocked enqueuers when a
+  /// slot opened. Returns the number popped.
+  int PopBatchAndUnlock(int max_requests, std::vector<QueuedRequest>* out,
+                        std::unique_lock<std::mutex>* lock);
   /// Moves `request` into a free pool slot, growing the pool when none is
   /// free, and returns the slot.
   uint32_t ParkLocked(QueuedRequest&& request);

@@ -1,7 +1,5 @@
 #include "serve/priority_class.h"
 
-#include <cstring>
-
 namespace ams::serve {
 
 const char* PriorityClassName(PriorityClass cls) {
@@ -14,18 +12,6 @@ const char* PriorityClassName(PriorityClass cls) {
       return "batch";
   }
   return "unknown";
-}
-
-bool PriorityClassFromName(const char* name, PriorityClass* out) {
-  if (name == nullptr || out == nullptr) return false;
-  for (int c = 0; c < kNumPriorityClasses; ++c) {
-    const PriorityClass cls = static_cast<PriorityClass>(c);
-    if (std::strcmp(name, PriorityClassName(cls)) == 0) {
-      *out = cls;
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace ams::serve

@@ -20,10 +20,6 @@ inline constexpr int kNumPriorityClasses = 3;
 
 const char* PriorityClassName(PriorityClass cls);
 
-/// Parses "interactive" / "standard" / "batch"; false on anything else
-/// (`*out` untouched).
-bool PriorityClassFromName(const char* name, PriorityClass* out);
-
 }  // namespace ams::serve
 
 #endif  // AMS_SERVE_PRIORITY_CLASS_H_

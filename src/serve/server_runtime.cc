@@ -169,18 +169,16 @@ void ServerRuntime::WorkerLoop(int worker_index) {
   std::vector<QueuedRequest> refill;
 
   while (true) {
-    // Refill the resident set from the admission queue. An idle worker
-    // parks in WaitPop; a busy one tops up its remaining capacity under one
-    // queue lock, so admitted items keep stepping at full batch width while
-    // traffic flows.
+    // Refill the resident set from the admission queue, under one queue
+    // lock either way: an idle worker parks in WaitPopBatch, and a busy one
+    // tops up its remaining capacity, so admitted items keep stepping at
+    // full batch width while traffic flows.
     const int space = options_.max_resident_per_worker - stepper->resident();
     if (space > 0) {
       refill.clear();
       if (stepper->idle() && in_flight.empty()) {
-        QueuedRequest first;
-        if (!queue_.WaitPop(&first)) return;  // closed and fully drained
-        refill.push_back(std::move(first));
-        if (space > 1) queue_.TryPopBatch(space - 1, &refill);
+        // Nothing popped: closed and fully drained.
+        if (queue_.WaitPopBatch(space, &refill) == 0) return;
       } else if (queue_.size() > 0) {
         // The lock-free depth gauge gates the pop: a busy worker over an
         // empty queue never touches the queue mutex (a stale read costs one
@@ -195,16 +193,8 @@ void ServerRuntime::WorkerLoop(int worker_index) {
                                      std::memory_order_relaxed);
         const double now = clock_->NowSeconds();
         for (QueuedRequest& request : refill) {
-          InFlightRequest tracked;
-          tracked.promise = std::move(request.promise);
-          tracked.priority_class = request.priority_class;
-          tracked.tenant_id = request.tenant_id;
-          tracked.ledger =
+          const RequestLedger ledger =
               metrics_.LedgerFor(request.priority_class, request.tenant_id);
-          tracked.deadline_s = request.deadline_s;
-          tracked.enqueue_time_s = request.enqueue_time_s;
-          tracked.admit_time_s = now;
-          tracked.trace = request.trace;
           if (lane != nullptr && request.trace.sampled &&
               tracer_->enabled()) {
             // The queue-wait span is written retroactively at pop time,
@@ -218,10 +208,11 @@ void ServerRuntime::WorkerLoop(int worker_index) {
             event.a1 = request.tenant_id;
             lane->Record(event);
           }
-          tracked.ledger.Popped(now - request.enqueue_time_s);
+          ledger.Popped(now - request.enqueue_time_s);
           const uint64_t ticket =
               stepper->Admit(request.item, request.stream_id);
-          in_flight.emplace_back(ticket, std::move(tracked));
+          in_flight.emplace_back(
+              ticket, InFlightRequest{std::move(request), ledger, now});
         }
       }
     }
@@ -256,33 +247,34 @@ void ServerRuntime::WorkerLoop(int worker_index) {
       InFlightRequest tracked = std::move(in_flight[slot].second);
       in_flight[slot] = std::move(in_flight.back());
       in_flight.pop_back();
+      QueuedRequest& request = tracked.request;
 
       ServeResult result;
       result.status = ServeStatus::kOk;
       result.outcome = std::move(completion.outcome);
-      result.queue_delay_s = tracked.admit_time_s - tracked.enqueue_time_s;
+      result.queue_delay_s = tracked.admit_time_s - request.enqueue_time_s;
       result.service_s = now - tracked.admit_time_s;
-      result.latency_s = now - tracked.enqueue_time_s;
-      result.slack_s = tracked.deadline_s - now;
+      result.latency_s = now - request.enqueue_time_s;
+      result.slack_s = request.deadline_s - now;
       tracked.ledger.Completed(result.service_s, result.latency_s,
                                result.deadline_met());
       metrics_.in_flight.fetch_sub(1, std::memory_order_relaxed);
-      if (lane != nullptr && tracked.trace.sampled && tracer_->enabled()) {
+      if (lane != nullptr && request.trace.sampled && tracer_->enabled()) {
         // Exec span, admit -> completion, closed retroactively like the
         // queue wait (the resident set multiplexes, so no RAII scope brackets
         // a single request's execution).
         obs::TraceEvent event;
-        event.id = tracked.trace.id;
+        event.id = request.trace.id;
         event.ts_s = tracked.admit_time_s;
         event.dur_s = now - tracked.admit_time_s;
         event.phase = static_cast<uint8_t>(obs::Phase::kExec);
-        event.a0 = static_cast<int32_t>(tracked.priority_class);
+        event.a0 = static_cast<int32_t>(request.priority_class);
         event.a1 = result.deadline_met() ? 0 : 1;
         lane->Record(event);
       }
-      tracked.promise.set_value(std::move(result));
+      request.promise.set_value(std::move(result));
       // Free the tenant's in-flight quota slot (no-op without quotas).
-      queue_.TenantFinished(tracked.tenant_id);
+      queue_.TenantFinished(request.tenant_id);
       FinishOne();
     }
   }

@@ -73,8 +73,8 @@ struct ServeOptions {
 /// Lifecycle: construction spawns the workers; Enqueue() hands back a
 /// future; Drain() waits for all accepted work; Shutdown() (also run by the
 /// destructor) stops admission, completes accepted work, and joins. The
-/// session must outlive the runtime and must not serve SubmitBatch/Run
-/// calls while the runtime is live (both sides share the session's
+/// session must outlive the runtime and must not serve SubmitBatch calls
+/// while the runtime is live (both sides share the session's
 /// per-worker predictor clone pool).
 class ServerRuntime {
  public:
@@ -133,18 +133,14 @@ class ServerRuntime {
   int worker_count() const { return static_cast<int>(workers_.size()); }
 
  private:
-  /// A request a worker has admitted into its stepper, keyed by ticket.
+  /// A request a worker has admitted into its stepper, keyed by ticket:
+  /// the popped request itself (its promise, stamps and trace context move
+  /// in whole), its ledger slices, resolved once at admission, and when it
+  /// was admitted.
   struct InFlightRequest {
-    std::promise<ServeResult> promise;
-    PriorityClass priority_class = PriorityClass::kStandard;
-    int tenant_id = 0;
-    /// The request's ledger slices, resolved once at admission.
+    QueuedRequest request;
     RequestLedger ledger;
-    double deadline_s = std::numeric_limits<double>::infinity();
-    double enqueue_time_s = 0.0;
     double admit_time_s = 0.0;
-    /// Carried from the QueuedRequest so completion can close the exec span.
-    obs::TraceContext trace;
   };
 
   static AdmissionConfig AdmissionConfigFrom(const ServeOptions& options);

@@ -114,10 +114,6 @@ std::vector<int> Rng::SampleWithoutReplacement(int n, int k) {
   return all;
 }
 
-Rng Rng::Fork(uint64_t stream_id) const {
-  return Rng(HashCombine(HashCombine(s_[0], s_[3]), stream_id));
-}
-
 DiscreteDistribution::DiscreteDistribution(const std::vector<double>& weights) {
   AMS_CHECK(!weights.empty());
   cumulative_.resize(weights.size());

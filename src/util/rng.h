@@ -17,7 +17,8 @@ uint64_t HashCombine(uint64_t a, uint64_t b);
 ///
 /// All stochastic behaviour in the library flows through this class so that
 /// datasets, model outputs and training runs replay bit-exactly for a seed.
-/// Not thread-safe; fork per-thread instances with Fork().
+/// Not thread-safe; give each thread its own instance (seeded, say, with
+/// HashCombine(seed, thread_index)).
 class Rng {
  public:
   explicit Rng(uint64_t seed);
@@ -58,10 +59,6 @@ class Rng {
 
   /// k distinct indices drawn uniformly from [0, n).
   std::vector<int> SampleWithoutReplacement(int n, int k);
-
-  /// Deterministically derives an independent child generator. Forking with
-  /// distinct stream ids yields decorrelated streams.
-  Rng Fork(uint64_t stream_id) const;
 
  private:
   std::array<uint64_t, 4> s_;

@@ -3,8 +3,6 @@
 #include <istream>
 #include <ostream>
 
-#include "util/check.h"
-
 namespace ams::util {
 
 void BinaryWriter::WriteRaw(const void* data, size_t n) {
@@ -12,28 +10,11 @@ void BinaryWriter::WriteRaw(const void* data, size_t n) {
 }
 
 void BinaryWriter::WriteU32(uint32_t v) { WriteRaw(&v, sizeof(v)); }
-void BinaryWriter::WriteU64(uint64_t v) { WriteRaw(&v, sizeof(v)); }
 void BinaryWriter::WriteI32(int32_t v) { WriteRaw(&v, sizeof(v)); }
-void BinaryWriter::WriteF32(float v) { WriteRaw(&v, sizeof(v)); }
-void BinaryWriter::WriteF64(double v) { WriteRaw(&v, sizeof(v)); }
-
-void BinaryWriter::WriteString(const std::string& s) {
-  WriteU64(s.size());
-  WriteRaw(s.data(), s.size());
-}
-
-void BinaryWriter::WriteFloatVector(const std::vector<float>& v) {
-  WriteFloats(v.data(), v.size());
-}
 
 void BinaryWriter::WriteFloats(const float* data, uint64_t n) {
-  WriteU64(n);
+  WriteRaw(&n, sizeof(n));
   WriteRaw(data, n * sizeof(float));
-}
-
-void BinaryWriter::WriteDoubleVector(const std::vector<double>& v) {
-  WriteU64(v.size());
-  WriteRaw(v.data(), v.size() * sizeof(double));
 }
 
 bool BinaryWriter::ok() const { return os_->good(); }
@@ -67,66 +48,16 @@ uint32_t BinaryReader::ReadU32() {
   return ok_ ? v : 0;
 }
 
-uint64_t BinaryReader::ReadU64() {
-  uint64_t v = 0;
-  ReadRaw(&v, sizeof(v));
-  return ok_ ? v : 0;
-}
-
 int32_t BinaryReader::ReadI32() {
   int32_t v = 0;
   ReadRaw(&v, sizeof(v));
   return ok_ ? v : 0;
 }
 
-float BinaryReader::ReadF32() {
-  float v = 0;
-  ReadRaw(&v, sizeof(v));
-  return ok_ ? v : 0;
-}
-
-double BinaryReader::ReadF64() {
-  double v = 0;
-  ReadRaw(&v, sizeof(v));
-  return ok_ ? v : 0;
-}
-
-std::string BinaryReader::ReadString() {
-  const uint64_t n = ReadU64();
-  if (!ok_ || n > bytes_left_) {
-    ok_ = false;
-    return {};
-  }
-  std::string s(n, '\0');
-  ReadRaw(s.data(), n);
-  return ok_ ? s : std::string();
-}
-
-std::vector<float> BinaryReader::ReadFloatVector() {
-  const uint64_t n = ReadU64();
-  if (!ok_ || n > bytes_left_ / sizeof(float)) {
-    ok_ = false;
-    return {};
-  }
-  std::vector<float> v(n);
-  ReadRaw(v.data(), n * sizeof(float));
-  return ok_ ? v : std::vector<float>();
-}
-
 bool BinaryReader::ReadFloats(float* out, uint64_t n) {
-  if (ReadU64() != n) ok_ = false;
+  uint64_t length = 0;
+  if (ReadRaw(&length, sizeof(length)) && length != n) ok_ = false;
   return ReadRaw(out, n * sizeof(float));
-}
-
-std::vector<double> BinaryReader::ReadDoubleVector() {
-  const uint64_t n = ReadU64();
-  if (!ok_ || n > bytes_left_ / sizeof(double)) {
-    ok_ = false;
-    return {};
-  }
-  std::vector<double> v(n);
-  ReadRaw(v.data(), n * sizeof(double));
-  return ok_ ? v : std::vector<double>();
 }
 
 }  // namespace ams::util

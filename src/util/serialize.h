@@ -1,30 +1,22 @@
 #ifndef AMS_UTIL_SERIALIZE_H_
 #define AMS_UTIL_SERIALIZE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <string>
-#include <vector>
 
 namespace ams::util {
 
-/// Little binary writer for agent checkpoints and cached artifacts.
-/// Format: raw little-endian PODs; vectors/strings are length-prefixed (u64).
+/// Little binary writer for agent checkpoints.
+/// Format: raw little-endian PODs; a float block is length-prefixed (u64).
 class BinaryWriter {
  public:
   explicit BinaryWriter(std::ostream* os) : os_(os) {}
 
   void WriteU32(uint32_t v);
-  void WriteU64(uint64_t v);
   void WriteI32(int32_t v);
-  void WriteF32(float v);
-  void WriteF64(double v);
-  void WriteString(const std::string& s);
-  void WriteFloatVector(const std::vector<float>& v);
-  /// `n` floats from `data` in WriteFloatVector's format (u64 length, then
-  /// the floats), with no vector in between.
+  /// `n` floats from `data`, after their count as a u64.
   void WriteFloats(const float* data, uint64_t n);
-  void WriteDoubleVector(const std::vector<double>& v);
 
   /// True if all writes so far succeeded.
   bool ok() const;
@@ -37,27 +29,21 @@ class BinaryWriter {
 /// Counterpart reader. After any failed/short read, ok() turns false and all
 /// subsequent reads return zero values; callers check ok() once at the end.
 ///
-/// Lengths read from the input are untrusted: a vector or string whose
-/// length prefix claims more bytes than the stream has left fails the read
-/// before anything is allocated, so a corrupt prefix costs a failed load,
-/// not an 8 GB allocation. The bound is measured once at construction by
-/// seeking to the end; a stream that cannot seek has no known bound.
+/// The reader never allocates: float blocks land in the caller's buffer,
+/// whose size the caller states, and a read that claims more bytes than the
+/// stream has left fails before anything is read. The bound is measured
+/// once at construction by seeking to the end; a stream that cannot seek
+/// has no known bound.
 class BinaryReader {
  public:
   explicit BinaryReader(std::istream* is);
 
   uint32_t ReadU32();
-  uint64_t ReadU64();
   int32_t ReadI32();
-  float ReadF32();
-  double ReadF64();
-  std::string ReadString();
-  std::vector<float> ReadFloatVector();
-  /// Reads a float vector written for exactly `n` floats straight into
+  /// Reads a float block written for exactly `n` floats straight into
   /// `out`: a length prefix other than `n` fails the read before any float
   /// is read. Returns ok().
   bool ReadFloats(float* out, uint64_t n);
-  std::vector<double> ReadDoubleVector();
 
   bool ok() const { return ok_; }
 

@@ -36,22 +36,6 @@ double Percentile(std::vector<double> values, double p) {
   return values[lo] * (1.0 - frac) + values[hi] * frac;
 }
 
-std::vector<CdfPoint> ComputeCdf(std::vector<double> values, int max_points) {
-  if (values.empty()) return {};
-  AMS_CHECK(max_points >= 2);
-  std::sort(values.begin(), values.end());
-  const size_t n = values.size();
-  std::vector<CdfPoint> cdf;
-  const size_t step = std::max<size_t>(1, n / static_cast<size_t>(max_points));
-  for (size_t i = 0; i < n; i += step) {
-    cdf.push_back({values[i], static_cast<double>(i + 1) / static_cast<double>(n)});
-  }
-  if (cdf.back().x != values.back() || cdf.back().p != 1.0) {
-    cdf.push_back({values.back(), 1.0});
-  }
-  return cdf;
-}
-
 double CdfAt(const std::vector<double>& sorted_values, double x) {
   if (sorted_values.empty()) return 0.0;
   auto it = std::upper_bound(sorted_values.begin(), sorted_values.end(), x);

@@ -33,16 +33,6 @@ class RunningStat {
 /// p-th percentile (p in [0,100]) by linear interpolation on a sorted copy.
 double Percentile(std::vector<double> values, double p);
 
-/// One point of an empirical CDF: P(X <= x) = p.
-struct CdfPoint {
-  double x;
-  double p;
-};
-
-/// Empirical CDF of `values` down-sampled to at most `max_points` points
-/// (always includes min and max). Returns an empty vector for empty input.
-std::vector<CdfPoint> ComputeCdf(std::vector<double> values, int max_points);
-
 /// Fraction of `values` that are <= x.
 double CdfAt(const std::vector<double>& sorted_values, double x);
 

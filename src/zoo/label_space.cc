@@ -189,13 +189,6 @@ const std::string& LabelSpace::LabelName(int label_id) const {
   return label_names_[static_cast<size_t>(label_id)];
 }
 
-int LabelSpace::FindLabel(const std::string& name) const {
-  for (int i = 0; i < total_labels_; ++i) {
-    if (label_names_[static_cast<size_t>(i)] == name) return i;
-  }
-  return -1;
-}
-
 bool LabelSpace::IsIndoorScene(int scene_offset) const {
   AMS_CHECK(scene_offset >= 0 &&
             scene_offset < static_cast<int>(scene_indoor_.size()));

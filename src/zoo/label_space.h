@@ -42,9 +42,6 @@ class LabelSpace {
 
   const std::string& LabelName(int label_id) const;
 
-  /// Global id for a label name, or -1 if unknown.
-  int FindLabel(const std::string& name) const;
-
   // Well-known offsets used by the rule engine, examples and tests.
 
   /// Offset of the "person" category within object detection.

@@ -9,7 +9,6 @@
 #include <atomic>
 #include <cmath>
 #include <memory>
-#include <numeric>
 #include <vector>
 
 #include "core/labeling_service.h"
@@ -17,7 +16,6 @@
 #include "data/dataset.h"
 #include "data/dataset_profile.h"
 #include "data/oracle.h"
-#include "data/stream.h"
 #include "sched/policy_registry.h"
 
 namespace ams::core {
@@ -398,27 +396,6 @@ TEST_F(LabelingServiceTest, RecallTargetStopsEarly) {
           << "item " << item;
     }
   }
-}
-
-TEST_F(LabelingServiceTest, StreamingRunVisitsEveryItemInOrder) {
-  LabelingService service = LabelingServiceBuilder(zoo_)
-                                .WithOracle(oracle_)
-                                .WithMode(ExecutionMode::kSerial)
-                                .WithPolicy("no_policy")
-                                .WithRecallTarget(1.0)
-                                .WithWorkers(3)
-                                .Build();
-  std::vector<int> indices(20);
-  std::iota(indices.begin(), indices.end(), 0);
-  data::DataStream stream(dataset_, indices, /*shuffle=*/false, /*seed=*/1);
-  std::vector<int> visited;
-  const int count = service.Run(
-      &stream, [&](const WorkItem& item, const LabelOutcome& outcome) {
-        visited.push_back(item.item);
-        EXPECT_NEAR(outcome.recall, 1.0, 1e-9);
-      });
-  EXPECT_EQ(count, 20);
-  EXPECT_EQ(visited, indices) << "sink sees items in arrival order";
 }
 
 TEST_F(LabelingServiceTest, InterleavedChunksStayWithOneWorker) {

@@ -328,6 +328,14 @@ QueuedRequest MakeRequest(uint64_t sequence, double slack_s, int cls,
   return request;
 }
 
+/// Pops one request through the batch pop; false when the queue is empty.
+bool PopOne(AdmissionQueue* queue, QueuedRequest* out) {
+  std::vector<QueuedRequest> one;
+  if (queue->TryPopBatch(1, &one) == 0) return false;
+  *out = std::move(one.front());
+  return true;
+}
+
 /// Tracks the round-robin's starvation limits along a pop trace: a class
 /// with queued work is passed over at most 5 (interactive), 9 (standard)
 /// or 12 (batch) consecutive pops — the other two weights' sum.
@@ -431,7 +439,7 @@ void RunEpisode(const NamedConfig& named, uint64_t seed, int num_ops) {
     }
     const std::optional<ReferenceQueue::Request> expected = model.Pop();
     QueuedRequest popped;
-    const bool got = real.TryPop(&popped);
+    const bool got = PopOne(&real, &popped);
     ASSERT_EQ(got, expected.has_value()) << context;
     if (!got) return;
     ASSERT_EQ(popped.sequence, expected->sequence) << context;
@@ -492,8 +500,8 @@ void RunEpisode(const NamedConfig& named, uint64_t seed, int num_ops) {
     } else if (roll < 87) {
       const int batch = static_cast<int>(rng() % 4) + 1;
       for (int i = 0; i < batch; ++i) {
-        // Batch pops must span classes exactly like successive TryPops; the
-        // real queue's TryPopBatch is compared one element at a time.
+        // Batch pops must span classes exactly like successive pops; here
+        // the real queue pops one element at a time.
         pop_once();
         if (::testing::Test::HasFatalFailure()) return;
       }
@@ -524,7 +532,7 @@ void RunEpisode(const NamedConfig& named, uint64_t seed, int num_ops) {
     if (::testing::Test::HasFatalFailure()) return;
   }
   QueuedRequest leftover;
-  ASSERT_FALSE(real.TryPop(&leftover)) << context;
+  ASSERT_FALSE(PopOne(&real, &leftover)) << context;
 }
 
 TEST(AdmissionModelTest, RandomizedOpSequencesMatchTheReferenceModel) {
@@ -686,11 +694,11 @@ TEST(AdmissionModelTest, SingleClassWorkloadsReproduceLegacyEdfOrderExactly) {
       std::stable_sort(expected.begin(), expected.end());
       QueuedRequest popped;
       for (const auto& [deadline, sequence] : expected) {
-        ASSERT_TRUE(queue.TryPop(&popped));
+        ASSERT_TRUE(PopOne(&queue, &popped));
         ASSERT_EQ(popped.sequence, sequence) << "seed " << seed;
         ASSERT_EQ(popped.deadline_s, deadline) << "seed " << seed;
       }
-      ASSERT_FALSE(queue.TryPop(&popped));
+      ASSERT_FALSE(PopOne(&queue, &popped));
     }
   }
 }
@@ -739,8 +747,8 @@ TEST(AdmissionModelTest, TenantIdsDoNothingWithoutQuotasBitExactly) {
         ++sequence;
       } else {
         QueuedRequest popped_plain, popped_stamped;
-        const bool got_plain = plain.TryPop(&popped_plain);
-        ASSERT_EQ(got_plain, stamped.TryPop(&popped_stamped));
+        const bool got_plain = PopOne(&plain, &popped_plain);
+        ASSERT_EQ(got_plain, PopOne(&stamped, &popped_stamped));
         if (got_plain) {
           ASSERT_EQ(popped_plain.sequence, popped_stamped.sequence)
               << "seed " << seed;
@@ -815,7 +823,7 @@ TEST(AdmissionModelTest, TenantInFlightCapFreesOnTenantFinished) {
   ASSERT_EQ(queue.Enqueue(MakeRequest(0, kInf, 1, /*tenant=*/4), &bounced),
             AdmitOutcome::kAccepted);
   QueuedRequest popped;
-  ASSERT_TRUE(queue.TryPop(&popped));
+  ASSERT_TRUE(PopOne(&queue, &popped));
   EXPECT_EQ(queue.tenant_in_flight(4), 1);
   // The tenant's single in-flight slot is taken; an in-flight breach is
   // never sheddable, so the arrival bounces kRejectedQuota.
@@ -957,7 +965,7 @@ TEST(AdmissionModelTest, RequestsKeepTheirPayloadAndPromiseThroughSlotReuse) {
   const auto pop_one = [&] {
     const std::optional<ReferenceQueue::Request> expected = model.Pop();
     QueuedRequest popped;
-    ASSERT_EQ(real.TryPop(&popped), expected.has_value());
+    ASSERT_EQ(PopOne(&real, &popped), expected.has_value());
     if (expected.has_value()) resolve(popped, expected->sequence);
   };
 
@@ -1050,10 +1058,13 @@ void RunConcurrentConservation(OverloadPolicy policy, bool with_quotas) {
   for (int t = 0; t < kPoppers; ++t) {
     threads.emplace_back([&] {
       std::vector<uint64_t> local_popped;
-      QueuedRequest request;
-      while (queue.WaitPop(&request)) {
-        local_popped.push_back(request.sequence);
-        queue.TenantFinished(request.tenant_id);
+      std::vector<QueuedRequest> batch;
+      while (queue.WaitPopBatch(4, &batch) > 0) {
+        for (const QueuedRequest& request : batch) {
+          local_popped.push_back(request.sequence);
+          queue.TenantFinished(request.tenant_id);
+        }
+        batch.clear();
       }
       std::lock_guard<std::mutex> lock(mu);
       popped.insert(popped.end(), local_popped.begin(), local_popped.end());

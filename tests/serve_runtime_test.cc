@@ -52,6 +52,14 @@ QueuedRequest MakeRequest(uint64_t sequence, double slack_s,
   return request;
 }
 
+/// Pops one request through the batch pop; false when the queue is empty.
+bool PopOne(AdmissionQueue* queue, QueuedRequest* out) {
+  std::vector<QueuedRequest> one;
+  if (queue->TryPopBatch(1, &one) == 0) return false;
+  *out = std::move(one.front());
+  return true;
+}
+
 AdmissionConfig QueueConfig(int capacity, OverloadPolicy policy,
                             const util::Clock* clock) {
   AdmissionConfig config;
@@ -85,11 +93,11 @@ TEST(AdmissionQueueTest, PopsEarliestDeadlineFirstWithFifoTieBreak) {
   const std::vector<uint64_t> expected = {2, 5, 4, 1, 0, 3};
   for (const uint64_t want : expected) {
     QueuedRequest popped;
-    ASSERT_TRUE(queue.TryPop(&popped));
+    ASSERT_TRUE(PopOne(&queue, &popped));
     EXPECT_EQ(popped.sequence, want);
   }
   QueuedRequest popped;
-  EXPECT_FALSE(queue.TryPop(&popped));
+  EXPECT_FALSE(PopOne(&queue, &popped));
   EXPECT_TRUE(bounced.empty());
 }
 
@@ -103,11 +111,11 @@ TEST(AdmissionQueueTest, StampsArrivalAndDeadlineOnTheServeClock) {
   ASSERT_EQ(queue.Enqueue(MakeRequest(1, 2.5), &bounced),
             AdmitOutcome::kAccepted);
   QueuedRequest popped;
-  ASSERT_TRUE(queue.TryPop(&popped));
+  ASSERT_TRUE(PopOne(&queue, &popped));
   EXPECT_EQ(popped.sequence, 0u);
   EXPECT_DOUBLE_EQ(popped.enqueue_time_s, 100.0);
   EXPECT_DOUBLE_EQ(popped.deadline_s, 102.5);
-  ASSERT_TRUE(queue.TryPop(&popped));
+  ASSERT_TRUE(PopOne(&queue, &popped));
   EXPECT_DOUBLE_EQ(popped.enqueue_time_s, 110.0);
   EXPECT_DOUBLE_EQ(popped.deadline_s, 112.5);
 }
@@ -145,9 +153,9 @@ TEST(AdmissionQueueTest, ShedOldestPolicyEvictsStalestAcceptedWork) {
   EXPECT_EQ(bounced[0].sequence, 0u);
   // Remaining pops are still EDF over the survivors.
   QueuedRequest popped;
-  ASSERT_TRUE(queue.TryPop(&popped));
+  ASSERT_TRUE(PopOne(&queue, &popped));
   EXPECT_EQ(popped.sequence, 1u);
-  ASSERT_TRUE(queue.TryPop(&popped));
+  ASSERT_TRUE(PopOne(&queue, &popped));
   EXPECT_EQ(popped.sequence, 2u);
 }
 
@@ -171,7 +179,7 @@ TEST(AdmissionQueueTest, BlockPolicyAppliesBackpressureUntilAPop) {
   EXPECT_FALSE(second_accepted.load());
   EXPECT_EQ(queue.size(), 1u);
   QueuedRequest popped;
-  ASSERT_TRUE(queue.TryPop(&popped));
+  ASSERT_TRUE(PopOne(&queue, &popped));
   enqueuer.join();
   EXPECT_TRUE(second_accepted.load());
   EXPECT_EQ(queue.size(), 1u);
@@ -192,12 +200,14 @@ TEST(AdmissionQueueTest, CloseWakesBlockedCallersAndKeepsQueuedWork) {
   AwaitState([&] { return queue.waiting_enqueuers() == 1; });
   queue.Close();
   blocked_enqueuer.join();
-  // Queued work survives Close (drain-then-stop) and WaitPop serves it
-  // before reporting exhaustion.
-  QueuedRequest popped;
-  EXPECT_TRUE(queue.WaitPop(&popped));
-  EXPECT_EQ(popped.sequence, 0u);
-  EXPECT_FALSE(queue.WaitPop(&popped)) << "closed and empty: no more work";
+  // Queued work survives Close (drain-then-stop) and WaitPopBatch serves
+  // it before reporting exhaustion.
+  std::vector<QueuedRequest> popped;
+  EXPECT_EQ(queue.WaitPopBatch(8, &popped), 1);
+  ASSERT_EQ(popped.size(), 1u);
+  EXPECT_EQ(popped[0].sequence, 0u);
+  EXPECT_EQ(queue.WaitPopBatch(8, &popped), 0)
+      << "closed and empty: no more work";
 }
 
 // --- priority classes ------------------------------------------------------
@@ -205,7 +215,7 @@ TEST(AdmissionQueueTest, CloseWakesBlockedCallersAndKeepsQueuedWork) {
 std::vector<PriorityClass> PopClasses(AdmissionQueue* queue, int n) {
   std::vector<PriorityClass> order;
   QueuedRequest popped;
-  for (int i = 0; i < n && queue->TryPop(&popped); ++i) {
+  for (int i = 0; i < n && PopOne(queue, &popped); ++i) {
     order.push_back(popped.priority_class);
   }
   return order;
@@ -265,7 +275,7 @@ TEST(AdmissionQueueTest, SaturatedInteractiveAndStandardStillDrainBatch) {
   int pops_since_batch = 0;
   QueuedRequest popped;
   while (batch_drained < kBatchRequests) {
-    ASSERT_TRUE(queue.TryPop(&popped));
+    ASSERT_TRUE(PopOne(&queue, &popped));
     ++pops;
     if (popped.priority_class == PriorityClass::kBatch) {
       ++batch_drained;
@@ -283,33 +293,37 @@ TEST(AdmissionQueueTest, SaturatedInteractiveAndStandardStillDrainBatch) {
 }
 
 TEST(AdmissionQueueTest, BatchPopsSpanClassesInContractOrder) {
-  util::ManualClock clock;
-  AdmissionQueue queue(QueueConfig(64, OverloadPolicy::kReject, &clock));
-  std::vector<QueuedRequest> bounced;
-  // 2 interactive (EDF-inverted arrival), 1 standard, 1 batch.
-  ASSERT_EQ(queue.Enqueue(MakeRequest(0, 9.0, PriorityClass::kInteractive),
-                          &bounced),
-            AdmitOutcome::kAccepted);
-  ASSERT_EQ(queue.Enqueue(MakeRequest(1, 3.0, PriorityClass::kInteractive),
-                          &bounced),
-            AdmitOutcome::kAccepted);
-  ASSERT_EQ(
-      queue.Enqueue(MakeRequest(2, 1.0, PriorityClass::kStandard), &bounced),
-      AdmitOutcome::kAccepted);
-  ASSERT_EQ(
-      queue.Enqueue(MakeRequest(3, 1.0, PriorityClass::kBatch), &bounced),
-      AdmitOutcome::kAccepted);
-  // One TryPopBatch call spans all three classes exactly as four successive
-  // TryPops would: interactive turn (EDF: seq 1 before 0), then standard,
-  // then batch.
-  std::vector<QueuedRequest> batch;
-  EXPECT_EQ(queue.TryPopBatch(8, &batch), 4);
-  ASSERT_EQ(batch.size(), 4u);
-  EXPECT_EQ(batch[0].sequence, 1u);
-  EXPECT_EQ(batch[1].sequence, 0u);
-  EXPECT_EQ(batch[2].sequence, 2u);
-  EXPECT_EQ(batch[3].sequence, 3u);
-  EXPECT_EQ(queue.size(), 0u);
+  // 2 interactive (EDF-inverted arrival), 1 standard, 1 batch. One batch
+  // pop, blocking or not, spans all three classes exactly as four
+  // successive pops would: interactive turn (EDF: seq 1 before 0), then
+  // standard, then batch.
+  for (const bool blocking : {false, true}) {
+    util::ManualClock clock;
+    AdmissionQueue queue(QueueConfig(64, OverloadPolicy::kReject, &clock));
+    std::vector<QueuedRequest> bounced;
+    ASSERT_EQ(queue.Enqueue(MakeRequest(0, 9.0, PriorityClass::kInteractive),
+                            &bounced),
+              AdmitOutcome::kAccepted);
+    ASSERT_EQ(queue.Enqueue(MakeRequest(1, 3.0, PriorityClass::kInteractive),
+                            &bounced),
+              AdmitOutcome::kAccepted);
+    ASSERT_EQ(
+        queue.Enqueue(MakeRequest(2, 1.0, PriorityClass::kStandard), &bounced),
+        AdmitOutcome::kAccepted);
+    ASSERT_EQ(
+        queue.Enqueue(MakeRequest(3, 1.0, PriorityClass::kBatch), &bounced),
+        AdmitOutcome::kAccepted);
+    std::vector<QueuedRequest> batch;
+    EXPECT_EQ(blocking ? queue.WaitPopBatch(8, &batch)
+                       : queue.TryPopBatch(8, &batch),
+              4);
+    ASSERT_EQ(batch.size(), 4u);
+    EXPECT_EQ(batch[0].sequence, 1u);
+    EXPECT_EQ(batch[1].sequence, 0u);
+    EXPECT_EQ(batch[2].sequence, 2u);
+    EXPECT_EQ(batch[3].sequence, 3u);
+    EXPECT_EQ(queue.size(), 0u);
+  }
 }
 
 TEST(AdmissionQueueTest, ShedOldestTakesVictimsFromTheLeastImportantClass) {
@@ -1137,19 +1151,6 @@ TEST_F(ServerRuntimeTest, SteppersRejectOrderDependentPolicies) {
     EXPECT_DEATH(session.NewItemStepper(0), "depend on item order")
         << policy;
   }
-}
-
-TEST(PriorityClassTest, NamesRoundTrip) {
-  for (int c = 0; c < kNumPriorityClasses; ++c) {
-    const PriorityClass cls = static_cast<PriorityClass>(c);
-    PriorityClass parsed = PriorityClass::kInteractive;
-    ASSERT_TRUE(PriorityClassFromName(PriorityClassName(cls), &parsed));
-    EXPECT_EQ(parsed, cls);
-  }
-  PriorityClass parsed = PriorityClass::kBatch;
-  EXPECT_FALSE(PriorityClassFromName("premium", &parsed));
-  EXPECT_FALSE(PriorityClassFromName(nullptr, &parsed));
-  EXPECT_EQ(parsed, PriorityClass::kBatch) << "failed parse must not write";
 }
 
 TEST(ManualClockTest, AdvancesAndRejectsTimeTravel) {

@@ -10,7 +10,8 @@
 // to its cap may allocate per slab and per index or key-pool growth, never
 // per row. Cloning an agent allocates one copy of its weights and little
 // more, and syncing a clone's weights allocates next to nothing. A warm
-// admission queue fills and drains without allocating.
+// admission queue fills and drains without allocating, and a warm serving
+// runtime allocates per request only the promise its caller waits on.
 //
 // The hook is a global operator new/delete replacement with flag-gated
 // call and byte counters. It is compiled out under sanitizers (they
@@ -21,6 +22,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <future>
 #include <memory>
 #include <new>
 #include <vector>
@@ -35,6 +37,8 @@
 #include "obs/trace.h"
 #include "rl/agent.h"
 #include "serve/admission_queue.h"
+#include "serve/request.h"
+#include "serve/server_runtime.h"
 #include "util/arena.h"
 #include "util/clock.h"
 #include "util/rng.h"
@@ -590,6 +594,69 @@ TEST_F(TickAllocTest, WarmLeanSubmitIsAllocationFree) {
   }
   // The items must actually schedule work (skips would trivially pass).
   EXPECT_GE(executions, kItems);
+}
+
+class ServerRuntimeAllocTest : public TickAllocTest {};
+
+TEST_F(ServerRuntimeAllocTest, WarmServingAllocatesOnlyTheRequestPromise) {
+  AMS_SKIP_WITHOUT_ALLOC_HOOKS();
+  // Each request carries the std::promise its future reads: Enqueue builds
+  // it (shared state and result holder), and it moves from the request into
+  // the admission queue's slot pool, out to the worker's refill batch and
+  // into the worker's in-flight table, where the completion sets it. Nothing
+  // else on the way may allocate once a first round has sized the queue's
+  // pool, the workers' buffers and their steppers' resident records. The
+  // bound allows a few growths of the pool, whose depth is set by thread
+  // timing, and nothing near a second promise per request.
+  constexpr int kRequests = 2048;
+  constexpr size_t kSlack = 64;
+  std::unique_ptr<rl::Agent> agent = MakeAgent(
+      zoo_->labels().total_labels(), zoo_->num_models() + 1, nn::NetKind::kMlp,
+      7);
+  core::ScheduleConstraints constraints;
+  constraints.time_budget_s = 1.0;
+  constraints.memory_budget_mb = 8000.0;
+  core::LabelingService session =
+      core::LabelingServiceBuilder(zoo_)
+          .WithOracle(oracle_)
+          .WithPredictor(agent.get())
+          .WithMode(core::ExecutionMode::kParallel)
+          .WithConstraints(constraints)
+          .WithKernelMode(core::KernelMode::kLean)
+          .WithWorkers(2)
+          .Build();
+  serve::ServeOptions options;
+  options.overload = serve::OverloadPolicy::kBlock;
+  options.queue_capacity = kRequests;
+  serve::ServerRuntime runtime(&session, options);
+
+  std::vector<std::future<serve::ServeResult>> futures;
+  futures.reserve(kRequests);
+  const auto serve_round = [&] {
+    for (int i = 0; i < kRequests; ++i) {
+      futures.push_back(
+          runtime.Enqueue(core::WorkItem::Stored(i % dataset_->size())));
+    }
+    runtime.Drain();
+  };
+  const auto expect_all_ok = [&] {
+    ASSERT_EQ(futures.size(), static_cast<size_t>(kRequests));
+    for (std::future<serve::ServeResult>& future : futures) {
+      ASSERT_TRUE(future.get().ok());
+    }
+    futures.clear();
+  };
+
+  serve_round();
+  expect_all_ok();
+  const size_t per_promise =
+      CountAllocations([] { std::promise<serve::ServeResult> promise; });
+  ASSERT_GT(per_promise, 0u);
+  const size_t allocs = CountAllocations(serve_round);
+  expect_all_ok();
+  EXPECT_LE(allocs, kRequests * per_promise + kSlack)
+      << "a warm round of " << kRequests << " requests allocated " << allocs
+      << " times; one promise takes " << per_promise;
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/serialize.h"
 #include "util/table.h"
@@ -57,61 +59,62 @@ TEST(CsvTest, WritesHeaderAndRows) {
 }
 
 TEST(SerializeTest, RoundTripAllTypes) {
+  const float values[] = {1.0f, 2.0f, 3.0f};
   std::stringstream buffer;
   BinaryWriter writer(&buffer);
   writer.WriteU32(0xDEADBEEF);
-  writer.WriteU64(0x123456789ABCDEFull);
   writer.WriteI32(-42);
-  writer.WriteF32(1.5f);
-  writer.WriteF64(-2.25);
-  writer.WriteString("hello world");
-  writer.WriteFloatVector({1.0f, 2.0f, 3.0f});
-  writer.WriteDoubleVector({-1.0, 0.5});
+  writer.WriteFloats(values, 3);
   ASSERT_TRUE(writer.ok());
 
   BinaryReader reader(&buffer);
   EXPECT_EQ(reader.ReadU32(), 0xDEADBEEF);
-  EXPECT_EQ(reader.ReadU64(), 0x123456789ABCDEFull);
   EXPECT_EQ(reader.ReadI32(), -42);
-  EXPECT_FLOAT_EQ(reader.ReadF32(), 1.5f);
-  EXPECT_DOUBLE_EQ(reader.ReadF64(), -2.25);
-  EXPECT_EQ(reader.ReadString(), "hello world");
-  EXPECT_EQ(reader.ReadFloatVector(), (std::vector<float>{1.0f, 2.0f, 3.0f}));
-  EXPECT_EQ(reader.ReadDoubleVector(), (std::vector<double>{-1.0, 0.5}));
+  float out[3] = {0.0f, 0.0f, 0.0f};
+  EXPECT_TRUE(reader.ReadFloats(out, 3));
+  EXPECT_EQ(std::vector<float>(out, out + 3),
+            (std::vector<float>{1.0f, 2.0f, 3.0f}));
   EXPECT_TRUE(reader.ok());
+  EXPECT_EQ(reader.bytes_left(), 0u);
 }
 
 TEST(SerializeTest, TruncatedInputFailsGracefully) {
-  std::stringstream buffer;
-  BinaryWriter writer(&buffer);
-  writer.WriteU64(1000);  // claims a 1000-element vector follows
+  // A block of 3 floats cut one byte short: its length prefix is intact,
+  // so the short read is the floats'.
+  const float values[] = {1.0f, -2.5f, 3.0f};
+  std::stringstream full;
+  BinaryWriter writer(&full);
+  writer.WriteFloats(values, 3);
+  std::string bytes = full.str();
+  bytes.pop_back();
+  std::stringstream buffer(bytes);
   BinaryReader reader(&buffer);
-  const std::vector<float> v = reader.ReadFloatVector();
+  float out[3] = {7.0f, 7.0f, 7.0f};
+  EXPECT_FALSE(reader.ReadFloats(out, 3));
   EXPECT_FALSE(reader.ok());
-  EXPECT_TRUE(v.empty());
+  EXPECT_EQ(out[0], 7.0f) << "a float was read from a short block";
   // Subsequent reads stay failed and return zero values.
   EXPECT_EQ(reader.ReadU32(), 0u);
+  EXPECT_EQ(reader.ReadI32(), 0);
   EXPECT_FALSE(reader.ok());
 }
 
 TEST(SerializeTest, ReadFloatsChecksTheDeclaredLength) {
-  // WriteFloats writes WriteFloatVector's format; ReadFloats reads it in
-  // place only when the length prefix is the one the caller expects.
+  // ReadFloats reads a block in place only when its length prefix is the
+  // one the caller expects.
   const float values[] = {1.0f, -2.5f, 3.0f};
   std::stringstream buffer;
   BinaryWriter writer(&buffer);
   writer.WriteFloats(values, 3);
-  writer.WriteFloats(values, 3);
   ASSERT_TRUE(writer.ok());
   const std::string bytes = buffer.str();
   {
-    std::stringstream as_vector(bytes);
-    BinaryReader reader(&as_vector);
-    const std::vector<float> want = {1.0f, -2.5f, 3.0f};
-    EXPECT_EQ(reader.ReadFloatVector(), want);
+    std::stringstream right_length(bytes);
+    BinaryReader reader(&right_length);
     float out[3] = {0.0f, 0.0f, 0.0f};
     EXPECT_TRUE(reader.ReadFloats(out, 3));
-    EXPECT_EQ(std::vector<float>(out, out + 3), want);
+    EXPECT_EQ(std::vector<float>(out, out + 3),
+              (std::vector<float>{1.0f, -2.5f, 3.0f}));
   }
   {
     std::stringstream wrong_length(bytes);
@@ -124,13 +127,18 @@ TEST(SerializeTest, ReadFloatsChecksTheDeclaredLength) {
 }
 
 TEST(SerializeTest, EmptyContainers) {
+  // A zero-length block round-trips and leaves the reader at the next field.
+  const float none[1] = {0.0f};
   std::stringstream buffer;
   BinaryWriter writer(&buffer);
-  writer.WriteString("");
-  writer.WriteFloatVector({});
+  writer.WriteFloats(none, 0);
+  writer.WriteU32(7);
+  ASSERT_TRUE(writer.ok());
   BinaryReader reader(&buffer);
-  EXPECT_EQ(reader.ReadString(), "");
-  EXPECT_TRUE(reader.ReadFloatVector().empty());
+  float out[1] = {5.0f};
+  EXPECT_TRUE(reader.ReadFloats(out, 0));
+  EXPECT_EQ(out[0], 5.0f);
+  EXPECT_EQ(reader.ReadU32(), 7u);
   EXPECT_TRUE(reader.ok());
 }
 

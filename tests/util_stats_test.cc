@@ -51,24 +51,6 @@ TEST(PercentileTest, UnsortedInputAndSingleElement) {
   EXPECT_DOUBLE_EQ(Percentile({7}, 99), 7.0);
 }
 
-class CdfPointsTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(CdfPointsTest, MonotoneAndBounded) {
-  std::vector<double> values;
-  for (int i = 0; i < 137; ++i) values.push_back(std::sin(i) * 10.0);
-  const std::vector<CdfPoint> cdf = ComputeCdf(values, GetParam());
-  ASSERT_FALSE(cdf.empty());
-  for (size_t i = 1; i < cdf.size(); ++i) {
-    EXPECT_GE(cdf[i].x, cdf[i - 1].x);
-    EXPECT_GE(cdf[i].p, cdf[i - 1].p);
-  }
-  EXPECT_GT(cdf.front().p, 0.0);
-  EXPECT_DOUBLE_EQ(cdf.back().p, 1.0);
-}
-
-INSTANTIATE_TEST_SUITE_P(Resolutions, CdfPointsTest,
-                         ::testing::Values(2, 5, 20, 200));
-
 TEST(CdfAtTest, StepFunctionSemantics) {
   const std::vector<double> sorted = {1.0, 2.0, 2.0, 5.0};
   EXPECT_DOUBLE_EQ(CdfAt(sorted, 0.5), 0.0);
